@@ -10,7 +10,6 @@
 //	experiments -cores 16 -scale 0.5  custom run size
 //	experiments -j 8                  simulation worker-pool parallelism
 //	experiments -enum-workers 8       goroutines per model-checking verdict
-//	experiments -materialize          pre-build whole traces in memory
 //	experiments -cache                cache simulation results in ~/.cache/rmwtso
 //	experiments -cache-dir DIR        cache simulation results under DIR
 //	experiments -cache-clear          clear the cache directory first
@@ -53,9 +52,7 @@
 // results and always match the paper. The simulation experiments (Table 3,
 // Fig. 11) reproduce the paper's shapes on the synthetic workloads; the
 // benchmark×type grid is swept in parallel across a worker pool, with each
-// run streaming its trace from the workload generator at bounded memory
-// (pass -materialize to share pre-built traces across the RMW types
-// instead — identical results, more memory, no per-type regeneration).
+// run streaming its trace from the workload generator at bounded memory.
 //
 // Every simulator run is a pure function of (config, trace, seed, scale,
 // RMW type), so with -cache (or -cache-dir) results are stored in a
@@ -97,7 +94,6 @@ func main() {
 		par      = flag.Int("j", 0, "simulation worker-pool parallelism (default: GOMAXPROCS)")
 		enumW    = flag.Int("enum-workers", 0, "goroutines per model-checking verdict (default: auto by candidate count)")
 		progress = flag.Bool("progress", false, "stream per-run progress while simulating")
-		mat      = flag.Bool("materialize", false, "pre-build whole traces in memory instead of streaming them")
 		shardArg = flag.String("shard", "", "run only sweep shard i/n (requires -out)")
 		outPath  = flag.String("out", "", "write the shard artifact to this file (with -shard)")
 		merge    = flag.Bool("merge", false, "merge the shard artifact files given as arguments into the full report")
@@ -188,7 +184,6 @@ func main() {
 	if *quick {
 		opts = rmwtso.QuickOptions()
 	}
-	opts.Materialize = *mat
 	if *cores > 0 {
 		opts.Cores = *cores
 	}

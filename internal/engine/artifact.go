@@ -14,7 +14,7 @@ import (
 // shard artifact envelope. Bumping it orphans older artifacts (their
 // fingerprints can never match a current plan's) instead of misreading
 // them.
-const ShardSchemaVersion = 1
+const ShardSchemaVersion = 2
 
 // shardArtifactKind tags the envelope so a shard artifact can never be
 // misread as some other JSON file (or vice versa).

@@ -163,52 +163,10 @@ func (e *DeadLetterError) Error() string {
 		len(dls), len(e.Partial.Units)+len(dls), boundedList(ids, listedUnitsMax))
 }
 
-// sourcePool builds group trace sources lazily, once per group, as
-// coordinated workers lease into them — a pull worker cannot know up
-// front which groups it will touch.
-type sourcePool struct {
-	plan     *Plan
-	cache    *simcache.Cache
-	selected map[UnitID]bool
-
-	mu   sync.Mutex
-	srcs map[int]TraceSource
-	errs map[int]error
-}
-
-func newSourcePool(plan *Plan, cache *simcache.Cache, selected map[UnitID]bool) *sourcePool {
-	return &sourcePool{
-		plan: plan, cache: cache, selected: selected,
-		srcs: map[int]TraceSource{}, errs: map[int]error{},
-	}
-}
-
-// get returns the group's source, building it on first use. A build
-// error is sticky: generation is deterministic, so retrying cannot heal
-// it and the failure nacks every unit of the group into the DLQ.
-func (sp *sourcePool) get(group int) (TraceSource, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if src, ok := sp.srcs[group]; ok {
-		return src, nil
-	}
-	if err, ok := sp.errs[group]; ok {
-		return nil, err
-	}
-	src, err := sp.plan.groupSource(sp.plan.groups[group], sp.cache, sp.selected)
-	if err != nil {
-		sp.errs[group] = err
-		return nil, err
-	}
-	sp.srcs[group] = src
-	return src, nil
-}
-
 // unitExecutor adapts runUnit into a coordinator Executor for one named
 // worker: resolve the leased unit, consult the fault injector, simulate,
 // and return the JSON-encoded UnitResult as the ack payload.
-func (e *Engine) unitExecutor(plan *Plan, pool *sourcePool, cache *simcache.Cache, cfg CoordinationConfig, worker string, m *metrics) coordinator.Executor {
-	base := plan.opts.BaseConfig()
+func (e *Engine) unitExecutor(plan *Plan, cache *simcache.Cache, cfg CoordinationConfig, worker string, m *metrics) coordinator.Executor {
 	return func(_ context.Context, task string, attempt int) ([]byte, error) {
 		u, ok := plan.Unit(UnitID(task))
 		if !ok {
@@ -219,11 +177,7 @@ func (e *Engine) unitExecutor(plan *Plan, pool *sourcePool, cache *simcache.Cach
 				return nil, err
 			}
 		}
-		src, err := pool.get(u.group)
-		if err != nil {
-			return nil, err
-		}
-		ur, err := e.runUnit(base, u, src, cache, m)
+		ur, err := e.runUnit(plan, u, cache, m)
 		if err != nil {
 			return nil, err
 		}
@@ -253,47 +207,34 @@ func (e *Engine) assembleCoordinated(plan *Plan, shard Shard, selected []Unit, q
 		}
 		results = append(results, ur)
 	}
-	res := &ShardResult{
-		Plan:         plan.fp,
-		Index:        shard.Index,
-		Count:        shard.Count,
-		Filtered:     shard.Only != nil,
-		Units:        results,
-		Coordination: m.snapshot().Coordination(mode),
-	}
+	res := plan.shardResult(shard, results)
+	res.Coordination = m.snapshot().Coordination(mode)
 	if len(snap.DeadLetters) > 0 {
 		return nil, &DeadLetterError{Partial: res}
 	}
 	return res, nil
 }
 
-// runPlanCoordinated is a plan job through the pull queue: the shard's
-// units are leased one at a time to in-process workers, with crash
-// recovery (lease expiry requeue), bounded retries and dead-lettering —
-// and a completed sweep's results identical to the static path's, since
-// both execute units through runUnit.
-func (e *Engine) runPlanCoordinated(ctx context.Context, plan *Plan, shard Shard, m *metrics, cfg CoordinationConfig) (*ShardResult, error) {
-	if err := shard.Validate(); err != nil {
-		return nil, err
-	}
-	cache, err := e.planCache(plan)
-	if err != nil {
-		return nil, err
-	}
-
-	selected := plan.Select(shard)
-	m.planned(len(selected))
-	selectedIDs := make(map[UnitID]bool, len(selected))
+// unitQueue builds the pull queue over the selected units, its
+// transitions feeding the job's metrics and event streams.
+func (e *Engine) unitQueue(cfg CoordinationConfig, m *metrics, selected []Unit) (*coordinator.Queue, error) {
 	ids := make([]string, len(selected))
 	for i, u := range selected {
-		selectedIDs[u.ID] = true
 		ids[i] = string(u.ID)
 	}
-	q, err := coordinator.NewQueue(cfg.queueConfig(e.coordObserver(m)), ids)
+	return coordinator.NewQueue(cfg.queueConfig(e.coordObserver(m)), ids)
+}
+
+// runPlanCoordinated is a plan job through the pull queue: the shard's
+// selected units are leased one at a time to in-process workers, with
+// crash recovery (lease expiry requeue), bounded retries and
+// dead-lettering — and a completed sweep's results identical to the
+// static path's, since both execute units through runUnit.
+func (e *Engine) runPlanCoordinated(ctx context.Context, plan *Plan, shard Shard, selected []Unit, cache *simcache.Cache, m *metrics, cfg CoordinationConfig) (*ShardResult, error) {
+	q, err := e.unitQueue(cfg, m, selected)
 	if err != nil {
 		return nil, err
 	}
-	pool := newSourcePool(plan, cache, selectedIDs)
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -305,7 +246,7 @@ func (e *Engine) runPlanCoordinated(ctx context.Context, plan *Plan, shard Shard
 		w := &coordinator.Worker{
 			Name:      name,
 			Coord:     q,
-			Exec:      e.unitExecutor(plan, pool, cache, cfg, name, m),
+			Exec:      e.unitExecutor(plan, cache, cfg, name, m),
 			Heartbeat: cfg.heartbeat(),
 		}
 		wg.Add(1)
@@ -401,11 +342,7 @@ func (e *Engine) NewCoordServerWith(plan *Plan, shard Shard, cfg CoordinationCon
 	m.obs = obs
 	m.remoteAcks = true
 	m.planned(len(selected))
-	ids := make([]string, len(selected))
-	for i, u := range selected {
-		ids[i] = string(u.ID)
-	}
-	q, err := coordinator.NewQueue(cfg.queueConfig(e.coordObserver(m)), ids)
+	q, err := e.unitQueue(cfg, m, selected)
 	if err != nil {
 		return nil, err
 	}
@@ -474,16 +411,11 @@ func (e *Engine) RunPlanWorker(ctx context.Context, plan *Plan, addr, name strin
 	if err := client.WaitReachable(ctx, 30*time.Second); err != nil {
 		return err
 	}
-	// The worker does not know which units it will lease, so the shard
-	// selection is unknown here; a nil selected set makes groupSource
-	// treat every unit of a group as relevant, which only affects the
-	// materialize-vs-stream choice, never results.
-	pool := newSourcePool(plan, cache, nil)
 	m := newJobMetrics(&e.metrics)
 	w := &coordinator.Worker{
 		Name:      name,
 		Coord:     client,
-		Exec:      e.unitExecutor(plan, pool, cache, cfg, name, m),
+		Exec:      e.unitExecutor(plan, cache, cfg, name, m),
 		Heartbeat: cfg.heartbeat(),
 	}
 	return w.Run(ctx)

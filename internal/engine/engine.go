@@ -99,8 +99,8 @@ type SimRun struct {
 	// Unit is the run's stable plan-unit identifier (derived from the
 	// content-addressed cache key), so streamed progress events correlate
 	// with Plan entries without reconstructing the (trace, type, seed)
-	// tuple. It is empty for runs outside the unit model (SweepTraces and
-	// uncacheable SweepSource runs, whose key material is unknown).
+	// tuple. It is empty for SweepSource runs, whose key material (seed
+	// and scale) is unknown.
 	Unit UnitID
 	// Trace is the name of the simulated trace.
 	Trace string
@@ -311,11 +311,30 @@ func (e *Engine) runUnitsCtx(ctx context.Context, n int, run func(int) error) er
 	return firstErr
 }
 
-// simulateSource runs one streaming source on the configuration.
-func simulateSource(cfg SimConfig, src TraceSource) (*SimResult, error) {
+// SimulateCached runs one streaming source on the configuration through
+// the result cache, under the one cache policy every simulating path
+// shares: a stored result is served (hit) and a fresh one is stored,
+// except that a deadlocked result is never stored and never served.
+// Deadlocks therefore always re-execute, so warm and cold runs report
+// them identically. key addresses the run in the cache; with a nil
+// cache it is unused and the run just simulates.
+func SimulateCached(cache *simcache.Cache, key CacheKey, cfg SimConfig, src TraceSource) (res *SimResult, hit bool, err error) {
+	if cache != nil {
+		if res, ok := cache.GetSim(key); ok && !res.Deadlocked {
+			return res, true, nil
+		}
+	}
 	s, err := sim.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return s.RunSource(src)
+	if res, err = s.RunSource(src); err != nil {
+		return nil, false, err
+	}
+	if cache != nil && !res.Deadlocked {
+		// Persistence is best-effort: a failed store is counted in the
+		// cache's Stats and the run's result stands.
+		_ = cache.PutSim(key, res)
+	}
+	return res, false, nil
 }

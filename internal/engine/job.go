@@ -120,14 +120,40 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	return h, nil
 }
 
-// runPlanJob dispatches a plan job to the static pool or the coordinated
-// pull queue, whichever the job (Job.Coordination) or the engine
-// (WithCoordinator) selected.
+// runPlanJob executes the plan units a shard selects and returns their
+// results as a shard artifact: on the engine's worker pool, or through
+// the coordinated pull queue when the job (Job.Coordination) or the
+// engine (WithCoordinator) selected one. Unit identities, order and
+// results are exactly the plan's.
+//
+// The plan — not the engine's WithRMWTypes restriction — determines what
+// runs: dropping plan units silently would leave merges incomplete. Each
+// unit streams its group's trace lazily, and the engine's cache
+// (WithCache, else the plan options' Cache/CacheDir) serves and stores
+// units by their keys, so warm shards do zero simulation work.
 func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *metrics, coord *CoordinationConfig) (*ShardResult, error) {
-	if coord != nil {
-		return e.runPlanCoordinated(ctx, plan, shard, m, *coord)
+	if err := shard.Validate(); err != nil {
+		return nil, err
 	}
-	return e.runPlanStatic(ctx, plan, shard, m)
+	cache, err := e.planCache(plan)
+	if err != nil {
+		return nil, err
+	}
+	selected := plan.Select(shard)
+	m.planned(len(selected))
+	if coord != nil {
+		return e.runPlanCoordinated(ctx, plan, shard, selected, cache, m, *coord)
+	}
+	results := make([]UnitResult, len(selected))
+	err = e.runUnitsCtx(ctx, len(selected), func(i int) error {
+		ur, err := e.runUnit(plan, selected[i], cache, m)
+		results[i] = ur
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return plan.shardResult(shard, results), nil
 }
 
 // RunPlan executes the units of the plan a shard selects and returns

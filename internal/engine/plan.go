@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/simcache"
 	"repro/internal/workload"
 )
@@ -51,8 +49,11 @@ type Unit struct {
 
 // planGroup is the set of plan units that share one workload source.
 type planGroup struct {
-	spec  BenchmarkSpec
-	seed  int64
+	spec BenchmarkSpec
+	seed int64
+	// src is the group's lazy workload source; its Stream returns fresh
+	// iterators, so the group's units may run concurrently from it.
+	src   TraceSource
 	units []int // indexes into Plan.units, in plan order
 }
 
@@ -106,7 +107,7 @@ func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, er
 			if err != nil {
 				return nil, err
 			}
-			group := planGroup{spec: spec, seed: seed}
+			group := planGroup{spec: spec, seed: seed, src: src}
 			for _, typ := range spec.Types {
 				cfg := base.WithRMWType(typ)
 				// Validate before digesting, exactly like the cache paths:
@@ -298,82 +299,6 @@ func deadlockError(name string, typ AtomicityType) error {
 	return fmt.Errorf("rmwtso: %s under %s deadlocked", name, typ)
 }
 
-// runPlanStatic executes the units of the plan a shard selects on the
-// engine's worker pool and returns their results as a shard artifact.
-// Unit identities, order and results are exactly the plan's.
-//
-// The plan — not the engine's WithRMWTypes restriction — determines what
-// runs: dropping plan units silently would leave merges incomplete. Each
-// source group's trace streams lazily (or materializes once, with the
-// plan options' Materialize) and the engine's cache (WithCache, else the
-// plan options' Cache/CacheDir) serves and stores units by the same
-// keys, so warm shards do zero simulation work.
-func (e *Engine) runPlanStatic(ctx context.Context, plan *Plan, shard Shard, m *metrics) (*ShardResult, error) {
-	if err := shard.Validate(); err != nil {
-		return nil, err
-	}
-	cache, err := e.planCache(plan)
-	if err != nil {
-		return nil, err
-	}
-
-	selected := plan.Select(shard)
-	m.planned(len(selected))
-	selectedIDs := make(map[UnitID]bool, len(selected))
-	for _, u := range selected {
-		selectedIDs[u.ID] = true
-	}
-
-	// Phase 1: build one trace source per group with selected units.
-	// Sources are cheap until drained; with Materialize a group's ops are
-	// pre-built and shared across its per-type runs unless every selected
-	// unit of the group is already cached.
-	groupIdx := make([]int, 0, len(plan.groups))
-	seen := map[int]bool{}
-	for _, u := range selected {
-		if !seen[u.group] {
-			seen[u.group] = true
-			groupIdx = append(groupIdx, u.group)
-		}
-	}
-	base := plan.opts.BaseConfig()
-	sources := make([]TraceSource, len(plan.groups))
-	err = e.runUnitsCtx(ctx, len(groupIdx), func(i int) error {
-		src, err := plan.groupSource(plan.groups[groupIdx[i]], cache, selectedIDs)
-		if err != nil {
-			return err
-		}
-		sources[groupIdx[i]] = src
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: simulate each selected unit, sharing its group's source.
-	results := make([]UnitResult, len(selected))
-	err = e.runUnitsCtx(ctx, len(selected), func(i int) error {
-		u := selected[i]
-		ur, err := e.runUnit(base, u, sources[u.group], cache, m)
-		if err != nil {
-			return err
-		}
-		results[i] = ur
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	return &ShardResult{
-		Plan:     plan.fp,
-		Index:    shard.Index,
-		Count:    shard.Count,
-		Filtered: shard.Only != nil,
-		Units:    results,
-	}, nil
-}
-
 // planCache resolves the result cache a plan execution consults: the
 // engine's (WithCache), else the plan options' Cache/CacheDir.
 func (e *Engine) planCache(plan *Plan) (*simcache.Cache, error) {
@@ -383,68 +308,29 @@ func (e *Engine) planCache(plan *Plan) (*simcache.Cache, error) {
 	return plan.opts.ResultCache()
 }
 
-// groupSource builds the trace source one plan group's units share: the
-// group's workload generator stream, materialized once when the plan
-// options ask for it and the group still has uncached selected units. A
-// nil selected set means every unit of the group counts as selected.
-// This is phase 1 of a static plan run; coordinated sweeps build the
-// same sources lazily as workers lease into a group.
-func (p *Plan) groupSource(g planGroup, cache *simcache.Cache, selected map[UnitID]bool) (TraceSource, error) {
-	base := p.opts.BaseConfig()
-	gen := workload.Generator{Cores: base.Cores, Seed: g.seed, Replacement: g.spec.Variant}
-	src, err := gen.Source(p.opts.ScaledProfile(g.spec.Profile))
-	if err != nil {
-		return nil, err
-	}
-	cached := cache != nil
-	for _, ui := range g.units {
-		if cached && selected != nil && !selected[p.units[ui].ID] {
-			continue
-		}
-		if cached && !cache.Has(p.units[ui].Key) {
-			cached = false
-		}
-	}
-	if p.opts.Materialize && !cached {
-		return sim.Materialize(src).Source(), nil
-	}
-	return src, nil
-}
-
-// runUnit executes one plan unit against its group's source — serving it
-// from the cache when possible, simulating and storing otherwise — and
-// emits its SimRun event. It is the single execution path behind the
-// static worker pool, the coordinator's pull workers (in-process and
-// HTTP) and the experiment sweeps, so the modes cannot drift.
-func (e *Engine) runUnit(base SimConfig, u Unit, src TraceSource, cache *simcache.Cache, m *metrics) (UnitResult, error) {
-	if cache != nil {
-		if res, ok := cache.GetSim(u.Key); ok {
-			// Warm runs must reject a deadlocked result exactly like
-			// cold runs do (such entries are never stored here, but a
-			// foreign writer could have).
-			if res.Deadlocked {
-				return UnitResult{}, deadlockError(u.Trace, u.Type)
-			}
-			ur := UnitResult{Unit: u.ID, Trace: u.Trace, Type: u.Type, Seed: u.Seed, CacheHit: true, Result: res}
-			m.unitDone(true)
-			e.emitTo(m, Event{Sim: &SimRun{Unit: u.ID, Trace: u.Trace, Type: u.Type, Result: res, CacheHit: true}})
-			return ur, nil
-		}
-	}
-	res, err := simulateSource(base.WithRMWType(u.Type), src)
+// runUnit executes one plan unit on its group's source through the
+// result cache (SimulateCached) and emits its SimRun event. It is the
+// single execution path behind the static worker pool, the coordinator's
+// pull workers (in-process and HTTP) and the experiment sweeps, so the
+// modes cannot drift.
+func (e *Engine) runUnit(plan *Plan, u Unit, cache *simcache.Cache, m *metrics) (UnitResult, error) {
+	cfg := plan.opts.BaseConfig().WithRMWType(u.Type)
+	res, hit, err := SimulateCached(cache, u.Key, cfg, plan.groups[u.group].src)
 	if err != nil {
 		return UnitResult{}, err
 	}
 	if res.Deadlocked {
 		return UnitResult{}, deadlockError(u.Trace, u.Type)
 	}
-	if cache != nil {
-		_ = cache.PutSim(u.Key, res)
-	}
-	ur := UnitResult{Unit: u.ID, Trace: u.Trace, Type: u.Type, Seed: u.Seed, Result: res}
-	m.unitDone(false)
-	e.emitTo(m, Event{Sim: &SimRun{Unit: u.ID, Trace: u.Trace, Type: u.Type, Result: res}})
-	return ur, nil
+	m.unitDone(hit)
+	e.emitTo(m, Event{Sim: &SimRun{Unit: u.ID, Trace: u.Trace, Type: u.Type, Result: res, CacheHit: hit}})
+	return UnitResult{Unit: u.ID, Trace: u.Trace, Type: u.Type, Seed: u.Seed, CacheHit: hit, Result: res}, nil
+}
+
+// shardResult frames the unit results of a shard of the plan as a shard
+// artifact.
+func (p *Plan) shardResult(s Shard, units []UnitResult) *ShardResult {
+	return &ShardResult{Plan: p.fp, Index: s.Index, Count: s.Count, Filtered: s.Only != nil, Units: units}
 }
 
 // listedUnitsMax bounds how many unit IDs a merge-path error message

@@ -1,18 +1,6 @@
 package engine
 
-import (
-	"repro/internal/sim"
-	"repro/internal/simcache"
-)
-
-// SweepTrace simulates one trace under every configured RMW type, one
-// run per work unit. The returned slice is ordered like the configured
-// types. The trace is shared read-only across the pool; this is
-// SweepSource over the trace's own source, since a materialized run is
-// defined as replaying the trace's streams.
-func (e *Engine) SweepTrace(cfg SimConfig, trace *Trace) ([]SimRun, error) {
-	return e.SweepSource(cfg, trace.Source())
-}
+import "repro/internal/simcache"
 
 // SweepSource simulates one streaming trace source under every configured
 // RMW type, one run per work unit, without ever materializing the trace:
@@ -64,62 +52,12 @@ func (e *Engine) sweepSource(cfg SimConfig, src TraceSource, meta *sweepKeyMeta)
 			key = simcache.SimKey(run, src, meta.seed, meta.scale)
 			unit = UnitID(key.UnitID())
 		}
-		if cache != nil {
-			// Deadlocked entries are never stored, but a foreign one is
-			// also never served: deadlocks always re-execute.
-			if res, ok := cache.GetSim(key); ok && !res.Deadlocked {
-				runs[i] = SimRun{Unit: unit, Trace: src.Name(), Type: types[i], Result: res, CacheHit: true}
-				e.metrics.unitDone(true)
-				e.emit(Event{Sim: &runs[i]})
-				return nil
-			}
-		}
-		s, err := sim.New(run)
+		res, hit, err := SimulateCached(cache, key, run, src)
 		if err != nil {
 			return err
 		}
-		res, err := s.RunSource(src)
-		if err != nil {
-			return err
-		}
-		if cache != nil && !res.Deadlocked {
-			_ = cache.PutSim(key, res)
-		}
-		runs[i] = SimRun{Unit: unit, Trace: src.Name(), Type: types[i], Result: res}
-		e.metrics.unitDone(false)
-		e.emit(Event{Sim: &runs[i]})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
-}
-
-// SweepTraces simulates every (trace, configured type) pair across the
-// pool. The returned slice is ordered (trace, type).
-func (e *Engine) SweepTraces(cfg SimConfig, traces ...*Trace) ([]SimRun, error) {
-	types := e.opts.types
-	type unit struct{ ti, yi int }
-	units := make([]unit, 0, len(traces)*len(types))
-	for ti := range traces {
-		for yi := range types {
-			units = append(units, unit{ti, yi})
-		}
-	}
-	runs := make([]SimRun, len(units))
-	err := e.runUnits(len(units), func(i int) error {
-		u := units[i]
-		s, err := sim.New(cfg.WithRMWType(types[u.yi]))
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(traces[u.ti])
-		if err != nil {
-			return err
-		}
-		runs[i] = SimRun{Trace: traces[u.ti].Name, Type: types[u.yi], Result: res}
-		e.metrics.unitDone(false)
+		runs[i] = SimRun{Unit: unit, Trace: src.Name(), Type: types[i], Result: res, CacheHit: hit}
+		e.metrics.unitDone(hit)
 		e.emit(Event{Sim: &runs[i]})
 		return nil
 	})

@@ -43,14 +43,6 @@ type Options struct {
 	// Config overrides the base architectural parameters; the RMW type is
 	// set per run by the harness.
 	Config *sim.Config
-	// Materialize pre-builds each benchmark's whole trace in memory and
-	// shares the slices across the per-type runs (the pre-streaming
-	// behavior). The default, false, streams each run's trace lazily from
-	// the workload generator at O(episode) memory per core — the right
-	// choice for paper-scale and larger sweeps, whose traces dwarf the
-	// episode window. Both paths produce identical results; the streamed
-	// one regenerates ops per run instead of holding them.
-	Materialize bool
 	// EnumWorkers is how many goroutines each litmus verdict and mapping
 	// validation of the semantics experiments (Tables 1 and 4) fans its
 	// candidate enumeration across. The default, 0, picks per program via

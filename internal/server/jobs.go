@@ -47,8 +47,6 @@ type PlanSpec struct {
 	// Seeds reruns the sweep under this many consecutive seeds
 	// (base Seed), like the CLI's -seeds.
 	Seeds int `json:"seeds,omitempty"`
-	// Materialize pre-builds whole traces in memory instead of streaming.
-	Materialize bool `json:"materialize,omitempty"`
 }
 
 // LitmusSpec selects the litmus tests of a litmus job: a registry test
@@ -158,7 +156,6 @@ func (s *Server) planOptions(spec *PlanSpec) (engine.Options, []int64, error) {
 	if spec.Seeds < 0 {
 		return opts, nil, fmt.Errorf("plan seeds must be positive, got %d", spec.Seeds)
 	}
-	opts.Materialize = spec.Materialize
 	if spec.Cores > 0 {
 		opts.Cores = spec.Cores
 	}

@@ -151,10 +151,22 @@ func (s *Server) Run(ctx context.Context) error {
 	return s.Serve(ctx, ln)
 }
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, and idleTimeout how long a kept-alive connection may
+// wait for its next request, so a client that never finishes a request
+// cannot hold a connection forever. idleTimeout outlasts the 90s after
+// which Go's default transport drops idle connections itself. There is
+// deliberately no write timeout: SSE streams and fleet jobs are
+// long-lived. Variables so tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve is Run over a caller-provided listener (which it takes ownership
 // of), so callers can bind port 0 and learn the address first.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.mux}
+	hs := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

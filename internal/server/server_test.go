@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -385,6 +387,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"empty", `{}`},
 		{"both", `{"plan":{"preset":"quick"},"litmus":{"name":"x"}}`},
 		{"unknown field", `{"plan":{"preset":"quick"},"bogus":1}`},
+		{"materialize", `{"plan":{"preset":"quick","materialize":true}}`},
 		{"bad preset", `{"plan":{"preset":"huge"}}`},
 		{"negative cores", `{"plan":{"preset":"quick","cores":-1}}`},
 		{"bad mode", `{"plan":{"preset":"quick"},"mode":"push"}`},
@@ -403,6 +406,51 @@ func TestSubmitValidation(t *testing.T) {
 		if code, _ := getJSON(t, ts, path); code != http.StatusNotFound {
 			t.Errorf("GET %s: HTTP %d, want 404", path, code)
 		}
+	}
+}
+
+// TestServeDropsStalledRequest asserts that a client which never finishes
+// its request line is disconnected once the read-header timeout passes,
+// instead of holding its connection forever.
+func TestServeDropsStalledRequest(t *testing.T) {
+	orig := readHeaderTimeout
+	readHeaderTimeout = 100 * time.Millisecond
+	defer func() { readHeaderTimeout = orig }()
+
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	// Fail instead of hanging if the server never drops the connection.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer 400 before closing; what matters is that the
+	// read ends at EOF rather than at the deadline.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled request: %v; want the server to close the connection", err)
 	}
 }
 

@@ -26,8 +26,7 @@ type processor struct {
 
 	stream OpStream
 
-	stats    CoreStats
-	rmwCosts []RMWCost
+	stats CoreStats
 
 	// noteRMWLine lets the simulator track globally-unique RMW lines.
 	noteRMWLine func(line uint64)
@@ -288,15 +287,18 @@ func (p *processor) notifySlotFree(at uint64) {
 	w(at)
 }
 
-// recordRMW accumulates one dynamic RMW's cost.
-func (p *processor) recordRMW(c RMWCost) {
-	p.rmwCosts = append(p.rmwCosts, c)
-	p.stats.RMWWriteBufferCycles += c.WriteBuffer
-	p.stats.RMWRaWaCycles += c.RaWa
-	if c.Reverted {
+// recordRMW accumulates one completed RMW's cost, split the way
+// Fig. 11(a) reports it. reverted marks a type-2/3 RMW that fell back to a
+// full drain because a pending write conflicted with the addr-list;
+// broadcast marks an RMW that had to broadcast its address.
+func (p *processor) recordRMW(writeBuffer, raWa uint64, reverted, broadcast bool) {
+	p.stats.RMWsCompleted++
+	p.stats.RMWWriteBufferCycles += writeBuffer
+	p.stats.RMWRaWaCycles += raWa
+	if reverted {
 		p.stats.RMWReverts++
 	}
-	if c.Broadcast {
+	if broadcast {
 		p.stats.RMWBroadcasts++
 	}
 }
@@ -324,7 +326,7 @@ func (p *processor) rmwType1(at uint64, line uint64) {
 			done := locked + 1 // the write performs into the locked, owned line
 			p.engine.Schedule(done, func() {
 				p.dir.Unlock(line, p.id, done)
-				p.recordRMW(RMWCost{WriteBuffer: drained - at, RaWa: done - drained})
+				p.recordRMW(drained-at, done-drained, false, false)
 				p.step(done)
 			})
 		})
@@ -363,12 +365,7 @@ func (p *processor) rmwWeak(at uint64, line uint64) {
 				done := locked + 1
 				p.engine.Schedule(done, func() {
 					p.dir.Unlock(line, p.id, done)
-					p.recordRMW(RMWCost{
-						WriteBuffer: drained - start,
-						RaWa:        (done - drained) + bcastLat,
-						Reverted:    true,
-						Broadcast:   broadcast,
-					})
+					p.recordRMW(drained-start, (done-drained)+bcastLat, true, broadcast)
 					p.step(done)
 				})
 			})
@@ -392,11 +389,7 @@ func (p *processor) rmwWeak(at uint64, line uint64) {
 				if pushed > locked+1 {
 					wbWait = pushed - locked - 1 // stalled for a free slot
 				}
-				p.recordRMW(RMWCost{
-					WriteBuffer: wbWait,
-					RaWa:        (locked - at) + 1,
-					Broadcast:   broadcast,
-				})
+				p.recordRMW(wbWait, (locked-at)+1, false, broadcast)
 				p.sched(pushed, p.step)
 			})
 		})

@@ -94,7 +94,6 @@ func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
 	allDrained := true
 	for i, p := range procs {
 		res.PerCore[i] = p.stats
-		res.RMWCosts = append(res.RMWCosts, p.rmwCosts...)
 		if p.finishTime > res.Cycles {
 			res.Cycles = p.finishTime
 		}

@@ -144,19 +144,19 @@ func TestType1RMWIncludesDrainAndLocking(t *testing.T) {
 	trace := NewTrace("type1-rmw", 1)
 	trace.Append(0, Write(0x6000), RMW(0x7000), Compute(1))
 	res := runTrace(t, cfg, trace)
-	if len(res.RMWCosts) != 1 {
-		t.Fatalf("RMW costs = %d, want 1", len(res.RMWCosts))
+	c := res.PerCore[0]
+	if c.RMWsCompleted != 1 {
+		t.Fatalf("completed RMWs = %d, want 1", c.RMWsCompleted)
 	}
-	c := res.RMWCosts[0]
 	// The pending write's cold miss must appear in the write-buffer
 	// component.
-	if c.WriteBuffer < cfg.MemLatencyCycles {
-		t.Errorf("type-1 write-buffer component %d should include the pending write's memory latency", c.WriteBuffer)
+	if c.RMWWriteBufferCycles < cfg.MemLatencyCycles {
+		t.Errorf("type-1 write-buffer component %d should include the pending write's memory latency", c.RMWWriteBufferCycles)
 	}
-	if c.RaWa == 0 {
+	if c.RMWRaWaCycles == 0 {
 		t.Error("type-1 Ra/Wa component must be non-zero")
 	}
-	if c.Reverted || c.Broadcast {
+	if c.RMWReverts != 0 || c.RMWBroadcasts != 0 {
 		t.Error("type-1 RMWs neither broadcast nor revert")
 	}
 }
@@ -312,6 +312,44 @@ func TestType3NaiveAlsoDeadlocks(t *testing.T) {
 	}
 	if !res.Deadlocked {
 		t.Fatal("naive type-3 implementation must also deadlock on the Fig. 10 pattern")
+	}
+}
+
+// TestAvgRMWCostCountsCompletedRMWs strands an RMW behind the Fig. 10
+// deadlock: core 2's RMW of line A waits forever for the lock that core
+// 1's stuck write half holds. Five RMWs are dispatched but only four
+// complete, and the average cost is over the four whose costs were
+// recorded.
+func TestAvgRMWCostCountsCompletedRMWs(t *testing.T) {
+	const lineA, lineB = 0x10000, 0x20000
+	for _, typ := range []core.AtomicityType{core.Type2, core.Type3} {
+		tr := NewTrace("fig10-stranded", 4)
+		tr.Append(0, RMW(lineB), Compute(5000))
+		tr.Append(1, RMW(lineA), Compute(5000))
+		tr.Append(0, Write(lineA), RMW(lineB), Fence(), Compute(1))
+		tr.Append(1, Write(lineB), RMW(lineA), Fence(), Compute(1))
+		tr.Append(2, Compute(8000), RMW(lineA), Compute(1))
+		cfg := testConfig().WithRMWType(typ)
+		cfg.DisableDeadlockAvoidance = true
+		cfg.MaxCycles = 1_000_000
+		res, err := mustSim(t, cfg).Run(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		if !res.Deadlocked {
+			t.Fatalf("%s: the stranded trace must deadlock", typ)
+		}
+		var completed uint64
+		for _, c := range res.PerCore {
+			completed += c.RMWsCompleted
+		}
+		if res.TotalRMWs() != 5 || completed != 4 {
+			t.Errorf("%s: %d RMWs dispatched, %d completed; want 5 and 4", typ, res.TotalRMWs(), completed)
+		}
+		wb, rw, total := res.AvgRMWCost()
+		if wb != 0 || rw != 165.5 || total != 165.5 {
+			t.Errorf("%s: AvgRMWCost = (%v, %v, %v), want (0, 165.5, 165.5)", typ, wb, rw, total)
+		}
 	}
 }
 

@@ -7,26 +7,6 @@ import (
 	"repro/internal/core"
 )
 
-// RMWCost is the cost of one dynamic RMW, split the way Fig. 11(a) reports
-// it.
-type RMWCost struct {
-	// WriteBuffer is the portion spent waiting for the write buffer (the
-	// forced drain of type-1, or the drain of a reverted type-2/3 RMW).
-	WriteBuffer uint64
-	// RaWa is the portion spent performing the read and write halves:
-	// obtaining (exclusive or shared) permission, locking the line, and any
-	// addr-list broadcast.
-	RaWa uint64
-	// Reverted marks a type-2/3 RMW that fell back to a full drain because
-	// a pending write conflicted with the addr-list.
-	Reverted bool
-	// Broadcast marks an RMW that had to broadcast its address.
-	Broadcast bool
-}
-
-// Total returns the RMW's total critical-path cost.
-func (c RMWCost) Total() uint64 { return c.WriteBuffer + c.RaWa }
-
 // CoreStats aggregates one core's activity.
 type CoreStats struct {
 	Core     int
@@ -37,8 +17,14 @@ type CoreStats struct {
 	Fences   uint64
 	Computes uint64
 
+	// RMWsCompleted counts the RMWs that finished; RMWs counts them at
+	// dispatch, so the two differ when a deadlock strands an RMW.
+	RMWsCompleted uint64
 	// RMWWriteBufferCycles and RMWRaWaCycles accumulate the two components
-	// of RMW cost over all dynamic RMWs of this core.
+	// of RMW cost (Fig. 11(a)) over this core's completed RMWs: the wait
+	// for the write buffer (the forced drain of type-1, or the drain of a
+	// reverted type-2/3 RMW), and the read and write halves (obtaining
+	// permission, locking the line and any addr-list broadcast).
 	RMWWriteBufferCycles uint64
 	RMWRaWaCycles        uint64
 	// RMWReverts counts type-2/3 RMWs that fell back to a write-buffer
@@ -61,8 +47,6 @@ type Result struct {
 	Cycles uint64
 	// PerCore holds each core's statistics.
 	PerCore []CoreStats
-	// RMWCosts holds the cost of every dynamic RMW, in completion order.
-	RMWCosts []RMWCost
 	// Broadcasts is the total number of addr-list broadcasts; UniqueRMWs is
 	// the number of distinct RMW lines touched.
 	Broadcasts uint64
@@ -94,19 +78,19 @@ func (r *Result) TotalMemOps() uint64 {
 	return n
 }
 
-// AvgRMWCost returns the mean per-RMW cost split into its components.
-// All-zero components are returned when the run had no RMWs.
+// AvgRMWCost returns the mean cost of a completed RMW split into its
+// components. All-zero components are returned when no RMW completed.
 func (r *Result) AvgRMWCost() (writeBuffer, raWa, total float64) {
-	if len(r.RMWCosts) == 0 {
+	var wb, rw, n uint64
+	for _, c := range r.PerCore {
+		wb += c.RMWWriteBufferCycles
+		rw += c.RMWRaWaCycles
+		n += c.RMWsCompleted
+	}
+	if n == 0 {
 		return 0, 0, 0
 	}
-	var wb, rw uint64
-	for _, c := range r.RMWCosts {
-		wb += c.WriteBuffer
-		rw += c.RaWa
-	}
-	n := float64(len(r.RMWCosts))
-	return float64(wb) / n, float64(rw) / n, float64(wb+rw) / n
+	return float64(wb) / float64(n), float64(rw) / float64(n), float64(wb+rw) / float64(n)
 }
 
 // RMWsPer1000MemOps returns the RMW density the way Table 3 reports it.

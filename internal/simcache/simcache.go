@@ -37,7 +37,7 @@ import (
 // change to sim.Config.Digest, sim.Result's serialized shape, or the
 // envelope layout requires) orphans all previously written entries
 // instead of misinterpreting them.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Entry kinds. The kind participates in the key digest, so payloads of
 // different types can never alias.
@@ -419,26 +419,6 @@ func (c *Cache) Get(k Key, out any) bool {
 	c.stats.DiskHits++
 	c.mu.Unlock()
 	return true
-}
-
-// Has reports whether either tier holds an entry addressed by the key,
-// without decoding, verifying or promoting it (and without touching the
-// hit/miss counters). Callers use it to skip work that only pays off on
-// a miss — e.g. materializing a trace — accepting that a corrupt entry
-// may still turn the eventual Get into a miss.
-func (c *Cache) Has(k Key) bool {
-	digest := k.Digest()
-	c.mu.Lock()
-	_, ok := c.items[digest]
-	c.mu.Unlock()
-	if ok {
-		return true
-	}
-	if c.dir == "" {
-		return false
-	}
-	_, err := os.Stat(c.path(digest))
-	return err == nil
 }
 
 // removeEntry deletes a corrupt disk entry. A variable so tests can

@@ -21,13 +21,9 @@ func fakeResult(trace string, typ core.AtomicityType) *sim.Result {
 		Cycles:   123456,
 		PerCore: []sim.CoreStats{
 			{Core: 0, Cycles: 123456, Reads: 10, Writes: 5, RMWs: 3, Fences: 1, Computes: 7,
-				RMWWriteBufferCycles: 40, RMWRaWaCycles: 60, RMWReverts: 1, RMWBroadcasts: 2,
+				RMWsCompleted: 3, RMWWriteBufferCycles: 40, RMWRaWaCycles: 60, RMWReverts: 1, RMWBroadcasts: 2,
 				ReadStallCycles: 11, WriteStallCycles: 13},
 			{Core: 1, Cycles: 120000, Reads: 9, Writes: 4, RMWs: 2},
-		},
-		RMWCosts: []sim.RMWCost{
-			{WriteBuffer: 30, RaWa: 20, Reverted: true, Broadcast: false},
-			{WriteBuffer: 0, RaWa: 25, Broadcast: true},
 		},
 		Broadcasts:           2,
 		UniqueRMWs:           2,
@@ -105,11 +101,11 @@ func TestMemoryRoundTrip(t *testing.T) {
 func TestKeyDigestPinned(t *testing.T) {
 	src := fakeSource{"radiosity", 32}
 	k := SimKey(sim.DefaultConfig().WithRMWType(core.Type2), src, 20130601, 1)
-	wantCanonical := "simcache/v1|kind=sim-result|cfg=585c16977312da197d4bc0588d44de9a5035230ee85f689813b960bcd036db1f|trace=radiosity|wl=|cores=32|seed=20130601|scale=1|rmw=2"
+	wantCanonical := "simcache/v2|kind=sim-result|cfg=585c16977312da197d4bc0588d44de9a5035230ee85f689813b960bcd036db1f|trace=radiosity|wl=|cores=32|seed=20130601|scale=1|rmw=2"
 	if got := k.Canonical(); got != wantCanonical {
 		t.Fatalf("canonical key changed:\ngot  %s\nwant %s\n(bless this and bump SchemaVersion if intentional)", got, wantCanonical)
 	}
-	wantDigest := "c96533331626aa60d9ba350068eeb122bacf4f3db35b5c6c6cbc106f235fa97f"
+	wantDigest := "6e96cb7997af01fe0e3f75436835add190b94412340c5abf7fe7df2c5efdad16"
 	if got := k.Digest(); got != wantDigest {
 		t.Fatalf("key digest changed:\ngot  %s\nwant %s", got, wantDigest)
 	}

@@ -103,23 +103,8 @@ func LitmusCacheKey(t *Test, typ AtomicityType) CacheKey {
 // experiment harness must keep rejecting identically on warm and cold
 // runs, so they always re-execute.
 func SimulateSourceCached(c *Cache, cfg SimConfig, src TraceSource, seed int64, scale float64) (*SimResult, bool, error) {
-	if c == nil {
-		res, err := SimulateSource(cfg, src)
-		return res, false, err
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
-	key := SimCacheKey(cfg, src, seed, scale)
-	if res, ok := c.GetSim(key); ok && !res.Deadlocked {
-		return res, true, nil
-	}
-	res, err := SimulateSource(cfg, src)
-	if err != nil {
-		return nil, false, err
-	}
-	if !res.Deadlocked {
-		_ = c.PutSim(key, res)
-	}
-	return res, false, nil
+	return engine.SimulateCached(c, SimCacheKey(cfg, src, seed, scale), cfg, src)
 }

@@ -103,9 +103,9 @@ func Cpp11Specs() []BenchmarkSpec { return experiments.Cpp11Specs() }
 //
 // It is a thin wrapper over the plan pipeline: the (spec, type) grid is
 // enumerated into a Plan of content-addressed units, executed unsharded
-// with RunPlan (lazy streaming by default, Options.Materialize to share
-// pre-built traces per spec, the Runner's or options' result cache
-// consulted per unit and hits streamed flagged CacheHit) and reassembled
+// with RunPlan (each unit's trace streamed lazily, the Runner's or
+// options' result cache consulted per unit and hits streamed flagged
+// CacheHit) and reassembled
 // with Plan.Runs — so an in-process sweep and a sharded fleet run through
 // one code path and produce identical results. Results come back in spec
 // order with one ByType entry per simulated type.

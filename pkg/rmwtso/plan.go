@@ -82,10 +82,10 @@ func ParseShard(spec string) (Shard, error) { return engine.ParseShard(spec) }
 //
 // The plan — not the Runner's WithRMWTypes restriction — determines what
 // runs: dropping plan units silently would leave merges incomplete. Each
-// source group's trace streams lazily (or materializes once, with the
-// plan options' Materialize) exactly like RunBenchmarks, and the Runner's
-// cache (WithCache, else the plan options' Cache/CacheDir) serves and
-// stores units by the same keys, so warm shards do zero simulation work.
+// unit streams its source group's trace lazily exactly like
+// RunBenchmarks, and the Runner's cache (WithCache, else the plan
+// options' Cache/CacheDir) serves and stores units by the same keys, so
+// warm shards do zero simulation work.
 func (r *Runner) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
 	return r.eng.RunPlan(ctx, plan, shard)
 }

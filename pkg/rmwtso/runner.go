@@ -170,15 +170,6 @@ func (r *Runner) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, e
 	return r.eng.ValidateMappings(programs...)
 }
 
-// SweepTrace simulates one trace under every configured RMW type, one
-// run per work unit. The returned slice is ordered like the configured
-// types. The trace is shared read-only across the pool; this is
-// SweepSource over the trace's own source, since a materialized run is
-// defined as replaying the trace's streams.
-func (r *Runner) SweepTrace(cfg SimConfig, trace *Trace) ([]SimRun, error) {
-	return r.eng.SweepTrace(cfg, trace)
-}
-
 // SweepSource simulates one streaming trace source under every configured
 // RMW type, one run per work unit, without ever materializing the trace:
 // each run pulls fresh per-core streams from the source, so peak memory is
@@ -198,10 +189,4 @@ func (r *Runner) SweepSource(cfg SimConfig, src TraceSource) ([]SimRun, error) {
 // SweepSource.
 func (r *Runner) SweepSourceCached(cfg SimConfig, src TraceSource, seed int64, scale float64) ([]SimRun, error) {
 	return r.eng.SweepSourceCached(cfg, src, seed, scale)
-}
-
-// SweepTraces simulates every (trace, configured type) pair across the
-// pool. The returned slice is ordered (trace, type).
-func (r *Runner) SweepTraces(cfg SimConfig, traces ...*Trace) ([]SimRun, error) {
-	return r.eng.SweepTraces(cfg, traces...)
 }

@@ -62,8 +62,8 @@ func TraceCompute(cycles uint64) TraceOp { return sim.Compute(cycles) }
 
 // Simulate runs one materialized trace on the simulated machine described
 // by the configuration. For sweeping one trace across several RMW types
-// in parallel, use Runner.SweepTrace; for bounded-memory runs of long
-// workloads, use SimulateSource.
+// in parallel, use Runner.SweepSource over the trace's Source; for
+// bounded-memory runs of long workloads, use SimulateSource.
 func Simulate(cfg SimConfig, trace *Trace) (*SimResult, error) {
 	s, err := sim.New(cfg)
 	if err != nil {

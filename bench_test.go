@@ -39,14 +39,27 @@ func benchOptions() experiments.Options {
 	return o
 }
 
-// runTable3 and runCpp11 run the benchmark sweeps through the execution
-// engine, the single runUnit path behind every sweep mode.
+// runTable3 and runCpp11 run the benchmark sweeps as plans through the
+// execution engine, the single runUnit path behind every sweep mode.
 func runTable3(o experiments.Options) ([]*experiments.BenchmarkRun, error) {
-	return engine.New().RunBenchmarks(o, experiments.Table3Specs())
+	return runSpecs(o, experiments.Table3Specs())
 }
 
 func runCpp11(o experiments.Options) ([]*experiments.BenchmarkRun, error) {
-	return engine.New().RunBenchmarks(o, experiments.Cpp11Specs())
+	return runSpecs(o, experiments.Cpp11Specs())
+}
+
+// runSpecs runs the plan of the specs and reassembles its benchmark runs.
+func runSpecs(o experiments.Options, specs []experiments.BenchmarkSpec) ([]*experiments.BenchmarkRun, error) {
+	plan, err := engine.BuildPlan(o, specs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := engine.New().RunPlan(nil, plan, engine.FullShard())
+	if err != nil {
+		return nil, err
+	}
+	return plan.Runs(res.Units)
 }
 
 // BenchmarkTable1IdiomMatrix regenerates Table 1: model checking of the

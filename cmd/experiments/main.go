@@ -53,6 +53,9 @@
 // Fig. 11) reproduce the paper's shapes on the synthetic workloads; the
 // benchmark×type grid is swept in parallel across a worker pool, with each
 // run streaming its trace from the workload generator at bounded memory.
+// -all, -table, -fig and -summary print sections of the same report that
+// -format encodes whole; the sweep runs only when a simulation section is
+// requested.
 //
 // Every simulator run is a pure function of (config, trace, seed, scale,
 // RMW type), so with -cache (or -cache-dir) results are stored in a
@@ -203,7 +206,7 @@ func main() {
 
 	// The seed list of the sweep: the base seed alone, or -seeds
 	// consecutive seeds starting at it. Every mode (plan pipeline and
-	// legacy tables) derives its work from this one list, so the plan
+	// table modes) derives its plan from this one list, so the plan
 	// fingerprints of a multi-seed fleet agree.
 	seedList := []int64{opts.Seed}
 	for s := int64(1); s < int64(*seeds); s++ {
@@ -340,11 +343,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *all || *table == "1" {
-		rows, err := rmwtso.RunTable1Opts(opts)
+	// The table modes print sections of the same Report the -format mode
+	// encodes.
+	needSim := *all || *table == "3" || *fig == "11a" || *fig == "11b" || *summary
+	var runs []*rmwtso.BenchmarkRun
+	if needSim {
+		plan, err := rmwtso.DefaultPlanSeeds(opts, seedList...)
 		check(err)
-		fmt.Println(rmwtso.RenderTable1(rows))
-		if err := rmwtso.CheckTable1Matches(rows); err != nil {
+		res, err := newRunner(*par, cache, *progress).RunPlan(nil, plan, rmwtso.FullShard())
+		check(err)
+		runs, err = plan.Runs(res.Units)
+		check(err)
+	}
+	report, err := rmwtso.BuildReport(opts, runs)
+	check(err)
+
+	if *all || *table == "1" {
+		fmt.Println(rmwtso.RenderTable1(report.Table1))
+		if err := rmwtso.CheckTable1Matches(report.Table1); err != nil {
 			fmt.Println("WARNING:", err)
 		} else {
 			fmt.Println("Table 1 matches the paper exactly.")
@@ -352,70 +368,44 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *table == "2" {
+		// Table 2 lists the options' architectural configuration, the
+		// same rows as report.Table2.
 		fmt.Println(rmwtso.RenderTable2(opts.BaseConfig()))
 		fmt.Println()
 	}
 	if *all || *table == "4" {
-		rows, err := rmwtso.RunTable4Opts(opts)
-		check(err)
-		fmt.Println(rmwtso.RenderTable4(rows))
+		fmt.Println(rmwtso.RenderTable4(report.Table4))
 		fmt.Println()
 	}
-
-	needSim := *all || *table == "3" || *fig == "11a" || *fig == "11b" || *summary
 	if !needSim {
 		reportCache(cache)
 		return
 	}
 
-	runner := newRunner(*par, cache, *progress)
-
 	fmt.Printf("Simulating the Table 3 benchmark set (%d cores, scale %.2f)...\n\n", opts.Cores, opts.Scale)
-	runs, err := runner.RunBenchmarksSeeds(opts, rmwtso.Table3Specs(), seedList...)
-	check(err)
-	cppRuns, err := runner.RunBenchmarksSeeds(opts, rmwtso.Cpp11Specs(), seedList...)
-	check(err)
-	allRuns := append(append([]*rmwtso.BenchmarkRun{}, runs...), cppRuns...)
-
-	// Multi-seed sweeps render the per-seed sections from the base seed
-	// (matching BuildReport) and append the cross-seed statistics.
-	baseOf := func(in []*rmwtso.BenchmarkRun) []*rmwtso.BenchmarkRun {
-		if len(seedList) <= 1 {
-			return in
-		}
-		var out []*rmwtso.BenchmarkRun
-		for _, r := range in {
-			if r.Seed == opts.Seed {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-
 	if *all || *table == "3" {
-		fmt.Println(rmwtso.RenderTable3(rmwtso.Table3FromRuns(baseOf(runs))))
+		fmt.Println(rmwtso.RenderTable3(report.Table3))
 		fmt.Println()
 	}
-	figA, figB := rmwtso.Fig11FromRuns(baseOf(allRuns))
 	if *all || *fig == "11a" {
-		fmt.Println(rmwtso.RenderFig11a(figA))
+		fmt.Println(rmwtso.RenderFig11a(report.Fig11a))
 		fmt.Println()
 	}
 	if *all || *fig == "11b" {
-		fmt.Println(rmwtso.RenderFig11b(figB))
+		fmt.Println(rmwtso.RenderFig11b(report.Fig11b))
 		fmt.Println()
 	}
 	if *all || *summary {
-		fmt.Println(rmwtso.Summarize(figA, figB).Render())
+		fmt.Println(report.Summary.Render())
 	}
-	if aggs := rmwtso.AggregateSeeds(allRuns); len(aggs) > 0 {
+	if len(report.SeedStats) > 0 {
 		fmt.Println()
-		fmt.Println(rmwtso.RenderSeedAggregates(aggs))
+		fmt.Println(rmwtso.RenderSeedAggregates(report.SeedStats))
 	}
 	reportCache(cache)
 }
 
-// newRunner builds the sweep Runner shared by the legacy, plan and
+// newRunner builds the sweep Runner shared by the table, plan and
 // coordinated modes.
 func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Option) *rmwtso.Runner {
 	runnerOpts := []rmwtso.Option{}

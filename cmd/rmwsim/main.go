@@ -3,6 +3,13 @@
 // split. Workload traces are streamed from the generator one episode at a
 // time, so even very large -scale values run at bounded memory.
 //
+// A benchmark run is a one-spec sweep plan (one unit per RMW type), run
+// through the same engine as cmd/experiments: its unit IDs and cache
+// entries are exactly those of the same units in a cmd/experiments sweep,
+// and a run that deadlocks (possible only with -naive) fails with the
+// engine's error. The hand-built fig10 pattern is not a workload; it is
+// simulated directly and never cached.
+//
 // Usage:
 //
 //	rmwsim -bench bayes -type type-2
@@ -18,16 +25,17 @@
 // -enum-workers fans the verdict's candidate enumeration across that many
 // goroutines (0 picks by candidate count).
 //
-// -cache (or -cache-dir DIR) serves repeated runs from the
+// -cache (or -cache-dir DIR) serves repeated benchmark runs from the
 // content-addressed result cache: a run is keyed by (config, trace, seed,
 // scale, RMW type), so an identical invocation replays the stored
 // statistics instead of simulating. -cache-clear empties the cache
-// directory first.
+// directory first. With -check the cache also replays the verdict.
 //
-// -format json emits each run as one JSON object tagged with its stable
-// unit ID (the same identity cmd/experiments plans and shards by), so a
-// single rmwsim run slots into the same dashboards and merge tooling as
-// a full sweep; the default, ascii, prints the human-readable statistics.
+// -format json emits each run as one JSON object; a benchmark run is
+// tagged with its stable unit ID (the same identity cmd/experiments plans
+// and shards by), so it slots into the same dashboards and merge tooling
+// as a full sweep. The default, ascii, prints the human-readable
+// statistics.
 package main
 
 import (
@@ -141,58 +149,61 @@ func main() {
 	cfg := rmwtso.DefaultSimConfig().WithCores(*cores)
 	cfg.DisableDeadlockAvoidance = *naive
 
-	source, err := buildSource(*benchName, *replace, *cores, *scale, *seed)
-	if err != nil {
-		fatal(err)
-	}
-
+	types := []rmwtso.AtomicityType{typ}
 	if *sweep {
 		// -sweep compares the RMW types, so an explicit -type contradicts
 		// it; reject the combination instead of silently ignoring one.
-		typeSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "type" {
-				typeSet = true
-			}
-		})
-		if typeSet {
+		if cliflags.WasSet(flag.CommandLine, "type") {
 			fatal(fmt.Errorf("-sweep runs all three RMW types and cannot be combined with -type"))
 		}
-		runner := rmwtso.NewRunner(rmwtso.WithCache(cache))
-		runs, err := runner.SweepSourceCached(cfg, source, *seed, *scale)
-		if err != nil {
-			fatal(err)
+		types = rmwtso.AllTypes()
+	}
+
+	if *benchName == "fig10" {
+		if *cores < 2 {
+			fatal(fmt.Errorf("the fig10 pattern needs at least 2 cores, got %d", *cores))
 		}
-		for _, run := range runs {
-			if run.CacheHit {
-				fmt.Fprintf(os.Stderr, "rmwsim: %s under %s served from cache\n", run.Trace, run.Type)
+		// The Fig. 10 pattern is a handful of hand-built ops, not a
+		// workload: it has no seed or scale, so it is simulated directly
+		// and never cached.
+		for _, t := range types {
+			res, err := rmwtso.SimulateSource(cfg.WithRMWType(t), rmwtso.Fig10Trace(*cores).Source())
+			if err != nil {
+				fatal(err)
 			}
-			emitRun(*format, runRecord{Unit: string(run.Unit), Trace: run.Trace, Type: run.Type.String(), CacheHit: run.CacheHit, Result: run.Result})
+			emitRun(*format, runRecord{Trace: res.Workload, Type: t.String(), Result: res})
+			if !*sweep && res.Deadlocked {
+				reportCache(cache)
+				fmt.Println("the run deadlocked: this is the Fig. 10 write-deadlock that the bloom-filter protocol prevents")
+				os.Exit(1)
+			}
 		}
 		reportCache(cache)
 		return
 	}
 
-	runCfg := cfg.WithRMWType(typ)
-	res, hit, err := rmwtso.SimulateSourceCached(cache, runCfg, source, *seed, *scale)
+	spec, err := benchmarkSpec(*benchName, *replace, types)
 	if err != nil {
 		fatal(err)
 	}
-	if hit {
-		fmt.Fprintln(os.Stderr, "rmwsim: result served from cache")
+	plan, err := rmwtso.BuildPlan(rmwtso.Options{Cores: *cores, Scale: *scale, Seed: *seed, Config: &cfg}, []rmwtso.BenchmarkSpec{spec})
+	if err != nil {
+		fatal(err)
 	}
-	emitRun(*format, runRecord{
-		Unit:     rmwtso.SimCacheKey(runCfg, source, *seed, *scale).UnitID(),
-		Trace:    source.Name(),
-		Type:     typ.String(),
-		CacheHit: hit,
-		Result:   res,
-	})
+	res, err := rmwtso.NewRunner(rmwtso.WithCache(cache)).RunPlan(nil, plan, rmwtso.FullShard())
+	if err != nil {
+		fatal(err)
+	}
+	for _, u := range res.Units {
+		switch {
+		case u.CacheHit && *sweep:
+			fmt.Fprintf(os.Stderr, "rmwsim: %s under %s served from cache\n", u.Trace, u.Type)
+		case u.CacheHit:
+			fmt.Fprintln(os.Stderr, "rmwsim: result served from cache")
+		}
+		emitRun(*format, runRecord{Unit: string(u.Unit), Trace: u.Trace, Type: u.Type.String(), CacheHit: u.CacheHit, Result: u.Result})
+	}
 	reportCache(cache)
-	if res.Deadlocked {
-		fmt.Println("the run deadlocked: this is the Fig. 10 write-deadlock that the bloom-filter protocol prevents")
-		os.Exit(1)
-	}
 }
 
 // reportCache prints the cache counters on stderr when caching is on.
@@ -203,34 +214,24 @@ func reportCache(cache *rmwtso.Cache) {
 	fmt.Fprintf(os.Stderr, "rmwsim: cache: %s (dir %s)\n", cache.Stats(), cache.Dir())
 }
 
-func buildSource(bench, replace string, cores int, scale float64, seed int64) (rmwtso.TraceSource, error) {
-	if bench == "fig10" {
-		if cores < 2 {
-			return nil, fmt.Errorf("the fig10 pattern needs at least 2 cores, got %d", cores)
-		}
-		// The Fig. 10 pattern is a handful of hand-built ops; its
-		// materialized trace adapts to the streaming interface.
-		return rmwtso.Fig10Trace(cores).Source(), nil
-	}
+// benchmarkSpec describes the named benchmark workload, with the chosen
+// wsq-mst replacement variant, under the given RMW types.
+func benchmarkSpec(bench, replace string, types []rmwtso.AtomicityType) (rmwtso.BenchmarkSpec, error) {
 	profile, err := rmwtso.FindProfile(bench)
 	if err != nil {
-		return nil, err
+		return rmwtso.BenchmarkSpec{}, err
 	}
-	// Scale through the harness' own rule (ScaledProfile) rather than a
-	// local copy: rmwsim and cmd/experiments share one result cache, so
-	// the same -scale must mean the same workload in both binaries.
-	profile = rmwtso.Options{Scale: scale}.ScaledProfile(profile)
-	gen := rmwtso.Generator{Cores: cores, Seed: seed}
+	spec := rmwtso.BenchmarkSpec{Profile: profile, Types: types}
 	switch replace {
 	case "none", "":
 	case "read":
-		gen.Replacement = rmwtso.ReadReplacement
+		spec.Variant = rmwtso.ReadReplacement
 	case "write":
-		gen.Replacement = rmwtso.WriteReplacement
+		spec.Variant = rmwtso.WriteReplacement
 	default:
-		return nil, fmt.Errorf("unknown replacement %q (want none, read or write)", replace)
+		return rmwtso.BenchmarkSpec{}, fmt.Errorf("unknown replacement %q (want none, read or write)", replace)
 	}
-	return gen.Source(profile)
+	return spec, nil
 }
 
 func fatal(err error) {

@@ -21,45 +21,42 @@ import (
 )
 
 func main() {
-	const cores = 8
 	profile := rmwtso.WSQProfile()
 	profile.Iterations = 120 // keep the example quick
 
-	variants := []struct {
-		name        string
-		replacement rmwtso.Replacement
-		types       []rmwtso.AtomicityType
-	}{
-		// Type-3 RMWs cannot replace SC-atomic writes (§2.5), so the write
-		// replacement only runs under type-1 and type-2.
-		{"wsq-mst_wr (SC writes -> RMW)", rmwtso.WriteReplacement, []rmwtso.AtomicityType{rmwtso.Type1, rmwtso.Type2}},
-		{"wsq-mst_rr (SC reads -> RMW)", rmwtso.ReadReplacement, rmwtso.AllTypes()},
+	// Type-3 RMWs cannot replace SC-atomic writes (§2.5), so the write
+	// replacement only runs under type-1 and type-2.
+	specs := []rmwtso.BenchmarkSpec{
+		{Profile: profile, Variant: rmwtso.WriteReplacement, Types: []rmwtso.AtomicityType{rmwtso.Type1, rmwtso.Type2}},
+		{Profile: profile, Variant: rmwtso.ReadReplacement, Types: rmwtso.AllTypes()},
 	}
+	titles := []string{"wsq-mst_wr (SC writes -> RMW)", "wsq-mst_rr (SC reads -> RMW)"}
 
-	cfg := rmwtso.DefaultSimConfig().WithCores(cores)
-	for _, v := range variants {
-		fmt.Println(v.name)
-		gen := rmwtso.Generator{Cores: cores, Seed: 7, Replacement: v.replacement}
-		// Each per-type run streams its own copy of the workload from the
-		// source; nothing is materialized even though the runs execute
-		// concurrently.
-		source, err := gen.Source(profile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runner := rmwtso.NewRunner(rmwtso.WithRMWTypes(v.types...))
-		runs, err := runner.SweepSource(cfg, source)
-		if err != nil {
-			log.Fatal(err)
-		}
+	// One plan holds both variants' units. Each unit streams its own copy
+	// of the workload; nothing is materialized even though the units run
+	// concurrently.
+	plan, err := rmwtso.BuildPlan(rmwtso.Options{Cores: 8, Seed: 7}, specs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sr, err := rmwtso.NewRunner().RunPlan(nil, plan, rmwtso.FullShard())
+	if err != nil {
+		log.Fatal(err)
+	}
+	runs, err := plan.Runs(sr.Units)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, run := range runs {
+		fmt.Println(titles[i])
 		var baseCost float64
 		var baseCycles uint64
-		for _, run := range runs {
-			res := run.Result
+		for _, typ := range specs[i].Types {
+			res := run.Result(typ)
 			wb, rawa, total := res.AvgRMWCost()
 			fmt.Printf("  %-7s RMW cost %6.1f (WB %5.1f + Ra/Wa %5.1f)  exec %8d cycles  overhead %5.2f%%",
-				run.Type, total, wb, rawa, res.Cycles, res.RMWOverheadPercent())
-			if run.Type == rmwtso.Type1 {
+				typ, total, wb, rawa, res.Cycles, res.RMWOverheadPercent())
+			if typ == rmwtso.Type1 {
 				baseCost, baseCycles = total, res.Cycles
 			} else {
 				fmt.Printf("  (RMW -%.1f%%, exec -%.1f%%)",

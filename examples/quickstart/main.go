@@ -51,39 +51,43 @@ func semantics() {
 }
 
 // implementation compares the RMW types' cost on a small simulated
-// machine, sweeping the three types in parallel.
+// machine, sweeping the three types in parallel as a one-spec plan.
 func implementation() {
 	fmt.Println("== Implementation: per-RMW cost on the simulated CMP ==")
-	gen := rmwtso.Generator{Cores: 8, Seed: 1}
 	profile, err := rmwtso.FindProfile("radiosity")
 	if err != nil {
 		log.Fatal(err)
 	}
 	profile.Iterations = 64 // keep the quickstart fast
 
-	// Source yields the workload lazily, one episode per core at a time;
-	// the sweep below never materializes the trace, so the same code runs
-	// paper-scale workloads at bounded memory.
-	source, err := gen.Source(profile)
+	// The plan holds one unit per RMW type. Each unit streams the
+	// workload lazily, one episode per core at a time, so the same code
+	// runs paper-scale workloads at bounded memory.
+	spec := rmwtso.BenchmarkSpec{Profile: profile, Types: rmwtso.AllTypes()}
+	plan, err := rmwtso.BuildPlan(rmwtso.Options{Cores: 8, Seed: 1}, []rmwtso.BenchmarkSpec{spec})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	cfg := rmwtso.DefaultSimConfig().WithCores(8)
-	runs, err := rmwtso.NewRunner().SweepSource(cfg, source)
+	sr, err := rmwtso.NewRunner().RunPlan(nil, plan, rmwtso.FullShard())
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := runs[0].Result // the sweep preserves type order: type-1 first
+	runs, err := plan.Runs(sr.Units)
+	if err != nil {
+		log.Fatal(err)
+	}
+	bench := runs[0]
+	base := bench.Result(rmwtso.Type1)
 	_, _, baseCost := base.AvgRMWCost()
-	for _, run := range runs {
-		wb, rawa, total := run.Result.AvgRMWCost()
+	for _, typ := range spec.Types {
+		res := bench.Result(typ)
+		wb, rawa, total := res.AvgRMWCost()
 		fmt.Printf("  %-7s avg RMW cost %6.1f cycles (write-buffer %5.1f + Ra/Wa %5.1f), execution %d cycles",
-			run.Type, total, wb, rawa, run.Result.Cycles)
-		if run.Type != rmwtso.Type1 {
+			typ, total, wb, rawa, res.Cycles)
+		if typ != rmwtso.Type1 {
 			fmt.Printf("  -> %.1f%% cheaper per RMW, %.1f%% faster overall",
 				rmwtso.PercentReduction(baseCost, total),
-				rmwtso.PercentReduction(float64(base.Cycles), float64(run.Result.Cycles)))
+				rmwtso.PercentReduction(float64(base.Cycles), float64(res.Cycles)))
 		}
 		fmt.Println()
 	}

@@ -13,10 +13,19 @@ import (
 	"repro/internal/workload"
 )
 
-// runSpecs runs one benchmark sweep through a fresh engine — the single
-// runUnit path every mode funnels into.
-func runSpecs(o experiments.Options, specs []experiments.BenchmarkSpec) ([]*experiments.BenchmarkRun, error) {
-	return engine.New().RunBenchmarks(o, specs)
+// runSpecs runs the plan of the specs (under the given seeds, default
+// o.Seed) through a fresh engine — the single runUnit path every mode
+// funnels into — and reassembles its benchmark runs.
+func runSpecs(o experiments.Options, specs []experiments.BenchmarkSpec, seeds ...int64) ([]*experiments.BenchmarkRun, error) {
+	plan, err := engine.BuildPlanSeeds(o, specs, seeds...)
+	if err != nil {
+		return nil, err
+	}
+	res, err := engine.New().RunPlan(nil, plan, engine.FullShard())
+	if err != nil {
+		return nil, err
+	}
+	return plan.Runs(res.Units)
 }
 
 // cacheTestOptions are small enough for the differential suite to run in
@@ -139,6 +148,47 @@ func TestCacheDirOption(t *testing.T) {
 	}
 }
 
+// TestDeadlockedCacheEntryNeverServed pins runUnit's cache policy on the
+// read side: a deadlocked result stored under a unit's key is never
+// served. The unit re-executes as a miss, and its fresh result replaces
+// the entry.
+func TestDeadlockedCacheEntryNeverServed(t *testing.T) {
+	spec := experiments.Table3Specs()[0]
+	spec.Types = []core.AtomicityType{core.Type2}
+	plan, err := engine.BuildPlan(cacheTestOptions(), []experiments.BenchmarkSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached, err := engine.New().RunPlan(nil, plan, engine.FullShard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := uncached.Units[0].Result
+
+	cache, err := simcache.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := plan.Units()[0].Key
+	deadlocked := *fresh
+	deadlocked.Deadlocked = true
+	if err := cache.PutSim(key, &deadlocked); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := engine.New(engine.WithCache(cache)).RunPlan(nil, plan, engine.FullShard())
+	if err != nil {
+		t.Fatalf("the deadlocked cache entry was served: %v", err)
+	}
+	if got := res.Units[0]; got.CacheHit || !reflect.DeepEqual(got.Result, fresh) {
+		t.Fatalf("unit hit=%v, result equal to an uncached run's: %v; want a miss with the fresh result",
+			got.CacheHit, reflect.DeepEqual(got.Result, fresh))
+	}
+	if stored, ok := cache.GetSim(key); !ok || !reflect.DeepEqual(stored, fresh) {
+		t.Fatalf("cache entry after the run: found=%v, fresh=%v; want the fresh result", ok, reflect.DeepEqual(stored, fresh))
+	}
+}
+
 // TestRunBenchmarksValidates covers the garbage inputs the engine must
 // reject before they reach the generator or a cache key (Validate itself
 // is pinned in the experiments package's own tests).
@@ -151,7 +201,7 @@ func TestRunBenchmarksValidates(t *testing.T) {
 	}
 	for name, o := range cases {
 		if _, err := runSpecs(o, experiments.Table3Specs()[:1]); err == nil {
-			t.Errorf("%s: RunBenchmarks accepted %+v", name, o)
+			t.Errorf("%s: a plan of %+v was accepted", name, o)
 		}
 	}
 }

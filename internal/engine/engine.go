@@ -99,8 +99,7 @@ type SimRun struct {
 	// Unit is the run's stable plan-unit identifier (derived from the
 	// content-addressed cache key), so streamed progress events correlate
 	// with Plan entries without reconstructing the (trace, type, seed)
-	// tuple. It is empty for SweepSource runs, whose key material (seed
-	// and scale) is unknown.
+	// tuple.
 	Unit UnitID
 	// Trace is the name of the simulated trace.
 	Trace string
@@ -155,15 +154,17 @@ func WithEnumWorkers(n int) Option {
 }
 
 // WithCache makes the Engine consult (and fill) a content-addressed
-// result cache: litmus verdicts and plan/sweep simulator runs. Hits skip
+// result cache: litmus verdicts and plan units. Hits skip
 // the computation entirely and are flagged on the streamed event; results
 // are identical either way. A nil cache disables caching (the default).
 func WithCache(c *simcache.Cache) Option {
 	return func(o *options) { o.cache = c }
 }
 
-// WithRMWTypes restricts the atomicity types the Engine checks or sweeps.
-// The default is all three types.
+// WithRMWTypes narrows the model-checking grids — litmus verdicts and
+// mapping validations — to the given atomicity types. The default is all
+// three types. Plans are unaffected: each runs exactly the types of its
+// benchmark specs.
 func WithRMWTypes(types ...AtomicityType) Option {
 	return func(o *options) { o.types = append([]AtomicityType(nil), types...) }
 }
@@ -311,14 +312,14 @@ func (e *Engine) runUnitsCtx(ctx context.Context, n int, run func(int) error) er
 	return firstErr
 }
 
-// SimulateCached runs one streaming source on the configuration through
-// the result cache, under the one cache policy every simulating path
-// shares: a stored result is served (hit) and a fresh one is stored,
-// except that a deadlocked result is never stored and never served.
-// Deadlocks therefore always re-execute, so warm and cold runs report
-// them identically. key addresses the run in the cache; with a nil
-// cache it is unused and the run just simulates.
-func SimulateCached(cache *simcache.Cache, key CacheKey, cfg SimConfig, src TraceSource) (res *SimResult, hit bool, err error) {
+// simulateCached runs one plan unit's source on the configuration through
+// the result cache, under runUnit's cache policy: a stored result is
+// served (hit) and a fresh one is stored, except that a deadlocked result
+// is never stored and never served. Deadlocks therefore always
+// re-execute, so warm and cold runs report them identically. key
+// addresses the run in the cache; with a nil cache it is unused and the
+// run just simulates.
+func simulateCached(cache *simcache.Cache, key CacheKey, cfg SimConfig, src TraceSource) (res *SimResult, hit bool, err error) {
 	if cache != nil {
 		if res, ok := cache.GetSim(key); ok && !res.Deadlocked {
 			return res, true, nil

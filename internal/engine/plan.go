@@ -74,9 +74,10 @@ type Plan struct {
 
 // BuildPlan enumerates the sweep plan for the options and benchmark
 // specs: units are ordered spec-major, then seed, then RMW type — the
-// exact execution and result order of RunBenchmarks. Specs with no
-// types are skipped. It fails on invalid options or configurations and on
-// a unit-ID collision (which would make two distinct work units alias).
+// order of RunPlan's unit results and of the runs Plan.Runs reassembles.
+// Specs with no types are skipped. It fails on invalid options or
+// configurations and on a unit-ID collision (which would make two
+// distinct work units alias).
 func BuildPlan(o Options, specs []BenchmarkSpec) (*Plan, error) {
 	return BuildPlanSeeds(o, specs, o.Seed)
 }
@@ -309,13 +310,13 @@ func (e *Engine) planCache(plan *Plan) (*simcache.Cache, error) {
 }
 
 // runUnit executes one plan unit on its group's source through the
-// result cache (SimulateCached) and emits its SimRun event. It is the
-// single execution path behind the static worker pool, the coordinator's
-// pull workers (in-process and HTTP) and the experiment sweeps, so the
-// modes cannot drift.
+// result cache (simulateCached) and emits its SimRun event. It is the
+// single simulation path behind the static worker pool and the
+// coordinator's pull workers (in-process and HTTP), so the modes cannot
+// drift.
 func (e *Engine) runUnit(plan *Plan, u Unit, cache *simcache.Cache, m *metrics) (UnitResult, error) {
 	cfg := plan.opts.BaseConfig().WithRMWType(u.Type)
-	res, hit, err := SimulateCached(cache, u.Key, cfg, plan.groups[u.group].src)
+	res, hit, err := simulateCached(cache, u.Key, cfg, plan.groups[u.group].src)
 	if err != nil {
 		return UnitResult{}, err
 	}
@@ -464,62 +465,4 @@ func (p *Plan) RunsPartial(units []UnitResult) ([]*BenchmarkRun, []UnitID, error
 	}
 	_, missing := p.missingUnits(byID)
 	return p.groupRuns(byID), missing, nil
-}
-
-// specTypes intersects a spec's types with the engine's configured
-// types, preserving the spec's order. With the default configuration
-// (all three types) this is the spec's list unchanged.
-func (e *Engine) specTypes(s BenchmarkSpec) []AtomicityType {
-	allowed := map[AtomicityType]bool{}
-	for _, t := range e.opts.types {
-		allowed[t] = true
-	}
-	var out []AtomicityType
-	for _, t := range s.Types {
-		if allowed[t] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// RunBenchmarks simulates every (spec, type) pair across the worker pool,
-// streaming each finished run to the observer. A spec's types are
-// intersected with the engine's configured types (WithRMWTypes); specs
-// left with no types are dropped.
-//
-// It is a thin wrapper over the plan pipeline: the (spec, type) grid is
-// enumerated into a Plan of content-addressed units, executed unsharded
-// as a plan job and reassembled with Plan.Runs — so an in-process sweep
-// and a sharded fleet run through one code path and produce identical
-// results. Results come back in spec order with one ByType entry per
-// simulated type.
-func (e *Engine) RunBenchmarks(o Options, specs []BenchmarkSpec) ([]*BenchmarkRun, error) {
-	return e.RunBenchmarksSeeds(o, specs, o.Seed)
-}
-
-// RunBenchmarksSeeds is RunBenchmarks over an explicit workload seed
-// list: the full (spec, type) grid is rerun under every seed in one plan,
-// yielding one BenchmarkRun per (spec, seed) pair in spec-major, then
-// seed order. Reports built from multi-seed runs gain the cross-seed
-// mean/CI section.
-func (e *Engine) RunBenchmarksSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) ([]*BenchmarkRun, error) {
-	kept := make([]BenchmarkSpec, 0, len(specs))
-	for _, s := range specs {
-		ts := e.specTypes(s)
-		if len(ts) == 0 {
-			continue
-		}
-		s.Types = ts
-		kept = append(kept, s)
-	}
-	plan, err := BuildPlanSeeds(o, kept, seeds...)
-	if err != nil {
-		return nil, err
-	}
-	shardRun, err := e.RunPlan(nil, plan, FullShard())
-	if err != nil {
-		return nil, err
-	}
-	return plan.Runs(shardRun.Units)
 }

@@ -24,7 +24,7 @@ func seedTestOptions() experiments.Options {
 func TestMultiSeedRunsKeepSeedIdentity(t *testing.T) {
 	o := seedTestOptions()
 	specs := experiments.Table3Specs()[:1]
-	runs, err := engine.New().RunBenchmarksSeeds(o, specs, o.Seed, o.Seed+1)
+	runs, err := runSpecs(o, specs, o.Seed, o.Seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestMultiSeedRunsKeepSeedIdentity(t *testing.T) {
 func TestMultiSeedReportAggregates(t *testing.T) {
 	o := seedTestOptions()
 	specs := experiments.Table3Specs()[:2]
-	runs, err := engine.New().RunBenchmarksSeeds(o, specs, o.Seed, o.Seed+1)
+	runs, err := runSpecs(o, specs, o.Seed, o.Seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMultiSeedReportAggregates(t *testing.T) {
 	}
 
 	// Base-seed sections: byte-identical to the single-seed report.
-	base, err := engine.New().RunBenchmarks(o, specs)
+	base, err := runSpecs(o, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMultiSeedReportAggregates(t *testing.T) {
 // type-3-free write-replacement variant gets no type-3 aggregate.
 func TestAggregateSeedsSkipsPartialTypes(t *testing.T) {
 	o := seedTestOptions()
-	runs, err := engine.New().RunBenchmarksSeeds(o, experiments.Cpp11Specs()[:1], o.Seed, o.Seed+1)
+	runs, err := runSpecs(o, experiments.Cpp11Specs()[:1], o.Seed, o.Seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}

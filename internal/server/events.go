@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"repro/internal/engine"
@@ -109,6 +110,13 @@ func (l *eventLog) close(final jobEvent) {
 	l.wake = make(chan struct{})
 }
 
+// size returns the number of entries logged so far.
+func (l *eventLog) size() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.entries)
+}
+
 // from returns the entries at index i and beyond, whether the log is
 // complete, and a channel that wakes when more arrive.
 func (l *eventLog) from(i int) ([]jobEvent, bool, <-chan struct{}) {
@@ -124,13 +132,24 @@ func (l *eventLog) from(i int) ([]jobEvent, bool, <-chan struct{}) {
 // handleJobEvents is GET /v1/jobs/{id}/events: the job's event stream as
 // Server-Sent Events — every recorded event replayed from the start,
 // then followed live until the terminal "done" event (or client
-// disconnect). Each frame is `event: <kind>` + `data: <json>`.
+// disconnect). Each frame is `id: <seq>` + `event: <kind>` +
+// `data: <json>`. A reconnecting client's Last-Event-ID resumes the
+// stream after that ID; it must be an ID already logged for the job.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.lookupJob(id)
 	if j == nil {
 		jsonError(w, http.StatusNotFound, "no job %q", id)
 		return
+	}
+	next := 0
+	if last := r.Header.Values("Last-Event-ID"); len(last) > 0 {
+		seq, err := strconv.Atoi(last[0])
+		if err != nil || seq < 0 || seq >= j.events.size() {
+			jsonError(w, http.StatusBadRequest, "Last-Event-ID %q is not an event ID of job %q", last[0], id)
+			return
+		}
+		next = seq + 1
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -141,7 +160,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	next := 0
 	for {
 		events, closed, wake := j.events.from(next)
 		for _, ev := range events {

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -140,7 +141,21 @@ type sseFrame struct {
 // readSSE consumes a /events stream until the terminal done frame.
 func readSSE(t *testing.T, ts *httptest.Server, id string) []sseFrame {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	return readSSEAfter(t, ts, id, "")
+}
+
+// readSSEAfter is readSSE resuming after lastID, sent as the
+// Last-Event-ID header when non-empty.
+func readSSEAfter(t *testing.T, ts *httptest.Server, id, lastID string) []sseFrame {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,6 +390,48 @@ func TestLitmusJobStreamsLive(t *testing.T) {
 	// A litmus job has no report.
 	if code, doc := getJSON(t, ts, "/v1/reports/"+id); code != http.StatusBadRequest {
 		t.Fatalf("litmus report: HTTP %d: %v", code, doc)
+	}
+}
+
+// TestJobEventsResumeAfterLastEventID reconnects to a finished job's
+// stream with Last-Event-ID: the server replays only the frames after
+// that ID, ending with done, and refuses IDs the job never logged.
+func TestJobEventsResumeAfterLastEventID(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, doc := submit(t, ts, `{"litmus":{"name":"write-deadlock (Fig. 10)"}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %v", code, doc)
+	}
+	id := doc["id"].(string)
+	full := readSSE(t, ts, id) // three verdicts + done: ids 0..3
+
+	resumed := readSSEAfter(t, ts, id, "1")
+	if len(resumed) != len(full)-2 {
+		t.Fatalf("resumed stream has %d frames, want the %d after id 1", len(resumed), len(full)-2)
+	}
+	for i, fr := range resumed {
+		if want := full[i+2]; fr.id != want.id || fr.event != want.event {
+			t.Fatalf("resumed frame %d = id %s %s, want id %s %s", i, fr.id, fr.event, want.id, want.event)
+		}
+	}
+	if last := resumed[len(resumed)-1]; last.event != "done" {
+		t.Fatalf("resumed stream ends with %q, want done", last.event)
+	}
+
+	for _, bad := range []string{"x", "-1", "1.5", strconv.Itoa(len(full))} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Last-Event-ID", bad)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("Last-Event-ID %q: HTTP %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 

@@ -81,9 +81,13 @@ type lineMeta struct {
 // waiter is a parked request resumed when a line is unlocked.
 type waiter func(unlockedAt uint64)
 
-// lineLock marks a line locked by an in-flight RMW.
+// lineLock marks a line locked by in-flight RMWs of one core. depth
+// counts the owner's outstanding locks: a weak RMW retires before its
+// write half drains, so with deadlock avoidance disabled its core can
+// lock the line again while the first write is still buffered.
 type lineLock struct {
 	owner   int
+	depth   int
 	waiters []waiter
 }
 
@@ -178,25 +182,29 @@ func (d *Directory) AccessAndLock(core int, line uint64, kind ReqKind, start uin
 	d.Access(core, line, kind, start, func(at uint64) {
 		// Between being parked and resumed another core can have locked the
 		// line; Access already serializes on the lock, so here the line is
-		// either unlocked or locked by us (re-entrant RMW on the same line
-		// cannot happen on an in-order core).
+		// either unlocked or locked by us. It is locked by us when an
+		// earlier weak RMW of this core on the same line retired but its
+		// write half has not drained yet, which only the naive protocol
+		// (deadlock avoidance disabled) allows; Lock counts that re-entry.
 		d.Lock(line, core)
 		complete(at)
 	})
 }
 
-// Lock marks the line locked by the core. Locking an already-locked line by
-// the same core is a no-op; locking a line locked by another core is a
-// protocol bug and panics.
+// Lock marks the line locked by the core. Locks are counted: locking a
+// line the same core already holds nests, and each Lock needs its own
+// Unlock. Locking a line locked by another core is a protocol bug and
+// panics.
 func (d *Directory) Lock(line uint64, core int) {
+	d.stats.Locks++
 	if l, ok := d.locks[line]; ok {
 		if l.owner != core {
 			panic(fmt.Sprintf("directory: core %d locking line %#x already locked by core %d", core, line, l.owner))
 		}
+		l.depth++
 		return
 	}
-	d.locks[line] = &lineLock{owner: core}
-	d.stats.Locks++
+	d.locks[line] = &lineLock{owner: core, depth: 1}
 }
 
 // WaitForUnlock registers fn to run when the line's lock (held by a core
@@ -215,9 +223,10 @@ func (d *Directory) WaitForUnlock(line uint64, core int, fn func(unlockedAt uint
 	return true
 }
 
-// Unlock releases the line's lock at the given time and resumes any parked
-// requests. Unlocking a line that is not locked by the core is a protocol
-// bug and panics.
+// Unlock releases one of the core's locks on the line at the given time.
+// The last release frees the line and resumes any parked requests.
+// Unlocking a line that is not locked by the core is a protocol bug and
+// panics.
 func (d *Directory) Unlock(line uint64, core int, at uint64) {
 	l, ok := d.locks[line]
 	if !ok {
@@ -226,8 +235,11 @@ func (d *Directory) Unlock(line uint64, core int, at uint64) {
 	if l.owner != core {
 		panic(fmt.Sprintf("directory: core %d unlocking line %#x locked by core %d", core, line, l.owner))
 	}
-	delete(d.locks, line)
 	d.stats.Unlocks++
+	if l.depth--; l.depth > 0 {
+		return
+	}
+	delete(d.locks, line)
 	for _, w := range l.waiters {
 		w(at)
 	}

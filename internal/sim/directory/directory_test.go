@@ -229,7 +229,7 @@ func TestTwoRMWsOnSameLineSerialize(t *testing.T) {
 func TestLockReentrantAndMisuse(t *testing.T) {
 	d := newTestDirectory(2)
 	d.Lock(0x2c0, 0)
-	d.Lock(0x2c0, 0) // same owner: no-op
+	d.Lock(0x2c0, 0) // same owner: nests, needing a second Unlock
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -247,6 +247,13 @@ func TestLockReentrantAndMisuse(t *testing.T) {
 		d.Unlock(0x2c0, 1, 0)
 	}()
 	d.Unlock(0x2c0, 0, 0)
+	if locked, owner := d.IsLocked(0x2c0); !locked || owner != 0 {
+		t.Fatalf("after one of two Unlocks: IsLocked = %v, %d; want still locked by core 0", locked, owner)
+	}
+	d.Unlock(0x2c0, 0, 0)
+	if locked, _ := d.IsLocked(0x2c0); locked {
+		t.Fatal("line still locked after the second Unlock")
+	}
 	func() {
 		defer func() {
 			if recover() == nil {

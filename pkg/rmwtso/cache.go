@@ -93,18 +93,3 @@ func SimCacheKey(cfg SimConfig, src TraceSource, seed int64, scale float64) Cach
 func LitmusCacheKey(t *Test, typ AtomicityType) CacheKey {
 	return engine.LitmusVerdictKey(t, typ)
 }
-
-// SimulateSourceCached is SimulateSource through a cache: on a hit the
-// stored result is returned (hit == true) without running the simulator;
-// on a miss the run executes and its result is stored best-effort. A nil
-// cache degrades to plain SimulateSource. The configuration is validated
-// before any key is digested. Deadlocked runs (the Fig. 10 demo) are
-// never stored and never served: they represent a failure mode the
-// experiment harness must keep rejecting identically on warm and cold
-// runs, so they always re-execute.
-func SimulateSourceCached(c *Cache, cfg SimConfig, src TraceSource, seed int64, scale float64) (*SimResult, bool, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, false, err
-	}
-	return engine.SimulateCached(c, SimCacheKey(cfg, src, seed, scale), cfg, src)
-}

@@ -13,9 +13,30 @@ func tinyOptions(cache *rmwtso.Cache) rmwtso.Options {
 	return rmwtso.Options{Cores: 4, Scale: 0.1, Seed: 20130601, Cache: cache}
 }
 
+// runSpecs runs the plan of the specs on the runner and reassembles its
+// benchmark runs.
+func runSpecs(t *testing.T, r *rmwtso.Runner, o rmwtso.Options, specs []rmwtso.BenchmarkSpec) []*rmwtso.BenchmarkRun {
+	t.Helper()
+	plan, err := rmwtso.BuildPlan(o, specs)
+	if err != nil {
+		t.Fatalf("BuildPlan: %v", err)
+	}
+	res, err := r.RunPlan(nil, plan, rmwtso.FullShard())
+	if err != nil {
+		t.Fatalf("RunPlan: %v", err)
+	}
+	runs, err := plan.Runs(res.Units)
+	if err != nil {
+		t.Fatalf("Runs: %v", err)
+	}
+	return runs
+}
+
 // TestRunnerBenchmarkCacheObserver is the acceptance check of the cache:
-// a second RunBenchmarks over the same cache serves every unit as a
-// CacheHit event — zero simulator runs — and returns deeply equal runs.
+// a second run of the same plan over the same cache serves every unit as
+// a CacheHit event — zero simulator runs — and returns deeply equal runs,
+// while a different seed misses because the key includes the workload
+// identity.
 func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 	cache, err := rmwtso.OpenCache(rmwtso.CacheDir(t.TempDir()))
 	if err != nil {
@@ -39,10 +60,7 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 	}
 	runner := rmwtso.NewRunner(rmwtso.WithObserver(observer), rmwtso.WithCache(cache))
 
-	cold, err := runner.RunBenchmarks(tinyOptions(nil), specs)
-	if err != nil {
-		t.Fatalf("cold RunBenchmarks: %v", err)
-	}
+	cold := runSpecs(t, runner, tinyOptions(nil), specs)
 	if got := hits.Load(); got != 0 {
 		t.Fatalf("cold run streamed %d cache hits, want 0", got)
 	}
@@ -52,10 +70,7 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 
 	events.Store(0)
 	hits.Store(0)
-	warm, err := runner.RunBenchmarks(tinyOptions(nil), specs)
-	if err != nil {
-		t.Fatalf("warm RunBenchmarks: %v", err)
-	}
+	warm := runSpecs(t, runner, tinyOptions(nil), specs)
 	if got := hits.Load(); got != int64(units) {
 		t.Fatalf("warm run streamed %d cache hits, want %d (zero simulator runs)", got, units)
 	}
@@ -64,6 +79,15 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits() != uint64(units) || st.Misses != uint64(units) {
 		t.Fatalf("cache stats = %+v, want %d hits and %d misses", st, units, units)
+	}
+
+	// A different seed must miss: the key includes the workload identity.
+	hits.Store(0)
+	reseeded := tinyOptions(nil)
+	reseeded.Seed++
+	runSpecs(t, runner, reseeded, specs)
+	if got := hits.Load(); got != 0 {
+		t.Fatalf("a different seed streamed %d cache hits, want 0", got)
 	}
 }
 
@@ -76,66 +100,11 @@ func TestOptionsCachePlumbing(t *testing.T) {
 	}
 	runner := rmwtso.NewRunner()
 	specs := rmwtso.Table3Specs()[:1]
-	if _, err := runner.RunBenchmarks(tinyOptions(cache), specs); err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	if _, err := runner.RunBenchmarks(tinyOptions(cache), specs); err != nil {
-		t.Fatalf("warm: %v", err)
-	}
+	runSpecs(t, runner, tinyOptions(cache), specs)
+	runSpecs(t, runner, tinyOptions(cache), specs)
 	st := cache.Stats()
 	if st.MemoryHits != uint64(len(specs[0].Types)) {
 		t.Fatalf("stats = %+v, want %d memory hits via Options.Cache", st, len(specs[0].Types))
-	}
-}
-
-// TestSweepSourceCached covers the rmwsim-style sweep: the second sweep
-// over the same source replays all three per-type runs from the cache.
-func TestSweepSourceCached(t *testing.T) {
-	cache, err := rmwtso.OpenCache()
-	if err != nil {
-		t.Fatalf("OpenCache: %v", err)
-	}
-	profile, err := rmwtso.FindProfile("raytrace")
-	if err != nil {
-		t.Fatalf("FindProfile: %v", err)
-	}
-	profile.Iterations = 16
-	gen := rmwtso.Generator{Cores: 4, Seed: 7}
-	src, err := gen.Source(profile)
-	if err != nil {
-		t.Fatalf("Source: %v", err)
-	}
-	cfg := rmwtso.DefaultSimConfig().WithCores(4)
-
-	runner := rmwtso.NewRunner(rmwtso.WithCache(cache))
-	cold, err := runner.SweepSourceCached(cfg, src, 7, 1)
-	if err != nil {
-		t.Fatalf("cold sweep: %v", err)
-	}
-	warm, err := runner.SweepSourceCached(cfg, src, 7, 1)
-	if err != nil {
-		t.Fatalf("warm sweep: %v", err)
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("sweep sizes differ")
-	}
-	for i := range warm {
-		if !warm[i].CacheHit {
-			t.Errorf("warm run %s not served from cache", warm[i].Type)
-		}
-		if !reflect.DeepEqual(warm[i].Result, cold[i].Result) {
-			t.Errorf("warm result for %s differs", warm[i].Type)
-		}
-	}
-	// A different seed must miss: the key includes the workload identity.
-	reseed, err := runner.SweepSourceCached(cfg, src, 8, 1)
-	if err != nil {
-		t.Fatalf("reseeded sweep: %v", err)
-	}
-	for _, r := range reseed {
-		if r.CacheHit {
-			t.Errorf("different seed hit the cache for %s", r.Type)
-		}
 	}
 }
 
@@ -184,33 +153,5 @@ func TestLitmusVerdictCache(t *testing.T) {
 	// identical modulo the hit flag (which the report does not show).
 	if rmwtso.RenderLitmusResults(cold) != rmwtso.RenderLitmusResults(warm) {
 		t.Errorf("cached report rendering differs")
-	}
-}
-
-// TestSimulateSourceCached covers the single-run helper used by rmwsim.
-func TestSimulateSourceCached(t *testing.T) {
-	cache, err := rmwtso.OpenCache()
-	if err != nil {
-		t.Fatalf("OpenCache: %v", err)
-	}
-	trace := rmwtso.Fig10Trace(4)
-	cfg := rmwtso.DefaultSimConfig().WithCores(4)
-
-	cold, hit, err := rmwtso.SimulateSourceCached(cache, cfg, trace.Source(), 1, 1)
-	if err != nil || hit {
-		t.Fatalf("cold run: hit=%v err=%v", hit, err)
-	}
-	warm, hit, err := rmwtso.SimulateSourceCached(cache, cfg, trace.Source(), 1, 1)
-	if err != nil || !hit {
-		t.Fatalf("warm run: hit=%v err=%v", hit, err)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cached result differs")
-	}
-	// Invalid configurations must be rejected before any key is digested.
-	bad := cfg
-	bad.Cores = 0
-	if _, _, err := rmwtso.SimulateSourceCached(cache, bad, trace.Source(), 1, 1); err == nil {
-		t.Fatalf("invalid config accepted")
 	}
 }

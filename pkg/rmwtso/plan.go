@@ -38,9 +38,10 @@ type Shard = engine.Shard
 
 // BuildPlan enumerates the sweep plan for the options and benchmark
 // specs: units are ordered spec-major, then seed, then RMW type — the
-// exact execution and result order of Runner.RunBenchmarks. Specs with no
-// types are skipped. It fails on invalid options or configurations and on
-// a unit-ID collision (which would make two distinct work units alias).
+// order of RunPlan's unit results and of the runs Plan.Runs reassembles.
+// Specs with no types are skipped. It fails on invalid options or
+// configurations and on a unit-ID collision (which would make two
+// distinct work units alias).
 func BuildPlan(o Options, specs []BenchmarkSpec) (*Plan, error) {
 	return engine.BuildPlan(o, specs)
 }
@@ -80,12 +81,13 @@ func ParseShard(spec string) (Shard, error) { return engine.ParseShard(spec) }
 // processes and merging the artifacts (MergeShards) reconstructs the
 // unsharded sweep bit for bit.
 //
-// The plan — not the Runner's WithRMWTypes restriction — determines what
-// runs: dropping plan units silently would leave merges incomplete. Each
-// unit streams its source group's trace lazily exactly like
-// RunBenchmarks, and the Runner's cache (WithCache, else the plan
-// options' Cache/CacheDir) serves and stores units by the same keys, so
-// warm shards do zero simulation work.
+// The plan — not the Runner's WithRMWTypes, which only narrows
+// model-checking grids — determines what runs: dropping plan units
+// silently would leave merges incomplete. Each unit streams its source
+// group's trace lazily, and the Runner's cache (WithCache, else the plan
+// options' Cache/CacheDir) serves and stores units by their keys, so
+// warm shards do zero simulation work. A deadlocked unit fails the plan;
+// deadlocked results are never stored in or served from the cache.
 func (r *Runner) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
 	return r.eng.RunPlan(ctx, plan, shard)
 }

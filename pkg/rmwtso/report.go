@@ -44,7 +44,7 @@ func NewReportEncoder(format string) (ReportEncoder, error) { return experiments
 // (Tables 1 and 4) are model checked locally with the options'
 // EnumWorkers — they are exact and identical on every machine — while
 // the simulation sections (Table 3, Fig. 11, summary) derive from the
-// runs, which may come from RunBenchmarks, Plan.Runs or MergeShards.
+// runs, which come from Plan.Runs (after RunPlan) or MergeShards.
 func BuildReport(o Options, runs []*BenchmarkRun) (*Report, error) {
 	return experiments.BuildReport(o, runs)
 }

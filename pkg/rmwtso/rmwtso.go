@@ -12,8 +12,8 @@
 //   - the implementation layer: the cycle-approximate chip-multiprocessor
 //     simulator and its trace/workload generators (Simulate, Generator,
 //     Fig10Trace);
-//   - the evaluation layer: the paper's tables and figures
-//     (Runner.RunTable3Benchmarks, RenderTable1, ...).
+//   - the evaluation layer: sweep plans and the paper's tables and
+//     figures (BuildPlan, Runner.RunPlan, BuildReport, EncodeReport).
 //
 // Work is driven through a Runner configured with functional options:
 //

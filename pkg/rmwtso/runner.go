@@ -20,10 +20,10 @@ type Observer = engine.Observer
 // unbuffered.
 func ChannelObserver(ch chan<- Event) Observer { return engine.ChannelObserver(ch) }
 
-// SimRun is one simulator run of a sweep: one trace under one RMW type.
-// Unit carries the run's stable plan-unit identifier (empty for runs
-// outside the unit model), and CacheHit marks a run served from the
-// Runner's result cache without executing the simulator.
+// SimRun is one simulated plan unit: one trace under one RMW type. Unit
+// carries the run's stable plan-unit identifier, and CacheHit marks a
+// run served from the Runner's result cache without executing the
+// simulator.
 type SimRun = engine.SimRun
 
 // Option configures a Runner.
@@ -55,15 +55,16 @@ func WithObserver(fn Observer) Option { return engine.WithObserver(fn) }
 func WithEnumWorkers(n int) Option { return engine.WithEnumWorkers(n) }
 
 // WithCache makes the Runner consult (and fill) a content-addressed
-// result cache: litmus verdicts in CheckTests/CheckSuite, and simulator
-// runs in RunBenchmarks and the Cached sweep variants. Hits skip the
-// computation entirely and are flagged on the streamed event (SimRun and
-// TestResult carry a CacheHit field); results are identical either way.
-// A nil cache disables caching (the default).
+// result cache: litmus verdicts in CheckTests/CheckSuite, and plan units
+// in RunPlan. Hits skip the computation entirely and are flagged on the
+// streamed event (SimRun and TestResult carry a CacheHit field); results
+// are identical either way. A nil cache disables caching (the default).
 func WithCache(c *Cache) Option { return engine.WithCache(c) }
 
-// WithRMWTypes restricts the atomicity types the Runner checks or sweeps.
-// The default is all three types.
+// WithRMWTypes narrows the model-checking grids — litmus verdicts and
+// mapping validations — to the given atomicity types. The default is all
+// three types. Plans are unaffected: each runs exactly the types of its
+// benchmark specs.
 func WithRMWTypes(types ...AtomicityType) Option { return engine.WithRMWTypes(types...) }
 
 // Job is one unit of work submitted to the execution engine: exactly one
@@ -168,25 +169,4 @@ func (r *Runner) CheckSuite() ([]TestResult, error) {
 // one work unit; the returned slice is ordered (program, mapping, type).
 func (r *Runner) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, error) {
 	return r.eng.ValidateMappings(programs...)
-}
-
-// SweepSource simulates one streaming trace source under every configured
-// RMW type, one run per work unit, without ever materializing the trace:
-// each run pulls fresh per-core streams from the source, so peak memory is
-// bounded by the source's window regardless of trace length. The source's
-// Stream method must return independent iterators (Generator.Source and
-// Trace.Source both do), since the per-type runs consume it concurrently.
-// The returned slice is ordered like the configured types.
-func (r *Runner) SweepSource(cfg SimConfig, src TraceSource) ([]SimRun, error) {
-	return r.eng.SweepSource(cfg, src)
-}
-
-// SweepSourceCached is SweepSource consulting the Runner's cache
-// (WithCache), with the workload seed and scale that produced src
-// completing each run's cache key. Hits replay stored results (flagged
-// CacheHit on the run and its streamed event) without simulating; misses
-// run and are stored. Without a configured cache it behaves exactly like
-// SweepSource.
-func (r *Runner) SweepSourceCached(cfg SimConfig, src TraceSource, seed int64, scale float64) ([]SimRun, error) {
-	return r.eng.SweepSourceCached(cfg, src, seed, scale)
 }

@@ -232,28 +232,6 @@ func TestEnumerateFuncMatchesEnumerate(t *testing.T) {
 	}
 }
 
-// TestRunBenchmarksHonoursRMWTypes checks that WithRMWTypes restricts a
-// benchmark sweep: spec types are intersected with the Runner's types,
-// and specs left with no types are dropped entirely.
-func TestRunBenchmarksHonoursRMWTypes(t *testing.T) {
-	o := rmwtso.QuickOptions()
-	o.Cores = 2
-	o.Scale = 0.01
-	specs := rmwtso.Cpp11Specs() // wsq_wr: type-1/2; wsq_rr: all three
-	runs, err := rmwtso.NewRunner(rmwtso.WithRMWTypes(rmwtso.Type3)).RunBenchmarks(o, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The write-replacement spec has no type-3 run, so only the
-	// read-replacement spec survives, with exactly one result.
-	if len(runs) != 1 {
-		t.Fatalf("got %d runs, want 1 (write replacement excludes type-3)", len(runs))
-	}
-	if len(runs[0].ByType) != 1 || runs[0].ByType[rmwtso.Type3] == nil {
-		t.Fatalf("run ByType = %v, want exactly one type-3 result", runs[0].ByType)
-	}
-}
-
 // TestParallelMappingValidation cross-checks the parallel mapping sweep
 // against direct sequential validation.
 func TestParallelMappingValidation(t *testing.T) {

@@ -61,9 +61,10 @@ func TraceFence() TraceOp { return sim.Fence() }
 func TraceCompute(cycles uint64) TraceOp { return sim.Compute(cycles) }
 
 // Simulate runs one materialized trace on the simulated machine described
-// by the configuration. For sweeping one trace across several RMW types
-// in parallel, use Runner.SweepSource over the trace's Source; for
-// bounded-memory runs of long workloads, use SimulateSource.
+// by the configuration. For bounded-memory runs of long workloads, use
+// SimulateSource; to sweep a benchmark workload across RMW types in
+// parallel and through the result cache, run a one-spec plan (BuildPlan,
+// Runner.RunPlan, Plan.Runs).
 func Simulate(cfg SimConfig, trace *Trace) (*SimResult, error) {
 	s, err := sim.New(cfg)
 	if err != nil {

@@ -208,8 +208,8 @@ func BenchmarkFig11Cpp11Variants(b *testing.B) {
 // cache, then every iteration re-runs the full plan against it, so each
 // unit is a cache hit and the measured time is the shared
 // submit → pool → runUnit → reassemble spine with zero simulation
-// inside. The snapshot gate tracks it so the engine layer stays
-// overhead-free relative to calling the simulator directly.
+// inside. It shows whether the engine layer stays overhead-free relative
+// to calling the simulator directly.
 func BenchmarkRunPlanOverhead(b *testing.B) {
 	o := benchOptions()
 	cache, err := simcache.Open()

@@ -112,7 +112,7 @@ func main() {
 		failUnit   = flag.String("fail-unit", "", "fault injection: comma-separated unit IDs that permanently fail every attempt")
 		crashAfter = flag.Int("crash-after", -1, "fault injection: crash the worker (in-process: worker-0) after executing this many units")
 	)
-	cacheFlags := cliflags.RegisterCache(flag.CommandLine, "simulation results")
+	cacheFlags := cliflags.RegisterCache(flag.CommandLine)
 	flag.Parse()
 
 	// Arm fault injection before any I/O when the chaos environment

@@ -14,9 +14,6 @@
 //	litmus -shard 0/3        run only verdict shard 0 of 3
 //	litmus -list-units       print the verdict grid (unit IDs) and exit
 //	litmus -format json      emit verdicts as JSON (ascii, csv too)
-//	litmus -cache            serve repeated verdicts from ~/.cache/rmwtso
-//	litmus -cache-dir DIR    serve repeated verdicts from a cache under DIR
-//	litmus -cache-clear      clear the cache directory first
 //
 // -j parallelizes across verdicts (one per test and atomicity type);
 // -enum-workers parallelizes inside one verdict by partitioning its rf×ws
@@ -26,15 +23,11 @@
 //
 // The (test, type) verdict grid is a deterministic unit plan just like
 // the simulation sweep: every unit's ID derives from the verdict's
-// content-addressed cache key, so -shard i/n splits one suite across
-// processes (disjoint, collectively exhaustive, same IDs everywhere),
-// -list-units audits the boundaries first, and -format json/csv emits
-// unit-tagged verdicts that downstream tooling can merge by ID.
-//
-// A verdict is a pure function of the test's canonical rendering and the
-// atomicity type, so with -cache repeated checks (across processes, when
-// the disk tier is on) replay the stored outcome sets instead of
-// enumerating; hit counters are reported on stderr.
+// content digest (the test's canonical rendering and the atomicity type),
+// so -shard i/n splits one suite across processes (disjoint, collectively
+// exhaustive, same IDs everywhere), -list-units audits the boundaries
+// first, and -format json/csv emits unit-tagged verdicts that downstream
+// tooling can merge by ID.
 package main
 
 import (
@@ -66,7 +59,6 @@ func main() {
 	formatFlag := cliflags.RegisterFormat(flag.CommandLine, "format", rmwtso.FormatASCII,
 		"verdict output format: ascii, json or csv",
 		rmwtso.FormatASCII, rmwtso.FormatJSON, rmwtso.FormatCSV)
-	cacheFlags := cliflags.RegisterCache(flag.CommandLine, "verdicts")
 	flag.Parse()
 	format := formatFlag.Value
 
@@ -87,16 +79,8 @@ func main() {
 		}
 	}
 
-	cache, err := rmwtso.OpenCacheFromFlags(*cacheFlags.Enabled, *cacheFlags.Dir, *cacheFlags.Clear)
-	if err != nil {
-		fatal(err)
-	}
-
 	types := rmwtso.AllTypes()
 	var opts []rmwtso.Option
-	if cache != nil {
-		opts = append(opts, rmwtso.WithCache(cache))
-	}
 	if *typeName != "" {
 		t, err := rmwtso.ParseAtomicityType(*typeName)
 		if err != nil {
@@ -177,9 +161,6 @@ func main() {
 	if err := emitResults(os.Stdout, results, *format); err != nil {
 		fatal(err)
 	}
-	if cache != nil {
-		fmt.Fprintf(os.Stderr, "litmus: cache: %s (dir %s)\n", cache.Stats(), cache.Dir())
-	}
 	if mismatches > 0 {
 		fmt.Fprintf(os.Stderr, "%d result(s) do not match their recorded expectation\n", mismatches)
 		os.Exit(1)
@@ -195,7 +176,7 @@ func listUnits(view *rmwtso.SuiteView, types []rmwtso.AtomicityType, shard rmwts
 	pos := 0
 	for _, t := range view.Tests() {
 		for _, typ := range types {
-			id := rmwtso.UnitID(rmwtso.LitmusCacheKey(t, typ).UnitID())
+			id := rmwtso.LitmusUnitID(t, typ)
 			total++
 			if shard.Covers(pos, id) {
 				selected++
@@ -219,7 +200,6 @@ type verdictRecord struct {
 	Valid      int      `json:"valid_executions"`
 	Candidates int      `json:"candidates"`
 	Outcomes   []string `json:"outcomes"`
-	CacheHit   bool     `json:"cache_hit,omitempty"`
 }
 
 // record flattens a result for the JSON and CSV encodings.
@@ -234,7 +214,6 @@ func record(r rmwtso.TestResult) verdictRecord {
 		Valid:      r.ValidExecutions,
 		Candidates: r.Candidates,
 		Outcomes:   r.Outcomes.Keys(),
-		CacheHit:   r.CacheHit,
 	}
 }
 
@@ -253,7 +232,7 @@ func emitResults(w *os.File, results []rmwtso.TestResult, format string) error {
 		return enc.Encode(recs)
 	case rmwtso.FormatCSV:
 		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"unit", "test", "type", "holds", "expected", "matches", "valid_executions", "candidates", "outcomes", "cache_hit"}); err != nil {
+		if err := cw.Write([]string{"unit", "test", "type", "holds", "expected", "matches", "valid_executions", "candidates", "outcomes"}); err != nil {
 			return err
 		}
 		for _, r := range results {
@@ -265,7 +244,7 @@ func emitResults(w *os.File, results []rmwtso.TestResult, format string) error {
 			if err := cw.Write([]string{rec.Unit, rec.Test, rec.Type,
 				fmt.Sprintf("%v", rec.Holds), expected, fmt.Sprintf("%v", rec.Matches),
 				fmt.Sprintf("%d", rec.Valid), fmt.Sprintf("%d", rec.Candidates),
-				strings.Join(rec.Outcomes, "; "), fmt.Sprintf("%v", rec.CacheHit)}); err != nil {
+				strings.Join(rec.Outcomes, "; ")}); err != nil {
 				return err
 			}
 		}

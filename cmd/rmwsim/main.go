@@ -29,7 +29,7 @@
 // content-addressed result cache: a run is keyed by (config, trace, seed,
 // scale, RMW type), so an identical invocation replays the stored
 // statistics instead of simulating. -cache-clear empties the cache
-// directory first. With -check the cache also replays the verdict.
+// directory first.
 //
 // -format json emits each run as one JSON object; a benchmark run is
 // tagged with its stable unit ID (the same identity cmd/experiments plans
@@ -88,7 +88,7 @@ func main() {
 	formatFlag := cliflags.RegisterFormat(flag.CommandLine, "format", rmwtso.FormatASCII,
 		"run output format: ascii or json",
 		rmwtso.FormatASCII, rmwtso.FormatJSON)
-	cacheFlags := cliflags.RegisterCache(flag.CommandLine, "simulation results")
+	cacheFlags := cliflags.RegisterCache(flag.CommandLine)
 	flag.Parse()
 	format := formatFlag.Value
 
@@ -132,11 +132,6 @@ func main() {
 		var opts []rmwtso.Option
 		if *enumW > 0 {
 			opts = append(opts, rmwtso.WithEnumWorkers(*enumW))
-		}
-		if cache != nil {
-			// The same cache that replays simulation results also replays
-			// the model-checking verdict.
-			opts = append(opts, rmwtso.WithCache(cache))
 		}
 		results, err := rmwtso.TestsOf(t).Run(opts...)
 		if err != nil {

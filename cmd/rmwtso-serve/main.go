@@ -57,7 +57,7 @@ func main() {
 		drainT   = flag.Duration("drain-timeout", 0, "graceful-drain budget for in-flight jobs on shutdown (default 30s)")
 		artifact = flag.String("artifact-dir", "", "flush finished plan jobs' shard artifacts here during drain")
 	)
-	cacheFlags := cliflags.RegisterCache(flag.CommandLine, "simulation results and verdicts")
+	cacheFlags := cliflags.RegisterCache(flag.CommandLine)
 	flag.Parse()
 
 	if err := cliflags.NonNegativeInt("j", *par); err != nil {

@@ -1,4 +1,4 @@
-// Package cliflags holds the flag plumbing every rmwtso binary shares —
+// Package cliflags holds the flag plumbing the rmwtso binaries share —
 // the -cache/-cache-dir/-cache-clear trio, -format validation, and the
 // positive/non-negative value checks — so the spellings, help strings
 // and error messages cannot drift between cmd/experiments, cmd/litmus,
@@ -22,12 +22,12 @@ type Cache struct {
 	Clear   *bool
 }
 
-// RegisterCache registers the cache trio on the flag set. what names the
-// cached artifact in the help text ("simulation results", "verdicts").
-func RegisterCache(fs *flag.FlagSet, what string) Cache {
+// RegisterCache registers the cache trio on the flag set. The result
+// cache holds simulation results only, so the help text names them.
+func RegisterCache(fs *flag.FlagSet) Cache {
 	return Cache{
-		Enabled: fs.Bool("cache", false, fmt.Sprintf("cache %s (default directory: ~/.cache/rmwtso)", what)),
-		Dir:     fs.String("cache-dir", "", fmt.Sprintf("cache %s under this directory (implies -cache)", what)),
+		Enabled: fs.Bool("cache", false, "cache simulation results (default directory: ~/.cache/rmwtso)"),
+		Dir:     fs.String("cache-dir", "", "cache simulation results under this directory (implies -cache)"),
 		Clear:   fs.Bool("cache-clear", false, "clear the cache directory before running (implies -cache)"),
 	}
 }

@@ -32,7 +32,8 @@ type UnitResult struct {
 	// CacheHit marks a unit served from the result cache (no simulator
 	// executed in this shard for it).
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Result holds the unit's simulation statistics.
+	// Result holds the unit's simulation statistics. It may be shared with
+	// the result cache and other jobs, so it is read-only.
 	Result *SimResult `json:"result"`
 }
 

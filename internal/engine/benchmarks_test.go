@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -113,6 +114,72 @@ func TestWarmVsColdDifferential(t *testing.T) {
 		gotA, gotB := experiments.Fig11FromRuns(got)
 		if !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotB, wantB) {
 			t.Errorf("%s Fig. 11 data differs", name)
+		}
+	}
+}
+
+// TestConsumersNeverWriteSharedResults pins the cache's no-mutate
+// contract at the consumers: a warm run serves the very pointers the cold
+// run stored, so anything that wrote to a result while building the
+// report, encoding it in every format or encoding the shard artifact
+// would show up as a difference from the untouched disk copy.
+func TestConsumersNeverWriteSharedResults(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := simcache.Open(simcache.WithDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := reportOptions()
+	plan, err := engine.DefaultPlan(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.WithCache(cache))
+	first, err := eng.RunPlan(nil, plan, engine.FullShard())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runs, err := plan.Runs(first.Units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := experiments.BuildReport(o, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range experiments.Formats() {
+		enc, err := experiments.NewEncoder(format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(io.Discard, report); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+	}
+	if _, err := first.Encode(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := eng.RunPlan(nil, plan, engine.FullShard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := simcache.Open(simcache.WithDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range plan.Units() {
+		got := second.Units[i].Result
+		if !second.Units[i].CacheHit || got != first.Units[i].Result {
+			t.Fatalf("unit %s: the warm run did not serve the cold run's result pointer", u.ID)
+		}
+		want, ok := disk.GetSim(u.Key)
+		if !ok {
+			t.Fatalf("unit %s: no disk entry", u.ID)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("unit %s: the shared result was modified after it was stored", u.ID)
 		}
 	}
 }

@@ -236,10 +236,13 @@ func (e *Engine) runPlanCoordinated(ctx context.Context, plan *Plan, shard Shard
 		return nil, err
 	}
 
+	// A worker beyond the unit count could only find the queue drained,
+	// so the unit count bounds the pool whatever size was asked for.
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = e.opts.parallelism
 	}
+	workers = min(workers, len(selected))
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		name := fmt.Sprintf("worker-%d", i)

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/litmus"
@@ -188,5 +189,19 @@ func TestEngineLitmusDifferential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct, res.Verdicts) {
 		t.Fatal("CheckTests differs from Submit of the same grid")
+	}
+}
+
+// TestLitmusUnitIDPinned pins one litmus unit ID: unit IDs are what
+// litmus shards and JSON records are merged by, so a change to their
+// derivation must be deliberate.
+func TestLitmusUnitIDPinned(t *testing.T) {
+	const name = "dekker-write-replacement (Fig. 3)"
+	tst := litmus.FindTest(name)
+	if tst == nil {
+		t.Fatalf("%s is not registered", name)
+	}
+	if got, want := engine.LitmusUnitID(tst, core.Type2), engine.UnitID("f36234c2a6238906"); got != want {
+		t.Fatalf("unit ID of %s under type-2 = %s, want %s", name, got, want)
 	}
 }

@@ -105,7 +105,8 @@ type SimRun struct {
 	Trace string
 	// Type is the RMW atomicity type the run used.
 	Type AtomicityType
-	// Result holds the run's statistics.
+	// Result holds the run's statistics. It may be shared with the result
+	// cache and other jobs, so it is read-only.
 	Result *SimResult
 	// CacheHit marks a run served from the engine's result cache: no
 	// simulator executed for it. Observers can count hits to verify a
@@ -153,10 +154,10 @@ func WithEnumWorkers(n int) Option {
 	return func(o *options) { o.enumWorkers = n }
 }
 
-// WithCache makes the Engine consult (and fill) a content-addressed
-// result cache: litmus verdicts and plan units. Hits skip
-// the computation entirely and are flagged on the streamed event; results
-// are identical either way. A nil cache disables caching (the default).
+// WithCache makes the Engine's plan units consult (and fill) a
+// content-addressed cache of simulator results. Hits skip the simulator
+// entirely and are flagged on the streamed SimRun; results are identical
+// either way. A nil cache disables caching (the default).
 func WithCache(c *simcache.Cache) Option {
 	return func(o *options) { o.cache = c }
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -160,5 +161,52 @@ func TestConcurrentSubmitsIsolateJobs(t *testing.T) {
 	if agg.UnitsPlanned != sum.UnitsPlanned || agg.UnitsDone != sum.UnitsDone ||
 		agg.CacheHits != sum.CacheHits || agg.CacheMisses != sum.CacheMisses {
 		t.Fatalf("engine metrics %+v do not equal per-job sums %+v", agg, sum)
+	}
+}
+
+// TestCoordinatedWorkersBoundedByUnits pins that a coordinated job starts
+// no more pull workers than it has units, however many it is asked for: a
+// one-unit plan asked for 20,000 workers, with its unit held in the fault
+// injector, keeps the goroutine count near its baseline.
+func TestCoordinatedWorkersBoundedByUnits(t *testing.T) {
+	spec := experiments.Table3Specs()[0]
+	spec.Types = spec.Types[:1]
+	plan, err := engine.BuildPlanSeeds(concurrencyOptions(20130601), []experiments.BenchmarkSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Len() != 1 {
+		t.Fatalf("plan has %d units, want 1", plan.Len())
+	}
+	held := make(chan struct{})
+	release := make(chan struct{})
+	cfg := &engine.CoordinationConfig{
+		Workers: 20000,
+		FaultInjector: func(string, engine.Unit, int) error {
+			close(held)
+			<-release
+			return nil
+		},
+	}
+
+	baseline := runtime.NumGoroutine()
+	h, err := engine.New().Submit(nil, engine.Job{Plan: plan, Coordination: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	// The unit can be leased before the pool has finished starting, so
+	// watch the count for a while rather than sampling it once.
+	running := 0
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline) && running <= baseline+50; {
+		running = max(running, runtime.NumGoroutine())
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if running > baseline+50 {
+		t.Fatalf("%d goroutines while the one unit ran (baseline %d): the job started more workers than units", running, baseline)
 	}
 }

@@ -20,12 +20,10 @@ type Metrics struct {
 	UnitsPlanned int
 	UnitsDone    int
 	// CacheHits and CacheMisses count simulator units served from /
-	// missed by the result cache; VerdictCacheHits the litmus verdicts
-	// served from it.
-	CacheHits        int
-	CacheMisses      int
-	Verdicts         int
-	VerdictCacheHits int
+	// missed by the result cache; Verdicts counts litmus verdicts.
+	CacheHits   int
+	CacheMisses int
+	Verdicts    int
 	// Elapsed is the time since the job (or engine) started counting;
 	// UnitsPerSec is UnitsDone over that window.
 	Elapsed     time.Duration
@@ -97,12 +95,11 @@ type metrics struct {
 	obs   Observer
 	obsMu sync.Mutex
 
-	unitsPlanned     int
-	unitsDone        int
-	cacheHits        int
-	cacheMisses      int
-	verdicts         int
-	verdictCacheHits int
+	unitsPlanned int
+	unitsDone    int
+	cacheHits    int
+	cacheMisses  int
+	verdicts     int
 
 	inflight int
 	retries  int
@@ -149,13 +146,10 @@ func (m *metrics) unitDone(cacheHit bool) {
 }
 
 // verdictDone records one finished litmus verdict.
-func (m *metrics) verdictDone(cacheHit bool) {
+func (m *metrics) verdictDone() {
 	m.update(func(m *metrics) {
 		m.unitsDone++
 		m.verdicts++
-		if cacheHit {
-			m.verdictCacheHits++
-		}
 	})
 }
 
@@ -220,18 +214,17 @@ func (m *metrics) snapshot() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := Metrics{
-		UnitsPlanned:     m.unitsPlanned,
-		UnitsDone:        m.unitsDone,
-		CacheHits:        m.cacheHits,
-		CacheMisses:      m.cacheMisses,
-		Verdicts:         m.verdicts,
-		VerdictCacheHits: m.verdictCacheHits,
-		InflightLeases:   m.inflight,
-		Retries:          m.retries,
-		Expired:          m.expired,
-		DLQDepth:         len(m.dead),
-		Workers:          append([]WorkerMetrics(nil), m.workers...),
-		DeadLetters:      append([]DeadLetterMetrics(nil), m.dead...),
+		UnitsPlanned:   m.unitsPlanned,
+		UnitsDone:      m.unitsDone,
+		CacheHits:      m.cacheHits,
+		CacheMisses:    m.cacheMisses,
+		Verdicts:       m.verdicts,
+		InflightLeases: m.inflight,
+		Retries:        m.retries,
+		Expired:        m.expired,
+		DLQDepth:       len(m.dead),
+		Workers:        append([]WorkerMetrics(nil), m.workers...),
+		DeadLetters:    append([]DeadLetterMetrics(nil), m.dead...),
 	}
 	if !m.start.IsZero() {
 		out.Elapsed = time.Since(m.start)

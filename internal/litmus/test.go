@@ -187,11 +187,8 @@ type Result struct {
 	Candidates int
 	// Outcomes is the set of observable outcomes.
 	Outcomes *core.OutcomeSet
-	// CacheHit marks a verdict served from a result cache instead of
-	// enumerated; the verdict itself is identical either way.
-	CacheHit bool
-	// Unit is the stable work-unit identifier of this (test, type) verdict
-	// — the UnitID of its content-addressed cache key. Harnesses that plan
+	// Unit is the stable work-unit identifier of this (test, type) verdict,
+	// derived from the digest of the test's content. Harnesses that plan
 	// and shard verdict sweeps set it so streamed progress events can be
 	// correlated with plan entries; it is empty when the verdict was run
 	// directly (Test.Run/RunParallel).

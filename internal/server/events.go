@@ -44,11 +44,10 @@ func summarizeEvent(ev engine.Event) (jobEvent, bool) {
 	case ev.Litmus != nil:
 		holds := ev.Litmus.Holds
 		je := jobEvent{
-			Kind:     "litmus",
-			Unit:     ev.Litmus.Unit,
-			Type:     ev.Litmus.Atomicity.String(),
-			Holds:    &holds,
-			CacheHit: ev.Litmus.CacheHit,
+			Kind:  "litmus",
+			Unit:  ev.Litmus.Unit,
+			Type:  ev.Litmus.Atomicity.String(),
+			Holds: &holds,
 		}
 		if ev.Litmus.Test != nil {
 			je.Test = ev.Litmus.Test.Name

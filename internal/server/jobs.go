@@ -443,15 +443,14 @@ func (s *Server) jobStatusBody(j *job) map[string]any {
 		"created": j.created.UTC().Format(time.RFC3339Nano),
 		"units":   j.units,
 		"metrics": map[string]any{
-			"units_planned":      m.UnitsPlanned,
-			"units_done":         m.UnitsDone,
-			"cache_hits":         m.CacheHits,
-			"cache_misses":       m.CacheMisses,
-			"verdicts":           m.Verdicts,
-			"verdict_cache_hits": m.VerdictCacheHits,
-			"inflight_leases":    m.InflightLeases,
-			"retries":            m.Retries,
-			"dlq_depth":          m.DLQDepth,
+			"units_planned":   m.UnitsPlanned,
+			"units_done":      m.UnitsDone,
+			"cache_hits":      m.CacheHits,
+			"cache_misses":    m.CacheMisses,
+			"verdicts":        m.Verdicts,
+			"inflight_leases": m.InflightLeases,
+			"retries":         m.Retries,
+			"dlq_depth":       m.DLQDepth,
 		},
 		"links": map[string]string{
 			"self":   "/v1/jobs/" + j.id,

@@ -33,7 +33,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("rmwtso_cache_hits_total", "Simulator units served from the result cache.", float64(m.CacheHits))
 	counter("rmwtso_cache_misses_total", "Simulator units the cache missed.", float64(m.CacheMisses))
 	counter("rmwtso_verdicts_total", "Litmus verdicts computed or served.", float64(m.Verdicts))
-	counter("rmwtso_verdict_cache_hits_total", "Litmus verdicts served from the cache.", float64(m.VerdictCacheHits))
 	ratio := 0.0
 	if lookups := m.CacheHits + m.CacheMisses; lookups > 0 {
 		ratio = float64(m.CacheHits) / float64(lookups)

@@ -39,6 +39,10 @@ type CoreStats struct {
 }
 
 // Result is the outcome of simulating one trace under one configuration.
+//
+// A Result is immutable once RunSource returns it. The result cache
+// (internal/simcache) shares one *Result between every unit, report and
+// job that reads the same run, so no consumer may write to it.
 type Result struct {
 	// Workload is the trace name; RMWType is the RMW implementation used.
 	Workload string

@@ -1,13 +1,11 @@
 package simcache
 
 import (
-	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // FuzzDecodeEntry feeds arbitrary bytes to the entry decoding a GetSim
@@ -16,7 +14,7 @@ import (
 // panic; an accepted entry must re-encode under the same key to one that
 // decodes to an equal result.
 //
-// The seed corpus is a real entry file as Put writes it, plus its
+// The seed corpus is a real entry file as PutSim writes it, plus its
 // truncations and an entry addressed by a different key.
 func FuzzDecodeEntry(f *testing.F) {
 	key := testKey("fuzz", core.Type2)
@@ -43,25 +41,17 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add(other)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := decodeEntry(data, key)
+		res, err := decodeEntry(data, key)
 		if err != nil {
 			return // rejected entries just must not panic
 		}
-		var res sim.Result
-		if err := json.Unmarshal(payload, &res); err != nil {
-			return
-		}
-		again, err := encodeEntry(key, &res)
+		again, err := encodeEntry(key, res)
 		if err != nil {
 			t.Fatalf("re-encoding an accepted entry: %v", err)
 		}
-		payload, err = decodeEntry(again, key)
+		back, err := decodeEntry(again, key)
 		if err != nil {
 			t.Fatalf("re-encoded entry rejected: %v", err)
-		}
-		var back sim.Result
-		if err := json.Unmarshal(payload, &back); err != nil {
-			t.Fatalf("re-encoded payload: %v", err)
 		}
 		if !reflect.DeepEqual(back, res) {
 			t.Fatalf("re-encoded entry decodes to %+v, want %+v", back, res)

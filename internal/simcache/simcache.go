@@ -1,18 +1,25 @@
-// Package simcache is a two-tier, content-addressed result cache for the
-// pure computations of the reproduction — simulator runs and litmus
-// verdicts. Each run is a pure function of its inputs (architectural
+// Package simcache is a two-tier, content-addressed cache of simulator
+// results, the one computation of the reproduction costly enough to
+// replay. Each run is a pure function of its inputs (architectural
 // configuration, workload identity, seed, scale, RMW type), so a result
 // can be keyed by a canonical digest of those inputs and replayed instead
 // of recomputed on repeated `cmd/experiments` invocations and CI reruns.
 //
 // The cache has an in-memory LRU tier (always on) and an optional on-disk
 // tier (one JSON file per entry under a cache directory, by default
-// ~/.cache/rmwtso). Entries are stored as a versioned envelope carrying
-// the full key and a payload checksum: any truncation, bit-flip or schema
-// drift is detected on read, counted, the file deleted, and the lookup
-// treated as a miss — never a panic, never a wrong table. Bumping
-// SchemaVersion changes every key digest, so stale entries from older
-// layouts are simply never matched again.
+// ~/.cache/rmwtso). The memory tier holds decoded *sim.Result values, so
+// a memory hit is a map lookup; checksums and JSON exist only at the disk
+// boundary. A disk entry is a versioned envelope carrying the full key
+// and a payload checksum: any truncation, bit-flip or schema drift is
+// detected on read, counted, the file deleted, and the lookup treated as
+// a miss — never a panic, never a wrong table. Bumping SchemaVersion
+// changes every key digest, so stale entries from older layouts are
+// simply never matched again.
+//
+// Results are shared, not copied: PutSim keeps the caller's pointer and
+// every memory hit returns that same pointer to every caller. A result
+// stored in or served by the cache is therefore immutable — no caller
+// may write to it.
 package simcache
 
 import (
@@ -39,38 +46,32 @@ import (
 // instead of misinterpreting them.
 const SchemaVersion = 2
 
-// Entry kinds. The kind participates in the key digest, so payloads of
-// different types can never alias.
-const (
-	// KindSimResult marks a cached sim.Result of one simulator run.
-	KindSimResult = "sim-result"
-	// KindLitmusVerdict marks a cached model-checking verdict of one
-	// (litmus test, atomicity type) pair.
-	KindLitmusVerdict = "litmus-verdict"
-)
+// KindSimResult is the kind of every cached entry: the sim.Result of one
+// simulator run. The kind participates in the key digest.
+const KindSimResult = "sim-result"
 
 // DefaultCapacity bounds the in-memory tier when WithCapacity is not given.
 const DefaultCapacity = 512
 
 // Key identifies one cached result by the inputs that determine it.
 // Every field participates in the canonical digest; the zero value of an
-// unused field (e.g. Seed for litmus verdicts) is simply part of the key.
+// unused field is simply part of the key.
 type Key struct {
-	// Kind is the entry kind (KindSimResult, KindLitmusVerdict).
+	// Kind is KindSimResult for cached simulator runs. Other kinds only
+	// name work units by digest (the engine's litmus verdicts) and are
+	// never stored.
 	Kind string
-	// ConfigDigest is sim.Config.Digest() for simulator runs, or the
-	// digest of the canonical litmus rendering for verdicts.
+	// ConfigDigest is sim.Config.Digest() of the run's configuration.
 	ConfigDigest string
 	// Trace names the workload trace (including any replacement-variant
-	// suffix) or the litmus test.
+	// suffix).
 	Trace string
 	// Workload is the content digest of the workload behind the trace
 	// name (workload.Source.WorkloadDigest: profile parameters plus
 	// replacement variant), so a modified profile that kept a
 	// benchmark's name can never alias the stock benchmark's entries.
 	// Empty for sources without a workload identity (hand-built traces,
-	// whose content is determined by name and cores) and for litmus
-	// verdicts.
+	// whose content is determined by name and cores).
 	Workload string
 	// Cores is the simulated core count (redundant with ConfigDigest for
 	// simulator runs, kept for human-readable entries).
@@ -155,8 +156,8 @@ type Stats struct {
 	// Misses counts lookups served by neither tier (including entries
 	// dropped as corrupt).
 	Misses uint64
-	// Stores counts successful Put calls; StoreErrors counts Put calls
-	// whose disk write failed (the memory tier still holds them).
+	// Stores counts PutSim calls; StoreErrors counts PutSim calls whose
+	// disk write failed (the memory tier still holds them).
 	Stores      uint64
 	StoreErrors uint64
 	// Corrupt counts disk entries rejected by the envelope checks
@@ -190,10 +191,10 @@ func (s Stats) String() string {
 	return out
 }
 
-// entry is the versioned on-disk (and in-memory) envelope of one cached
-// payload. The embedded key lets a read verify it is holding the entry it
-// addressed; the payload checksum turns any bit-level damage into a
-// detectable miss instead of a wrong result.
+// entry is the versioned on-disk envelope of one cached result. The
+// embedded key lets a read verify it is holding the entry it addressed;
+// the payload checksum turns any bit-level damage into a detectable miss
+// instead of a wrong result.
 type entry struct {
 	SchemaVersion int             `json:"schema_version"`
 	Key           Key             `json:"key"`
@@ -202,8 +203,8 @@ type entry struct {
 }
 
 // decodeEntry parses and verifies an encoded envelope against the key
-// that addressed it, returning the payload bytes.
-func decodeEntry(data []byte, k Key) (json.RawMessage, error) {
+// that addressed it, returning the decoded result.
+func decodeEntry(data []byte, k Key) (*sim.Result, error) {
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {
 		return nil, fmt.Errorf("simcache: unparsable entry: %w", err)
@@ -218,12 +219,16 @@ func decodeEntry(data []byte, k Key) (json.RawMessage, error) {
 	if hex.EncodeToString(sum[:]) != e.PayloadSum {
 		return nil, fmt.Errorf("simcache: payload checksum mismatch")
 	}
-	return e.Payload, nil
+	var r sim.Result
+	if err := json.Unmarshal(e.Payload, &r); err != nil {
+		return nil, fmt.Errorf("simcache: undecodable payload: %w", err)
+	}
+	return &r, nil
 }
 
-// encodeEntry builds the encoded envelope for a payload.
-func encodeEntry(k Key, payload any) ([]byte, error) {
-	pb, err := json.Marshal(payload)
+// encodeEntry builds the encoded envelope of a result.
+func encodeEntry(k Key, r *sim.Result) ([]byte, error) {
+	pb, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("simcache: marshaling payload: %w", err)
 	}
@@ -239,7 +244,7 @@ func encodeEntry(k Key, payload any) ([]byte, error) {
 // memEntry is one element of the LRU list.
 type memEntry struct {
 	digest string
-	data   []byte
+	res    *sim.Result
 }
 
 // Cache is the two-tier result cache. It is safe for concurrent use; the
@@ -318,15 +323,15 @@ func (c *Cache) path(digest string) string {
 	return filepath.Join(c.dir, digest+".json")
 }
 
-// insertLocked puts encoded entry bytes into the memory tier under the
-// digest, evicting from the LRU tail past the capacity bound.
-func (c *Cache) insertLocked(digest string, data []byte) {
+// insertLocked puts a result into the memory tier under the digest,
+// evicting from the LRU tail past the capacity bound.
+func (c *Cache) insertLocked(digest string, r *sim.Result) {
 	if el, ok := c.items[digest]; ok {
-		el.Value.(*memEntry).data = data
+		el.Value.(*memEntry).res = r
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[digest] = c.ll.PushFront(&memEntry{digest: digest, data: data})
+	c.items[digest] = c.ll.PushFront(&memEntry{digest: digest, res: r})
 	for c.cap > 0 && c.ll.Len() > c.cap {
 		tail := c.ll.Back()
 		if tail == nil {
@@ -338,65 +343,45 @@ func (c *Cache) insertLocked(digest string, data []byte) {
 	}
 }
 
-// Get looks the key up in the memory tier, then the disk tier, and
-// unmarshals the payload into out on a hit. Disk hits are promoted into
-// the memory tier. Corrupt disk entries (truncated, bit-flipped, stale
-// schema) are deleted and reported as misses.
-func (c *Cache) Get(k Key, out any) bool {
+// GetSim looks one simulator result up in the memory tier, then the disk
+// tier. A memory hit returns the stored pointer itself: no checksum, no
+// decode, no copy. A disk hit verifies the envelope (schema version,
+// embedded key, payload checksum), decodes the result once and promotes
+// it into the memory tier. Corrupt disk entries (truncated, bit-flipped,
+// stale schema) are deleted and reported as misses.
+//
+// The returned result is shared with the cache and with every other
+// caller of the same key, so it is immutable: callers must not write to
+// it.
+func (c *Cache) GetSim(k Key) (*sim.Result, bool) {
 	digest := k.Digest()
-
-	// Grab the entry bytes under the lock but verify and decode outside
-	// it: entry slices are immutable once stored (Put replaces them
-	// wholesale), and decoding — a checksum plus two JSON passes over a
-	// potentially large payload — would otherwise serialize a warm
-	// worker pool on the cache mutex.
 	c.mu.Lock()
-	var data []byte
 	if el, ok := c.items[digest]; ok {
-		data = el.Value.(*memEntry).data
 		c.ll.MoveToFront(el)
+		c.stats.MemoryHits++
+		r := el.Value.(*memEntry).res
+		c.mu.Unlock()
+		return r, true
 	}
 	c.mu.Unlock()
-	if data != nil {
-		payload, err := decodeEntry(data, k)
-		if err == nil {
-			err = json.Unmarshal(payload, out)
-		}
-		c.mu.Lock()
-		if err == nil {
-			c.stats.MemoryHits++
-			c.mu.Unlock()
-			return true
-		}
-		// A memory entry only fails decoding if the payload type changed
-		// underneath us; drop it and fall through to the disk tier.
-		if el, ok := c.items[digest]; ok {
-			c.ll.Remove(el)
-			delete(c.items, digest)
-		}
-		c.mu.Unlock()
-	}
 
 	if c.dir == "" {
 		c.countMiss()
-		return false
+		return nil, false
 	}
 	path := c.path(digest)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		c.countMiss()
-		return false
+		return nil, false
 	}
 	if in := chaos.Current(); in != nil {
 		if data, err = in.OnRead(path, data); err != nil {
 			c.countMiss()
-			return false
+			return nil, false
 		}
 	}
-	payload, err := decodeEntry(data, k)
-	if err == nil {
-		err = json.Unmarshal(payload, out)
-	}
+	r, err := decodeEntry(data, k)
 	if err != nil {
 		// Treat damage as a miss and remove the entry so the next run
 		// rewrites it; never surface a partially decoded result. If even
@@ -412,13 +397,13 @@ func (c *Cache) Get(k Key, out any) bool {
 		c.stats.Corrupt++
 		c.stats.Misses++
 		c.mu.Unlock()
-		return false
+		return nil, false
 	}
 	c.mu.Lock()
-	c.insertLocked(digest, data)
+	c.insertLocked(digest, r)
 	c.stats.DiskHits++
 	c.mu.Unlock()
-	return true
+	return r, true
 }
 
 // removeEntry deletes a corrupt disk entry. A variable so tests can
@@ -433,25 +418,29 @@ func (c *Cache) countMiss() {
 	c.mu.Unlock()
 }
 
-// Put stores the payload under the key in the memory tier and, when a
-// disk tier is configured, atomically (write-temp-then-rename) on disk.
-// A disk write failure leaves the memory entry in place and is returned
+// PutSim stores one simulator result under the key: the memory tier
+// keeps the caller's pointer, and when a disk tier is configured the
+// result is encoded and written atomically (write-temp-then-rename). A
+// disk write failure leaves the memory entry in place and is returned
 // (and counted) so callers can treat persistence as best-effort.
-func (c *Cache) Put(k Key, payload any) error {
-	data, err := encodeEntry(k, payload)
-	if err != nil {
-		return err
-	}
+//
+// The cache takes shared ownership of r: from this call on, r is
+// immutable, for the caller as much as for every later GetSim.
+func (c *Cache) PutSim(k Key, r *sim.Result) error {
 	digest := k.Digest()
 	c.mu.Lock()
-	c.insertLocked(digest, data)
+	c.insertLocked(digest, r)
 	c.stats.Stores++
 	c.mu.Unlock()
 
 	if c.dir == "" {
 		return nil
 	}
-	if err := c.writeFile(digest, data); err != nil {
+	data, err := encodeEntry(k, r)
+	if err == nil {
+		err = c.writeFile(digest, data)
+	}
+	if err != nil {
 		c.mu.Lock()
 		c.stats.StoreErrors++
 		c.mu.Unlock()
@@ -493,18 +482,4 @@ func (c *Cache) Clear() error {
 		}
 	}
 	return nil
-}
-
-// GetSim looks up one simulator result.
-func (c *Cache) GetSim(k Key) (*sim.Result, bool) {
-	var r sim.Result
-	if !c.Get(k, &r) {
-		return nil, false
-	}
-	return &r, true
-}
-
-// PutSim stores one simulator result.
-func (c *Cache) PutSim(k Key, r *sim.Result) error {
-	return c.Put(k, r)
 }

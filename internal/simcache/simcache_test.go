@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -75,12 +76,10 @@ func TestMemoryRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("GetSim missed a just-stored key")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round-tripped result differs:\ngot  %+v\nwant %+v", got, want)
-	}
-	// The cached copy must be isolated from the caller's value.
-	if got == want {
-		t.Fatalf("GetSim returned the stored pointer, not a decoded copy")
+	// The memory tier holds results decoded: a hit returns the very
+	// pointer PutSim stored, with no copy and no decode.
+	if got != want {
+		t.Fatalf("GetSim returned %p, want the stored pointer %p", got, want)
 	}
 	st := c.Stats()
 	if st.MemoryHits != 1 || st.Misses != 0 || st.Stores != 1 {
@@ -349,24 +348,64 @@ func TestClear(t *testing.T) {
 	}
 }
 
-// TestGenericPayload exercises the untyped Get/Put used for litmus
-// verdicts.
-func TestGenericPayload(t *testing.T) {
-	type verdict struct {
-		Holds    bool     `json:"holds"`
-		Outcomes []string `json:"outcomes"`
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// TestMemoryHitAllocs pins the memory tier's cost: a hit of a 32-core
+// result allocates no more than deriving the key's digest does, so it
+// neither copies nor decodes the result.
+func TestMemoryHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are noise under the race detector")
 	}
 	c := mustOpen(t)
-	k := Key{Kind: KindLitmusVerdict, ConfigDigest: "abc", Trace: "SB", RMWType: core.Type1}
-	want := verdict{Holds: true, Outcomes: []string{"P0:r0=0 P1:r0=0"}}
-	if err := c.Put(k, want); err != nil {
-		t.Fatalf("Put: %v", err)
+	k := SimKey(sim.DefaultConfig().WithRMWType(core.Type2), fakeSource{"alloc", 32}, 20130601, 0.2)
+	r := fakeResult("alloc", core.Type2)
+	r.PerCore = make([]sim.CoreStats, 32)
+	if err := c.PutSim(k, r); err != nil {
+		t.Fatalf("PutSim: %v", err)
 	}
-	var got verdict
-	if !c.Get(k, &got) {
-		t.Fatalf("Get missed")
+	digest := testing.AllocsPerRun(100, func() { _ = k.Digest() })
+	hit := testing.AllocsPerRun(100, func() {
+		if got, ok := c.GetSim(k); !ok || got != r {
+			t.Fatalf("memory hit missed or returned another pointer")
+		}
+	})
+	if hit > digest {
+		t.Fatalf("a memory hit allocates %.0f times, want at most the %.0f of Key.Digest", hit, digest)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("generic round-trip differs: %+v vs %+v", got, want)
+}
+
+// TestConcurrentSharedResults hammers one key from several goroutines:
+// stores replace the shared pointer (and, with the disk tier on, encode
+// it) while lookups read the results they were handed. Run under -race,
+// it checks that the memory tier's pointer swaps are synchronized and
+// that sharing results for reading needs no copies.
+func TestConcurrentSharedResults(t *testing.T) {
+	c := mustOpen(t, WithDir(t.TempDir()))
+	k := testKey("shared", core.Type2)
+	want := fakeResult("shared", core.Type2)
+	if err := c.PutSim(k, want); err != nil {
+		t.Fatalf("PutSim: %v", err)
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if g%2 == 0 {
+					if err := c.PutSim(k, fakeResult("shared", core.Type2)); err != nil {
+						t.Errorf("PutSim: %v", err)
+					}
+					continue
+				}
+				got, ok := c.GetSim(k)
+				if !ok || !reflect.DeepEqual(got, want) {
+					t.Errorf("GetSim = %+v, %v; want %+v", got, ok, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -5,19 +5,20 @@ import (
 	"repro/internal/simcache"
 )
 
-// Cache is the two-tier, content-addressed result cache: an in-memory LRU
-// in front of an optional on-disk tier (one versioned, checksummed JSON
-// file per entry). Simulator runs and litmus verdicts are pure functions
-// of their inputs, so a cache hit replays the stored result instead of
-// recomputing it — warm `cmd/experiments` reruns produce byte-identical
-// tables while executing zero simulator runs for cached keys. Corrupt or
-// stale disk entries are detected, deleted and treated as misses. A Cache
-// is safe for concurrent use by a Runner's worker pool.
+// Cache is the two-tier, content-addressed cache of simulator results: an
+// in-memory LRU of decoded results in front of an optional on-disk tier
+// (one versioned, checksummed JSON file per entry). A simulator run is a
+// pure function of its inputs, so a cache hit replays the stored result
+// instead of recomputing it — warm `cmd/experiments` reruns produce
+// byte-identical tables while executing zero simulator runs for cached
+// keys. Corrupt or stale disk entries are detected, deleted and treated
+// as misses. A Cache is safe for concurrent use by a Runner's worker
+// pool. Results it stores or serves are shared and must not be modified.
 type Cache = simcache.Cache
 
 // CacheKey identifies one cached result by the inputs that determine it:
-// entry kind, configuration digest, trace or test name, cores, seed,
-// scale and RMW type, all folded into one canonical digest.
+// entry kind, configuration digest, trace name, workload digest, cores,
+// seed, scale and RMW type, all folded into one canonical digest.
 type CacheKey = simcache.Key
 
 // CacheStats are a Cache's cumulative hit/miss/store/corruption counters.
@@ -49,11 +50,12 @@ func CacheCapacity(n int) CacheOption { return simcache.WithCapacity(n) }
 // uses when -cache-dir is not given.
 func DefaultCacheDir() (string, error) { return simcache.DefaultDir() }
 
-// OpenCacheFromFlags implements the caching flag contract shared by the
-// three binaries: -cache-dir and -cache-clear imply -cache, an empty dir
-// falls back to DefaultCacheDir, and clear empties the directory before
-// use. It returns a nil cache (and no error) when caching was not
-// requested, so callers can pass the flags through unconditionally.
+// OpenCacheFromFlags implements the caching flag contract shared by
+// cmd/experiments, cmd/rmwsim and cmd/rmwtso-serve: -cache-dir and
+// -cache-clear imply -cache, an empty dir falls back to DefaultCacheDir,
+// and clear empties the directory before use. It returns a nil cache (and
+// no error) when caching was not requested, so callers can pass the flags
+// through unconditionally.
 func OpenCacheFromFlags(enabled bool, dir string, clear bool) (*Cache, error) {
 	if !enabled && dir == "" && !clear {
 		return nil, nil
@@ -87,9 +89,10 @@ func SimCacheKey(cfg SimConfig, src TraceSource, seed int64, scale float64) Cach
 	return simcache.SimKey(cfg, src, seed, scale)
 }
 
-// LitmusCacheKey derives the key of one litmus verdict from the canonical
-// textual rendering of the test (program, condition and expectations) and
-// the atomicity type checked.
-func LitmusCacheKey(t *Test, typ AtomicityType) CacheKey {
-	return engine.LitmusVerdictKey(t, typ)
+// LitmusUnitID returns the stable unit ID of one litmus verdict, derived
+// from the digest of the test's canonical textual rendering (program,
+// condition and expectations) and the atomicity type checked. It is the
+// ID litmus jobs shard by and tag their results with.
+func LitmusUnitID(t *Test, typ AtomicityType) UnitID {
+	return engine.LitmusUnitID(t, typ)
 }

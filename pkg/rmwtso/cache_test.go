@@ -107,51 +107,3 @@ func TestOptionsCachePlumbing(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d memory hits via Options.Cache", st, len(specs[0].Types))
 	}
 }
-
-// TestLitmusVerdictCache runs a slice of the registered suite twice
-// through a caching Runner and asserts the second pass replays identical
-// verdicts flagged CacheHit.
-func TestLitmusVerdictCache(t *testing.T) {
-	cache, err := rmwtso.OpenCache(rmwtso.CacheDir(t.TempDir()))
-	if err != nil {
-		t.Fatalf("OpenCache: %v", err)
-	}
-	tests := rmwtso.Suite().Tests()[:3]
-	runner := rmwtso.NewRunner(rmwtso.WithCache(cache))
-
-	cold, err := runner.CheckTests(tests...)
-	if err != nil {
-		t.Fatalf("cold CheckTests: %v", err)
-	}
-	for _, r := range cold {
-		if r.CacheHit {
-			t.Fatalf("cold verdict for %s/%s flagged as cache hit", r.Test.Name, r.Atomicity)
-		}
-	}
-	warm, err := runner.CheckTests(tests...)
-	if err != nil {
-		t.Fatalf("warm CheckTests: %v", err)
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("verdict counts differ")
-	}
-	for i := range warm {
-		c, w := cold[i], warm[i]
-		if !w.CacheHit {
-			t.Errorf("warm verdict for %s/%s not served from cache", w.Test.Name, w.Atomicity)
-		}
-		if w.Holds != c.Holds || w.Matches != c.Matches ||
-			w.ValidExecutions != c.ValidExecutions || w.Candidates != c.Candidates {
-			t.Errorf("warm verdict for %s/%s differs: %+v vs %+v", w.Test.Name, w.Atomicity, w, c)
-		}
-		if !w.Outcomes.Equal(c.Outcomes) {
-			t.Errorf("warm outcome set for %s/%s differs:\n%v\nvs\n%v",
-				w.Test.Name, w.Atomicity, w.Outcomes.Keys(), c.Outcomes.Keys())
-		}
-	}
-	// And the rendered report — what the litmus binary prints — must be
-	// identical modulo the hit flag (which the report does not show).
-	if rmwtso.RenderLitmusResults(cold) != rmwtso.RenderLitmusResults(warm) {
-		t.Errorf("cached report rendering differs")
-	}
-}

@@ -54,11 +54,11 @@ func WithObserver(fn Observer) Option { return engine.WithObserver(fn) }
 // pool.
 func WithEnumWorkers(n int) Option { return engine.WithEnumWorkers(n) }
 
-// WithCache makes the Runner consult (and fill) a content-addressed
-// result cache: litmus verdicts in CheckTests/CheckSuite, and plan units
-// in RunPlan. Hits skip the computation entirely and are flagged on the
-// streamed event (SimRun and TestResult carry a CacheHit field); results
-// are identical either way. A nil cache disables caching (the default).
+// WithCache makes the Runner's plan units (RunPlan) consult and fill a
+// content-addressed cache of simulator results. Hits skip the simulator
+// entirely and are flagged on the streamed SimRun (its CacheHit field);
+// results are identical either way. A nil cache disables caching (the
+// default).
 func WithCache(c *Cache) Option { return engine.WithCache(c) }
 
 // WithRMWTypes narrows the model-checking grids — litmus verdicts and

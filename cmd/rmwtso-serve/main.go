@@ -15,8 +15,8 @@
 //	GET  /v1/jobs                     list jobs
 //	GET  /v1/jobs/{id}                job status + live metrics
 //	GET  /v1/jobs/{id}/events         per-unit progress as Server-Sent Events
-//	GET  /v1/results/{unitID}         absorbed unit result
-//	GET  /v1/results/by-key/{digest}  content-key lookup (result store, then cache)
+//	GET  /v1/results/{unitID}         unit result from a retained job (404 after -retain)
+//	GET  /v1/results/by-key/{digest}  the same lookup by full 64-hex key digest
 //	GET  /v1/reports/{jobID}?format=ascii|json|csv
 //	                                  finished sweep's report, byte-identical to cmd/experiments
 //	*    /v1/coord/{jobID}/...        hosted coordinator protocol for fleet-mode jobs

@@ -187,13 +187,12 @@ func (e *Engine) unitExecutor(plan *Plan, cache *simcache.Cache, cfg Coordinatio
 
 // assembleCoordinated turns a drained queue into the sweep's shard
 // result: ack payloads decode back to UnitResults in plan order, the
-// queue's final snapshot is absorbed into the job's metrics and the
-// coordination summary rebuilt from that snapshot (Metrics.Coordination),
-// and a non-empty dead-letter set is reported as a *DeadLetterError
-// carrying the partial result.
+// queue's final snapshot supplies the coordination section (and its
+// counters go into the job's metrics), and a non-empty dead-letter set
+// is reported as a *DeadLetterError carrying the partial result.
 func (e *Engine) assembleCoordinated(plan *Plan, shard Shard, selected []Unit, q *coordinator.Queue, mode string, m *metrics) (*ShardResult, error) {
 	snap := q.Snapshot()
-	m.absorbSnapshot(plan, snap)
+	m.absorbSnapshot(snap)
 	payloads := q.Payloads()
 	var results []UnitResult
 	for _, u := range selected {
@@ -208,11 +207,31 @@ func (e *Engine) assembleCoordinated(plan *Plan, shard Shard, selected []Unit, q
 		results = append(results, ur)
 	}
 	res := plan.shardResult(shard, results)
-	res.Coordination = m.snapshot().Coordination(mode)
+	res.Coordination = coordinationSection(plan, snap, mode)
 	if len(snap.DeadLetters) > 0 {
 		return nil, &DeadLetterError{Partial: res}
 	}
 	return res, nil
+}
+
+// coordinationSection renders a drained queue's final snapshot as the
+// report model's coordination section, resolving each dead-lettered unit
+// ID to its trace and type in the plan.
+func coordinationSection(plan *Plan, snap coordinator.Snapshot, mode string) *Coordination {
+	c := &Coordination{Mode: mode, Retries: snap.Retries, Expired: snap.Expired}
+	for _, w := range snap.Workers {
+		c.Workers = append(c.Workers, CoordWorker{
+			Worker: w.Worker, Units: w.Acks, Retries: w.Nacks, Expired: w.Expired,
+		})
+	}
+	for _, d := range snap.DeadLetters {
+		du := DeadUnit{Unit: d.Task, Attempts: d.Attempts, Reasons: d.Reasons}
+		if u, ok := plan.Unit(UnitID(d.Task)); ok {
+			du.Trace, du.Type = u.Trace, u.Type.String()
+		}
+		c.DeadLetters = append(c.DeadLetters, du)
+	}
+	return c
 }
 
 // unitQueue builds the pull queue over the selected units, its
@@ -383,11 +402,7 @@ func (s *CoordServer) Wait(ctx context.Context) (*ShardResult, error) {
 	if err := s.queue.Wait(ctx); err != nil {
 		return nil, err
 	}
-	sr, err := s.eng.assembleCoordinated(s.plan, s.shard, s.selected, s.queue, "http", s.m)
-	if sr != nil {
-		s.eng.store.AddShard(sr)
-	}
-	return sr, err
+	return s.eng.assembleCoordinated(s.plan, s.shard, s.selected, s.queue, "http", s.m)
 }
 
 // RunPlanWorker runs one pull worker against the coordinator at addr

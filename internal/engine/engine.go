@@ -179,7 +179,6 @@ type Engine struct {
 	opts    options
 	emitMu  sync.Mutex
 	metrics metrics
-	store   *ResultStore
 }
 
 // New builds an Engine from the options.
@@ -198,20 +197,13 @@ func New(opts ...Option) *Engine {
 	if len(o.types) == 0 {
 		o.types = core.AllTypes()
 	}
-	e := &Engine{opts: o}
-	e.store = NewResultStore(o.cache)
-	return e
+	return &Engine{opts: o}
 }
 
 // Types returns the atomicity types the Engine is configured with.
 func (e *Engine) Types() []AtomicityType {
 	return append([]AtomicityType(nil), e.opts.types...)
 }
-
-// Results returns the engine's result store: a lookup view over the
-// configured cache plus every shard artifact the engine has produced or
-// been fed (AddShard).
-func (e *Engine) Results() *ResultStore { return e.store }
 
 // emit delivers one event to the observer, serialized across workers.
 func (e *Engine) emit(ev Event) {

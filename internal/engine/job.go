@@ -108,9 +108,6 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 		switch {
 		case job.Plan != nil:
 			sr, err := e.runPlanJob(ctx, job.Plan, job.Shard, h.m, coord)
-			if sr != nil {
-				e.store.AddShard(sr)
-			}
 			h.res, h.err = &JobResult{Shard: sr}, err
 		case job.Litmus != nil:
 			vs, err := e.checkTestsSharded(ctx, job.Shard, h.m, job.Litmus.Tests...)

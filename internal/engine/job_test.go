@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -208,5 +209,66 @@ func TestCoordinatedWorkersBoundedByUnits(t *testing.T) {
 	}
 	if running > baseline+50 {
 		t.Fatalf("%d goroutines while the one unit ran (baseline %d): the job started more workers than units", running, baseline)
+	}
+}
+
+// TestDeadLetterCounters runs two coordinated jobs on one engine, each
+// with one poisoned unit, and pins the dead-letter bookkeeping: each
+// job's handle counts its own dead letter and the retries before it, the
+// engine-wide aggregate counts both, and each job's coordination section
+// names its poisoned unit with the trace and type the plan gives it.
+func TestDeadLetterCounters(t *testing.T) {
+	const maxAttempts = 2
+	eng := engine.New()
+	type poisonedJob struct {
+		unit engine.Unit
+		h    *engine.JobHandle
+	}
+	var jobs []poisonedJob
+	for i := range 2 {
+		plan, err := engine.BuildPlanSeeds(concurrencyOptions(20130601+int64(i)), experiments.Table3Specs()[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisoned := plan.Units()[i]
+		cfg := &engine.CoordinationConfig{
+			Workers:      2,
+			MaxAttempts:  maxAttempts,
+			RetryBackoff: time.Millisecond,
+			MaxBackoff:   time.Millisecond,
+			FaultInjector: func(_ string, u engine.Unit, attempt int) error {
+				if u.ID == poisoned.ID {
+					return fmt.Errorf("injected poison (attempt %d)", attempt)
+				}
+				return nil
+			},
+		}
+		h, err := eng.Submit(nil, engine.Job{Plan: plan, Coordination: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, poisonedJob{unit: poisoned, h: h})
+	}
+
+	for i, j := range jobs {
+		_, err := j.h.Wait()
+		var dle *engine.DeadLetterError
+		if !errors.As(err, &dle) {
+			t.Fatalf("job %d: want *DeadLetterError, got %v", i, err)
+		}
+		if m := j.h.Metrics(); m.DLQDepth != 1 || m.Retries != maxAttempts-1 {
+			t.Errorf("job %d: DLQDepth %d and Retries %d, want 1 and %d", i, m.DLQDepth, m.Retries, maxAttempts-1)
+		}
+		dls := dle.Partial.Coordination.DeadLetters
+		if len(dls) != 1 {
+			t.Fatalf("job %d: dead letters %+v, want exactly the poisoned unit", i, dls)
+		}
+		want := engine.DeadUnit{Unit: string(j.unit.ID), Trace: j.unit.Trace, Type: j.unit.Type.String(), Attempts: maxAttempts}
+		if d := dls[0]; d.Unit != want.Unit || d.Trace != want.Trace || d.Type != want.Type || d.Attempts != want.Attempts {
+			t.Errorf("job %d: dead letter %+v, want %+v", i, d, want)
+		}
+	}
+	if m := eng.Metrics(); m.DLQDepth != 2 || m.Retries != 2*(maxAttempts-1) {
+		t.Errorf("engine DLQDepth %d and Retries %d, want 2 and %d", m.DLQDepth, m.Retries, 2*(maxAttempts-1))
 	}
 }

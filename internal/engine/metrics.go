@@ -9,10 +9,10 @@ import (
 
 // Metrics is a point-in-time snapshot of an engine's (or one job's)
 // execution counters: unit throughput, cache effectiveness, and — for
-// coordinated sweeps — the queue's lease/retry/DLQ state. The
-// coordination section of the report model is rebuilt from this snapshot
-// (Metrics.Coordination), so the report can never disagree with what the
-// engine measured.
+// coordinated sweeps — the queue's lease, retry, expiry and dead-letter
+// counts. It holds counters only: a coordinated sweep's per-worker
+// traffic and dead letters are in its ShardResult's Coordination
+// section, which is built from the drained queue's snapshot.
 type Metrics struct {
 	// UnitsPlanned counts the units selected for execution; UnitsDone the
 	// units finished so far (including cache hits). For litmus jobs the
@@ -35,49 +35,6 @@ type Metrics struct {
 	Retries        int
 	Expired        int
 	DLQDepth       int
-	// Workers aggregates per-worker traffic of a coordinated sweep,
-	// sorted by worker name (empty for static runs, whose pool workers
-	// are anonymous).
-	Workers []WorkerMetrics
-	// DeadLetters lists the dead-lettered units with their failure
-	// history, sorted by unit ID.
-	DeadLetters []DeadLetterMetrics
-}
-
-// WorkerMetrics is one coordinated worker's traffic.
-type WorkerMetrics struct {
-	Worker  string
-	Units   int
-	Retries int
-	Expired int
-}
-
-// DeadLetterMetrics is one dead-lettered unit with its failure history.
-type DeadLetterMetrics struct {
-	Unit     UnitID
-	Trace    string
-	Type     string
-	Attempts int
-	Reasons  []string
-}
-
-// Coordination renders the snapshot's queue counters as the report
-// model's coordination section. The section is execution metadata — it
-// is exactly what coordinated sweeps attach to their ShardResult.
-func (m Metrics) Coordination(mode string) *Coordination {
-	c := &Coordination{Mode: mode, Retries: m.Retries, Expired: m.Expired}
-	for _, w := range m.Workers {
-		c.Workers = append(c.Workers, CoordWorker{
-			Worker: w.Worker, Units: w.Units, Retries: w.Retries, Expired: w.Expired,
-		})
-	}
-	for _, d := range m.DeadLetters {
-		c.DeadLetters = append(c.DeadLetters, DeadUnit{
-			Unit: string(d.Unit), Trace: d.Trace, Type: d.Type,
-			Attempts: d.Attempts, Reasons: append([]string(nil), d.Reasons...),
-		})
-	}
-	return c
 }
 
 // metrics is the engine's internal collector. One instance lives on the
@@ -104,8 +61,7 @@ type metrics struct {
 	inflight int
 	retries  int
 	expired  int
-	workers  []WorkerMetrics
-	dead     []DeadLetterMetrics
+	dlq      int
 
 	// remoteAcks, set on a hosted coordinator's collector (NewCoordServer),
 	// counts queue acks as finished units: the units execute on remote
@@ -154,8 +110,8 @@ func (m *metrics) verdictDone() {
 }
 
 // coordEvent tracks the queue's live lease gauge from its event stream;
-// the authoritative retry/expiry/worker totals come from absorbSnapshot
-// when the queue drains.
+// the authoritative retry, expiry and dead-letter totals come from
+// absorbSnapshot when the queue drains.
 func (m *metrics) coordEvent(e coordinator.Event) {
 	switch string(e.Kind) {
 	case "lease":
@@ -179,33 +135,14 @@ func (m *metrics) coordEvent(e coordinator.Event) {
 	}
 }
 
-// absorbSnapshot copies the drained queue's final counters into the
-// collector, resolving dead-lettered unit IDs against the plan. It is
-// the one source the coordination report section is rebuilt from.
-func (m *metrics) absorbSnapshot(plan *Plan, snap coordinator.Snapshot) {
-	var workers []WorkerMetrics
-	for _, w := range snap.Workers {
-		workers = append(workers, WorkerMetrics{
-			Worker: w.Worker, Units: w.Acks, Retries: w.Nacks, Expired: w.Expired,
-		})
-	}
-	var dead []DeadLetterMetrics
-	for _, d := range snap.DeadLetters {
-		dm := DeadLetterMetrics{
-			Unit: UnitID(d.Task), Attempts: d.Attempts,
-			Reasons: append([]string(nil), d.Reasons...),
-		}
-		if u, ok := plan.Unit(UnitID(d.Task)); ok {
-			dm.Trace, dm.Type = u.Trace, u.Type.String()
-		}
-		dead = append(dead, dm)
-	}
+// absorbSnapshot adds the drained queue's retry, expiry and dead-letter
+// counts to the collector and clears its lease gauge.
+func (m *metrics) absorbSnapshot(snap coordinator.Snapshot) {
 	m.update(func(m *metrics) {
 		m.retries += snap.Retries
 		m.expired += snap.Expired
+		m.dlq += len(snap.DeadLetters)
 		m.inflight = 0
-		m.workers = append(m.workers, workers...)
-		m.dead = append(m.dead, dead...)
 	})
 }
 
@@ -222,9 +159,7 @@ func (m *metrics) snapshot() Metrics {
 		InflightLeases: m.inflight,
 		Retries:        m.retries,
 		Expired:        m.expired,
-		DLQDepth:       len(m.dead),
-		Workers:        append([]WorkerMetrics(nil), m.workers...),
-		DeadLetters:    append([]DeadLetterMetrics(nil), m.dead...),
+		DLQDepth:       m.dlq,
 	}
 	if !m.start.IsZero() {
 		out.Elapsed = time.Since(m.start)

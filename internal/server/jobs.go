@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/litmus"
+	"repro/internal/simcache"
 )
 
 // SubmitRequest is the POST /v1/jobs body: exactly one of Plan or Litmus
@@ -62,6 +65,7 @@ type LitmusSpec struct {
 // submit; the mutable completion state is guarded by mu.
 type job struct {
 	id      string
+	seq     int    // submit order; id renders it
 	kind    string // "plan" | "litmus"
 	mode    string // "static" | "coordinate" | "fleet"
 	created time.Time
@@ -316,6 +320,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	j := &job{
 		id:      fmt.Sprintf("job-%06d", s.nextID),
+		seq:     s.nextID,
 		kind:    kind,
 		mode:    mode,
 		created: s.now(),
@@ -326,14 +331,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if plan != nil {
 		j.units = plan.Len()
-		for _, u := range plan.Units() {
-			s.keys[u.Key.Digest()] = u.Key
-		}
 	} else {
 		j.units = len(tests) * len(s.eng.Types())
 	}
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	s.running++
 	s.jobsTotal++
 	s.mu.Unlock()
@@ -390,11 +391,26 @@ func (s *Server) startJob(j *job, tests []*litmus.Test, coordCfg *engine.Coordin
 	return nil
 }
 
-// finishJob records a job's terminal state and releases its running
-// slot; the last job out closes the drain gate.
+// unitEntry is one unit-index entry: the retained job that last
+// finished the unit, and the unit's result in that job.
+type unitEntry struct {
+	job    *job
+	result engine.UnitResult
+}
+
+// finishJob records a job's terminal state, queues it for expiry,
+// indexes its unit results and releases its running slot; the last job
+// out closes the drain gate. The finish time is stamped under s.mu, so
+// the expiry queue stays in finish-time order.
 func (s *Server) finishJob(j *job, res *engine.JobResult, err error) {
-	j.complete(res, err, s.now())
 	s.mu.Lock()
+	j.complete(res, err, s.now())
+	s.finished = append(s.finished, j)
+	if sr := j.shardResult(); sr != nil {
+		for _, ur := range sr.Units {
+			s.units[ur.Unit] = unitEntry{job: j, result: ur}
+		}
+	}
 	s.running--
 	if s.draining && s.running == 0 && s.drained != nil {
 		select {
@@ -406,21 +422,42 @@ func (s *Server) finishJob(j *job, res *engine.JobResult, err error) {
 	s.mu.Unlock()
 }
 
-// pruneLocked evicts finished jobs past their retention TTL. Caller
-// holds s.mu.
+// pruneLocked evicts the finished jobs past their retention TTL, with
+// the unit-index entries that still point at them. The expired jobs are
+// the head of the finish-ordered queue, so pruning touches only them.
+// Caller holds s.mu.
 func (s *Server) pruneLocked() {
 	cutoff := s.now().Add(-s.cfg.RetainFinished)
-	keep := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		state, finished, _, _ := j.status()
-		if state != "running" && finished.Before(cutoff) {
-			delete(s.jobs, id)
-			continue
+	for len(s.finished) > 0 {
+		j := s.finished[0]
+		if _, finished, _, _ := j.status(); !finished.Before(cutoff) {
+			return
 		}
-		keep = append(keep, id)
+		s.finished[0] = nil // the queue's backing array must not keep it alive
+		s.finished = s.finished[1:]
+		delete(s.jobs, j.id)
+		if sr := j.shardResult(); sr != nil {
+			for _, ur := range sr.Units {
+				if s.units[ur.Unit].job == j {
+					delete(s.units, ur.Unit)
+				}
+			}
+		}
 	}
-	s.order = keep
+}
+
+// retainedJobs prunes the registry and returns the retained jobs in
+// submit order.
+func (s *Server) retainedJobs() []*job {
+	s.mu.Lock()
+	s.pruneLocked()
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
+	return jobs
 }
 
 // lookupJob resolves a job ID (pruning expired entries on the way).
@@ -490,15 +527,10 @@ func (j *job) metricsSnapshot() engine.Metrics {
 
 // handleListJobs is GET /v1/jobs: the registry in submit order.
 func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	s.pruneLocked()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	jobs := make([]map[string]any, 0, len(ids))
-	for _, id := range ids {
-		if j := s.lookupJob(id); j != nil {
-			jobs = append(jobs, s.jobStatusBody(j))
-		}
+	retained := s.retainedJobs()
+	jobs := make([]map[string]any, len(retained))
+	for i, j := range retained {
+		jobs[i] = s.jobStatusBody(j)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
@@ -514,41 +546,43 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.jobStatusBody(j))
 }
 
-// handleResult is GET /v1/results/{unit}: the absorbed unit result.
+// lookupUnit resolves a unit ID through the unit index (pruning
+// expired jobs on the way).
+func (s *Server) lookupUnit(id engine.UnitID) (unitEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pruneLocked()
+	e, ok := s.units[id]
+	return e, ok
+}
+
+// handleResult is GET /v1/results/{unit}: the unit's result in the last
+// retained job that finished it.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("unit")
-	ur, ok := s.eng.Results().Unit(engine.UnitID(id))
+	e, ok := s.lookupUnit(engine.UnitID(id))
 	if !ok {
 		jsonError(w, http.StatusNotFound, "no result for unit %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, ur)
+	writeJSON(w, http.StatusOK, e.result)
 }
 
-// handleResultByKey is GET /v1/results/by-key/{digest}: a full
-// content-key lookup through the result store and cache. The digest is
-// the full 64-hex key digest (unit IDs are its prefix); the server
-// indexes the keys of every plan it has built.
+// handleResultByKey is GET /v1/results/by-key/{digest}: the unit result
+// of a full content key, named by its 64-hex-digit digest in either
+// case. A unit ID is its key digest's prefix, so the unit index answers,
+// provided the indexed unit's key has exactly this digest.
 func (s *Server) handleResultByKey(w http.ResponseWriter, r *http.Request) {
 	digest := strings.ToLower(r.PathValue("digest"))
-	s.mu.Lock()
-	key, ok := s.keys[digest]
-	s.mu.Unlock()
-	if !ok {
-		jsonError(w, http.StatusNotFound, "unknown content key %q (no submitted plan contains it)", digest)
-		return
+	if len(digest) == 64 {
+		if e, ok := s.lookupUnit(engine.UnitID(digest[:simcache.UnitIDLen])); ok {
+			if u, _ := e.job.plan.Unit(e.result.Unit); u.Key.Digest() == digest {
+				writeJSON(w, http.StatusOK, map[string]any{"unit": u.ID, "key": u.Key, "result": e.result.Result})
+				return
+			}
+		}
 	}
-	res, fromCache, ok := s.eng.Results().Lookup(key)
-	if !ok {
-		jsonError(w, http.StatusNotFound, "content key %q known but has no result yet", digest)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"unit":       key.UnitID(),
-		"key":        key,
-		"from_cache": fromCache,
-		"result":     res,
-	})
+	jsonError(w, http.StatusNotFound, "no retained job has a result for content key %q", digest)
 }
 
 // handleReport is GET /v1/reports/{id}?format=ascii|json|csv: the full

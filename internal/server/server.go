@@ -1,7 +1,7 @@
 // Package server is the long-running HTTP query/ops service over the
 // execution engine: a versioned JSON API to submit plan or litmus jobs
-// (POST /v1/jobs), watch them (status, SSE event streams), query any
-// result by unit ID or full content key, fetch reports through the
+// (POST /v1/jobs), watch them (status, SSE event streams), query their
+// results by unit ID or full content key, fetch reports through the
 // existing encoders byte-identically to the batch CLI, and host sweep
 // coordinators for HTTP worker fleets — plus the operational surface a
 // service needs: /healthz, /readyz, Prometheus-format /metrics, bounded
@@ -40,8 +40,9 @@ type Config struct {
 	// MaxJobs bounds the jobs running concurrently; submits beyond it are
 	// rejected with 429 until one finishes. Default 8.
 	MaxJobs int
-	// RetainFinished is how long a finished job (and its events) stays
-	// queryable before the registry evicts it. Default 1h.
+	// RetainFinished is how long a finished job (its status, events,
+	// report and unit results) stays queryable before the registry
+	// evicts it. Default 1h.
 	RetainFinished time.Duration
 	// DrainTimeout bounds the graceful drain: on shutdown the server
 	// stops accepting submits and waits this long for in-flight jobs
@@ -90,15 +91,19 @@ type Server struct {
 	// sleep.
 	now func() time.Time
 
+	// The registry: every retained job by ID. finished queues the
+	// finished ones in finish order, oldest first, so pruning pops
+	// expired jobs off its head; units indexes each unit ID to its result
+	// in the last retained job that finished it.
 	mu        sync.Mutex
 	jobs      map[string]*job
-	order     []string // submit order, for listing and pruning
+	finished  []*job
+	units     map[engine.UnitID]unitEntry
 	nextID    int
 	running   int
 	jobsTotal int
 	draining  bool
 	drained   chan struct{} // non-nil once draining; closed when running hits 0
-	keys      map[string]engine.CacheKey
 
 	reqMu sync.Mutex
 	reqs  map[string]map[int]int64 // route → status code → count
@@ -125,7 +130,7 @@ func New(cfg Config) (*Server, error) {
 		cancelJobs: cancel,
 		now:        time.Now,
 		jobs:       map[string]*job{},
-		keys:       map[string]engine.CacheKey{},
+		units:      map[engine.UnitID]unitEntry{},
 		reqs:       map[string]map[int]int64{},
 	}
 	s.mux = s.buildMux()
@@ -210,7 +215,7 @@ func (s *Server) Drain() {
 	s.flushArtifacts()
 }
 
-// flushArtifacts writes every finished plan job's shard artifact (full
+// flushArtifacts writes every retained plan job's shard artifact (full
 // or dead-letter partial) to ArtifactDir, so completed units survive the
 // process. Flush failures are reported on stderr but don't abort the
 // shutdown.
@@ -222,13 +227,7 @@ func (s *Server) flushArtifacts() {
 		fmt.Fprintln(os.Stderr, "rmwtso-serve: artifact dir:", err)
 		return
 	}
-	s.mu.Lock()
-	var flush []*job
-	for _, id := range s.order {
-		flush = append(flush, s.jobs[id])
-	}
-	s.mu.Unlock()
-	for _, j := range flush {
+	for _, j := range s.retainedJobs() {
 		sr := j.shardResult()
 		if sr == nil {
 			continue

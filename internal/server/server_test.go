@@ -11,8 +11,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -561,14 +563,22 @@ func TestBackpressureAndDrainCancel(t *testing.T) {
 	}
 }
 
+// injectClock replaces the server's registry clock with one that reads
+// a fixed base time plus the returned offset, so retention tests move
+// time instead of sleeping.
+func injectClock(srv *Server) *atomic.Int64 {
+	base := time.Now()
+	var offset atomic.Int64
+	srv.now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
+	return &offset
+}
+
 // TestRetentionEviction verifies the TTL'd registry: finished jobs stay
 // queryable until RetainFinished passes, then vanish. The clock is
 // injected so nothing sleeps.
 func TestRetentionEviction(t *testing.T) {
 	srv, ts := newTestServer(t, Config{RetainFinished: time.Minute})
-	base := time.Now()
-	var offset atomic.Int64
-	srv.now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
+	offset := injectClock(srv)
 
 	code, doc := submit(t, ts, `{"litmus":{"name":"write-deadlock (Fig. 10)"}}`)
 	if code != http.StatusAccepted {
@@ -590,6 +600,198 @@ func TestRetentionEviction(t *testing.T) {
 	}
 	if _, doc := getJSON(t, ts, "/v1/jobs"); len(doc["jobs"].([]any)) != 0 {
 		t.Fatalf("job list still shows evicted jobs: %v", doc["jobs"])
+	}
+}
+
+// TestResultsExpireWithTheirJob pins that a unit result is served
+// exactly while a retained job holds it: two identical plan jobs finish
+// 40s apart under a 1-minute TTL; once the first expires the second
+// still serves every result route, and once both expire nothing does and
+// the registry holds no state at all.
+func TestResultsExpireWithTheirJob(t *testing.T) {
+	srv, ts := newTestServer(t, Config{RetainFinished: time.Minute})
+	offset := injectClock(srv)
+	runPlan := func() string {
+		t.Helper()
+		code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %v", code, doc)
+		}
+		id := doc["id"].(string)
+		if final := waitDone(t, ts, id); final["state"] != "done" {
+			t.Fatalf("job %s finished in state %v", id, final["state"])
+		}
+		return id
+	}
+	first := runPlan()
+	offset.Store(int64(40 * time.Second))
+	second := runPlan()
+
+	opts := tinyPlanOptions()
+	plan, err := engine.DefaultPlanSeeds(opts, opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := plan.Units()[0]
+	digest := u.Key.Digest()
+	routes := []string{
+		"/v1/results/" + string(u.ID),
+		"/v1/results/by-key/" + digest,
+		"/v1/results/by-key/" + strings.ToUpper(digest),
+	}
+	expect := func(path string, want int) map[string]any {
+		t.Helper()
+		code, doc := getJSON(t, ts, path)
+		if code != want {
+			t.Fatalf("GET %s: HTTP %d (%v), want %d", path, code, doc, want)
+		}
+		return doc
+	}
+
+	offset.Store(int64(90 * time.Second))
+	expect("/v1/jobs/"+first, http.StatusNotFound)
+	for _, path := range routes {
+		expect(path, http.StatusOK)
+	}
+	if doc := expect(routes[1], http.StatusOK); doc["unit"] != string(u.ID) || doc["result"] == nil {
+		t.Fatalf("by-key lookup = %v, want unit %s with its result", doc, u.ID)
+	}
+	srv.mu.Lock()
+	servedBy := srv.units[u.ID].job.id
+	srv.mu.Unlock()
+	if servedBy != second {
+		t.Fatalf("unit %s is served from %s, want the retained %s", u.ID, servedBy, second)
+	}
+	// Malformed or unknown digests are plain misses.
+	flipped := "0"
+	if digest[63] == '0' {
+		flipped = "1"
+	}
+	for _, bad := range []string{digest[:63] + flipped, digest[:2], digest + "00"} {
+		expect("/v1/results/by-key/"+bad, http.StatusNotFound)
+	}
+
+	offset.Store(int64(3 * time.Minute))
+	expect("/v1/jobs/"+second, http.StatusNotFound)
+	for _, path := range routes {
+		expect(path, http.StatusNotFound)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.jobs) != 0 || len(srv.finished) != 0 || len(srv.units) != 0 {
+		t.Fatalf("registry keeps %d jobs, %d queued for expiry and %d indexed units after every job expired",
+			len(srv.jobs), len(srv.finished), len(srv.units))
+	}
+}
+
+// TestRegistryUnderConcurrentJobs finishes jobs concurrently while
+// other clients read both result routes and the job list, with a TTL so
+// short that every request prunes: finishJob fills the unit index and
+// the expiry queue while requests empty them. Run under -race. Once
+// every job has expired, nothing may be left behind.
+func TestRegistryUnderConcurrentJobs(t *testing.T) {
+	srv, ts := newTestServer(t, Config{RetainFinished: time.Nanosecond, DrainTimeout: 2 * time.Minute})
+	opts := tinyPlanOptions()
+	plan, err := engine.DefaultPlanSeeds(opts, opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := plan.Units()[0]
+	paths := []string{"/v1/results/" + string(u.ID), "/v1/results/by-key/" + u.Key.Digest(), "/v1/jobs"}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				for _, path := range paths {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					resp, err := http.Get(ts.URL + path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+						t.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
+					}
+				}
+			}
+		}()
+	}
+	for _, body := range []string{
+		`{"plan":` + tinyPlanSpec + `}`,
+		`{"plan":` + tinyPlanSpec + `}`,
+		`{"plan":` + tinyPlanSpec + `,"mode":"coordinate"}`,
+		`{"litmus":{"name":"write-deadlock (Fig. 10)"}}`,
+	} {
+		if code, doc := submit(t, ts, body); code != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d: %v", body, code, doc)
+		}
+	}
+	srv.Drain() // returns once every job has finished
+	close(stop)
+	readers.Wait()
+
+	if code, doc := getJSON(t, ts, "/v1/jobs"); code != http.StatusOK || len(doc["jobs"].([]any)) != 0 {
+		t.Fatalf("GET /v1/jobs after every job expired: HTTP %d: %v", code, doc)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.jobs) != 0 || len(srv.finished) != 0 || len(srv.units) != 0 {
+		t.Fatalf("registry keeps %d jobs, %d queued for expiry and %d indexed units after every job expired",
+			len(srv.jobs), len(srv.finished), len(srv.units))
+	}
+}
+
+// TestListJobsInSubmitOrder lists the registry in submit order, which
+// differs from finish order here because the second job (a fleet no
+// worker serves) never finishes, and drops the first job once it
+// expires.
+func TestListJobsInSubmitOrder(t *testing.T) {
+	srv, ts := newTestServer(t, Config{RetainFinished: time.Minute, DrainTimeout: 10 * time.Millisecond})
+	t.Cleanup(srv.Drain) // cancels the fleet job
+	offset := injectClock(srv)
+	start := func(body string) string {
+		t.Helper()
+		code, doc := submit(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %v", code, doc)
+		}
+		return doc["id"].(string)
+	}
+	const litmus = `{"litmus":{"name":"write-deadlock (Fig. 10)"}}`
+	first := start(litmus)
+	waitDone(t, ts, first)
+	fleet := start(`{"plan":` + tinyPlanSpec + `,"mode":"fleet"}`)
+	offset.Store(int64(40 * time.Second))
+	third := start(litmus)
+	waitDone(t, ts, third)
+
+	listed := func() []string {
+		t.Helper()
+		code, doc := getJSON(t, ts, "/v1/jobs")
+		if code != http.StatusOK {
+			t.Fatalf("list: HTTP %d: %v", code, doc)
+		}
+		var ids []string
+		for _, j := range doc["jobs"].([]any) {
+			ids = append(ids, j.(map[string]any)["id"].(string))
+		}
+		return ids
+	}
+	if got, want := listed(), []string{first, fleet, third}; !slices.Equal(got, want) {
+		t.Fatalf("GET /v1/jobs lists %v, want %v", got, want)
+	}
+	offset.Store(int64(90 * time.Second))
+	if got, want := listed(), []string{fleet, third}; !slices.Equal(got, want) {
+		t.Fatalf("GET /v1/jobs after the first job expired lists %v, want %v", got, want)
 	}
 }
 
@@ -648,5 +850,62 @@ func TestFleetModeEndToEnd(t *testing.T) {
 	if report.Coordination == nil || report.Coordination.Mode != "http" ||
 		len(report.Coordination.Workers) != 1 || report.Coordination.Workers[0].Worker != "w1" {
 		t.Fatalf("fleet report coordination section = %+v, want http mode with worker w1", report.Coordination)
+	}
+}
+
+// retainFinished registers n finished litmus jobs straight into the
+// registry, admitted like a submit and finished through finishJob, so
+// the registry benchmarks need not run n jobs.
+func retainFinished(s *Server, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		s.mu.Lock()
+		s.nextID++
+		j := &job{id: fmt.Sprintf("job-%06d", s.nextID), seq: s.nextID, kind: "litmus", mode: "static",
+			created: s.now(), events: newEventLog(), state: "running"}
+		s.jobs[j.id] = j
+		s.running++
+		s.mu.Unlock()
+		s.finishJob(j, &engine.JobResult{}, nil)
+		ids[i] = j.id
+	}
+	return ids
+}
+
+// BenchmarkLookupJob measures one job lookup, the registry step of every
+// per-job route, with 1k and 10k finished jobs retained.
+func BenchmarkLookupJob(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("retained=%d", n), func(b *testing.B) {
+			s, err := New(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := retainFinished(s, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.lookupJob(ids[i%n]) == nil {
+					b.Fatal("retained job not found")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkListJobs measures GET /v1/jobs with 5k finished jobs
+// retained.
+func BenchmarkListJobs(b *testing.B) {
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	retainFinished(s, 5000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs", nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("GET /v1/jobs: HTTP %d", rec.Code)
+		}
 	}
 }

@@ -87,21 +87,8 @@ type JobHandle = engine.JobHandle
 
 // Metrics is a point-in-time snapshot of the execution counters: unit
 // throughput, cache effectiveness, and — for coordinated sweeps — the
-// queue's lease/retry/DLQ state.
+// queue's lease, retry, expiry and dead-letter counts.
 type Metrics = engine.Metrics
-
-// WorkerMetrics is one coordinated worker's traffic in a Metrics
-// snapshot.
-type WorkerMetrics = engine.WorkerMetrics
-
-// DeadLetterMetrics is one dead-lettered unit with its failure history in
-// a Metrics snapshot.
-type DeadLetterMetrics = engine.DeadLetterMetrics
-
-// ResultStore is the engine's result-lookup view: unit results of every
-// absorbed shard artifact by unit ID, backed by the result cache for
-// full-key lookups.
-type ResultStore = engine.ResultStore
 
 // Runner is the public face of the execution engine (internal/engine): it
 // fans work units — litmus verdicts, mapping validations, simulator
@@ -133,10 +120,6 @@ func (r *Runner) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 // Metrics snapshots the Runner's engine-wide execution counters across
 // every job and sweep it has run.
 func (r *Runner) Metrics() Metrics { return r.eng.Metrics() }
-
-// Results returns the Runner's result store: a lookup view over the
-// configured cache plus every shard artifact the engine has produced.
-func (r *Runner) Results() *ResultStore { return r.eng.Results() }
 
 // CheckTests model-checks every test under every configured RMW type.
 // Each (test, type) verdict is one work unit; finished verdicts stream to

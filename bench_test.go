@@ -598,12 +598,12 @@ func iriwReadWriteProgram(b *testing.B) *memmodel.Program {
 
 // BenchmarkEnumerateParallel measures the rf-partitioned enumeration of
 // the IRIW-class program at increasing worker counts against the
-// sequential walk ("workers-1" runs the same partitioned machinery with
-// one range; "seq" is the plain visitor API). Every variant must visit
-// the identical number of candidates; the figure of merit is the speedup
-// of workers-8 over seq on multi-core hardware (≥2x expected from 8
-// workers on ≥4 cores; on a single-core runner the parallel variants
-// only measure the partitioning overhead).
+// sequential walk ("seq" is the plain visitor API; "workers-1" passes
+// EnumWorkers(1), the same sequential walk). Every variant must visit the
+// identical number of candidates; the figure of merit is the speedup of
+// workers-8 over seq on multi-core hardware (≥2x expected from 8 workers
+// on ≥4 cores; on a single-core runner the parallel variants only measure
+// the partitioning overhead).
 func BenchmarkEnumerateParallel(b *testing.B) {
 	p := iriwReadWriteProgram(b)
 	want, err := memmodel.CountCandidates(p)
@@ -637,15 +637,10 @@ func BenchmarkEnumerateParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			count(b, func(visit func(*memmodel.Execution) bool) error {
-				return memmodel.EnumerateParallel(context.Background(), p, workers, visit, memmodel.EnumUnordered())
+				return memmodel.EnumerateFunc(p, visit, memmodel.EnumWorkers(workers))
 			})
 		})
 	}
-	b.Run("workers-8-ordered", func(b *testing.B) {
-		count(b, func(visit func(*memmodel.Execution) bool) error {
-			return memmodel.EnumerateParallel(context.Background(), p, 8, visit)
-		})
-	})
 }
 
 // BenchmarkEnumerateParallelVerdict measures the same program through a

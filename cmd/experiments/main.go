@@ -9,7 +9,6 @@
 //	experiments -quick                use the reduced configuration (8 cores, short workloads)
 //	experiments -cores 16 -scale 0.5  custom run size
 //	experiments -j 8                  simulation worker-pool parallelism
-//	experiments -enum-workers 8       goroutines per model-checking verdict
 //	experiments -cache                cache simulation results in ~/.cache/rmwtso
 //	experiments -cache-dir DIR        cache simulation results under DIR
 //	experiments -cache-clear          clear the cache directory first
@@ -95,7 +94,6 @@ func main() {
 		seed     = flag.Int64("seed", 0, "override the workload seed")
 		seeds    = flag.Int("seeds", 0, "rerun the sweep under this many consecutive seeds (base -seed) and report cross-seed mean/CI statistics")
 		par      = flag.Int("j", 0, "simulation worker-pool parallelism (default: GOMAXPROCS)")
-		enumW    = flag.Int("enum-workers", 0, "goroutines per model-checking verdict (default: auto by candidate count)")
 		progress = flag.Bool("progress", false, "stream per-run progress while simulating")
 		shardArg = flag.String("shard", "", "run only sweep shard i/n (requires -out)")
 		outPath  = flag.String("out", "", "write the shard artifact to this file (with -shard)")
@@ -125,17 +123,13 @@ func main() {
 	}
 
 	// Reject flag values that would otherwise flow as garbage into the
-	// workload generator or the enumeration heuristic (explicit
-	// "-cores 0"/"-scale 0" included; the unset default 0 means "keep
-	// the preset").
+	// workload generator (explicit "-cores 0"/"-scale 0" included; the
+	// unset default 0 means "keep the preset").
 	fs := flag.CommandLine
 	if err := cliflags.PositiveIntIfSet(fs, "cores", *cores); err != nil {
 		fatalUsage(err)
 	}
 	if err := cliflags.PositiveFloatIfSet(fs, "scale", *scale); err != nil {
-		fatalUsage(err)
-	}
-	if err := cliflags.NonNegativeInt("enum-workers", *enumW); err != nil {
 		fatalUsage(err)
 	}
 	if err := cliflags.NonNegativeInt("j", *par); err != nil {
@@ -195,9 +189,6 @@ func main() {
 	}
 	if *seed != 0 {
 		opts.Seed = *seed
-	}
-	if *enumW > 0 {
-		opts.EnumWorkers = *enumW
 	}
 
 	cache, err := rmwtso.OpenCacheFromFlags(*cacheFlags.Enabled, *cacheFlags.Dir, *cacheFlags.Clear)

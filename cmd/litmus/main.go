@@ -9,17 +9,15 @@
 //	litmus -file <path>      run a test from a litmus file
 //	litmus -type type-2      restrict to one atomicity type (default: all three)
 //	litmus -j 8              worker-pool parallelism (default: GOMAXPROCS)
-//	litmus -enum-workers 8   fan each verdict's enumeration across 8 goroutines
 //	litmus -v                also stream the outcome sets as verdicts finish
 //	litmus -shard 0/3        run only verdict shard 0 of 3
 //	litmus -list-units       print the verdict grid (unit IDs) and exit
 //	litmus -format json      emit verdicts as JSON (ascii, csv too)
 //
-// -j parallelizes across verdicts (one per test and atomicity type);
-// -enum-workers parallelizes inside one verdict by partitioning its rf×ws
-// candidate space, which is what helps when a single IRIW-sized program
-// dominates the wall clock. The default, 0, picks per program: GOMAXPROCS
-// for large candidate spaces, 1 for small ones.
+// -j parallelizes across verdicts (one per test and atomicity type).
+// Inside one verdict the rf×ws candidate space is partitioned across
+// goroutines by candidate count: GOMAXPROCS for IRIW-sized spaces, where
+// a single program dominates the wall clock, and 1 for small ones.
 //
 // The (test, type) verdict grid is a deterministic unit plan just like
 // the simulation sweep: every unit's ID derives from the verdict's
@@ -51,7 +49,6 @@ func main() {
 		file     = flag.String("file", "", "run a test parsed from a litmus file")
 		typeName = flag.String("type", "", "atomicity type to check (type-1, type-2, type-3); default all")
 		par      = flag.Int("j", 0, "worker-pool parallelism (default: GOMAXPROCS)")
-		enumW    = flag.Int("enum-workers", 0, "goroutines per verdict's candidate enumeration (default: auto by candidate count)")
 		verbose  = flag.Bool("v", false, "stream outcome sets as verdicts finish")
 		shardArg = flag.String("shard", "", "run only verdict shard i/n")
 		listU    = flag.Bool("list-units", false, "print the verdict grid (unit ID, test, type) and exit")
@@ -63,9 +60,6 @@ func main() {
 	format := formatFlag.Value
 
 	if err := cliflags.NonNegativeInt("j", *par); err != nil {
-		fatalUsage(err)
-	}
-	if err := cliflags.NonNegativeInt("enum-workers", *enumW); err != nil {
 		fatalUsage(err)
 	}
 	if err := formatFlag.Validate(); err != nil {
@@ -91,9 +85,6 @@ func main() {
 	}
 	if *par > 0 {
 		opts = append(opts, rmwtso.WithParallelism(*par))
-	}
-	if *enumW > 0 {
-		opts = append(opts, rmwtso.WithEnumWorkers(*enumW))
 	}
 	if *verbose {
 		opts = append(opts, rmwtso.WithObserver(func(e rmwtso.Event) {

@@ -22,8 +22,6 @@
 // -check (fig10 only) model-checks the write-deadlock litmus test before
 // simulating: the cyclic outcome is forbidden under every atomicity type,
 // which is exactly why the naive implementation that waits for it wedges.
-// -enum-workers fans the verdict's candidate enumeration across that many
-// goroutines (0 picks by candidate count).
 //
 // -cache (or -cache-dir DIR) serves repeated benchmark runs from the
 // content-addressed result cache: a run is keyed by (config, trace, seed,
@@ -82,7 +80,6 @@ func main() {
 		naive     = flag.Bool("naive", false, "disable the bloom-filter deadlock avoidance (type-2/3 only)")
 		sweep     = flag.Bool("sweep", false, "run the trace under all three RMW types in parallel")
 		check     = flag.Bool("check", false, "model-check the fig10 litmus test before simulating it")
-		enumW     = flag.Int("enum-workers", 0, "goroutines per -check verdict's enumeration (default: auto by candidate count)")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
 	)
 	formatFlag := cliflags.RegisterFormat(flag.CommandLine, "format", rmwtso.FormatASCII,
@@ -97,15 +94,12 @@ func main() {
 		return
 	}
 
-	// Reject values the workload generator and heuristics would otherwise
-	// accept silently as garbage.
+	// Reject values the workload generator would otherwise accept
+	// silently as garbage.
 	if err := cliflags.PositiveInt("cores", *cores); err != nil {
 		fatalUsage(err)
 	}
 	if err := cliflags.PositiveFloat("scale", *scale); err != nil {
-		fatalUsage(err)
-	}
-	if err := cliflags.NonNegativeInt("enum-workers", *enumW); err != nil {
 		fatalUsage(err)
 	}
 	if err := formatFlag.Validate(); err != nil {
@@ -129,11 +123,7 @@ func main() {
 		if t == nil {
 			fatal(fmt.Errorf("the write-deadlock litmus test is not registered"))
 		}
-		var opts []rmwtso.Option
-		if *enumW > 0 {
-			opts = append(opts, rmwtso.WithEnumWorkers(*enumW))
-		}
-		results, err := rmwtso.TestsOf(t).Run(opts...)
+		results, err := rmwtso.TestsOf(t).Run()
 		if err != nil {
 			fatal(err)
 		}

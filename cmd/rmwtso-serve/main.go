@@ -51,7 +51,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address (host:port)")
 		par      = flag.Int("j", 0, "simulation worker-pool parallelism (default: GOMAXPROCS)")
-		enumW    = flag.Int("enum-workers", 0, "goroutines per model-checking verdict (default: auto by candidate count)")
 		maxJobs  = flag.Int("max-jobs", 0, "jobs allowed to run concurrently before submits get 429 (default 8)")
 		retain   = flag.Duration("retain", 0, "how long finished jobs stay queryable (default 1h)")
 		drainT   = flag.Duration("drain-timeout", 0, "graceful-drain budget for in-flight jobs on shutdown (default 30s)")
@@ -61,9 +60,6 @@ func main() {
 	flag.Parse()
 
 	if err := cliflags.NonNegativeInt("j", *par); err != nil {
-		fatalUsage(err)
-	}
-	if err := cliflags.NonNegativeInt("enum-workers", *enumW); err != nil {
 		fatalUsage(err)
 	}
 	if err := cliflags.PositiveIntIfSet(flag.CommandLine, "max-jobs", *maxJobs); err != nil {
@@ -82,7 +78,6 @@ func main() {
 	srv, err := rmwtso.NewServer(rmwtso.ServerConfig{
 		Addr:           *addr,
 		Parallelism:    *par,
-		EnumWorkers:    *enumW,
 		Cache:          cache,
 		MaxJobs:        *maxJobs,
 		RetainFinished: *retain,

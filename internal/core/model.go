@@ -61,20 +61,6 @@ func (m *Model) ValidExecutionsFunc(p *memmodel.Program, visit func(*memmodel.Ex
 	})
 }
 
-// ValidExecutionsParallel streams the valid executions of the program to
-// visit with the candidate space partitioned across workers goroutines
-// (workers <= 0 means GOMAXPROCS). The validity check — the expensive part
-// of a verdict — runs inside the workers; visit is never called
-// concurrently and receives the valid executions in the same order the
-// sequential ValidExecutionsFunc would produce. Returning false from visit
-// cancels the remaining workers; a cancelled ctx stops the enumeration
-// with ctx's error. The model's validity check is stateless, so sharing m
-// across the workers is safe.
-func (m *Model) ValidExecutionsParallel(ctx context.Context, p *memmodel.Program, workers int, visit func(*memmodel.Execution) bool) error {
-	return memmodel.EnumerateParallel(ctx, p, workers, visit,
-		memmodel.EnumFilter(func(x *memmodel.Execution) bool { return m.Valid(x) }))
-}
-
 // Outcome is one observable result of a program: the final values of all
 // named registers and of memory. The Key method provides a canonical string
 // for set membership and sorting.
@@ -199,17 +185,19 @@ func (m *Model) Outcomes(p *memmodel.Program) (*OutcomeSet, error) {
 }
 
 // OutcomesParallel model-checks the program like Outcomes with the
-// candidate space partitioned across workers goroutines (workers <= 0
-// means GOMAXPROCS): validity checking runs inside the workers, outcome
-// collection stays serialized. Outcome sets are order-insensitive, so the
-// cheaper unordered merge is used; the result is identical to Outcomes.
+// candidate enumeration spread over workers goroutines, as
+// memmodel.EnumWorkers defines them (workers <= 0 applies the
+// candidate-count rule): validity checking runs inside the workers,
+// outcome collection stays serialized, and the result is identical to
+// Outcomes. A cancelled ctx aborts with ctx's error. The model's validity
+// check is stateless, so sharing m across the workers is safe.
 func (m *Model) OutcomesParallel(ctx context.Context, p *memmodel.Program, workers int) (*OutcomeSet, error) {
 	set := NewOutcomeSet()
-	err := memmodel.EnumerateParallel(ctx, p, workers, func(x *memmodel.Execution) bool {
+	err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
 		set.Add(OutcomeOf(x))
 		return true
-	}, memmodel.EnumFilter(func(x *memmodel.Execution) bool { return m.Valid(x) }),
-		memmodel.EnumUnordered())
+	}, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers),
+		memmodel.EnumFilter(func(x *memmodel.Execution) bool { return m.Valid(x) }))
 	if err != nil {
 		return nil, err
 	}

@@ -47,36 +47,6 @@ func TestOutcomesParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestValidExecutionsParallelOrderAndSet(t *testing.T) {
-	for _, p := range corePrograms() {
-		for _, typ := range AllTypes() {
-			m := NewModel(typ)
-			var want []string
-			if err := m.ValidExecutionsFunc(p, func(x *memmodel.Execution) bool {
-				want = append(want, x.Key())
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			if err := m.ValidExecutionsParallel(context.Background(), p, 4, func(x *memmodel.Execution) bool {
-				got = append(got, x.Key())
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s %s: %d valid executions, want %d", p.Name, typ, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s %s: valid execution %d out of order", p.Name, typ, i)
-				}
-			}
-		}
-	}
-}
-
 func TestValidExecutionsParallelAgreesWithOracle(t *testing.T) {
 	// The parallel filter path must agree with the brute-force
 	// linearization oracle, execution for execution.

@@ -163,12 +163,12 @@ func ValidateMapping(p *Program, m Mapping, typ core.AtomicityType) (ValidationR
 
 // ValidateMappingParallel is ValidateMapping with the TSO side's candidate
 // enumeration — the dominant cost, since compiling SC accesses to RMWs
-// multiplies the rf×ws choice space — partitioned across workers
-// goroutines. workers > 1 parallelizes, workers == 1 is sequential, and
-// workers <= 0 picks the candidate-count heuristic for the compiled
-// program (GOMAXPROCS for IRIW-class spaces, 1 for small ones). The
-// result is identical to ValidateMapping's; a cancelled ctx aborts with
-// ctx's error.
+// multiplies the rf×ws choice space — spread over workers goroutines, as
+// memmodel.EnumWorkers defines them: workers == 1 is sequential, workers
+// > 1 parallelizes, and workers <= 0 applies the candidate-count rule to
+// the compiled program (GOMAXPROCS for IRIW-class spaces, 1 for small
+// ones). The result is identical to ValidateMapping's; a cancelled ctx
+// aborts with ctx's error.
 func ValidateMappingParallel(ctx context.Context, p *Program, m Mapping, typ core.AtomicityType, workers int) (ValidationResult, error) {
 	res := ValidationResult{Program: p.Name, Mapping: m, Atomicity: typ}
 
@@ -182,9 +182,6 @@ func ValidateMappingParallel(ctx context.Context, p *Program, m Mapping, typ cor
 	compiled, err := Compile(p, m)
 	if err != nil {
 		return res, err
-	}
-	if workers <= 0 {
-		workers = memmodel.AutoEnumWorkers(compiled)
 	}
 	tsoOutcomes, err := core.NewModel(typ).OutcomesParallel(ctx, compiled, workers)
 	if err != nil {

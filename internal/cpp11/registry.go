@@ -83,23 +83,34 @@ func ProgramsByGroup(group string) []*Program {
 	return out
 }
 
-// MatchPrograms constructs every registered program whose name matches the
-// glob pattern (path.Match syntax); an empty pattern matches everything.
-func MatchPrograms(pattern string) ([]*Program, error) {
+// AllPrograms constructs every registered program, in registration
+// order.
+func AllPrograms() []*Program {
 	programs.mu.RLock()
 	defer programs.mu.RUnlock()
+	out := make([]*Program, len(programs.order))
+	for i, e := range programs.order {
+		out[i] = e.build()
+	}
+	return out
+}
+
+// FilterPrograms returns the programs whose name matches the glob pattern
+// (path.Match syntax), in order; the programs need not be registered. An
+// empty pattern matches everything. FilterPrograms returns an error only
+// for malformed patterns.
+func FilterPrograms(progs []*Program, pattern string) ([]*Program, error) {
+	if pattern == "" {
+		return progs, nil
+	}
+	if _, err := path.Match(pattern, ""); err != nil {
+		return nil, fmt.Errorf("cpp11: bad filter pattern %q: %w", pattern, err)
+	}
 	var out []*Program
-	for _, e := range programs.order {
-		if pattern != "" {
-			ok, err := path.Match(pattern, e.name)
-			if err != nil {
-				return nil, fmt.Errorf("cpp11: bad filter pattern %q: %w", pattern, err)
-			}
-			if !ok {
-				continue
-			}
+	for _, p := range progs {
+		if ok, _ := path.Match(pattern, p.Name); ok {
+			out = append(out, p)
 		}
-		out = append(out, e.build())
 	}
 	return out, nil
 }

@@ -261,10 +261,9 @@ func TestDeadlockedCacheEntryNeverServed(t *testing.T) {
 // is pinned in the experiments package's own tests).
 func TestRunBenchmarksValidates(t *testing.T) {
 	cases := map[string]experiments.Options{
-		"negative cores":        {Cores: -1, Scale: 1},
-		"negative scale":        {Cores: 4, Scale: -0.5},
-		"negative enum workers": {Cores: 4, Scale: 1, EnumWorkers: -3},
-		"zero-core config":      {Config: &sim.Config{}},
+		"negative cores":   {Cores: -1, Scale: 1},
+		"negative scale":   {Cores: 4, Scale: -0.5},
+		"zero-core config": {Config: &sim.Config{}},
 	}
 	for name, o := range cases {
 		if _, err := runSpecs(o, experiments.Table3Specs()[:1]); err == nil {

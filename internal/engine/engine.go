@@ -148,8 +148,9 @@ func WithObserver(fn Observer) Option {
 }
 
 // WithEnumWorkers sets how many goroutines each single litmus verdict or
-// mapping validation fans its candidate enumeration across. The default,
-// 0, picks per program via the candidate-count heuristic.
+// mapping validation fans its candidate enumeration across, as
+// memmodel.EnumWorkers defines them. The default, 0, applies the
+// candidate-count rule per program.
 func WithEnumWorkers(n int) Option {
 	return func(o *options) { o.enumWorkers = n }
 }

@@ -12,10 +12,9 @@ import (
 // internal/engine's TestRunBenchmarksValidates.
 func TestOptionsValidate(t *testing.T) {
 	cases := map[string]Options{
-		"negative cores":        {Cores: -1, Scale: 1},
-		"negative scale":        {Cores: 4, Scale: -0.5},
-		"negative enum workers": {Cores: 4, Scale: 1, EnumWorkers: -3},
-		"zero-core config":      {Config: &sim.Config{}},
+		"negative cores":   {Cores: -1, Scale: 1},
+		"negative scale":   {Cores: 4, Scale: -0.5},
+		"zero-core config": {Config: &sim.Config{}},
 	}
 	for name, o := range cases {
 		if err := o.Validate(); err == nil {

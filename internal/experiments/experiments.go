@@ -43,12 +43,6 @@ type Options struct {
 	// Config overrides the base architectural parameters; the RMW type is
 	// set per run by the harness.
 	Config *sim.Config
-	// EnumWorkers is how many goroutines each litmus verdict and mapping
-	// validation of the semantics experiments (Tables 1 and 4) fans its
-	// candidate enumeration across. The default, 0, picks per program via
-	// the candidate-count heuristic: GOMAXPROCS for IRIW-class programs,
-	// 1 for small ones. The verdicts are identical at any setting.
-	EnumWorkers int
 	// Cache, when non-nil, is consulted before every simulator run and
 	// stores the result of every fresh one: a run is a pure function of
 	// (config, trace, seed, scale, RMW type), so hits replay the stored
@@ -101,19 +95,17 @@ func (o Options) baseConfig() sim.Config {
 }
 
 // Validate rejects option values that would otherwise flow as garbage
-// into the workload generator, the candidate-enumeration heuristic, or —
-// worst — into cache key digests: negative core counts, scale factors and
-// worker counts, and an effective architectural configuration that fails
-// sim.Config.Validate. Zero values stay legal (they mean "use the
-// default"). Every harness entry point calls this before running.
+// into the workload generator or — worst — into cache key digests:
+// negative core counts and scale factors, and an effective architectural
+// configuration that fails sim.Config.Validate. Zero values stay legal
+// (they mean "use the default"). Every harness entry point calls this
+// before running.
 func (o Options) Validate() error {
 	switch {
 	case o.Cores < 0:
 		return fmt.Errorf("experiments: negative core count %d", o.Cores)
 	case o.Scale < 0:
 		return fmt.Errorf("experiments: negative workload scale %g", o.Scale)
-	case o.EnumWorkers < 0:
-		return fmt.Errorf("experiments: negative enumeration worker count %d", o.EnumWorkers)
 	}
 	if err := o.baseConfig().Validate(); err != nil {
 		return err

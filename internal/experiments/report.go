@@ -70,11 +70,11 @@ func BuildReport(o Options, runs []*BenchmarkRun) (*Report, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	t1, err := RunTable1Opts(o)
+	t4, err := RunTable4()
 	if err != nil {
 		return nil, err
 	}
-	t4, err := RunTable4Opts(o)
+	t1, err := table1(t4)
 	if err != nil {
 		return nil, err
 	}

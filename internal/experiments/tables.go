@@ -31,58 +31,58 @@ type Table1Row struct {
 // RunTable1 regenerates Table 1 by model checking the paper's litmus tests
 // (Dekker variants) and validating the C/C++11 mappings.
 func RunTable1() ([]Table1Row, error) {
-	return RunTable1Opts(DefaultOptions())
+	t4, err := RunTable4()
+	if err != nil {
+		return nil, err
+	}
+	return table1(t4)
 }
 
-// RunTable1Opts is RunTable1 honouring the options' EnumWorkers: each
-// verdict's candidate enumeration is fanned across that many goroutines
-// (0 picks the per-program candidate-count heuristic). The rows are
-// identical at any setting.
-func RunTable1Opts(o Options) ([]Table1Row, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
+// table1 builds Table 1: the three Dekker columns are model checked here,
+// while the two C/C++11 columns are read from the Table 4 rows of the
+// read- and write-mappings under the same type, so the two tables cannot
+// disagree.
+func table1(t4 []Table4Row) ([]Table1Row, error) {
+	type cell struct {
+		m   cpp11.Mapping
+		typ core.AtomicityType
+	}
+	sound := map[cell]bool{}
+	for _, r := range t4 {
+		sound[cell{r.Mapping, r.Atomicity}] = r.Sound
 	}
 	ctx := context.Background()
 	var rows []Table1Row
 	readRep := litmus.DekkerReadReplacement()
 	writeRep := litmus.DekkerWriteReplacement()
 	barrier := litmus.DekkerRMWBarrierDifferentAddr()
-	scSB := cpp11.SCStoreBuffering()
 
 	for _, typ := range core.AllTypes() {
-		row := Table1Row{Atomicity: typ}
+		row := Table1Row{
+			Atomicity:           typ,
+			CppReadReplacement:  sound[cell{cpp11.ReadMapping, typ}],
+			CppWriteReplacement: sound[cell{cpp11.WriteMapping, typ}],
+		}
 
 		// An idiom "works" when the mutual-exclusion-failure outcome is
 		// forbidden (the litmus condition does NOT hold).
-		r, err := readRep.RunParallel(ctx, typ, o.EnumWorkers)
+		r, err := readRep.RunParallel(ctx, typ, 0)
 		if err != nil {
 			return nil, err
 		}
 		row.DekkerReads = !r.Holds
 
-		w, err := writeRep.RunParallel(ctx, typ, o.EnumWorkers)
+		w, err := writeRep.RunParallel(ctx, typ, 0)
 		if err != nil {
 			return nil, err
 		}
 		row.DekkerWrites = !w.Holds
 
-		b, err := barrier.RunParallel(ctx, typ, o.EnumWorkers)
+		b, err := barrier.RunParallel(ctx, typ, 0)
 		if err != nil {
 			return nil, err
 		}
 		row.RMWAsBarrier = !b.Holds
-
-		rm, err := cpp11.ValidateMappingParallel(ctx, scSB, cpp11.ReadMapping, typ, o.EnumWorkers)
-		if err != nil {
-			return nil, err
-		}
-		row.CppReadReplacement = rm.Sound
-
-		wm, err := cpp11.ValidateMappingParallel(ctx, scSB, cpp11.WriteMapping, typ, o.EnumWorkers)
-		if err != nil {
-			return nil, err
-		}
-		row.CppWriteReplacement = wm.Sound
 
 		rows = append(rows, row)
 	}
@@ -170,21 +170,12 @@ type Table4Row struct {
 
 // RunTable4 validates every Table 4 mapping under every RMW type.
 func RunTable4() ([]Table4Row, error) {
-	return RunTable4Opts(DefaultOptions())
-}
-
-// RunTable4Opts is RunTable4 honouring the options' EnumWorkers, like
-// RunTable1Opts.
-func RunTable4Opts(o Options) ([]Table4Row, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	ctx := context.Background()
 	var rows []Table4Row
 	p := cpp11.SCStoreBuffering()
 	for _, m := range cpp11.AllMappings() {
 		for _, typ := range core.AllTypes() {
-			res, err := cpp11.ValidateMappingParallel(ctx, p, m, typ, o.EnumWorkers)
+			res, err := cpp11.ValidateMappingParallel(ctx, p, m, typ, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -101,27 +101,24 @@ func ByGroup(group string) []*Test {
 	return out
 }
 
-// Match constructs every registered test whose name or program name
-// matches the glob pattern (path.Match syntax, e.g. "SB*" or
-// "dekker-*"), in registration order. An empty pattern matches
-// everything. Match returns an error only for malformed patterns.
-func Match(pattern string) ([]*Test, error) {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
+// Filter returns the tests whose name or program name matches the glob
+// pattern (path.Match syntax, e.g. "SB*" or "dekker-*"), in order; the
+// tests need not be registered. An empty pattern matches everything.
+// Filter returns an error only for malformed patterns.
+func Filter(tests []*Test, pattern string) ([]*Test, error) {
+	if pattern == "" {
+		return tests, nil
+	}
+	if _, err := path.Match(pattern, ""); err != nil {
+		return nil, fmt.Errorf("litmus: bad filter pattern %q: %w", pattern, err)
+	}
 	var out []*Test
-	for _, e := range registry.order {
-		t := e.build()
-		if pattern != "" {
-			okName, err := path.Match(pattern, e.name)
-			if err != nil {
-				return nil, fmt.Errorf("litmus: bad filter pattern %q: %w", pattern, err)
-			}
-			okProg, _ := path.Match(pattern, t.Program.Name)
-			if !okName && !okProg {
-				continue
-			}
+	for _, t := range tests {
+		okName, _ := path.Match(pattern, t.Name)
+		okProg, _ := path.Match(pattern, t.Program.Name)
+		if okName || okProg {
+			out = append(out, t)
 		}
-		out = append(out, t)
 	}
 	return out, nil
 }

@@ -217,31 +217,29 @@ func (t *Test) Run(typ core.AtomicityType) (Result, error) {
 }
 
 // RunParallel model-checks the test under the given atomicity type with
-// the candidate enumeration partitioned across workers goroutines: each
-// worker walks a contiguous range of the rf×ws choice space and runs the
-// validity check — the expensive part of a verdict — on its own
-// candidates, while outcome collection stays serialized. workers > 1
-// parallelizes, workers == 1 is the sequential Run, and workers <= 0
-// picks the candidate-count heuristic (GOMAXPROCS for IRIW-class
-// programs, 1 for small ones). The verdict is identical to Run's
-// regardless of workers; a cancelled ctx aborts the verdict with ctx's
-// error.
+// the candidate enumeration spread over workers goroutines, as
+// memmodel.EnumWorkers defines them: each worker walks a contiguous range
+// of the rf×ws choice space and runs the validity check — the expensive
+// part of a verdict — on its own candidates, while outcome collection
+// stays serialized. workers == 1 is the sequential Run, workers > 1
+// parallelizes, and workers <= 0 applies the candidate-count rule
+// (GOMAXPROCS for IRIW-class programs, 1 for small ones). The verdict is
+// identical to Run's regardless of workers; a cancelled ctx aborts the
+// verdict with ctx's error.
 func (t *Test) RunParallel(ctx context.Context, typ core.AtomicityType, workers int) (Result, error) {
-	if workers <= 0 {
-		workers = memmodel.AutoEnumWorkers(t.Program)
-	}
 	model := core.NewModel(typ)
 	set := core.NewOutcomeSet()
 	valid := 0
 	var candidates atomic.Int64
-	err := memmodel.EnumerateParallel(ctx, t.Program, workers, func(x *memmodel.Execution) bool {
+	err := memmodel.EnumerateFunc(t.Program, func(x *memmodel.Execution) bool {
 		valid++
 		set.Add(core.OutcomeOf(x))
 		return true
-	}, memmodel.EnumFilter(func(x *memmodel.Execution) bool {
-		candidates.Add(1)
-		return model.Valid(x)
-	}), memmodel.EnumUnordered())
+	}, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers),
+		memmodel.EnumFilter(func(x *memmodel.Execution) bool {
+			candidates.Add(1)
+			return model.Valid(x)
+		}))
 	if err != nil {
 		return Result{}, fmt.Errorf("litmus: %s: %w", t.Name, err)
 	}

@@ -21,17 +21,15 @@ func threeThread() *Program {
 // TestScanSteadyStateAllocationFree pins the tentpole property of the
 // arena-based enumerator: once an arena's slot has been warmed, walking
 // the candidate space — decode, assembly, value propagation, validity
-// filtering against the base model — allocates nothing. sp.scan with a
-// single-slot arena is exactly the per-candidate loop of both the
-// sequential path and each EnumerateParallel worker (ordered workers
-// differ only in slot count), so this covers the steady state of every
-// walker.
+// filtering against the base model — allocates nothing. sp.scan is
+// exactly the per-candidate loop of both the sequential path and each
+// parallel worker, so this covers the steady state of every walker.
 func TestScanSteadyStateAllocationFree(t *testing.T) {
 	sp, err := newEnumSpace(threeThread())
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := sp.newArena(1)
+	arena := sp.newArena()
 	cfg := &enumConfig{
 		ctx:    context.Background(),
 		filter: func(x *Execution) bool { return x.BaseValid() },
@@ -61,11 +59,9 @@ func TestScanSteadyStateAllocationFree(t *testing.T) {
 // TestEnumerateParallelAllocationBounded checks the same property from
 // outside the package boundary: a full parallel enumeration allocates
 // only setup (the enumeration space, the per-worker arenas, the
-// goroutine machinery), not O(candidates). The setup cost is a few
-// thousand allocations in ordered mode (the merge arenas are slot
-// rings), so the test compares a program against a 27×-larger variant
-// with the same setup shape: the extra candidates must be close to
-// allocation-free at the margin.
+// goroutine machinery), not O(candidates). The test compares a program
+// against a 27×-larger variant with the same setup shape: the extra
+// candidates must be close to allocation-free at the margin.
 func TestEnumerateParallelAllocationBounded(t *testing.T) {
 	small := threeThread()
 	big := threeThread()
@@ -85,32 +81,26 @@ func TestEnumerateParallelAllocationBounded(t *testing.T) {
 		t.Fatalf("big program not big enough: %d vs %d candidates", candBig, candSmall)
 	}
 
-	for _, unordered := range []bool{false, true} {
-		opts := []EnumOption{}
-		if unordered {
-			opts = append(opts, EnumUnordered())
-		}
-		measure := func(p *Program) float64 {
-			return testing.AllocsPerRun(2, func() {
-				visited := 0
-				err := EnumerateParallel(context.Background(), p, 4, func(x *Execution) bool {
-					visited++
-					return true
-				}, opts...)
-				if err != nil {
-					t.Error(err)
-				}
-				if visited == 0 {
-					t.Error("no candidates visited")
-				}
-			})
-		}
-		allocsSmall, allocsBig := measure(small), measure(big)
-		marginal := allocsBig - allocsSmall
-		if limit := float64(candBig-candSmall) / 20; marginal >= limit {
-			t.Errorf("unordered=%v: %d extra candidates cost %.0f extra allocations (%.0f vs %.0f), want < %.0f",
-				unordered, candBig-candSmall, marginal, allocsBig, allocsSmall, limit)
-		}
+	measure := func(p *Program) float64 {
+		return testing.AllocsPerRun(2, func() {
+			visited := 0
+			err := EnumerateFunc(p, func(x *Execution) bool {
+				visited++
+				return true
+			}, EnumWorkers(4))
+			if err != nil {
+				t.Error(err)
+			}
+			if visited == 0 {
+				t.Error("no candidates visited")
+			}
+		})
+	}
+	allocsSmall, allocsBig := measure(small), measure(big)
+	marginal := allocsBig - allocsSmall
+	if limit := float64(candBig-candSmall) / 20; marginal >= limit {
+		t.Errorf("%d extra candidates cost %.0f extra allocations (%.0f vs %.0f), want < %.0f",
+			candBig-candSmall, marginal, allocsBig, allocsSmall, limit)
 	}
 }
 
@@ -141,8 +131,8 @@ func TestEnumerateOverflowRF(t *testing.T) {
 	if _, err := Enumerate(p); !errors.Is(err, ErrSpaceTooLarge) {
 		t.Fatalf("Enumerate error = %v, want ErrSpaceTooLarge", err)
 	}
-	if err := EnumerateParallel(context.Background(), p, 4, func(*Execution) bool { return true }); !errors.Is(err, ErrSpaceTooLarge) {
-		t.Fatalf("EnumerateParallel error = %v, want ErrSpaceTooLarge", err)
+	if err := EnumerateFunc(p, func(*Execution) bool { return true }, EnumWorkers(0)); !errors.Is(err, ErrSpaceTooLarge) {
+		t.Fatalf("EnumerateFunc(EnumWorkers(0)) error = %v, want ErrSpaceTooLarge", err)
 	}
 }
 

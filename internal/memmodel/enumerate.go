@@ -241,39 +241,26 @@ func newEnumSpace(p *Program) (*enumSpace, error) {
 func (sp *enumSpace) total() int { return sp.totalSize }
 
 // enumArena holds everything one walker reuses across candidates: the
-// mixed-radix decode buffers, the value-propagation scratch, and a ring of
-// execution slots whose events, rf/ws state and relation backing arrays
-// are recycled. Assembling a candidate into an arena therefore allocates
-// nothing in steady state.
-//
-// The ring size is the slot-reuse contract: a slot handed to emit must not
-// be reassembled until its execution can no longer be referenced. The
-// sequential and unordered walkers visit synchronously, so one slot
-// suffices; the ordered merge path buffers up to enumBatch executions per
-// batch with at most four batches live per worker (one being filled, two
-// in the channel, one being merged), so it uses 4*enumBatch slots.
+// mixed-radix decode buffers, the value-propagation scratch, and one
+// execution slot whose events, rf/ws state and relation backing arrays are
+// recycled. Assembling a candidate into an arena therefore allocates
+// nothing in steady state. Every walker visits synchronously, so the slot
+// is free again once emit returns.
 type enumArena struct {
-	sp       *enumSpace
 	rfDigits []int // per read: index into choices[i]
 	wsDigits []int // per addr: index into wsChoices[i]
 	det      []bool
-	slots    []*Execution
-	next     int
+	slot     *Execution
 }
 
-// newArena builds an arena with the given number of execution slots.
-func (sp *enumSpace) newArena(slots int) *enumArena {
-	a := &enumArena{
-		sp:       sp,
+// newArena builds an arena for one walker.
+func (sp *enumSpace) newArena() *enumArena {
+	return &enumArena{
 		rfDigits: make([]int, len(sp.reads)),
 		wsDigits: make([]int, len(sp.addrs)),
 		det:      make([]bool, len(sp.events)),
-		slots:    make([]*Execution, slots),
+		slot:     sp.newSlot(),
 	}
-	for i := range a.slots {
-		a.slots[i] = sp.newSlot()
-	}
-	return a
 }
 
 // newSlot builds one reusable execution: its events are copies of the
@@ -315,12 +302,11 @@ func (sp *enumSpace) decode(g int, a *enumArena) {
 }
 
 // candidate assembles the execution at candidate index g into the arena's
-// next slot, or returns nil when its value propagation does not converge
-// (cyclic RMW value dependency). The slot ring only advances on success,
-// so dropped candidates cost nothing.
+// slot, or returns nil when its value propagation does not converge
+// (cyclic RMW value dependency).
 func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
 	sp.decode(g, a)
-	x := a.slots[a.next]
+	x := a.slot
 	x.resetDerived()
 	for i, wi := range a.wsDigits {
 		x.wsOrders[i] = sp.wsChoices[i][wi]
@@ -330,10 +316,6 @@ func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
 	}
 	if !sp.propagate(x, a) {
 		return nil
-	}
-	a.next++
-	if a.next == len(a.slots) {
-		a.next = 0
 	}
 	return x
 }
@@ -424,25 +406,26 @@ func (sp *enumSpace) countRF() int {
 	}
 }
 
+// count returns the number of candidates the space visits: the rf
+// assignments with acyclic value dependencies times the ws orders. The
+// product cannot overflow, since countRF() <= rfSize and rfSize*wsSize
+// was checked at construction.
+func (sp *enumSpace) count() int { return sp.countRF() * sp.wsSize }
+
 // CountCandidates returns the number of candidate executions Enumerate
 // generates for the program, without assembling them: the number of
 // reads-from assignments with acyclic RMW value dependencies times the
 // number of per-location write serializations. Candidates whose value
 // propagation cannot converge are never visited by Enumerate and are not
 // counted here, so the result matches the enumeration exactly. Useful for
-// bounding litmus-test cost and for sizing the enumeration worker pool. A
-// program whose candidate space does not fit in an int yields an error
-// wrapping ErrSpaceTooLarge.
+// bounding litmus-test cost. A program whose candidate space does not fit
+// in an int yields an error wrapping ErrSpaceTooLarge.
 func CountCandidates(p *Program) (int, error) {
 	sp, err := newEnumSpace(p)
 	if err != nil {
 		return 0, err
 	}
-	n, ok := checkedMul(sp.countRF(), sp.wsSize)
-	if !ok {
-		return 0, fmt.Errorf("memmodel: program %q: candidate count overflows: %w", p.Name, ErrSpaceTooLarge)
-	}
-	return n, nil
+	return sp.count(), nil
 }
 
 // buildEvents constructs the event templates for a program: one initial

@@ -9,13 +9,12 @@ import (
 
 // enumConfig collects the enumeration options.
 type enumConfig struct {
-	ctx       context.Context
-	workers   int
-	unordered bool
-	filter    func(*Execution) bool
+	ctx     context.Context
+	workers int
+	filter  func(*Execution) bool
 }
 
-// EnumOption configures EnumerateFunc and EnumerateParallel.
+// EnumOption configures EnumerateFunc.
 type EnumOption func(*enumConfig)
 
 // EnumContext makes the enumeration honour ctx: cancellation stops every
@@ -24,22 +23,15 @@ func EnumContext(ctx context.Context) EnumOption {
 	return func(c *enumConfig) { c.ctx = ctx }
 }
 
-// EnumWorkers partitions the candidate index space into n contiguous
-// ranges, each walked by its own worker goroutine with a private arena.
-// Values below 2 keep the enumeration sequential; n is further clamped to
-// the candidate count.
+// EnumWorkers sets how many goroutines walk the candidate space. n == 1
+// (the default) keeps the enumeration sequential; n > 1 partitions the
+// candidate index space into n contiguous ranges, each walked by its own
+// worker goroutine with a private arena; n <= 0 applies the
+// candidate-count rule: runtime.GOMAXPROCS(0) workers when the program
+// has at least AutoEnumThreshold candidates, 1 below it. The worker count
+// is further clamped to the number of candidate indices.
 func EnumWorkers(n int) EnumOption {
 	return func(c *enumConfig) { c.workers = n }
-}
-
-// EnumUnordered trades the deterministic visit order of the parallel
-// enumeration for lower merge overhead: visits are serialized through a
-// mutex in worker completion order instead of being merged back into
-// candidate index order. The visited multiset is identical either way, and
-// visit is still never called concurrently. Sequential enumeration ignores
-// the option.
-func EnumUnordered() EnumOption {
-	return func(c *enumConfig) { c.unordered = true }
 }
 
 // EnumFilter drops candidates for which pred returns false before they
@@ -51,6 +43,11 @@ func EnumUnordered() EnumOption {
 func EnumFilter(pred func(*Execution) bool) EnumOption {
 	return func(c *enumConfig) { c.filter = pred }
 }
+
+// AutoEnumThreshold is the candidate count from which EnumWorkers(0) fans
+// one enumeration across GOMAXPROCS workers. Below it, per-candidate work
+// is too small to amortize the goroutine and merge machinery.
+const AutoEnumThreshold = 4096
 
 // EnumerateFunc generates all candidate executions of a litmus program and
 // streams them to visit, one at a time: every combination of a reads-from
@@ -72,16 +69,18 @@ func EnumFilter(pred func(*Execution) bool) EnumOption {
 // valid only for the duration of the call: the enumerator reuses its
 // storage for later candidates, which is what makes the per-candidate loop
 // allocation-free. Use Execution.Clone to retain one beyond the visit (as
-// Enumerate does). Returning false from visit stops the enumeration early.
+// Enumerate does). Returning false from visit stops the enumeration after
+// exactly that visit.
 //
 // Programs whose candidate space does not fit in an int fail up front with
 // an error wrapping ErrSpaceTooLarge.
 //
-// By default the enumeration is sequential. With EnumWorkers(n>1) the
-// candidate index space is split into n contiguous ranges walked
-// concurrently; visit is still never called concurrently, and unless
-// EnumUnordered is given the visits arrive in exactly the sequential
-// enumeration order.
+// By default the enumeration is sequential and visits candidates in
+// candidate index order. When EnumWorkers resolves to more than one
+// worker, the ranges are walked concurrently and the visits are
+// serialized in worker completion order: visit is never called
+// concurrently and sees the same multiset of candidates, in an order that
+// varies from run to run.
 func EnumerateFunc(p *Program, visit func(*Execution) bool, opts ...EnumOption) error {
 	cfg := enumConfig{ctx: context.Background(), workers: 1}
 	for _, o := range opts {
@@ -94,58 +93,25 @@ func EnumerateFunc(p *Program, visit func(*Execution) bool, opts ...EnumOption) 
 	if err != nil {
 		return err
 	}
-	workers := cfg.workers
-	if total := sp.total(); workers > total {
-		workers = total
+	if workers := sp.workers(cfg.workers); workers > 1 {
+		return sp.runParallel(&cfg, workers, visit)
 	}
-	if workers <= 1 {
-		return sp.scan(&cfg, 0, sp.total(), nil, sp.newArena(1), visit)
-	}
-	if cfg.unordered {
-		return sp.runUnordered(&cfg, workers, visit)
-	}
-	return sp.runOrdered(&cfg, workers, visit)
+	return sp.scan(&cfg, 0, sp.total(), nil, sp.newArena(), visit)
 }
 
-// EnumerateParallel enumerates the candidate executions of a litmus
-// program with the rf×ws choice space statically partitioned into
-// contiguous index ranges across workers goroutines (workers <= 0 means
-// runtime.GOMAXPROCS(0)). Each worker walks its range with a private arena
-// of reusable execution slots; the visitor callbacks are merged so that
-// visit is never called concurrently and, unless EnumUnordered is given,
-// arrive in exactly the order sequential EnumerateFunc would produce.
-// Returning false from visit cancels every worker and stops the
-// enumeration after that visit, and a cancelled ctx stops the workers and
-// returns ctx's error. See EnumerateFunc for the candidate-set semantics
-// and the execution lifetime contract (visited executions are arena-owned;
-// Clone to retain).
-func EnumerateParallel(ctx context.Context, p *Program, workers int, visit func(*Execution) bool, opts ...EnumOption) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// workers resolves an EnumWorkers setting against the space: n <= 0
+// applies the candidate-count rule, and the result is clamped to the
+// candidate index count. The candidate count never exceeds total(), so a
+// space below the threshold is decided without walking its reads-from
+// assignments.
+func (sp *enumSpace) workers(n int) int {
+	if n <= 0 {
+		n = 1
+		if sp.total() >= AutoEnumThreshold && sp.count() >= AutoEnumThreshold {
+			n = runtime.GOMAXPROCS(0)
+		}
 	}
-	base := []EnumOption{EnumWorkers(workers)}
-	if ctx != nil {
-		base = append(base, EnumContext(ctx))
-	}
-	return EnumerateFunc(p, visit, append(base, opts...)...)
-}
-
-// AutoEnumThreshold is the candidate count above which AutoEnumWorkers
-// considers a program large enough to be worth fanning one enumeration
-// across GOMAXPROCS workers. Below it, per-candidate work is too small to
-// amortize the goroutine and merge machinery.
-const AutoEnumThreshold = 4096
-
-// AutoEnumWorkers returns the worker count the candidate-count heuristic
-// picks for enumerating p: runtime.GOMAXPROCS(0) when the candidate space
-// reaches AutoEnumThreshold (IRIW-class programs and beyond), 1 for small
-// programs (and for programs CountCandidates cannot size).
-func AutoEnumWorkers(p *Program) int {
-	n, err := CountCandidates(p)
-	if err != nil || n < AutoEnumThreshold {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
+	return min(n, sp.total())
 }
 
 // scan walks candidate indices [lo, hi) in ascending order: it assembles
@@ -196,13 +162,13 @@ func (sp *enumSpace) ranges(n int) [][2]int {
 	return out
 }
 
-// runUnordered fans the index ranges across workers and serializes visits
+// runParallel fans the index ranges across workers and serializes visits
 // through a mutex, in worker completion order. The stop flag is flipped
 // under the same mutex as the visit, so a false return stops the
-// enumeration after exactly that visit. Each worker owns a single-slot
-// arena: the visit completes under the mutex before the worker assembles
-// its next candidate into the slot.
-func (sp *enumSpace) runUnordered(cfg *enumConfig, workers int, visit func(*Execution) bool) error {
+// enumeration after exactly that visit. The visit completes under the
+// mutex before its worker assembles the next candidate, which is why each
+// worker's arena needs only its one execution slot.
+func (sp *enumSpace) runParallel(cfg *enumConfig, workers int, visit func(*Execution) bool) error {
 	var (
 		stop atomic.Bool
 		mu   sync.Mutex
@@ -225,98 +191,8 @@ func (sp *enumSpace) runUnordered(cfg *enumConfig, workers int, visit func(*Exec
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			errs[w] = sp.scan(cfg, lo, hi, &stop, sp.newArena(1), emit)
+			errs[w] = sp.scan(cfg, lo, hi, &stop, sp.newArena(), emit)
 		}(w, r[0], r[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// enumBatch is the number of executions a worker buffers before handing
-// them to the ordered merger; it bounds the merge channel traffic without
-// letting per-worker memory grow past workers × enumBatch × (channel
-// capacity + 1) executions.
-const enumBatch = 64
-
-// orderedArenaBatches is the slot-ring depth of an ordered worker's arena,
-// in batches. Four batches of a worker's executions can be live at once —
-// the one being filled, up to two buffered in its channel (capacity 2),
-// and the one the merger is visiting — and the channel handoffs order the
-// reuse: a worker only starts filling batch k after its send of batch k-1
-// returned, which the channel capacity guarantees happens after the merger
-// received batch k-3 and therefore finished visiting batch k-4, the batch
-// whose slots k is about to reuse.
-const orderedArenaBatches = 4
-
-// runOrdered fans the index ranges across workers and merges their
-// batches back in range order, so visits arrive in exactly the sequential
-// enumeration order. When visit returns false the merger raises the stop
-// flag and drains the remaining workers without visiting.
-func (sp *enumSpace) runOrdered(cfg *enumConfig, workers int, visit func(*Execution) bool) error {
-	var (
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	chans := make([]chan []*Execution, workers)
-	errs := make([]error, workers)
-	for w, r := range sp.ranges(workers) {
-		ch := make(chan []*Execution, 2)
-		chans[w] = ch
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer close(ch)
-			arena := sp.newArena(orderedArenaBatches * enumBatch)
-			// The batch slice buffers recycle through the same 4-deep ring
-			// as the arena slots, under the same reuse argument.
-			bufs := make([][]*Execution, orderedArenaBatches)
-			for i := range bufs {
-				bufs[i] = make([]*Execution, 0, enumBatch)
-			}
-			bi := 0
-			batch := bufs[bi]
-			errs[w] = sp.scan(cfg, lo, hi, &stop, arena, func(x *Execution) bool {
-				batch = append(batch, x)
-				if len(batch) == enumBatch {
-					ch <- batch
-					bi++
-					if bi == orderedArenaBatches {
-						bi = 0
-					}
-					batch = bufs[bi][:0]
-				}
-				return true
-			})
-			// Flush the partial batch only on a clean range completion:
-			// after an early stop nobody will visit it, and after a
-			// context error delivering it would contradict EnumContext's
-			// promise that cancellation stops the enumeration.
-			if len(batch) > 0 && !stop.Load() && errs[w] == nil {
-				ch <- batch
-			}
-		}(w, r[0], r[1])
-	}
-
-	// Merge worker output in range order. After an early stop, keep
-	// draining so no worker blocks on a full channel.
-	stopped := false
-	for _, ch := range chans {
-		for batch := range ch {
-			for _, x := range batch {
-				if stopped {
-					break
-				}
-				if !visit(x) {
-					stopped = true
-					stop.Store(true)
-				}
-			}
-		}
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -3,6 +3,7 @@ package memmodel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -47,26 +48,31 @@ func sequentialKeys(t *testing.T, p *Program) []string {
 	return keys
 }
 
-func TestEnumerateParallelOrderedMatchesSequential(t *testing.T) {
-	for _, p := range parallelTestPrograms() {
-		want := sequentialKeys(t, p)
-		for _, workers := range []int{1, 2, 3, 8} {
-			var got []string
-			err := EnumerateParallel(context.Background(), p, workers, func(x *Execution) bool {
-				got = append(got, x.Key())
-				return true
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: visited %d executions, want %d", p.Name, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d: visit %d out of order:\n got %s\nwant %s", p.Name, workers, i, got[i], want[i])
-				}
-			}
+// parallelKeys enumerates the program with the given worker count and
+// returns the canonical key of every visited candidate, sorted.
+func parallelKeys(t *testing.T, p *Program, workers int, opts ...EnumOption) []string {
+	t.Helper()
+	var keys []string
+	err := EnumerateFunc(p, func(x *Execution) bool {
+		keys = append(keys, x.Key())
+		return true
+	}, append(opts, EnumWorkers(workers))...)
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// sameKeys fails the test unless got and want hold the same keys.
+func sameKeys(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: visited %d executions, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: multisets differ at %d:\n got %s\nwant %s", what, i, got[i], want[i])
 		}
 	}
 }
@@ -76,23 +82,7 @@ func TestEnumerateParallelUnorderedSameMultiset(t *testing.T) {
 		want := sequentialKeys(t, p)
 		sort.Strings(want)
 		for _, workers := range []int{2, 8} {
-			var got []string
-			err := EnumerateParallel(context.Background(), p, workers, func(x *Execution) bool {
-				got = append(got, x.Key())
-				return true
-			}, EnumUnordered())
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
-			}
-			sort.Strings(got)
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: visited %d executions, want %d", p.Name, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d: multisets differ at %d:\n got %s\nwant %s", p.Name, workers, i, got[i], want[i])
-				}
-			}
+			sameKeys(t, fmt.Sprintf("%s workers=%d", p.Name, workers), parallelKeys(t, p, workers), want)
 		}
 	}
 }
@@ -101,52 +91,21 @@ func TestEnumerateParallelEarlyStopExactlyK(t *testing.T) {
 	for _, p := range parallelTestPrograms() {
 		total := len(sequentialKeys(t, p))
 		for _, workers := range []int{1, 2, 8} {
-			for _, unordered := range []bool{false, true} {
-				k := total / 2
-				if k == 0 {
-					k = 1
-				}
-				opts := []EnumOption{}
-				if unordered {
-					opts = append(opts, EnumUnordered())
-				}
-				visited := 0
-				err := EnumerateParallel(context.Background(), p, workers, func(x *Execution) bool {
-					visited++
-					return visited < k
-				}, opts...)
-				if err != nil {
-					t.Fatalf("%s workers=%d unordered=%v: %v", p.Name, workers, unordered, err)
-				}
-				if visited != k {
-					t.Fatalf("%s workers=%d unordered=%v: early stop after %d visits, want exactly %d",
-						p.Name, workers, unordered, visited, k)
-				}
+			k := total / 2
+			if k == 0 {
+				k = 1
 			}
-		}
-	}
-}
-
-func TestEnumerateParallelOrderedEarlyStopPrefix(t *testing.T) {
-	// In ordered mode the k visits before an early stop must be exactly
-	// the first k sequential candidates.
-	p := parallelTestPrograms()[5] // three-thread
-	want := sequentialKeys(t, p)
-	k := 17
-	var got []string
-	err := EnumerateParallel(context.Background(), p, 8, func(x *Execution) bool {
-		got = append(got, x.Key())
-		return len(got) < k
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != k {
-		t.Fatalf("visited %d, want %d", len(got), k)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("visit %d is not the sequential prefix", i)
+			visited := 0
+			err := EnumerateFunc(p, func(x *Execution) bool {
+				visited++
+				return visited < k
+			}, EnumWorkers(workers))
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
+			}
+			if visited != k {
+				t.Fatalf("%s workers=%d: early stop after %d visits, want exactly %d", p.Name, workers, visited, k)
+			}
 		}
 	}
 }
@@ -159,10 +118,10 @@ func TestEnumerateParallelContextCancellation(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		visits := 0
-		err := EnumerateParallel(cancelled, p, workers, func(*Execution) bool {
+		err := EnumerateFunc(p, func(*Execution) bool {
 			visits++
 			return true
-		})
+		}, EnumContext(cancelled), EnumWorkers(workers))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -174,13 +133,13 @@ func TestEnumerateParallelContextCancellation(t *testing.T) {
 	// Cancellation mid-enumeration surfaces the context error.
 	ctx, cancelMid := context.WithCancel(context.Background())
 	visits := 0
-	err := EnumerateParallel(ctx, p, 4, func(*Execution) bool {
+	err := EnumerateFunc(p, func(*Execution) bool {
 		visits++
 		if visits == 10 {
 			cancelMid()
 		}
 		return true
-	})
+	}, EnumContext(ctx), EnumWorkers(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-flight cancel: err = %v, want context.Canceled", err)
 	}
@@ -188,7 +147,7 @@ func TestEnumerateParallelContextCancellation(t *testing.T) {
 
 func TestEnumerateParallelFilterRunsInWorkers(t *testing.T) {
 	// The filter sees every assembled candidate; visit sees only the
-	// survivors, still in deterministic order.
+	// survivors.
 	p := storeBuffering()
 	want := sequentialKeys(t, p)
 	keep := func(x *Execution) bool {
@@ -216,86 +175,90 @@ func TestEnumerateParallelFilterRunsInWorkers(t *testing.T) {
 	if len(wantKept) == 0 || len(wantKept) == len(want) {
 		t.Fatalf("filter is not discriminating: kept %d of %d", len(wantKept), len(want))
 	}
-	var got []string
-	err := EnumerateParallel(context.Background(), p, 4, func(x *Execution) bool {
-		got = append(got, x.Key())
-		return true
-	}, EnumFilter(keep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(wantKept) {
-		t.Fatalf("visited %d filtered executions, want %d", len(got), len(wantKept))
-	}
-	for i := range got {
-		if got[i] != wantKept[i] {
-			t.Fatalf("filtered visit %d out of order", i)
+	sort.Strings(wantKept)
+	sameKeys(t, "filtered", parallelKeys(t, p, 4, EnumFilter(keep)), wantKept)
+}
+
+// wideProgram has three locations with three non-initial writes each
+// (6^3 ws orders) and three four-choice reads, which puts its candidate
+// space above AutoEnumThreshold.
+func wideProgram() *Program {
+	p := NewProgram("wide")
+	p.AddThread(Write(0, 1), Write(1, 1), Write(2, 1), Read(0, "r0"))
+	p.AddThread(Write(0, 2), Write(1, 2), Write(2, 2), Read(1, "r1"))
+	p.AddThread(Write(0, 3), Write(1, 3), Write(2, 3), Read(2, "r2"))
+	return p
+}
+
+func TestEnumerateParallelDefaultWorkers(t *testing.T) {
+	// workers <= 0 applies the candidate-count rule; the call must still
+	// enumerate everything, below the threshold and above it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, p := range []*Program{storeBuffering(), wideProgram()} {
+		want, err := CountCandidates(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, -1} {
+			got := 0
+			if err := EnumerateFunc(p, func(*Execution) bool {
+				got++
+				return true
+			}, EnumWorkers(workers)); err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s workers=%d: visited %d, want %d", p.Name, workers, got, want)
+			}
 		}
 	}
 }
 
-func TestEnumerateParallelDefaultWorkers(t *testing.T) {
-	// workers <= 0 means GOMAXPROCS; the call must still enumerate
-	// everything.
-	p := storeBuffering()
-	want := len(sequentialKeys(t, p))
-	got := 0
-	if err := EnumerateParallel(context.Background(), p, 0, func(*Execution) bool {
-		got++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("visited %d, want %d", got, want)
-	}
-}
-
+// TestAutoEnumWorkers pins the candidate-count rule EnumWorkers(n <= 0)
+// applies: GOMAXPROCS workers exactly when CountCandidates reaches
+// AutoEnumThreshold, 1 below it, clamped to the candidate index count.
+// GOMAXPROCS is raised so that the two answers differ on any machine.
 func TestAutoEnumWorkers(t *testing.T) {
-	small := storeBuffering()
-	if w := AutoEnumWorkers(small); w != 1 {
-		t.Fatalf("AutoEnumWorkers(SB) = %d, want 1 (only %d candidates)", w, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var below, above int
+	for _, p := range append(parallelTestPrograms(), wideProgram()) {
+		n, err := CountCandidates(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := newEnumSpace(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if n >= AutoEnumThreshold {
+			want = min(runtime.GOMAXPROCS(0), sp.total())
+			above++
+		} else {
+			below++
+		}
+		for _, workers := range []int{0, -3} {
+			if got := sp.workers(workers); got != want {
+				t.Errorf("%s (%d candidates): workers(%d) = %d, want %d", p.Name, n, workers, got, want)
+			}
+		}
+		if got := sp.workers(1); got != 1 {
+			t.Errorf("%s: workers(1) = %d, want 1", p.Name, got)
+		}
+		if got, want := sp.workers(3), min(3, sp.total()); got != want {
+			t.Errorf("%s: workers(3) = %d, want %d", p.Name, got, want)
+		}
 	}
-	// Three locations with three non-initial writes each (6^3 ws orders)
-	// and three four-choice reads push the candidate space past the
-	// threshold.
-	big := NewProgram("wide")
-	big.AddThread(Write(0, 1), Write(1, 1), Write(2, 1), Read(0, "r0"))
-	big.AddThread(Write(0, 2), Write(1, 2), Write(2, 2), Read(1, "r1"))
-	big.AddThread(Write(0, 3), Write(1, 3), Write(2, 3), Read(2, "r2"))
-	n, err := CountCandidates(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < AutoEnumThreshold {
-		t.Fatalf("test program too small for the heuristic: %d candidates", n)
-	}
-	if w := AutoEnumWorkers(big); w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("AutoEnumWorkers(wide) = %d, want GOMAXPROCS=%d", w, runtime.GOMAXPROCS(0))
-	}
-	if w := AutoEnumWorkers(NewProgram("bad")); w != 1 {
-		t.Fatalf("AutoEnumWorkers(invalid) = %d, want 1", w)
+	if below == 0 || above == 0 {
+		t.Fatalf("programs do not straddle the threshold: %d below, %d above", below, above)
 	}
 }
 
 func TestEnumerateFuncWorkersOption(t *testing.T) {
-	// The functional options on EnumerateFunc are the same machinery as
-	// EnumerateParallel.
+	// An odd worker count splits the index space unevenly; every
+	// candidate is still visited exactly once.
 	p := messagePassing()
 	want := sequentialKeys(t, p)
-	var got []string
-	if err := EnumerateFunc(p, func(x *Execution) bool {
-		got = append(got, x.Key())
-		return true
-	}, EnumWorkers(3)); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("visited %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("visit %d out of order", i)
-		}
-	}
+	sort.Strings(want)
+	sameKeys(t, "workers=3", parallelKeys(t, p, 3), want)
 }

@@ -30,10 +30,8 @@ import (
 type Config struct {
 	// Addr is the listen address of Run. Default ":8080".
 	Addr string
-	// Parallelism is the engine worker-pool size (0 = GOMAXPROCS);
-	// EnumWorkers the per-verdict enumeration fan-out (0 = auto).
+	// Parallelism is the engine worker-pool size (0 = GOMAXPROCS).
 	Parallelism int
-	EnumWorkers int
 	// Cache, when non-nil, backs the engine with the content-addressed
 	// result cache: warm submits collapse to digest lookups.
 	Cache *simcache.Cache
@@ -115,9 +113,6 @@ func New(cfg Config) (*Server, error) {
 	var engOpts []engine.Option
 	if cfg.Parallelism > 0 {
 		engOpts = append(engOpts, engine.WithParallelism(cfg.Parallelism))
-	}
-	if cfg.EnumWorkers > 0 {
-		engOpts = append(engOpts, engine.WithEnumWorkers(cfg.EnumWorkers))
 	}
 	if cfg.Cache != nil {
 		engOpts = append(engOpts, engine.WithCache(cfg.Cache))

@@ -94,11 +94,7 @@ type Cpp11SuiteView struct {
 
 // Cpp11Suite returns a view over every registered C/C++11 program, in
 // registration order (the validation set first).
-func Cpp11Suite() *Cpp11SuiteView {
-	v := &Cpp11SuiteView{}
-	v.progs, v.err = cpp11.MatchPrograms("")
-	return v
-}
+func Cpp11Suite() *Cpp11SuiteView { return &Cpp11SuiteView{progs: cpp11.AllPrograms()} }
 
 // Cpp11ValidationSuite returns a view over the race-free programs used to
 // validate the Table 4 mappings.
@@ -106,28 +102,15 @@ func Cpp11ValidationSuite() *Cpp11SuiteView {
 	return &Cpp11SuiteView{progs: cpp11.ProgramsByGroup(cpp11.GroupValidation)}
 }
 
-// Filter narrows the view to programs whose name matches the glob
-// pattern. A malformed pattern poisons the view; the error is returned by
-// Validate.
+// Filter narrows the view to its programs whose name matches the glob
+// pattern, whether or not they are registered. A malformed pattern
+// poisons the view; the error is returned by Validate.
 func (v *Cpp11SuiteView) Filter(pattern string) *Cpp11SuiteView {
 	if v.err != nil {
 		return v
 	}
-	matched, err := cpp11.MatchPrograms(pattern)
-	if err != nil {
-		return &Cpp11SuiteView{err: err}
-	}
-	byName := map[string]bool{}
-	for _, p := range matched {
-		byName[p.Name] = true
-	}
-	out := &Cpp11SuiteView{}
-	for _, p := range v.progs {
-		if byName[p.Name] {
-			out.progs = append(out.progs, p)
-		}
-	}
-	return out
+	progs, err := cpp11.FilterPrograms(v.progs, pattern)
+	return &Cpp11SuiteView{progs: progs, err: err}
 }
 
 // Names returns the names of the programs in the view, in order.

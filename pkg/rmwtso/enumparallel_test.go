@@ -1,7 +1,6 @@
 package rmwtso_test
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -54,54 +53,30 @@ func sequentialKeys(t testing.TB, p *rmwtso.Program) []string {
 
 // TestEnumerateParallelDifferential asserts, for every program in both
 // registries and workers in {1, 2, 8}, that the parallel enumeration
-// visits exactly the same multiset of executions as the sequential one —
-// in the ordered (default) mode even in exactly the same order, and in
-// the unordered mode as the same multiset of canonical keys. Run under
-// -race in CI, this is the lock-down for the rf-partitioned enumeration
-// inside a single litmus verdict.
+// visits exactly the same multiset of executions (as canonical keys) as
+// the sequential one. Run under -race in CI, this is the lock-down for
+// the rf-partitioned enumeration inside a single litmus verdict.
 func TestEnumerateParallelDifferential(t *testing.T) {
 	for name, p := range registryPrograms(t) {
 		want := sequentialKeys(t, p)
+		sort.Strings(want)
 		for _, workers := range []int{1, 2, 8} {
-			var ordered []string
-			err := rmwtso.EnumerateExecutionsParallel(context.Background(), p, workers,
-				func(x *rmwtso.Execution) bool {
-					ordered = append(ordered, x.Key())
-					return true
-				})
+			var got []string
+			err := memmodel.EnumerateFunc(p, func(x *rmwtso.Execution) bool {
+				got = append(got, x.Key())
+				return true
+			}, memmodel.EnumWorkers(workers))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			if len(ordered) != len(want) {
-				t.Fatalf("%s workers=%d: %d executions, want %d", name, workers, len(ordered), len(want))
+			sort.Strings(got)
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: %d executions, want %d", name, workers, len(got), len(want))
 			}
 			for i := range want {
-				if ordered[i] != want[i] {
-					t.Fatalf("%s workers=%d: execution %d out of order:\n got %s\nwant %s",
-						name, workers, i, ordered[i], want[i])
-				}
-			}
-
-			var unordered []string
-			err = memmodel.EnumerateParallel(context.Background(), p, workers,
-				func(x *rmwtso.Execution) bool {
-					unordered = append(unordered, x.Key())
-					return true
-				}, memmodel.EnumUnordered())
-			if err != nil {
-				t.Fatalf("%s workers=%d unordered: %v", name, workers, err)
-			}
-			sortedWant := append([]string(nil), want...)
-			sort.Strings(sortedWant)
-			sort.Strings(unordered)
-			if len(unordered) != len(sortedWant) {
-				t.Fatalf("%s workers=%d unordered: %d executions, want %d",
-					name, workers, len(unordered), len(sortedWant))
-			}
-			for i := range sortedWant {
-				if unordered[i] != sortedWant[i] {
-					t.Fatalf("%s workers=%d unordered: multisets differ at %d:\n got %s\nwant %s",
-						name, workers, i, unordered[i], sortedWant[i])
+				if got[i] != want[i] {
+					t.Fatalf("%s workers=%d: multisets differ at %d:\n got %s\nwant %s",
+						name, workers, i, got[i], want[i])
 				}
 			}
 		}
@@ -133,7 +108,7 @@ func TestCountCandidatesMatchesEnumerationRegistryWide(t *testing.T) {
 				return rmwtso.EnumerateExecutionsFunc(p, visit)
 			},
 			"parallel-8": func(visit func(*rmwtso.Execution) bool) error {
-				return rmwtso.EnumerateExecutionsParallel(context.Background(), p, 8, visit)
+				return memmodel.EnumerateFunc(p, visit, memmodel.EnumWorkers(8))
 			},
 		} {
 			visited := 0

@@ -1,8 +1,6 @@
 package rmwtso
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/memmodel"
 )
@@ -85,31 +83,12 @@ func EnumerateExecutionsFunc(p *Program, visit func(*Execution) bool) error {
 	return memmodel.EnumerateFunc(p, visit)
 }
 
-// EnumerateExecutionsParallel streams every candidate execution of the
-// program to visit with the rf×ws choice space statically partitioned
-// into contiguous index ranges across workers goroutines (workers <= 0
-// means GOMAXPROCS). visit is never called concurrently and receives the
-// executions in exactly the sequential EnumerateExecutionsFunc order;
-// returning false from visit cancels the remaining workers, and a
-// cancelled ctx aborts the enumeration with ctx's error. The execution
-// lifetime contract is EnumerateExecutionsFunc's: arena-owned, Clone to
-// retain.
-func EnumerateExecutionsParallel(ctx context.Context, p *Program, workers int, visit func(*Execution) bool) error {
-	return memmodel.EnumerateParallel(ctx, p, workers, visit)
-}
-
 // CountCandidates returns the number of candidate executions the program
 // enumerates, without assembling them. Useful for bounding litmus-test
-// cost and for sizing the enumeration worker pool. A program whose
+// cost. A program whose
 // candidate space does not fit in an int yields an error wrapping
 // ErrSpaceTooLarge.
 func CountCandidates(p *Program) (int, error) { return memmodel.CountCandidates(p) }
-
-// AutoEnumWorkers returns the enumeration worker count the
-// candidate-count heuristic picks for the program: GOMAXPROCS for
-// IRIW-class candidate spaces, 1 for small ones. This is what
-// WithEnumWorkers(0) — the default — uses per program.
-func AutoEnumWorkers(p *Program) int { return memmodel.AutoEnumWorkers(p) }
 
 // Model is a TSO memory model extended with RMWs of one atomicity type.
 type Model = core.Model

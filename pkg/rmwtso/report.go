@@ -41,8 +41,8 @@ func ReportFormats() []string { return experiments.Formats() }
 func NewReportEncoder(format string) (ReportEncoder, error) { return experiments.NewEncoder(format) }
 
 // BuildReport assembles the evaluation report: the semantics sections
-// (Tables 1 and 4) are model checked locally with the options'
-// EnumWorkers — they are exact and identical on every machine — while
+// (Tables 1 and 4) are model checked locally — they are exact and
+// identical on every machine — while
 // the simulation sections (Table 3, Fig. 11, summary) derive from the
 // runs, which come from Plan.Runs (after RunPlan) or MergeShards.
 func BuildReport(o Options, runs []*BenchmarkRun) (*Report, error) {

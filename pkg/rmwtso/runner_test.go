@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -178,6 +179,44 @@ func TestSuiteFilter(t *testing.T) {
 	}
 	if v := rmwtso.Cpp11Suite().Filter("sc-*"); len(v.Names()) != 3 {
 		t.Fatalf("Cpp11 Filter(sc-*) = %v, want 3 programs", v.Names())
+	}
+}
+
+// TestSuiteFilterAdHocView pins that Filter selects from the view's own
+// tests, so a view of tests that are not in the registry keeps them, and
+// that the C/C++11 view narrows its own programs the same way.
+func TestSuiteFilterAdHocView(t *testing.T) {
+	adhoc, err := rmwtso.ParseTest(`
+name: adhoc-sb
+thread P0:
+  store x, 1
+  r0 = load y
+thread P1:
+  store y, 1
+  r1 = load x
+exists (P0:r0=0 /\ P1:r1=0)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"", "*", "adhoc-*", "adhoc-sb"} {
+		if got := rmwtso.TestsOf(adhoc).Filter(pattern).Names(); len(got) != 1 || got[0] != "adhoc-sb" {
+			t.Errorf("Filter(%q) = %v, want [adhoc-sb]", pattern, got)
+		}
+	}
+	mixed := rmwtso.TestsOf(rmwtso.FindTest("SB"), adhoc)
+	if got := mixed.Filter("SB*").Names(); len(got) != 1 || got[0] != "SB" {
+		t.Errorf("mixed Filter(SB*) = %v, want [SB]", got)
+	}
+	if got := mixed.Filter("*sb").Names(); len(got) != 1 || got[0] != "adhoc-sb" {
+		t.Errorf("mixed Filter(*sb) = %v, want [adhoc-sb]", got)
+	}
+	_, err = rmwtso.TestsOf(adhoc).Filter("[").Run()
+	if want := `litmus: bad filter pattern "["`; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("malformed pattern on an ad-hoc view: err = %v, want prefix %s", err, want)
+	}
+	if got := rmwtso.Cpp11Suite().Filter("sc-*").Filter("*iriw").Names(); len(got) != 1 || got[0] != "sc-iriw" {
+		t.Errorf("Cpp11 Filter(sc-*).Filter(*iriw) = %v, want [sc-iriw]", got)
 	}
 }
 

@@ -73,11 +73,7 @@ type SuiteView struct {
 // Suite returns a view over every registered litmus test, in registration
 // order (paper figures first, then classics, then any tests registered by
 // the embedding program).
-func Suite() *SuiteView {
-	v := &SuiteView{}
-	v.tests, v.err = litmus.Match("")
-	return v
-}
+func Suite() *SuiteView { return &SuiteView{tests: litmus.AllTests()} }
 
 // PaperSuite returns a view over the tests taken directly from the
 // paper's figures, in figure order.
@@ -92,28 +88,16 @@ func ClassicSuite() *SuiteView { return &SuiteView{tests: litmus.ByGroup(litmus.
 // registered tests.
 func TestsOf(tests ...*Test) *SuiteView { return &SuiteView{tests: tests} }
 
-// Filter narrows the view to tests whose name or program name matches the
-// glob pattern (path.Match syntax, e.g. "SB*" or "dekker-*"). A malformed
-// pattern poisons the view; the error is returned by Run.
+// Filter narrows the view to its tests whose name or program name matches
+// the glob pattern (path.Match syntax, e.g. "SB*" or "dekker-*"), whether
+// or not they are registered. A malformed pattern poisons the view; the
+// error is returned by Run.
 func (v *SuiteView) Filter(pattern string) *SuiteView {
 	if v.err != nil {
 		return v
 	}
-	matched, err := litmus.Match(pattern)
-	if err != nil {
-		return &SuiteView{err: err}
-	}
-	byName := map[string]bool{}
-	for _, t := range matched {
-		byName[t.Name] = true
-	}
-	out := &SuiteView{}
-	for _, t := range v.tests {
-		if byName[t.Name] {
-			out.tests = append(out.tests, t)
-		}
-	}
-	return out
+	tests, err := litmus.Filter(v.tests, pattern)
+	return &SuiteView{tests: tests, err: err}
 }
 
 // Names returns the names of the tests in the view, in order.

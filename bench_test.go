@@ -216,7 +216,6 @@ func BenchmarkRunPlanOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o.Cache = cache
 	eng := engine.New(engine.WithCache(cache))
 	plan, err := engine.BuildPlan(o, experiments.Table3Specs())
 	if err != nil {

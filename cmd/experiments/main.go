@@ -193,7 +193,6 @@ func main() {
 
 	cache, err := rmwtso.OpenCacheFromFlags(*cacheFlags.Enabled, *cacheFlags.Dir, *cacheFlags.Clear)
 	check(err)
-	opts.Cache = cache
 
 	// The seed list of the sweep: the base seed alone, or -seeds
 	// consecutive seeds starting at it. Every mode (plan pipeline and

@@ -9,6 +9,7 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -111,18 +112,35 @@ func PositiveIntIfSet(fs *flag.FlagSet, name string, v int) error {
 	return nil
 }
 
-// PositiveFloat rejects non-positive values of an always-positive flag.
+// PositiveFloat rejects non-finite and non-positive values of an
+// always-positive flag.
 func PositiveFloat(name string, v float64) error {
+	if err := finite(name, v); err != nil {
+		return err
+	}
 	if v <= 0 {
 		return fmt.Errorf("-%s must be positive, got %g", name, v)
 	}
 	return nil
 }
 
-// PositiveFloatIfSet is PositiveIntIfSet for float flags.
+// PositiveFloatIfSet is PositiveIntIfSet for float flags; it also
+// rejects NaN and ±Inf.
 func PositiveFloatIfSet(fs *flag.FlagSet, name string, v float64) error {
+	if err := finite(name, v); err != nil {
+		return err
+	}
 	if v < 0 || (v == 0 && WasSet(fs, name)) {
 		return fmt.Errorf("-%s must be positive, got %g", name, v)
+	}
+	return nil
+}
+
+// finite rejects NaN and ±Inf, which the flag package parses but no
+// float flag means.
+func finite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("-%s must be finite, got %g", name, v)
 	}
 	return nil
 }

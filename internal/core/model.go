@@ -15,24 +15,14 @@ import (
 type Model struct {
 	// Atomicity selects the RMW atomicity definition (type-1/2/3).
 	Atomicity AtomicityType
-	// UseOracle, when set, decides validity with the brute-force
-	// linearization oracle instead of the ato fixpoint. Intended for
-	// cross-validation in tests; the fixpoint is the default.
-	UseOracle bool
 }
 
-// NewModel returns a model using the given atomicity type and the ato
-// fixpoint validity check.
+// NewModel returns a model using the given atomicity type.
 func NewModel(t AtomicityType) *Model { return &Model{Atomicity: t} }
 
 // Valid reports whether a candidate execution is a valid witness under the
-// model.
-func (m *Model) Valid(x *memmodel.Execution) bool {
-	if m.UseOracle {
-		return ExistsWitnessOrder(x, m.Atomicity)
-	}
-	return Valid(x, m.Atomicity)
-}
+// model, by the ato fixpoint.
+func (m *Model) Valid(x *memmodel.Execution) bool { return Valid(x, m.Atomicity) }
 
 // ValidExecutions enumerates all candidate executions of the program and
 // returns the valid ones, cloned out of the enumerator's arena so they

@@ -128,6 +128,23 @@ func TestFindWitnessOrderAgreesWithCheck(t *testing.T) {
 	}
 }
 
+// oracleOutcomes is Model.OutcomesParallel with validity decided by the
+// brute-force linearization oracle instead of the ato fixpoint, over
+// workers goroutines.
+func oracleOutcomes(t *testing.T, p *memmodel.Program, typ AtomicityType, workers int) *OutcomeSet {
+	t.Helper()
+	set := NewOutcomeSet()
+	err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
+		set.Add(OutcomeOf(x))
+		return true
+	}, memmodel.EnumWorkers(workers),
+		memmodel.EnumFilter(func(x *memmodel.Execution) bool { return ExistsWitnessOrder(x, typ) }))
+	if err != nil {
+		t.Fatalf("%s/%s: oracle enumeration: %v", p.Name, typ, err)
+	}
+	return set
+}
+
 // TestModelOracleAgreesWithFixpointOutcomes checks the two validity backends
 // produce identical outcome sets at the model level.
 func TestModelOracleAgreesWithFixpointOutcomes(t *testing.T) {
@@ -137,10 +154,7 @@ func TestModelOracleAgreesWithFixpointOutcomes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := (&Model{Atomicity: typ, UseOracle: true}).Outcomes(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			oracle := oracleOutcomes(t, p, typ, 1)
 			if !fix.Equal(oracle) {
 				t.Errorf("%s/%s: fixpoint outcomes %v != oracle outcomes %v",
 					p.Name, typ, fix.Keys(), oracle.Keys())

@@ -52,16 +52,11 @@ func TestValidExecutionsParallelAgreesWithOracle(t *testing.T) {
 	// linearization oracle, execution for execution.
 	for _, p := range corePrograms() {
 		for _, typ := range AllTypes() {
-			fix := NewModel(typ)
-			oracle := &Model{Atomicity: typ, UseOracle: true}
-			fixSet, err := fix.OutcomesParallel(context.Background(), p, 4)
+			fixSet, err := NewModel(typ).OutcomesParallel(context.Background(), p, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracleSet, err := oracle.OutcomesParallel(context.Background(), p, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			oracleSet := oracleOutcomes(t, p, typ, 4)
 			if !fixSet.Equal(oracleSet) {
 				t.Fatalf("%s %s: fixpoint and oracle disagree under parallel enumeration:\nfix: %v\noracle: %v",
 					p.Name, typ, fixSet.Keys(), oracleSet.Keys())

@@ -8,172 +8,190 @@ import (
 	"repro/internal/memmodel"
 )
 
-// Action is one memory action of a candidate C/C++11 execution.
-type Action struct {
-	// Index is the action's position in Execution.Actions.
-	Index int
-	// Thread is the issuing thread, or -1 for initialization actions.
-	Thread int
-	// Kind is load or store.
-	Kind OpKind
-	// Order is the memory order (OrderNA for initialization actions).
-	Order MemoryOrder
-	// Addr and Value are the accessed location and value (load values are
-	// filled in from the chosen reads-from map).
-	Addr  memmodel.Addr
-	Value memmodel.Value
-	// SB is the statement index within the thread, for sequenced-before.
-	SB int
-	// Reg is the destination register of loads.
-	Reg string
+// checker judges the memmodel candidates of a program translated with
+// every access a plain TSO read or write against the C/C++11 model of the
+// source program. Each candidate event comes from the statement at its
+// (Thread, PO), which supplies the memory order the TSO event lacks.
+type checker struct {
+	p      *Program
+	atomic map[memmodel.Addr]bool
 }
 
-// IsInit reports whether the action is an initialization write.
-func (a *Action) IsInit() bool { return a.Thread < 0 }
-
-// IsWrite reports whether the action writes memory.
-func (a *Action) IsWrite() bool { return a.Kind == OpStore }
-
-// IsRead reports whether the action reads memory.
-func (a *Action) IsRead() bool { return a.Kind == OpLoad }
-
-// String renders the action, e.g. "T0:Wsc(x)=1" or "T1:Rna(y)=0".
-func (a *Action) String() string {
-	dir := "R"
-	if a.IsWrite() {
-		dir = "W"
+// order returns the memory order of the statement behind event e; initial
+// writes are non-atomic.
+func (c *checker) order(e *memmodel.Event) MemoryOrder {
+	if e.IsInit() {
+		return OrderNA
 	}
-	who := fmt.Sprintf("T%d", a.Thread)
-	if a.IsInit() {
-		who = "init"
-	}
-	return fmt.Sprintf("%s:%s%s(%s)=%d", who, dir, a.Order, memmodel.AddrName(a.Addr), int(a.Value))
+	return c.p.Threads[e.Thread][e.PO].Order
 }
 
-// Execution is one candidate execution: the actions plus a reads-from map
-// and a per-atomic-location modification order. The SC order is not stored;
-// consistency checking searches for one (see Consistent).
-type Execution struct {
-	Program *Program
-	Actions []*Action
-	// RF maps each load's index to the index of the store it reads from.
-	RF map[int]int
-	// MO holds, per location, the modification order of all stores to it
-	// (initialization store first). It is populated for every location, but
-	// only constrains consistency at atomic locations.
-	MO map[memmodel.Addr][]int
+// happensBefore returns the transitive closure of sequenced-before and
+// synchronizes-with. Sequenced-before is the candidate's program order,
+// which also puts the initial writes first ("initialization happens-before
+// thread start"); an SC store synchronizes with every SC load of another
+// thread that reads from it.
+func (c *checker) happensBefore(x *memmodel.Execution) *memmodel.Relation {
+	hb := x.PO().Clone()
+	for _, l := range x.Events {
+		s, ok := x.ReadsFrom(l.Index)
+		if ok && c.order(l) == OrderSC && c.order(x.Events[s]) == OrderSC && l.Thread != x.Events[s].Thread {
+			hb.Add(s, l.Index)
+		}
+	}
+	return hb.TransitiveClosure()
 }
 
-// Enumerate generates all candidate executions of the program: every
-// reads-from choice for every load and every modification order of the
-// stores of each location.
-func Enumerate(p *Program) ([]*Execution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// consistent reports whether candidate x, whose happens-before is hb, is
+// consistent in the C/C++11 model (restricted to the subset this package
+// implements). Consistency requires an SC total order to exist; the check
+// enumerates candidate SC orders over the (few) SC actions.
+func (c *checker) consistent(x *memmodel.Execution, hb *memmodel.Relation) bool {
+	// happens-before must be irreflexive/acyclic.
+	if !hb.Acyclic() {
+		return false
 	}
-	var actions []*Action
-	add := func(a *Action) {
-		a.Index = len(actions)
-		actions = append(actions, a)
-	}
-	for _, addr := range p.Addrs() {
-		v := memmodel.Value(0)
-		if iv, ok := p.Init[addr]; ok {
-			v = iv
-		}
-		add(&Action{Thread: -1, Kind: OpStore, Order: OrderNA, Addr: addr, Value: v})
-	}
-	for ti, t := range p.Threads {
-		for si, s := range t {
-			add(&Action{Thread: ti, Kind: s.Kind, Order: s.Order, Addr: s.Addr, Value: s.Value, SB: si, Reg: s.Reg})
+	// No load may read from a store that happens-after it.
+	for _, l := range x.Events {
+		if s, ok := x.ReadsFrom(l.Index); ok && hb.Has(l.Index, s) {
+			return false
 		}
 	}
+	// The modification order is the candidate's write serialization; the
+	// checks below read it only at atomic locations.
+	mo := x.WSRel()
+	return c.coherent(x, hb, mo) && c.nonAtomicVisible(x, hb) && c.scOrderExists(x, hb, mo)
+}
 
-	storesByAddr := map[memmodel.Addr][]int{}
-	var loads []int
-	for _, a := range actions {
-		if a.IsWrite() {
-			storesByAddr[a.Addr] = append(storesByAddr[a.Addr], a.Index)
-		} else {
-			loads = append(loads, a.Index)
-		}
-	}
-
-	// rf choices per load.
-	choices := make([][]int, len(loads))
-	for i, l := range loads {
-		choices[i] = append(choices[i], storesByAddr[actions[l].Addr]...)
-		if len(choices[i]) == 0 {
-			return nil, fmt.Errorf("cpp11: load %s has no candidate stores", actions[l])
-		}
-	}
-
-	// mo choices per location.
-	addrs := p.Addrs()
-	moChoices := make([][][]int, len(addrs))
-	for i, addr := range addrs {
-		var init int = -1
-		var rest []int
-		for _, w := range storesByAddr[addr] {
-			if actions[w].IsInit() {
-				init = w
-			} else {
-				rest = append(rest, w)
+// coherent verifies the CoWW, CoWR, CoRW and CoRR shapes at atomic
+// locations; mo is the modification order.
+func (c *checker) coherent(x *memmodel.Execution, hb, mo *memmodel.Relation) bool {
+	for _, a := range x.Events {
+		for _, b := range x.Events {
+			if a.Index == b.Index || a.Addr != b.Addr || !c.atomic[a.Addr] || !hb.Has(a.Index, b.Index) {
+				continue
+			}
+			switch {
+			case a.IsWrite() && b.IsWrite():
+				// CoWW: hb must agree with mo.
+				if mo.Has(b.Index, a.Index) {
+					return false
+				}
+			case a.IsWrite() && b.IsRead():
+				// CoWR: b must not read from a store mo-before a.
+				if src, _ := x.ReadsFrom(b.Index); mo.Has(src, a.Index) {
+					return false
+				}
+			case a.IsRead() && b.IsWrite():
+				// CoRW: the store a reads from must be mo-before b.
+				if src, _ := x.ReadsFrom(a.Index); mo.Has(b.Index, src) {
+					return false
+				}
+			case a.IsRead() && b.IsRead():
+				// CoRR: the two reads must observe stores in mo order.
+				sa, _ := x.ReadsFrom(a.Index)
+				sb, _ := x.ReadsFrom(b.Index)
+				if mo.Has(sb, sa) {
+					return false
+				}
 			}
 		}
-		for _, perm := range permute(rest) {
-			moChoices[i] = append(moChoices[i], append([]int{init}, perm...))
-		}
 	}
-
-	var out []*Execution
-	rfAssign := make([]int, len(loads))
-	moAssign := make([]int, len(addrs))
-	var recMO func(level int)
-	recMO = func(level int) {
-		if level == len(addrs) {
-			out = append(out, assemble(p, actions, loads, rfAssign, addrs, moChoices, moAssign))
-			return
-		}
-		for i := range moChoices[level] {
-			moAssign[level] = i
-			recMO(level + 1)
-		}
-	}
-	var recRF func(level int)
-	recRF = func(level int) {
-		if level == len(loads) {
-			recMO(0)
-			return
-		}
-		for _, w := range choices[level] {
-			rfAssign[level] = w
-			recRF(level + 1)
-		}
-	}
-	recRF(0)
-	return out, nil
+	return true
 }
 
-func assemble(p *Program, template []*Action, loads []int, rfAssign []int, addrs []memmodel.Addr, moChoices [][][]int, moAssign []int) *Execution {
-	actions := make([]*Action, len(template))
-	for i, a := range template {
-		cp := *a
-		actions[i] = &cp
+// nonAtomicVisible verifies that every non-atomic load reads from a visible
+// side effect: a store that happens-before the load with no intervening
+// store (in happens-before) to the same location.
+func (c *checker) nonAtomicVisible(x *memmodel.Execution, hb *memmodel.Relation) bool {
+	for _, l := range x.Events {
+		store, ok := x.ReadsFrom(l.Index)
+		if !ok || c.atomic[l.Addr] {
+			continue
+		}
+		if !hb.Has(store, l.Index) {
+			return false
+		}
+		for _, w := range x.Events {
+			if w.IsWrite() && w.Addr == l.Addr && w.Index != store && hb.Has(store, w.Index) && hb.Has(w.Index, l.Index) {
+				return false
+			}
+		}
 	}
-	rf := map[int]int{}
-	for i, l := range loads {
-		rf[l] = rfAssign[i]
-		actions[l].Value = actions[rfAssign[i]].Value
+	return true
+}
+
+// scOrderExists searches for a total order over the SC actions that is
+// consistent with happens-before and modification order and satisfies the
+// SC-read restriction: an SC load must read from the last SC store to its
+// location that precedes it in the SC order (or from a non-SC store when no
+// SC store precedes it).
+func (c *checker) scOrderExists(x *memmodel.Execution, hb, mo *memmodel.Relation) bool {
+	var scActions []int
+	for _, e := range x.Events {
+		if c.order(e) == OrderSC {
+			scActions = append(scActions, e.Index)
+		}
 	}
-	mo := map[memmodel.Addr][]int{}
-	for i, addr := range addrs {
-		order := moChoices[i][moAssign[i]]
-		cp := make([]int, len(order))
-		copy(cp, order)
-		mo[addr] = cp
+	if len(scActions) == 0 {
+		return true
 	}
-	return &Execution{Program: p, Actions: actions, RF: rf, MO: mo}
+	for _, perm := range permute(scActions) {
+		if c.scOrderOK(x, perm, hb, mo) {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *checker) scOrderOK(x *memmodel.Execution, sc []int, hb, mo *memmodel.Relation) bool {
+	pos := map[int]int{}
+	for i, a := range sc {
+		pos[a] = i
+	}
+	// sc must not contradict hb or mo.
+	for i, a := range sc {
+		for _, b := range sc[i+1:] {
+			if hb.Has(b, a) || mo.Has(b, a) {
+				return false
+			}
+		}
+	}
+	// SC read restriction.
+	for _, l := range x.Events {
+		store, ok := x.ReadsFrom(l.Index)
+		if !ok || c.order(l) != OrderSC {
+			continue
+		}
+		pl := pos[l.Index]
+		// Find the last SC store to l.Addr before the load in sc.
+		last := -1
+		for _, a := range sc[:pl] {
+			if e := x.Events[a]; e.IsWrite() && e.Addr == l.Addr {
+				last = a
+			}
+		}
+		srcSC := c.order(x.Events[store]) == OrderSC
+		switch {
+		case last < 0:
+			// No SC store precedes the load: it must read from a non-SC
+			// store (e.g. the initialization write).
+			if srcSC && pos[store] > pl {
+				return false
+			}
+		case srcSC:
+			if store != last {
+				return false
+			}
+		default:
+			// Reading a non-SC store is allowed only if it does not
+			// happen-before the last preceding SC store.
+			if hb.Has(store, last) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func permute(in []int) [][]int {
@@ -196,286 +214,21 @@ func permute(in []int) [][]int {
 	return out
 }
 
-// SB returns the sequenced-before relation (plus initialization-before-all,
-// which models "initialization happens-before thread start").
-func (x *Execution) SB() *memmodel.Relation {
-	n := len(x.Actions)
-	r := memmodel.NewRelation(n)
-	for _, a := range x.Actions {
-		for _, b := range x.Actions {
-			if a.Index == b.Index {
-				continue
-			}
-			if a.IsInit() && !b.IsInit() {
-				r.Add(a.Index, b.Index)
-				continue
-			}
-			if !a.IsInit() && a.Thread == b.Thread && a.SB < b.SB {
-				r.Add(a.Index, b.Index)
-			}
-		}
-	}
-	return r
-}
-
-// SW returns the synchronizes-with relation: an SC store synchronizes with
-// every SC load of another thread that reads from it.
-func (x *Execution) SW() *memmodel.Relation {
-	n := len(x.Actions)
-	r := memmodel.NewRelation(n)
-	for load, store := range x.RF {
-		l, s := x.Actions[load], x.Actions[store]
-		if l.Order == OrderSC && s.Order == OrderSC && l.Thread != s.Thread {
-			r.Add(store, load)
-		}
-	}
-	return r
-}
-
-// HB returns the happens-before relation: the transitive closure of
-// sequenced-before and synchronizes-with.
-func (x *Execution) HB() *memmodel.Relation {
-	hb := x.SB()
-	hb.Union(x.SW())
-	return hb.TransitiveClosure()
-}
-
-// moRel converts the per-location modification orders into a relation,
-// restricted to atomic locations.
-func (x *Execution) moRel(atomic map[memmodel.Addr]bool) *memmodel.Relation {
-	r := memmodel.NewRelation(len(x.Actions))
-	for addr, order := range x.MO {
-		if !atomic[addr] {
-			continue
-		}
-		for i := 0; i < len(order); i++ {
-			for j := i + 1; j < len(order); j++ {
-				r.Add(order[i], order[j])
-			}
-		}
-	}
-	return r
-}
-
-// moBefore reports whether a is modification-ordered before b (same
-// location).
-func (x *Execution) moBefore(a, b int) bool {
-	order := x.MO[x.Actions[a].Addr]
-	pa, pb := -1, -1
-	for i, w := range order {
-		if w == a {
-			pa = i
-		}
-		if w == b {
-			pb = i
-		}
-	}
-	return pa >= 0 && pb >= 0 && pa < pb
-}
-
-// Inconsistency describes why a candidate execution is not consistent. An
-// empty reason means the execution is consistent.
-type Inconsistency struct {
-	Reason string
-}
-
-// Consistent reports whether the candidate execution is consistent in the
-// C/C++11 model (restricted to the subset this package implements), and if
-// not, why. Consistency requires an SC total order to exist; the check
-// enumerates candidate SC orders over the (few) SC actions.
-func (x *Execution) Consistent() (bool, Inconsistency) {
-	atomic := x.Program.AtomicLocations()
-	hb := x.HB()
-
-	// happens-before must be irreflexive/acyclic.
-	if !hb.Acyclic() {
-		return false, Inconsistency{Reason: "happens-before is cyclic"}
-	}
-
-	// No load may read from a store that happens-after it.
-	for load, store := range x.RF {
-		if hb.Has(load, store) {
-			return false, Inconsistency{Reason: fmt.Sprintf("%s reads from a store that happens-after it", x.Actions[load])}
-		}
-	}
-
-	// Coherence at atomic locations.
-	if ok, why := x.checkCoherence(hb, atomic); !ok {
-		return false, Inconsistency{Reason: why}
-	}
-
-	// Visible side effects for non-atomic loads.
-	if ok, why := x.checkNonAtomicVisibility(hb, atomic); !ok {
-		return false, Inconsistency{Reason: why}
-	}
-
-	// An SC total order must exist.
-	if ok, why := x.checkSCOrder(hb, atomic); !ok {
-		return false, Inconsistency{Reason: why}
-	}
-
-	return true, Inconsistency{}
-}
-
-// checkCoherence verifies the CoWW, CoWR, CoRW and CoRR shapes at atomic
-// locations.
-func (x *Execution) checkCoherence(hb *memmodel.Relation, atomic map[memmodel.Addr]bool) (bool, string) {
-	for _, a := range x.Actions {
-		for _, b := range x.Actions {
-			if a.Index == b.Index || a.Addr != b.Addr || !atomic[a.Addr] {
-				continue
-			}
-			if !hb.Has(a.Index, b.Index) {
-				continue
-			}
-			switch {
-			case a.IsWrite() && b.IsWrite():
-				// CoWW: hb must agree with mo.
-				if x.moBefore(b.Index, a.Index) {
-					return false, fmt.Sprintf("CoWW violated between %s and %s", a, b)
-				}
-			case a.IsWrite() && b.IsRead():
-				// CoWR: b must not read from a store mo-before a.
-				src := x.RF[b.Index]
-				if src != a.Index && x.moBefore(src, a.Index) {
-					return false, fmt.Sprintf("CoWR violated at %s", b)
-				}
-			case a.IsRead() && b.IsWrite():
-				// CoRW: the store a reads from must be mo-before b.
-				src := x.RF[a.Index]
-				if src != b.Index && x.moBefore(b.Index, src) {
-					return false, fmt.Sprintf("CoRW violated at %s", a)
-				}
-			case a.IsRead() && b.IsRead():
-				// CoRR: the two reads must observe stores in mo order.
-				sa, sb := x.RF[a.Index], x.RF[b.Index]
-				if sa != sb && x.moBefore(sb, sa) {
-					return false, fmt.Sprintf("CoRR violated between %s and %s", a, b)
-				}
-			}
-		}
-	}
-	return true, ""
-}
-
-// checkNonAtomicVisibility verifies that every non-atomic load reads from a
-// visible side effect: a store that happens-before the load with no
-// intervening store (in happens-before) to the same location.
-func (x *Execution) checkNonAtomicVisibility(hb *memmodel.Relation, atomic map[memmodel.Addr]bool) (bool, string) {
-	for load, store := range x.RF {
-		l := x.Actions[load]
-		if l.Order != OrderNA || atomic[l.Addr] {
-			continue
-		}
-		if !hb.Has(store, load) {
-			return false, fmt.Sprintf("non-atomic %s reads from a store that does not happen-before it", l)
-		}
-		for _, w := range x.Actions {
-			if !w.IsWrite() || w.Addr != l.Addr || w.Index == store {
-				continue
-			}
-			if hb.Has(store, w.Index) && hb.Has(w.Index, load) {
-				return false, fmt.Sprintf("non-atomic %s reads a hidden side effect", l)
-			}
-		}
-	}
-	return true, ""
-}
-
-// checkSCOrder searches for a total order over the SC actions that is
-// consistent with happens-before and modification order and satisfies the
-// SC-read restriction: an SC load must read from the last SC store to its
-// location that precedes it in the SC order (or from a non-SC store when no
-// SC store precedes it).
-func (x *Execution) checkSCOrder(hb *memmodel.Relation, atomic map[memmodel.Addr]bool) (bool, string) {
-	var scActions []int
-	for _, a := range x.Actions {
-		if a.Order == OrderSC {
-			scActions = append(scActions, a.Index)
-		}
-	}
-	if len(scActions) == 0 {
-		return true, ""
-	}
-	mo := x.moRel(atomic)
-	for _, perm := range permute(scActions) {
-		if x.scOrderOK(perm, hb, mo) {
-			return true, ""
-		}
-	}
-	return false, "no SC total order is consistent with happens-before, modification order and the SC read restriction"
-}
-
-func (x *Execution) scOrderOK(sc []int, hb, mo *memmodel.Relation) bool {
-	pos := map[int]int{}
-	for i, a := range sc {
-		pos[a] = i
-	}
-	// sc must not contradict hb or mo.
-	for i, a := range sc {
-		for _, b := range sc[i+1:] {
-			if hb.Has(b, a) || mo.Has(b, a) {
-				return false
-			}
-		}
-	}
-	// SC read restriction.
-	for load, store := range x.RF {
-		l := x.Actions[load]
-		if l.Order != OrderSC {
-			continue
-		}
-		pl := pos[load]
-		// Find the last SC store to l.Addr before the load in sc.
-		last := -1
-		for i := 0; i < pl; i++ {
-			a := x.Actions[sc[i]]
-			if a.IsWrite() && a.Addr == l.Addr {
-				last = sc[i]
-			}
-		}
-		src := x.Actions[store]
-		if last < 0 {
-			// No SC store precedes the load: it must read from a non-SC
-			// store (e.g. the initialization write).
-			if src.Order == OrderSC && pos[store] > pl {
-				return false
-			}
-			continue
-		}
-		if src.Order == OrderSC {
-			if store != last {
-				return false
-			}
-		} else {
-			// Reading a non-SC store is allowed only if it does not
-			// happen-before the last preceding SC store.
-			if hb.Has(store, last) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Racy reports whether the execution contains a data race: two actions of
-// different threads to the same location, at least one a store, at least
-// one non-atomic, unordered by happens-before.
-func (x *Execution) Racy() bool {
-	hb := x.HB()
-	for _, a := range x.Actions {
-		for _, b := range x.Actions {
-			if a.Index >= b.Index || a.Addr != b.Addr || a.Thread == b.Thread {
+// racy reports whether candidate x, whose happens-before is hb, contains a
+// data race: two actions of different threads to the same location, at
+// least one a store, at least one non-atomic, unordered by happens-before.
+// Initial writes happen-before everything, so they never race.
+func (c *checker) racy(x *memmodel.Execution, hb *memmodel.Relation) bool {
+	for _, a := range x.Events {
+		for _, b := range x.Events[a.Index+1:] {
+			if a.Addr != b.Addr || a.Thread == b.Thread || a.IsInit() || b.IsInit() {
 				continue
 			}
 			if !a.IsWrite() && !b.IsWrite() {
 				continue
 			}
-			if a.Order != OrderNA && b.Order != OrderNA {
+			if c.order(a) != OrderNA && c.order(b) != OrderNA {
 				continue
-			}
-			if a.IsInit() || b.IsInit() {
-				continue // initialization happens-before everything
 			}
 			if !hb.Has(a.Index, b.Index) && !hb.Has(b.Index, a.Index) {
 				return true
@@ -483,18 +236,6 @@ func (x *Execution) Racy() bool {
 		}
 	}
 	return false
-}
-
-// Registers returns the final register valuation of the execution, keyed
-// "P<tid>:<reg>" to match core.Outcome.
-func (x *Execution) Registers() map[string]memmodel.Value {
-	out := map[string]memmodel.Value{}
-	for _, a := range x.Actions {
-		if a.IsRead() && a.Reg != "" {
-			out[fmt.Sprintf("P%d:%s", a.Thread, a.Reg)] = a.Value
-		}
-	}
-	return out
 }
 
 // RegisterKey renders a register valuation canonically, e.g.
@@ -531,25 +272,31 @@ type Semantics struct {
 }
 
 // Analyze enumerates the program's candidate executions and classifies
-// them.
+// them. The candidates are memmodel's: every reads-from choice times every
+// per-location modification order of the program translated with each
+// access a plain TSO read or write, walked by memmodel.EnumerateFunc. A
+// program whose candidate space does not fit in an int fails with an error
+// wrapping memmodel.ErrSpaceTooLarge.
 func Analyze(p *Program) (*Semantics, error) {
-	execs, err := Enumerate(p)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	c := &checker{p: p, atomic: p.AtomicLocations()}
 	sem := &Semantics{Outcomes: map[string]map[string]memmodel.Value{}}
-	sem.Candidates = len(execs)
-	for _, x := range execs {
-		ok, _ := x.Consistent()
-		if !ok {
-			continue
+	err := memmodel.EnumerateFunc(translate(p, p.Name, false, false), func(x *memmodel.Execution) bool {
+		sem.Candidates++
+		hb := c.happensBefore(x)
+		if !c.consistent(x, hb) {
+			return true
 		}
 		sem.Consistent++
-		if x.Racy() {
-			sem.Racy = true
-		}
-		regs := x.Registers()
+		sem.Racy = sem.Racy || c.racy(x, hb)
+		regs := x.RegisterValues()
 		sem.Outcomes[RegisterKey(regs)] = regs
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cpp11: %w", err)
 	}
 	return sem, nil
 }

@@ -1,6 +1,7 @@
 package cpp11
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -49,10 +50,6 @@ func TestProgramHelpers(t *testing.T) {
 	if !atomic[locY] || atomic[locX] {
 		t.Errorf("AtomicLocations = %v, want only y", atomic)
 	}
-	addrs := p.Addrs()
-	if len(addrs) != 2 {
-		t.Errorf("Addrs = %v", addrs)
-	}
 	p.SetInit(locX, 7)
 	if p.Init[locX] != 7 {
 		t.Error("SetInit not applied")
@@ -89,34 +86,40 @@ func TestMemoryOrderString(t *testing.T) {
 	}
 }
 
+// TestEnumerateBasic checks the size of the candidate space Analyze walks.
 func TestEnumerateBasic(t *testing.T) {
-	p := SCStoreBuffering()
-	execs, err := Enumerate(p)
+	sem, err := Analyze(SCStoreBuffering())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 2 loads x 2 candidate stores each, one mo per location = 4 candidates.
-	if len(execs) != 4 {
-		t.Fatalf("candidates = %d, want 4", len(execs))
-	}
-	for _, x := range execs {
-		if len(x.Actions) != 6 {
-			t.Fatalf("actions = %d, want 6 (2 init + 4)", len(x.Actions))
-		}
-		for load, store := range x.RF {
-			if x.Actions[load].Addr != x.Actions[store].Addr {
-				t.Error("rf links different locations")
-			}
-			if x.Actions[load].Value != x.Actions[store].Value {
-				t.Error("load value not propagated from rf source")
-			}
-		}
+	if sem.Candidates != 4 {
+		t.Fatalf("candidates = %d, want 4", sem.Candidates)
 	}
 }
 
 func TestEnumerateRejectsInvalidProgram(t *testing.T) {
-	if _, err := Enumerate(NewProgram("bad")); err == nil {
-		t.Fatal("Enumerate of invalid program must fail")
+	if _, err := Analyze(NewProgram("bad")); err == nil {
+		t.Fatal("Analyze of invalid program must fail")
+	}
+	mixed := NewProgram("mixed")
+	mixed.AddThread(SCStore(locX, 1))
+	mixed.AddThread(Load(locX, "r0"))
+	if _, err := Analyze(mixed); err == nil {
+		t.Fatal("Analyze must reject mixed atomic and non-atomic accesses to one location")
+	}
+}
+
+func TestAnalyzeRejectsOversizedSpace(t *testing.T) {
+	// 21 stores to one location have 21! modification orders, more than
+	// an int holds: the walk must refuse the space, not materialize it.
+	p := NewProgram("oversized")
+	for i := 0; i < 21; i++ {
+		p.AddThread(Store(locX, 1))
+	}
+	_, err := Analyze(p)
+	if !errors.Is(err, memmodel.ErrSpaceTooLarge) || !strings.HasPrefix(err.Error(), "cpp11: ") {
+		t.Fatalf("Analyze = %v, want a cpp11 error wrapping memmodel.ErrSpaceTooLarge", err)
 	}
 }
 
@@ -230,20 +233,6 @@ func TestNonAtomicVisibility(t *testing.T) {
 	keys := sem.OutcomeKeys()
 	if len(keys) != 1 || keys[0] != RegisterKey(map[string]memmodel.Value{"P0:r0": 1}) {
 		t.Errorf("sequential read must see the preceding write; outcomes: %v", keys)
-	}
-}
-
-func TestActionString(t *testing.T) {
-	a := &Action{Thread: 0, Kind: OpStore, Order: OrderSC, Addr: locX, Value: 1}
-	if a.String() != "T0:Wsc(x)=1" {
-		t.Errorf("Action.String = %q", a.String())
-	}
-	init := &Action{Thread: -1, Kind: OpStore, Order: OrderNA, Addr: locY}
-	if init.String() != "init:Wna(y)=0" {
-		t.Errorf("init Action.String = %q", init.String())
-	}
-	if !init.IsInit() || !init.IsWrite() || init.IsRead() {
-		t.Error("action predicates wrong")
 	}
 }
 

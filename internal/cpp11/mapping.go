@@ -76,7 +76,15 @@ func Compile(p *Program, m Mapping) (*memmodel.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	out := memmodel.NewProgram(fmt.Sprintf("%s[%s]", p.Name, m))
+	return translate(p, fmt.Sprintf("%s[%s]", p.Name, m), m.MapsSCLoadToRMW(), m.MapsSCStoreToRMW()), nil
+}
+
+// translate is Compile's instruction selection: SC loads become RMWs when
+// scLoadRMW is set and SC stores when scStoreRMW is set; every other access
+// is a plain TSO read or write. Analyze translates with neither set, so its
+// candidates have exactly one event per statement.
+func translate(p *Program, name string, scLoadRMW, scStoreRMW bool) *memmodel.Program {
+	out := memmodel.NewProgram(name)
 	for addr, v := range p.Init {
 		out.SetInit(addr, v)
 	}
@@ -85,11 +93,11 @@ func Compile(p *Program, m Mapping) (*memmodel.Program, error) {
 		var instrs []memmodel.Instr
 		for _, s := range t {
 			switch {
-			case s.Kind == OpLoad && s.Order == OrderSC && m.MapsSCLoadToRMW():
+			case s.Kind == OpLoad && s.Order == OrderSC && scLoadRMW:
 				instrs = append(instrs, memmodel.FetchAdd(s.Addr, s.Reg, 0))
 			case s.Kind == OpLoad:
 				instrs = append(instrs, memmodel.Read(s.Addr, s.Reg))
-			case s.Kind == OpStore && s.Order == OrderSC && m.MapsSCStoreToRMW():
+			case s.Kind == OpStore && s.Order == OrderSC && scStoreRMW:
 				reg := fmt.Sprintf("_scw%d", aux)
 				aux++
 				instrs = append(instrs, memmodel.Exchange(s.Addr, reg, s.Value))
@@ -99,7 +107,7 @@ func Compile(p *Program, m Mapping) (*memmodel.Program, error) {
 		}
 		out.AddThread(instrs...)
 	}
-	return out, nil
+	return out
 }
 
 // ProjectOutcome restricts a TSO outcome's registers to the registers that

@@ -7,8 +7,11 @@
 // Only the features the paper's argument needs are modelled: non-atomic
 // loads and stores, and SC-ordered atomic loads and stores ("the properties
 // of the others are automatically satisfied by normal reads and writes on
-// TSO"). Consistency of a candidate execution follows Batty et al.'s
-// formulation restricted to this subset: happens-before built from
+// TSO"). The candidate executions are internal/memmodel's: Analyze walks
+// memmodel.EnumerateFunc over the program translated with every access a
+// plain TSO read or write, so both models draw on one reads-from ×
+// modification-order space. Consistency of a candidate follows Batty et
+// al.'s formulation restricted to this subset: happens-before built from
 // sequenced-before and synchronizes-with, modification order per atomic
 // location, an SC total order over all SC actions, coherence shapes, and
 // the SC read restriction. Programs with a data race on a non-atomic
@@ -147,31 +150,6 @@ func (p *Program) AtomicLocations() map[memmodel.Addr]bool {
 		for _, s := range t {
 			if s.Order == OrderSC {
 				out[s.Addr] = true
-			}
-		}
-	}
-	return out
-}
-
-// Addrs returns every accessed or initialized location in ascending order.
-func (p *Program) Addrs() []memmodel.Addr {
-	seen := map[memmodel.Addr]bool{}
-	for _, t := range p.Threads {
-		for _, s := range t {
-			seen[s.Addr] = true
-		}
-	}
-	for a := range p.Init {
-		seen[a] = true
-	}
-	var out []memmodel.Addr
-	for a := range seen {
-		out = append(out, a)
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
 			}
 		}
 	}

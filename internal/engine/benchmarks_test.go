@@ -15,14 +15,19 @@ import (
 )
 
 // runSpecs runs the plan of the specs (under the given seeds, default
-// o.Seed) through a fresh engine — the single runUnit path every mode
-// funnels into — and reassembles its benchmark runs.
+// o.Seed) through a fresh uncached engine — the single runUnit path every
+// mode funnels into — and reassembles its benchmark runs.
 func runSpecs(o experiments.Options, specs []experiments.BenchmarkSpec, seeds ...int64) ([]*experiments.BenchmarkRun, error) {
+	return runSpecsOn(engine.New(), o, specs, seeds...)
+}
+
+// runSpecsOn is runSpecs on the given engine.
+func runSpecsOn(eng *engine.Engine, o experiments.Options, specs []experiments.BenchmarkSpec, seeds ...int64) ([]*experiments.BenchmarkRun, error) {
 	plan, err := engine.BuildPlanSeeds(o, specs, seeds...)
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.New().RunPlan(nil, plan, engine.FullShard())
+	res, err := eng.RunPlan(nil, plan, engine.FullShard())
 	if err != nil {
 		return nil, err
 	}
@@ -62,8 +67,8 @@ func TestWarmVsColdDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	o.Cache = cold
-	coldRuns, err := runSpecs(o, specs)
+	coldEng := engine.New(engine.WithCache(cold))
+	coldRuns, err := runSpecsOn(coldEng, o, specs)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -75,7 +80,7 @@ func TestWarmVsColdDifferential(t *testing.T) {
 		t.Fatalf("cold stats = %+v, want %d misses and stores, 0 hits", st, units)
 	}
 
-	memWarm, err := runSpecs(o, specs)
+	memWarm, err := runSpecsOn(coldEng, o, specs)
 	if err != nil {
 		t.Fatalf("memory-warm run: %v", err)
 	}
@@ -87,8 +92,7 @@ func TestWarmVsColdDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open fresh: %v", err)
 	}
-	o.Cache = fresh
-	diskWarm, err := runSpecs(o, specs)
+	diskWarm, err := runSpecsOn(engine.New(engine.WithCache(fresh)), o, specs)
 	if err != nil {
 		t.Fatalf("disk-warm run: %v", err)
 	}
@@ -184,15 +188,18 @@ func TestConsumersNeverWriteSharedResults(t *testing.T) {
 	}
 }
 
-// TestCacheDirOption exercises the CacheDir convenience path (no Cache
-// object): a run must leave disk entries addressable by the documented
-// key derivation.
+// TestCacheDirOption runs a plan through an engine over a disk cache: the
+// run must leave disk entries addressable by the documented key
+// derivation, as a fresh cache over the same directory sees them.
 func TestCacheDirOption(t *testing.T) {
 	dir := t.TempDir()
 	o := cacheTestOptions()
-	o.CacheDir = dir
 	specs := experiments.Table3Specs()[:1]
-	if _, err := runSpecs(o, specs); err != nil {
+	disk, err := simcache.Open(simcache.WithDir(dir))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := runSpecsOn(engine.New(engine.WithCache(disk)), o, specs); err != nil {
 		t.Fatalf("runSpecs: %v", err)
 	}
 	c, err := simcache.Open(simcache.WithDir(dir))

@@ -421,10 +421,6 @@ func (e *Engine) RunPlanWorker(ctx context.Context, plan *Plan, addr, name strin
 		return fmt.Errorf("rmwtso: coordinated worker needs a name")
 	}
 	cfg := e.coordConfig()
-	cache, err := e.planCache(plan)
-	if err != nil {
-		return err
-	}
 	client := coordinator.Dial(addr, plan.Fingerprint())
 	if err := client.WaitReachable(ctx, 30*time.Second); err != nil {
 		return err
@@ -433,7 +429,7 @@ func (e *Engine) RunPlanWorker(ctx context.Context, plan *Plan, addr, name strin
 	w := &coordinator.Worker{
 		Name:      name,
 		Coord:     client,
-		Exec:      e.unitExecutor(plan, cache, cfg, name, m),
+		Exec:      e.unitExecutor(plan, e.opts.cache, cfg, name, m),
 		Heartbeat: cfg.heartbeat(),
 	}
 	return w.Run(ctx)

@@ -126,23 +126,20 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 // The plan — not the engine's WithRMWTypes restriction — determines what
 // runs: dropping plan units silently would leave merges incomplete. Each
 // unit streams its group's trace lazily, and the engine's cache
-// (WithCache, else the plan options' Cache/CacheDir) serves and stores
-// units by their keys, so warm shards do zero simulation work.
+// (WithCache; none without it) serves and stores units by their keys, so
+// warm shards do zero simulation work.
 func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *metrics, coord *CoordinationConfig) (*ShardResult, error) {
 	if err := shard.Validate(); err != nil {
 		return nil, err
 	}
-	cache, err := e.planCache(plan)
-	if err != nil {
-		return nil, err
-	}
+	cache := e.opts.cache
 	selected := plan.Select(shard)
 	m.planned(len(selected))
 	if coord != nil {
 		return e.runPlanCoordinated(ctx, plan, shard, selected, cache, m, *coord)
 	}
 	results := make([]UnitResult, len(selected))
-	err = e.runUnitsCtx(ctx, len(selected), func(i int) error {
+	err := e.runUnitsCtx(ctx, len(selected), func(i int) error {
 		ur, err := e.runUnit(plan, selected[i], cache, m)
 		results[i] = ur
 		return err

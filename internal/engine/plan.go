@@ -300,15 +300,6 @@ func deadlockError(name string, typ AtomicityType) error {
 	return fmt.Errorf("rmwtso: %s under %s deadlocked", name, typ)
 }
 
-// planCache resolves the result cache a plan execution consults: the
-// engine's (WithCache), else the plan options' Cache/CacheDir.
-func (e *Engine) planCache(plan *Plan) (*simcache.Cache, error) {
-	if e.opts.cache != nil {
-		return e.opts.cache, nil
-	}
-	return plan.opts.ResultCache()
-}
-
 // runUnit executes one plan unit on its group's source through the
 // result cache (simulateCached) and emits its SimRun event. It is the
 // single simulation path behind the static worker pool and the

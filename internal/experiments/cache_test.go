@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -14,6 +15,9 @@ func TestOptionsValidate(t *testing.T) {
 	cases := map[string]Options{
 		"negative cores":   {Cores: -1, Scale: 1},
 		"negative scale":   {Cores: 4, Scale: -0.5},
+		"NaN scale":        {Cores: 4, Scale: math.NaN()},
+		"+Inf scale":       {Cores: 4, Scale: math.Inf(1)},
+		"-Inf scale":       {Cores: 4, Scale: math.Inf(-1)},
 		"zero-core config": {Config: &sim.Config{}},
 	}
 	for name, o := range cases {

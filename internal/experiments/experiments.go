@@ -24,10 +24,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 	"repro/internal/workload"
 )
 
@@ -43,17 +43,6 @@ type Options struct {
 	// Config overrides the base architectural parameters; the RMW type is
 	// set per run by the harness.
 	Config *sim.Config
-	// Cache, when non-nil, is consulted before every simulator run and
-	// stores the result of every fresh one: a run is a pure function of
-	// (config, trace, seed, scale, RMW type), so hits replay the stored
-	// sim.Result instead of simulating. Cached and fresh runs produce
-	// identical tables.
-	Cache *simcache.Cache
-	// CacheDir, when Cache is nil and CacheDir is non-empty, enables
-	// caching through a disk-backed cache rooted at this directory
-	// (opened per harness call; the disk tier is what persists across
-	// calls and processes).
-	CacheDir string
 }
 
 // DefaultOptions reproduce the paper's setup (32 cores, full workloads).
@@ -96,14 +85,16 @@ func (o Options) baseConfig() sim.Config {
 
 // Validate rejects option values that would otherwise flow as garbage
 // into the workload generator or — worst — into cache key digests:
-// negative core counts and scale factors, and an effective architectural
-// configuration that fails sim.Config.Validate. Zero values stay legal
-// (they mean "use the default"). Every harness entry point calls this
-// before running.
+// negative core counts, negative or non-finite scale factors, and an
+// effective architectural configuration that fails sim.Config.Validate.
+// Zero values stay legal (they mean "use the default"). Every harness
+// entry point calls this before running.
 func (o Options) Validate() error {
 	switch {
 	case o.Cores < 0:
 		return fmt.Errorf("experiments: negative core count %d", o.Cores)
+	case math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0):
+		return fmt.Errorf("experiments: non-finite workload scale %g", o.Scale)
 	case o.Scale < 0:
 		return fmt.Errorf("experiments: negative workload scale %g", o.Scale)
 	}
@@ -111,19 +102,6 @@ func (o Options) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// ResultCache resolves the options' cache: Options.Cache when set, a
-// fresh disk-backed cache when only CacheDir is set, nil (caching
-// disabled) otherwise.
-func (o Options) ResultCache() (*simcache.Cache, error) {
-	if o.Cache != nil {
-		return o.Cache, nil
-	}
-	if o.CacheDir == "" {
-		return nil, nil
-	}
-	return simcache.Open(simcache.WithDir(o.CacheDir))
 }
 
 // ScaledProfile returns a copy of the profile with its iteration count

@@ -169,7 +169,6 @@ func (s *Server) planOptions(spec *PlanSpec) (engine.Options, []int64, error) {
 	if spec.Seed != 0 {
 		opts.Seed = spec.Seed
 	}
-	opts.Cache = s.cfg.Cache
 	seedList := []int64{opts.Seed}
 	for n := int64(1); n < int64(spec.Seeds); n++ {
 		seedList = append(seedList, opts.Seed+n)

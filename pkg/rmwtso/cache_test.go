@@ -9,8 +9,8 @@ import (
 )
 
 // tinyOptions keep the cached sweeps fast (4 cores, 10% scale).
-func tinyOptions(cache *rmwtso.Cache) rmwtso.Options {
-	return rmwtso.Options{Cores: 4, Scale: 0.1, Seed: 20130601, Cache: cache}
+func tinyOptions() rmwtso.Options {
+	return rmwtso.Options{Cores: 4, Scale: 0.1, Seed: 20130601}
 }
 
 // runSpecs runs the plan of the specs on the runner and reassembles its
@@ -60,7 +60,7 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 	}
 	runner := rmwtso.NewRunner(rmwtso.WithObserver(observer), rmwtso.WithCache(cache))
 
-	cold := runSpecs(t, runner, tinyOptions(nil), specs)
+	cold := runSpecs(t, runner, tinyOptions(), specs)
 	if got := hits.Load(); got != 0 {
 		t.Fatalf("cold run streamed %d cache hits, want 0", got)
 	}
@@ -70,7 +70,7 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 
 	events.Store(0)
 	hits.Store(0)
-	warm := runSpecs(t, runner, tinyOptions(nil), specs)
+	warm := runSpecs(t, runner, tinyOptions(), specs)
 	if got := hits.Load(); got != int64(units) {
 		t.Fatalf("warm run streamed %d cache hits, want %d (zero simulator runs)", got, units)
 	}
@@ -83,27 +83,10 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 
 	// A different seed must miss: the key includes the workload identity.
 	hits.Store(0)
-	reseeded := tinyOptions(nil)
+	reseeded := tinyOptions()
 	reseeded.Seed++
 	runSpecs(t, runner, reseeded, specs)
 	if got := hits.Load(); got != 0 {
 		t.Fatalf("a different seed streamed %d cache hits, want 0", got)
-	}
-}
-
-// TestOptionsCachePlumbing checks the Options.Cache route (no Runner
-// option): the second sweep must hit.
-func TestOptionsCachePlumbing(t *testing.T) {
-	cache, err := rmwtso.OpenCache() // memory-only
-	if err != nil {
-		t.Fatalf("OpenCache: %v", err)
-	}
-	runner := rmwtso.NewRunner()
-	specs := rmwtso.Table3Specs()[:1]
-	runSpecs(t, runner, tinyOptions(cache), specs)
-	runSpecs(t, runner, tinyOptions(cache), specs)
-	st := cache.Stats()
-	if st.MemoryHits != uint64(len(specs[0].Types)) {
-		t.Fatalf("stats = %+v, want %d memory hits via Options.Cache", st, len(specs[0].Types))
 	}
 }

@@ -84,10 +84,10 @@ func ParseShard(spec string) (Shard, error) { return engine.ParseShard(spec) }
 // The plan — not the Runner's WithRMWTypes, which only narrows
 // model-checking grids — determines what runs: dropping plan units
 // silently would leave merges incomplete. Each unit streams its source
-// group's trace lazily, and the Runner's cache (WithCache, else the plan
-// options' Cache/CacheDir) serves and stores units by their keys, so
-// warm shards do zero simulation work. A deadlocked unit fails the plan;
-// deadlocked results are never stored in or served from the cache.
+// group's trace lazily, and the Runner's cache (WithCache; none without
+// it) serves and stores units by their keys, so warm shards do zero
+// simulation work. A deadlocked unit fails the plan; deadlocked results
+// are never stored in or served from the cache.
 func (r *Runner) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
 	return r.eng.RunPlan(ctx, plan, shard)
 }

@@ -516,10 +516,10 @@ func BenchmarkEnumerateStreaming(b *testing.B) {
 // streamBenchProfile is the workload for the streamed-vs-materialized
 // trace comparison: a paper-scale-shaped run whose trace is long enough
 // that holding it in memory dominates the allocation profile.
-func streamBenchProfile(b *testing.B) (workload.Generator, workload.Profile) {
+func streamBenchProfile(tb testing.TB) (workload.Generator, workload.Profile) {
 	profile, err := workload.FindProfile("radiosity")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	profile.Iterations = 256
 	return workload.Generator{Cores: 8, Seed: 31}, profile
@@ -579,6 +579,38 @@ func BenchmarkSimStreamedTrace(b *testing.B) {
 			b.ReportMetric(float64(res.TotalMemOps()), "trace-memops")
 			b.ReportMetric(float64(res.Cycles), "cycles")
 		}
+	}
+}
+
+// TestSimStreamedTraceAllocs pins the simulator's allocations on
+// BenchmarkSimStreamedTrace's input (radiosity, 8 cores, 256 iterations,
+// type-2): at most 0.1 per memory operation, generation included. Events,
+// write-buffer entries and parked directory requests are values, so the
+// count does not grow with the trace.
+func TestSimStreamedTraceAllocs(t *testing.T) {
+	gen, profile := streamBenchProfile(t)
+	cfg := sim.DefaultConfig().WithCores(8).WithRMWType(core.Type2)
+	var memops uint64
+	allocs := testing.AllocsPerRun(2, func() {
+		src, err := gen.Source(profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memops = res.TotalMemOps()
+	})
+	if memops != 131072 {
+		t.Fatalf("the run has %d memops, want 131072: the benchmark input changed", memops)
+	}
+	if per := allocs / float64(memops); per > 0.1 {
+		t.Errorf("%.0f allocations per run, %.3f per memop; want at most 0.1", allocs, per)
 	}
 }
 

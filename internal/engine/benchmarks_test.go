@@ -279,6 +279,49 @@ func TestRunBenchmarksValidates(t *testing.T) {
 	}
 }
 
+// TestBuildPlanRejectsScalesPastTheCycleLimit pins the bound on the
+// workload scale: a scale whose scaled iteration count exceeds MaxCycles
+// (200M cycles by default) can only end at the cycle limit, and a scale
+// whose count overflows int used to wrap to the 8-iteration floor.
+func TestBuildPlanRejectsScalesPastTheCycleLimit(t *testing.T) {
+	bayes, err := workload.FindProfile("bayes") // 280 iterations
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []experiments.BenchmarkSpec{{Profile: bayes, Types: []core.AtomicityType{core.Type2}}}
+	for _, scale := range []float64{1e308, 1e6} {
+		_, err := engine.BuildPlan(experiments.Options{Cores: 4, Scale: scale, Seed: 1}, specs)
+		if err == nil || !strings.Contains(err.Error(), "bayes") || !strings.Contains(err.Error(), "200000000") {
+			t.Errorf("scale %g: BuildPlan error %v, want one naming bayes and the 200000000-cycle limit", scale, err)
+		}
+	}
+	if _, err := engine.BuildPlan(experiments.Options{Cores: 4, Scale: 1e6, Seed: 1}, specs); err == nil ||
+		!strings.Contains(err.Error(), "280000000 iterations") {
+		t.Errorf("scale 1e6: error %v, want the computed 280000000 iterations", err)
+	}
+	// The bound comes from the configuration.
+	cfg := sim.DefaultConfig()
+	cfg.MaxCycles = 1000
+	if _, err := engine.BuildPlan(experiments.Options{Cores: 4, Scale: 4, Seed: 1, Config: &cfg}, specs); err == nil {
+		t.Error("1120 iterations under a 1000-cycle limit were accepted")
+	}
+	plan, err := engine.BuildPlan(experiments.Options{Cores: 4, Scale: 1e5, Seed: 1}, specs)
+	if err != nil {
+		t.Fatalf("scale 1e5 (28M iterations) rejected: %v", err)
+	}
+	if plan.Len() != 1 {
+		t.Errorf("plan has %d units, want 1", plan.Len())
+	}
+	// Tiny scales keep the 8-iteration floor.
+	tiny := experiments.Options{Scale: 1e-6}.ScaledProfile(bayes)
+	if tiny.Iterations != 8 {
+		t.Errorf("scale 1e-6 gives %d iterations, want the floor of 8", tiny.Iterations)
+	}
+	if _, err := engine.BuildPlan(experiments.Options{Cores: 4, Scale: 1e-6, Seed: 1}, specs); err != nil {
+		t.Errorf("scale 1e-6 rejected: %v", err)
+	}
+}
+
 // TestGeneratorCoresFollowConfig pins the fix for the generator/simulator
 // core-count split: a core count supplied only through Options.Config
 // must drive the workload generator too, so the trace and the machine

@@ -88,6 +88,11 @@ func BuildPlan(o Options, specs []BenchmarkSpec) (*Plan, error) {
 // run-level identity — includes the seed (BenchmarkRun.Seed), so
 // multi-seed plans reassemble into one run per (spec, seed) without
 // name collisions.
+//
+// A scale under which some spec's scaled iteration count exceeds the
+// configuration's MaxCycles is rejected: every episode retires at least
+// one store, so each iteration costs each core at least one cycle, and such
+// a run could only end at the cycle limit.
 func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -101,6 +106,11 @@ func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, er
 	for _, spec := range specs {
 		if len(spec.Types) == 0 {
 			continue
+		}
+		// Computed in floating point: a huge scale overflows int.
+		if iters := float64(spec.Profile.Iterations) * o.Scale; iters > float64(base.MaxCycles) {
+			return nil, fmt.Errorf("rmwtso: %s at scale %g needs %.0f iterations, more than the %d-cycle limit allows",
+				spec.Profile.Name, o.Scale, iters, base.MaxCycles)
 		}
 		for _, seed := range seeds {
 			gen := workload.Generator{Cores: base.Cores, Seed: seed, Replacement: spec.Variant}

@@ -449,6 +449,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"materialize", `{"plan":{"preset":"quick","materialize":true}}`},
 		{"bad preset", `{"plan":{"preset":"huge"}}`},
 		{"negative cores", `{"plan":{"preset":"quick","cores":-1}}`},
+		{"scale past the cycle limit", `{"plan":{"preset":"quick","cores":4,"scale":1e6}}`},
+		{"scale overflowing int", `{"plan":{"preset":"quick","cores":4,"scale":1e308}}`},
 		{"bad mode", `{"plan":{"preset":"quick"},"mode":"push"}`},
 		{"litmus fleet", `{"litmus":{"name":"write-deadlock (Fig. 10)"},"mode":"fleet"}`},
 		{"litmus over-specified", `{"litmus":{"name":"a","group":"b"}}`},

@@ -2,7 +2,7 @@
 // multiprocessor: set-associative arrays of cache lines with MOESI
 // coherence states and LRU replacement. The cache decides hits, misses and
 // evictions; the global coherence protocol (ownership, sharers, line
-// locking) lives in internal/sim/coherence.
+// locking) lives in internal/sim/directory.
 package cache
 
 import "fmt"
@@ -101,8 +101,11 @@ func (c Config) Validate() error {
 // owning simulator performs that conversion so that all components agree on
 // line granularity.
 type Cache struct {
-	cfg   Config
-	sets  [][]Line
+	cfg Config
+	// lines holds every set back to back: set i is
+	// lines[i*Assoc : (i+1)*Assoc].
+	lines []Line
+	nsets uint64
 	clock uint64
 
 	hits      uint64
@@ -116,19 +119,17 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]Line, cfg.Sets())
-	for i := range sets {
-		sets[i] = make([]Line, cfg.Assoc)
-	}
-	return &Cache{cfg: cfg, sets: sets}
+	sets := cfg.Sets()
+	return &Cache{cfg: cfg, lines: make([]Line, sets*cfg.Assoc), nsets: uint64(sets)}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// set returns the set index for a line address.
-func (c *Cache) set(lineAddr uint64) int {
-	return int(lineAddr % uint64(len(c.sets)))
+// set returns the ways of the set a line address maps to.
+func (c *Cache) set(lineAddr uint64) []Line {
+	i := int(lineAddr%c.nsets) * c.cfg.Assoc
+	return c.lines[i : i+c.cfg.Assoc : i+c.cfg.Assoc]
 }
 
 // Lookup returns the state of the line, or Invalid if it is not cached.
@@ -136,7 +137,7 @@ func (c *Cache) set(lineAddr uint64) int {
 // a failed one counts a miss.
 func (c *Cache) Lookup(lineAddr uint64) State {
 	c.clock++
-	set := c.sets[c.set(lineAddr)]
+	set := c.set(lineAddr)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == lineAddr {
 			set[i].lru = c.clock
@@ -150,7 +151,7 @@ func (c *Cache) Lookup(lineAddr uint64) State {
 
 // Peek returns the state of the line without touching LRU or statistics.
 func (c *Cache) Peek(lineAddr uint64) State {
-	set := c.sets[c.set(lineAddr)]
+	set := c.set(lineAddr)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == lineAddr {
 			return set[i].State
@@ -169,7 +170,7 @@ func (c *Cache) Insert(lineAddr uint64, state State) (evicted uint64, didEvict b
 		return 0, false
 	}
 	c.clock++
-	set := c.sets[c.set(lineAddr)]
+	set := c.set(lineAddr)
 	// Already present: update state in place.
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == lineAddr {
@@ -201,7 +202,7 @@ func (c *Cache) Insert(lineAddr uint64, state State) (evicted uint64, didEvict b
 // SetState changes the state of a cached line; it is a no-op when the line
 // is not present. Setting Invalid removes the line.
 func (c *Cache) SetState(lineAddr uint64, state State) {
-	set := c.sets[c.set(lineAddr)]
+	set := c.set(lineAddr)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == lineAddr {
 			if state == Invalid {
@@ -227,15 +228,13 @@ func (c *Cache) Evictions() uint64 { return c.evictions }
 // Occupancy returns the number of valid lines currently cached.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.State != Invalid {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.State != Invalid {
+			n++
 		}
 	}
 	return n
 }
 
 // Capacity returns the total number of lines the cache can hold.
-func (c *Cache) Capacity() int { return len(c.sets) * c.cfg.Assoc }
+func (c *Cache) Capacity() int { return len(c.lines) }

@@ -5,16 +5,19 @@
 //
 // The directory is the timing model's source of truth for where each cache
 // line lives (owning core, sharer set, presence in the shared L2) and for
-// which lines are currently locked by an in-flight RMW. Requests are
-// expressed as continuations: Access computes when a request completes and
-// invokes the caller's callback with that time; requests that target a
-// locked line are parked on the lock and resumed when the lock is released,
-// which is exactly the "deny coherence requests until the write of the RMW
-// completes" behaviour of the paper.
+// which lines are currently locked by an in-flight RMW. Requests are typed
+// records: Access grants a request at its issue cycle -- applying its MOESI
+// transition, and its line lock if it asks for one, right then -- and
+// returns the cycle its response arrives. A request that targets a line
+// locked by another core is denied and parked on the lock as a Waiter;
+// Unlock hands the parked records back, in arrival order, for the caller to
+// resume. That is exactly the "deny coherence requests until the write of
+// the RMW completes" behaviour of the paper.
 package directory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim/cache"
 	"repro/internal/sim/mesh"
@@ -71,15 +74,40 @@ type Stats struct {
 	Unlocks       uint64
 }
 
-// lineMeta is the directory's view of one cache line.
-type lineMeta struct {
-	owner   int // core holding the line in M/E/O, or -1
-	sharers map[int]bool
-	inL2    bool
+// Request is one coherence request.
+type Request struct {
+	// Core issues the request for Line.
+	Core int
+	Line uint64
+	// Kind is the permission asked for.
+	Kind ReqKind
+	// Start is the cycle the request is issued.
+	Start uint64
+	// Lock asks for the line to be locked for Core as part of the grant:
+	// the read half of an RMW.
+	Lock bool
+	// Tag is opaque to the directory; the caller uses it to resume the
+	// request's continuation.
+	Tag uint64
 }
 
-// waiter is a parked request resumed when a line is unlocked.
-type waiter func(unlockedAt uint64)
+// Waiter is a request parked on a locked line.
+type Waiter struct {
+	Request
+	// Drain marks a write-buffer drain parked by WaitForUnlock; otherwise
+	// the waiter is an Access that was denied.
+	Drain bool
+}
+
+// lineMeta is the directory's view of one cache line.
+type lineMeta struct {
+	owner   int      // core holding the line in M/E/O, or -1
+	sharers []uint64 // bitset of the cores holding a copy
+	inL2    bool
+	// lock is the line's lock record, allocated on first lock and reused;
+	// the line is locked while its depth is positive.
+	lock *lineLock
+}
 
 // lineLock marks a line locked by in-flight RMWs of one core. depth
 // counts the owner's outstanding locks: a weak RMW retires before its
@@ -88,7 +116,30 @@ type waiter func(unlockedAt uint64)
 type lineLock struct {
 	owner   int
 	depth   int
-	waiters []waiter
+	waiters []Waiter
+}
+
+// locked returns the line's lock when it is held, or nil.
+func (m *lineMeta) locked() *lineLock {
+	if m.lock != nil && m.lock.depth > 0 {
+		return m.lock
+	}
+	return nil
+}
+
+// hasSharer, addSharer and dropSharer read and edit the sharer bitset.
+func (m *lineMeta) hasSharer(c int) bool { return m.sharers[c/64]&(1<<(c%64)) != 0 }
+func (m *lineMeta) addSharer(c int)      { m.sharers[c/64] |= 1 << (c % 64) }
+func (m *lineMeta) dropSharer(c int)     { m.sharers[c/64] &^= 1 << (c % 64) }
+
+// anySharer reports whether any core holds a copy.
+func (m *lineMeta) anySharer() bool {
+	for _, w := range m.sharers {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Directory is the distributed directory plus the per-core L1 caches it
@@ -99,10 +150,19 @@ type Directory struct {
 	lat    Latencies
 
 	lines map[uint64]*lineMeta
-	locks map[uint64]*lineLock
+	// metaSlab and wordSlab are the unused tails of the chunks new lines'
+	// records and sharer bitsets are cut from.
+	metaSlab []lineMeta
+	wordSlab []uint64
+	words    int // sharer bitset words per line
+	// lockedLines counts the lines currently locked.
+	lockedLines int
 
 	stats Stats
 }
+
+// slabLines is how many line records one allocation chunk holds.
+const slabLines = 256
 
 // New builds a directory for the given mesh and per-core L1 caches. The
 // number of caches must equal the number of mesh nodes.
@@ -115,7 +175,7 @@ func New(m *mesh.Topology, caches []*cache.Cache, lat Latencies) *Directory {
 		caches: caches,
 		lat:    lat,
 		lines:  map[uint64]*lineMeta{},
-		locks:  map[uint64]*lineLock{},
+		words:  (len(caches) + 63) / 64,
 	}
 }
 
@@ -128,7 +188,15 @@ func (d *Directory) Cache(c int) *cache.Cache { return d.caches[c] }
 func (d *Directory) meta(line uint64) *lineMeta {
 	m, ok := d.lines[line]
 	if !ok {
-		m = &lineMeta{owner: -1, sharers: map[int]bool{}}
+		if len(d.metaSlab) == 0 {
+			d.metaSlab = make([]lineMeta, slabLines)
+			d.wordSlab = make([]uint64, slabLines*d.words)
+		}
+		m = &d.metaSlab[0]
+		d.metaSlab = d.metaSlab[1:]
+		m.owner = -1
+		m.sharers = d.wordSlab[:d.words:d.words]
+		d.wordSlab = d.wordSlab[d.words:]
 		d.lines[line] = m
 	}
 	return m
@@ -136,59 +204,51 @@ func (d *Directory) meta(line uint64) *lineMeta {
 
 // IsLocked reports whether the line is currently locked, and by which core.
 func (d *Directory) IsLocked(line uint64) (bool, int) {
-	if l, ok := d.locks[line]; ok {
-		return true, l.owner
+	if m, ok := d.lines[line]; ok {
+		if l := m.locked(); l != nil {
+			return true, l.owner
+		}
 	}
 	return false, -1
 }
 
 // LockedLines returns the number of currently locked lines.
-func (d *Directory) LockedLines() int { return len(d.locks) }
+func (d *Directory) LockedLines() int { return d.lockedLines }
 
-// Access issues a coherence request from core for the given line at time
-// start and invokes complete with the completion time. Requests to a line
-// locked by another core are parked until the lock is released (counted as
-// a lock denial) and then charged the retry penalty plus their normal
-// latency. Requests by the lock owner itself proceed normally.
-func (d *Directory) Access(core int, line uint64, kind ReqKind, start uint64, complete func(at uint64)) {
-	if l, ok := d.locks[line]; ok && l.owner != core {
+// Access issues a coherence request at r.Start. A request to a line locked
+// by another core is denied: it is counted as a lock denial, parked on the
+// lock, and Access reports granted=false; Unlock hands it back. Requests by
+// the lock owner itself proceed normally.
+//
+// A granted request takes effect at its issue cycle: the directory and
+// cache state make the request's MOESI transition, and a request with Lock
+// set locks the line for its core, before Access returns. done is the
+// cycle the response arrives at the requester.
+func (d *Directory) Access(r Request) (done uint64, granted bool) {
+	m := d.meta(r.Line)
+	if l := m.locked(); l != nil && l.owner != r.Core {
 		d.stats.LockDenials++
-		l.waiters = append(l.waiters, func(unlockedAt uint64) {
-			at := unlockedAt + d.lat.LockRetry
-			if at < start {
-				at = start
-			}
-			d.Access(core, line, kind, at, complete)
-		})
-		return
+		l.waiters = append(l.waiters, Waiter{Request: r})
+		return 0, false
 	}
 	var latency uint64
-	switch kind {
+	switch r.Kind {
 	case GetS:
-		latency = d.getS(core, line)
+		latency = d.getS(r.Core, r.Line, m)
 	case GetM:
-		latency = d.getM(core, line)
+		latency = d.getM(r.Core, r.Line, m)
 	default:
-		panic(fmt.Sprintf("directory: unknown request kind %d", int(kind)))
+		panic(fmt.Sprintf("directory: unknown request kind %d", int(r.Kind)))
 	}
-	complete(start + latency)
-}
-
-// AccessAndLock performs Access and atomically locks the line on behalf of
-// the requesting core at the completion time, so that the RMW's read half
-// can retire with the line locked. If another core locks the line first,
-// the request waits for that lock like any other denied request.
-func (d *Directory) AccessAndLock(core int, line uint64, kind ReqKind, start uint64, complete func(at uint64)) {
-	d.Access(core, line, kind, start, func(at uint64) {
-		// Between being parked and resumed another core can have locked the
-		// line; Access already serializes on the lock, so here the line is
-		// either unlocked or locked by us. It is locked by us when an
-		// earlier weak RMW of this core on the same line retired but its
+	if r.Lock {
+		// Access already serializes on the lock, so the line is either
+		// unlocked or locked by this core. It is locked by this core when
+		// an earlier weak RMW of the core on the same line retired but its
 		// write half has not drained yet, which only the naive protocol
-		// (deadlock avoidance disabled) allows; Lock counts that re-entry.
-		d.Lock(line, core)
-		complete(at)
-	})
+		// (deadlock avoidance disabled) allows; lock counts that re-entry.
+		d.lock(m, r.Line, r.Core)
+	}
+	return r.Start + latency, true
 }
 
 // Lock marks the line locked by the core. Locks are counted: locking a
@@ -196,40 +256,60 @@ func (d *Directory) AccessAndLock(core int, line uint64, kind ReqKind, start uin
 // Unlock. Locking a line locked by another core is a protocol bug and
 // panics.
 func (d *Directory) Lock(line uint64, core int) {
+	d.lock(d.meta(line), line, core)
+}
+
+func (d *Directory) lock(m *lineMeta, line uint64, core int) {
 	d.stats.Locks++
-	if l, ok := d.locks[line]; ok {
+	if l := m.locked(); l != nil {
 		if l.owner != core {
 			panic(fmt.Sprintf("directory: core %d locking line %#x already locked by core %d", core, line, l.owner))
 		}
 		l.depth++
 		return
 	}
-	d.locks[line] = &lineLock{owner: core, depth: 1}
+	if m.lock == nil {
+		m.lock = &lineLock{}
+	}
+	m.lock.owner, m.lock.depth = core, 1
+	d.lockedLines++
 }
 
-// WaitForUnlock registers fn to run when the line's lock (held by a core
-// other than the caller) is released, and reports whether such a lock was
-// present. When it returns false, fn was not registered and the caller may
-// proceed. This is the completion-time denial used by the write-buffer
-// drain: a write whose ownership response arrives while the line is locked
-// by another processor's RMW is held back and retried after the unlock.
-func (d *Directory) WaitForUnlock(line uint64, core int, fn func(unlockedAt uint64)) bool {
-	l, ok := d.locks[line]
-	if !ok || l.owner == core {
+// WaitForUnlock parks r until the line's lock, held by a core other than
+// r.Core, is released, and reports whether such a lock was present. When it
+// returns false nothing was parked and the caller may proceed. This is the
+// completion-time denial used by the write-buffer drain: a write whose
+// ownership response arrives while the line is locked by another
+// processor's RMW is held back and retried after the unlock.
+func (d *Directory) WaitForUnlock(r Request) bool {
+	m, ok := d.lines[r.Line]
+	if !ok {
+		return false
+	}
+	l := m.locked()
+	if l == nil || l.owner == r.Core {
 		return false
 	}
 	d.stats.LockDenials++
-	l.waiters = append(l.waiters, fn)
+	l.waiters = append(l.waiters, Waiter{Request: r, Drain: true})
 	return true
 }
 
 // Unlock releases one of the core's locks on the line at the given time.
-// The last release frees the line and resumes any parked requests.
+// The last release frees the line and returns the requests parked on it,
+// in arrival order, each with Start set to the cycle it retries at: a
+// denied Access at max(at+LockRetry, its Start), a parked drain at
+// at+LockRetry. The caller resumes them; the returned slice is the
+// caller's, and the lock starts a fresh waiter list, so a resumed request
+// that locks the line again cannot overwrite the ones not yet resumed.
 // Unlocking a line that is not locked by the core is a protocol bug and
 // panics.
-func (d *Directory) Unlock(line uint64, core int, at uint64) {
-	l, ok := d.locks[line]
-	if !ok {
+func (d *Directory) Unlock(line uint64, core int, at uint64) []Waiter {
+	var l *lineLock
+	if m, ok := d.lines[line]; ok {
+		l = m.locked()
+	}
+	if l == nil {
 		panic(fmt.Sprintf("directory: core %d unlocking line %#x which is not locked", core, line))
 	}
 	if l.owner != core {
@@ -237,19 +317,26 @@ func (d *Directory) Unlock(line uint64, core int, at uint64) {
 	}
 	d.stats.Unlocks++
 	if l.depth--; l.depth > 0 {
-		return
+		return nil
 	}
-	delete(d.locks, line)
-	for _, w := range l.waiters {
-		w(at)
+	d.lockedLines--
+	waiters := l.waiters
+	l.waiters = nil
+	for i := range waiters {
+		w := &waiters[i]
+		retry := at + d.lat.LockRetry
+		if !w.Drain && retry < w.Start {
+			retry = w.Start
+		}
+		w.Start = retry
 	}
+	return waiters
 }
 
 // getS computes the latency of a read-permission request and updates the
 // directory and cache state.
-func (d *Directory) getS(core int, line uint64) uint64 {
+func (d *Directory) getS(core int, line uint64, m *lineMeta) uint64 {
 	d.stats.GetS++
-	m := d.meta(line)
 	c := d.caches[core]
 
 	// Local hit in any valid state.
@@ -268,7 +355,7 @@ func (d *Directory) getS(core int, line uint64) uint64 {
 		latency = reqToHome + d.mesh.Latency(home, m.owner) + d.lat.L1 + d.mesh.Latency(m.owner, core)
 		// The owner keeps a dirty copy in Owned state.
 		d.caches[m.owner].SetState(line, cache.Owned)
-	case m.inL2 || len(m.sharers) > 0:
+	case m.inL2 || m.anySharer():
 		d.stats.L2Hits++
 		latency = reqToHome + d.lat.L2 + d.mesh.Latency(home, core)
 	default:
@@ -276,16 +363,15 @@ func (d *Directory) getS(core int, line uint64) uint64 {
 		latency = reqToHome + d.lat.Mem + d.mesh.Latency(home, core)
 		m.inL2 = true
 	}
-	m.sharers[core] = true
+	m.addSharer(core)
 	d.insertLocal(core, line, cache.Shared)
 	return d.lat.L1 + latency
 }
 
 // getM computes the latency of a write-permission request and updates the
 // directory and cache state, invalidating other copies.
-func (d *Directory) getM(core int, line uint64) uint64 {
+func (d *Directory) getM(core int, line uint64, m *lineMeta) uint64 {
 	d.stats.GetM++
-	m := d.meta(line)
 	c := d.caches[core]
 
 	// Local hit with write permission.
@@ -304,8 +390,8 @@ func (d *Directory) getM(core int, line uint64) uint64 {
 		d.stats.Invalidations++
 		latency = reqToHome + d.mesh.Latency(home, m.owner) + d.lat.L1 + d.mesh.Latency(m.owner, core)
 		d.caches[m.owner].Invalidate(line)
-		delete(m.sharers, m.owner)
-	case m.inL2 || len(m.sharers) > 0:
+		m.dropSharer(m.owner)
+	case m.inL2 || m.anySharer():
 		d.stats.L2Hits++
 		latency = reqToHome + d.lat.L2 + d.mesh.Latency(home, core)
 	default:
@@ -315,21 +401,30 @@ func (d *Directory) getM(core int, line uint64) uint64 {
 	}
 
 	// Invalidate all other sharers; the invalidations and acknowledgements
-	// overlap, so only the farthest sharer adds latency.
-	var targets []int
-	for s := range m.sharers {
-		if s != core {
-			targets = append(targets, s)
+	// overlap, so only the farthest sharer adds latency (the round trip
+	// from the home node, as in mesh.MultiCastLatency).
+	var inval uint64
+	for w, word := range m.sharers {
+		for ; word != 0; word &= word - 1 {
+			s := w*64 + bits.TrailingZeros64(word)
+			if s == core {
+				continue
+			}
 			d.caches[s].Invalidate(line)
 			d.stats.Invalidations++
+			if s == home {
+				continue
+			}
+			if rt := d.mesh.RoundTrip(home, s); rt > inval {
+				inval = rt
+			}
 		}
+		m.sharers[w] = 0
 	}
-	if len(targets) > 0 {
-		latency += d.mesh.MultiCastLatency(home, targets)
-	}
+	latency += inval
 
 	m.owner = core
-	m.sharers = map[int]bool{core: true}
+	m.addSharer(core)
 	d.insertLocal(core, line, cache.Modified)
 	return d.lat.L1 + latency
 }
@@ -342,15 +437,12 @@ func (d *Directory) insertLocal(core int, line uint64, st cache.State) {
 		return
 	}
 	em := d.meta(evicted)
-	delete(em.sharers, core)
+	em.dropSharer(core)
 	if em.owner == core {
 		em.owner = -1
 		em.inL2 = true // dirty lines are written back to the L2
 	}
-	if len(em.sharers) > 0 || em.owner >= 0 {
-		return
-	}
-	// The line may still be in the L2; keep inL2 as is.
+	// A line no core holds may still be in the L2; inL2 stays as is.
 }
 
 // Owner returns the core owning the line (holding it in M/E/O), or -1.
@@ -361,7 +453,7 @@ func (d *Directory) Owner(line uint64) int {
 	return -1
 }
 
-// Sharers returns the cores holding a copy of the line, in no particular
+// Sharers returns the cores holding a copy of the line, in ascending
 // order.
 func (d *Directory) Sharers(line uint64) []int {
 	m, ok := d.lines[line]
@@ -369,8 +461,10 @@ func (d *Directory) Sharers(line uint64) []int {
 		return nil
 	}
 	var out []int
-	for s := range m.sharers {
-		out = append(out, s)
+	for c := range d.caches {
+		if m.hasSharer(c) {
+			out = append(out, c)
+		}
 	}
 	return out
 }

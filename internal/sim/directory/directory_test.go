@@ -20,19 +20,35 @@ func newTestDirectory(cores int) *Directory {
 	return New(m, caches, paperLatencies())
 }
 
-// access runs a request synchronously and returns its completion time.
+// access runs a request that must be granted and returns its completion
+// time.
 func access(t *testing.T, d *Directory, core int, line uint64, kind ReqKind, start uint64) uint64 {
 	t.Helper()
-	var done uint64
-	called := false
-	d.Access(core, line, kind, start, func(at uint64) {
-		done = at
-		called = true
-	})
-	if !called {
-		t.Fatalf("request %v core=%d line=%#x did not complete synchronously", kind, core, line)
+	return grant(t, d, Request{Core: core, Line: line, Kind: kind, Start: start})
+}
+
+// grant issues a request that must be granted and returns its completion
+// time.
+func grant(t *testing.T, d *Directory, r Request) uint64 {
+	t.Helper()
+	done, ok := d.Access(r)
+	if !ok {
+		t.Fatalf("request %+v was denied", r)
 	}
 	return done
+}
+
+// resume re-issues the waiters an Unlock returned, the way the simulator
+// does, and returns the completion times of those granted.
+func resume(t *testing.T, d *Directory, waiters []Waiter) []uint64 {
+	t.Helper()
+	var out []uint64
+	for _, w := range waiters {
+		if done, ok := d.Access(w.Request); ok {
+			out = append(out, done)
+		}
+	}
+	return out
 }
 
 func TestNewPanicsOnMismatchedCaches(t *testing.T) {
@@ -155,19 +171,12 @@ func TestGetSFromRemoteOwnerLeavesOwnerInOwned(t *testing.T) {
 func TestLockDeniesOtherCoresUntilUnlock(t *testing.T) {
 	d := newTestDirectory(4)
 	// Core 0 acquires and locks the line.
-	var lockDone uint64
-	d.AccessAndLock(0, 0x200, GetM, 0, func(at uint64) { lockDone = at })
+	lockDone := grant(t, d, Request{Core: 0, Line: 0x200, Kind: GetM, Lock: true})
 	if locked, owner := d.IsLocked(0x200); !locked || owner != 0 {
 		t.Fatalf("line not locked by core 0 (locked=%v owner=%d)", locked, owner)
 	}
 	// Core 1's request is denied and parks.
-	var core1Done uint64
-	completed := false
-	d.Access(1, 0x200, GetM, lockDone+10, func(at uint64) {
-		core1Done = at
-		completed = true
-	})
-	if completed {
+	if _, ok := d.Access(Request{Core: 1, Line: 0x200, Kind: GetM, Start: lockDone + 10}); ok {
 		t.Fatal("request to a locked line must not complete before unlock")
 	}
 	if d.Stats().LockDenials != 1 {
@@ -176,11 +185,11 @@ func TestLockDeniesOtherCoresUntilUnlock(t *testing.T) {
 	// Unlock at some later time: the parked request resumes and completes
 	// after the unlock.
 	unlockAt := lockDone + 500
-	d.Unlock(0x200, 0, unlockAt)
-	if !completed {
+	done := resume(t, d, d.Unlock(0x200, 0, unlockAt))
+	if len(done) != 1 {
 		t.Fatal("parked request did not resume on unlock")
 	}
-	if core1Done <= unlockAt {
+	if core1Done := done[0]; core1Done <= unlockAt {
 		t.Errorf("parked request completed at %d, must be after the unlock at %d", core1Done, unlockAt)
 	}
 	if locked, _ := d.IsLocked(0x200); locked {
@@ -193,7 +202,7 @@ func TestLockDeniesOtherCoresUntilUnlock(t *testing.T) {
 
 func TestLockOwnerCanStillAccess(t *testing.T) {
 	d := newTestDirectory(2)
-	d.AccessAndLock(0, 0x240, GetM, 0, func(uint64) {})
+	grant(t, d, Request{Core: 0, Line: 0x240, Kind: GetM, Lock: true})
 	// The lock owner's own requests proceed (e.g. the RMW's write half).
 	done := access(t, d, 0, 0x240, GetM, 100)
 	if done != 100+paperLatencies().L1 {
@@ -203,21 +212,15 @@ func TestLockOwnerCanStillAccess(t *testing.T) {
 
 func TestTwoRMWsOnSameLineSerialize(t *testing.T) {
 	d := newTestDirectory(2)
-	var firstDone, secondDone uint64
-	d.AccessAndLock(0, 0x280, GetM, 0, func(at uint64) { firstDone = at })
-	second := false
-	d.AccessAndLock(1, 0x280, GetM, 0, func(at uint64) {
-		secondDone = at
-		second = true
-	})
-	if second {
+	firstDone := grant(t, d, Request{Core: 0, Line: 0x280, Kind: GetM, Lock: true})
+	if _, ok := d.Access(Request{Core: 1, Line: 0x280, Kind: GetM, Lock: true}); ok {
 		t.Fatal("second RMW must wait for the first lock")
 	}
-	d.Unlock(0x280, 0, firstDone+50)
-	if !second {
+	done := resume(t, d, d.Unlock(0x280, 0, firstDone+50))
+	if len(done) != 1 {
 		t.Fatal("second RMW did not resume")
 	}
-	if secondDone <= firstDone+50 {
+	if secondDone := done[0]; secondDone <= firstDone+50 {
 		t.Errorf("second RMW completed at %d, want after the unlock at %d", secondDone, firstDone+50)
 	}
 	// It must also have locked the line for itself.
@@ -307,5 +310,54 @@ func TestReqKindString(t *testing.T) {
 	}
 	if ReqKind(9).String() == "" {
 		t.Error("unknown kind should render")
+	}
+}
+
+func TestUnlockHandsOverWaitersWithRetryCycles(t *testing.T) {
+	d := newTestDirectory(4)
+	const line = 0x340
+	grant(t, d, Request{Core: 0, Line: line, Kind: GetM, Lock: true})
+	if _, ok := d.Access(Request{Core: 1, Line: line, Kind: GetM, Start: 1000, Lock: true, Tag: 11}); ok {
+		t.Fatal("core 1 must be denied")
+	}
+	if _, ok := d.Access(Request{Core: 2, Line: line, Kind: GetS, Start: 5, Tag: 22}); ok {
+		t.Fatal("core 2 must be denied")
+	}
+	if !d.WaitForUnlock(Request{Core: 3, Line: line, Kind: GetM, Start: 7, Tag: 33}) {
+		t.Fatal("a drain must wait for another core's lock")
+	}
+	if d.WaitForUnlock(Request{Core: 0, Line: line, Kind: GetM}) {
+		t.Error("the lock owner's drain must not wait")
+	}
+	retry := paperLatencies().LockRetry
+	ws := d.Unlock(line, 0, 100)
+	want := []Waiter{
+		{Request: Request{Core: 1, Line: line, Kind: GetM, Start: 1000, Lock: true, Tag: 11}},
+		{Request: Request{Core: 2, Line: line, Kind: GetS, Start: 100 + retry, Tag: 22}},
+		{Request: Request{Core: 3, Line: line, Kind: GetM, Start: 100 + retry, Tag: 33}, Drain: true},
+	}
+	if len(ws) != len(want) {
+		t.Fatalf("Unlock returned %d waiters, want %d", len(ws), len(want))
+	}
+	for i := range want {
+		if ws[i] != want[i] {
+			t.Errorf("waiter %d = %+v, want %+v", i, ws[i], want[i])
+		}
+	}
+	// Resuming core 1 locks the line again, so core 2 parks on the new
+	// lock; that must not overwrite the drain not yet resumed.
+	grant(t, d, ws[0].Request)
+	if _, ok := d.Access(ws[1].Request); ok {
+		t.Fatal("core 2 must be denied by core 1's lock")
+	}
+	if ws[2] != want[2] {
+		t.Errorf("re-parking overwrote a handed-over waiter: %+v", ws[2])
+	}
+	again := d.Unlock(line, 1, 2000)
+	if len(again) != 1 || again[0].Core != 2 || again[0].Start != 2000+retry {
+		t.Errorf("second Unlock returned %+v, want core 2 retrying at %d", again, 2000+retry)
+	}
+	if d.LockedLines() != 0 {
+		t.Errorf("LockedLines = %d, want 0", d.LockedLines())
 	}
 }

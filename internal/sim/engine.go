@@ -19,93 +19,220 @@
 // Per-RMW costs are split into the write-buffer component and the Ra/Wa
 // component exactly as in Fig. 11(a), and the per-benchmark execution-time
 // overhead of Fig. 11(b) is derived from the same runs.
+//
+// The simulation is a discrete-event state machine. Events are small
+// values naming a core and what it does next (evKind); each core keeps its
+// single in-flight operation in processor fields, so no event carries a
+// closure. Events fire in (cycle, schedule order) order, which makes every
+// run deterministic.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+
+	"repro/internal/sim/directory"
 )
 
-// event is one scheduled callback.
+// evKind names what an event does when it fires.
+type evKind uint8
+
+const (
+	// evStep: the core runs its next operation.
+	evStep evKind = iota
+	// evEntryReady: ownership for write-buffer entry arg arrived.
+	evEntryReady
+	// evDrainRetry: head write arg, denied on a locked line, retries its
+	// GetM.
+	evDrainRetry
+	// evRMWDone: a type-1 or reverted RMW's write performed, so the core
+	// unlocks the line, records the RMW and steps.
+	evRMWDone
+	// evRMWLocked: a weak RMW's read half holds its line, so the core
+	// pushes the write half into its write buffer.
+	evRMWLocked
+)
+
+// event is one scheduled step of one core. seq is the global schedule
+// order, which breaks ties between events of the same cycle.
 type event struct {
-	at  uint64
-	seq uint64
-	fn  func()
+	at, seq, arg uint64
+	core         int32
+	kind         evKind
 }
 
-// eventHeap orders events by time, breaking ties by scheduling order so the
-// simulation is deterministic.
-type eventHeap []*event
+// before orders events by cycle, then by schedule order.
+func (e event) before(o event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// window is how many cycles ahead of the clock the calendar keeps in
+// per-cycle buckets. Every Table 2 latency is far below it, so nearly
+// every event goes straight into a bucket; the rest wait in a heap. Any
+// window gives the same event order.
+const window = 1024
+
+// calendar is the event queue: a FIFO bucket per cycle for the next window
+// cycles, and a binary heap for events further out. Events are appended to
+// their bucket in schedule order, and the heap's events move into their
+// buckets as soon as they enter the window -- before anything runs at the
+// cycle that brings them in, hence before anything later is scheduled for
+// them -- so each bucket holds one cycle's events in schedule order.
+type calendar struct {
+	now, seq uint64
+	buckets  [][]event
+	// pos is the next event of the current cycle's bucket; bucketed counts
+	// the events in all buckets that have not been popped.
+	pos      int
+	bucketed int
+	far      []event // binary min-heap by (at, seq)
+}
+
+func newCalendar() calendar {
+	return calendar{buckets: make([][]event, window)}
+}
+
+// push schedules an event. Scheduling before the current cycle is a
+// modelling bug and panics.
+func (q *calendar) push(at uint64, kind evKind, core int, arg uint64) {
+	if at < q.now {
+		panic(fmt.Sprintf("sim: scheduling event at cycle %d before current cycle %d", at, q.now))
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// Engine is a deterministic discrete-event simulation engine driven by a
-// cycle counter.
-type Engine struct {
-	now    uint64
-	seq    uint64
-	events eventHeap
-	// executed counts processed events, a cheap progress metric.
-	executed uint64
-}
-
-// NewEngine returns an engine at cycle 0.
-func NewEngine() *Engine { return &Engine{} }
-
-// Now returns the current cycle.
-func (e *Engine) Now() uint64 { return e.now }
-
-// Executed returns the number of events processed so far.
-func (e *Engine) Executed() uint64 { return e.executed }
-
-// Pending returns the number of scheduled-but-not-yet-run events.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// Schedule runs fn at the given cycle. Scheduling in the past (before the
-// current cycle) is a modelling bug and panics.
-func (e *Engine) Schedule(at uint64, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at cycle %d before current cycle %d", at, e.now))
+	ev := event{at: at, seq: q.seq, arg: arg, core: int32(core), kind: kind}
+	q.seq++
+	if at-q.now < window {
+		b := &q.buckets[at%window]
+		*b = append(*b, ev)
+		q.bucketed++
+		return
 	}
-	heap.Push(&e.events, &event{at: at, seq: e.seq, fn: fn})
-	e.seq++
+	q.pushFar(ev)
 }
 
-// After schedules fn delay cycles from now.
-func (e *Engine) After(delay uint64, fn func()) {
-	e.Schedule(e.now+delay, fn)
+// pop removes and returns the next event, advancing the clock to its
+// cycle. ok is false when the queue is empty.
+func (q *calendar) pop() (ev event, ok bool) {
+	for {
+		// The current bucket can grow while it is consumed: an event may
+		// schedule another at the current cycle.
+		b := &q.buckets[q.now%window]
+		if q.pos < len(*b) {
+			ev = (*b)[q.pos]
+			q.pos++
+			q.bucketed--
+			return ev, true
+		}
+		*b = (*b)[:0]
+		q.pos = 0
+		switch {
+		case q.bucketed > 0:
+			// The heap only holds events beyond the window, so the next
+			// event is in a bucket.
+			for q.now++; len(q.buckets[q.now%window]) == 0; q.now++ {
+			}
+		case len(q.far) > 0:
+			q.now = q.far[0].at
+		default:
+			return event{}, false
+		}
+		for len(q.far) > 0 && q.far[0].at-q.now < window {
+			ev := q.popFar()
+			b := &q.buckets[ev.at%window]
+			*b = append(*b, ev)
+			q.bucketed++
+		}
+	}
 }
 
-// Run processes events until the queue is empty or the cycle limit is
-// exceeded. It returns an error if the limit was hit, which usually means
-// the simulated system livelocked.
-func (e *Engine) Run(limit uint64) error {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
+// pushFar and popFar maintain the heap of events beyond the window.
+func (q *calendar) pushFar(ev event) {
+	q.far = append(q.far, ev)
+	h := q.far
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (q *calendar) popFar() event {
+	h := q.far
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		min, l, r := i, 2*i+1, 2*i+2
+		if l < n && h[l].before(h[min]) {
+			min = l
+		}
+		if r < n && h[r].before(h[min]) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+	q.far = h
+	return top
+}
+
+// engine is one simulation run: the event queue, the cores and the memory
+// system they share.
+type engine struct {
+	q     calendar
+	procs []processor
+	dir   *directory.Directory
+	// rmwLines records every line an RMW has targeted.
+	rmwLines map[uint64]struct{}
+}
+
+// run dispatches events in (cycle, schedule order) order until the queue
+// is empty or the next event lies beyond the cycle limit. It returns an
+// error in the second case, which usually means the simulated system
+// livelocked.
+func (e *engine) run(limit uint64) error {
+	for {
+		ev, ok := e.q.pop()
+		if !ok {
+			return nil
+		}
 		if ev.at > limit {
-			// Put it back so callers can inspect the state.
-			heap.Push(&e.events, ev)
 			return fmt.Errorf("sim: cycle limit %d exceeded at cycle %d", limit, ev.at)
 		}
-		e.now = ev.at
-		e.executed++
-		ev.fn()
+		p := &e.procs[ev.core]
+		switch ev.kind {
+		case evStep:
+			p.step(ev.at)
+		case evEntryReady:
+			p.entryReady(ev.at, ev.arg)
+		case evDrainRetry:
+			p.drainRetry(ev.at, ev.arg)
+		case evRMWDone:
+			p.rmwDone(ev.at)
+		case evRMWLocked:
+			p.rmwLocked(ev.at)
+		default:
+			panic(fmt.Sprintf("sim: unknown event kind %d", ev.kind))
+		}
 	}
-	return nil
+}
+
+// unlock releases one of a core's locks on a line and resumes the
+// requests that were parked on it, in arrival order, at once: a parked
+// drain schedules its retry, and a denied access is issued again (and may
+// be denied again).
+func (e *engine) unlock(line uint64, core int, at uint64) {
+	for _, w := range e.dir.Unlock(line, core, at) {
+		if w.Drain {
+			_, entry := splitTag(w.Tag)
+			e.q.push(w.Start, evDrainRetry, w.Core, entry)
+			continue
+		}
+		e.procs[w.Core].access(w.Request)
+	}
 }

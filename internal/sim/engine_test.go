@@ -1,102 +1,143 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 )
 
+// drain pops every event of q, letting each popped event schedule more
+// through also, and returns the events in pop order.
+func drain(q *calendar, also func(ev event)) []event {
+	var out []event
+	for {
+		ev, ok := q.pop()
+		if !ok {
+			return out
+		}
+		out = append(out, ev)
+		if also != nil {
+			also(ev)
+		}
+	}
+}
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(10, func() { order = append(order, 2) })
-	e.Schedule(5, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 3) })
-	if err := e.Run(100); err != nil {
-		t.Fatal(err)
+	q := newCalendar()
+	q.push(10, evStep, 0, 2)
+	q.push(5, evStep, 0, 1)
+	q.push(20, evStep, 0, 3)
+	got := drain(&q, nil)
+	if len(got) != 3 || got[0].arg != 1 || got[1].arg != 2 || got[2].arg != 3 {
+		t.Errorf("execution order = %v", got)
 	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("execution order = %v", order)
+	if q.now != 20 {
+		t.Errorf("now = %d, want 20", q.now)
 	}
-	if e.Now() != 20 {
-		t.Errorf("Now = %d, want 20", e.Now())
-	}
-	if e.Executed() != 3 {
-		t.Errorf("Executed = %d, want 3", e.Executed())
-	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0", e.Pending())
+	if _, ok := q.pop(); ok {
+		t.Error("a drained queue must stay empty")
 	}
 }
 
 func TestEngineTiesBreakByScheduleOrder(t *testing.T) {
-	e := NewEngine()
-	var order []int
+	q := newCalendar()
 	for i := 0; i < 5; i++ {
-		i := i
-		e.Schedule(7, func() { order = append(order, i) })
+		q.push(7, evStep, 0, uint64(i))
 	}
-	if err := e.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie-breaking not FIFO: %v", order)
+	for i, ev := range drain(&q, nil) {
+		if ev.arg != uint64(i) {
+			t.Fatalf("tie-breaking not FIFO: event %d has arg %d", i, ev.arg)
 		}
 	}
 }
 
 func TestEngineEventsCanScheduleMoreEvents(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 10 {
-			e.After(3, tick)
+	q := newCalendar()
+	q.push(0, evStep, 0, 0)
+	got := drain(&q, func(ev event) {
+		if ev.arg < 9 {
+			q.push(q.now+3, evStep, 0, ev.arg+1)
 		}
+		if ev.arg == 4 {
+			// The current cycle's bucket grows while it is consumed.
+			q.push(q.now, evRMWDone, 0, 100)
+		}
+	})
+	if len(got) != 11 {
+		t.Fatalf("ran %d events, want 11", len(got))
 	}
-	e.Schedule(0, tick)
-	if err := e.Run(1000); err != nil {
-		t.Fatal(err)
+	if got[5].kind != evRMWDone || got[5].at != got[4].at {
+		t.Errorf("an event scheduled at the current cycle ran as %+v, want right after %+v", got[5], got[4])
 	}
-	if count != 10 {
-		t.Errorf("count = %d, want 10", count)
+	if q.now != 27 {
+		t.Errorf("now = %d, want 27", q.now)
 	}
-	if e.Now() != 27 {
-		t.Errorf("Now = %d, want 27", e.Now())
+}
+
+// TestCalendarOrderAcrossWindowBoundary checks the calendar against a
+// plain sort by (cycle, schedule order) on a random schedule whose delays
+// straddle the bucket window, so events reach their cycle both through a
+// bucket and through the far heap, often for the same cycle.
+func TestCalendarOrderAcrossWindowBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	delays := []uint64{0, 1, 2, window - 1, window, window + 1, 2*window + 5, 300, 3 * window}
+	q := newCalendar()
+	var all []event
+	push := func(at uint64) {
+		all = append(all, event{at: at, seq: q.seq})
+		q.push(at, evStep, 0, q.seq)
+	}
+	for i := 0; i < 20; i++ {
+		push(delays[rng.Intn(len(delays))])
+	}
+	got := drain(&q, func(ev event) {
+		if len(all) < 20000 {
+			for n := rng.Intn(3); n > 0; n-- {
+				push(ev.at + delays[rng.Intn(len(delays))])
+			}
+		}
+	})
+	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j]) })
+	if len(got) != len(all) {
+		t.Fatalf("popped %d events, scheduled %d", len(got), len(all))
+	}
+	for i := range all {
+		if got[i].at != all[i].at || got[i].arg != all[i].seq {
+			t.Fatalf("event %d: popped (at %d, seq %d), want (at %d, seq %d)", i, got[i].at, got[i].arg, all[i].at, all[i].seq)
+		}
 	}
 }
 
 func TestEngineCycleLimit(t *testing.T) {
-	e := NewEngine()
-	var tick func()
-	tick = func() { e.After(10, tick) }
-	e.Schedule(0, tick)
-	if err := e.Run(55); err == nil {
-		t.Fatal("exceeding the cycle limit must return an error")
+	cfg := testConfig()
+	cfg.MaxCycles = 150
+	tr := NewTrace("spin", 1)
+	tr.Append(0, Compute(100), Compute(100), Compute(100))
+	res, err := mustSim(t, cfg).Run(tr)
+	if err == nil || !strings.Contains(err.Error(), "cycle limit 150 exceeded at cycle 200") {
+		t.Fatalf("exceeding the cycle limit must return an error, got %v", err)
 	}
-	if e.Pending() == 0 {
-		t.Error("the event that exceeded the limit should remain pending")
+	if res == nil || res.PerCore[0].Computes != 2 {
+		t.Error("the run must stop at the first event past the limit")
 	}
 }
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling before Now should panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-	if err := e.Run(100); err != nil {
-		t.Fatal(err)
-	}
+	q := newCalendar()
+	q.push(10, evStep, 0, 0)
+	q.pop()
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling before now should panic")
+		}
+	}()
+	q.push(5, evStep, 0, 0)
 }
 
 func TestEngineRunEmptyQueue(t *testing.T) {
-	e := NewEngine()
-	if err := e.Run(10); err != nil {
+	e := &engine{q: newCalendar()}
+	if err := e.run(10); err != nil {
 		t.Fatal("running an empty engine should succeed")
 	}
 }

@@ -8,64 +8,97 @@ import (
 	"repro/internal/sim/writebuffer"
 )
 
+// cont names what a core does when one of its coherence requests is
+// granted. It travels in the request's directory tag, so a request parked
+// on a locked line resumes the same continuation.
+type cont uint8
+
+const (
+	// contLoad: a load's data arrived; the core steps.
+	contLoad cont = iota
+	// contEntry: ownership for a write-buffer entry arrives.
+	contEntry
+	// contRMW: a type-1 or reverted RMW holds its locked line; its write
+	// performs one cycle later.
+	contRMW
+	// contWeakRMW: a weak RMW's read half holds its locked line.
+	contWeakRMW
+)
+
+// tag packs a continuation and its write-buffer entry ID into a request
+// tag; splitTag unpacks it.
+func tag(c cont, entry uint64) uint64 { return entry<<2 | uint64(c) }
+
+func splitTag(t uint64) (cont, uint64) { return cont(t & 3), t >> 2 }
+
+// drainCont names what follows a forced drain once the write buffer is
+// empty.
+type drainCont uint8
+
+const (
+	drainNone drainCont = iota
+	// drainFence: a fence completes; the core steps.
+	drainFence
+	// drainRMW: a type-1 or reverted RMW requests and locks its line.
+	drainRMW
+)
+
 // processor is one simulated in-order core: it pulls operations from its
 // stream, talks to the directory for loads and RMWs, retires stores into
 // its write buffer and runs the background drain of that buffer. The
 // stream is consumed one op at a time, so the processor's memory footprint
-// is independent of trace length; all continuations that advance the
-// instruction stream go through the engine so that arbitrarily long traces
+// is independent of trace length; everything that advances the instruction
+// stream goes through the event queue so that arbitrarily long traces
 // never build up call-stack depth either.
+//
+// A core runs one operation at a time, so the state of that operation --
+// its start cycle and, for an RMW, the fields below -- lives here rather
+// than in the events that continue it.
 type processor struct {
-	id     int
-	cfg    Config
-	engine *Engine
-	dir    *directory.Directory
-	topo   *mesh.Topology
-	wb     *writebuffer.Buffer
-	addrs  *bloom.AddrList
+	id    int
+	cfg   *Config
+	eng   *engine
+	dir   *directory.Directory
+	topo  *mesh.Topology
+	wb    *writebuffer.Buffer
+	addrs *bloom.AddrList
 
 	stream OpStream
 
 	stats CoreStats
 
-	// noteRMWLine lets the simulator track globally-unique RMW lines.
-	noteRMWLine func(line uint64)
+	// opStart is the cycle the current operation started.
+	opStart uint64
 
-	// slotWaiters are continuations waiting for write-buffer space;
-	// emptyWaiters are forced drains waiting for the buffer to empty.
-	slotWaiters  []func(at uint64)
-	emptyWaiters []func(at uint64)
-	// forcedDrain marks an active forced drain, which (with ParallelDrain)
-	// makes the drainer issue every pending entry concurrently.
+	// The current RMW: its line; its start after any addr-list broadcast
+	// and that broadcast's latency; when its forced drain ended (type-1
+	// and reverted RMWs) or when its read half locked the line (weak
+	// RMWs); and whether it reverted to a drain or broadcast its address.
+	rmwLine    uint64
+	rmwStart   uint64
+	rmwBcast   uint64
+	rmwDrained uint64
+	rmwLockAt  uint64
+	reverted   bool
+	broadcast  bool
+
+	// pushWaiting marks a write stalled on a full write buffer: it is
+	// pushed at pushAt or when a slot frees, whichever is later. pushWa
+	// marks the write half of a weak RMW.
+	pushWaiting bool
+	pushAt      uint64
+	pushLine    uint64
+	pushWa      bool
+
+	// drainNext is what waits for the write buffer to empty (drainNone
+	// when nothing does). forcedDrain marks an active forced drain, which
+	// (with ParallelDrain) makes the drainer issue every pending entry
+	// concurrently.
+	drainNext   drainCont
 	forcedDrain bool
 
 	done       bool
 	finishTime uint64
-}
-
-func newProcessor(id int, cfg Config, engine *Engine, dir *directory.Directory, topo *mesh.Topology, addrs *bloom.AddrList, stream OpStream, noteRMWLine func(uint64)) *processor {
-	return &processor{
-		id:          id,
-		cfg:         cfg,
-		engine:      engine,
-		dir:         dir,
-		topo:        topo,
-		wb:          writebuffer.New(cfg.WriteBufferDepth),
-		addrs:       addrs,
-		stream:      stream,
-		stats:       CoreStats{Core: id},
-		noteRMWLine: noteRMWLine,
-	}
-}
-
-// sched schedules a continuation at the given cycle through the engine.
-func (p *processor) sched(at uint64, fn func(uint64)) {
-	p.engine.Schedule(at, func() { fn(at) })
-}
-
-// start begins execution at cycle 0.
-func (p *processor) start() {
-	p.sched(0, p.step)
 }
 
 // step pulls and executes the next trace operation.
@@ -78,7 +111,7 @@ func (p *processor) step(at uint64) {
 	switch op.Kind {
 	case OpCompute:
 		p.stats.Computes++
-		p.sched(at+op.Think, p.step)
+		p.eng.q.push(at+op.Think, evStep, p.id, 0)
 	case OpRead:
 		p.read(at, op.Addr)
 	case OpWrite:
@@ -90,7 +123,7 @@ func (p *processor) step(at uint64) {
 	default:
 		// Unknown kinds are skipped; traces are produced in-process so this
 		// is unreachable in practice.
-		p.sched(at, p.step)
+		p.eng.q.push(at, evStep, p.id, 0)
 	}
 }
 
@@ -104,6 +137,28 @@ func (p *processor) finish(at uint64) {
 	p.stats.Cycles = at
 }
 
+// access issues a coherence request and, when it is granted, runs its
+// continuation at once. A denied request stays parked in the directory
+// until the engine resumes it through access again.
+func (p *processor) access(r directory.Request) {
+	done, ok := p.dir.Access(r)
+	if !ok {
+		return
+	}
+	c, entry := splitTag(r.Tag)
+	switch c {
+	case contLoad:
+		p.stats.ReadStallCycles += done - p.opStart
+		p.eng.q.push(done, evStep, p.id, 0)
+	case contEntry:
+		p.eng.q.push(done, evEntryReady, p.id, entry)
+	case contRMW:
+		p.eng.q.push(done+1, evRMWDone, p.id, 0) // the write performs into the locked, owned line
+	case contWeakRMW:
+		p.eng.q.push(done, evRMWLocked, p.id, 0)
+	}
+}
+
 // read performs a load: store-to-load forwarding from the write buffer if
 // possible, otherwise a GetS coherence request.
 func (p *processor) read(at uint64, addr uint64) {
@@ -111,54 +166,47 @@ func (p *processor) read(at uint64, addr uint64) {
 	line := p.cfg.LineOf(addr)
 	if p.wb.Contains(line) {
 		// Forwarded from the youngest matching store in one cycle.
-		p.sched(at+1, p.step)
+		p.eng.q.push(at+1, evStep, p.id, 0)
 		return
 	}
-	p.dir.Access(p.id, line, directory.GetS, at, func(done uint64) {
-		p.stats.ReadStallCycles += done - at
-		p.sched(done, p.step)
-	})
+	p.opStart = at
+	p.access(directory.Request{Core: p.id, Line: line, Kind: directory.GetS, Start: at, Tag: tag(contLoad, 0)})
 }
 
 // writeOp retires a store into the write buffer and moves on; the store
 // performs later when it reaches the buffer head.
 func (p *processor) writeOp(at uint64, addr uint64) {
 	p.stats.Writes++
-	line := p.cfg.LineOf(addr)
-	p.pushWrite(at, line, false, func(done uint64) {
-		if done > at+1 {
-			p.stats.WriteStallCycles += done - at - 1
-		}
-		p.sched(done, p.step)
-	})
+	p.opStart = at
+	p.pushWrite(at, p.cfg.LineOf(addr), false)
 }
 
 // pushWrite appends a write to the write buffer, stalling until space is
-// available, and invokes cont one cycle after the push (the retire cycle).
-func (p *processor) pushWrite(at uint64, line uint64, isRMWWrite bool, cont func(at uint64)) {
+// available, and retires it one cycle after the push.
+func (p *processor) pushWrite(at uint64, line uint64, wa bool) {
 	if p.wb.Full() {
-		p.slotWaiters = append(p.slotWaiters, func(freeAt uint64) {
-			if freeAt < at {
-				freeAt = at
-			}
-			p.pushWrite(freeAt, line, isRMWWrite, cont)
-		})
+		p.pushWaiting, p.pushAt, p.pushLine, p.pushWa = true, at, line, wa
 		return
 	}
-	if _, err := p.wb.Push(line, isRMWWrite, at); err != nil {
+	if _, err := p.wb.Push(line, wa, at); err != nil {
 		// Full was checked above; a failure here is a modelling bug.
 		panic(err)
 	}
 	p.kickDrain(at)
-	cont(at + 1)
+	if wa {
+		p.rmwRetired(at + 1)
+		return
+	}
+	if done := at + 1; done > p.opStart+1 {
+		p.stats.WriteStallCycles += done - p.opStart - 1
+	}
+	p.eng.q.push(at+1, evStep, p.id, 0)
 }
 
 // fence drains the write buffer before the next operation.
 func (p *processor) fence(at uint64) {
 	p.stats.Fences++
-	p.drainAll(at, func(done uint64) {
-		p.sched(done, p.step)
-	})
+	p.drainAll(at, drainFence)
 }
 
 // kickDrain makes sure the write-buffer drainer is working: up to
@@ -179,40 +227,38 @@ func (p *processor) kickDrain(at uint64) {
 		limit = p.wb.Len()
 	}
 	outstanding := 0
-	for _, e := range p.wb.Entries() {
-		if outstanding >= limit {
-			break
-		}
+	for i := 0; i < p.wb.Len() && outstanding < limit; i++ {
+		e := p.wb.At(i)
 		if e.InFlight && !e.Ready {
 			outstanding++
 			continue
 		}
 		if !e.InFlight {
-			p.issueEntry(e, at)
+			// Send the entry's ownership request; the write completes when
+			// ownership arrives (evEntryReady), so the buffer's state only
+			// changes at the completion cycle.
+			e.InFlight = true
+			p.access(directory.Request{Core: p.id, Line: e.Line, Kind: directory.GetM, Start: at, Tag: tag(contEntry, e.ID)})
 			outstanding++
 		}
 	}
 }
 
-// issueEntry sends the ownership request for one write-buffer entry and
-// completes the write when ownership arrives. Completion is deferred
-// through the engine so the buffer's state only changes at the completion
-// cycle.
-func (p *processor) issueEntry(e *writebuffer.Entry, at uint64) {
-	e.InFlight = true
-	p.dir.Access(p.id, e.Line, directory.GetM, at, func(done uint64) {
-		p.engine.Schedule(done, func() { p.completeEntry(e, done) })
-	})
-}
-
-// completeEntry records that a pending write's ownership response has
+// entryReady records that a pending write's ownership response has
 // arrived. Under TSO writes leave the buffer strictly in FIFO order, so the
 // entry is only marked ready; drainReady completes it once it reaches the
 // head.
-func (p *processor) completeEntry(e *writebuffer.Entry, at uint64) {
+func (p *processor) entryReady(at uint64, id uint64) {
+	e := p.wb.Get(id)
 	e.Ready = true
 	e.ReadyAt = at
 	p.drainReady(at)
+}
+
+// drainRetry re-requests ownership for the head write id after the lock
+// that denied it was released.
+func (p *processor) drainRetry(at uint64, id uint64) {
+	p.access(directory.Request{Core: p.id, Line: p.wb.Get(id).Line, Kind: directory.GetM, Start: at, Tag: tag(contEntry, id)})
 }
 
 // drainReady completes ready writes from the head of the buffer, in order.
@@ -234,57 +280,62 @@ func (p *processor) drainReady(at uint64) {
 		if head.ReadyAt > at {
 			at = head.ReadyAt
 		}
-		denied := p.dir.WaitForUnlock(head.Line, p.id, func(unlockedAt uint64) {
-			retry := unlockedAt + p.cfg.LockRetryCycles
-			p.engine.Schedule(retry, func() {
-				p.dir.Access(p.id, head.Line, directory.GetM, retry, func(done uint64) {
-					p.engine.Schedule(done, func() { p.completeEntry(head, done) })
-				})
-			})
-		})
-		if denied {
+		if p.dir.WaitForUnlock(directory.Request{Core: p.id, Line: head.Line, Kind: directory.GetM, Tag: tag(contEntry, head.ID)}) {
 			head.Ready = false
 			return
 		}
-		p.wb.Remove(head)
-		if head.IsRMWWrite {
+		w := p.wb.Pop()
+		if w.IsRMWWrite {
 			// Completing the write half of a weak RMW releases its line
 			// lock, letting denied coherence requests proceed.
-			p.dir.Unlock(head.Line, p.id, at)
+			p.eng.unlock(w.Line, p.id, at)
 		}
 		p.notifySlotFree(at)
 		p.kickDrain(at)
 	}
 }
 
-// drainAll waits until the write buffer is empty (a forced drain), then
-// invokes done.
-func (p *processor) drainAll(at uint64, done func(at uint64)) {
+// drainAll starts a forced drain: next runs once the write buffer is
+// empty, at once if it already is.
+func (p *processor) drainAll(at uint64, next drainCont) {
 	if p.wb.Empty() {
-		done(at)
+		p.drained(at, next)
 		return
 	}
-	p.emptyWaiters = append(p.emptyWaiters, done)
+	p.drainNext = next
 	p.forcedDrain = true
 	p.kickDrain(at)
 }
 
 func (p *processor) notifyEmpty(at uint64) {
 	p.forcedDrain = false
-	waiters := p.emptyWaiters
-	p.emptyWaiters = nil
-	for _, w := range waiters {
-		w(at)
+	if next := p.drainNext; next != drainNone {
+		p.drainNext = drainNone
+		p.drained(at, next)
+	}
+}
+
+// drained continues the operation that waited for the write buffer to
+// empty.
+func (p *processor) drained(at uint64, next drainCont) {
+	switch next {
+	case drainFence:
+		p.eng.q.push(at, evStep, p.id, 0)
+	case drainRMW:
+		p.rmwDrained = at
+		p.access(directory.Request{Core: p.id, Line: p.rmwLine, Kind: directory.GetM, Start: at, Lock: true, Tag: tag(contRMW, 0)})
 	}
 }
 
 func (p *processor) notifySlotFree(at uint64) {
-	if len(p.slotWaiters) == 0 || p.wb.Full() {
+	if !p.pushWaiting || p.wb.Full() {
 		return
 	}
-	w := p.slotWaiters[0]
-	p.slotWaiters = p.slotWaiters[1:]
-	w(at)
+	p.pushWaiting = false
+	if at < p.pushAt {
+		at = p.pushAt
+	}
+	p.pushWrite(at, p.pushLine, p.pushWa)
 }
 
 // recordRMW accumulates one completed RMW's cost, split the way
@@ -307,30 +358,26 @@ func (p *processor) recordRMW(writeBuffer, raWa uint64, reverted, broadcast bool
 func (p *processor) rmw(at uint64, addr uint64) {
 	p.stats.RMWs++
 	line := p.cfg.LineOf(addr)
-	if p.noteRMWLine != nil {
-		p.noteRMWLine(line)
-	}
+	p.eng.rmwLines[line] = struct{}{}
+	p.opStart, p.rmwLine = at, line
 	if p.cfg.RMWType == core.Type1 {
-		p.rmwType1(at, line)
+		// The baseline strongly-ordered RMW (§3.1): drain the write buffer,
+		// obtain exclusive ownership, lock, perform the read and the write,
+		// unlock, and only then let the next instruction retire.
+		p.rmwStart, p.rmwBcast, p.reverted, p.broadcast = at, 0, false, false
+		p.drainAll(at, drainRMW)
 		return
 	}
 	p.rmwWeak(at, line)
 }
 
-// rmwType1 implements the baseline strongly-ordered RMW (§3.1): drain the
-// write buffer, obtain exclusive ownership, lock, perform the read and the
-// write, unlock, and only then let the next instruction retire.
-func (p *processor) rmwType1(at uint64, line uint64) {
-	p.drainAll(at, func(drained uint64) {
-		p.dir.AccessAndLock(p.id, line, directory.GetM, drained, func(locked uint64) {
-			done := locked + 1 // the write performs into the locked, owned line
-			p.engine.Schedule(done, func() {
-				p.dir.Unlock(line, p.id, done)
-				p.recordRMW(drained-at, done-drained, false, false)
-				p.step(done)
-			})
-		})
-	})
+// rmwDone completes a type-1 or reverted RMW: its write performed into the
+// locked line at this cycle, so the line is unlocked, the RMW recorded and
+// the next instruction retires.
+func (p *processor) rmwDone(at uint64) {
+	p.eng.unlock(p.rmwLine, p.id, at)
+	p.recordRMW(p.rmwDrained-p.rmwStart, (at-p.rmwDrained)+p.rmwBcast, p.reverted, p.broadcast)
+	p.step(at)
 }
 
 // rmwWeak implements the type-2 and type-3 RMWs (§3.2, §3.3). The read half
@@ -347,29 +394,21 @@ func (p *processor) rmwWeak(at uint64, line uint64) {
 		if broadcast {
 			bcastLat = p.topo.BroadcastLatency(p.id)
 		}
-		for _, e := range p.wb.Entries() {
-			if p.addrs.ConflictsWithPendingWrite(p.id, e.Line) {
+		for i := 0; i < p.wb.Len(); i++ {
+			if p.addrs.ConflictsWithPendingWrite(p.id, p.wb.At(i).Line) {
 				conflict = true
 				break
 			}
 		}
 	}
 	start := at + bcastLat
+	p.rmwStart, p.rmwBcast, p.reverted, p.broadcast = start, bcastLat, conflict, broadcast
 
 	if conflict {
 		// Deadlock-safety cannot be guaranteed: fall back to the type-1
 		// sequence (drain first), counting the drain in the write-buffer
 		// component.
-		p.drainAll(start, func(drained uint64) {
-			p.dir.AccessAndLock(p.id, line, directory.GetM, drained, func(locked uint64) {
-				done := locked + 1
-				p.engine.Schedule(done, func() {
-					p.dir.Unlock(line, p.id, done)
-					p.recordRMW(drained-start, (done-drained)+bcastLat, true, broadcast)
-					p.step(done)
-				})
-			})
-		})
+		p.drainAll(start, drainRMW)
 		return
 	}
 
@@ -380,18 +419,24 @@ func (p *processor) rmwWeak(at uint64, line uint64) {
 		// the line is not owned locally the lock is taken at the directory.
 		kind = directory.GetS
 	}
-	p.dir.AccessAndLock(p.id, line, kind, start, func(locked uint64) {
-		// Wa retires into the write buffer; the RMW (and everything after
-		// it) retires without waiting for the drain.
-		p.engine.Schedule(locked, func() {
-			p.pushWrite(locked, line, true, func(pushed uint64) {
-				wbWait := uint64(0)
-				if pushed > locked+1 {
-					wbWait = pushed - locked - 1 // stalled for a free slot
-				}
-				p.recordRMW(wbWait, (locked-at)+1, false, broadcast)
-				p.sched(pushed, p.step)
-			})
-		})
-	})
+	p.access(directory.Request{Core: p.id, Line: line, Kind: kind, Start: start, Lock: true, Tag: tag(contWeakRMW, 0)})
+}
+
+// rmwLocked runs when a weak RMW's read half holds its locked line: Wa
+// retires into the write buffer, and the RMW (and everything after it)
+// retires without waiting for the drain.
+func (p *processor) rmwLocked(at uint64) {
+	p.rmwLockAt = at
+	p.pushWrite(at, p.rmwLine, true)
+}
+
+// rmwRetired records a weak RMW once its write half is in the write
+// buffer, at the cycle after the push, and steps.
+func (p *processor) rmwRetired(pushed uint64) {
+	wbWait := uint64(0)
+	if pushed > p.rmwLockAt+1 {
+		wbWait = pushed - p.rmwLockAt - 1 // stalled for a free slot
+	}
+	p.recordRMW(wbWait, (p.rmwLockAt-p.opStart)+1, false, p.broadcast)
+	p.eng.q.push(pushed, evStep, p.id, 0)
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/sim/cache"
 	"repro/internal/sim/directory"
 	"repro/internal/sim/mesh"
+	"repro/internal/sim/writebuffer"
 )
 
 // Simulator runs memory-operation traces on the simulated chip
@@ -50,7 +51,6 @@ func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
 		return nil, fmt.Errorf("sim: trace %q has %d core streams but the configuration has %d cores",
 			src.Name(), src.Cores(), s.cfg.Cores)
 	}
-	engine := NewEngine()
 	topo := mesh.New(s.cfg.Cores, s.cfg.LinkLatencyCycles, s.cfg.RouterLatencyCycles)
 	caches := make([]*cache.Cache, s.cfg.Cores)
 	for i := range caches {
@@ -60,39 +60,50 @@ func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
 			LineBytes: s.cfg.LineBytes,
 		})
 	}
-	dir := directory.New(topo, caches, directory.Latencies{
-		L1:        s.cfg.L1LatencyCycles,
-		L2:        s.cfg.L2LatencyCycles,
-		Mem:       s.cfg.MemLatencyCycles,
-		LockRetry: s.cfg.LockRetryCycles,
-	})
+	e := &engine{
+		q: newCalendar(),
+		dir: directory.New(topo, caches, directory.Latencies{
+			L1:        s.cfg.L1LatencyCycles,
+			L2:        s.cfg.L2LatencyCycles,
+			Mem:       s.cfg.MemLatencyCycles,
+			LockRetry: s.cfg.LockRetryCycles,
+		}),
+		procs:    make([]processor, s.cfg.Cores),
+		rmwLines: map[uint64]struct{}{},
+	}
 	addrs := bloom.NewAddrList(s.cfg.Cores, s.cfg.BloomFilterBits, s.cfg.BloomHashes, s.cfg.RMWResetThreshold)
-
-	uniqueRMWLines := map[uint64]bool{}
-	noteRMW := func(line uint64) { uniqueRMWLines[line] = true }
-
-	procs := make([]*processor, s.cfg.Cores)
-	for i := 0; i < s.cfg.Cores; i++ {
+	for i := range e.procs {
 		var stream OpStream = emptyStream{}
 		if i < src.Cores() {
 			stream = src.Stream(i)
 		}
-		procs[i] = newProcessor(i, s.cfg, engine, dir, topo, addrs, stream, noteRMW)
-		procs[i].start()
+		e.procs[i] = processor{
+			id:     i,
+			cfg:    &s.cfg,
+			eng:    e,
+			dir:    e.dir,
+			topo:   topo,
+			wb:     writebuffer.New(s.cfg.WriteBufferDepth),
+			addrs:  addrs,
+			stream: stream,
+			stats:  CoreStats{Core: i},
+		}
+		e.q.push(0, evStep, i, 0)
 	}
 
-	runErr := engine.Run(s.cfg.MaxCycles)
+	runErr := e.run(s.cfg.MaxCycles)
 
 	res := &Result{
 		Workload:   src.Name(),
 		RMWType:    s.cfg.RMWType,
 		PerCore:    make([]CoreStats, s.cfg.Cores),
 		Broadcasts: uint64(addrs.Broadcasts()),
-		UniqueRMWs: len(uniqueRMWLines),
+		UniqueRMWs: len(e.rmwLines),
 	}
 	allDone := true
 	allDrained := true
-	for i, p := range procs {
+	for i := range e.procs {
+		p := &e.procs[i]
 		res.PerCore[i] = p.stats
 		if p.finishTime > res.Cycles {
 			res.Cycles = p.finishTime
@@ -104,7 +115,7 @@ func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
 			allDrained = false
 		}
 	}
-	res.DirectoryLockDenials = dir.Stats().LockDenials
+	res.DirectoryLockDenials = e.dir.Stats().LockDenials
 
 	if runErr != nil {
 		return res, fmt.Errorf("sim: %s: %w", src.Name(), runErr)

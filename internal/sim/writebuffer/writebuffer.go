@@ -4,12 +4,19 @@
 // coherence transaction. The buffer itself is a passive data structure --
 // drain scheduling, forced drains and the interaction with cache-line locks
 // are orchestrated by the processor model in internal/sim.
+//
+// The buffer is a fixed ring of value entries. Each entry is named by its
+// push ID (the n-th push gets ID n-1); entries only ever leave at the head,
+// so the live entries always carry consecutive IDs and Get finds one by
+// arithmetic.
 package writebuffer
 
 import "fmt"
 
 // Entry is one pending write.
 type Entry struct {
+	// ID is the entry's push number, unique within the buffer.
+	ID uint64
 	// Line is the cache-line address of the write.
 	Line uint64
 	// IsRMWWrite marks the write half (Wa) of a weak RMW; completing it
@@ -25,19 +32,17 @@ type Entry struct {
 	// records when ownership arrived.
 	Ready   bool
 	ReadyAt uint64
-	// id is a unique identity used to remove entries that complete out of
-	// order during a parallel forced drain.
-	id uint64
 }
 
 // Buffer is a bounded FIFO write buffer.
 type Buffer struct {
-	capacity int
-	entries  []*Entry
-	nextID   uint64
+	ring []Entry
+	head int // ring index of the oldest entry
+	n    int // number of pending entries
+	// nextID is the ID the next push gets; the head's ID is nextID-n.
+	nextID uint64
 
 	// statistics
-	enqueued     uint64
 	maxOccupancy int
 	fullStalls   uint64
 }
@@ -48,93 +53,91 @@ func New(capacity int) *Buffer {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("writebuffer: non-positive capacity %d", capacity))
 	}
-	return &Buffer{capacity: capacity}
+	return &Buffer{ring: make([]Entry, capacity)}
 }
 
 // Capacity returns the buffer's capacity in entries.
-func (b *Buffer) Capacity() int { return b.capacity }
+func (b *Buffer) Capacity() int { return len(b.ring) }
 
 // Len returns the number of pending writes.
-func (b *Buffer) Len() int { return len(b.entries) }
+func (b *Buffer) Len() int { return b.n }
 
 // Empty reports whether no writes are pending.
-func (b *Buffer) Empty() bool { return len(b.entries) == 0 }
+func (b *Buffer) Empty() bool { return b.n == 0 }
 
 // Full reports whether the buffer cannot accept another write.
-func (b *Buffer) Full() bool { return len(b.entries) >= b.capacity }
+func (b *Buffer) Full() bool { return b.n >= len(b.ring) }
 
 // Push appends a write to the tail. It returns the new entry, or an error
 // if the buffer is full (the caller must stall and retry once an entry
-// drains).
+// drains). The returned pointer stays valid until the entry is popped.
 func (b *Buffer) Push(line uint64, isRMWWrite bool, at uint64) (*Entry, error) {
 	if b.Full() {
 		b.fullStalls++
-		return nil, fmt.Errorf("writebuffer: full (capacity %d)", b.capacity)
+		return nil, fmt.Errorf("writebuffer: full (capacity %d)", len(b.ring))
 	}
-	e := &Entry{Line: line, IsRMWWrite: isRMWWrite, EnqueuedAt: at, id: b.nextID}
+	e := &b.ring[(b.head+b.n)%len(b.ring)]
+	*e = Entry{ID: b.nextID, Line: line, IsRMWWrite: isRMWWrite, EnqueuedAt: at}
 	b.nextID++
-	b.entries = append(b.entries, e)
-	b.enqueued++
-	if len(b.entries) > b.maxOccupancy {
-		b.maxOccupancy = len(b.entries)
+	b.n++
+	if b.n > b.maxOccupancy {
+		b.maxOccupancy = b.n
 	}
 	return e, nil
 }
 
 // Head returns the oldest pending write, or nil when empty.
 func (b *Buffer) Head() *Entry {
-	if len(b.entries) == 0 {
+	if b.n == 0 {
 		return nil
 	}
-	return b.entries[0]
+	return &b.ring[b.head]
 }
 
-// Entries returns the pending writes in FIFO order. The returned slice
-// aliases the buffer's internal storage and must not be modified; it is
-// intended for read-only scans such as the bloom-filter conflict check and
-// store-to-load forwarding.
-func (b *Buffer) Entries() []*Entry { return b.entries }
-
-// Remove deletes the given entry (identified by identity, not position),
-// returning whether it was present. Entries normally complete at the head,
-// but a parallel forced drain may complete them out of order.
-func (b *Buffer) Remove(e *Entry) bool {
-	for i, cur := range b.entries {
-		if cur.id == e.id {
-			b.entries = append(b.entries[:i], b.entries[i+1:]...)
-			return true
-		}
+// At returns the i-th oldest pending write (At(0) is the head). It panics
+// when i is out of range.
+func (b *Buffer) At(i int) *Entry {
+	if i < 0 || i >= b.n {
+		panic(fmt.Sprintf("writebuffer: index %d out of range [0, %d)", i, b.n))
 	}
-	return false
+	return &b.ring[(b.head+i)%len(b.ring)]
+}
+
+// Get returns the pending write with the given push ID, or nil when that
+// write is not in the buffer (already popped, or never pushed).
+func (b *Buffer) Get(id uint64) *Entry {
+	first := b.nextID - uint64(b.n)
+	if id < first || id >= b.nextID {
+		return nil
+	}
+	return b.At(int(id - first))
+}
+
+// Pop removes the oldest pending write and returns a copy of it. It panics
+// on an empty buffer.
+func (b *Buffer) Pop() Entry {
+	if b.n == 0 {
+		panic("writebuffer: pop from an empty buffer")
+	}
+	e := b.ring[b.head]
+	b.head = (b.head + 1) % len(b.ring)
+	b.n--
+	return e
 }
 
 // Contains reports whether a pending write to the given line exists, for
 // store-to-load forwarding.
 func (b *Buffer) Contains(line uint64) bool {
-	for _, e := range b.entries {
-		if e.Line == line {
+	for i := 0; i < b.n; i++ {
+		if b.ring[(b.head+i)%len(b.ring)].Line == line {
 			return true
 		}
 	}
 	return false
 }
 
-// PendingLines returns the distinct line addresses of all pending writes,
-// in FIFO order of first occurrence.
-func (b *Buffer) PendingLines() []uint64 {
-	seen := map[uint64]bool{}
-	var out []uint64
-	for _, e := range b.entries {
-		if !seen[e.Line] {
-			seen[e.Line] = true
-			out = append(out, e.Line)
-		}
-	}
-	return out
-}
-
 // Enqueued returns the total number of writes ever pushed.
-func (b *Buffer) Enqueued() uint64 { return b.enqueued }
+func (b *Buffer) Enqueued() uint64 { return b.nextID }
 
 // MaxOccupancy returns the highest number of simultaneously pending writes.
 func (b *Buffer) MaxOccupancy() int { return b.maxOccupancy }

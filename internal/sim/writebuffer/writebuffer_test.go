@@ -33,8 +33,8 @@ func TestPushPopFIFO(t *testing.T) {
 	if b.Head() != e1 {
 		t.Error("head should be the oldest entry")
 	}
-	if !b.Remove(e1) {
-		t.Error("Remove head failed")
+	if got := b.Pop(); got.ID != 0 || got.Line != 10 {
+		t.Errorf("Pop = %+v, want the first push", got)
 	}
 	if b.Head() != e2 {
 		t.Error("head should advance after removal")
@@ -66,32 +66,7 @@ func TestPushFullRejects(t *testing.T) {
 	}
 }
 
-func TestRemoveOutOfOrder(t *testing.T) {
-	b := New(4)
-	e1, _ := b.Push(1, false, 0)
-	e2, _ := b.Push(2, false, 0)
-	e3, _ := b.Push(3, false, 0)
-	if !b.Remove(e2) {
-		t.Fatal("middle removal failed")
-	}
-	if b.Len() != 2 || b.Head() != e1 {
-		t.Error("removal disturbed order")
-	}
-	if b.Remove(e2) {
-		t.Error("double removal should report absence")
-	}
-	if !b.Remove(e1) || !b.Remove(e3) {
-		t.Error("remaining removals failed")
-	}
-	if !b.Empty() {
-		t.Error("buffer should be empty")
-	}
-	if b.Head() != nil {
-		t.Error("Head of an empty buffer should be nil")
-	}
-}
-
-func TestContainsAndPendingLines(t *testing.T) {
+func TestContains(t *testing.T) {
 	b := New(8)
 	b.Push(100, false, 0)
 	b.Push(200, false, 0)
@@ -99,10 +74,55 @@ func TestContainsAndPendingLines(t *testing.T) {
 	if !b.Contains(100) || !b.Contains(200) || b.Contains(300) {
 		t.Error("Contains wrong")
 	}
-	lines := b.PendingLines()
-	if len(lines) != 2 || lines[0] != 100 || lines[1] != 200 {
-		t.Errorf("PendingLines = %v, want [100 200]", lines)
+	b.Pop()
+	b.Pop()
+	if !b.Contains(100) || b.Contains(200) {
+		t.Error("Contains must see only the entries still pending")
 	}
+}
+
+func TestGetFindsEntriesByPushID(t *testing.T) {
+	b := New(3)
+	for i := 0; i < 3; i++ {
+		b.Push(uint64(10+i), false, 0)
+	}
+	b.Pop()
+	b.Pop()
+	// The ring wraps: IDs 3 and 4 reuse the slots of IDs 0 and 1.
+	b.Push(13, false, 0)
+	e4, _ := b.Push(14, true, 0)
+	if e4.ID != 4 {
+		t.Fatalf("fifth push has ID %d, want 4", e4.ID)
+	}
+	for id := uint64(2); id <= 4; id++ {
+		if e := b.Get(id); e == nil || e.ID != id || e.Line != 10+id {
+			t.Errorf("Get(%d) = %+v", id, e)
+		}
+	}
+	if b.Get(1) != nil || b.Get(5) != nil {
+		t.Error("Get must return nil for popped and unpushed IDs")
+	}
+	if b.Head().ID != 2 || b.At(2) != e4 {
+		t.Error("At must index from the head across the wrap")
+	}
+	if b.Head() != b.At(0) {
+		t.Error("At(0) must be the head")
+	}
+}
+
+func TestPopEmptyPanics(t *testing.T) {
+	b := New(1)
+	b.Push(1, false, 0)
+	b.Pop()
+	if !b.Empty() || b.Head() != nil {
+		t.Error("Head of an empty buffer should be nil")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Pop of an empty buffer should panic")
+		}
+	}()
+	b.Pop()
 }
 
 func TestStatistics(t *testing.T) {
@@ -113,7 +133,7 @@ func TestStatistics(t *testing.T) {
 	if b.MaxOccupancy() != 3 || b.Enqueued() != 3 {
 		t.Errorf("MaxOccupancy=%d Enqueued=%d", b.MaxOccupancy(), b.Enqueued())
 	}
-	b.Remove(b.Head())
+	b.Pop()
 	b.Push(9, false, 0)
 	if b.MaxOccupancy() != 3 || b.Enqueued() != 4 {
 		t.Errorf("after churn: MaxOccupancy=%d Enqueued=%d", b.MaxOccupancy(), b.Enqueued())
@@ -124,9 +144,8 @@ func TestEntriesIsFIFOView(t *testing.T) {
 	b := New(4)
 	b.Push(5, false, 1)
 	b.Push(6, true, 2)
-	es := b.Entries()
-	if len(es) != 2 || es[0].Line != 5 || es[1].Line != 6 {
-		t.Errorf("Entries = %v", es)
+	if b.Len() != 2 || b.At(0).Line != 5 || b.At(1).Line != 6 {
+		t.Errorf("At(0), At(1) = %+v, %+v", *b.At(0), *b.At(1))
 	}
 }
 
@@ -140,7 +159,7 @@ func TestPropertyNeverExceedsCapacityAndFIFO(t *testing.T) {
 				if head.Line != order[0] {
 					return false // FIFO violated
 				}
-				b.Remove(head)
+				b.Pop()
 				order = order[1:]
 				continue
 			}

@@ -65,12 +65,13 @@ func privateAddr(c, i int) uint64 {
 	return privateBase + uint64(c)*privateStride + uint64(i)*lineBytes
 }
 
-// emitFn receives generated operations in program order. It is the sink
-// shared by the streaming and materializing generation paths: a core
-// stream's refill buffer appends through it, and Generate drains a stream
-// built on the same episode functions, so the two forms produce identical
-// op sequences by construction.
-type emitFn func(ops ...sim.Op)
+// emitFn receives generated operations in program order, one per call
+// (a variadic sink would heap-allocate a slice per op through the func
+// value). It is the sink shared by the streaming and materializing
+// generation paths: a core stream's refill buffer appends through it, and
+// Generate drains a stream built on the same episode functions, so the two
+// forms produce identical op sequences by construction.
+type emitFn func(op sim.Op)
 
 // Generator produces simulator traces from benchmark profiles, either
 // fully materialized (Generate) or as lazy per-core streams (Source) that
@@ -226,18 +227,19 @@ func (g Generator) transactionalEpisode(c int, p Profile, rng *rand.Rand, emit e
 	// writes time to leave the write buffer, which is why the paper
 	// measures almost no bloom-filter reverts for the STAMP codes.
 	writeSet := 1 + rng.Intn(2)
-	locks := make([]uint64, 0, writeSet)
+	var locks [2]uint64 // a write set holds one or two locations
 	for w := 0; w < writeSet; w++ {
-		l := lockAddr(g.pickSync(c, p, rng))
-		locks = append(locks, l)
-		emit(sim.RMW(l), sim.Compute(30))
+		locks[w] = lockAddr(g.pickSync(c, p, rng))
+		emit(sim.RMW(locks[w]))
+		emit(sim.Compute(30))
 	}
 	clock := lockAddr(clockRegion + c%clockShards)
-	emit(sim.Compute(60), sim.RMW(clock))
+	emit(sim.Compute(60))
+	emit(sim.RMW(clock))
 	for w := 0; w < writeSet; w++ {
 		emit(sim.Write(sharedAddr(rng.Intn(p.SharedDataLines))))
 	}
-	for _, l := range locks {
+	for _, l := range locks[:writeSet] {
 		emit(sim.Write(l))
 	}
 }

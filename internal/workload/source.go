@@ -84,7 +84,7 @@ func (s *Source) Stream(c int) sim.OpStream {
 	// Build the emit closure once per stream, not per refill, so the
 	// steady-state refill loop allocates only what the episode function
 	// itself allocates.
-	cs.emit = func(ops ...sim.Op) { cs.buf = append(cs.buf, ops...) }
+	cs.emit = func(op sim.Op) { cs.buf = append(cs.buf, op) }
 	return cs
 }
 

@@ -55,10 +55,14 @@ func TestMain(m *testing.M) {
 func quickFlags() []string { return []string{"-quick", "-cores", "4", "-scale", "0.05"} }
 
 // fleetFlags is the configuration of the coordinator-fleet scenarios:
-// scaled so one unit simulates for tens of milliseconds, long enough
-// that leases outlive units, heartbeats actually fire mid-execution,
-// and a mid-sweep kill reliably lands mid-sweep.
-func fleetFlags() []string { return []string{"-quick", "-cores", "4", "-scale", "2"} }
+// scaled so one unit simulates for over a hundred milliseconds, at least
+// two heartbeat intervals (TTL/3 = 50ms under the scenarios' 150ms
+// lease TTL). That is long enough that leases outlive units, heartbeats
+// actually fire mid-execution, and a mid-sweep kill reliably lands
+// mid-sweep. Measured on a 2-vCPU container, the quick plan's 26 units
+// simulate in 121-213ms (median 185ms) at scale 8; at scale 2 they took
+// 30-53ms, too short for a heartbeat to fire reliably.
+func fleetFlags() []string { return []string{"-quick", "-cores", "4", "-scale", "8"} }
 
 // scenarioTimeout bounds every scripted process: the acceptance rule
 // that no scenario may hang is enforced by construction.

@@ -21,22 +21,29 @@
 //	experiments -quick -merge -format ascii s0.json s1.json s2.json
 //	                                            merge shard artifacts into the full report
 //
-// Dynamically coordinated sweeps (pull queue instead of a static split):
+// HTTP fleets (a pull queue instead of a static split, for workers that
+// can die):
 //
-//	experiments -quick -coordinate 4 -format json    in-process: 4 pull workers share the queue
 //	experiments -quick -serve-coordinator :7077      serve the plan's units to HTTP workers,
 //	                                                 emit the report when the fleet drains it
 //	experiments -quick -worker http://host:7077      pull and simulate units until drained
 //
 // The coordinator hands out one unit at a time under heartbeat-kept
 // leases: a crashed worker's lease expires and its unit is requeued, a
-// repeatedly failing unit is retried with backoff and then dead-lettered
-// (the report gains a dead-letter section and the exit status is 1), and
-// a completed coordinated sweep's result tables are byte-identical to an
+// repeatedly failing unit is retried with backoff and then dead-lettered,
+// and a completed fleet sweep's result tables are byte-identical to an
 // unsharded run's. Workers rebuild the identical plan from the same
 // flags; the plan-fingerprint handshake refuses a mismatched worker.
-// -lease-ttl and -max-attempts tune the lease state machine; -fail-unit
-// and -crash-after inject faults for drills and CI.
+// -lease-ttl and -max-attempts tune the lease state machine;
+// -worker-name names a worker and -crash-after kills it mid-lease for
+// crash drills.
+//
+// Every run that executes units — a sweep, -shard or -worker — takes
+// -fail-unit, which makes the listed units fail every execution. In one
+// process a failing unit is dead-lettered after its one attempt (units
+// are deterministic, so a retry would fail again) and the other units
+// still run: the report gains a dead-letter section and the exit status
+// is 1.
 //
 // The sweep is a deterministic plan of content-addressed units (one
 // benchmark × RMW type × seed simulation each), so any process that
@@ -101,14 +108,13 @@ func main() {
 		format   = flag.String("format", "", "emit the full report in this format: ascii, json or csv")
 		listU    = flag.Bool("list-units", false, "print the sweep plan (unit IDs, traces, types, seeds) and exit")
 
-		coordN     = flag.Int("coordinate", 0, "run the sweep through an in-process pull queue with this many workers")
 		serveArg   = flag.String("serve-coordinator", "", "serve the sweep's units to HTTP workers on this address (host:port), emit the report once drained")
 		workerArg  = flag.String("worker", "", "pull and simulate units from the coordinator at this URL (http://host:port) until drained")
 		workerName = flag.String("worker-name", "", "name this worker reports to the coordinator (default worker-<host>-<pid>)")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "coordination: lease time-to-live before a silent worker's unit is requeued (default 15s)")
-		maxAtt     = flag.Int("max-attempts", 0, "coordination: attempts per unit before it is dead-lettered (default 3)")
-		failUnit   = flag.String("fail-unit", "", "fault injection: comma-separated unit IDs that permanently fail every attempt")
-		crashAfter = flag.Int("crash-after", -1, "fault injection: crash the worker (in-process: worker-0) after executing this many units")
+		leaseTTL   = flag.Duration("lease-ttl", 0, "HTTP fleet: lease time-to-live before a silent worker's unit is requeued (default 15s)")
+		maxAtt     = flag.Int("max-attempts", 0, "HTTP fleet: attempts per unit before it is dead-lettered (default 3)")
+		failUnit   = flag.String("fail-unit", "", "fault injection: comma-separated unit IDs that fail every execution")
+		crashAfter = flag.Int("crash-after", -1, "fault injection: crash the -worker after executing this many units")
 	)
 	cacheFlags := cliflags.RegisterCache(flag.CommandLine)
 	flag.Parse()
@@ -139,18 +145,10 @@ func main() {
 		fatalUsage(err)
 	}
 
-	// Coordination modes are mutually exclusive roles of the same sweep.
-	coordModes := 0
-	for _, on := range []bool{*coordN > 0, *serveArg != "", *workerArg != ""} {
-		if on {
-			coordModes++
-		}
-	}
-	if coordModes > 1 {
-		fatalUsage(fmt.Errorf("-coordinate, -serve-coordinator and -worker are mutually exclusive roles"))
-	}
-	if *coordN < 0 || (*coordN == 0 && cliflags.WasSet(fs, "coordinate")) {
-		fatalUsage(fmt.Errorf("-coordinate needs a positive worker count, got %d", *coordN))
+	// The fleet roles are mutually exclusive, and the lease and crash
+	// flags belong to them.
+	if *serveArg != "" && *workerArg != "" {
+		fatalUsage(fmt.Errorf("-serve-coordinator and -worker are mutually exclusive roles"))
 	}
 	if err := cliflags.PositiveDurationIfSet(fs, "lease-ttl", *leaseTTL); err != nil {
 		fatalUsage(err)
@@ -158,23 +156,21 @@ func main() {
 	if err := cliflags.PositiveIntIfSet(fs, "max-attempts", *maxAtt); err != nil {
 		fatalUsage(err)
 	}
-	if coordModes == 0 && (*failUnit != "" || *crashAfter >= 0 || cliflags.WasSet(fs, "lease-ttl") || cliflags.WasSet(fs, "max-attempts") || *workerName != "") {
-		fatalUsage(fmt.Errorf("-lease-ttl/-max-attempts/-fail-unit/-crash-after/-worker-name only apply to coordinated sweeps (-coordinate, -serve-coordinator or -worker)"))
+	fleet := *serveArg != "" || *workerArg != ""
+	if !fleet && (cliflags.WasSet(fs, "lease-ttl") || cliflags.WasSet(fs, "max-attempts")) {
+		fatalUsage(fmt.Errorf("-lease-ttl/-max-attempts only apply to HTTP fleets (-serve-coordinator or -worker)"))
 	}
-	if *serveArg != "" && (*failUnit != "" || *crashAfter >= 0) {
-		fatalUsage(fmt.Errorf("faults are injected where units execute; pass -fail-unit/-crash-after to -coordinate or to -worker processes"))
+	if *workerArg == "" && (*crashAfter >= 0 || *workerName != "") {
+		fatalUsage(fmt.Errorf("-crash-after/-worker-name only apply with -worker"))
 	}
-	if *workerName != "" && *workerArg == "" {
-		fatalUsage(fmt.Errorf("-worker-name only applies with -worker"))
+	if *failUnit != "" && (*serveArg != "" || *listU || *merge) {
+		fatalUsage(fmt.Errorf("faults are injected where units execute; -fail-unit applies to a sweep, -shard or -worker, not to -serve-coordinator/-list-units/-merge"))
 	}
 	if *workerArg != "" && (*listU || *merge || *shardArg != "" || *format != "" || *outPath != "") {
 		fatalUsage(fmt.Errorf("-worker pulls units from its coordinator and emits nothing; it cannot combine with -list-units/-shard/-merge/-format/-out"))
 	}
 	if *serveArg != "" && (*listU || *merge || *shardArg != "") {
 		fatalUsage(fmt.Errorf("-serve-coordinator coordinates the whole plan and emits the full report; it cannot combine with -list-units/-shard/-merge"))
-	}
-	if *coordN > 0 && (*listU || *merge) {
-		fatalUsage(fmt.Errorf("-coordinate runs the sweep and cannot combine with -list-units/-merge"))
 	}
 
 	opts := rmwtso.DefaultOptions()
@@ -203,25 +199,17 @@ func main() {
 		seedList = append(seedList, opts.Seed+s)
 	}
 
-	// Coordinated roles share the sweep Runner; the configuration is the
-	// same on every side so the plan fingerprints agree.
-	var coordOpts []rmwtso.Option
-	if coordModes > 0 {
-		crashWorker := "" // -worker: the process has exactly one worker
-		if *coordN > 0 {
-			crashWorker = "worker-0" // keep the in-process sweep able to finish
-		}
-		coordOpts = append(coordOpts, rmwtso.WithCoordinator(rmwtso.CoordinationConfig{
-			Workers:       *coordN,
-			LeaseTTL:      *leaseTTL,
-			MaxAttempts:   *maxAtt,
-			FaultInjector: buildFaultInjector(*failUnit, *crashAfter, crashWorker),
-		}))
+	// Every Runner of the process injects the same faults, and both
+	// fleet roles use the same lease configuration.
+	var faultOpts []rmwtso.Option
+	if faults := buildFaultInjector(*failUnit, *crashAfter); faults != nil {
+		faultOpts = append(faultOpts, rmwtso.WithFaultInjector(faults))
 	}
+	coordCfg := rmwtso.CoordinationConfig{LeaseTTL: *leaseTTL, MaxAttempts: *maxAtt}
 
 	// The plan pipeline: every mode below agrees on unit identities
 	// because each rebuilds the same deterministic plan from the flags.
-	planMode := *listU || *shardArg != "" || *merge || *format != "" || coordModes > 0
+	planMode := *listU || *shardArg != "" || *merge || *format != "" || fleet
 	if *outPath != "" && *shardArg == "" {
 		fatalUsage(fmt.Errorf("-out only applies with -shard"))
 	}
@@ -249,7 +237,7 @@ func main() {
 				}
 				name = fmt.Sprintf("worker-%s-%d", host, os.Getpid())
 			}
-			err := newRunner(*par, cache, *progress, coordOpts...).RunPlanWorker(nil, plan, *workerArg, name)
+			err := newRunner(*par, cache, *progress, faultOpts...).RunPlanWorker(nil, plan, *workerArg, name, coordCfg)
 			if errors.Is(err, rmwtso.ErrInjectedCrash) {
 				fmt.Fprintf(os.Stderr, "experiments: worker %s: injected crash (-crash-after %d); lease left to expire\n", name, *crashAfter)
 				os.Exit(3)
@@ -260,7 +248,7 @@ func main() {
 			return
 
 		case *serveArg != "":
-			srv, err := newRunner(*par, cache, *progress, coordOpts...).NewCoordServer(plan, rmwtso.FullShard())
+			srv, err := newRunner(*par, cache, *progress).NewCoordServer(plan, rmwtso.FullShard(), coordCfg, nil)
 			check(err)
 			ln, err := net.Listen("tcp", *serveArg)
 			check(err)
@@ -289,7 +277,7 @@ func main() {
 			}
 			shard, err := rmwtso.ParseShard(*shardArg)
 			check(err)
-			res, err := newRunner(*par, cache, *progress, coordOpts...).RunPlan(nil, plan, shard)
+			res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, shard)
 			var dle *rmwtso.DeadLetterError
 			if errors.As(err, &dle) {
 				// A shard artifact with holes would only fail the merge
@@ -320,8 +308,8 @@ func main() {
 			emitReport(opts, runs, *format, nil)
 			return
 
-		default: // -format/-coordinate without -shard/-merge: unsharded full report.
-			res, err := newRunner(*par, cache, *progress, coordOpts...).RunPlan(nil, plan, rmwtso.FullShard())
+		default: // -format without -shard/-merge: unsharded full report.
+			res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, rmwtso.FullShard())
 			emitCoordinated(opts, plan, res, err, *format)
 			reportCache(cache)
 			return
@@ -336,11 +324,14 @@ func main() {
 	// The table modes print sections of the same Report the -format mode
 	// encodes.
 	needSim := *all || *table == "3" || *fig == "11a" || *fig == "11b" || *summary
+	if !needSim && *failUnit != "" {
+		fatalUsage(fmt.Errorf("-fail-unit needs a run that simulates; -table 1, 2 and 4 execute no units"))
+	}
 	var runs []*rmwtso.BenchmarkRun
 	if needSim {
 		plan, err := rmwtso.DefaultPlanSeeds(opts, seedList...)
 		check(err)
-		res, err := newRunner(*par, cache, *progress).RunPlan(nil, plan, rmwtso.FullShard())
+		res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, rmwtso.FullShard())
 		check(err)
 		runs, err = plan.Runs(res.Units)
 		check(err)
@@ -395,8 +386,8 @@ func main() {
 	reportCache(cache)
 }
 
-// newRunner builds the sweep Runner shared by the table, plan and
-// coordinated modes.
+// newRunner builds the sweep Runner shared by the table, plan and fleet
+// modes.
 func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Option) *rmwtso.Runner {
 	runnerOpts := []rmwtso.Option{}
 	if par > 0 {
@@ -437,10 +428,9 @@ func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Opti
 }
 
 // buildFaultInjector compiles the -fail-unit/-crash-after flags into a
-// FaultInjector (nil when neither is set). crashWorker restricts
-// -crash-after to one worker name; empty applies it to any worker of the
-// process — which is exactly one in -worker mode.
-func buildFaultInjector(failUnits string, crashAfter int, crashWorker string) rmwtso.FaultInjector {
+// FaultInjector (nil when neither is set). -crash-after counts the
+// executions of the process's one -worker.
+func buildFaultInjector(failUnits string, crashAfter int) rmwtso.FaultInjector {
 	poisoned := map[rmwtso.UnitID]bool{}
 	for _, id := range strings.Split(failUnits, ",") {
 		if id = strings.TrimSpace(id); id != "" {
@@ -451,24 +441,22 @@ func buildFaultInjector(failUnits string, crashAfter int, crashWorker string) rm
 		return nil
 	}
 	var executions atomic.Int64
-	return func(worker string, u rmwtso.Unit, attempt int) error {
+	return func(_ string, u rmwtso.Unit, attempt int) error {
 		if poisoned[u.ID] {
 			return fmt.Errorf("injected permanent failure (-fail-unit, attempt %d)", attempt)
 		}
-		if crashAfter >= 0 && (crashWorker == "" || worker == crashWorker) {
-			if executions.Add(1) > int64(crashAfter) {
-				return rmwtso.ErrInjectedCrash
-			}
+		if crashAfter >= 0 && executions.Add(1) > int64(crashAfter) {
+			return rmwtso.ErrInjectedCrash
 		}
 		return nil
 	}
 }
 
-// emitCoordinated finishes a sweep that may have run coordinated: a clean
-// result emits the full report (coordination section attached when the
-// sweep was dynamic), while dead-lettered units emit the partial report —
-// complete trace groups plus the dead-letter section — and exit 1 so CI
-// cannot mistake the sweep for a healthy one.
+// emitCoordinated finishes a full sweep: a clean result emits the full
+// report (with a fleet's coordination section attached), while
+// dead-lettered units emit the partial report — complete trace groups
+// plus the dead-letter section — and exit 1 so CI cannot mistake the
+// sweep for a healthy one.
 func emitCoordinated(opts rmwtso.Options, plan *rmwtso.Plan, res *rmwtso.ShardResult, err error, format string) {
 	var dle *rmwtso.DeadLetterError
 	if errors.As(err, &dle) {

@@ -133,6 +133,11 @@ func main() {
 	}
 	cfg := rmwtso.DefaultSimConfig().WithCores(*cores)
 	cfg.DisableDeadlockAvoidance = *naive
+	// Validated before any trace is built: the fig10 trace is sized by
+	// the core count.
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
 
 	types := []rmwtso.AtomicityType{typ}
 	if *sweep {

@@ -46,60 +46,23 @@ type AtoResult struct {
 // without closing a cycle through the induced edges. The brute-force oracle
 // in oracle.go checks this equivalence on every litmus test in the suite.
 //
-// DeriveAto materializes the full diagnostic result (ato edges, order,
-// cycle) and allocates accordingly; validity-only callers should use Valid
-// or a Checker, which run the same fixpoint against reusable scratch state.
+// DeriveAto runs a Checker's fixpoint and materializes its full
+// diagnostic result (ato edges, order, cycle), allocating accordingly;
+// validity-only callers should use Valid or a Checker, which keep their
+// scratch state for reuse.
 func DeriveAto(x *memmodel.Execution, t AtomicityType) *AtoResult {
-	n := len(x.Events)
-	res := &AtoResult{Exec: x, Type: t, Ato: memmodel.NewRelation(n)}
-
+	res := &AtoResult{Exec: x, Type: t}
 	if !x.Uniproc() {
 		res.UniprocViolation = true
-		res.Order = x.BaseOrder().Union(res.Ato)
-		res.Valid = false
+		res.Ato = memmodel.NewRelation(len(x.Events))
+		res.Order = x.BaseOrder()
 		return res
 	}
-
-	pairs := RMWPairs(x)
-	base := x.BaseOrder()
-
-	// Precompute the disallowed event set per RMW pair.
-	disallowed := make([][]int, len(pairs))
-	for i, p := range pairs {
-		disallowed[i] = DisallowedEvents(t, x, p)
-	}
-
-	order := base.Clone().Union(res.Ato)
-	for {
-		closure := order.Clone().TransitiveClosure()
-		changed := false
-		for i, p := range pairs {
-			for _, m := range disallowed[i] {
-				// Ra ordered before M forces Wa before M.
-				if closure.Has(p.Read, m) && !res.Ato.Has(p.Write, m) && !closure.Has(p.Write, m) {
-					res.Ato.Add(p.Write, m)
-					order.Add(p.Write, m)
-					changed = true
-				}
-				// M ordered before Wa forces M before Ra.
-				if closure.Has(m, p.Write) && !res.Ato.Has(m, p.Read) && !closure.Has(m, p.Read) {
-					res.Ato.Add(m, p.Read)
-					order.Add(m, p.Read)
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	res.Order = order
-	if order.Acyclic() {
-		res.Valid = true
-	} else {
-		res.Valid = false
-		res.Cycle = order.FindCycle()
+	var c Checker
+	res.Valid = c.Valid(x, t)
+	res.Ato, res.Order = c.ato.Clone(), c.order.Clone()
+	if !res.Valid {
+		res.Cycle = res.Order.FindCycle()
 	}
 	return res
 }

@@ -15,10 +15,11 @@ import (
 // is what keeps EnumFilter-based verdicts inside enumeration workers
 // allocation-free.
 //
-// The decision procedure is exactly DeriveAto's fixpoint (§2.2 of the
-// paper) minus the diagnostics: use DeriveAto when the ato edges, the
-// cycle, or an explanation is needed. A Checker is not safe for concurrent
-// use; give each goroutine its own, or use the pooled package-level Valid.
+// Valid runs the atomicity fixpoint of §2.2 of the paper that DeriveAto
+// documents; DeriveAto runs a Checker and adds the diagnostics, so use it
+// when the ato edges, the cycle, or an explanation is needed. A Checker is
+// not safe for concurrent use; give each goroutine its own, or use the
+// pooled package-level Valid.
 type Checker struct {
 	prog    *memmodel.Program
 	nEvents int

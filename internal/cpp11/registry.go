@@ -46,17 +46,6 @@ func RegisterProgram(group, name string, build func() *Program) {
 	programs.order = append(programs.order, e)
 }
 
-// ProgramNames returns the registered program names in registration order.
-func ProgramNames() []string {
-	programs.mu.RLock()
-	defer programs.mu.RUnlock()
-	out := make([]string, len(programs.order))
-	for i, e := range programs.order {
-		out[i] = e.name
-	}
-	return out
-}
-
 // BuildProgram constructs a fresh instance of the named program, or nil
 // when the name is not registered.
 func BuildProgram(name string) *Program {

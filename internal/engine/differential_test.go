@@ -52,8 +52,8 @@ func submitPlan(t *testing.T, eng *engine.Engine, plan *engine.Plan, shard engin
 }
 
 // TestEngineModesDifferential is the engine-vs-legacy differential: the
-// full benchmark grid submitted through engine.Submit in static, sharded
-// and coordinated modes must produce deeply equal runs, and the report
+// full benchmark grid submitted through engine.Submit whole and as merged
+// shards must produce deeply equal runs, and the report
 // built from them must encode byte-identically to the blessed goldens in
 // every format. Run with -race in CI; bless intentional result changes
 // with -update.
@@ -88,23 +88,8 @@ func TestEngineModesDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Coordinated: the same grid through the pull queue.
-	coordEng := engine.New(engine.WithCoordinator(engine.CoordinationConfig{Workers: 3}))
-	coordRes := submitPlan(t, coordEng, plan, engine.FullShard())
-	coordRuns, err := plan.Runs(coordRes.Units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coordRes.Coordination == nil {
-		t.Fatal("coordinated shard result carries no coordination summary")
-	}
-
-	for name, got := range map[string][]*experiments.BenchmarkRun{
-		"sharded-merged": mergedRuns, "coordinated": coordRuns,
-	} {
-		if !reflect.DeepEqual(got, staticRuns) {
-			t.Errorf("%s runs differ from the static submission", name)
-		}
+	if !reflect.DeepEqual(mergedRuns, staticRuns) {
+		t.Error("sharded-merged runs differ from the static submission")
 	}
 
 	// Byte-identity against the blessed goldens, in every format.

@@ -1,12 +1,13 @@
 // Package engine owns the execution lifecycle of the reproduction's work
 // units: submit a job (a simulation plan or a litmus verdict grid), fan
-// its units across a worker pool — or a coordinated pull queue — through
-// the single runUnit execution path, stream progress as typed Events,
-// and expose the finished results plus a Metrics snapshot. The public
-// facade (pkg/rmwtso) is a thin adapter over this package: its Runner
-// wraps an Engine, its plan/shard/artifact types alias the ones defined
-// here, and its error strings are minted here (hence the "rmwtso:"
-// prefixes — they are part of the facade's pinned surface).
+// its units across a worker pool — or, for an HTTP fleet, a lease
+// queue — through the single runUnit execution path, stream progress as
+// typed Events, and expose the finished results plus a Metrics
+// snapshot. The public facade (pkg/rmwtso) is a thin adapter over this
+// package: its Runner wraps an Engine, its plan/shard/artifact types
+// alias the ones defined here, and its error strings are minted here
+// (hence the "rmwtso:" prefixes — they are part of the facade's pinned
+// surface).
 package engine
 
 import (
@@ -77,9 +78,9 @@ type Event struct {
 	Mapping *MappingResult
 	// Sim is set when the unit was one simulator run.
 	Sim *SimRun
-	// Coord is set for coordination state transitions of a dynamically
-	// coordinated sweep (lease, requeue, dead-letter, …), streamed
-	// alongside the SimRun events of the same sweep.
+	// Coord is set for coordination state transitions of a plan job
+	// (a dead letter, or a fleet's lease, requeue, …), streamed alongside
+	// the SimRun events of the same sweep.
 	Coord *CoordEvent
 }
 
@@ -122,7 +123,7 @@ type options struct {
 	observer    Observer
 	types       []AtomicityType
 	cache       *simcache.Cache
-	coord       *CoordinationConfig
+	faults      FaultInjector
 }
 
 // Option configures an Engine.

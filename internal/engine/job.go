@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // Job is one unit of work submitted to the engine: exactly one of Plan
@@ -10,9 +12,8 @@ import (
 // (the zero Shard covers everything), with the same round-robin /
 // predicate semantics for both job kinds.
 type Job struct {
-	// Plan runs the simulation units the shard selects, statically or —
-	// when the engine is configured with a coordinator — through the pull
-	// queue.
+	// Plan runs the simulation units the shard selects on the engine's
+	// worker pool.
 	Plan *Plan
 	// Litmus model-checks a verdict grid: every (test, configured type)
 	// pair the shard selects.
@@ -24,10 +25,6 @@ type Job struct {
 	// called serially per job but concurrently across jobs, so a shared
 	// Observer needs its own locking; per-job Observers need none.
 	Observer Observer
-	// Coordination, when non-nil, runs a plan job through its own
-	// dynamic pull queue with this configuration, overriding the
-	// engine-level WithCoordinator setting for this job only.
-	Coordination *CoordinationConfig
 }
 
 // LitmusGrid is the litmus-verdict form of a Job: the (test, type) grid
@@ -60,9 +57,9 @@ type JobHandle struct {
 // Done is closed when the job has finished (successfully or not).
 func (h *JobHandle) Done() <-chan struct{} { return h.done }
 
-// Wait blocks until the job finishes and returns its result. A
-// coordinated plan that drained with dead letters returns a
-// *DeadLetterError exactly like the facade's RunPlan.
+// Wait blocks until the job finishes and returns its result. A plan job
+// that finished with dead-lettered units returns a *DeadLetterError
+// exactly like the facade's RunPlan.
 func (h *JobHandle) Wait() (*JobResult, error) {
 	return h.WaitCtx(context.Background())
 }
@@ -99,15 +96,11 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	}
 	h := &JobHandle{done: make(chan struct{}), m: newJobMetrics(&e.metrics)}
 	h.m.obs = job.Observer
-	coord := e.opts.coord
-	if job.Coordination != nil {
-		coord = job.Coordination
-	}
 	go func() {
 		defer close(h.done)
 		switch {
 		case job.Plan != nil:
-			sr, err := e.runPlanJob(ctx, job.Plan, job.Shard, h.m, coord)
+			sr, err := e.runPlanJob(ctx, job.Plan, job.Shard, h.m)
 			h.res, h.err = &JobResult{Shard: sr}, err
 		case job.Litmus != nil:
 			vs, err := e.checkTestsSharded(ctx, job.Shard, h.m, job.Litmus.Tests...)
@@ -117,37 +110,59 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	return h, nil
 }
 
-// runPlanJob executes the plan units a shard selects and returns their
-// results as a shard artifact: on the engine's worker pool, or through
-// the coordinated pull queue when the job (Job.Coordination) or the
-// engine (WithCoordinator) selected one. Unit identities, order and
-// results are exactly the plan's.
+// runPlanJob executes the plan units a shard selects on the engine's
+// worker pool and returns their results as a shard artifact. Unit
+// identities, order and results are exactly the plan's.
 //
 // The plan — not the engine's WithRMWTypes restriction — determines what
 // runs: dropping plan units silently would leave merges incomplete. Each
 // unit streams its group's trace lazily, and the engine's cache
 // (WithCache; none without it) serves and stores units by their keys, so
 // warm shards do zero simulation work.
-func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *metrics, coord *CoordinationConfig) (*ShardResult, error) {
+//
+// A unit whose execution fails — a simulator error, a deadlock or an
+// injected fault — is dead-lettered after its one attempt, and the other
+// units still run: units are deterministic, so a retry in this process
+// would only fail again. A job with dead letters returns a
+// *DeadLetterError carrying the finished units.
+func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *metrics) (*ShardResult, error) {
 	if err := shard.Validate(); err != nil {
 		return nil, err
 	}
-	cache := e.opts.cache
 	selected := plan.Select(shard)
 	m.planned(len(selected))
-	if coord != nil {
-		return e.runPlanCoordinated(ctx, plan, shard, selected, cache, m, *coord)
-	}
 	results := make([]UnitResult, len(selected))
+	errs := make([]error, len(selected))
 	err := e.runUnitsCtx(ctx, len(selected), func(i int) error {
-		ur, err := e.runUnit(plan, selected[i], cache, m)
-		results[i] = ur
-		return err
+		u := selected[i]
+		results[i], errs[i] = e.runUnit(plan, u, "", 1, m)
+		if errs[i] != nil {
+			m.deadLetter()
+			e.emitTo(m, Event{Coord: &CoordEvent{Kind: "dead-letter", Unit: u.ID, Attempt: 1, Reason: errs[i].Error()}})
+		}
+		// The error stays in the unit's slot: returning it would stop the
+		// pool claiming the remaining units.
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return plan.shardResult(shard, results), nil
+	done := results[:0] // compacted in place: slot i moves to an index <= i
+	var dead []DeadUnit
+	for i, u := range selected {
+		if errs[i] != nil {
+			dead = append(dead, deadUnit(plan, string(u.ID), 1, []string{errs[i].Error()}))
+			continue
+		}
+		done = append(done, results[i])
+	}
+	res := plan.shardResult(shard, done)
+	if len(dead) == 0 {
+		return res, nil
+	}
+	slices.SortFunc(dead, func(a, b DeadUnit) int { return strings.Compare(a.Unit, b.Unit) })
+	res.Coordination = &Coordination{Mode: "in-process", DeadLetters: dead}
+	return nil, &DeadLetterError{Partial: res}
 }
 
 // RunPlan executes the units of the plan a shard selects and returns

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,30 +28,30 @@ func TestWaitCtxAbandonsWaitNotWork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A single coordinated worker whose fault injector lets a few units
-	// through and then blocks guarantees the job is provably mid-sweep —
-	// some units done, the next one parked — with no timing assumptions.
+	// A one-worker pool whose fault injector lets a few units through and
+	// then blocks guarantees the job is provably mid-sweep — some units
+	// done, the next one parked — with no timing assumptions. The parked
+	// unit is released when the test ends or the Submit context is
+	// cancelled, whichever comes first.
 	release := make(chan struct{})
 	defer close(release)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var executed atomic.Int32
 	block := int32(3)
 	if n := int32(plan.Len()); block > n-1 {
 		block = n - 1
 	}
-	cfg := &engine.CoordinationConfig{
-		Workers: 1,
-		FaultInjector: func(_ string, _ engine.Unit, _ int) error {
-			if executed.Add(1) > block {
-				<-release
+	eng := engine.New(engine.WithParallelism(1), engine.WithFaultInjector(func(string, engine.Unit, int) error {
+		if executed.Add(1) > block {
+			select {
+			case <-release:
+			case <-ctx.Done():
 			}
-			return nil
-		},
-	}
-
-	eng := engine.New()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h, err := eng.Submit(ctx, engine.Job{Plan: plan, Coordination: cfg})
+		}
+		return nil
+	}))
+	h, err := eng.Submit(ctx, engine.Job{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,89 +165,52 @@ func TestConcurrentSubmitsIsolateJobs(t *testing.T) {
 	}
 }
 
-// TestCoordinatedWorkersBoundedByUnits pins that a coordinated job starts
-// no more pull workers than it has units, however many it is asked for: a
-// one-unit plan asked for 20,000 workers, with its unit held in the fault
-// injector, keeps the goroutine count near its baseline.
-func TestCoordinatedWorkersBoundedByUnits(t *testing.T) {
-	spec := experiments.Table3Specs()[0]
-	spec.Types = spec.Types[:1]
-	plan, err := engine.BuildPlanSeeds(concurrencyOptions(20130601), []experiments.BenchmarkSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Len() != 1 {
-		t.Fatalf("plan has %d units, want 1", plan.Len())
-	}
-	held := make(chan struct{})
-	release := make(chan struct{})
-	cfg := &engine.CoordinationConfig{
-		Workers: 20000,
-		FaultInjector: func(string, engine.Unit, int) error {
-			close(held)
-			<-release
-			return nil
-		},
-	}
-
-	baseline := runtime.NumGoroutine()
-	h, err := engine.New().Submit(nil, engine.Job{Plan: plan, Coordination: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-held
-	// The unit can be leased before the pool has finished starting, so
-	// watch the count for a while rather than sampling it once.
-	running := 0
-	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline) && running <= baseline+50; {
-		running = max(running, runtime.NumGoroutine())
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if running > baseline+50 {
-		t.Fatalf("%d goroutines while the one unit ran (baseline %d): the job started more workers than units", running, baseline)
-	}
-}
-
-// TestDeadLetterCounters runs two coordinated jobs on one engine, each
-// with one poisoned unit, and pins the dead-letter bookkeeping: each
-// job's handle counts its own dead letter and the retries before it, the
-// engine-wide aggregate counts both, and each job's coordination section
-// names its poisoned unit with the trace and type the plan gives it.
+// TestDeadLetterCounters runs two plan jobs on one engine whose fault
+// injector poisons one unit of each — with ErrInjectedCrash in the first
+// job, a plain error in the second — and pins the static pool's
+// dead-letter bookkeeping: each job's handle counts its own dead letter
+// and no retries, the engine-wide aggregate counts both, each job streams
+// one dead-letter event, and each job's coordination section names its
+// poisoned unit, after one attempt, with the trace and type the plan
+// gives it.
 func TestDeadLetterCounters(t *testing.T) {
-	const maxAttempts = 2
-	eng := engine.New()
-	type poisonedJob struct {
-		unit engine.Unit
-		h    *engine.JobHandle
-	}
-	var jobs []poisonedJob
+	var plans []*engine.Plan
+	var poisoned []engine.Unit
 	for i := range 2 {
 		plan, err := engine.BuildPlanSeeds(concurrencyOptions(20130601+int64(i)), experiments.Table3Specs()[:1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		poisoned := plan.Units()[i]
-		cfg := &engine.CoordinationConfig{
-			Workers:      2,
-			MaxAttempts:  maxAttempts,
-			RetryBackoff: time.Millisecond,
-			MaxBackoff:   time.Millisecond,
-			FaultInjector: func(_ string, u engine.Unit, attempt int) error {
-				if u.ID == poisoned.ID {
-					return fmt.Errorf("injected poison (attempt %d)", attempt)
-				}
-				return nil
-			},
+		plans = append(plans, plan)
+		poisoned = append(poisoned, plan.Units()[i])
+	}
+	reasons := []string{engine.ErrInjectedCrash.Error(), "injected poison (attempt 1)"}
+	eng := engine.New(engine.WithFaultInjector(func(_ string, u engine.Unit, attempt int) error {
+		switch u.ID {
+		case poisoned[0].ID:
+			return engine.ErrInjectedCrash
+		case poisoned[1].ID:
+			return fmt.Errorf("injected poison (attempt %d)", attempt)
 		}
-		h, err := eng.Submit(nil, engine.Job{Plan: plan, Coordination: cfg})
+		return nil
+	}))
+	type poisonedJob struct {
+		h      *engine.JobHandle
+		events []engine.CoordEvent
+	}
+	jobs := make([]*poisonedJob, len(plans))
+	for i, plan := range plans {
+		j := &poisonedJob{}
+		h, err := eng.Submit(nil, engine.Job{Plan: plan, Observer: func(ev engine.Event) {
+			if ev.Coord != nil {
+				j.events = append(j.events, *ev.Coord)
+			}
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, poisonedJob{unit: poisoned, h: h})
+		j.h = h
+		jobs[i] = j
 	}
 
 	for i, j := range jobs {
@@ -256,19 +219,26 @@ func TestDeadLetterCounters(t *testing.T) {
 		if !errors.As(err, &dle) {
 			t.Fatalf("job %d: want *DeadLetterError, got %v", i, err)
 		}
-		if m := j.h.Metrics(); m.DLQDepth != 1 || m.Retries != maxAttempts-1 {
-			t.Errorf("job %d: DLQDepth %d and Retries %d, want 1 and %d", i, m.DLQDepth, m.Retries, maxAttempts-1)
+		if m := j.h.Metrics(); m.DLQDepth != 1 || m.Retries != 0 || m.UnitsDone != plans[i].Len()-1 {
+			t.Errorf("job %d: DLQDepth %d, Retries %d, UnitsDone %d; want 1, 0 and %d", i, m.DLQDepth, m.Retries, m.UnitsDone, plans[i].Len()-1)
 		}
-		dls := dle.Partial.Coordination.DeadLetters
-		if len(dls) != 1 {
-			t.Fatalf("job %d: dead letters %+v, want exactly the poisoned unit", i, dls)
+		u, reason := poisoned[i], reasons[i]
+		if len(j.events) != 1 || j.events[0] != (engine.CoordEvent{Kind: "dead-letter", Unit: u.ID, Attempt: 1, Reason: reason}) {
+			t.Errorf("job %d: coordination events %+v, want one dead-letter for %s", i, j.events, u.ID)
 		}
-		want := engine.DeadUnit{Unit: string(j.unit.ID), Trace: j.unit.Trace, Type: j.unit.Type.String(), Attempts: maxAttempts}
-		if d := dls[0]; d.Unit != want.Unit || d.Trace != want.Trace || d.Type != want.Type || d.Attempts != want.Attempts {
+		c := dle.Partial.Coordination
+		if c.Mode != "in-process" || len(c.DeadLetters) != 1 {
+			t.Fatalf("job %d: coordination %+v, want in-process mode with exactly the poisoned unit", i, c)
+		}
+		want := engine.DeadUnit{Unit: string(u.ID), Trace: u.Trace, Type: u.Type.String(), Attempts: 1, Reasons: []string{reason}}
+		if d := c.DeadLetters[0]; !reflect.DeepEqual(d, want) {
 			t.Errorf("job %d: dead letter %+v, want %+v", i, d, want)
 		}
+		if got := len(dle.Partial.Units); got != plans[i].Len()-1 {
+			t.Errorf("job %d: partial has %d units, want %d", i, got, plans[i].Len()-1)
+		}
 	}
-	if m := eng.Metrics(); m.DLQDepth != 2 || m.Retries != 2*(maxAttempts-1) {
-		t.Errorf("engine DLQDepth %d and Retries %d, want 2 and %d", m.DLQDepth, m.Retries, 2*(maxAttempts-1))
+	if m := eng.Metrics(); m.DLQDepth != 2 || m.Retries != 0 {
+		t.Errorf("engine DLQDepth %d and Retries %d, want 2 and 0", m.DLQDepth, m.Retries)
 	}
 }

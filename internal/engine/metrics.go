@@ -8,11 +8,11 @@ import (
 )
 
 // Metrics is a point-in-time snapshot of an engine's (or one job's)
-// execution counters: unit throughput, cache effectiveness, and — for
-// coordinated sweeps — the queue's lease, retry, expiry and dead-letter
-// counts. It holds counters only: a coordinated sweep's per-worker
-// traffic and dead letters are in its ShardResult's Coordination
-// section, which is built from the drained queue's snapshot.
+// execution counters: unit throughput, cache effectiveness, dead letters
+// and — for HTTP fleets — the lease queue's lease, retry and expiry
+// counts. It holds counters only: a plan job's dead letters, and a
+// fleet's per-worker traffic, are in its ShardResult's Coordination
+// section.
 type Metrics struct {
 	// UnitsPlanned counts the units selected for execution; UnitsDone the
 	// units finished so far (including cache hits). For litmus jobs the
@@ -28,9 +28,9 @@ type Metrics struct {
 	// UnitsPerSec is UnitsDone over that window.
 	Elapsed     time.Duration
 	UnitsPerSec float64
-	// InflightLeases gauges the coordinated queue's currently leased
-	// units; Retries and Expired count requeues and lease expiries;
-	// DLQDepth the dead-lettered units.
+	// InflightLeases gauges a fleet queue's currently leased units;
+	// Retries and Expired count its requeues and lease expiries. DLQDepth
+	// counts the dead-lettered units of every plan job.
 	InflightLeases int
 	Retries        int
 	Expired        int
@@ -133,6 +133,11 @@ func (m *metrics) coordEvent(e coordinator.Event) {
 			}
 		})
 	}
+}
+
+// deadLetter records one unit the static pool dead-lettered.
+func (m *metrics) deadLetter() {
+	m.update(func(m *metrics) { m.dlq++ })
 }
 
 // absorbSnapshot adds the drained queue's retry, expiry and dead-letter

@@ -311,13 +311,19 @@ func deadlockError(name string, typ AtomicityType) error {
 }
 
 // runUnit executes one plan unit on its group's source through the
-// result cache (simulateCached) and emits its SimRun event. It is the
-// single simulation path behind the static worker pool and the
-// coordinator's pull workers (in-process and HTTP), so the modes cannot
+// engine's result cache (simulateCached) and emits its SimRun event,
+// after consulting the engine's fault injector with the executing
+// worker's name and attempt. It is the single simulation path behind the
+// static worker pool and a fleet's HTTP pull workers, so the modes cannot
 // drift.
-func (e *Engine) runUnit(plan *Plan, u Unit, cache *simcache.Cache, m *metrics) (UnitResult, error) {
+func (e *Engine) runUnit(plan *Plan, u Unit, worker string, attempt int, m *metrics) (UnitResult, error) {
+	if e.opts.faults != nil {
+		if err := e.opts.faults(worker, u, attempt); err != nil {
+			return UnitResult{}, err
+		}
+	}
 	cfg := plan.opts.BaseConfig().WithRMWType(u.Type)
-	res, hit, err := simulateCached(cache, u.Key, cfg, plan.groups[u.group].src)
+	res, hit, err := simulateCached(e.opts.cache, u.Key, cfg, plan.groups[u.group].src)
 	if err != nil {
 		return UnitResult{}, err
 	}

@@ -1,16 +1,17 @@
 package experiments
 
-// Coordination summarizes how a dynamically coordinated sweep was
-// executed: which workers pulled how many units from the queue, how much
-// retry/expiry churn the sweep saw, and which units were dead-lettered.
-// It is diagnostic metadata about the execution, not about the results —
-// per-worker counts depend on scheduling, so the section is excluded from
-// byte-identity comparisons (the result tables of a completed coordinated
-// sweep are still byte-identical to an unsharded run's).
+// Coordination summarizes how a sweep was executed when that is worth
+// reporting: which units were dead-lettered and, for an HTTP fleet, which
+// workers pulled how many units from the queue and how much retry/expiry
+// churn the sweep saw. It is diagnostic metadata about the execution, not
+// about the results — per-worker counts depend on scheduling, so the
+// section is excluded from byte-identity comparisons (the result tables
+// of a completed fleet sweep are still byte-identical to an unsharded
+// run's).
 type Coordination struct {
-	// Mode names the transport the sweep coordinated over: "in-process"
-	// (goroutine workers pulling from a shared queue) or "http" (workers
-	// on other machines speaking the versioned JSON protocol).
+	// Mode names where the units executed: "in-process" (the engine's
+	// static worker pool) or "http" (a fleet of workers on other machines
+	// pulling from a lease queue over the versioned JSON protocol).
 	Mode string `json:"mode"`
 	// Workers aggregates per-worker unit counts, sorted by worker name.
 	Workers []CoordWorker `json:"workers,omitempty"`
@@ -24,7 +25,7 @@ type Coordination struct {
 	DeadLetters []DeadUnit `json:"dead_letters,omitempty"`
 }
 
-// CoordWorker is one worker's traffic in a coordinated sweep.
+// CoordWorker is one worker's traffic in an HTTP fleet sweep.
 type CoordWorker struct {
 	// Worker is the worker's self-reported name.
 	Worker string `json:"worker"`
@@ -35,9 +36,10 @@ type CoordWorker struct {
 	Expired int `json:"expired"`
 }
 
-// DeadUnit is one poisoned unit of a coordinated sweep: it failed on
-// every attempt (repeated deadlocks, injected faults, crashing workers)
-// and was dead-lettered so the rest of the sweep could finish.
+// DeadUnit is one poisoned unit of a sweep: it failed on every attempt
+// (a deadlock, a simulator error, injected faults, crashing workers) and
+// was dead-lettered so the rest of the sweep could finish. The static
+// pool makes one attempt per unit; a fleet makes up to its MaxAttempts.
 type DeadUnit struct {
 	// Unit is the plan unit's stable ID; Trace and Type restate its
 	// human-readable identity.

@@ -46,11 +46,11 @@ func (ASCIIEncoder) Encode(w io.Writer, r *Report) error {
 	return err
 }
 
-// asciiCoordination renders the dynamic-coordination section: per-worker
-// unit counts plus, when the sweep is partial, the dead-lettered units.
+// asciiCoordination renders the coordination section: per-worker unit
+// counts plus, when the sweep is partial, the dead-lettered units.
 func asciiCoordination(c *Coordination) string {
 	t := stats.NewTable(
-		fmt.Sprintf("Coordination: dynamic pull-queue sweep (%s mode, %d retries, %d lease expiries)",
+		fmt.Sprintf("Coordination (%s mode, %d retries, %d lease expiries)",
 			c.Mode, c.Retries, c.Expired),
 		"Worker", "Units", "Retries", "Expired")
 	for _, w := range c.Workers {

@@ -3,7 +3,6 @@ package litmus
 import (
 	"fmt"
 	"path"
-	"sort"
 	"sync"
 )
 
@@ -56,22 +55,6 @@ func Names() []string {
 	for i, e := range registry.order {
 		out[i] = e.name
 	}
-	return out
-}
-
-// Groups returns the registered group names, sorted.
-func Groups() []string {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range registry.order {
-		if !seen[e.group] {
-			seen[e.group] = true
-			out = append(out, e.group)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

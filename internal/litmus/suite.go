@@ -226,16 +226,6 @@ func SpinlockHandoff() *Test {
 	}
 }
 
-// RMWFenceEquivalence checks that under type-1 an RMW on an otherwise
-// unused location orders a preceding write with a following read exactly
-// like SB+fences (and that type-2/3 do not).
-func RMWFenceEquivalence() *Test {
-	t := DekkerRMWBarrierDifferentAddr()
-	t.Name = "rmw-fence-equivalence"
-	t.Doc = "a type-1 RMW is as strong as mfence; type-2/3 RMWs are not"
-	return t
-}
-
 // init registers the built-in suite: the paper's figures in figure order,
 // then the classic TSO sanity tests and RMW idioms. New scenarios join the
 // suite by calling Register; nothing else needs wiring.

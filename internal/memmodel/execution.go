@@ -225,10 +225,6 @@ func (x *Execution) RFMap() map[int]int {
 	return out
 }
 
-// WSAddrs returns the accessed locations in ascending order. The slice is
-// shared with the execution and must not be modified.
-func (x *Execution) WSAddrs() []Addr { return x.wsAddrs }
-
 // WSOrder returns the coherence order of all writes to a location (event
 // indices, initial write first), or nil if the location is not accessed.
 // The slice is shared and must not be modified.
@@ -239,19 +235,6 @@ func (x *Execution) WSOrder(a Addr) []int {
 		}
 	}
 	return nil
-}
-
-// WSMap returns the write serialization as a freshly allocated map from
-// location to coherence order — the compatibility edge for callers that
-// want map form; hot paths should use WSAddrs/WSOrder.
-func (x *Execution) WSMap() map[Addr][]int {
-	out := make(map[Addr][]int, len(x.wsAddrs))
-	for i, a := range x.wsAddrs {
-		cp := make([]int, len(x.wsOrders[i]))
-		copy(cp, x.wsOrders[i])
-		out[a] = cp
-	}
-	return out
 }
 
 // EventsByThread returns the events of a thread in program order.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"sort"
@@ -26,13 +27,14 @@ type SubmitRequest struct {
 	Plan *PlanSpec `json:"plan,omitempty"`
 	// Litmus submits litmus verdict units.
 	Litmus *LitmusSpec `json:"litmus,omitempty"`
-	// Mode is "static" (default: the engine's worker pool), "coordinate"
-	// (in-process pull queue) or "fleet" (host a coordinator under
-	// /v1/coord/{id}/ for HTTP workers). Litmus jobs are always static.
+	// Mode is "static" (default: the engine's worker pool) or "fleet"
+	// (host a coordinator under /v1/coord/{id}/ for HTTP workers).
+	// "coordinate" is an alias of "static" whose report also carries a
+	// coordination section. Litmus jobs are always static.
 	Mode string `json:"mode,omitempty"`
-	// Workers, LeaseTTL (Go duration string) and MaxAttempts tune the
-	// coordinated modes; zero values keep the engine defaults.
-	Workers     int    `json:"workers,omitempty"`
+	// LeaseTTL (Go duration string) and MaxAttempts tune a fleet's lease
+	// queue; zero values keep the engine defaults. Other modes reject
+	// them.
 	LeaseTTL    string `json:"lease_ttl,omitempty"`
 	MaxAttempts int    `json:"max_attempts,omitempty"`
 }
@@ -48,9 +50,13 @@ type PlanSpec struct {
 	Scale float64 `json:"scale,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
 	// Seeds reruns the sweep under this many consecutive seeds
-	// (base Seed), like the CLI's -seeds.
+	// (base Seed), like the CLI's -seeds, up to maxPlanSeeds.
 	Seeds int `json:"seeds,omitempty"`
 }
+
+// maxPlanSeeds bounds a plan job's seed count. Each seed adds the 26
+// units of the default plan, so a submit asks for at most 2,600 units.
+const maxPlanSeeds = 100
 
 // LitmusSpec selects the litmus tests of a litmus job: a registry test
 // by name, a registry group, or an inline program in litmus syntax.
@@ -67,7 +73,7 @@ type job struct {
 	id      string
 	seq     int    // submit order; id renders it
 	kind    string // "plan" | "litmus"
-	mode    string // "static" | "coordinate" | "fleet"
+	mode    string // "static" | "coordinate" (static, reported as coordinated) | "fleet"
 	created time.Time
 	plan    *engine.Plan   // plan jobs only
 	opts    engine.Options // plan jobs: the options the report builds from
@@ -109,8 +115,8 @@ func (j *job) status() (state string, finished time.Time, res *engine.JobResult,
 }
 
 // shardResult returns the job's shard artifact when it has one: the full
-// result of a clean plan job, or the dead-letter partial of a failed
-// coordinated one. Nil for litmus, running and cancelled jobs.
+// result of a clean plan job, or the dead-letter partial of one with
+// dead letters. Nil for litmus, running and cancelled jobs.
 func (j *job) shardResult() *engine.ShardResult {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -141,7 +147,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // planOptions resolves a PlanSpec to engine options + seed list, exactly
 // mirroring how cmd/experiments folds its flags, so the spec and the
 // flags build fingerprint-identical plans.
-func (s *Server) planOptions(spec *PlanSpec) (engine.Options, []int64, error) {
+func planOptions(spec *PlanSpec) (engine.Options, []int64, error) {
 	var opts engine.Options
 	switch spec.Preset {
 	case "", "default":
@@ -159,6 +165,9 @@ func (s *Server) planOptions(spec *PlanSpec) (engine.Options, []int64, error) {
 	}
 	if spec.Seeds < 0 {
 		return opts, nil, fmt.Errorf("plan seeds must be positive, got %d", spec.Seeds)
+	}
+	if spec.Seeds > maxPlanSeeds {
+		return opts, nil, fmt.Errorf("plan seeds %d exceeds the limit of %d", spec.Seeds, maxPlanSeeds)
 	}
 	if spec.Cores > 0 {
 		opts.Cores = spec.Cores
@@ -209,24 +218,86 @@ func litmusTests(spec *LitmusSpec) ([]*litmus.Test, error) {
 	}
 }
 
-// coordinationConfig folds the request's tuning fields into a
-// coordination configuration for the coordinate/fleet modes.
-func coordinationConfig(req *SubmitRequest) (*engine.CoordinationConfig, error) {
-	cfg := &engine.CoordinationConfig{Workers: req.Workers, MaxAttempts: req.MaxAttempts}
-	if req.Workers < 0 {
-		return nil, fmt.Errorf("workers must be positive, got %d", req.Workers)
-	}
+// coordinationConfig folds the request's tuning fields into a fleet's
+// lease-queue configuration.
+func coordinationConfig(req *SubmitRequest) (engine.CoordinationConfig, error) {
+	cfg := engine.CoordinationConfig{MaxAttempts: req.MaxAttempts}
 	if req.MaxAttempts < 0 {
-		return nil, fmt.Errorf("max_attempts must be positive, got %d", req.MaxAttempts)
+		return cfg, fmt.Errorf("max_attempts must be positive, got %d", req.MaxAttempts)
 	}
 	if req.LeaseTTL != "" {
 		d, err := time.ParseDuration(req.LeaseTTL)
 		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("lease_ttl must be a positive duration, got %q", req.LeaseTTL)
+			return cfg, fmt.Errorf("lease_ttl must be a positive duration, got %q", req.LeaseTTL)
 		}
 		cfg.LeaseTTL = d
 	}
 	return cfg, nil
+}
+
+// submission is a decoded, validated submit request: the job's kind and
+// mode, and the work it runs.
+type submission struct {
+	kind  string                    // "plan" | "litmus"
+	mode  string                    // "static" | "coordinate" | "fleet"
+	plan  *engine.Plan              // plan jobs
+	opts  engine.Options            // plan jobs: the options the report builds from
+	tests []*litmus.Test            // litmus jobs
+	coord engine.CoordinationConfig // fleet jobs
+}
+
+// parseSubmit decodes and validates a POST /v1/jobs body and builds the
+// plan or the litmus tests it asks for. It has no side effects, so a bad
+// spec costs no registry slot; every error it returns is the client's.
+func parseSubmit(body []byte) (*submission, error) {
+	var req SubmitRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("decoding submit request: %v", err)
+	}
+	if (req.Plan == nil) == (req.Litmus == nil) {
+		return nil, errors.New("a job needs exactly one of plan or litmus")
+	}
+	sub := &submission{mode: req.Mode}
+	if sub.mode == "" {
+		sub.mode = "static"
+	}
+	switch sub.mode {
+	case "static", "coordinate", "fleet":
+	default:
+		return nil, fmt.Errorf("unknown mode %q (want static, coordinate or fleet)", sub.mode)
+	}
+	if req.Litmus != nil && sub.mode != "static" {
+		return nil, fmt.Errorf("litmus jobs are always static; mode %q only applies to plans", sub.mode)
+	}
+	if sub.mode == "fleet" {
+		var err error
+		if sub.coord, err = coordinationConfig(&req); err != nil {
+			return nil, err
+		}
+	} else if req.LeaseTTL != "" || req.MaxAttempts != 0 {
+		return nil, fmt.Errorf("lease_ttl and max_attempts only apply to fleet jobs, not mode %q", sub.mode)
+	}
+
+	if req.Litmus != nil {
+		sub.kind = "litmus"
+		var err error
+		if sub.tests, err = litmusTests(req.Litmus); err != nil {
+			return nil, err
+		}
+		return sub, nil
+	}
+	sub.kind = "plan"
+	opts, seedList, err := planOptions(req.Plan)
+	if err != nil {
+		return nil, err
+	}
+	sub.opts = opts
+	if sub.plan, err = engine.DefaultPlanSeeds(opts, seedList...); err != nil {
+		return nil, fmt.Errorf("building plan: %v", err)
+	}
+	return sub, nil
 }
 
 // handleSubmit is POST /v1/jobs: validate, register, start, 202.
@@ -235,71 +306,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 		return
 	}
-	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, "decoding submit request: %v", err)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "reading submit request: %v", err)
 		return
 	}
-	if (req.Plan == nil) == (req.Litmus == nil) {
-		jsonError(w, http.StatusBadRequest, "a job needs exactly one of plan or litmus")
+	sub, err := parseSubmit(body)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "static"
-	}
-	switch mode {
-	case "static", "coordinate", "fleet":
-	default:
-		jsonError(w, http.StatusBadRequest, "unknown mode %q (want static, coordinate or fleet)", mode)
-		return
-	}
-	if req.Litmus != nil && mode != "static" {
-		jsonError(w, http.StatusBadRequest, "litmus jobs are always static; mode %q only applies to plans", mode)
-		return
-	}
-
-	// Build the work before claiming a registry slot, so a bad spec
-	// costs nothing.
-	var (
-		plan  *engine.Plan
-		opts  engine.Options
-		tests []*litmus.Test
-		kind  string
-	)
-	if req.Plan != nil {
-		kind = "plan"
-		var seedList []int64
-		var err error
-		opts, seedList, err = s.planOptions(req.Plan)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		plan, err = engine.DefaultPlanSeeds(opts, seedList...)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "building plan: %v", err)
-			return
-		}
-	} else {
-		kind = "litmus"
-		var err error
-		tests, err = litmusTests(req.Litmus)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	var coordCfg *engine.CoordinationConfig
-	if mode != "static" {
-		var err error
-		coordCfg, err = coordinationConfig(&req)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 
 	// Claim the registry slot under backpressure.
@@ -320,25 +335,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		id:      fmt.Sprintf("job-%06d", s.nextID),
 		seq:     s.nextID,
-		kind:    kind,
-		mode:    mode,
+		kind:    sub.kind,
+		mode:    sub.mode,
 		created: s.now(),
-		plan:    plan,
-		opts:    opts,
+		plan:    sub.plan,
+		opts:    sub.opts,
 		events:  newEventLog(),
 		state:   "running",
 	}
-	if plan != nil {
-		j.units = plan.Len()
+	if sub.plan != nil {
+		j.units = sub.plan.Len()
 	} else {
-		j.units = len(tests) * len(s.eng.Types())
+		j.units = len(sub.tests) * len(s.eng.Types())
 	}
 	s.jobs[j.id] = j
 	s.running++
 	s.jobsTotal++
 	s.mu.Unlock()
 
-	if err := s.startJob(j, tests, coordCfg); err != nil {
+	if err := s.startJob(j, sub); err != nil {
 		s.finishJob(j, nil, err)
 		jsonError(w, http.StatusBadRequest, "starting job: %v", err)
 		return
@@ -348,14 +363,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // startJob launches the registered job's work and its completion
 // watcher.
-func (s *Server) startJob(j *job, tests []*litmus.Test, coordCfg *engine.CoordinationConfig) error {
+func (s *Server) startJob(j *job, sub *submission) error {
 	obs := func(ev engine.Event) {
 		if je, ok := summarizeEvent(ev); ok {
 			j.events.append(je)
 		}
 	}
 	if j.mode == "fleet" {
-		coord, err := s.eng.NewCoordServerWith(j.plan, engine.FullShard(), *coordCfg, obs)
+		coord, err := s.eng.NewCoordServer(j.plan, engine.FullShard(), sub.coord, obs)
 		if err != nil {
 			return err
 		}
@@ -370,11 +385,11 @@ func (s *Server) startJob(j *job, tests []*litmus.Test, coordCfg *engine.Coordin
 		}()
 		return nil
 	}
-	ejob := engine.Job{Observer: obs, Coordination: coordCfg}
+	ejob := engine.Job{Observer: obs}
 	if j.kind == "plan" {
 		ejob.Plan = j.plan
 	} else {
-		ejob.Litmus = &engine.LitmusGrid{Tests: tests}
+		ejob.Litmus = &engine.LitmusGrid{Tests: sub.tests}
 	}
 	h, err := s.eng.Submit(s.jobCtx, ejob)
 	if err != nil {
@@ -614,8 +629,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusConflict, "job %s is still running (%s)", id, state)
 		return
 	case "failed":
-		// A dead-lettered coordinated sweep still renders its partial
-		// report, like the CLI does before exiting non-zero.
+		// A sweep with dead letters still renders its partial report,
+		// like the CLI does before exiting non-zero.
 		var dle *engine.DeadLetterError
 		if !errors.As(jerr, &dle) {
 			jsonError(w, http.StatusConflict, "job %s failed: %v", id, jerr)
@@ -634,7 +649,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.encodeReport(w, enc, format, j.opts, runs, res.Shard.Coordination)
+	coord := res.Shard.Coordination
+	if coord == nil && j.mode == "coordinate" {
+		// The coordinate alias runs on the static pool; its clients still
+		// expect a coordination section.
+		coord = &engine.Coordination{Mode: "in-process"}
+	}
+	s.encodeReport(w, enc, format, j.opts, runs, coord)
 }
 
 // encodeReport builds and writes the report. It encodes to a buffer

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -437,30 +438,41 @@ func TestJobEventsResumeAfterLastEventID(t *testing.T) {
 	}
 }
 
+// badSubmits are POST /v1/jobs bodies the server must reject with 400.
+var badSubmits = []struct {
+	name, body string
+	want       string // a substring the error must contain, if set
+}{
+	{"empty", `{}`, ""},
+	{"both", `{"plan":{"preset":"quick"},"litmus":{"name":"x"}}`, ""},
+	{"unknown field", `{"plan":{"preset":"quick"},"bogus":1}`, ""},
+	{"materialize", `{"plan":{"preset":"quick","materialize":true}}`, ""},
+	{"bad preset", `{"plan":{"preset":"huge"}}`, ""},
+	{"negative cores", `{"plan":{"preset":"quick","cores":-1}}`, ""},
+	{"scale past the cycle limit", `{"plan":{"preset":"quick","cores":4,"scale":1e6}}`, ""},
+	{"scale overflowing int", `{"plan":{"preset":"quick","cores":4,"scale":1e308}}`, ""},
+	{"bad mode", `{"plan":{"preset":"quick"},"mode":"push"}`, ""},
+	{"litmus fleet", `{"litmus":{"name":"write-deadlock (Fig. 10)"},"mode":"fleet"}`, ""},
+	{"litmus over-specified", `{"litmus":{"name":"a","group":"b"}}`, ""},
+	{"unknown litmus test", `{"litmus":{"name":"no-such-test"}}`, ""},
+	{"bad lease ttl", `{"plan":` + tinyPlanSpec + `,"mode":"fleet","lease_ttl":"soon"}`, ""},
+	{"negative max attempts", `{"plan":` + tinyPlanSpec + `,"mode":"fleet","max_attempts":-1}`, ""},
+	{"lease ttl off a fleet", `{"plan":` + tinyPlanSpec + `,"mode":"coordinate","lease_ttl":"1s"}`, ""},
+	{"max attempts off a fleet", `{"plan":` + tinyPlanSpec + `,"max_attempts":2}`, ""},
+	{"workers", `{"plan":` + tinyPlanSpec + `,"mode":"fleet","workers":1}`, ""},
+	{"seeds past the limit", `{"plan":{"preset":"quick","seeds":101}}`, "plan seeds 101 exceeds the limit of 100"},
+	{"cores past the limit", `{"plan":{"preset":"quick","cores":1099511627776}}`, "building plan"},
+}
+
 // TestSubmitValidation checks the request-shape errors of POST /v1/jobs.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name, body string
-	}{
-		{"empty", `{}`},
-		{"both", `{"plan":{"preset":"quick"},"litmus":{"name":"x"}}`},
-		{"unknown field", `{"plan":{"preset":"quick"},"bogus":1}`},
-		{"materialize", `{"plan":{"preset":"quick","materialize":true}}`},
-		{"bad preset", `{"plan":{"preset":"huge"}}`},
-		{"negative cores", `{"plan":{"preset":"quick","cores":-1}}`},
-		{"scale past the cycle limit", `{"plan":{"preset":"quick","cores":4,"scale":1e6}}`},
-		{"scale overflowing int", `{"plan":{"preset":"quick","cores":4,"scale":1e308}}`},
-		{"bad mode", `{"plan":{"preset":"quick"},"mode":"push"}`},
-		{"litmus fleet", `{"litmus":{"name":"write-deadlock (Fig. 10)"},"mode":"fleet"}`},
-		{"litmus over-specified", `{"litmus":{"name":"a","group":"b"}}`},
-		{"unknown litmus test", `{"litmus":{"name":"no-such-test"}}`},
-		{"bad lease ttl", `{"plan":` + tinyPlanSpec + `,"mode":"coordinate","lease_ttl":"soon"}`},
-		{"negative workers", `{"plan":` + tinyPlanSpec + `,"mode":"coordinate","workers":-1}`},
-	}
-	for _, tc := range cases {
-		if code, doc := submit(t, ts, tc.body); code != http.StatusBadRequest {
+	for _, tc := range badSubmits {
+		code, doc := submit(t, ts, tc.body)
+		if code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d (%v), want 400", tc.name, code, doc["error"])
+		} else if msg, _ := doc["error"].(string); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, msg, tc.want)
 		}
 	}
 	for _, path := range []string{"/v1/jobs/job-999999", "/v1/reports/job-999999", "/v1/results/ffffffffffffffff", "/v1/results/by-key/ffff", "/v1/coord/job-999999/lease"} {
@@ -803,7 +815,7 @@ func TestListJobsInSubmitOrder(t *testing.T) {
 // served, and the coordination section records the fleet.
 func TestFleetModeEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`,"mode":"fleet","workers":1}`)
+	code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`,"mode":"fleet"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("fleet submit: HTTP %d: %v", code, doc)
 	}
@@ -817,7 +829,7 @@ func TestFleetModeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	worker := engine.New()
-	if err := worker.RunPlanWorker(context.Background(), plan, ts.URL+"/v1/coord/"+id, "w1"); err != nil {
+	if err := worker.RunPlanWorker(context.Background(), plan, ts.URL+"/v1/coord/"+id, "w1", engine.CoordinationConfig{}); err != nil {
 		t.Fatalf("fleet worker: %v", err)
 	}
 
@@ -852,6 +864,63 @@ func TestFleetModeEndToEnd(t *testing.T) {
 	if report.Coordination == nil || report.Coordination.Mode != "http" ||
 		len(report.Coordination.Workers) != 1 || report.Coordination.Workers[0].Worker != "w1" {
 		t.Fatalf("fleet report coordination section = %+v, want http mode with worker w1", report.Coordination)
+	}
+}
+
+// TestCoordinateModeRunsStatic pins the "coordinate" mode alias: the job
+// runs on the static pool like a static job of the same spec, streams
+// one sim frame per unit, and its JSON report equals the static job's
+// plus a coordination section that says so.
+func TestCoordinateModeRunsStatic(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	reports := map[string]map[string]json.RawMessage{}
+	for _, mode := range []string{"static", "coordinate"} {
+		code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`,"mode":"`+mode+`"}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s submit: HTTP %d: %v", mode, code, doc)
+		}
+		id := doc["id"].(string)
+		final := waitDone(t, ts, id)
+		if final["state"] != "done" {
+			t.Fatalf("%s job state = %v (error %v)", mode, final["state"], final["error"])
+		}
+		if frames := readSSE(t, ts, id); len(frames) != int(final["units"].(float64))+1 {
+			t.Fatalf("%s job streamed %d frames for %v units", mode, len(frames), final["units"])
+		}
+		resp, err := http.Get(ts.URL + "/v1/reports/" + id + "?format=json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := readAll(resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s report: HTTP %d: %s", mode, resp.StatusCode, body)
+		}
+		var sections map[string]json.RawMessage
+		if err := json.Unmarshal(body, &sections); err != nil {
+			t.Fatal(err)
+		}
+		reports[mode] = sections
+	}
+
+	static, coord := reports["static"], reports["coordinate"]
+	if _, ok := static["coordination"]; ok {
+		t.Fatal("static report carries a coordination section")
+	}
+	var section map[string]any
+	if err := json.Unmarshal(coord["coordination"], &section); err != nil {
+		t.Fatalf("coordinate report's coordination section: %v", err)
+	}
+	if want := map[string]any{"mode": "in-process", "retries": 0.0, "expired": 0.0}; !reflect.DeepEqual(section, want) {
+		t.Fatalf("coordination section %v, want %v", section, want)
+	}
+	delete(coord, "coordination")
+	if len(coord) != len(static) {
+		t.Fatalf("coordinate report has sections %d, static %d", len(coord), len(static))
+	}
+	for k, v := range static {
+		if !bytes.Equal(coord[k], v) {
+			t.Errorf("section %q differs between the coordinate and static reports", k)
+		}
 	}
 }
 

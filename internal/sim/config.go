@@ -108,11 +108,19 @@ func (c Config) WithCores(n int) Config {
 	return c
 }
 
+// maxCores bounds a configuration's core count at 32 times the paper's
+// 32-core machine. The simulator's state grows with the core count — one
+// small benchmark needs about 5 GB at 16,384 cores — so a larger request
+// must fail validation rather than exhaust memory.
+const maxCores = 1024
+
 // Validate checks the configuration is usable.
 func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("sim: config: non-positive core count %d", c.Cores)
+	case c.Cores > maxCores:
+		return fmt.Errorf("sim: config: %d cores exceeds the limit of %d", c.Cores, maxCores)
 	case c.WriteBufferDepth <= 0:
 		return fmt.Errorf("sim: config: non-positive write buffer depth %d", c.WriteBufferDepth)
 	case c.L1SizeBytes <= 0 || c.L1Assoc <= 0 || c.LineBytes <= 0:

@@ -209,6 +209,9 @@ func TestConfigValidateAndHelpers(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	if err := cfg.WithCores(1024).Validate(); err != nil {
+		t.Errorf("1,024-core config invalid: %v", err)
+	}
 	if cfg.Cores != 32 || cfg.WriteBufferDepth != 32 || cfg.MemLatencyCycles != 300 {
 		t.Error("default config does not match Table 2")
 	}
@@ -221,6 +224,7 @@ func TestConfigValidateAndHelpers(t *testing.T) {
 
 	bad := []func(Config) Config{
 		func(c Config) Config { c.Cores = 0; return c },
+		func(c Config) Config { c.Cores = 1025; return c },
 		func(c Config) Config { c.WriteBufferDepth = 0; return c },
 		func(c Config) Config { c.L1SizeBytes = 0; return c },
 		func(c Config) Config { c.L1SizeBytes = 1000; return c },

@@ -21,7 +21,6 @@ import (
 // not timing).
 func coordConfig() rmwtso.CoordinationConfig {
 	return rmwtso.CoordinationConfig{
-		Workers:      3,
 		LeaseTTL:     200 * time.Millisecond,
 		MaxAttempts:  3,
 		RetryBackoff: 5 * time.Millisecond,
@@ -90,67 +89,12 @@ func checkCoordinatedIdentity(t *testing.T, o rmwtso.Options, plan *rmwtso.Plan,
 	}
 }
 
-// TestCoordinatedSweepByteIdentical is the acceptance differential for
-// the tentpole: a coordinated in-process sweep with an injected worker
-// crash mid-sweep still produces result tables byte-identical to the
-// static unsharded run, with the crash visible only in the coordination
-// section (lease expiry + requeue).
-func TestCoordinatedSweepByteIdentical(t *testing.T) {
-	o := shardOptions()
-	plan, err := rmwtso.DefaultPlan(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRuns, _, wantBytes := staticBaseline(t, o, plan)
-
-	cfg := coordConfig()
-	var crashed atomic.Bool
-	cfg.FaultInjector = func(worker string, _ rmwtso.Unit, _ int) error {
-		// Whichever worker executes first dies there; the other two finish
-		// the sweep. (Naming a fixed victim would be flaky: on a small
-		// GOMAXPROCS the first workers can drain the queue before the
-		// victim's goroutine is ever scheduled.)
-		if crashed.CompareAndSwap(false, true) {
-			return rmwtso.ErrInjectedCrash
-		}
-		return nil
-	}
-	var mu sync.Mutex
-	kinds := map[string]int{}
-	runner := rmwtso.NewRunner(
-		rmwtso.WithCoordinator(cfg),
-		rmwtso.WithObserver(func(e rmwtso.Event) {
-			if e.Coord != nil {
-				mu.Lock()
-				kinds[e.Coord.Kind]++
-				mu.Unlock()
-			}
-		}),
-	)
-	res, err := runner.RunPlan(nil, plan, rmwtso.FullShard())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !crashed.Load() {
-		t.Fatal("fault injector never fired")
-	}
-	checkCoordinatedIdentity(t, o, plan, res, "in-process", wantRuns, wantBytes)
-
-	if res.Coordination.Expired < 1 {
-		t.Errorf("crash left no lease expiry: %+v", res.Coordination)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if kinds["lease"] < plan.Len() || kinds["ack"] != plan.Len() || kinds["expire"] < 1 || kinds["requeue"] < 1 || kinds["drained"] != 1 {
-		t.Errorf("coordination event counts %v", kinds)
-	}
-}
-
 // TestCoordinatedPoisonDeadLetters drives a permanently failing unit
-// through its whole attempt budget: the sweep terminates (no hang), the
-// error is a *DeadLetterError naming the unit, the partial result still
-// carries every other unit, and RunsPartial reassembles the complete
-// groups while listing the missing unit.
+// through the static pool: the sweep finishes, the error is a
+// *DeadLetterError naming the unit and its failure, the unit is
+// dead-lettered after its one attempt, the partial result still carries
+// every other unit, and RunsPartial reassembles the complete groups
+// while listing the missing unit.
 func TestCoordinatedPoisonDeadLetters(t *testing.T) {
 	o := shardOptions()
 	plan, err := rmwtso.DefaultPlan(o)
@@ -159,33 +103,34 @@ func TestCoordinatedPoisonDeadLetters(t *testing.T) {
 	}
 	poisoned := plan.Units()[0].ID
 
-	cfg := coordConfig()
-	cfg.FaultInjector = func(_ string, u rmwtso.Unit, attempt int) error {
+	runner := rmwtso.NewRunner(rmwtso.WithFaultInjector(func(_ string, u rmwtso.Unit, attempt int) error {
 		if u.ID == poisoned {
 			return fmt.Errorf("injected poison (attempt %d)", attempt)
 		}
 		return nil
-	}
-	runner := rmwtso.NewRunner(rmwtso.WithCoordinator(cfg))
+	}))
 	_, err = runner.RunPlan(nil, plan, rmwtso.FullShard())
 	var dle *rmwtso.DeadLetterError
 	if !errors.As(err, &dle) {
 		t.Fatalf("want *DeadLetterError, got %v", err)
 	}
-	if !strings.Contains(err.Error(), string(poisoned)) || !strings.Contains(err.Error(), "dead-lettered") {
-		t.Errorf("error does not name the poisoned unit: %v", err)
+	const reason = "injected poison (attempt 1)"
+	for _, want := range []string{string(poisoned), "dead-lettered", reason} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not name %q: %v", want, err)
+		}
 	}
 
 	partial := dle.Partial
 	if len(partial.Units) != plan.Len()-1 {
 		t.Fatalf("partial has %d units, want %d", len(partial.Units), plan.Len()-1)
 	}
-	dls := partial.Coordination.DeadLetters
-	if len(dls) != 1 || dls[0].Unit != string(poisoned) || dls[0].Attempts != cfg.MaxAttempts {
-		t.Fatalf("dead letters %+v", dls)
+	c := partial.Coordination
+	if c.Mode != "in-process" || len(c.DeadLetters) != 1 {
+		t.Fatalf("coordination %+v, want in-process mode with one dead letter", c)
 	}
-	if want := fmt.Sprintf("injected poison (attempt %d)", cfg.MaxAttempts); dls[0].Reasons[len(dls[0].Reasons)-1] != want {
-		t.Errorf("last reason %q, want %q", dls[0].Reasons[len(dls[0].Reasons)-1], want)
+	if d := c.DeadLetters[0]; d.Unit != string(poisoned) || d.Attempts != 1 || !reflect.DeepEqual(d.Reasons, []string{reason}) {
+		t.Fatalf("dead letter %+v, want %s after 1 attempt with reason %q", d, poisoned, reason)
 	}
 
 	runs, missing, err := plan.RunsPartial(partial.Units)
@@ -222,27 +167,6 @@ func TestCoordinatedPoisonDeadLetters(t *testing.T) {
 	}
 }
 
-// TestCoordinatedSweepAllWorkersCrash verifies the sweep fails fast
-// (instead of hanging) when every worker dies.
-func TestCoordinatedSweepAllWorkersCrash(t *testing.T) {
-	o := shardOptions()
-	plan, err := rmwtso.DefaultPlan(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := coordConfig()
-	cfg.Workers = 2
-	cfg.MaxAttempts = 100 // the attempt budget must not be what terminates this
-	cfg.FaultInjector = func(string, rmwtso.Unit, int) error {
-		return rmwtso.ErrInjectedCrash
-	}
-	runner := rmwtso.NewRunner(rmwtso.WithCoordinator(cfg))
-	_, err = runner.RunPlan(nil, plan, rmwtso.FullShard())
-	if err == nil || !strings.Contains(err.Error(), "workers crashed") {
-		t.Fatalf("want all-workers-crashed error, got %v", err)
-	}
-}
-
 // TestCoordinatedHTTPSweep runs the multi-machine shape in miniature:
 // a CoordServer over httptest, three RunPlanWorker clients (one of which
 // crashes mid-sweep and is replaced by lease expiry), and the assembled
@@ -255,7 +179,7 @@ func TestCoordinatedHTTPSweep(t *testing.T) {
 	}
 	wantRuns, _, wantBytes := staticBaseline(t, o, plan)
 
-	server, err := rmwtso.NewRunner(rmwtso.WithCoordinator(coordConfig())).NewCoordServer(plan, rmwtso.FullShard())
+	server, err := rmwtso.NewRunner().NewCoordServer(plan, rmwtso.FullShard(), coordConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,22 +188,22 @@ func TestCoordinatedHTTPSweep(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
-		cfg := coordConfig()
+		var opts []rmwtso.Option
 		if i == 2 {
 			var crashed atomic.Bool
-			cfg.FaultInjector = func(_ string, _ rmwtso.Unit, _ int) error {
+			opts = append(opts, rmwtso.WithFaultInjector(func(string, rmwtso.Unit, int) error {
 				if crashed.CompareAndSwap(false, true) {
 					return rmwtso.ErrInjectedCrash
 				}
 				return nil
-			}
+			}))
 		}
-		worker := rmwtso.NewRunner(rmwtso.WithCoordinator(cfg))
+		worker := rmwtso.NewRunner(opts...)
 		name := fmt.Sprintf("http-worker-%d", i)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := worker.RunPlanWorker(nil, plan, hs.URL, name)
+			err := worker.RunPlanWorker(nil, plan, hs.URL, name, coordConfig())
 			if i == 2 {
 				if !errors.Is(err, rmwtso.ErrInjectedCrash) {
 					t.Errorf("crashing worker exit: %v", err)

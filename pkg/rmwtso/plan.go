@@ -86,8 +86,10 @@ func ParseShard(spec string) (Shard, error) { return engine.ParseShard(spec) }
 // silently would leave merges incomplete. Each unit streams its source
 // group's trace lazily, and the Runner's cache (WithCache; none without
 // it) serves and stores units by their keys, so warm shards do zero
-// simulation work. A deadlocked unit fails the plan; deadlocked results
-// are never stored in or served from the cache.
+// simulation work. A unit that fails — a deadlock, a simulator error or
+// an injected fault — is dead-lettered and the other units still run;
+// RunPlan then returns a *DeadLetterError carrying the finished units.
+// Deadlocked results are never stored in or served from the cache.
 func (r *Runner) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
 	return r.eng.RunPlan(ctx, plan, shard)
 }

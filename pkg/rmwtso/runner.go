@@ -86,8 +86,8 @@ type JobResult = engine.JobResult
 type JobHandle = engine.JobHandle
 
 // Metrics is a point-in-time snapshot of the execution counters: unit
-// throughput, cache effectiveness, and — for coordinated sweeps — the
-// queue's lease, retry, expiry and dead-letter counts.
+// throughput, cache effectiveness, dead letters and — for HTTP fleets —
+// the lease queue's lease, retry and expiry counts.
 type Metrics = engine.Metrics
 
 // Runner is the public face of the execution engine (internal/engine): it

@@ -452,10 +452,11 @@ func corruptCount(t *testing.T, stderr string) int {
 	return n
 }
 
-// scenarioRetryExhaustion poisons units until their attempts exhaust.
-// The sweep must terminate (no hang), exit loudly, name exactly the
-// dead-lettered units, and still emit a well-formed partial report —
-// including the degenerate case where every unit dies.
+// scenarioRetryExhaustion poisons units on the static pool, where each is
+// dead-lettered after its one attempt. The sweep must terminate (no
+// hang), exit loudly, name exactly the dead-lettered units, and still
+// emit a well-formed partial report — including the degenerate case
+// where every unit dies.
 func scenarioRetryExhaustion(t *testing.T) {
 	flags := quickFlags()
 	units := planUnits(t, flags)
@@ -463,7 +464,7 @@ func scenarioRetryExhaustion(t *testing.T) {
 	sort.Strings(poisoned)
 
 	res := run(t, nil, append(quickFlags(),
-		"-coordinate", "3", "-max-attempts", "2", "-fail-unit", strings.Join(poisoned, ","), "-format", "json")...)
+		"-fail-unit", strings.Join(poisoned, ","), "-format", "json")...)
 	if res.Code != 1 {
 		t.Fatalf("poisoned sweep exited %d, want 1\nstderr:\n%s", res.Code, clip(res.Stderr))
 	}
@@ -481,12 +482,17 @@ func scenarioRetryExhaustion(t *testing.T) {
 	if strings.Join(dl, ",") != strings.Join(poisoned, ",") {
 		t.Fatalf("report dead letters %v, want exactly %v", dl, poisoned)
 	}
+	for _, d := range coordination(t, res.Stdout)["dead_letters"].([]any) {
+		if attempts := d.(map[string]any)["attempts"]; attempts != 1.0 {
+			t.Errorf("dead letter %v reports %v attempts, want 1", d, attempts)
+		}
+	}
 
 	// The degenerate cascade: every unit poisoned. Still a loud exit and
 	// a well-formed empty partial report — model-checked tables intact,
 	// run-derived sections empty, summary zero (not the sentinel range).
 	all := run(t, nil, append(quickFlags(),
-		"-coordinate", "3", "-max-attempts", "2", "-fail-unit", strings.Join(units, ","), "-format", "json")...)
+		"-fail-unit", strings.Join(units, ","), "-format", "json")...)
 	if all.Code != 1 {
 		t.Fatalf("all-poisoned sweep exited %d, want 1\nstderr:\n%s", all.Code, clip(all.Stderr))
 	}

@@ -251,6 +251,49 @@ func BenchmarkRunPlanOverhead(b *testing.B) {
 	b.ReportMetric(float64(plan.Len()), "units/op")
 }
 
+// BenchmarkRunPlanDiskWarm prices the disk tier the way a warm
+// `cmd/experiments -cache-dir` rerun meets it: the Table 3 plan is run
+// once into a temp-dir cache, then every iteration opens a fresh cache
+// handle over that directory (an empty memory tier, as in a new process)
+// and runs the plan and reassembles its runs, so each unit is a disk hit:
+// a file read, the entry checks and one decode. Any miss after warm-up
+// fails the benchmark, since it would price a simulation instead.
+func BenchmarkRunPlanDiskWarm(b *testing.B) {
+	o := benchOptions()
+	dir := b.TempDir()
+	plan, err := engine.BuildPlan(o, experiments.Table3Specs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	open := func() *simcache.Cache {
+		cache, err := simcache.Open(simcache.WithDir(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cache
+	}
+	if _, err := engine.New(engine.WithCache(open())).RunPlan(context.Background(), plan, engine.FullShard()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache := open()
+		sr, err := engine.New(engine.WithCache(cache)).RunPlan(context.Background(), plan, engine.FullShard())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Runs(sr.Units); err != nil {
+			b.Fatal(err)
+		}
+		if st := cache.Stats(); st.Misses != 0 || st.DiskHits != uint64(plan.Len()) {
+			b.Fatalf("warm run: %s; want %d disk hits and no miss", st, plan.Len())
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(plan.Len()), "units/op")
+}
+
 // BenchmarkServeSubmitWarm measures the HTTP service's per-job overhead
 // on a warm cache: one submit of a small quick plan populates the
 // content-addressed cache, then every iteration re-submits the identical

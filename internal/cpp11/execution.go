@@ -269,6 +269,9 @@ type Semantics struct {
 	// enumerated candidates.
 	Consistent int
 	Candidates int
+
+	// p is the analyzed program, which Validate compiles.
+	p *Program
 }
 
 // Analyze enumerates the program's candidate executions and classifies
@@ -282,7 +285,7 @@ func Analyze(p *Program) (*Semantics, error) {
 		return nil, err
 	}
 	c := &checker{p: p, atomic: p.AtomicLocations()}
-	sem := &Semantics{Outcomes: map[string]map[string]memmodel.Value{}}
+	sem := &Semantics{Outcomes: map[string]map[string]memmodel.Value{}, p: p}
 	err := memmodel.EnumerateFunc(translate(p, p.Name, false, false), func(x *memmodel.Execution) bool {
 		sem.Candidates++
 		hb := c.happensBefore(x)

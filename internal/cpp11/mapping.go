@@ -2,6 +2,7 @@ package cpp11
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -170,22 +171,35 @@ func ValidateMapping(p *Program, m Mapping, typ core.AtomicityType) (ValidationR
 }
 
 // ValidateMappingParallel is ValidateMapping with the TSO side's candidate
-// enumeration — the dominant cost, since compiling SC accesses to RMWs
-// multiplies the rf×ws choice space — spread over workers goroutines, as
-// memmodel.EnumWorkers defines them: workers == 1 is sequential, workers
-// > 1 parallelizes, and workers <= 0 applies the candidate-count rule to
-// the compiled program (GOMAXPROCS for IRIW-class spaces, 1 for small
-// ones). The result is identical to ValidateMapping's; a cancelled ctx
-// aborts with ctx's error.
+// enumeration spread over workers goroutines (see Semantics.Validate).
+// It analyzes the program on every call; a batch that validates several
+// mappings or types of one program analyzes it once and calls Validate.
 func ValidateMappingParallel(ctx context.Context, p *Program, m Mapping, typ core.AtomicityType, workers int) (ValidationResult, error) {
-	res := ValidationResult{Program: p.Name, Mapping: m, Atomicity: typ}
-
 	sem, err := Analyze(p)
 	if err != nil {
-		return res, err
+		return ValidationResult{Program: p.Name, Mapping: m, Atomicity: typ}, err
 	}
-	res.Racy = sem.Racy
-	res.CPPOutcomes = sem.OutcomeKeys()
+	return sem.Validate(ctx, m, typ, workers)
+}
+
+// Validate checks the mapping against the analyzed program for one RMW
+// atomicity type. The TSO side's candidate enumeration — the dominant
+// cost, since compiling SC accesses to RMWs multiplies the rf×ws choice
+// space — is spread over workers goroutines, as memmodel.EnumWorkers
+// defines them: workers == 1 is sequential, workers > 1 parallelizes, and
+// workers <= 0 applies the candidate-count rule to the compiled program
+// (GOMAXPROCS for IRIW-class spaces, 1 for small ones). The result is
+// identical to ValidateMapping's; a cancelled ctx aborts with ctx's
+// error. Validate only reads s, so one Semantics serves any number of
+// concurrent calls.
+func (s *Semantics) Validate(ctx context.Context, m Mapping, typ core.AtomicityType, workers int) (ValidationResult, error) {
+	p := s.p
+	if p == nil {
+		return ValidationResult{Mapping: m, Atomicity: typ}, errors.New("cpp11: Validate needs a Semantics built by Analyze")
+	}
+	res := ValidationResult{Program: p.Name, Mapping: m, Atomicity: typ}
+	res.Racy = s.Racy
+	res.CPPOutcomes = s.OutcomeKeys()
 
 	compiled, err := Compile(p, m)
 	if err != nil {
@@ -207,7 +221,7 @@ func ValidateMappingParallel(ctx context.Context, p *Program, m Mapping, typ cor
 	res.Sound = true
 	if !res.Racy {
 		for _, k := range res.TSOOutcomes {
-			if !sem.AllowsOutcome(k) {
+			if !s.AllowsOutcome(k) {
 				res.Sound = false
 				res.Counterexamples = append(res.Counterexamples, k)
 			}
@@ -225,9 +239,13 @@ func ValidateMappingParallel(ctx context.Context, p *Program, m Mapping, typ cor
 func ValidateAll(programs []*Program) ([]ValidationResult, error) {
 	var out []ValidationResult
 	for _, p := range programs {
+		sem, err := Analyze(p)
+		if err != nil {
+			return nil, err
+		}
 		for _, m := range AllMappings() {
 			for _, typ := range core.AllTypes() {
-				r, err := ValidateMapping(p, m, typ)
+				r, err := sem.Validate(context.Background(), m, typ, 1)
 				if err != nil {
 					return nil, err
 				}

@@ -1,7 +1,10 @@
 package cpp11
 
 import (
+	"context"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -215,6 +218,41 @@ func TestValidationProgramsAllSoundExceptWriteType3(t *testing.T) {
 		if r.Sound != expectSound {
 			t.Errorf("%s: sound=%v, want %v", r.String(), r.Sound, expectSound)
 		}
+	}
+}
+
+// TestSemanticsValidateMatchesOneShot pins that validating a mapping on
+// an analysis made once gives exactly the one-shot ValidateMapping result
+// for every registered program, mapping and type, with the analysis
+// shared read-only by concurrent calls, as the engine's mapping batches
+// share it.
+func TestSemanticsValidateMatchesOneShot(t *testing.T) {
+	for _, p := range AllPrograms() {
+		sem, err := Analyze(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		var wg sync.WaitGroup
+		for _, m := range AllMappings() {
+			for _, typ := range core.AllTypes() {
+				want, err := ValidateMapping(p, m, typ)
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", p.Name, m, typ, err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, err := sem.Validate(context.Background(), m, typ, 1)
+					if err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s %s: Validate = %+v, %v; ValidateMapping = %+v", p.Name, m, typ, got, err, want)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	if _, err := (&Semantics{}).Validate(context.Background(), ReadMapping, core.Type1, 1); err == nil {
+		t.Fatal("Validate on a Semantics not built by Analyze succeeded")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"sync"
 
 	"repro/internal/cpp11"
 	"repro/internal/litmus"
@@ -79,12 +80,16 @@ func (e *Engine) checkTestsSharded(ctx context.Context, shard Shard, m *metrics,
 // ValidateMappings validates every Table 4 mapping under every configured
 // RMW type for each program. Each (program, mapping, type) combination is
 // one work unit; the returned slice is ordered (program, mapping, type).
+// Each program's C/C++11 semantics is analyzed once, by the first of its
+// units to run, and shared read-only by the rest.
 func (e *Engine) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, error) {
 	mappings := cpp11.AllMappings()
 	types := e.opts.types
 	type unit struct{ pi, mi, yi int }
 	units := make([]unit, 0, len(programs)*len(mappings)*len(types))
-	for pi := range programs {
+	analyze := make([]func() (*cpp11.Semantics, error), len(programs))
+	for pi, p := range programs {
+		analyze[pi] = sync.OnceValues(func() (*cpp11.Semantics, error) { return cpp11.Analyze(p) })
 		for mi := range mappings {
 			for yi := range types {
 				units = append(units, unit{pi, mi, yi})
@@ -94,7 +99,11 @@ func (e *Engine) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, e
 	results := make([]MappingResult, len(units))
 	err := e.runUnits(len(units), func(i int) error {
 		u := units[i]
-		res, err := cpp11.ValidateMappingParallel(e.opts.ctx, programs[u.pi], mappings[u.mi], types[u.yi], e.opts.enumWorkers)
+		sem, err := analyze[u.pi]()
+		if err != nil {
+			return err
+		}
+		res, err := sem.Validate(e.opts.ctx, mappings[u.mi], types[u.yi], e.opts.enumWorkers)
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,7 @@ func armChaos(t *testing.T, spec chaos.Spec) *chaos.Injector {
 }
 
 // TestChaosReadFlipIsDetected verifies a bit flipped on the disk-read
-// path is caught by the envelope checksum and served as a miss, with the
+// path is caught by the entry checksum and served as a miss, with the
 // on-disk entry (healthy — the flip was in-flight) deleted and rewritten
 // by the next Put as usual.
 func TestChaosReadFlipIsDetected(t *testing.T) {

@@ -6,15 +6,16 @@
 // of recomputed on repeated `cmd/experiments` invocations and CI reruns.
 //
 // The cache has an in-memory LRU tier (always on) and an optional on-disk
-// tier (one JSON file per entry under a cache directory, by default
+// tier (one binary file per entry under a cache directory, by default
 // ~/.cache/rmwtso). The memory tier holds decoded *sim.Result values, so
-// a memory hit is a map lookup; checksums and JSON exist only at the disk
-// boundary. A disk entry is a versioned envelope carrying the full key
-// and a payload checksum: any truncation, bit-flip or schema drift is
+// a memory hit is a map lookup; checksums and binary decoding exist only
+// at the disk boundary. A disk entry is a magic line naming its byte
+// layout, the full canonical key, a payload checksum and the result
+// encoded field by field: any truncation, bit-flip or layout drift is
 // detected on read, counted, the file deleted, and the lookup treated as
 // a miss — never a panic, never a wrong table. Bumping SchemaVersion
-// changes every key digest, so stale entries from older layouts are
-// simply never matched again.
+// changes every key digest, and changing the layout changes the magic
+// line, so stale entries are never misread.
 //
 // Results are shared, not copied: PutSim keeps the caller's pointer and
 // every memory hit returns that same pointer to every caller. A result
@@ -26,7 +27,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,11 +39,13 @@ import (
 	"repro/internal/sim"
 )
 
-// SchemaVersion versions the key derivation and the on-disk entry layout.
-// It participates in every key's canonical string, so bumping it (which a
-// change to sim.Config.Digest, sim.Result's serialized shape, or the
-// envelope layout requires) orphans all previously written entries
-// instead of misinterpreting them.
+// SchemaVersion versions the key derivation and the meaning of a cached
+// result. It participates in every key's canonical string, so bumping it
+// (which a change to sim.Config.Digest or to what a sim.Result records
+// requires) re-keys every entry and orphans all previously written ones
+// instead of misinterpreting them. How an entry's bytes are laid out on
+// disk is versioned separately, by the entry's magic line (entryMagic):
+// a layout change orphans old files without moving any key digest.
 const SchemaVersion = 2
 
 // KindSimResult is the kind of every cached entry: the sim.Result of one
@@ -74,7 +76,8 @@ type Key struct {
 	// whose content is determined by name and cores).
 	Workload string
 	// Cores is the simulated core count (redundant with ConfigDigest for
-	// simulator runs, kept for human-readable entries).
+	// simulator runs, kept so the canonical key, which every disk entry
+	// stores in the clear, names it at a glance).
 	Cores int
 	// Seed is the workload generation seed.
 	Seed int64
@@ -95,8 +98,11 @@ func (k Key) Canonical() string {
 
 // Digest returns the hex-encoded SHA-256 of the canonical key string; it
 // is the in-memory map key and the on-disk file name.
-func (k Key) Digest() string {
-	sum := sha256.Sum256([]byte(k.Canonical()))
+func (k Key) Digest() string { return digestOf(k.Canonical()) }
+
+// digestOf returns the digest of a canonical key string.
+func digestOf(canonical string) string {
+	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -160,9 +166,9 @@ type Stats struct {
 	// disk write failed (the memory tier still holds them).
 	Stores      uint64
 	StoreErrors uint64
-	// Corrupt counts disk entries rejected by the envelope checks
-	// (unparsable JSON, schema-version or key mismatch, payload checksum
-	// mismatch); each is deleted and counted as a miss.
+	// Corrupt counts disk entries rejected by the entry checks (a wrong
+	// magic line, a different key, a payload checksum mismatch, a
+	// malformed or short payload); each is deleted and counted as a miss.
 	Corrupt uint64
 	// DeleteErrors counts corrupt entries whose deletion itself failed
 	// (e.g. a read-only cache directory). The entry stays on disk and the
@@ -191,56 +197,6 @@ func (s Stats) String() string {
 	return out
 }
 
-// entry is the versioned on-disk envelope of one cached result. The
-// embedded key lets a read verify it is holding the entry it addressed;
-// the payload checksum turns any bit-level damage into a detectable miss
-// instead of a wrong result.
-type entry struct {
-	SchemaVersion int             `json:"schema_version"`
-	Key           Key             `json:"key"`
-	PayloadSum    string          `json:"payload_sum"`
-	Payload       json.RawMessage `json:"payload"`
-}
-
-// decodeEntry parses and verifies an encoded envelope against the key
-// that addressed it, returning the decoded result.
-func decodeEntry(data []byte, k Key) (*sim.Result, error) {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("simcache: unparsable entry: %w", err)
-	}
-	if e.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("simcache: entry schema version %d, want %d", e.SchemaVersion, SchemaVersion)
-	}
-	if e.Key != k {
-		return nil, fmt.Errorf("simcache: entry key mismatch (corrupt or colliding entry)")
-	}
-	sum := sha256.Sum256(e.Payload)
-	if hex.EncodeToString(sum[:]) != e.PayloadSum {
-		return nil, fmt.Errorf("simcache: payload checksum mismatch")
-	}
-	var r sim.Result
-	if err := json.Unmarshal(e.Payload, &r); err != nil {
-		return nil, fmt.Errorf("simcache: undecodable payload: %w", err)
-	}
-	return &r, nil
-}
-
-// encodeEntry builds the encoded envelope of a result.
-func encodeEntry(k Key, r *sim.Result) ([]byte, error) {
-	pb, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("simcache: marshaling payload: %w", err)
-	}
-	sum := sha256.Sum256(pb)
-	return json.Marshal(entry{
-		SchemaVersion: SchemaVersion,
-		Key:           k,
-		PayloadSum:    hex.EncodeToString(sum[:]),
-		Payload:       pb,
-	})
-}
-
 // memEntry is one element of the LRU list.
 type memEntry struct {
 	digest string
@@ -261,7 +217,7 @@ type Cache struct {
 // Option configures Open.
 type Option func(*Cache)
 
-// WithDir enables the on-disk tier rooted at dir (one JSON file per
+// WithDir enables the on-disk tier rooted at dir (one binary file per
 // entry). The empty string keeps the cache memory-only.
 func WithDir(dir string) Option { return func(c *Cache) { c.dir = dir } }
 
@@ -320,7 +276,7 @@ func (c *Cache) Stats() Stats {
 
 // path returns the disk-tier file of a key digest.
 func (c *Cache) path(digest string) string {
-	return filepath.Join(c.dir, digest+".json")
+	return filepath.Join(c.dir, digest+entryExt)
 }
 
 // insertLocked puts a result into the memory tier under the digest,
@@ -345,16 +301,17 @@ func (c *Cache) insertLocked(digest string, r *sim.Result) {
 
 // GetSim looks one simulator result up in the memory tier, then the disk
 // tier. A memory hit returns the stored pointer itself: no checksum, no
-// decode, no copy. A disk hit verifies the envelope (schema version,
-// embedded key, payload checksum), decodes the result once and promotes
-// it into the memory tier. Corrupt disk entries (truncated, bit-flipped,
-// stale schema) are deleted and reported as misses.
+// decode, no copy. A disk hit verifies the entry (magic line, embedded
+// key, payload checksum), decodes the result once and promotes it into
+// the memory tier. Corrupt disk entries (truncated, bit-flipped, another
+// layout) are deleted and reported as misses.
 //
 // The returned result is shared with the cache and with every other
 // caller of the same key, so it is immutable: callers must not write to
 // it.
 func (c *Cache) GetSim(k Key) (*sim.Result, bool) {
-	digest := k.Digest()
+	canonical := k.Canonical()
+	digest := digestOf(canonical)
 	c.mu.Lock()
 	if el, ok := c.items[digest]; ok {
 		c.ll.MoveToFront(el)
@@ -381,7 +338,7 @@ func (c *Cache) GetSim(k Key) (*sim.Result, bool) {
 			return nil, false
 		}
 	}
-	r, err := decodeEntry(data, k)
+	r, err := decodeEntry(data, canonical)
 	if err != nil {
 		// Treat damage as a miss and remove the entry so the next run
 		// rewrites it; never surface a partially decoded result. If even
@@ -427,7 +384,8 @@ func (c *Cache) countMiss() {
 // The cache takes shared ownership of r: from this call on, r is
 // immutable, for the caller as much as for every later GetSim.
 func (c *Cache) PutSim(k Key, r *sim.Result) error {
-	digest := k.Digest()
+	canonical := k.Canonical()
+	digest := digestOf(canonical)
 	c.mu.Lock()
 	c.insertLocked(digest, r)
 	c.stats.Stores++
@@ -436,11 +394,7 @@ func (c *Cache) PutSim(k Key, r *sim.Result) error {
 	if c.dir == "" {
 		return nil
 	}
-	data, err := encodeEntry(k, r)
-	if err == nil {
-		err = c.writeFile(digest, data)
-	}
-	if err != nil {
+	if err := c.writeFile(digest, encodeEntry(canonical, r)); err != nil {
 		c.mu.Lock()
 		c.stats.StoreErrors++
 		c.mu.Unlock()
@@ -460,7 +414,8 @@ func (c *Cache) writeFile(digest string, data []byte) error {
 }
 
 // Clear empties the memory tier and deletes every entry file of the disk
-// tier (stats are preserved; they count cumulative traffic).
+// tier, including the JSON entries of earlier layouts, which no lookup
+// opens (stats are preserved; they count cumulative traffic).
 func (c *Cache) Clear() error {
 	c.mu.Lock()
 	c.ll.Init()
@@ -469,8 +424,9 @@ func (c *Cache) Clear() error {
 	if c.dir == "" {
 		return nil
 	}
-	// Entry files, plus any temp files orphaned by interrupted writes.
-	for _, pattern := range []string{"*.json", ".tmp-*"} {
+	// Entry files, the legacy JSON entries, and any temp files orphaned
+	// by interrupted writes.
+	for _, pattern := range []string{"*" + entryExt, "*" + legacyEntryExt, ".tmp-*"} {
 		matches, err := filepath.Glob(filepath.Join(c.dir, pattern))
 		if err != nil {
 			return fmt.Errorf("simcache: listing cache entries: %w", err)

@@ -1,10 +1,15 @@
 package simcache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -58,7 +63,7 @@ func mustOpen(t *testing.T, opts ...Option) *Cache {
 // entryFile returns the single on-disk entry of a one-entry cache dir.
 func entryFile(t *testing.T, dir string) string {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	matches, err := filepath.Glob(filepath.Join(dir, "*"+entryExt))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("expected exactly one entry file, got %v (err %v)", matches, err)
 	}
@@ -208,9 +213,10 @@ func TestDiskWarm(t *testing.T) {
 }
 
 // TestCorruptionBitFlip flips one bit at every byte position of an on-disk
-// entry and asserts each read either misses cleanly (deleting the damaged
-// file) or — when the flip lands in insignificant whitespace — returns the
-// exact original result. No flip may panic or return a different result.
+// entry and asserts each read misses cleanly, deleting the damaged file
+// and counting it corrupt: the entry has no insignificant byte (the magic
+// line, the key and the checksum are compared whole, and the checksum
+// covers every payload byte). No flip may panic or return a result.
 func TestCorruptionBitFlip(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey("raytrace", core.Type2)
@@ -233,18 +239,14 @@ func TestCorruptionBitFlip(t *testing.T) {
 		}
 		// Fresh cache per flip so the memory tier cannot mask the disk read.
 		fresh := mustOpen(t, WithDir(dir))
-		got, ok := fresh.GetSim(k)
-		if ok {
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("bit flip at byte %d returned a WRONG result: %+v", i, got)
-			}
-		} else {
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("bit flip at byte %d: damaged entry not deleted (stat err %v)", i, err)
-			}
-			if st := fresh.Stats(); st.Corrupt != 1 || st.Misses != 1 {
-				t.Fatalf("bit flip at byte %d: stats %+v, want 1 corrupt + 1 miss", i, st)
-			}
+		if got, ok := fresh.GetSim(k); ok {
+			t.Fatalf("bit flip at byte %d served a hit: %+v (original %+v)", i, got, want)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("bit flip at byte %d: damaged entry not deleted (stat err %v)", i, err)
+		}
+		if st := fresh.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+			t.Fatalf("bit flip at byte %d: stats %+v, want 1 corrupt + 1 miss", i, st)
 		}
 		// Restore for the next position.
 		if err := os.WriteFile(path, orig, 0o644); err != nil {
@@ -294,9 +296,10 @@ func TestGarbageEntry(t *testing.T) {
 	}
 }
 
-// TestSchemaVersionMismatch rewrites a valid entry claiming a different
-// schema version; it must be dropped as corrupt, not misinterpreted.
-func TestSchemaVersionMismatch(t *testing.T) {
+// TestLayoutVersionMismatch rewrites a valid entry's magic line to name
+// another layout version; the entry must be dropped as corrupt, not
+// misread.
+func TestLayoutVersionMismatch(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey("wsq-mst", core.Type2)
 	c := mustOpen(t, WithDir(dir))
@@ -305,24 +308,180 @@ func TestSchemaVersionMismatch(t *testing.T) {
 	}
 	path := entryFile(t, dir)
 	data, _ := os.ReadFile(path)
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatalf("decoding entry: %v", err)
+	magic, body, ok := bytes.Cut(data, []byte("\n"))
+	if !ok || string(magic)+"\n" != entryMagic {
+		t.Fatalf("entry starts with %q, want the magic line %q", magic, entryMagic)
 	}
-	raw["schema_version"] = json.RawMessage("999")
-	redone, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatalf("re-encoding: %v", err)
-	}
+	version := bytes.LastIndexByte(magic, '/')
+	redone := append(append(magic[:version+1:version+1], "2\n"...), body...)
 	if err := os.WriteFile(path, redone, 0o644); err != nil {
 		t.Fatalf("rewriting: %v", err)
 	}
 	fresh := mustOpen(t, WithDir(dir))
 	if _, ok := fresh.GetSim(k); ok {
-		t.Fatalf("stale-schema entry served as a hit")
+		t.Fatalf("entry of another layout served as a hit")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("stale-schema entry not deleted")
+		t.Fatalf("entry of another layout not deleted")
+	}
+	if st := fresh.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 corrupt + 1 miss", st)
+	}
+}
+
+// TestLegacyJSONEntry pins how a cache directory of an earlier build
+// reads: a JSON entry under the key's digest is never opened, so the
+// lookup is a plain miss (not a corrupt one) that leaves the file alone,
+// and Clear deletes it.
+func TestLegacyJSONEntry(t *testing.T) {
+	dir := t.TempDir()
+	k := testKey("legacy", core.Type1)
+	legacy, err := json.Marshal(map[string]any{
+		"schema_version": SchemaVersion,
+		"key":            k,
+		"payload":        fakeResult("legacy", core.Type1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, k.Digest()+legacyEntryExt)
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, WithDir(dir))
+	if _, ok := c.GetSim(k); ok {
+		t.Fatalf("legacy JSON entry served as a hit")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats %+v, want a plain miss", st)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("a lookup touched the legacy entry: %v", err)
+	}
+	if err := c.Clear(); err != nil {
+		t.Fatalf("Clear: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("Clear left the legacy entry behind (stat err %v)", err)
+	}
+}
+
+// TestEntryKeepsEveryField sets every field of sim.Result and of each
+// CoreStats to a distinct non-zero value and requires the disk round trip
+// to keep them all, so a field added to either struct without codec
+// support fails here by name.
+func TestEntryKeepsEveryField(t *testing.T) {
+	next := uint64(0)
+	var fill func(v reflect.Value, name string)
+	fill = func(v reflect.Value, name string) {
+		next++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i), name+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 3, 3))
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i), fmt.Sprintf("%s[%d]", name, i))
+			}
+		case reflect.String:
+			v.SetString(fmt.Sprintf("%s-%d", name, next))
+		// Numbers keep next in their low byte, which makes them distinct,
+		// and spread over the varint lengths above it.
+		case reflect.Int:
+			// Alternate signs so the zig-zag encoding sees both.
+			n := int64(next | next<<(8+next%40))
+			if next%2 == 1 {
+				n = -n
+			}
+			v.SetInt(n)
+		case reflect.Uint64:
+			v.SetUint(next | next<<(8+next*7%56))
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("%s is a %s, which this test cannot fill: teach the entry codec and this test about it", name, v.Kind())
+		}
+	}
+	want := &sim.Result{}
+	fill(reflect.ValueOf(want).Elem(), "Result")
+
+	canonical := testKey("every-field", core.Type3).Canonical()
+	got, err := decodeEntry(encodeEntry(canonical, want), canonical)
+	if err != nil {
+		t.Fatalf("decoding the entry: %v", err)
+	}
+	var diff func(g, w reflect.Value, name string)
+	diff = func(g, w reflect.Value, name string) {
+		switch w.Kind() {
+		case reflect.Struct:
+			for i := 0; i < w.NumField(); i++ {
+				diff(g.Field(i), w.Field(i), name+"."+w.Type().Field(i).Name)
+			}
+		case reflect.Slice:
+			if g.Len() != w.Len() {
+				t.Errorf("%s has %d elements after the round trip, want %d", name, g.Len(), w.Len())
+				return
+			}
+			for i := 0; i < w.Len(); i++ {
+				diff(g.Index(i), w.Index(i), fmt.Sprintf("%s[%d]", name, i))
+			}
+		default:
+			if !reflect.DeepEqual(g.Interface(), w.Interface()) {
+				t.Errorf("%s = %v after the round trip, want %v", name, g.Interface(), w.Interface())
+			}
+		}
+	}
+	diff(reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem(), "Result")
+}
+
+// TestCountBombEntry writes an entry whose magic line, key and checksum
+// are all valid but whose payload claims 2^40 cores. The checksum is no
+// proof against a crafted file: the count must be checked against the
+// bytes that follow, so the lookup is a counted corrupt miss that deletes
+// the file without allocating for the claimed cores.
+func TestCountBombEntry(t *testing.T) {
+	dir := t.TempDir()
+	k := testKey("bomb", core.Type2)
+	c := mustOpen(t, WithDir(dir))
+	if err := c.PutSim(k, fakeResult("bomb", core.Type2)); err != nil {
+		t.Fatalf("PutSim: %v", err)
+	}
+	path := entryFile(t, dir)
+
+	payload := binary.AppendUvarint(nil, uint64(len("bomb")))
+	payload = append(payload, "bomb"...)
+	payload = binary.AppendVarint(payload, int64(core.Type2))
+	payload = binary.AppendUvarint(payload, 123456)
+	payload = binary.AppendUvarint(payload, 1<<40)
+	payload = append(payload, make([]byte, 64)...)
+	sum := sha256.Sum256(payload)
+	canonical := k.Canonical()
+	bomb := append([]byte(entryMagic), binary.AppendUvarint(nil, uint64(len(canonical)))...)
+	bomb = append(bomb, canonical...)
+	bomb = append(bomb, sum[:]...)
+	bomb = append(bomb, payload...)
+	if err := os.WriteFile(path, bomb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := mustOpen(t, WithDir(dir))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := fresh.GetSim(k)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatalf("count-bomb entry served as a hit")
+	}
+	if st := fresh.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 corrupt + 1 miss", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("count-bomb entry not deleted (stat err %v)", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the count bomb allocated %d bytes", grew)
 	}
 }
 
@@ -339,7 +498,7 @@ func TestClear(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("memory tier not cleared")
 	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	matches, _ := filepath.Glob(filepath.Join(dir, "*"+entryExt))
 	if len(matches) != 0 {
 		t.Fatalf("disk tier not cleared: %v", matches)
 	}

@@ -7,7 +7,7 @@ import (
 
 // Cache is the two-tier, content-addressed cache of simulator results: an
 // in-memory LRU of decoded results in front of an optional on-disk tier
-// (one versioned, checksummed JSON file per entry). A simulator run is a
+// (one versioned, checksummed binary file per entry). A simulator run is a
 // pure function of its inputs, so a cache hit replays the stored result
 // instead of recomputing it — warm `cmd/experiments` reruns produce
 // byte-identical tables while executing zero simulator runs for cached
@@ -27,9 +27,11 @@ type CacheStats = simcache.Stats
 // CacheOption configures OpenCache.
 type CacheOption = simcache.Option
 
-// CacheSchemaVersion versions the cache key derivation and entry layout;
-// it participates in every key, so bumping it orphans older entries
-// rather than misinterpreting them.
+// CacheSchemaVersion versions the cache key derivation and the meaning of
+// a cached result; it participates in every key, so bumping it orphans
+// older entries rather than misinterpreting them. The byte layout of a
+// disk entry is versioned apart from it, by the entry's first line, so a
+// layout change moves no key digest or unit ID.
 const CacheSchemaVersion = simcache.SchemaVersion
 
 // OpenCache builds a result cache. With no options the cache is

@@ -379,9 +379,9 @@ func scenarioFleet(t *testing.T) {
 }
 
 // scenarioBitflipStorm corrupts cache entries on disk and in flight
-// during a warm rerun. Every flip must be detected by the envelope
-// checksums and degrade to a recomputation — the report stays
-// byte-identical — and a further rerun must find the cache healed.
+// during a warm rerun. Every flip must be detected by the entry checks
+// and degrade to a recomputation — the report stays byte-identical —
+// and a further rerun must find the cache healed.
 func scenarioBitflipStorm(t *testing.T) {
 	flags := quickFlags()
 	cacheDir := filepath.Join(scenarioDir(t), "cache")
@@ -393,7 +393,7 @@ func scenarioBitflipStorm(t *testing.T) {
 	}
 
 	// Storm half 1: the harness flips one bit in three entries at rest.
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.bin"))
 	if err != nil || len(entries) < 4 {
 		t.Fatalf("cache entries %d (err %v), want enough to corrupt", len(entries), err)
 	}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/litmus"
 	"repro/internal/memmodel"
+	"repro/internal/memmodel/memmodeltest"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/simcache"
@@ -745,6 +746,51 @@ func BenchmarkEnumerateParallelVerdict(b *testing.B) {
 			b.ReportMetric(float64(candidates), "candidates")
 		})
 	}
+}
+
+// BenchmarkVerdictGenerated measures whole verdicts on generated
+// programs of the shape the benchmark's litmus-check workload draws: the
+// first 24 programs of the walk-level differential test (seed 23, at most
+// 20,000 candidates each), under every atomicity type, one worker per
+// verdict. It is the rung between one large verdict
+// (BenchmarkEnumerateParallelVerdict) and the registry suite
+// (BenchmarkLitmusSuite). It reports per op the programs' candidates
+// (CountCandidates) and the candidates the verdicts walk, those that
+// satisfy uniproc.
+func BenchmarkVerdictGenerated(b *testing.B) {
+	programs := memmodeltest.Programs(23, 24, 20_000)
+	tests := make([]*litmus.Test, len(programs))
+	var candidates, walked int
+	for i, p := range programs {
+		tests[i] = &litmus.Test{Name: p.Name, Program: p, Cond: litmus.ExistsCond(litmus.MemTerm(p.Addrs()[0], 1))}
+		n, err := memmodel.CountCandidates(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		candidates += n
+		err = memmodel.EnumerateFunc(p, func(*memmodel.Execution) bool {
+			walked++
+			return true
+		}, memmodel.EnumUniproc())
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	types := core.AllTypes()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range tests {
+			for _, typ := range types {
+				if _, err := t.RunParallel(ctx, typ, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(candidates*len(types)), "candidates/op")
+	b.ReportMetric(float64(walked*len(types)), "walked/op")
 }
 
 // BenchmarkLitmusSuite measures the model checker on the full litmus suite,

@@ -15,9 +15,10 @@
 //	litmus -format json      emit verdicts as JSON (ascii, csv too)
 //
 // -j parallelizes across verdicts (one per test and atomicity type).
-// Inside one verdict the rf×ws candidate space is partitioned across
-// goroutines by candidate count: GOMAXPROCS for IRIW-sized spaces, where
-// a single program dominates the wall clock, and 1 for small ones.
+// Inside one verdict the candidates that satisfy uniproc — the only ones
+// a verdict checks — are partitioned across goroutines by their count:
+// GOMAXPROCS for IRIW-sized spaces, where a single program dominates the
+// wall clock, and 1 for small ones.
 //
 // The (test, type) verdict grid is a deterministic unit plan just like
 // the simulation sweep: every unit's ID derives from the verdict's

@@ -53,6 +53,11 @@ func (c *Checker) prepare(x *memmodel.Execution, t AtomicityType) {
 // Valid reports whether the execution is a valid witness of the TSO model
 // extended with RMWs of the given atomicity type. It is equivalent to
 // DeriveAto(x, t).Valid but allocation-free in steady state.
+//
+// Valid checks uniproc itself even though the model's own enumerations
+// (memmodel.EnumUniproc) only hand it candidates that satisfy it:
+// Model.Valid, DeriveAto, Explain and the oracle tests pass it arbitrary
+// executions, which need not.
 func (c *Checker) Valid(x *memmodel.Execution, t AtomicityType) bool {
 	if !x.Uniproc() {
 		return false

@@ -24,8 +24,8 @@ func NewModel(t AtomicityType) *Model { return &Model{Atomicity: t} }
 // model, by the ato fixpoint.
 func (m *Model) Valid(x *memmodel.Execution) bool { return Valid(x, m.Atomicity) }
 
-// ValidExecutions enumerates all candidate executions of the program and
-// returns the valid ones, cloned out of the enumerator's arena so they
+// ValidExecutions enumerates the candidate executions of the program that
+// satisfy uniproc and returns the valid ones, cloned out of the enumerator's arena so they
 // remain valid indefinitely.
 func (m *Model) ValidExecutions(p *memmodel.Program) ([]*memmodel.Execution, error) {
 	var out []*memmodel.Execution
@@ -40,15 +40,17 @@ func (m *Model) ValidExecutions(p *memmodel.Program) ([]*memmodel.Execution, err
 }
 
 // ValidExecutionsFunc streams the valid executions of the program to visit
-// without materializing the candidate set. Returning false from visit stops
-// the enumeration early.
+// without materializing the candidate set. Only the candidates that
+// satisfy uniproc are assembled and checked (memmodel.EnumUniproc), since
+// no other can be valid. Returning false from visit stops the enumeration
+// early.
 func (m *Model) ValidExecutionsFunc(p *memmodel.Program, visit func(*memmodel.Execution) bool) error {
 	return memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
 		if !m.Valid(x) {
 			return true
 		}
 		return visit(x)
-	})
+	}, memmodel.EnumUniproc())
 }
 
 // Outcome is one observable result of a program: the final values of all
@@ -179,15 +181,16 @@ func (m *Model) Outcomes(p *memmodel.Program) (*OutcomeSet, error) {
 // memmodel.EnumWorkers defines them (workers <= 0 applies the
 // candidate-count rule): validity checking runs inside the workers,
 // outcome collection stays serialized, and the result is identical to
-// Outcomes. A cancelled ctx aborts with ctx's error. The model's validity
+// Outcomes. Like Outcomes it walks only the candidates that satisfy
+// uniproc. A cancelled ctx aborts with ctx's error. The model's validity
 // check is stateless, so sharing m across the workers is safe.
 func (m *Model) OutcomesParallel(ctx context.Context, p *memmodel.Program, workers int) (*OutcomeSet, error) {
 	set := NewOutcomeSet()
 	err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
 		set.Add(OutcomeOf(x))
 		return true
-	}, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers),
-		memmodel.EnumFilter(func(x *memmodel.Execution) bool { return m.Valid(x) }))
+	}, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers), memmodel.EnumUniproc(),
+		memmodel.EnumFilter(m.Valid))
 	if err != nil {
 		return nil, err
 	}

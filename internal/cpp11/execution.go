@@ -277,9 +277,12 @@ type Semantics struct {
 // Analyze enumerates the program's candidate executions and classifies
 // them. The candidates are memmodel's: every reads-from choice times every
 // per-location modification order of the program translated with each
-// access a plain TSO read or write, walked by memmodel.EnumerateFunc. A
-// program whose candidate space does not fit in an int fails with an error
-// wrapping memmodel.ErrSpaceTooLarge.
+// access a plain TSO read or write, walked by memmodel.EnumerateFunc. It
+// walks all of them, not only those that satisfy TSO's uniproc
+// (memmodel.EnumUniproc): C/C++11 consistency is a different check, and
+// Candidates counts the whole space. A program whose candidate space does
+// not fit in an int fails with an error wrapping
+// memmodel.ErrSpaceTooLarge.
 func Analyze(p *Program) (*Semantics, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

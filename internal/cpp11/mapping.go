@@ -187,7 +187,8 @@ func ValidateMappingParallel(ctx context.Context, p *Program, m Mapping, typ cor
 // cost, since compiling SC accesses to RMWs multiplies the rf×ws choice
 // space — is spread over workers goroutines, as memmodel.EnumWorkers
 // defines them: workers == 1 is sequential, workers > 1 parallelizes, and
-// workers <= 0 applies the candidate-count rule to the compiled program
+// workers <= 0 applies the candidate-count rule to the compiled program's
+// candidates that satisfy uniproc, the only ones the TSO side walks
 // (GOMAXPROCS for IRIW-class spaces, 1 for small ones). The result is
 // identical to ValidateMapping's; a cancelled ctx aborts with ctx's
 // error. Validate only reads s, so one Semantics serves any number of

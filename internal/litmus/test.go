@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/memmodel"
@@ -183,7 +182,11 @@ type Result struct {
 	Matches bool
 	// ValidExecutions is the number of valid executions found.
 	ValidExecutions int
-	// Candidates is the total number of candidate executions enumerated.
+	// Candidates is the number of candidate executions of the program,
+	// memmodel.CountCandidates: every rf × ws choice whose RMW value
+	// dependencies are acyclic. The verdict assembles and checks only the
+	// ones that satisfy uniproc (memmodel.EnumUniproc), so this is the
+	// size of the space the verdict decided, not of the work it did.
 	Candidates int
 	// Outcomes is the set of observable outcomes.
 	Outcomes *core.OutcomeSet
@@ -219,27 +222,23 @@ func (t *Test) Run(typ core.AtomicityType) (Result, error) {
 // RunParallel model-checks the test under the given atomicity type with
 // the candidate enumeration spread over workers goroutines, as
 // memmodel.EnumWorkers defines them: each worker walks a contiguous range
-// of the rf×ws choice space and runs the validity check — the expensive
-// part of a verdict — on its own candidates, while outcome collection
-// stays serialized. workers == 1 is the sequential Run, workers > 1
-// parallelizes, and workers <= 0 applies the candidate-count rule
-// (GOMAXPROCS for IRIW-class programs, 1 for small ones). The verdict is
-// identical to Run's regardless of workers; a cancelled ctx aborts the
-// verdict with ctx's error.
+// of the candidates that satisfy uniproc (memmodel.EnumUniproc) and runs
+// the validity check — the expensive part of a verdict — on its own
+// candidates, while outcome collection stays serialized. workers == 1 is
+// the sequential Run, workers > 1 parallelizes, and workers <= 0 applies
+// the candidate-count rule (GOMAXPROCS for IRIW-class programs, 1 for
+// small ones). The verdict is identical to Run's regardless of workers; a
+// cancelled ctx aborts the verdict with ctx's error.
 func (t *Test) RunParallel(ctx context.Context, typ core.AtomicityType, workers int) (Result, error) {
 	model := core.NewModel(typ)
 	set := core.NewOutcomeSet()
-	valid := 0
-	var candidates atomic.Int64
+	valid, candidates := 0, 0
 	err := memmodel.EnumerateFunc(t.Program, func(x *memmodel.Execution) bool {
 		valid++
 		set.Add(core.OutcomeOf(x))
 		return true
-	}, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers),
-		memmodel.EnumFilter(func(x *memmodel.Execution) bool {
-			candidates.Add(1)
-			return model.Valid(x)
-		}))
+	}, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers), memmodel.EnumUniproc(),
+		memmodel.EnumCandidates(&candidates), memmodel.EnumFilter(model.Valid))
 	if err != nil {
 		return Result{}, fmt.Errorf("litmus: %s: %w", t.Name, err)
 	}
@@ -250,7 +249,7 @@ func (t *Test) RunParallel(ctx context.Context, typ core.AtomicityType, workers 
 		Holds:           holds,
 		Matches:         true,
 		ValidExecutions: valid,
-		Candidates:      int(candidates.Load()),
+		Candidates:      candidates,
 		Outcomes:        set,
 	}
 	if exp, ok := t.Expected[typ]; ok {

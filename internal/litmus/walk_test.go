@@ -1,0 +1,224 @@
+package litmus
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/cpp11"
+	"repro/internal/memmodel"
+	"repro/internal/memmodel/memmodeltest"
+)
+
+// storeLoadX3 is a 303-byte inline program: three threads, each storing
+// to and then loading x three times. Its one location has 9! write orders
+// and 10^9 reads-from assignments, 3.6×10^14 candidates, of which
+// 1,824,912 satisfy uniproc.
+const storeLoadX3 = `name: big
+thread P0:
+  store x, 1
+  r0 = load x
+  store x, 2
+  r1 = load x
+  store x, 3
+  r2 = load x
+thread P1:
+  store x, 4
+  r0 = load x
+  store x, 5
+  r1 = load x
+  store x, 6
+  r2 = load x
+thread P2:
+  store x, 7
+  r0 = load x
+  store x, 8
+  r1 = load x
+  store x, 9
+  r2 = load x
+exists (P0:r0=0)
+`
+
+// walkTests returns the programs of the walk-level differential as
+// tests: 100 generated programs of at most 20,000 candidates, every
+// registry litmus test, and every registry C/C++11 program compiled under
+// each mapping. Programs without a registry condition get one that probes
+// their first register (or their first location) for the value 1.
+func walkTests(t *testing.T) []*Test {
+	t.Helper()
+	var programs []*memmodel.Program
+	programs = append(programs, memmodeltest.Programs(23, 100, 20_000)...)
+	for _, p := range cpp11.AllPrograms() {
+		for _, m := range cpp11.AllMappings() {
+			c, err := cpp11.Compile(p, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			programs = append(programs, c)
+		}
+	}
+	tests := AllTests()
+	for _, p := range programs {
+		tests = append(tests, &Test{Name: p.Name, Program: p, Cond: ExistsCond(probe(p))})
+	}
+	return tests
+}
+
+// probe returns a term on the program's first register, or on its first
+// location when no instruction writes a register.
+func probe(p *memmodel.Program) Term {
+	for ti, th := range p.Threads {
+		for _, in := range th {
+			if in.Reg != "" {
+				return RegTerm(memmodel.ThreadID(ti), in.Reg, 1)
+			}
+		}
+	}
+	return MemTerm(p.Addrs()[0], 1)
+}
+
+// TestUniprocWalkMatchesFilteredFullWalk is the walk-level differential
+// of memmodel.EnumUniproc on generated and registry programs: the uniproc
+// walk must visit exactly the multiset of full-walk candidates that
+// satisfy Execution.Uniproc, at 1, 2 and 8 workers; CountCandidates must
+// equal the full walk's visits; and a verdict (which walks only the
+// uniproc candidates) must find the valid count, outcomes and condition
+// truth that filtering the full walk with core.Valid finds.
+func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
+	ctx := context.Background()
+	types := core.AllTypes()
+	for _, test := range walkTests(t) {
+		p := test.Program
+		visits := 0
+		var want []string
+		valid := make([]int, len(types))
+		outcomes := make([]*core.OutcomeSet, len(types))
+		for i := range outcomes {
+			outcomes[i] = core.NewOutcomeSet()
+		}
+		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
+			visits++
+			if !x.Uniproc() {
+				return true
+			}
+			want = append(want, x.Key())
+			for i, typ := range types {
+				if core.Valid(x, typ) {
+					valid[i]++
+					outcomes[i].Add(core.OutcomeOf(x))
+				}
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s: full walk: %v", p.Name, err)
+		}
+		count, err := memmodel.CountCandidates(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count != visits {
+			t.Errorf("%s: CountCandidates = %d, the full walk visits %d", p.Name, count, visits)
+		}
+		sort.Strings(want)
+		for _, workers := range []int{1, 2, 8} {
+			var got []string
+			err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
+				got = append(got, x.Key())
+				return true
+			}, memmodel.EnumUniproc(), memmodel.EnumWorkers(workers))
+			if err != nil {
+				t.Fatalf("%s: uniproc walk: %v", p.Name, err)
+			}
+			sort.Strings(got)
+			if d := diffKeys(got, want); d != "" {
+				t.Fatalf("%s workers=%d: the uniproc walk differs from the full walk's uniproc candidates: %s\n%s",
+					p.Name, workers, d, p)
+			}
+		}
+		for i, typ := range types {
+			res, err := test.RunParallel(ctx, typ, 2)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", p.Name, typ, err)
+			}
+			holds := test.Cond.Evaluate(outcomes[i].Outcomes())
+			if res.Candidates != count || res.ValidExecutions != valid[i] || res.Holds != holds ||
+				!res.Outcomes.Equal(outcomes[i]) {
+				t.Errorf("%s under %s: verdict candidates=%d valid=%d holds=%t outcomes=%v; full walk %d, %d, %t, %v",
+					p.Name, typ, res.Candidates, res.ValidExecutions, res.Holds, res.Outcomes.Keys(),
+					count, valid[i], holds, outcomes[i].Keys())
+			}
+		}
+	}
+}
+
+// diffKeys describes the first difference between two sorted key lists,
+// or returns "" when they are equal.
+func diffKeys(got, want []string) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return fmt.Sprintf("at %d got %s, want %s", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d keys, want %d", len(got), len(want))
+	}
+	return ""
+}
+
+// TestCountCandidatesLargeInlineProgram counts storeLoadX3, 9! × 10^9
+// candidates, in closed form: counting must not walk the reads-from
+// assignments.
+func TestCountCandidatesLargeInlineProgram(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's slowdown makes the time bound meaningless")
+	}
+	if len(storeLoadX3) != 303 {
+		t.Fatalf("the program source is %d bytes, want 303", len(storeLoadX3))
+	}
+	test, err := Parse(storeLoadX3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	n, err := memmodel.CountCandidates(test.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("CountCandidates took %v, want under 2s", d)
+	}
+	if n != 362_880_000_000_000 {
+		t.Fatalf("CountCandidates = %d, want 9! × 10^9 = 362,880,000,000,000", n)
+	}
+}
+
+// TestRunParallelCancelDuringTableBuild cancels a type-2 verdict of
+// storeLoadX3 about 50 ms in, while it is still searching for the
+// program's uniproc shares (seconds of work): the verdict must stop with
+// context.Canceled within a second.
+func TestRunParallelCancelDuringTableBuild(t *testing.T) {
+	test, err := Parse(storeLoadX3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(50*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := test.RunParallel(ctx, core.Type2, workers)
+		elapsed := time.Since(start)
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("workers=%d: the cancelled verdict returned after %v, want within 1s", workers, elapsed)
+		}
+	}
+}

@@ -21,38 +21,44 @@ func threeThread() *Program {
 // TestScanSteadyStateAllocationFree pins the tentpole property of the
 // arena-based enumerator: once an arena's slot has been warmed, walking
 // the candidate space — decode, assembly, value propagation, validity
-// filtering against the base model — allocates nothing. sp.scan is
-// exactly the per-candidate loop of both the sequential path and each
-// parallel worker, so this covers the steady state of every walker.
+// filtering against the base model — allocates nothing, in the full walk
+// and in the uniproc walk alike. sp.scan is exactly the per-candidate
+// loop of both the sequential path and each parallel worker, so this
+// covers the steady state of every walker.
 func TestScanSteadyStateAllocationFree(t *testing.T) {
-	sp, err := newEnumSpace(threeThread())
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena := sp.newArena()
-	cfg := &enumConfig{
-		ctx:    context.Background(),
-		filter: func(x *Execution) bool { return x.BaseValid() },
-	}
-	visited := 0
-	emit := func(x *Execution) bool {
-		visited++
-		return true
-	}
-	// Warm run: sizes the slot's relation backing arrays.
-	if err := sp.scan(cfg, 0, sp.total(), nil, arena, emit); err != nil {
-		t.Fatal(err)
-	}
-	if visited == 0 {
-		t.Fatal("no candidate survived the base-validity filter")
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if err := sp.scan(cfg, 0, sp.total(), nil, arena, emit); err != nil {
-			t.Error(err)
+	for _, uniproc := range []bool{false, true} {
+		sp, err := newEnumSpace(threeThread())
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("scan of %d candidates allocated %.1f times per run, want 0", sp.total(), allocs)
+		if err := sp.buildWalk(context.Background(), uniproc); err != nil {
+			t.Fatal(err)
+		}
+		arena := sp.newArena()
+		cfg := &enumConfig{
+			ctx:    context.Background(),
+			filter: func(x *Execution) bool { return x.BaseValid() },
+		}
+		visited := 0
+		emit := func(x *Execution) bool {
+			visited++
+			return true
+		}
+		// Warm run: sizes the slot's relation backing arrays.
+		if err := sp.scan(cfg, 0, sp.total(), nil, arena, emit); err != nil {
+			t.Fatal(err)
+		}
+		if visited == 0 {
+			t.Fatalf("uniproc %t: no candidate survived the base-validity filter", uniproc)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := sp.scan(cfg, 0, sp.total(), nil, arena, emit); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("uniproc %t: scan of %d candidates allocated %.1f times per run, want 0", uniproc, sp.total(), allocs)
+		}
 	}
 }
 

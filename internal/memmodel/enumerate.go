@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -43,19 +44,30 @@ func Enumerate(p *Program) ([]*Execution, error) {
 
 // enumSpace is the precomputed enumeration space of a program: its event
 // templates plus the per-read rf choices and per-location ws choices whose
-// cross-product is the candidate set. Candidates are addressed by a linear
-// index in [0, total()): the index is a mixed-radix number whose most
-// significant digits are the rf choices (in read order) and whose least
-// significant digits are the ws choices (in location order), so walking
-// indices in ascending order reproduces the enumeration order of the
-// original recursive walk — and any contiguous index range can be walked
-// independently, which is what EnumerateFunc's worker partitioning relies
-// on.
+// cross-product is the candidate set.
 //
-// Everything here is computed once per enumeration and then shared
+// The space is factored by location. Every uniproc edge (poloc, ws, fr,
+// rf) and every RMW value dependency joins two events of one location, so
+// a location's share of a candidate — the rf choices of its reads and its
+// ws order — is what decides both whether the candidate passes uniproc
+// and whether its values propagate. A location's share is addressed by a
+// local index in [0, size): the mixed-radix number whose least
+// significant digit is the ws choice and whose more significant digits
+// are the rf choices of its reads (the first read most significant).
+//
+// Candidates are addressed by a linear index in [0, total()), decoded
+// location by location, the last location least significant. In the full
+// walk a location's digit is its local index; in the uniproc walk
+// (EnumUniproc) it indexes the location's table of passing shares, whose
+// entries are local indices. Either way any contiguous index range can be
+// walked independently, which is what EnumerateFunc's worker partitioning
+// relies on.
+//
+// newEnumSpace sizes and counts the space; buildWalk materializes what a
+// walk reads. Both are computed once per enumeration and then shared
 // read-only by all workers: the event templates, the rf/ws choice tables,
-// the RMW pairing, and the candidate-independent relations (po, ppo, bar,
-// poloc) that depend only on the events.
+// the RMW pairing, the location tables and the candidate-independent
+// relations (po, ppo, bar, poloc) that depend only on the events.
 type enumSpace struct {
 	p      *Program
 	events []*Event
@@ -63,25 +75,23 @@ type enumSpace struct {
 	// source writes of reads[i].
 	reads   []int
 	choices [][]int
-	// addrs lists the accessed locations; wsChoices[i] lists the candidate
-	// coherence orders of addrs[i] (initial write first). The order slices
-	// are shared read-only with every candidate execution.
-	addrs     []Addr
-	wsChoices [][][]int
-	// rfSize and wsSize are the sizes of the two sub-spaces; the candidate
-	// space has totalSize = rfSize*wsSize indices (overflow-checked at
-	// construction).
-	rfSize, wsSize, totalSize int
+	// addrs lists the accessed locations and locs their shares of the
+	// space, in the same order.
+	addrs []Addr
+	locs  []locSpace
+	// fullSize is the full walk's index count, the product of the
+	// locations' sizes (overflow-checked at construction); candidates is
+	// the number of candidates the full walk visits.
+	fullSize, candidates int
+	// uniproc selects the walk over the locations' tables, and walkSize is
+	// the selected walk's index count.
+	uniproc  bool
+	walkSize int
 	// Slice-backed RMW pairing, indexed by event index: rmwReadOf[w] is the
-	// read half of RMW write w (-1 otherwise), modify[w] its value
-	// function, readPos[r] the position of read r in reads (-1 otherwise),
-	// and rmwWrites lists the RMW write events. This is the single
-	// derivation of the pairing that both value propagation and countRF's
-	// value-cycle check use, so the two can never disagree on which
-	// candidates are dropped.
+	// read half of RMW write w (-1 otherwise) and modify[w] its value
+	// function; rmwWrites lists the RMW write events.
 	rmwReadOf []int
 	modify    []ModifyFunc
-	readPos   []int
 	rmwWrites []int
 	// writeDetermined[i] is true for events whose value is fixed before
 	// propagation: plain and initial writes.
@@ -91,7 +101,31 @@ type enumSpace struct {
 	inv *invariantRels
 }
 
-// newEnumSpace validates the program and builds its enumeration space.
+// locSpace is one location's share of the enumeration space.
+type locSpace struct {
+	// events lists every event of the location in event order, the
+	// initial write first; writes counts the non-initial writes among them.
+	events []int
+	writes int
+	// reads lists the positions in enumSpace.reads of the location's
+	// reads, in read order.
+	reads []int
+	// ws lists the ws orders the walk uses, the initial write first in
+	// each (built by buildWalk): all writes! of them for the full walk,
+	// those that extend poloc for the uniproc walk. The order slices are
+	// shared read-only with every candidate execution.
+	ws [][]int
+	// size is the full walk's number of local indices, the product of the
+	// reads' choice counts times writes!.
+	size int
+	// table lists the local indices of the shares that pass uniproc, for
+	// the uniproc walk.
+	table []int
+}
+
+// newEnumSpace validates the program, groups its events by location and
+// sizes its enumeration space: the full walk's index count and the
+// number of candidates it visits.
 func newEnumSpace(p *Program) (*enumSpace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -106,160 +140,377 @@ func newEnumSpace(p *Program) (*enumSpace, error) {
 		events:          events,
 		rmwReadOf:       make([]int, n),
 		modify:          make([]ModifyFunc, n),
-		readPos:         make([]int, n),
 		writeDetermined: make([]bool, n),
 	}
-	for i := range sp.rmwReadOf {
-		sp.rmwReadOf[i] = -1
-		sp.readPos[i] = -1
-	}
-
-	// Group writes and reads by location.
-	writesByAddr := map[Addr][]int{}
+	// The initial writes come first, one per location in ascending order.
 	for _, e := range events {
-		if e.IsWrite() {
-			writesByAddr[e.Addr] = append(writesByAddr[e.Addr], e.Index)
+		if !e.IsInit() {
+			break
 		}
-		if e.IsRead() {
-			sp.readPos[e.Index] = len(sp.reads)
-			sp.reads = append(sp.reads, e.Index)
-		}
+		sp.addrs = append(sp.addrs, e.Addr)
 	}
+	sp.locs = make([]locSpace, len(sp.addrs))
 
-	// Map each RMW's write event back to its read half and its Modify
-	// function, once for the whole enumeration.
-	rmwID := 0
-	for ti, t := range p.Threads {
-		for ii, in := range t {
-			if in.Kind != InstrRMW {
-				continue
-			}
-			var rdIdx, wrIdx int = -1, -1
-			for _, e := range events {
-				if e.Thread == ThreadID(ti) && e.PO == ii && e.RMW == rmwID {
-					if e.Kind == KindRMWRead {
-						rdIdx = e.Index
-					} else if e.Kind == KindRMWWrite {
-						wrIdx = e.Index
-					}
-				}
-			}
-			if rdIdx < 0 || wrIdx < 0 {
-				return nil, fmt.Errorf("memmodel: program %q: missing event pair for RMW %d", p.Name, rmwID)
-			}
+	// Pair each RMW write with its read half (the event before it) and its
+	// Modify function, and group the memory events by location.
+	locOf := make([]int, n)
+	memory := 0
+	for _, e := range events {
+		sp.rmwReadOf[e.Index] = -1
+		if e.Kind == KindRMWWrite {
+			in := p.Threads[e.Thread][e.PO]
 			m := in.Modify
 			if m == nil {
 				v := in.Value
 				m = func(Value) Value { return v }
 			}
-			sp.modify[wrIdx] = m
-			sp.rmwReadOf[wrIdx] = rdIdx
-			sp.rmwWrites = append(sp.rmwWrites, wrIdx)
-			rmwID++
+			sp.modify[e.Index] = m
+			sp.rmwReadOf[e.Index] = e.Index - 1
+			sp.rmwWrites = append(sp.rmwWrites, e.Index)
+		}
+		sp.writeDetermined[e.Index] = e.IsWrite() && sp.modify[e.Index] == nil
+		locOf[e.Index] = -1
+		if e.IsFence() {
+			continue
+		}
+		l := 0
+		for sp.addrs[l] != e.Addr {
+			l++
+		}
+		locOf[e.Index] = l
+		memory++
+		if e.IsRead() {
+			sp.reads = append(sp.reads, e.Index)
 		}
 	}
-	for _, e := range events {
-		sp.writeDetermined[e.Index] = e.IsWrite() && sp.modify[e.Index] == nil
+	locEvents := make([]int, 0, memory)
+	locReads := make([]int, 0, len(sp.reads))
+	for l := range sp.locs {
+		loc := &sp.locs[l]
+		start, readStart := len(locEvents), len(locReads)
+		for _, e := range events {
+			if locOf[e.Index] != l {
+				continue
+			}
+			locEvents = append(locEvents, e.Index)
+			if e.IsWrite() && !e.IsInit() {
+				loc.writes++
+			}
+		}
+		for pos, rd := range sp.reads {
+			if locOf[rd] == l {
+				locReads = append(locReads, pos)
+			}
+		}
+		loc.events = locEvents[start:len(locEvents):len(locEvents)]
+		loc.reads = locReads[readStart:len(locReads):len(locReads)]
 	}
 
-	// Enumerate rf choices: for each read, the set of candidate source
-	// writes (any write to the same location except the write half of its
-	// own RMW).
+	// The rf choices of each read: any write to its location except the
+	// write half of its own RMW, in event order (initial write first).
+	choiceCount := 0
+	for _, rd := range sp.reads {
+		choiceCount += sp.locs[locOf[rd]].writes + 1
+	}
+	backing := make([]int, 0, choiceCount)
 	sp.choices = make([][]int, len(sp.reads))
-	sp.rfSize = 1
+	rfSize := 1
 	for i, rd := range sp.reads {
 		r := events[rd]
-		for _, w := range writesByAddr[r.Addr] {
-			if events[w].SameRMW(r) {
-				continue // Ra never reads from its own Wa
+		start := len(backing)
+		for _, w := range sp.locs[locOf[rd]].events {
+			if events[w].IsWrite() && !events[w].SameRMW(r) {
+				backing = append(backing, w)
 			}
-			sp.choices[i] = append(sp.choices[i], w)
 		}
-		if len(sp.choices[i]) == 0 {
-			return nil, fmt.Errorf("memmodel: read %s has no candidate writes", r)
-		}
+		sp.choices[i] = backing[start:len(backing):len(backing)]
 		var ok bool
-		if sp.rfSize, ok = checkedMul(sp.rfSize, len(sp.choices[i])); !ok {
+		if rfSize, ok = checkedMul(rfSize, len(sp.choices[i])); !ok {
 			return nil, fmt.Errorf("memmodel: program %q: reads-from space overflows: %w", p.Name, ErrSpaceTooLarge)
 		}
 	}
 
-	// Size the ws sub-space before materializing anything: the number of
-	// coherence orders of a location with k non-initial writes is k!, and
-	// the factorials multiply across locations. Doing the arithmetic first
+	// Size the ws sub-space before anything is materialized: a location
+	// with k non-initial writes has k! coherence orders, and the
+	// factorials multiply across locations. Doing the arithmetic first
 	// (overflow-checked) means a generator-scale program fails with
 	// ErrSpaceTooLarge instead of wrapping the candidate count or
 	// exhausting memory on the permutation tables.
-	sp.addrs = p.Addrs()
-	restByAddr := make([][]int, len(sp.addrs))
-	initByAddr := make([]int, len(sp.addrs))
-	sp.wsSize = 1
-	for i, a := range sp.addrs {
-		initByAddr[i] = -1
-		for _, w := range writesByAddr[a] {
-			if events[w].IsInit() {
-				initByAddr[i] = w
-			} else {
-				restByAddr[i] = append(restByAddr[i], w)
-			}
-		}
-		perms := 1
-		for k := 2; k <= len(restByAddr[i]); k++ {
+	wsSize := 1
+	for l := range sp.locs {
+		loc := &sp.locs[l]
+		loc.size = 1
+		for k := 2; k <= loc.writes; k++ {
 			var ok bool
-			if perms, ok = checkedMul(perms, k); !ok {
-				return nil, fmt.Errorf("memmodel: program %q: write-serialization space of %s overflows: %w", p.Name, AddrName(a), ErrSpaceTooLarge)
+			if loc.size, ok = checkedMul(loc.size, k); !ok {
+				return nil, fmt.Errorf("memmodel: program %q: write-serialization space of %s overflows: %w", p.Name, AddrName(sp.addrs[l]), ErrSpaceTooLarge)
 			}
 		}
 		var ok bool
-		if sp.wsSize, ok = checkedMul(sp.wsSize, perms); !ok {
+		if wsSize, ok = checkedMul(wsSize, loc.size); !ok {
 			return nil, fmt.Errorf("memmodel: program %q: write-serialization space overflows: %w", p.Name, ErrSpaceTooLarge)
 		}
 	}
 	var ok bool
-	if sp.totalSize, ok = checkedMul(sp.rfSize, sp.wsSize); !ok {
+	if sp.fullSize, ok = checkedMul(rfSize, wsSize); !ok {
 		return nil, fmt.Errorf("memmodel: program %q: candidate space overflows: %w", p.Name, ErrSpaceTooLarge)
 	}
-
-	// Materialize the ws choices: per location, the initial write followed
-	// by every permutation of the remaining writes.
-	sp.wsChoices = make([][][]int, len(sp.addrs))
-	for i := range sp.addrs {
-		for _, perm := range permutations(restByAddr[i]) {
-			order := append([]int{initByAddr[i]}, perm...)
-			sp.wsChoices[i] = append(sp.wsChoices[i], order)
+	// Each location's size and count divide rfSize*wsSize, so neither
+	// product below can overflow. loc.size starts as the location's
+	// number of ws orders (above) and becomes its local index count here.
+	sp.candidates = 1
+	for l := range sp.locs {
+		loc := &sp.locs[l]
+		sp.candidates *= sp.rfCount(loc) * loc.size
+		for _, pos := range loc.reads {
+			loc.size *= len(sp.choices[pos])
 		}
 	}
-
-	// Derive the candidate-independent relations once; every arena slot
-	// shares them.
-	sp.inv = newInvariantRels(events)
 	return sp, nil
 }
 
-// total returns the number of candidate indices (including candidates that
-// assembly later drops for cyclic RMW value dependencies).
-func (sp *enumSpace) total() int { return sp.totalSize }
+// rfCount returns the number of rf assignments of the location's reads
+// whose RMW value dependencies are acyclic: the assignments whose values
+// propagate.
+//
+// Only the RMW reads can close a value cycle: a plain read's value is
+// never an input. Each of the m RMW reads reads from one of the g plain
+// or initial writes, which grounds it, or from the write half of another
+// RMW, whose value needs that RMW's read. An acyclic assignment is
+// therefore a forest on the m RMW reads whose roots each pick one of g
+// ground writes, and there are g(g+m)^(m-1) such forests (Cayley's
+// formula with weighted roots). The plain reads choose freely.
+func (sp *enumSpace) rfCount(loc *locSpace) int {
+	count, m := 1, 0
+	for _, pos := range loc.reads {
+		if sp.events[sp.reads[pos]].Kind == KindRMWRead {
+			m++
+		} else {
+			count *= len(sp.choices[pos])
+		}
+	}
+	if m == 0 {
+		return count
+	}
+	g := loc.writes + 1 - m
+	count *= g
+	for i := 1; i < m; i++ {
+		count *= g + m
+	}
+	return count
+}
+
+// CountCandidates returns the number of candidate executions Enumerate
+// generates for the program, without assembling them: the number of
+// reads-from assignments with acyclic RMW value dependencies times the
+// number of per-location write serializations. Candidates whose value
+// propagation cannot converge are never visited by Enumerate and are not
+// counted here, so the result matches the enumeration exactly. The count
+// is a closed form per location: it never walks the space. Useful for
+// bounding litmus-test cost. A program whose candidate space does not fit
+// in an int yields an error wrapping ErrSpaceTooLarge.
+func CountCandidates(p *Program) (int, error) {
+	sp, err := newEnumSpace(p)
+	if err != nil {
+		return 0, err
+	}
+	return sp.candidates, nil
+}
+
+// buildWalk materializes what a walk reads: the candidate-independent
+// relations, every location's ws orders and, for the uniproc walk, every
+// location's table of passing shares. The table search honours ctx.
+func (sp *enumSpace) buildWalk(ctx context.Context, uniproc bool) error {
+	sp.inv = newInvariantRels(sp.events)
+	sp.uniproc = uniproc
+	var poloc *Relation
+	if uniproc {
+		poloc = &sp.inv.poloc
+	}
+	for l := range sp.locs {
+		sp.locs[l].ws = wsOrders(sp.events, &sp.locs[l], poloc)
+	}
+	if !uniproc {
+		sp.walkSize = sp.fullSize
+		return nil
+	}
+	if err := sp.buildTables(ctx); err != nil {
+		return err
+	}
+	// Each table holds at most its location's size entries, so the
+	// product is bounded by fullSize.
+	sp.walkSize = 1
+	for l := range sp.locs {
+		sp.walkSize *= len(sp.locs[l].table)
+	}
+	return nil
+}
+
+// total returns the number of candidate indices of the selected walk. The
+// full walk's indices include candidates that assembly later drops for
+// cyclic RMW value dependencies; the uniproc walk's tables hold none.
+func (sp *enumSpace) total() int { return sp.walkSize }
+
+// visits returns the number of candidates the selected walk visits.
+func (sp *enumSpace) visits() int {
+	if sp.uniproc {
+		return sp.walkSize
+	}
+	return sp.candidates
+}
+
+// tableSearch is the state of one buildTables call: the location being
+// searched, its closure stack, and the scratch that maps events to their
+// index among the location's events and writes to their ws successors.
+type tableSearch struct {
+	sp    *enumSpace
+	ctx   context.Context
+	nodes int
+	loc   *locSpace
+	// local[e] is event e's index among its location's events; next[w]
+	// is write w's successor in the ws order being searched (-1 for the
+	// last write).
+	local, next []int
+	// levels[i] is the transitive closure of poloc ∪ ws plus the rf and
+	// fr edges of the location's first i reads, over the location's
+	// events.
+	levels []Relation
+	// wsDigit is the ws order being searched.
+	wsDigit int
+}
+
+// buildTables fills each location's table with the local indices of its
+// shares that pass uniproc. The uniproc walk's ws orders are those that
+// extend poloc (wsOrders), so poloc ∪ ws is acyclic; for a location
+// without reads that is the whole check. Per ws order the search starts
+// from the closure of poloc ∪ ws and searches the reads' rf choices depth
+// first: each level adds one read's rf edge and fr edges and abandons the
+// prefix as soon as the union has a cycle. Adding edges never removes a
+// cycle, so pruning a prefix drops no passing share.
+//
+// No leaf check for RMW value dependencies is needed: a value cycle
+// alternates poloc edges Ra -> Wa within an RMW and rf edges Wa -> Ra'
+// between RMWs, so it is a cycle of poloc ∪ rf that the search has
+// already pruned.
+func (sp *enumSpace) buildTables(ctx context.Context) error {
+	s := &tableSearch{
+		sp:    sp,
+		ctx:   ctx,
+		local: make([]int, len(sp.events)),
+		next:  make([]int, len(sp.events)),
+	}
+	maxReads := 0
+	for l := range sp.locs {
+		maxReads = max(maxReads, len(sp.locs[l].reads))
+	}
+	s.levels = make([]Relation, maxReads+2)
+	for l := range sp.locs {
+		if err := s.location(&sp.locs[l]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// location fills loc's table.
+func (s *tableSearch) location(loc *locSpace) error {
+	s.loc = loc
+	for i, e := range loc.events {
+		s.local[e] = i
+	}
+	// The last level holds poloc, closed, and is copied into level 0 for
+	// each ws order.
+	poloc := &s.levels[len(s.levels)-1]
+	poloc.Reset(len(loc.events))
+	for _, a := range loc.events {
+		for _, b := range loc.events {
+			if s.sp.inv.poloc.Has(a, b) {
+				poloc.Add(s.local[a], s.local[b])
+			}
+		}
+	}
+	poloc.TransitiveClosure()
+	for wd, order := range loc.ws {
+		if err := s.tick(); err != nil {
+			return err
+		}
+		// The order extends poloc, so no edge of its chain closes a
+		// cycle.
+		base := s.levels[0].CopyFrom(poloc)
+		for j := 1; j < len(order); j++ {
+			base.addClosed(s.local[order[j-1]], s.local[order[j]])
+		}
+		for j, w := range order {
+			s.next[w] = -1
+			if j+1 < len(order) {
+				s.next[w] = order[j+1]
+			}
+		}
+		s.wsDigit = wd
+		if err := s.search(0, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// search extends the passing prefix of the first i reads' rf choices,
+// whose local rf digits form rfLocal, by every choice for read i that
+// keeps the closure acyclic, and records each complete share.
+func (s *tableSearch) search(i, rfLocal int) error {
+	loc := s.loc
+	if i == len(loc.reads) {
+		loc.table = append(loc.table, rfLocal*len(loc.ws)+s.wsDigit)
+		return nil
+	}
+	if err := s.tick(); err != nil {
+		return err
+	}
+	pos := loc.reads[i]
+	choices := s.sp.choices[pos]
+	r := s.local[s.sp.reads[pos]]
+	cur, next := &s.levels[i], &s.levels[i+1]
+	for d, w := range choices {
+		next.CopyFrom(cur)
+		// rf: w -> r. fr: r -> every write ws-after w, which the closure
+		// gets from the edge to w's successor.
+		if !next.addClosed(s.local[w], r) {
+			continue
+		}
+		if succ := s.next[w]; succ >= 0 && !next.addClosed(r, s.local[succ]) {
+			continue
+		}
+		if err := s.search(i+1, rfLocal*len(choices)+d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tick counts a search node and polls the context every 256 nodes.
+func (s *tableSearch) tick() error {
+	s.nodes++
+	if s.nodes&255 != 0 {
+		return nil
+	}
+	return s.ctx.Err()
+}
 
 // enumArena holds everything one walker reuses across candidates: the
-// mixed-radix decode buffers, the value-propagation scratch, and one
-// execution slot whose events, rf/ws state and relation backing arrays are
-// recycled. Assembling a candidate into an arena therefore allocates
-// nothing in steady state. Every walker visits synchronously, so the slot
-// is free again once emit returns.
+// value-propagation scratch and one execution slot whose events, rf/ws
+// state and relation backing arrays are recycled. Assembling a candidate
+// into an arena therefore allocates nothing in steady state. Every walker
+// visits synchronously, so the slot is free again once emit returns.
 type enumArena struct {
-	rfDigits []int // per read: index into choices[i]
-	wsDigits []int // per addr: index into wsChoices[i]
-	det      []bool
-	slot     *Execution
+	det  []bool
+	slot *Execution
 }
 
 // newArena builds an arena for one walker.
 func (sp *enumSpace) newArena() *enumArena {
 	return &enumArena{
-		rfDigits: make([]int, len(sp.reads)),
-		wsDigits: make([]int, len(sp.addrs)),
-		det:      make([]bool, len(sp.events)),
-		slot:     sp.newSlot(),
+		det:  make([]bool, len(sp.events)),
+		slot: sp.newSlot(),
 	}
 }
 
@@ -285,34 +536,35 @@ func (sp *enumSpace) newSlot() *Execution {
 	return x
 }
 
-// decode writes the mixed-radix digits of candidate index g into the
-// arena's buffers: ws digits are least significant (location order), rf
-// digits most significant (read order).
-func (sp *enumSpace) decode(g int, a *enumArena) {
-	for i := len(sp.addrs) - 1; i >= 0; i-- {
-		n := len(sp.wsChoices[i])
-		a.wsDigits[i] = g % n
-		g /= n
-	}
-	for i := len(sp.reads) - 1; i >= 0; i-- {
-		n := len(sp.choices[i])
-		a.rfDigits[i] = g % n
-		g /= n
-	}
-}
-
 // candidate assembles the execution at candidate index g into the arena's
 // slot, or returns nil when its value propagation does not converge
-// (cyclic RMW value dependency).
+// (cyclic RMW value dependency). It decodes g location by location, the
+// last location least significant: each digit is a local index (full
+// walk) or selects one from the location's table (uniproc walk), and a
+// local index holds the ws choice in its least significant digit and the
+// rf choices of the location's reads above it.
 func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
-	sp.decode(g, a)
 	x := a.slot
 	x.resetDerived()
-	for i, wi := range a.wsDigits {
-		x.wsOrders[i] = sp.wsChoices[i][wi]
-	}
-	for i, d := range a.rfDigits {
-		x.rf[sp.reads[i]] = sp.choices[i][d]
+	for l := len(sp.locs) - 1; l >= 0; l-- {
+		loc := &sp.locs[l]
+		var d int
+		if sp.uniproc {
+			n := len(loc.table)
+			d = loc.table[g%n]
+			g /= n
+		} else {
+			d = g % loc.size
+			g /= loc.size
+		}
+		x.wsOrders[l] = loc.ws[d%len(loc.ws)]
+		d /= len(loc.ws)
+		for i := len(loc.reads) - 1; i >= 0; i-- {
+			pos := loc.reads[i]
+			c := sp.choices[pos]
+			x.rf[sp.reads[pos]] = c[d%len(c)]
+			d /= len(c)
+		}
 	}
 	if !sp.propagate(x, a) {
 		return nil
@@ -325,7 +577,7 @@ func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
 // the read value. It iterates to a fixpoint (chains of RMWs reading from
 // RMW writes converge in at most len(events) rounds) and reports false for
 // cyclic value dependencies, which have no consistent assignment — the
-// same rf assignments countRF excludes.
+// same rf assignments rfCount excludes.
 func (sp *enumSpace) propagate(x *Execution, a *enumArena) bool {
 	copy(a.det, sp.writeDetermined)
 	events := x.Events
@@ -357,75 +609,6 @@ func (sp *enumSpace) propagate(x *Execution, a *enumArena) bool {
 		}
 	}
 	return true
-}
-
-// rfAcyclic reports whether the rf assignment in digits has acyclic value
-// dependencies, i.e. whether assembly would keep (rather than drop)
-// candidates with this rf choice. A read's value depends on its source
-// write; an RMW write's value depends on its read half; a cycle through
-// those edges never converges.
-func (sp *enumSpace) rfAcyclic(digits []int) bool {
-	for i := range sp.reads {
-		w := sp.choices[i][digits[i]]
-		for steps := 0; ; steps++ {
-			rd := sp.rmwReadOf[w]
-			if rd < 0 {
-				break // plain or initial write: chain grounded
-			}
-			if steps >= len(sp.reads) {
-				return false // longer than any acyclic chain
-			}
-			pos := sp.readPos[rd]
-			w = sp.choices[pos][digits[pos]]
-		}
-	}
-	return true
-}
-
-// countRF returns the number of rf assignments whose value dependencies
-// are acyclic, by walking the rf digit odometer.
-func (sp *enumSpace) countRF() int {
-	digits := make([]int, len(sp.reads))
-	count := 0
-	for {
-		if sp.rfAcyclic(digits) {
-			count++
-		}
-		// Increment the rf odometer (last read least significant).
-		i := len(sp.reads) - 1
-		for ; i >= 0; i-- {
-			digits[i]++
-			if digits[i] < len(sp.choices[i]) {
-				break
-			}
-			digits[i] = 0
-		}
-		if i < 0 {
-			return count
-		}
-	}
-}
-
-// count returns the number of candidates the space visits: the rf
-// assignments with acyclic value dependencies times the ws orders. The
-// product cannot overflow, since countRF() <= rfSize and rfSize*wsSize
-// was checked at construction.
-func (sp *enumSpace) count() int { return sp.countRF() * sp.wsSize }
-
-// CountCandidates returns the number of candidate executions Enumerate
-// generates for the program, without assembling them: the number of
-// reads-from assignments with acyclic RMW value dependencies times the
-// number of per-location write serializations. Candidates whose value
-// propagation cannot converge are never visited by Enumerate and are not
-// counted here, so the result matches the enumeration exactly. Useful for
-// bounding litmus-test cost. A program whose candidate space does not fit
-// in an int yields an error wrapping ErrSpaceTooLarge.
-func CountCandidates(p *Program) (int, error) {
-	sp, err := newEnumSpace(p)
-	if err != nil {
-		return 0, err
-	}
-	return sp.count(), nil
 }
 
 // buildEvents constructs the event templates for a program: one initial
@@ -470,28 +653,79 @@ func buildEvents(p *Program) ([]*Event, error) {
 	return events, nil
 }
 
-// permutations returns all permutations of the input slice. The input is
-// not modified. permutations(nil) returns a single empty permutation.
-func permutations(in []int) [][]int {
-	if len(in) == 0 {
-		return [][]int{{}}
-	}
-	var out [][]int
-	var rec func(cur []int, rest []int)
-	rec = func(cur []int, rest []int) {
-		if len(rest) == 0 {
-			cp := make([]int, len(cur))
-			copy(cp, cur)
-			out = append(out, cp)
-			return
-		}
-		for i := range rest {
-			next := make([]int, 0, len(rest)-1)
-			next = append(next, rest[:i]...)
-			next = append(next, rest[i+1:]...)
-			rec(append(cur, rest[i]), next)
+// wsOrders returns the coherence orders of a location that a walk uses,
+// each its initial write followed by an order of its other writes, in
+// lexicographic order of their event indices and sharing one backing
+// array. With a nil poloc these are all the orders; otherwise only those
+// that extend poloc, which are exactly the orders for which poloc ∪ ws is
+// acyclic: poloc is transitive and ws total on the writes, so a cycle of
+// the union reduces to two writes that ws orders against poloc.
+func wsOrders(events []*Event, loc *locSpace, poloc *Relation) [][]int {
+	g := orderGen{poloc: poloc, rest: make([]int, 0, loc.writes)}
+	for _, e := range loc.events[1:] {
+		if events[e].IsWrite() {
+			g.rest = append(g.rest, e)
 		}
 	}
-	rec(nil, in)
+	k := len(g.rest) + 1
+	g.order = make([]int, k)
+	g.order[0] = loc.events[0]
+	if poloc == nil {
+		n := 1 // len(rest)!, overflow-checked by newEnumSpace
+		for i := 2; i <= len(g.rest); i++ {
+			n *= i
+		}
+		if size, ok := checkedMul(n, k); ok {
+			g.orders = make([]int, 0, size)
+		}
+	}
+	g.place(1)
+	out := make([][]int, len(g.orders)/k)
+	for o := range out {
+		out[o] = g.orders[o*k : (o+1)*k : (o+1)*k]
+	}
 	return out
+}
+
+// orderGen is the state of one wsOrders call.
+type orderGen struct {
+	poloc *Relation
+	rest  []int // the non-initial writes, in event order
+	// used has bit i set while rest[i] is placed; newEnumSpace rejects a
+	// location with more than 20 such writes (21! overflows int).
+	used   uint64
+	order  []int // the order being built, initial write first
+	orders []int // the finished orders, back to back
+}
+
+// place fills order[p:] with every arrangement of the unplaced writes,
+// trying them in event order at each position.
+func (g *orderGen) place(p int) {
+	if p == len(g.order) {
+		g.orders = append(g.orders, g.order...)
+		return
+	}
+	for i, w := range g.rest {
+		if g.used&(1<<i) != 0 || !g.ready(w) {
+			continue
+		}
+		g.used |= 1 << i
+		g.order[p] = w
+		g.place(p + 1)
+		g.used &^= 1 << i
+	}
+}
+
+// ready reports whether w may come next: no unplaced write precedes it in
+// poloc.
+func (g *orderGen) ready(w int) bool {
+	if g.poloc == nil {
+		return true
+	}
+	for i, u := range g.rest {
+		if g.used&(1<<i) == 0 && u != w && g.poloc.Has(u, w) {
+			return false
+		}
+	}
+	return true
 }

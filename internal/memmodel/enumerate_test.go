@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -220,22 +221,33 @@ func TestCountCandidatesMatchesEnumerate(t *testing.T) {
 }
 
 func TestPermutations(t *testing.T) {
-	if got := permutations(nil); len(got) != 1 || len(got[0]) != 0 {
-		t.Fatalf("permutations(nil) = %v, want one empty permutation", got)
+	// Events: [0] init x, [1] init y, [2] P0:W(x)=1, [3] P0:W(x)=2,
+	// [4] P0:R(y), [5] P1:W(x)=3.
+	p := NewProgram("ws-orders")
+	p.AddThread(Write(0, 1), Write(0, 2), Read(1, "r0"))
+	p.AddThread(Write(0, 3))
+	sp, err := newEnumSpace(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := permutations([]int{1, 2, 3})
-	if len(got) != 6 {
-		t.Fatalf("permutations of 3 elements = %d, want 6", len(got))
-	}
-	seen := map[[3]int]bool{}
-	for _, p := range got {
-		if len(p) != 3 {
-			t.Fatalf("permutation of wrong length: %v", p)
+	inv := newInvariantRels(sp.events)
+	for _, tc := range []struct {
+		loc   int
+		poloc *Relation
+		want  string
+	}{
+		// Every order of the non-initial writes, lexicographically.
+		{0, nil, "[[0 2 3 5] [0 2 5 3] [0 3 2 5] [0 3 5 2] [0 5 2 3] [0 5 3 2]]"},
+		// Only the orders that keep P0's two writes in program order.
+		{0, &inv.poloc, "[[0 2 3 5] [0 2 5 3] [0 5 2 3]]"},
+		// A location without other writes has the one order [init].
+		{1, nil, "[[1]]"},
+		{1, &inv.poloc, "[[1]]"},
+	} {
+		got := fmt.Sprint(wsOrders(sp.events, &sp.locs[tc.loc], tc.poloc))
+		if got != tc.want {
+			t.Errorf("wsOrders of %s (poloc %t) = %s, want %s", AddrName(sp.addrs[tc.loc]), tc.poloc != nil, got, tc.want)
 		}
-		seen[[3]int{p[0], p[1], p[2]}] = true
-	}
-	if len(seen) != 6 {
-		t.Fatalf("duplicate permutations: %v", got)
 	}
 }
 
@@ -268,5 +280,49 @@ func TestCountCandidatesRMWValueCycles(t *testing.T) {
 func TestCountCandidatesRejectsInvalidProgram(t *testing.T) {
 	if _, err := CountCandidates(NewProgram("bad")); err == nil {
 		t.Fatal("CountCandidates of an empty program must fail, like Enumerate")
+	}
+}
+
+// TestEnumUniprocPrunesLargeSpace walks the uniproc candidates of spaces
+// no full walk could finish. With 62 reads of x in one thread and one
+// write of x in another there are 2^62 candidates, of which exactly 63
+// satisfy uniproc: the reads see the initial value up to some point in
+// program order and the write from then on. With 70 reads and no write,
+// the location has 71 events, so the table search's closures span two
+// words per row.
+func TestEnumUniprocPrunesLargeSpace(t *testing.T) {
+	for _, tc := range []struct {
+		reads      int
+		write      bool
+		candidates int
+		uniproc    int
+	}{
+		{reads: 62, write: true, candidates: 1 << 62, uniproc: 63},
+		{reads: 70, write: false, candidates: 1, uniproc: 1},
+	} {
+		p := NewProgram("reads")
+		reads := make([]Instr, tc.reads)
+		for i := range reads {
+			reads[i] = Read(0, fmt.Sprintf("r%d", i))
+		}
+		p.AddThread(reads...)
+		if tc.write {
+			p.AddThread(Write(0, 1))
+		}
+		var candidates int
+		visited := 0
+		err := EnumerateFunc(p, func(x *Execution) bool {
+			if !x.Uniproc() {
+				t.Fatalf("%d reads: the uniproc walk visited a candidate that violates uniproc:\n%s", tc.reads, x)
+			}
+			visited++
+			return true
+		}, EnumUniproc(), EnumCandidates(&candidates))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if candidates != tc.candidates || visited != tc.uniproc {
+			t.Errorf("%d reads: %d candidates, %d visited; want %d and %d", tc.reads, candidates, visited, tc.candidates, tc.uniproc)
+		}
 	}
 }

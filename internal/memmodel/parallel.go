@@ -9,16 +9,19 @@ import (
 
 // enumConfig collects the enumeration options.
 type enumConfig struct {
-	ctx     context.Context
-	workers int
-	filter  func(*Execution) bool
+	ctx        context.Context
+	workers    int
+	filter     func(*Execution) bool
+	uniproc    bool
+	candidates *int
 }
 
 // EnumOption configures EnumerateFunc.
 type EnumOption func(*enumConfig)
 
 // EnumContext makes the enumeration honour ctx: cancellation stops every
-// walker promptly and the enumeration returns ctx's error.
+// walker, and the uniproc table search before them, promptly and the
+// enumeration returns ctx's error.
 func EnumContext(ctx context.Context) EnumOption {
 	return func(c *enumConfig) { c.ctx = ctx }
 }
@@ -27,9 +30,11 @@ func EnumContext(ctx context.Context) EnumOption {
 // (the default) keeps the enumeration sequential; n > 1 partitions the
 // candidate index space into n contiguous ranges, each walked by its own
 // worker goroutine with a private arena; n <= 0 applies the
-// candidate-count rule: runtime.GOMAXPROCS(0) workers when the program
-// has at least AutoEnumThreshold candidates, 1 below it. The worker count
-// is further clamped to the number of candidate indices.
+// candidate-count rule: runtime.GOMAXPROCS(0) workers when the walk
+// visits at least AutoEnumThreshold candidates, 1 below it. The count is
+// the walk's own: under EnumUniproc it is the number of candidates that
+// satisfy uniproc, not CountCandidates. The worker count is further
+// clamped to the number of candidate indices.
 func EnumWorkers(n int) EnumOption {
 	return func(c *enumConfig) { c.workers = n }
 }
@@ -42,6 +47,34 @@ func EnumWorkers(n int) EnumOption {
 // executions it must not retain.
 func EnumFilter(pred func(*Execution) bool) EnumOption {
 	return func(c *enumConfig) { c.filter = pred }
+}
+
+// EnumUniproc restricts the walk to the candidates that satisfy uniproc
+// (Execution.Uniproc): it visits exactly those candidates of the full
+// walk, as a multiset, and assembles no other. Uniproc's edges (poloc, ws,
+// rf, fr) each join two events of one location, so a candidate passes
+// exactly when every location's share of it does: its reads' rf choices
+// and its ws order. Before walking, it builds each location's ws orders
+// that extend poloc and, per order, searches the location's reads' rf
+// choices depth first for the passing shares, pruning an rf prefix as
+// soon as it closes a cycle; the walk then runs over the product of the
+// locations' tables of passing shares. The tables hold one int per
+// passing share, so their memory grows with the number of candidates
+// that pass.
+//
+// TSO verdicts use it (internal/core, internal/litmus), since a valid
+// execution must satisfy uniproc; C/C++11 analysis does not, since it
+// classifies every candidate.
+func EnumUniproc() EnumOption {
+	return func(c *enumConfig) { c.uniproc = true }
+}
+
+// EnumCandidates stores the program's candidate count — CountCandidates,
+// whichever set the walk visits — into *n once the space is built and
+// before the first visit. It lets a verdict report the full count without
+// building the space twice.
+func EnumCandidates(n *int) EnumOption {
+	return func(c *enumConfig) { c.candidates = n }
 }
 
 // AutoEnumThreshold is the candidate count from which EnumWorkers(0) fans
@@ -75,6 +108,11 @@ const AutoEnumThreshold = 4096
 // Programs whose candidate space does not fit in an int fail up front with
 // an error wrapping ErrSpaceTooLarge.
 //
+// EnumUniproc restricts the walk to the candidates that satisfy uniproc,
+// which is all a TSO validity check can accept; it finds them location by
+// location before the first visit, in memory that grows with their
+// number. Without it every candidate is walked.
+//
 // By default the enumeration is sequential and visits candidates in
 // candidate index order. When EnumWorkers resolves to more than one
 // worker, the ranges are walked concurrently and the visits are
@@ -93,21 +131,25 @@ func EnumerateFunc(p *Program, visit func(*Execution) bool, opts ...EnumOption) 
 	if err != nil {
 		return err
 	}
+	if cfg.candidates != nil {
+		*cfg.candidates = sp.candidates
+	}
+	if err := sp.buildWalk(cfg.ctx, cfg.uniproc); err != nil {
+		return err
+	}
 	if workers := sp.workers(cfg.workers); workers > 1 {
 		return sp.runParallel(&cfg, workers, visit)
 	}
 	return sp.scan(&cfg, 0, sp.total(), nil, sp.newArena(), visit)
 }
 
-// workers resolves an EnumWorkers setting against the space: n <= 0
-// applies the candidate-count rule, and the result is clamped to the
-// candidate index count. The candidate count never exceeds total(), so a
-// space below the threshold is decided without walking its reads-from
-// assignments.
+// workers resolves an EnumWorkers setting against the built walk: n <= 0
+// applies the candidate-count rule to the candidates the walk visits, and
+// the result is clamped to the walk's index count.
 func (sp *enumSpace) workers(n int) int {
 	if n <= 0 {
 		n = 1
-		if sp.total() >= AutoEnumThreshold && sp.count() >= AutoEnumThreshold {
+		if sp.visits() >= AutoEnumThreshold {
 			n = runtime.GOMAXPROCS(0)
 		}
 	}

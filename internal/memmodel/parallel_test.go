@@ -214,43 +214,68 @@ func TestEnumerateParallelDefaultWorkers(t *testing.T) {
 	}
 }
 
+// fanInProgram has six single-write threads and one reader of x: the
+// reader has no po successor, so no candidate violates uniproc and the
+// uniproc walk visits all 7 × 6! = 5,040 candidates, above
+// AutoEnumThreshold.
+func fanInProgram() *Program {
+	p := NewProgram("fan-in")
+	for i := 1; i <= 6; i++ {
+		p.AddThread(Write(0, Value(i)))
+	}
+	p.AddThread(Read(0, "r0"))
+	return p
+}
+
 // TestAutoEnumWorkers pins the candidate-count rule EnumWorkers(n <= 0)
-// applies: GOMAXPROCS workers exactly when CountCandidates reaches
-// AutoEnumThreshold, 1 below it, clamped to the candidate index count.
+// applies, for the full walk and the uniproc walk alike: GOMAXPROCS
+// workers exactly when the walk visits at least AutoEnumThreshold
+// candidates, 1 below it, clamped to the walk's index count. The uniproc
+// walk counts its own candidates, not CountCandidates: wideProgram is
+// above the threshold in the full walk and below it in the uniproc walk.
 // GOMAXPROCS is raised so that the two answers differ on any machine.
 func TestAutoEnumWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	var below, above int
-	for _, p := range append(parallelTestPrograms(), wideProgram()) {
-		n, err := CountCandidates(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp, err := newEnumSpace(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 1
-		if n >= AutoEnumThreshold {
-			want = min(runtime.GOMAXPROCS(0), sp.total())
-			above++
-		} else {
-			below++
-		}
-		for _, workers := range []int{0, -3} {
-			if got := sp.workers(workers); got != want {
-				t.Errorf("%s (%d candidates): workers(%d) = %d, want %d", p.Name, n, workers, got, want)
+	for _, uniproc := range []bool{false, true} {
+		var below, above int
+		for _, p := range append(parallelTestPrograms(), wideProgram(), fanInProgram()) {
+			var opts []EnumOption
+			if uniproc {
+				opts = append(opts, EnumUniproc())
+			}
+			n := 0
+			if err := EnumerateFunc(p, func(*Execution) bool { n++; return true }, opts...); err != nil {
+				t.Fatal(err)
+			}
+			sp, err := newEnumSpace(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.buildWalk(context.Background(), uniproc); err != nil {
+				t.Fatal(err)
+			}
+			want := 1
+			if n >= AutoEnumThreshold {
+				want = min(runtime.GOMAXPROCS(0), sp.total())
+				above++
+			} else {
+				below++
+			}
+			for _, workers := range []int{0, -3} {
+				if got := sp.workers(workers); got != want {
+					t.Errorf("%s (uniproc %t, %d candidates): workers(%d) = %d, want %d", p.Name, uniproc, n, workers, got, want)
+				}
+			}
+			if got := sp.workers(1); got != 1 {
+				t.Errorf("%s (uniproc %t): workers(1) = %d, want 1", p.Name, uniproc, got)
+			}
+			if got, want := sp.workers(3), min(3, sp.total()); got != want {
+				t.Errorf("%s (uniproc %t): workers(3) = %d, want %d", p.Name, uniproc, got, want)
 			}
 		}
-		if got := sp.workers(1); got != 1 {
-			t.Errorf("%s: workers(1) = %d, want 1", p.Name, got)
+		if below == 0 || above == 0 {
+			t.Fatalf("uniproc %t: programs do not straddle the threshold: %d below, %d above", uniproc, below, above)
 		}
-		if got, want := sp.workers(3), min(3, sp.total()); got != want {
-			t.Errorf("%s: workers(3) = %d, want %d", p.Name, got, want)
-		}
-	}
-	if below == 0 || above == 0 {
-		t.Fatalf("programs do not straddle the threshold: %d below, %d above", below, above)
 	}
 }
 

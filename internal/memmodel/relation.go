@@ -93,9 +93,40 @@ func (r *Relation) Clone() *Relation {
 // r. Unlike Clone it reuses r's backing array, so scratch relations can be
 // refilled without allocating.
 func (r *Relation) CopyFrom(other *Relation) *Relation {
-	r.init(other.n)
+	r.n, r.words = other.n, other.words
+	if cap(r.bits) < len(other.bits) {
+		r.bits = make([]uint64, len(other.bits))
+	}
+	r.bits = r.bits[:len(other.bits)]
 	copy(r.bits, other.bits)
 	return r
+}
+
+// addClosed adds the pair (from, to) to a transitively closed, acyclic
+// relation and closes it again: every event that reaches from (and from
+// itself) now reaches to and everything to reaches. It reports false,
+// leaving r unchanged, when the pair would close a cycle — to already
+// reaches from, or from == to. Each call costs one pass over the rows, so
+// a search that adds edges one at a time learns of a cycle the moment the
+// edge that closes it goes in.
+func (r *Relation) addClosed(from, to int) bool {
+	if from == to || r.Has(to, from) {
+		return false
+	}
+	fromWord, fromBit := from/wordBits, uint64(1)<<(uint(from)%wordBits)
+	toWord, toBit := to/wordBits, uint64(1)<<(uint(to)%wordBits)
+	toRow := r.row(to)
+	for i := 0; i < r.n; i++ {
+		row := r.bits[i*r.words : (i+1)*r.words]
+		if i != from && row[fromWord]&fromBit == 0 {
+			continue
+		}
+		for w := range row {
+			row[w] |= toRow[w]
+		}
+		row[toWord] |= toBit
+	}
+	return true
 }
 
 // Union adds every pair of other into r and returns r — one OR per word.

@@ -474,3 +474,69 @@ func TestPropertyCycleImpliesTopoSortFails(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropertyAddClosedMatchesBoolMatrix checks addClosed, the table
+// search's incremental closure, against the reference closure: adding a
+// random edge sequence one edge at a time to a closed relation must keep
+// it equal to the closure of the accepted edges, and an edge is refused
+// (leaving the relation unchanged) exactly when it would close a cycle.
+// Sizes straddle the 64-event word boundary.
+func TestPropertyAddClosedMatchesBoolMatrix(t *testing.T) {
+	f := func(seed int64) bool {
+		local := rand.New(rand.NewSource(seed))
+		n := 2 + local.Intn(79)
+		r := NewRelation(n)
+		ref := newBoolRelation(n)
+		for e := 0; e < 2*n; e++ {
+			i, j := local.Intn(n), local.Intn(n)
+			with := newBoolRelation(n)
+			copy(with.adj, ref.adj)
+			with.add(i, j)
+			before := r.Clone()
+			if r.addClosed(i, j) != with.acyclic() {
+				return false
+			}
+			if !with.acyclic() {
+				for k := range before.bits {
+					if r.bits[k] != before.bits[k] {
+						return false
+					}
+				}
+				continue
+			}
+			ref = with
+			closed := newBoolRelation(n)
+			copy(closed.adj, ref.adj)
+			closed.closure()
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					if r.Has(a, b) != closed.has(a, b) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRelationCopyFromResizes pins that CopyFrom leaves no stale pair
+// behind when it reuses a backing array that held a larger relation.
+func TestRelationCopyFromResizes(t *testing.T) {
+	big := NewRelation(70)
+	for i := 0; i < 70; i++ {
+		for j := 0; j < 70; j++ {
+			big.Add(i, j)
+		}
+	}
+	small := NewRelation(3)
+	small.Add(0, 1)
+	big.CopyFrom(small)
+	if big.Size() != 3 || big.Count() != 1 || !big.Has(0, 1) {
+		t.Fatalf("CopyFrom of a 3-event relation: size %d, %d pairs %v; want size 3 and the one pair (0,1)",
+			big.Size(), big.Count(), big.Pairs())
+	}
+}

@@ -43,14 +43,14 @@ func WithParallelism(n int) Option { return engine.WithParallelism(n) }
 func WithObserver(fn Observer) Option { return engine.WithObserver(fn) }
 
 // WithEnumWorkers sets how many goroutines each single litmus verdict or
-// mapping validation fans its candidate enumeration across: the rf×ws
-// choice space is split into contiguous index ranges, one per worker,
-// with the validity check running inside the workers. 1 keeps every
-// verdict sequential. The default, 0, applies the candidate-count rule
-// per program — GOMAXPROCS for IRIW-class programs (at least
-// memmodel.AutoEnumThreshold candidates), 1 for small ones, so small
-// suites don't pay goroutine overhead while one huge verdict no longer
-// serializes on a single core. This parallelism is inside one work unit
+// mapping validation fans its candidate enumeration across: the
+// candidates that satisfy uniproc, the only ones a verdict checks, are
+// split into contiguous index ranges, one per worker, with the validity
+// check running inside the workers. 1 keeps every verdict sequential.
+// The default, 0, applies the candidate-count rule per program —
+// GOMAXPROCS when the verdict walks at least memmodel.AutoEnumThreshold
+// candidates, 1 below, so small suites don't pay goroutine overhead
+// while one huge verdict no longer serializes on a single core. This parallelism is inside one work unit
 // and multiplies with WithParallelism's unit-level pool.
 func WithEnumWorkers(n int) Option { return engine.WithEnumWorkers(n) }
 

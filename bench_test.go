@@ -719,9 +719,9 @@ func BenchmarkEnumerateParallel(b *testing.B) {
 }
 
 // BenchmarkEnumerateParallelVerdict measures the same program through a
-// whole litmus-style verdict (validity filtering inside the workers via
-// Test.RunParallel), which is the user-visible win: the filter — the
-// expensive part — runs concurrently.
+// whole litmus-style verdict under one type (validity classification
+// inside the workers via Test.Check), which is the user-visible win: the
+// classifier — the expensive part — runs concurrently.
 func BenchmarkEnumerateParallelVerdict(b *testing.B) {
 	p := iriwReadWriteProgram(b)
 	test := &litmus.Test{
@@ -733,14 +733,14 @@ func BenchmarkEnumerateParallelVerdict(b *testing.B) {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			var candidates int
 			for i := 0; i < b.N; i++ {
-				res, err := test.RunParallel(context.Background(), core.Type2, workers)
+				rs, err := test.Check(context.Background(), []core.AtomicityType{core.Type2}, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if candidates == 0 {
-					candidates = res.Candidates
-				} else if res.Candidates != candidates {
-					b.Fatalf("candidate count drifted: %d vs %d", res.Candidates, candidates)
+					candidates = rs[0].Candidates
+				} else if rs[0].Candidates != candidates {
+					b.Fatalf("candidate count drifted: %d vs %d", rs[0].Candidates, candidates)
 				}
 			}
 			b.ReportMetric(float64(candidates), "candidates")
@@ -751,12 +751,14 @@ func BenchmarkEnumerateParallelVerdict(b *testing.B) {
 // BenchmarkVerdictGenerated measures whole verdicts on generated
 // programs of the shape the benchmark's litmus-check workload draws: the
 // first 24 programs of the walk-level differential test (seed 23, at most
-// 20,000 candidates each), under every atomicity type, one worker per
-// verdict. It is the rung between one large verdict
-// (BenchmarkEnumerateParallelVerdict) and the registry suite
-// (BenchmarkLitmusSuite). It reports per op the programs' candidates
-// (CountCandidates) and the candidates the verdicts walk, those that
-// satisfy uniproc.
+// 20,000 candidates each), under every atomicity type, through the
+// per-program entry point the engine's litmus jobs use (Test.Check, one
+// walk deciding the three types), one worker per walk. It is the rung
+// between one large verdict (BenchmarkEnumerateParallelVerdict) and the
+// registry suite (BenchmarkLitmusSuite). It reports per op the verdicts'
+// candidates (CountCandidates, once per verdict) and the candidates the
+// verdicts decide, those that satisfy uniproc (once per verdict, though
+// one walk assembles them once for all three).
 func BenchmarkVerdictGenerated(b *testing.B) {
 	programs := memmodeltest.Programs(23, 24, 20_000)
 	tests := make([]*litmus.Test, len(programs))
@@ -782,10 +784,8 @@ func BenchmarkVerdictGenerated(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range tests {
-			for _, typ := range types {
-				if _, err := t.RunParallel(ctx, typ, 1); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := t.Check(ctx, types, 1); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
@@ -794,12 +794,14 @@ func BenchmarkVerdictGenerated(b *testing.B) {
 }
 
 // BenchmarkLitmusSuite measures the model checker on the full litmus suite,
-// one verdict per test and atomicity type.
+// one verdict per test and atomicity type, one walk per test.
 func BenchmarkLitmusSuite(b *testing.B) {
 	tests := litmus.AllTests()
+	types := core.AllTypes()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		for _, t := range tests {
-			if _, err := t.RunAll(); err != nil {
+			if _, err := t.Check(ctx, types, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,11 +14,12 @@
 //	litmus -list-units       print the verdict grid (unit IDs) and exit
 //	litmus -format json      emit verdicts as JSON (ascii, csv too)
 //
-// -j parallelizes across verdicts (one per test and atomicity type).
-// Inside one verdict the candidates that satisfy uniproc — the only ones
-// a verdict checks — are partitioned across goroutines by their count:
-// GOMAXPROCS for IRIW-sized spaces, where a single program dominates the
-// wall clock, and 1 for small ones.
+// -j parallelizes across tests: each test is one walk that decides all
+// of its selected atomicity types at once, and still reports one verdict
+// per test and type. Inside one walk the candidates that satisfy uniproc
+// — the only ones a verdict checks — are partitioned across goroutines
+// by their count: GOMAXPROCS for IRIW-sized spaces, where a single
+// program dominates the wall clock, and 1 for small ones.
 //
 // The (test, type) verdict grid is a deterministic unit plan just like
 // the simulation sweep: every unit's ID derives from the verdict's

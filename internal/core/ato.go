@@ -46,23 +46,54 @@ type AtoResult struct {
 // without closing a cycle through the induced edges. The brute-force oracle
 // in oracle.go checks this equivalence on every litmus test in the suite.
 //
-// DeriveAto runs a Checker's fixpoint and materializes its full
-// diagnostic result (ato edges, order, cycle), allocating accordingly;
-// validity-only callers should use Valid or a Checker, which keep their
-// scratch state for reuse.
+// DeriveAto is the diagnostic and reference path: it runs the fixpoint
+// round by round, re-closing the order after each sweep, and keeps every
+// derived edge, allocating accordingly. Validity-only callers should use
+// Valid, a Checker or Classifier, whose incremental fixpoint inserts each
+// forced edge into a closure as it goes and stops at the first cycle;
+// the differential tests hold the two to the same verdicts.
 func DeriveAto(x *memmodel.Execution, t AtomicityType) *AtoResult {
 	res := &AtoResult{Exec: x, Type: t}
+	n := len(x.Events)
 	if !x.Uniproc() {
 		res.UniprocViolation = true
-		res.Ato = memmodel.NewRelation(len(x.Events))
+		res.Ato = memmodel.NewRelation(n)
 		res.Order = x.BaseOrder()
 		return res
 	}
-	var c Checker
-	res.Valid = c.Valid(x, t)
-	res.Ato, res.Order = c.ato.Clone(), c.order.Clone()
+	pairs := RMWPairs(x)
+	disallowed := make([][]int, len(pairs))
+	for i, p := range pairs {
+		disallowed[i] = DisallowedEvents(t, x, p)
+	}
+	order, ato, closure := x.BaseOrder(), memmodel.NewRelation(n), memmodel.NewRelation(n)
+	for {
+		closure.CopyFrom(order).TransitiveClosure()
+		changed := false
+		for i, p := range pairs {
+			for _, m := range disallowed[i] {
+				// Ra ordered before M forces Wa before M.
+				if closure.Has(p.Read, m) && !ato.Has(p.Write, m) && !closure.Has(p.Write, m) {
+					ato.Add(p.Write, m)
+					order.Add(p.Write, m)
+					changed = true
+				}
+				// M ordered before Wa forces M before Ra.
+				if closure.Has(m, p.Write) && !ato.Has(m, p.Read) && !closure.Has(m, p.Read) {
+					ato.Add(m, p.Read)
+					order.Add(m, p.Read)
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	res.Ato, res.Order = ato, order
+	res.Valid = order.Acyclic()
 	if !res.Valid {
-		res.Cycle = res.Order.FindCycle()
+		res.Cycle = order.FindCycle()
 	}
 	return res
 }

@@ -78,9 +78,26 @@ func ParseAtomicityType(s string) (AtomicityType, error) {
 
 // Stronger reports whether t is at least as strong as other: every execution
 // valid under t is valid under other. Type-1 is the strongest, type-3 the
-// weakest.
+// weakest. Nothing here proves the inclusion, so no check relies on it:
+// every type runs its own fixpoint. TestTypeStrengthInclusion
+// (internal/litmus) tests it on every walked candidate of generated and
+// registry programs.
 func (t AtomicityType) Stronger(other AtomicityType) bool {
 	return t <= other
+}
+
+// Bit returns t's bit in a mask of atomicity types, bit t-1, the form in
+// which Classifier reports the types a candidate is valid under. It is
+// defined for Type1, Type2 and Type3 only.
+func (t AtomicityType) Bit() uint64 { return 1 << uint(t-1) }
+
+// maskOf returns the mask of the given types.
+func maskOf(types []AtomicityType) uint64 {
+	var m uint64
+	for _, t := range types {
+		m |= t.Bit()
+	}
+	return m
 }
 
 // RMWPair identifies the two halves of one RMW instruction within an
@@ -98,35 +115,26 @@ type RMWPair struct {
 	ID int
 }
 
-// RMWPairs extracts the (Ra, Wa) pairs of every RMW in the execution.
-func RMWPairs(x *memmodel.Execution) []RMWPair {
-	byID := map[int]*RMWPair{}
-	var order []int
-	for _, e := range x.Events {
-		if e.RMW < 0 {
+// RMWPairs extracts the (Ra, Wa) pairs of every RMW in the execution, in
+// the order of their read halves.
+func RMWPairs(x *memmodel.Execution) []RMWPair { return appendRMWPairs(nil, x) }
+
+// appendRMWPairs appends the execution's RMW pairs to dst: each read half
+// paired with the write half that shares its RMW identifier. An RMW
+// missing either half has no pair.
+func appendRMWPairs(dst []RMWPair, x *memmodel.Execution) []RMWPair {
+	for _, r := range x.Events {
+		if r.Kind != memmodel.KindRMWRead {
 			continue
 		}
-		p, ok := byID[e.RMW]
-		if !ok {
-			p = &RMWPair{Read: -1, Write: -1, Addr: e.Addr, Thread: e.Thread, ID: e.RMW}
-			byID[e.RMW] = p
-			order = append(order, e.RMW)
-		}
-		switch e.Kind {
-		case memmodel.KindRMWRead:
-			p.Read = e.Index
-		case memmodel.KindRMWWrite:
-			p.Write = e.Index
+		for _, w := range x.Events {
+			if w.Kind == memmodel.KindRMWWrite && w.RMW == r.RMW {
+				dst = append(dst, RMWPair{Read: r.Index, Write: w.Index, Addr: r.Addr, Thread: r.Thread, ID: r.RMW})
+				break
+			}
 		}
 	}
-	out := make([]RMWPair, 0, len(order))
-	for _, id := range order {
-		p := byID[id]
-		if p.Read >= 0 && p.Write >= 0 {
-			out = append(out, *p)
-		}
-	}
-	return out
+	return dst
 }
 
 // Disallowed reports whether event m may not appear between the Ra and Wa of
@@ -157,11 +165,15 @@ func Disallowed(t AtomicityType, m *memmodel.Event, pair RMWPair) bool {
 // DisallowedEvents returns the indices of all events that atomicity type t
 // forbids from appearing between the halves of the given RMW pair.
 func DisallowedEvents(t AtomicityType, x *memmodel.Execution, pair RMWPair) []int {
-	var out []int
+	return appendDisallowed(nil, t, x, pair)
+}
+
+// appendDisallowed appends DisallowedEvents(t, x, pair) to dst.
+func appendDisallowed(dst []int, t AtomicityType, x *memmodel.Execution, pair RMWPair) []int {
 	for _, e := range x.Events {
 		if Disallowed(t, e, pair) {
-			out = append(out, e.Index)
+			dst = append(dst, e.Index)
 		}
 	}
-	return out
+	return dst
 }

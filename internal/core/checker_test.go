@@ -4,14 +4,27 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
+	"repro/internal/memmodel/memmodeltest"
 )
 
-// TestCheckerMatchesDeriveAtoAndOracle is the three-way differential for
-// the allocation-free validity path: on every candidate execution of every
-// oracle program and every atomicity type, the reusable Checker, the
-// diagnostic DeriveAto fixpoint and the brute-force linearization oracle
-// must agree. One Checker instance is reused across all candidates, types
-// and programs, so the (program, type) cache invalidation is exercised too.
+// oracleMaxEvents bounds the events of the walked candidates the oracle
+// leg of TestCheckerMatchesDeriveAtoAndOracle checks: the linearization
+// oracle's search grows factorially with the events, and this bound keeps
+// the leg to a few seconds over the generated programs.
+const oracleMaxEvents = 16
+
+// TestCheckerMatchesDeriveAtoAndOracle is the differential between the
+// incremental fixpoint and its references. On every candidate execution
+// of every oracle program and every atomicity type, the reusable Checker,
+// the round-based DeriveAto fixpoint and the brute-force linearization
+// oracle must agree. One Checker instance is reused across all
+// candidates, types and programs, so the per-program cache invalidation
+// is exercised too.
+//
+// On every walked candidate of 100 generated programs it then checks the
+// multi-type Classifier, as the walks use it, against Checker.Valid and
+// DeriveAto type by type, and against the oracle too on candidates of at
+// most oracleMaxEvents events.
 func TestCheckerMatchesDeriveAtoAndOracle(t *testing.T) {
 	c := NewChecker()
 	for _, p := range oraclePrograms() {
@@ -38,12 +51,52 @@ func TestCheckerMatchesDeriveAtoAndOracle(t *testing.T) {
 			}
 		}
 	}
+
+	classify := Classifier(AllTypes()...)
+	checks, oracleChecks, mismatches := 0, 0, 0
+	for _, p := range memmodeltest.Programs(23, 100, 20_000) {
+		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
+			for _, typ := range AllTypes() {
+				walked := x.Class()&typ.Bit() != 0
+				valid := c.Valid(x, typ)
+				slow := DeriveAto(x, typ).Valid
+				oracle := slow
+				if len(x.Events) <= oracleMaxEvents {
+					oracle = ExistsWitnessOrder(x, typ)
+					oracleChecks++
+				}
+				checks++
+				if walked != valid || walked != slow || walked != oracle {
+					if mismatches++; mismatches <= 3 {
+						t.Errorf("%s/%s: classifier=%v checker=%v deriveAto=%v oracle=%v for execution:\n%s",
+							p.Name, typ, walked, valid, slow, oracle, x)
+					}
+				}
+			}
+			return true
+		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func(x *memmodel.Execution) uint64 {
+			// Keep every walked candidate: bit 63 marks the visit.
+			return classify(x) | 1<<63
+		}))
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+	}
+	if mismatches > 3 {
+		t.Errorf("%d further mismatches suppressed", mismatches-3)
+	}
+	if checks == 0 || oracleChecks == 0 {
+		t.Fatalf("%d checks, %d of them against the oracle; want both nonzero", checks, oracleChecks)
+	}
+	t.Logf("generated programs: %d checks agree, %d of them with the oracle", checks, oracleChecks)
 }
 
 // TestCheckerSteadyStateAllocationFree pins the hot-path property the
 // enumeration arenas rely on: after the first candidate of a program has
-// warmed the checker's caches, validity checks allocate nothing. The
-// executions are pre-materialized so only the check itself is measured.
+// warmed the checker's caches, validity checks allocate nothing, under one
+// type (Valid) and under all three in one classification (the walks'
+// classifier). The executions are pre-materialized so only the check
+// itself is measured.
 func TestCheckerSteadyStateAllocationFree(t *testing.T) {
 	p := memmodel.NewProgram("alloc-probe")
 	p.AddThread(memmodel.Exchange(0, "a0", 1), memmodel.Read(1, "r0"))
@@ -56,8 +109,10 @@ func TestCheckerSteadyStateAllocationFree(t *testing.T) {
 		t.Fatal("no candidates")
 	}
 	c := NewChecker()
+	all := maskOf(AllTypes())
 	for _, x := range execs {
 		c.Valid(x, Type1) // warm the caches and the executions' relations
+		c.classify(x, all)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
@@ -66,5 +121,12 @@ func TestCheckerSteadyStateAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Checker.Valid allocated %.1f times per steady-state call, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		c.classify(execs[i%len(execs)], all)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("classifying under all three types allocated %.1f times per steady-state call, want 0", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/memmodel"
@@ -41,16 +42,12 @@ func (m *Model) ValidExecutions(p *memmodel.Program) ([]*memmodel.Execution, err
 
 // ValidExecutionsFunc streams the valid executions of the program to visit
 // without materializing the candidate set. Only the candidates that
-// satisfy uniproc are assembled and checked (memmodel.EnumUniproc), since
-// no other can be valid. Returning false from visit stops the enumeration
+// satisfy uniproc are assembled (memmodel.EnumUniproc), since no other
+// can be valid, and the model's Classifier checks them without repeating
+// the uniproc check. Returning false from visit stops the enumeration
 // early.
 func (m *Model) ValidExecutionsFunc(p *memmodel.Program, visit func(*memmodel.Execution) bool) error {
-	return memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
-		if !m.Valid(x) {
-			return true
-		}
-		return visit(x)
-	}, memmodel.EnumUniproc())
+	return memmodel.EnumerateFunc(p, visit, memmodel.EnumUniproc(), memmodel.EnumClassify(Classifier(m.Atomicity)))
 }
 
 // Outcome is one observable result of a program: the final values of all
@@ -72,12 +69,14 @@ func (o Outcome) Key() string {
 		regs = append(regs, k)
 	}
 	sort.Strings(regs)
-	var b strings.Builder
+	b := make([]byte, 0, 12*(len(o.Registers)+len(o.Memory)))
 	for i, k := range regs {
 		if i > 0 {
-			b.WriteString(" ")
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", k, int(o.Registers[k]))
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(o.Registers[k]), 10)
 	}
 	addrs := make([]int, 0, len(o.Memory))
 	for a := range o.Memory {
@@ -85,12 +84,15 @@ func (o Outcome) Key() string {
 	}
 	sort.Ints(addrs)
 	if len(addrs) > 0 {
-		b.WriteString(" |")
+		b = append(b, " |"...)
 		for _, a := range addrs {
-			fmt.Fprintf(&b, " %s=%d", memmodel.AddrName(memmodel.Addr(a)), int(o.Memory[memmodel.Addr(a)]))
+			b = append(b, ' ')
+			b = append(b, memmodel.AddrName(memmodel.Addr(a))...)
+			b = append(b, '=')
+			b = strconv.AppendInt(b, int64(o.Memory[memmodel.Addr(a)]), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // OutcomeOf extracts the observable outcome of an execution.
@@ -161,40 +163,16 @@ func (s *OutcomeSet) Equal(other *OutcomeSet) bool {
 	return s.SubsetOf(other) && other.SubsetOf(s)
 }
 
-// Outcomes model-checks the program: it enumerates candidate executions,
-// filters the valid ones, and returns the set of observable outcomes. The
-// candidates are streamed, never materialized.
+// Outcomes model-checks the program: it walks the candidate executions
+// once, classifying them as ValidExecutionsFunc does, and returns the set
+// of observable outcomes of the valid ones (Verdicts under the model's
+// one type). The candidates are streamed, never materialized.
 func (m *Model) Outcomes(p *memmodel.Program) (*OutcomeSet, error) {
-	set := NewOutcomeSet()
-	err := m.ValidExecutionsFunc(p, func(x *memmodel.Execution) bool {
-		set.Add(OutcomeOf(x))
-		return true
-	})
+	vs, err := Verdicts(context.Background(), p, []AtomicityType{m.Atomicity}, 1)
 	if err != nil {
 		return nil, err
 	}
-	return set, nil
-}
-
-// OutcomesParallel model-checks the program like Outcomes with the
-// candidate enumeration spread over workers goroutines, as
-// memmodel.EnumWorkers defines them (workers <= 0 applies the
-// candidate-count rule): validity checking runs inside the workers,
-// outcome collection stays serialized, and the result is identical to
-// Outcomes. Like Outcomes it walks only the candidates that satisfy
-// uniproc. A cancelled ctx aborts with ctx's error. The model's validity
-// check is stateless, so sharing m across the workers is safe.
-func (m *Model) OutcomesParallel(ctx context.Context, p *memmodel.Program, workers int) (*OutcomeSet, error) {
-	set := NewOutcomeSet()
-	err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
-		set.Add(OutcomeOf(x))
-		return true
-	}, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers), memmodel.EnumUniproc(),
-		memmodel.EnumFilter(m.Valid))
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
+	return vs[0].Outcomes, nil
 }
 
 // Allows reports whether some valid execution of the program satisfies the

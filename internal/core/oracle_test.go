@@ -128,9 +128,10 @@ func TestFindWitnessOrderAgreesWithCheck(t *testing.T) {
 	}
 }
 
-// oracleOutcomes is Model.OutcomesParallel with validity decided by the
-// brute-force linearization oracle instead of the ato fixpoint, over
-// workers goroutines.
+// oracleOutcomes is the outcome set of the full walk's candidates that
+// the brute-force linearization oracle accepts, classified over workers
+// goroutines: Verdicts with validity decided by the oracle instead of the
+// ato fixpoint.
 func oracleOutcomes(t *testing.T, p *memmodel.Program, typ AtomicityType, workers int) *OutcomeSet {
 	t.Helper()
 	set := NewOutcomeSet()
@@ -138,7 +139,12 @@ func oracleOutcomes(t *testing.T, p *memmodel.Program, typ AtomicityType, worker
 		set.Add(OutcomeOf(x))
 		return true
 	}, memmodel.EnumWorkers(workers),
-		memmodel.EnumFilter(func(x *memmodel.Execution) bool { return ExistsWitnessOrder(x, typ) }))
+		memmodel.EnumClassify(func(x *memmodel.Execution) uint64 {
+			if ExistsWitnessOrder(x, typ) {
+				return typ.Bit()
+			}
+			return 0
+		}))
 	if err != nil {
 		t.Fatalf("%s/%s: oracle enumeration: %v", p.Name, typ, err)
 	}

@@ -25,42 +25,68 @@ func corePrograms() []*memmodel.Program {
 	return []*memmodel.Program{sb, dekker, tas}
 }
 
+// TestOutcomesParallelMatchesSequential checks the walked verdicts
+// against a sequential reference: one Verdicts walk of all three types,
+// at 1, 2 and 8 workers, must find for every type the valid count and
+// outcome set that filtering the full candidate walk with DeriveAto does.
 func TestOutcomesParallelMatchesSequential(t *testing.T) {
 	for _, p := range corePrograms() {
-		for _, typ := range AllTypes() {
-			m := NewModel(typ)
-			seq, err := m.Outcomes(p)
-			if err != nil {
-				t.Fatalf("%s %s: Outcomes: %v", p.Name, typ, err)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				par, err := m.OutcomesParallel(context.Background(), p, workers)
-				if err != nil {
-					t.Fatalf("%s %s workers=%d: %v", p.Name, typ, workers, err)
+		types := AllTypes()
+		valid := make([]int, len(types))
+		want := make([]*OutcomeSet, len(types))
+		for i, typ := range types {
+			want[i] = NewOutcomeSet()
+			err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
+				if DeriveAto(x, typ).Valid {
+					valid[i]++
+					want[i].Add(OutcomeOf(x))
 				}
-				if !seq.Equal(par) {
-					t.Fatalf("%s %s workers=%d: outcome sets differ:\nseq: %v\npar: %v",
-						p.Name, typ, workers, seq.Keys(), par.Keys())
+				return true
+			})
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.Name, typ, err)
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			vs, err := Verdicts(context.Background(), p, types, workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
+			}
+			for i, v := range vs {
+				if v.Type != types[i] || v.Valid != valid[i] || !v.Outcomes.Equal(want[i]) {
+					t.Fatalf("%s %s workers=%d: walk finds %d valid, outcomes %v; sequential reference %d, %v",
+						p.Name, types[i], workers, v.Valid, v.Outcomes.Keys(), valid[i], want[i].Keys())
 				}
 			}
 		}
 	}
 }
 
+// TestValidExecutionsParallelAgreesWithOracle checks that an all-types
+// walk over parallel workers agrees with the brute-force linearization
+// oracle, type by type.
 func TestValidExecutionsParallelAgreesWithOracle(t *testing.T) {
-	// The parallel filter path must agree with the brute-force
-	// linearization oracle, execution for execution.
 	for _, p := range corePrograms() {
-		for _, typ := range AllTypes() {
-			fixSet, err := NewModel(typ).OutcomesParallel(context.Background(), p, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracleSet := oracleOutcomes(t, p, typ, 4)
-			if !fixSet.Equal(oracleSet) {
+		vs, err := Verdicts(context.Background(), p, AllTypes(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			oracleSet := oracleOutcomes(t, p, v.Type, 4)
+			if !v.Outcomes.Equal(oracleSet) {
 				t.Fatalf("%s %s: fixpoint and oracle disagree under parallel enumeration:\nfix: %v\noracle: %v",
-					p.Name, typ, fixSet.Keys(), oracleSet.Keys())
+					p.Name, v.Type, v.Outcomes.Keys(), oracleSet.Keys())
 			}
+		}
+	}
+}
+
+// TestVerdictsRejectUnknownType pins that a walk refuses a type outside
+// the paper's three instead of deciding it.
+func TestVerdictsRejectUnknownType(t *testing.T) {
+	for _, typ := range []AtomicityType{0, Type3 + 1} {
+		if _, err := Verdicts(context.Background(), corePrograms()[0], []AtomicityType{Type1, typ}, 1); err == nil {
+			t.Errorf("Verdicts accepted %s", typ)
 		}
 	}
 }

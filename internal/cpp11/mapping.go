@@ -166,52 +166,60 @@ func (r ValidationResult) String() string {
 
 // ValidateMapping checks the mapping against the program for one RMW
 // atomicity type by exhaustive comparison of the two models' outcome sets.
-func ValidateMapping(p *Program, m Mapping, typ core.AtomicityType) (ValidationResult, error) {
-	return ValidateMappingParallel(context.Background(), p, m, typ, 1)
-}
-
-// ValidateMappingParallel is ValidateMapping with the TSO side's candidate
-// enumeration spread over workers goroutines (see Semantics.Validate).
 // It analyzes the program on every call; a batch that validates several
 // mappings or types of one program analyzes it once and calls Validate.
-func ValidateMappingParallel(ctx context.Context, p *Program, m Mapping, typ core.AtomicityType, workers int) (ValidationResult, error) {
+func ValidateMapping(p *Program, m Mapping, typ core.AtomicityType) (ValidationResult, error) {
 	sem, err := Analyze(p)
 	if err != nil {
 		return ValidationResult{Program: p.Name, Mapping: m, Atomicity: typ}, err
 	}
-	return sem.Validate(ctx, m, typ, workers)
+	res, err := sem.Validate(context.Background(), m, []core.AtomicityType{typ}, 1)
+	if err != nil {
+		return ValidationResult{Program: p.Name, Mapping: m, Atomicity: typ}, err
+	}
+	return res[0], nil
 }
 
-// Validate checks the mapping against the analyzed program for one RMW
-// atomicity type. The TSO side's candidate enumeration — the dominant
+// Validate checks the mapping against the analyzed program under each of
+// the given RMW atomicity types, returning one result per type in the
+// given order. It compiles the program once and decides every type in one
+// walk of the compiled program (core.Verdicts). That walk — the dominant
 // cost, since compiling SC accesses to RMWs multiplies the rf×ws choice
 // space — is spread over workers goroutines, as memmodel.EnumWorkers
 // defines them: workers == 1 is sequential, workers > 1 parallelizes, and
 // workers <= 0 applies the candidate-count rule to the compiled program's
 // candidates that satisfy uniproc, the only ones the TSO side walks
-// (GOMAXPROCS for IRIW-class spaces, 1 for small ones). The result is
+// (GOMAXPROCS for IRIW-class spaces, 1 for small ones). Each result is
 // identical to ValidateMapping's; a cancelled ctx aborts with ctx's
 // error. Validate only reads s, so one Semantics serves any number of
 // concurrent calls.
-func (s *Semantics) Validate(ctx context.Context, m Mapping, typ core.AtomicityType, workers int) (ValidationResult, error) {
+func (s *Semantics) Validate(ctx context.Context, m Mapping, types []core.AtomicityType, workers int) ([]ValidationResult, error) {
 	p := s.p
 	if p == nil {
-		return ValidationResult{Mapping: m, Atomicity: typ}, errors.New("cpp11: Validate needs a Semantics built by Analyze")
+		return nil, errors.New("cpp11: Validate needs a Semantics built by Analyze")
 	}
-	res := ValidationResult{Program: p.Name, Mapping: m, Atomicity: typ}
-	res.Racy = s.Racy
-	res.CPPOutcomes = s.OutcomeKeys()
-
 	compiled, err := Compile(p, m)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	tsoOutcomes, err := core.NewModel(typ).OutcomesParallel(ctx, compiled, workers)
+	vs, err := core.Verdicts(ctx, compiled, types, workers)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
+	out := make([]ValidationResult, len(vs))
+	for i, v := range vs {
+		out[i] = s.result(m, v)
+	}
+	return out, nil
+}
+
+// result compares one type's TSO outcomes of the compiled program with
+// the program's C/C++11 outcomes.
+func (s *Semantics) result(m Mapping, v core.Verdict) ValidationResult {
+	res := ValidationResult{Program: s.p.Name, Mapping: m, Atomicity: v.Type, Racy: s.Racy}
+	res.CPPOutcomes = s.OutcomeKeys()
 	tsoKeys := map[string]bool{}
-	for _, o := range tsoOutcomes.Outcomes() {
+	for _, o := range v.Outcomes.Outcomes() {
 		tsoKeys[RegisterKey(ProjectOutcome(o))] = true
 	}
 	for k := range tsoKeys {
@@ -228,7 +236,7 @@ func (s *Semantics) Validate(ctx context.Context, m Mapping, typ core.AtomicityT
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // ValidateAll validates every Table 4 mapping under every RMW atomicity
@@ -245,13 +253,11 @@ func ValidateAll(programs []*Program) ([]ValidationResult, error) {
 			return nil, err
 		}
 		for _, m := range AllMappings() {
-			for _, typ := range core.AllTypes() {
-				r, err := sem.Validate(context.Background(), m, typ, 1)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
+			rs, err := sem.Validate(context.Background(), m, core.AllTypes(), 1)
+			if err != nil {
+				return nil, err
 			}
+			out = append(out, rs...)
 		}
 	}
 	return out, nil

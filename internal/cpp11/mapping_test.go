@@ -221,11 +221,11 @@ func TestValidationProgramsAllSoundExceptWriteType3(t *testing.T) {
 	}
 }
 
-// TestSemanticsValidateMatchesOneShot pins that validating a mapping on
-// an analysis made once gives exactly the one-shot ValidateMapping result
-// for every registered program, mapping and type, with the analysis
-// shared read-only by concurrent calls, as the engine's mapping batches
-// share it.
+// TestSemanticsValidateMatchesOneShot pins that validating a mapping
+// under all three types in one walk, on an analysis made once, gives
+// exactly the one-shot ValidateMapping result of each type, for every
+// registered program and mapping, with the analysis shared read-only by
+// concurrent calls, as the engine's mapping batches share it.
 func TestSemanticsValidateMatchesOneShot(t *testing.T) {
 	for _, p := range AllPrograms() {
 		sem, err := Analyze(p)
@@ -234,24 +234,26 @@ func TestSemanticsValidateMatchesOneShot(t *testing.T) {
 		}
 		var wg sync.WaitGroup
 		for _, m := range AllMappings() {
-			for _, typ := range core.AllTypes() {
-				want, err := ValidateMapping(p, m, typ)
-				if err != nil {
+			types := core.AllTypes()
+			want := make([]ValidationResult, len(types))
+			for i, typ := range types {
+				var err error
+				if want[i], err = ValidateMapping(p, m, typ); err != nil {
 					t.Fatalf("%s %s %s: %v", p.Name, m, typ, err)
 				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					got, err := sem.Validate(context.Background(), m, typ, 1)
-					if err != nil || !reflect.DeepEqual(got, want) {
-						t.Errorf("%s %s %s: Validate = %+v, %v; ValidateMapping = %+v", p.Name, m, typ, got, err, want)
-					}
-				}()
 			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := sem.Validate(context.Background(), m, types, 1)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s: Validate = %+v, %v; ValidateMapping = %+v", p.Name, m, got, err, want)
+				}
+			}()
 		}
 		wg.Wait()
 	}
-	if _, err := (&Semantics{}).Validate(context.Background(), ReadMapping, core.Type1, 1); err == nil {
+	if _, err := (&Semantics{}).Validate(context.Background(), ReadMapping, core.AllTypes(), 1); err == nil {
 		t.Fatal("Validate on a Semantics not built by Analyze succeeded")
 	}
 }

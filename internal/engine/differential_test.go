@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpp11"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/litmus"
@@ -174,6 +176,95 @@ func TestEngineLitmusDifferential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct, res.Verdicts) {
 		t.Fatal("CheckTests differs from Submit of the same grid")
+	}
+}
+
+// TestEngineGroupedUnitsParallel checks the grouped litmus and mapping
+// jobs on a pool of 4 workers, with 1, 2 and 8 enumeration workers per
+// walk and a type list out of order. Shards 0/3, 1/3 and 2/3 of the
+// litmus grid split a test's types across shards, so a group holds some
+// of its test's units; each verdict must equal the direct Test.Run, the
+// shards must partition the grid in (test, type) order, and every unit
+// must stream exactly one event. ValidateMappings must return one result
+// and one event per (program, mapping, type), equal to the one-shot
+// cpp11.ValidateMapping, in that order.
+func TestEngineGroupedUnitsParallel(t *testing.T) {
+	tests := litmus.AllTests()
+	types := []core.AtomicityType{core.Type3, core.Type1, core.Type2}
+	programs := cpp11.AllPrograms()
+	for _, workers := range []int{1, 2, 8} {
+		var mu sync.Mutex
+		litmusEvents, mappingEvents := map[string]int{}, 0
+		eng := engine.New(engine.WithParallelism(4), engine.WithEnumWorkers(workers), engine.WithRMWTypes(types...),
+			engine.WithObserver(func(ev engine.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				if ev.Litmus != nil {
+					litmusEvents[ev.Litmus.Unit]++
+				}
+				if ev.Mapping != nil {
+					mappingEvents++
+				}
+			}))
+		shards := make([][]engine.TestResult, 3)
+		for i := range shards {
+			var err error
+			if shards[i], err = eng.CheckTestsSharded(engine.Shard{Index: i, Count: 3}, tests...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pos := 0
+		for _, tst := range tests {
+			for _, typ := range types {
+				shard := shards[pos%3]
+				if len(shard) == 0 {
+					t.Fatalf("workers=%d: shard %d ends before %s under %s", workers, pos%3, tst.Name, typ)
+				}
+				got := shard[0]
+				shards[pos%3] = shard[1:]
+				pos++
+				want, err := tst.Run(typ)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if litmusEvents[got.Unit] != 1 {
+					t.Errorf("workers=%d: %s under %s streamed %d events, want 1", workers, tst.Name, typ, litmusEvents[got.Unit])
+				}
+				want.Unit = string(engine.LitmusUnitID(tst, typ))
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("workers=%d: %s under %s: engine verdict differs from direct run\n got: %+v\nwant: %+v",
+						workers, tst.Name, typ, got, want)
+				}
+			}
+		}
+		for i, rest := range shards {
+			if len(rest) != 0 {
+				t.Errorf("workers=%d: shard %d holds %d verdicts beyond the grid", workers, i, len(rest))
+			}
+		}
+
+		got, err := eng.ValidateMappings(programs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for _, p := range programs {
+			for _, m := range cpp11.AllMappings() {
+				for _, typ := range types {
+					want, err := cpp11.ValidateMapping(p, m, typ)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i >= len(got) || !reflect.DeepEqual(got[i], want) {
+						t.Fatalf("workers=%d: mapping result %d differs from ValidateMapping(%s, %s, %s)", workers, i, p.Name, m, typ)
+					}
+					i++
+				}
+			}
+		}
+		if len(got) != i || mappingEvents != i {
+			t.Errorf("workers=%d: %d mapping results and %d events, want %d", workers, len(got), mappingEvents, i)
+		}
 	}
 }
 

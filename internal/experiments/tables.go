@@ -39,9 +39,9 @@ func RunTable1() ([]Table1Row, error) {
 }
 
 // table1 builds Table 1: the three Dekker columns are model checked here,
-// while the two C/C++11 columns are read from the Table 4 rows of the
-// read- and write-mappings under the same type, so the two tables cannot
-// disagree.
+// one walk per Dekker test deciding all three types, while the two
+// C/C++11 columns are read from the Table 4 rows of the read- and
+// write-mappings under the same type, so the two tables cannot disagree.
 func table1(t4 []Table4Row) ([]Table1Row, error) {
 	type cell struct {
 		m   cpp11.Mapping
@@ -51,40 +51,42 @@ func table1(t4 []Table4Row) ([]Table1Row, error) {
 	for _, r := range t4 {
 		sound[cell{r.Mapping, r.Atomicity}] = r.Sound
 	}
-	ctx := context.Background()
-	var rows []Table1Row
-	readRep := litmus.DekkerReadReplacement()
-	writeRep := litmus.DekkerWriteReplacement()
-	barrier := litmus.DekkerRMWBarrierDifferentAddr()
-
-	for _, typ := range core.AllTypes() {
-		row := Table1Row{
+	types := core.AllTypes()
+	// An idiom "works" under a type when the mutual-exclusion-failure
+	// outcome is forbidden (the litmus condition does NOT hold).
+	works := func(t *litmus.Test) ([]bool, error) {
+		rs, err := t.Check(context.Background(), types, 0)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]bool, len(rs))
+		for i, r := range rs {
+			out[i] = !r.Holds
+		}
+		return out, nil
+	}
+	reads, err := works(litmus.DekkerReadReplacement())
+	if err != nil {
+		return nil, err
+	}
+	writes, err := works(litmus.DekkerWriteReplacement())
+	if err != nil {
+		return nil, err
+	}
+	barrier, err := works(litmus.DekkerRMWBarrierDifferentAddr())
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table1Row, len(types))
+	for i, typ := range types {
+		rows[i] = Table1Row{
 			Atomicity:           typ,
+			DekkerReads:         reads[i],
+			DekkerWrites:        writes[i],
+			RMWAsBarrier:        barrier[i],
 			CppReadReplacement:  sound[cell{cpp11.ReadMapping, typ}],
 			CppWriteReplacement: sound[cell{cpp11.WriteMapping, typ}],
 		}
-
-		// An idiom "works" when the mutual-exclusion-failure outcome is
-		// forbidden (the litmus condition does NOT hold).
-		r, err := readRep.RunParallel(ctx, typ, 0)
-		if err != nil {
-			return nil, err
-		}
-		row.DekkerReads = !r.Holds
-
-		w, err := writeRep.RunParallel(ctx, typ, 0)
-		if err != nil {
-			return nil, err
-		}
-		row.DekkerWrites = !w.Holds
-
-		b, err := barrier.RunParallel(ctx, typ, 0)
-		if err != nil {
-			return nil, err
-		}
-		row.RMWAsBarrier = !b.Holds
-
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -169,7 +171,9 @@ type Table4Row struct {
 }
 
 // RunTable4 validates every Table 4 mapping under every RMW type,
-// analyzing the SC store-buffering program's C/C++11 semantics once.
+// analyzing the SC store-buffering program's C/C++11 semantics once and
+// deciding each mapping's three types in one walk of its compiled
+// program.
 func RunTable4() ([]Table4Row, error) {
 	ctx := context.Background()
 	var rows []Table4Row
@@ -178,12 +182,12 @@ func RunTable4() ([]Table4Row, error) {
 		return nil, err
 	}
 	for _, m := range cpp11.AllMappings() {
-		for _, typ := range core.AllTypes() {
-			res, err := sem.Validate(ctx, m, typ, 0)
-			if err != nil {
-				return nil, err
-			}
-			row := Table4Row{Mapping: m, Atomicity: typ, Sound: res.Sound}
+		rs, err := sem.Validate(ctx, m, core.AllTypes(), 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, res := range rs {
+			row := Table4Row{Mapping: m, Atomicity: res.Atomicity, Sound: res.Sound}
 			if len(res.Counterexamples) > 0 {
 				row.Counterexample = res.Counterexamples[0]
 			}

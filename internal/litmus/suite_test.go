@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // semantics results.
 func TestPaperSuiteMatchesTable1(t *testing.T) {
 	for _, test := range PaperSuite() {
-		results, err := test.RunAll()
+		results, err := test.Check(context.Background(), core.AllTypes(), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
 		}
@@ -32,7 +33,7 @@ func TestPaperSuiteMatchesTable1(t *testing.T) {
 // recorded way.
 func TestClassicSuiteExpectations(t *testing.T) {
 	for _, test := range ClassicSuite() {
-		results, err := test.RunAll()
+		results, err := test.Check(context.Background(), core.AllTypes(), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
 		}
@@ -88,7 +89,7 @@ func TestFindTest(t *testing.T) {
 
 func TestResultStringAndReport(t *testing.T) {
 	test := StoreBuffering()
-	results, err := test.RunAll()
+	results, err := test.Check(context.Background(), core.AllTypes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

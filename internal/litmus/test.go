@@ -194,7 +194,7 @@ type Result struct {
 	// derived from the digest of the test's content. Harnesses that plan
 	// and shard verdict sweeps set it so streamed progress events can be
 	// correlated with plan entries; it is empty when the verdict was run
-	// directly (Test.Run/RunParallel).
+	// directly (Test.Check/Run).
 	Unit string
 }
 
@@ -212,65 +212,49 @@ func (r Result) String() string {
 		r.Test.Name, r.Atomicity, r.Holds, exp, r.ValidExecutions, r.Candidates, status)
 }
 
-// Run model-checks the test under the given atomicity type. Candidate
-// executions are streamed through the model's validity filter one at a
-// time, so the full candidate set is never materialized.
-func (t *Test) Run(typ core.AtomicityType) (Result, error) {
-	return t.RunParallel(context.Background(), typ, 1)
-}
-
-// RunParallel model-checks the test under the given atomicity type with
-// the candidate enumeration spread over workers goroutines, as
-// memmodel.EnumWorkers defines them: each worker walks a contiguous range
-// of the candidates that satisfy uniproc (memmodel.EnumUniproc) and runs
-// the validity check — the expensive part of a verdict — on its own
-// candidates, while outcome collection stays serialized. workers == 1 is
-// the sequential Run, workers > 1 parallelizes, and workers <= 0 applies
-// the candidate-count rule (GOMAXPROCS for IRIW-class programs, 1 for
-// small ones). The verdict is identical to Run's regardless of workers; a
-// cancelled ctx aborts the verdict with ctx's error.
-func (t *Test) RunParallel(ctx context.Context, typ core.AtomicityType, workers int) (Result, error) {
-	model := core.NewModel(typ)
-	set := core.NewOutcomeSet()
-	valid, candidates := 0, 0
-	err := memmodel.EnumerateFunc(t.Program, func(x *memmodel.Execution) bool {
-		valid++
-		set.Add(core.OutcomeOf(x))
-		return true
-	}, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers), memmodel.EnumUniproc(),
-		memmodel.EnumCandidates(&candidates), memmodel.EnumFilter(model.Valid))
+// Check model-checks the test under each of the given atomicity types
+// and returns one Result per type, in the given order. The types share
+// one walk (core.Verdicts): the candidates that satisfy uniproc
+// (memmodel.EnumUniproc) are enumerated once, spread over workers
+// goroutines as memmodel.EnumWorkers defines them, and each is checked
+// under every type inside the worker that assembled it, while outcome
+// collection stays serialized. workers == 1 walks sequentially,
+// workers > 1 parallelizes, and workers <= 0 applies the candidate-count
+// rule (GOMAXPROCS for IRIW-class programs, 1 for small ones). The
+// results are identical regardless of workers and of which other types
+// share the walk; a cancelled ctx aborts the check with ctx's error.
+func (t *Test) Check(ctx context.Context, types []core.AtomicityType, workers int) ([]Result, error) {
+	vs, err := core.Verdicts(ctx, t.Program, types, workers)
 	if err != nil {
-		return Result{}, fmt.Errorf("litmus: %s: %w", t.Name, err)
+		return nil, fmt.Errorf("litmus: %s: %w", t.Name, err)
 	}
-	holds := t.Cond.Evaluate(set.Outcomes())
-	res := Result{
-		Test:            t,
-		Atomicity:       typ,
-		Holds:           holds,
-		Matches:         true,
-		ValidExecutions: valid,
-		Candidates:      candidates,
-		Outcomes:        set,
-	}
-	if exp, ok := t.Expected[typ]; ok {
-		e := exp
-		res.Expected = &e
-		res.Matches = holds == exp
-	}
-	return res, nil
-}
-
-// RunAll runs the test under every atomicity type, in order.
-func (t *Test) RunAll() ([]Result, error) {
-	var out []Result
-	for _, typ := range core.AllTypes() {
-		r, err := t.Run(typ)
-		if err != nil {
-			return nil, err
+	out := make([]Result, len(vs))
+	for i, v := range vs {
+		holds := t.Cond.Evaluate(v.Outcomes.Outcomes())
+		out[i] = Result{
+			Test:            t,
+			Atomicity:       v.Type,
+			Holds:           holds,
+			Matches:         true,
+			ValidExecutions: v.Valid,
+			Candidates:      v.Candidates,
+			Outcomes:        v.Outcomes,
 		}
-		out = append(out, r)
+		if exp, ok := t.Expected[v.Type]; ok {
+			out[i].Expected = &exp
+			out[i].Matches = holds == exp
+		}
 	}
 	return out, nil
+}
+
+// Run model-checks the test under one atomicity type, sequentially.
+func (t *Test) Run(typ core.AtomicityType) (Result, error) {
+	res, err := t.Check(context.Background(), []core.AtomicityType{typ}, 1)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }
 
 // Report renders a set of results as a fixed-width table, sorted by test

@@ -85,20 +85,24 @@ func probe(p *memmodel.Program) Term {
 // of memmodel.EnumUniproc on generated and registry programs: the uniproc
 // walk must visit exactly the multiset of full-walk candidates that
 // satisfy Execution.Uniproc, at 1, 2 and 8 workers; CountCandidates must
-// equal the full walk's visits; and a verdict (which walks only the
-// uniproc candidates) must find the valid count, outcomes and condition
-// truth that filtering the full walk with core.Valid finds.
+// equal the full walk's visits; and a check (which walks only the
+// uniproc candidates, and checks every type it is asked for in one walk)
+// must find the valid count, outcomes and condition truth that filtering
+// the full walk with core.Valid finds, type by type. The check runs for
+// all three types, for each type alone and for a two-type subset, at 1, 2
+// and 8 workers.
 func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 	ctx := context.Background()
 	types := core.AllTypes()
+	typeSets := [][]core.AtomicityType{types, {core.Type1}, {core.Type2}, {core.Type3}, {core.Type3, core.Type1}}
 	for _, test := range walkTests(t) {
 		p := test.Program
 		visits := 0
 		var want []string
-		valid := make([]int, len(types))
-		outcomes := make([]*core.OutcomeSet, len(types))
-		for i := range outcomes {
-			outcomes[i] = core.NewOutcomeSet()
+		valid := map[core.AtomicityType]int{}
+		outcomes := map[core.AtomicityType]*core.OutcomeSet{}
+		for _, typ := range types {
+			outcomes[typ] = core.NewOutcomeSet()
 		}
 		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
 			visits++
@@ -106,10 +110,10 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 				return true
 			}
 			want = append(want, x.Key())
-			for i, typ := range types {
+			for _, typ := range types {
 				if core.Valid(x, typ) {
-					valid[i]++
-					outcomes[i].Add(core.OutcomeOf(x))
+					valid[typ]++
+					outcomes[typ].Add(core.OutcomeOf(x))
 				}
 			}
 			return true
@@ -139,20 +143,73 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 				t.Fatalf("%s workers=%d: the uniproc walk differs from the full walk's uniproc candidates: %s\n%s",
 					p.Name, workers, d, p)
 			}
-		}
-		for i, typ := range types {
-			res, err := test.RunParallel(ctx, typ, 2)
-			if err != nil {
-				t.Fatalf("%s under %s: %v", p.Name, typ, err)
+			for _, set := range typeSets {
+				results, err := test.Check(ctx, set, workers)
+				if err != nil {
+					t.Fatalf("%s under %v: %v", p.Name, set, err)
+				}
+				if len(results) != len(set) {
+					t.Fatalf("%s under %v: %d results", p.Name, set, len(results))
+				}
+				for i, res := range results {
+					typ := set[i]
+					holds := test.Cond.Evaluate(outcomes[typ].Outcomes())
+					if res.Atomicity != typ || res.Candidates != count || res.ValidExecutions != valid[typ] ||
+						res.Holds != holds || !res.Outcomes.Equal(outcomes[typ]) {
+						t.Errorf("%s under %s (of %v, workers=%d): check %s candidates=%d valid=%d holds=%t outcomes=%v; full walk %d, %d, %t, %v",
+							p.Name, typ, set, workers, res.Atomicity, res.Candidates, res.ValidExecutions, res.Holds,
+							res.Outcomes.Keys(), count, valid[typ], holds, outcomes[typ].Keys())
+					}
+				}
 			}
-			holds := test.Cond.Evaluate(outcomes[i].Outcomes())
-			if res.Candidates != count || res.ValidExecutions != valid[i] || res.Holds != holds ||
-				!res.Outcomes.Equal(outcomes[i]) {
-				t.Errorf("%s under %s: verdict candidates=%d valid=%d holds=%t outcomes=%v; full walk %d, %d, %t, %v",
-					p.Name, typ, res.Candidates, res.ValidExecutions, res.Holds, res.Outcomes.Keys(),
-					count, valid[i], holds, outcomes[i].Keys())
+		}
+	}
+}
+
+// TestTypeStrengthInclusion tests core.AtomicityType.Stronger on every
+// walked candidate of the walk-level differential's programs: the mask of
+// types a candidate is valid under must be monotone in strength order
+// (valid under type-1 implies valid under type-2, which implies valid
+// under type-3), so every test's valid counts and outcome sets nest in
+// the same order. Nothing in the checker relies on the inclusion.
+func TestTypeStrengthInclusion(t *testing.T) {
+	ctx := context.Background()
+	types := core.AllTypes()
+	classify := core.Classifier(types...)
+	walked := 0
+	for _, test := range walkTests(t) {
+		p := test.Program
+		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
+			walked++
+			for i := 1; i < len(types); i++ {
+				if x.Class()&types[i-1].Bit() != 0 && x.Class()&types[i].Bit() == 0 {
+					t.Errorf("%s: a candidate valid under %s is invalid under %s:\n%s", p.Name, types[i-1], types[i], x)
+					return false
+				}
+			}
+			return true
+		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func(x *memmodel.Execution) uint64 {
+			// Keep every walked candidate: bit 63 marks the visit.
+			return classify(x) | 1<<63
+		}))
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		results, err := test.Check(ctx, types, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for i := 1; i < len(results); i++ {
+			stronger, weaker := results[i-1], results[i]
+			if stronger.ValidExecutions > weaker.ValidExecutions || !stronger.Outcomes.SubsetOf(weaker.Outcomes) {
+				t.Errorf("%s: %s finds %d valid, outcomes %v; %s finds %d, %v",
+					p.Name, stronger.Atomicity, stronger.ValidExecutions, stronger.Outcomes.Keys(),
+					weaker.Atomicity, weaker.ValidExecutions, weaker.Outcomes.Keys())
 			}
 		}
+	}
+	if walked == 0 {
+		t.Fatal("no candidate walked")
 	}
 }
 
@@ -197,10 +254,10 @@ func TestCountCandidatesLargeInlineProgram(t *testing.T) {
 	}
 }
 
-// TestRunParallelCancelDuringTableBuild cancels a type-2 verdict of
-// storeLoadX3 about 50 ms in, while it is still searching for the
-// program's uniproc shares (seconds of work): the verdict must stop with
-// context.Canceled within a second.
+// TestRunParallelCancelDuringTableBuild cancels a check of storeLoadX3
+// about 50 ms in, while it is still searching for the program's uniproc
+// shares (seconds of work): the check must stop with context.Canceled
+// within a second, sequential or parallel.
 func TestRunParallelCancelDuringTableBuild(t *testing.T) {
 	test, err := Parse(storeLoadX3)
 	if err != nil {
@@ -210,7 +267,7 @@ func TestRunParallelCancelDuringTableBuild(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(50*time.Millisecond, cancel)
 		start := time.Now()
-		_, err := test.RunParallel(ctx, core.Type2, workers)
+		_, err := test.Check(ctx, core.AllTypes(), workers)
 		elapsed := time.Since(start)
 		timer.Stop()
 		cancel()
@@ -218,7 +275,7 @@ func TestRunParallelCancelDuringTableBuild(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 		if elapsed > time.Second {
-			t.Errorf("workers=%d: the cancelled verdict returned after %v, want within 1s", workers, elapsed)
+			t.Errorf("workers=%d: the cancelled check returned after %v, want within 1s", workers, elapsed)
 		}
 	}
 }

@@ -20,8 +20,8 @@ func threeThread() *Program {
 
 // TestScanSteadyStateAllocationFree pins the tentpole property of the
 // arena-based enumerator: once an arena's slot has been warmed, walking
-// the candidate space — decode, assembly, value propagation, validity
-// filtering against the base model — allocates nothing, in the full walk
+// the candidate space — decode, assembly, value propagation, classifying
+// by validity against the base model — allocates nothing, in the full walk
 // and in the uniproc walk alike. sp.scan is exactly the per-candidate
 // loop of both the sequential path and each parallel worker, so this
 // covers the steady state of every walker.
@@ -36,8 +36,13 @@ func TestScanSteadyStateAllocationFree(t *testing.T) {
 		}
 		arena := sp.newArena()
 		cfg := &enumConfig{
-			ctx:    context.Background(),
-			filter: func(x *Execution) bool { return x.BaseValid() },
+			ctx: context.Background(),
+			classify: func(x *Execution) uint64 {
+				if x.BaseValid() {
+					return 1
+				}
+				return 0
+			},
 		}
 		visited := 0
 		emit := func(x *Execution) bool {

@@ -438,7 +438,7 @@ func (s *tableSearch) location(loc *locSpace) error {
 		// cycle.
 		base := s.levels[0].CopyFrom(poloc)
 		for j := 1; j < len(order); j++ {
-			base.addClosed(s.local[order[j-1]], s.local[order[j]])
+			base.AddClosed(s.local[order[j-1]], s.local[order[j]])
 		}
 		for j, w := range order {
 			s.next[w] = -1
@@ -474,10 +474,10 @@ func (s *tableSearch) search(i, rfLocal int) error {
 		next.CopyFrom(cur)
 		// rf: w -> r. fr: r -> every write ws-after w, which the closure
 		// gets from the edge to w's successor.
-		if !next.addClosed(s.local[w], r) {
+		if !next.AddClosed(s.local[w], r) {
 			continue
 		}
-		if succ := s.next[w]; succ >= 0 && !next.addClosed(r, s.local[succ]) {
+		if succ := s.next[w]; succ >= 0 && !next.AddClosed(r, s.local[succ]) {
 			continue
 		}
 		if err := s.search(i+1, rfLocal*len(choices)+d); err != nil {

@@ -3,6 +3,7 @@ package memmodel
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -45,6 +46,10 @@ type Execution struct {
 	wsRel, rfRel, rfeRel, frRel, comRel, scratch Relation
 
 	haveWS, haveRF, haveRFE, haveFR, haveCom bool
+
+	// class is the enumeration classifier's value for the candidate
+	// (EnumClassify), 0 when the walk has none.
+	class uint64
 }
 
 // invariantRels holds the derived relations that are functions of the event
@@ -168,7 +173,7 @@ func NewExecution(p *Program, events []*Event, rf map[int]int, ws map[Addr][]int
 // copied; the shared candidate-independent relations are reused (they are
 // immutable and common to every execution of the program).
 func (x *Execution) Clone() *Execution {
-	c := &Execution{Program: x.Program, inv: x.inv}
+	c := &Execution{Program: x.Program, inv: x.inv, class: x.class}
 	c.Events = make([]*Event, len(x.Events))
 	evs := make([]Event, len(x.Events))
 	for i, e := range x.Events {
@@ -187,6 +192,12 @@ func (x *Execution) Clone() *Execution {
 	}
 	return c
 }
+
+// Class returns the class the enumeration's classifier gave the
+// candidate (EnumClassify), which is never 0 for a visited candidate; it
+// is 0 for executions of a walk without a classifier and for hand-built
+// ones.
+func (x *Execution) Class() uint64 { return x.class }
 
 // resetDerived invalidates the cached per-candidate relations; the arena
 // calls it when a slot is reassembled for a new candidate.
@@ -445,7 +456,7 @@ func (x *Execution) RegisterValues() map[string]Value {
 	out := map[string]Value{}
 	for _, e := range x.Events {
 		if e.IsRead() && e.Label != "" {
-			out[fmt.Sprintf("P%d:%s", int(e.Thread), e.Label)] = e.Value
+			out["P"+strconv.Itoa(int(e.Thread))+":"+e.Label] = e.Value
 		}
 	}
 	return out
@@ -464,6 +475,18 @@ func (x *Execution) FinalMemory() map[Addr]Value {
 		out[a] = x.Events[last].Value
 	}
 	return out
+}
+
+// AppendFinalValues appends the final value of every location, in
+// ascending location order, to dst and returns the extended slice: the
+// values FinalMemory maps, without building the map.
+func (x *Execution) AppendFinalValues(dst []Value) []Value {
+	for _, order := range x.wsOrders {
+		if len(order) > 0 {
+			dst = append(dst, x.Events[order[len(order)-1]].Value)
+		}
+	}
+	return dst
 }
 
 // Key returns a canonical, deterministic fingerprint of the execution:

@@ -11,7 +11,7 @@ import (
 type enumConfig struct {
 	ctx        context.Context
 	workers    int
-	filter     func(*Execution) bool
+	classify   func(*Execution) uint64
 	uniproc    bool
 	candidates *int
 }
@@ -39,14 +39,18 @@ func EnumWorkers(n int) EnumOption {
 	return func(c *enumConfig) { c.workers = n }
 }
 
-// EnumFilter drops candidates for which pred returns false before they
-// reach visit. Unlike visit, the filter runs inside the worker goroutines
-// — concurrently when workers > 1 — which is exactly what makes expensive
-// per-candidate work (validity checking) scale: pred must therefore be
-// safe for concurrent use. Like visit, pred receives arena-owned
-// executions it must not retain.
-func EnumFilter(pred func(*Execution) bool) EnumOption {
-	return func(c *enumConfig) { c.filter = pred }
+// EnumClassify classifies every candidate before it reaches visit:
+// class returns a candidate's class, 0 drops it, and visit reads a
+// survivor's nonzero class back with Execution.Class. Unlike visit, class
+// runs inside the worker goroutines — concurrently when workers > 1 —
+// which is exactly what makes expensive per-candidate work (validity
+// checking) scale, and the class carries its verdict to visit without a
+// second check: internal/core classifies a candidate by the set of
+// atomicity types it is valid under. class must therefore be safe for
+// concurrent use. Like visit, it receives arena-owned executions it must
+// not retain.
+func EnumClassify(class func(*Execution) uint64) EnumOption {
+	return func(c *enumConfig) { c.classify = class }
 }
 
 // EnumUniproc restricts the walk to the candidates that satisfy uniproc
@@ -96,7 +100,8 @@ const AutoEnumThreshold = 4096
 //
 // The visited executions are candidates only: callers must still filter
 // by validity (Execution.BaseValid for the base model, or the RMW-aware
-// check in internal/core), either in visit or concurrently via EnumFilter.
+// check in internal/core), either in visit or concurrently via
+// EnumClassify.
 //
 // Each execution passed to visit is owned by the walker's arena and is
 // valid only for the duration of the call: the enumerator reuses its
@@ -157,8 +162,8 @@ func (sp *enumSpace) workers(n int) int {
 }
 
 // scan walks candidate indices [lo, hi) in ascending order: it assembles
-// each candidate into the arena, applies the filter, and hands survivors
-// to emit. It returns early without error when emit returns false or stop
+// each candidate into the arena, classifies it, and hands survivors to
+// emit. It returns early without error when emit returns false or stop
 // reports true, and returns ctx's error when the context is cancelled.
 func (sp *enumSpace) scan(cfg *enumConfig, lo, hi int, stop *atomic.Bool, arena *enumArena, emit func(*Execution) bool) error {
 	done := cfg.ctx.Done()
@@ -177,8 +182,10 @@ func (sp *enumSpace) scan(cfg *enumConfig, lo, hi int, stop *atomic.Bool, arena 
 		if x == nil {
 			continue // cyclic RMW value dependency: not a candidate
 		}
-		if cfg.filter != nil && !cfg.filter(x) {
-			continue
+		if cfg.classify != nil {
+			if x.class = cfg.classify(x); x.class == 0 {
+				continue
+			}
 		}
 		if !emit(x) {
 			return nil

@@ -146,8 +146,8 @@ func TestEnumerateParallelContextCancellation(t *testing.T) {
 }
 
 func TestEnumerateParallelFilterRunsInWorkers(t *testing.T) {
-	// The filter sees every assembled candidate; visit sees only the
-	// survivors.
+	// The classifier sees every assembled candidate; visit sees only the
+	// survivors, each carrying the class the classifier gave it.
 	p := storeBuffering()
 	want := sequentialKeys(t, p)
 	keep := func(x *Execution) bool {
@@ -176,7 +176,30 @@ func TestEnumerateParallelFilterRunsInWorkers(t *testing.T) {
 		t.Fatalf("filter is not discriminating: kept %d of %d", len(wantKept), len(want))
 	}
 	sort.Strings(wantKept)
-	sameKeys(t, "filtered", parallelKeys(t, p, 4, EnumFilter(keep)), wantKept)
+	// A kept candidate's class is 1 plus the event its last read reads
+	// from, so survivors carry different classes.
+	class := func(x *Execution) uint64 {
+		if !keep(x) {
+			return 0
+		}
+		last := 0
+		for _, e := range x.Events {
+			if w, ok := x.ReadsFrom(e.Index); ok {
+				last = w
+			}
+		}
+		return uint64(last) + 1
+	}
+	sameKeys(t, "filtered", parallelKeys(t, p, 4, EnumClassify(class)), wantKept)
+	err := EnumerateFunc(p, func(x *Execution) bool {
+		if x.Class() != class(x) {
+			t.Errorf("visit reads class %d, the classifier gave %d", x.Class(), class(x))
+		}
+		return true
+	}, EnumClassify(class), EnumWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // wideProgram has three locations with three non-initial writes each

@@ -102,16 +102,27 @@ func (r *Relation) CopyFrom(other *Relation) *Relation {
 	return r
 }
 
-// addClosed adds the pair (from, to) to a transitively closed, acyclic
+// AddClosed adds the pair (from, to) to a transitively closed, acyclic
 // relation and closes it again: every event that reaches from (and from
 // itself) now reaches to and everything to reaches. It reports false,
 // leaving r unchanged, when the pair would close a cycle — to already
 // reaches from, or from == to. Each call costs one pass over the rows, so
 // a search that adds edges one at a time learns of a cycle the moment the
-// edge that closes it goes in.
-func (r *Relation) addClosed(from, to int) bool {
+// edge that closes it goes in: the uniproc table search (EnumUniproc) and
+// internal/core's ato fixpoint both grow a closure this way.
+func (r *Relation) AddClosed(from, to int) bool {
 	if from == to || r.Has(to, from) {
 		return false
+	}
+	if r.words == 1 {
+		// One word per row: row i is r.bits[i].
+		fromBit, add := uint64(1)<<uint(from), r.bits[to]|uint64(1)<<uint(to)
+		for i, row := range r.bits[:r.n] {
+			if i == from || row&fromBit != 0 {
+				r.bits[i] = row | add
+			}
+		}
+		return true
 	}
 	fromWord, fromBit := from/wordBits, uint64(1)<<(uint(from)%wordBits)
 	toWord, toBit := to/wordBits, uint64(1)<<(uint(to)%wordBits)
@@ -184,6 +195,20 @@ func (r *Relation) Count() int {
 // k reaches is ORed into row i, one word at a time.
 func (r *Relation) TransitiveClosure() *Relation {
 	n, words := r.n, r.words
+	if words == 1 {
+		// One word per row, every litmus-scale relation: row k is
+		// r.bits[k].
+		rows := r.bits[:n]
+		for k, kBit := 0, uint64(1); k < n; k, kBit = k+1, kBit<<1 {
+			kRow := rows[k]
+			for i, row := range rows {
+				if row&kBit != 0 {
+					rows[i] = row | kRow
+				}
+			}
+		}
+		return r
+	}
 	for k := 0; k < n; k++ {
 		kRow := r.row(k)
 		kWord, kBit := k/wordBits, uint64(1)<<(uint(k)%wordBits)

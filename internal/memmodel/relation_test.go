@@ -475,12 +475,14 @@ func TestPropertyCycleImpliesTopoSortFails(t *testing.T) {
 	}
 }
 
-// TestPropertyAddClosedMatchesBoolMatrix checks addClosed, the table
-// search's incremental closure, against the reference closure: adding a
-// random edge sequence one edge at a time to a closed relation must keep
-// it equal to the closure of the accepted edges, and an edge is refused
-// (leaving the relation unchanged) exactly when it would close a cycle.
-// Sizes straddle the 64-event word boundary.
+// TestPropertyAddClosedMatchesBoolMatrix checks AddClosed, the
+// incremental closure of the table search and of internal/core's ato
+// fixpoint, against the reference closure: adding a random edge sequence
+// one edge at a time to a closed relation must keep it equal to the
+// closure of the accepted edges, and an edge is refused (leaving the
+// relation unchanged) exactly when it would close a cycle. Sizes
+// straddle the 64-event word boundary, so the one-word and the
+// multi-word paths both run.
 func TestPropertyAddClosedMatchesBoolMatrix(t *testing.T) {
 	f := func(seed int64) bool {
 		local := rand.New(rand.NewSource(seed))
@@ -493,7 +495,7 @@ func TestPropertyAddClosedMatchesBoolMatrix(t *testing.T) {
 			copy(with.adj, ref.adj)
 			with.add(i, j)
 			before := r.Clone()
-			if r.addClosed(i, j) != with.acyclic() {
+			if r.AddClosed(i, j) != with.acyclic() {
 				return false
 			}
 			if !with.acyclic() {

@@ -122,9 +122,10 @@ func (r *Runner) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 func (r *Runner) Metrics() Metrics { return r.eng.Metrics() }
 
 // CheckTests model-checks every test under every configured RMW type.
-// Each (test, type) verdict is one work unit; finished verdicts stream to
-// the observer immediately. The returned slice is ordered (test, type)
-// regardless of parallelism or completion order.
+// Each (test, type) verdict is one work unit; one walk of a test decides
+// all its types, and its verdicts stream to the observer as soon as that
+// walk finishes. The returned slice is ordered (test, type) regardless of
+// parallelism or completion order.
 func (r *Runner) CheckTests(tests ...*Test) ([]TestResult, error) {
 	return r.eng.CheckTests(tests...)
 }
@@ -149,7 +150,9 @@ func (r *Runner) CheckSuite() ([]TestResult, error) {
 
 // ValidateMappings validates every Table 4 mapping under every configured
 // RMW type for each program. Each (program, mapping, type) combination is
-// one work unit; the returned slice is ordered (program, mapping, type).
+// one result and one event; one walk of a compiled (program, mapping)
+// pair decides all its types. The returned slice is ordered (program,
+// mapping, type).
 func (r *Runner) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, error) {
 	return r.eng.ValidateMappings(programs...)
 }

@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -293,6 +294,61 @@ func BenchmarkRunPlanDiskWarm(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(plan.Len()), "units/op")
+}
+
+// BenchmarkBuildReport prices the report stage of a sweep: building the
+// full report from one quick sweep's runs and encoding it as JSON, as
+// every CLI report and every /v1/reports request does. The runs are
+// simulated once before the timer starts, and one warm-up report is
+// built, so the measured time is the report's own work with no
+// simulation and no cache inside.
+func BenchmarkBuildReport(b *testing.B) {
+	o := benchOptions()
+	runs, err := runSpecs(o, append(experiments.Table3Specs(), experiments.Cpp11Specs()...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	report := func() {
+		rep, err := experiments.BuildReport(o, runs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Table1Matches {
+			b.Fatal("Table 1 does not match the paper")
+		}
+		buf.Reset()
+		if err := (experiments.JSONEncoder{}).Encode(&buf, rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	report()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		report()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(buf.Len()), "report-bytes")
+}
+
+// BenchmarkDefaultPlan prices building the paper's sweep plan at 32
+// cores (scale 0.2): its sources, unit keys, unit IDs and fingerprint.
+// Every warm sweep and every service submit builds one, and no trace
+// operation is generated or simulated.
+func BenchmarkDefaultPlan(b *testing.B) {
+	o := experiments.DefaultOptions()
+	o.Scale = 0.2
+	b.ReportAllocs()
+	var units int
+	for i := 0; i < b.N; i++ {
+		plan, err := engine.DefaultPlan(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		units = plan.Len()
+	}
+	b.ReportMetric(float64(units), "units/op")
 }
 
 // BenchmarkServeSubmitWarm measures the HTTP service's per-job overhead

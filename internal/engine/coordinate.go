@@ -266,9 +266,9 @@ func (s *CoordServer) assemble() (*ShardResult, error) {
 		if !ok {
 			continue // dead-lettered; listed in the coordination section
 		}
-		var ur UnitResult
-		if err := json.Unmarshal(data, &ur); err != nil {
-			return nil, fmt.Errorf("rmwtso: unit %s result payload: %w", u.ID, err)
+		ur, err := decodeAckPayload(u, data)
+		if err != nil {
+			return nil, err
 		}
 		results = append(results, ur)
 	}
@@ -287,6 +287,29 @@ func (s *CoordServer) assemble() (*ShardResult, error) {
 		return nil, &DeadLetterError{Partial: res}
 	}
 	return res, nil
+}
+
+// decodeAckPayload decodes the payload a worker acked for plan unit u (a
+// JSON UnitResult, as unitExecutor encodes it). A payload that does not
+// parse, names another unit, or carries no result or the result of
+// another run (trace, RMW type or core count) is an error: assembled, it
+// would stand in for the unit it names, which may be one the fleet
+// dead-lettered, or render a table from the wrong run.
+func decodeAckPayload(u Unit, data []byte) (UnitResult, error) {
+	var ur UnitResult
+	if err := json.Unmarshal(data, &ur); err != nil {
+		return UnitResult{}, fmt.Errorf("rmwtso: unit %s result payload: %w", u.ID, err)
+	}
+	switch r := ur.Result; {
+	case ur.Unit != u.ID:
+		return UnitResult{}, fmt.Errorf("rmwtso: unit %s result payload is for unit %q", u.ID, ur.Unit)
+	case r == nil:
+		return UnitResult{}, fmt.Errorf("rmwtso: unit %s result payload has no result", u.ID)
+	case r.Workload != u.Trace || r.RMWType != u.Type || len(r.PerCore) != u.Key.Cores:
+		return UnitResult{}, fmt.Errorf("rmwtso: unit %s result payload holds a run of %q under %s on %d cores, want %s under %s on %d",
+			u.ID, r.Workload, r.RMWType, len(r.PerCore), u.Trace, u.Type, u.Key.Cores)
+	}
+	return ur, nil
 }
 
 // RunPlanWorker runs one pull worker against the coordinator at addr

@@ -103,6 +103,12 @@ func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, er
 	base := o.BaseConfig()
 	p := &Plan{opts: o, byID: map[UnitID]int{}}
 	byID := p.byID
+	// The fingerprint hashes every unit's canonical key, a line each, in
+	// plan order. Each key is serialized once, into line, which both the
+	// unit ID and the fingerprint read; line is reused for every unit.
+	fp := sha256.New()
+	fmt.Fprintf(fp, "rmwtso-plan/v%d\n", ShardSchemaVersion)
+	var line []byte
 	for _, spec := range specs {
 		if len(spec.Types) == 0 {
 			continue
@@ -127,7 +133,10 @@ func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, er
 					return nil, err
 				}
 				key := simcache.SimKey(cfg, src, seed, o.Scale)
-				id := UnitID(key.UnitID())
+				line = simcache.AppendCanonical(line[:0], key)
+				id := UnitID(simcache.UnitIDOf(line))
+				line = append(line, '\n')
+				fp.Write(line)
 				if prev, dup := byID[id]; dup {
 					return nil, fmt.Errorf("rmwtso: unit ID %s collides between %s/%s and %s/%s",
 						id, p.units[prev].Trace, p.units[prev].Type, src.Name(), typ)
@@ -150,12 +159,7 @@ func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, er
 		}
 	}
 
-	h := sha256.New()
-	fmt.Fprintf(h, "rmwtso-plan/v%d\n", ShardSchemaVersion)
-	for _, u := range p.units {
-		fmt.Fprintln(h, u.Key.Canonical())
-	}
-	p.fp = hex.EncodeToString(h.Sum(nil))
+	p.fp = hex.EncodeToString(fp.Sum(nil))
 	return p, nil
 }
 

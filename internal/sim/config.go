@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 )
@@ -148,28 +149,31 @@ func (c Config) Validate() error {
 // struct layout; a new Config field must be added to this list (the
 // per-field sensitivity test in config_test.go fails loudly until it is).
 func (c Config) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "sim.Config/v1\n")
-	fmt.Fprintf(h, "Cores=%d\n", c.Cores)
-	fmt.Fprintf(h, "WriteBufferDepth=%d\n", c.WriteBufferDepth)
-	fmt.Fprintf(h, "L1SizeBytes=%d\n", c.L1SizeBytes)
-	fmt.Fprintf(h, "L1Assoc=%d\n", c.L1Assoc)
-	fmt.Fprintf(h, "L1LatencyCycles=%d\n", c.L1LatencyCycles)
-	fmt.Fprintf(h, "L2LatencyCycles=%d\n", c.L2LatencyCycles)
-	fmt.Fprintf(h, "MemLatencyCycles=%d\n", c.MemLatencyCycles)
-	fmt.Fprintf(h, "LineBytes=%d\n", c.LineBytes)
-	fmt.Fprintf(h, "LinkLatencyCycles=%d\n", c.LinkLatencyCycles)
-	fmt.Fprintf(h, "RouterLatencyCycles=%d\n", c.RouterLatencyCycles)
-	fmt.Fprintf(h, "RMWType=%d\n", int(c.RMWType))
-	fmt.Fprintf(h, "BloomFilterBits=%d\n", c.BloomFilterBits)
-	fmt.Fprintf(h, "BloomHashes=%d\n", c.BloomHashes)
-	fmt.Fprintf(h, "RMWResetThreshold=%d\n", c.RMWResetThreshold)
-	fmt.Fprintf(h, "DisableDeadlockAvoidance=%t\n", c.DisableDeadlockAvoidance)
-	fmt.Fprintf(h, "ParallelDrain=%t\n", c.ParallelDrain)
-	fmt.Fprintf(h, "MaxOutstandingDrains=%d\n", c.MaxOutstandingDrains)
-	fmt.Fprintf(h, "LockRetryCycles=%d\n", c.LockRetryCycles)
-	fmt.Fprintf(h, "MaxCycles=%d\n", c.MaxCycles)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [512]byte
+	// One "name=value" line per field. Each line begins with the newline
+	// that ends the one before it; the last is ended before hashing.
+	b := append(buf[:0], "sim.Config/v1"...)
+	b = strconv.AppendInt(append(b, "\nCores="...), int64(c.Cores), 10)
+	b = strconv.AppendInt(append(b, "\nWriteBufferDepth="...), int64(c.WriteBufferDepth), 10)
+	b = strconv.AppendInt(append(b, "\nL1SizeBytes="...), int64(c.L1SizeBytes), 10)
+	b = strconv.AppendInt(append(b, "\nL1Assoc="...), int64(c.L1Assoc), 10)
+	b = strconv.AppendUint(append(b, "\nL1LatencyCycles="...), c.L1LatencyCycles, 10)
+	b = strconv.AppendUint(append(b, "\nL2LatencyCycles="...), c.L2LatencyCycles, 10)
+	b = strconv.AppendUint(append(b, "\nMemLatencyCycles="...), c.MemLatencyCycles, 10)
+	b = strconv.AppendInt(append(b, "\nLineBytes="...), int64(c.LineBytes), 10)
+	b = strconv.AppendUint(append(b, "\nLinkLatencyCycles="...), c.LinkLatencyCycles, 10)
+	b = strconv.AppendUint(append(b, "\nRouterLatencyCycles="...), c.RouterLatencyCycles, 10)
+	b = strconv.AppendInt(append(b, "\nRMWType="...), int64(c.RMWType), 10)
+	b = strconv.AppendInt(append(b, "\nBloomFilterBits="...), int64(c.BloomFilterBits), 10)
+	b = strconv.AppendInt(append(b, "\nBloomHashes="...), int64(c.BloomHashes), 10)
+	b = strconv.AppendInt(append(b, "\nRMWResetThreshold="...), int64(c.RMWResetThreshold), 10)
+	b = strconv.AppendBool(append(b, "\nDisableDeadlockAvoidance="...), c.DisableDeadlockAvoidance)
+	b = strconv.AppendBool(append(b, "\nParallelDrain="...), c.ParallelDrain)
+	b = strconv.AppendInt(append(b, "\nMaxOutstandingDrains="...), int64(c.MaxOutstandingDrains), 10)
+	b = strconv.AppendUint(append(b, "\nLockRetryCycles="...), c.LockRetryCycles, 10)
+	b = strconv.AppendUint(append(b, "\nMaxCycles="...), c.MaxCycles, 10)
+	sum := sha256.Sum256(append(b, '\n'))
+	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
 // LineOf converts a byte address to a cache-line address.

@@ -60,8 +60,8 @@ func coreCounters(c *sim.CoreStats) [coreStatsFields - 1]*uint64 {
 }
 
 // encodeEntry builds the disk entry of a result stored under the key
-// whose canonical string is canonical.
-func encodeEntry(canonical string, r *sim.Result) []byte {
+// whose canonical serialization is canonical.
+func encodeEntry(canonical []byte, r *sim.Result) []byte {
 	payload := appendResult(nil, r)
 	sum := sha256.Sum256(payload)
 	b := make([]byte, 0, len(entryMagic)+binary.MaxVarintLen64+len(canonical)+len(sum)+len(payload))
@@ -73,9 +73,9 @@ func encodeEntry(canonical string, r *sim.Result) []byte {
 }
 
 // decodeEntry verifies an entry read from disk against the canonical
-// string of the key that addressed it (magic line, key, payload checksum)
-// and decodes its payload.
-func decodeEntry(data []byte, canonical string) (*sim.Result, error) {
+// serialization of the key that addressed it (magic line, key, payload
+// checksum) and decodes its payload.
+func decodeEntry(data, canonical []byte) (*sim.Result, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(entryMagic))
 	if !ok {
 		return nil, fmt.Errorf("simcache: entry does not start with %q", entryMagic)
@@ -86,7 +86,7 @@ func decodeEntry(data []byte, canonical string) (*sim.Result, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("simcache: short entry header: %w", d.err)
 	}
-	if string(key) != canonical {
+	if !bytes.Equal(key, canonical) {
 		return nil, errors.New("simcache: entry key mismatch (corrupt or colliding entry)")
 	}
 	if got := sha256.Sum256(d.b); !bytes.Equal(got[:], sum) {

@@ -36,9 +36,9 @@ func FuzzDecodeEntry(f *testing.F) {
 	for _, n := range []int{0, 1, len(entry) / 2, len(entry) - 1} {
 		f.Add(entry[:n])
 	}
-	f.Add(encodeEntry(testKey("other", core.Type2).Canonical(), fakeResult("other", core.Type2)))
+	f.Add(encodeEntry([]byte(testKey("other", core.Type2).Canonical()), fakeResult("other", core.Type2)))
 
-	canonical := key.Canonical()
+	canonical := []byte(key.Canonical())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := decodeEntry(data, canonical)
 		if err != nil {

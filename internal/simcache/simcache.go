@@ -91,19 +91,58 @@ type Key struct {
 // string whose SHA-256 is the entry's address. The schema version is part
 // of the string, so a version bump re-keys everything.
 func (k Key) Canonical() string {
-	return fmt.Sprintf("simcache/v%d|kind=%s|cfg=%s|trace=%s|wl=%s|cores=%d|seed=%d|scale=%s|rmw=%d",
-		SchemaVersion, k.Kind, k.ConfigDigest, k.Trace, k.Workload, k.Cores, k.Seed,
-		strconv.FormatFloat(k.Scale, 'g', -1, 64), int(k.RMWType))
+	var buf [keyBufLen]byte
+	return string(AppendCanonical(buf[:0], k))
+}
+
+// keyBufLen sizes the stack buffers keys are serialized into: a
+// simulator run's canonical key, workload digest included, is 230 to 250
+// bytes. A longer key still serializes, on the heap.
+const keyBufLen = 320
+
+// AppendCanonical appends the key's canonical serialization (the bytes
+// of Canonical) to b: the fields in a fixed order, integers in decimal
+// and the scale in strconv's shortest 'g' form. Callers that hash or
+// frame many keys use it to serialize each key once, without a string.
+func AppendCanonical(b []byte, k Key) []byte {
+	b = append(b, "simcache/v"...)
+	b = strconv.AppendInt(b, SchemaVersion, 10)
+	b = append(b, "|kind="...)
+	b = append(b, k.Kind...)
+	b = append(b, "|cfg="...)
+	b = append(b, k.ConfigDigest...)
+	b = append(b, "|trace="...)
+	b = append(b, k.Trace...)
+	b = append(b, "|wl="...)
+	b = append(b, k.Workload...)
+	b = append(b, "|cores="...)
+	b = strconv.AppendInt(b, int64(k.Cores), 10)
+	b = append(b, "|seed="...)
+	b = strconv.AppendInt(b, k.Seed, 10)
+	b = append(b, "|scale="...)
+	b = strconv.AppendFloat(b, k.Scale, 'g', -1, 64)
+	b = append(b, "|rmw="...)
+	return strconv.AppendInt(b, int64(k.RMWType), 10)
 }
 
 // Digest returns the hex-encoded SHA-256 of the canonical key string; it
 // is the in-memory map key and the on-disk file name.
-func (k Key) Digest() string { return digestOf(k.Canonical()) }
+func (k Key) Digest() string {
+	var buf [keyBufLen]byte
+	return digestOf(AppendCanonical(buf[:0], k))
+}
 
-// digestOf returns the digest of a canonical key string.
-func digestOf(canonical string) string {
-	sum := sha256.Sum256([]byte(canonical))
-	return hex.EncodeToString(sum[:])
+// digestOf returns the digest of a canonical key serialization.
+func digestOf(canonical []byte) string {
+	var hx [2 * sha256.Size]byte
+	return string(appendDigest(hx[:0], canonical))
+}
+
+// appendDigest appends the hex digest of a canonical key serialization
+// to b.
+func appendDigest(b, canonical []byte) []byte {
+	sum := sha256.Sum256(canonical)
+	return hex.AppendEncode(b, sum[:])
 }
 
 // UnitIDLen is the length of a UnitID: a 16-hex-digit (64-bit) prefix of
@@ -117,7 +156,16 @@ const UnitIDLen = 16
 // runs with equal inputs share a UnitID on every machine and at every
 // shard count, which is what lets sweep shards merge by identity.
 func (k Key) UnitID() string {
-	return k.Digest()[:UnitIDLen]
+	var buf [keyBufLen]byte
+	return UnitIDOf(AppendCanonical(buf[:0], k))
+}
+
+// UnitIDOf returns the UnitID of the key whose canonical serialization
+// (AppendCanonical) is canonical. The ID holds only its UnitIDLen digits.
+func UnitIDOf(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	var hx [UnitIDLen]byte
+	return string(hex.AppendEncode(hx[:0], sum[:UnitIDLen/2]))
 }
 
 // workloadIdentifier is implemented by trace sources (workload.Source)
@@ -310,10 +358,14 @@ func (c *Cache) insertLocked(digest string, r *sim.Result) {
 // caller of the same key, so it is immutable: callers must not write to
 // it.
 func (c *Cache) GetSim(k Key) (*sim.Result, bool) {
-	canonical := k.Canonical()
-	digest := digestOf(canonical)
+	// The key and its digest are built in stack buffers, so a memory hit
+	// allocates nothing.
+	var buf [keyBufLen]byte
+	canonical := AppendCanonical(buf[:0], k)
+	var hx [2 * sha256.Size]byte
+	hexDigest := appendDigest(hx[:0], canonical)
 	c.mu.Lock()
-	if el, ok := c.items[digest]; ok {
+	if el, ok := c.items[string(hexDigest)]; ok {
 		c.ll.MoveToFront(el)
 		c.stats.MemoryHits++
 		r := el.Value.(*memEntry).res
@@ -326,6 +378,7 @@ func (c *Cache) GetSim(k Key) (*sim.Result, bool) {
 		c.countMiss()
 		return nil, false
 	}
+	digest := string(hexDigest)
 	path := c.path(digest)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -384,7 +437,8 @@ func (c *Cache) countMiss() {
 // The cache takes shared ownership of r: from this call on, r is
 // immutable, for the caller as much as for every later GetSim.
 func (c *Cache) PutSim(k Key, r *sim.Result) error {
-	canonical := k.Canonical()
+	var buf [keyBufLen]byte
+	canonical := AppendCanonical(buf[:0], k)
 	digest := digestOf(canonical)
 	c.mu.Lock()
 	c.insertLocked(digest, r)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -98,23 +99,66 @@ func TestMemoryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKeyDigestPinned pins the canonical string and digest of a known key
+// TestKeyDigestPinned pins the canonical string and digest of known keys
 // so an accidental Key/Config field reordering (or a silent canonical
 // format change) breaks loudly; an intentional change must bless these
-// values and bump SchemaVersion.
+// values and bump SchemaVersion. Every disk entry embeds its canonical
+// key, so a drift of one byte would turn every existing cache cold. The
+// keys cover negative and extreme seeds, scales that format with and
+// without an exponent, a workload digest, every RMW type and a key of
+// another kind.
 func TestKeyDigestPinned(t *testing.T) {
-	src := fakeSource{"radiosity", 32}
-	k := SimKey(sim.DefaultConfig().WithRMWType(core.Type2), src, 20130601, 1)
-	wantCanonical := "simcache/v2|kind=sim-result|cfg=585c16977312da197d4bc0588d44de9a5035230ee85f689813b960bcd036db1f|trace=radiosity|wl=|cores=32|seed=20130601|scale=1|rmw=2"
-	if got := k.Canonical(); got != wantCanonical {
-		t.Fatalf("canonical key changed:\ngot  %s\nwant %s\n(bless this and bump SchemaVersion if intentional)", got, wantCanonical)
+	wsq, err := workload.Generator{Cores: 4, Seed: 7, Replacement: workload.ReadReplacement}.Source(workload.WSQProfile())
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantDigest := "6e96cb7997af01fe0e3f75436835add190b94412340c5abf7fe7df2c5efdad16"
-	if got := k.Digest(); got != wantDigest {
-		t.Fatalf("key digest changed:\ngot  %s\nwant %s", got, wantDigest)
+	for _, tc := range []struct {
+		key             Key
+		canonical, hash string
+	}{
+		{
+			SimKey(sim.DefaultConfig().WithRMWType(core.Type2), fakeSource{"radiosity", 32}, 20130601, 1),
+			"simcache/v2|kind=sim-result|cfg=585c16977312da197d4bc0588d44de9a5035230ee85f689813b960bcd036db1f|trace=radiosity|wl=|cores=32|seed=20130601|scale=1|rmw=2",
+			"6e96cb7997af01fe0e3f75436835add190b94412340c5abf7fe7df2c5efdad16",
+		},
+		{
+			SimKey(sim.DefaultConfig().WithRMWType(core.Type1), fakeSource{"radiosity", 32}, -1, 0.2),
+			"simcache/v2|kind=sim-result|cfg=96af290f99838f0ff80d8635f7282f4c32979f432cdc57beca191eebee436807|trace=radiosity|wl=|cores=32|seed=-1|scale=0.2|rmw=1",
+			"818ba665707a416df55ea54933be6b4364c71f98cb35c6eea40fa87d14e16b9e",
+		},
+		{
+			SimKey(sim.DefaultConfig().WithCores(8).WithRMWType(core.Type3), fakeSource{"bayes", 8}, math.MinInt64, 1e-7),
+			"simcache/v2|kind=sim-result|cfg=e18b679ca9d0db625aeb90a005d2e8bebe627d210e6507ddc3a6f38c0991e352|trace=bayes|wl=|cores=8|seed=-9223372036854775808|scale=1e-07|rmw=3",
+			"61de86c47916c2e2bcb55ab499e925aad9d07b34d8d62567957c561d41533c2c",
+		},
+		{
+			SimKey(sim.DefaultConfig().WithCores(4).WithRMWType(core.Type2), wsq, math.MaxInt64, 1e21),
+			"simcache/v2|kind=sim-result|cfg=a9f7f7865242fe389a047aafdfce57b7379bfbe1fe0e50ba8818d35dfc5a1571|trace=wsq-mst_rr|wl=3d07de9e65d726edd998e77a57a2034058b461a345df596ba3f3868a3e451fb7|replace=1|cores=4|seed=9223372036854775807|scale=1e+21|rmw=2",
+			"c58a70506c672cfde472e23baf8383c210779a66a9196b30a051774e823cb2e9",
+		},
+		{
+			Key{Kind: "litmus-verdict", ConfigDigest: "0123abcd", Trace: "SB+rmws", RMWType: core.Type3},
+			"simcache/v2|kind=litmus-verdict|cfg=0123abcd|trace=SB+rmws|wl=|cores=0|seed=0|scale=0|rmw=3",
+			"81379572c391ad75097d16a8a29b4b0472d555034f5a08599c75f81973d3cfd3",
+		},
+	} {
+		k := tc.key
+		if got := k.Canonical(); got != tc.canonical {
+			t.Errorf("canonical key changed:\ngot  %s\nwant %s\n(bless this and bump SchemaVersion if intentional)", got, tc.canonical)
+		}
+		if got := string(AppendCanonical([]byte("prefix|"), k)); got != "prefix|"+tc.canonical {
+			t.Errorf("AppendCanonical = %s, want the prefix and %s", got, tc.canonical)
+		}
+		if got := k.Digest(); got != tc.hash {
+			t.Errorf("key digest of %s changed:\ngot  %s\nwant %s", tc.canonical, got, tc.hash)
+		}
+		if got := k.UnitID(); got != tc.hash[:UnitIDLen] {
+			t.Errorf("unit ID of %s = %s, want the digest's prefix %s", tc.canonical, got, tc.hash[:UnitIDLen])
+		}
 	}
 	// Scale 0 must normalize to the scale-1 key.
-	if got := SimKey(sim.DefaultConfig().WithRMWType(core.Type2), src, 20130601, 0).Digest(); got != wantDigest {
+	src := fakeSource{"radiosity", 32}
+	if got := SimKey(sim.DefaultConfig().WithRMWType(core.Type2), src, 20130601, 0).Digest(); got != "6e96cb7997af01fe0e3f75436835add190b94412340c5abf7fe7df2c5efdad16" {
 		t.Fatalf("unset scale did not normalize to scale 1")
 	}
 }
@@ -407,7 +451,7 @@ func TestEntryKeepsEveryField(t *testing.T) {
 	want := &sim.Result{}
 	fill(reflect.ValueOf(want).Elem(), "Result")
 
-	canonical := testKey("every-field", core.Type3).Canonical()
+	canonical := []byte(testKey("every-field", core.Type3).Canonical())
 	got, err := decodeEntry(encodeEntry(canonical, want), canonical)
 	if err != nil {
 		t.Fatalf("decoding the entry: %v", err)
@@ -511,8 +555,8 @@ func TestClear(t *testing.T) {
 var raceEnabled bool
 
 // TestMemoryHitAllocs pins the memory tier's cost: a hit of a 32-core
-// result allocates no more than deriving the key's digest does, so it
-// neither copies nor decodes the result.
+// result allocates nothing. It neither copies nor decodes the result,
+// and the key and its digest are built in stack buffers.
 func TestMemoryHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are noise under the race detector")
@@ -524,14 +568,13 @@ func TestMemoryHitAllocs(t *testing.T) {
 	if err := c.PutSim(k, r); err != nil {
 		t.Fatalf("PutSim: %v", err)
 	}
-	digest := testing.AllocsPerRun(100, func() { _ = k.Digest() })
 	hit := testing.AllocsPerRun(100, func() {
 		if got, ok := c.GetSim(k); !ok || got != r {
 			t.Fatalf("memory hit missed or returned another pointer")
 		}
 	})
-	if hit > digest {
-		t.Fatalf("a memory hit allocates %.0f times, want at most the %.0f of Key.Digest", hit, digest)
+	if hit != 0 {
+		t.Fatalf("a memory hit allocates %.0f times, want none", hit)
 	}
 }
 

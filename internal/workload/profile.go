@@ -126,24 +126,27 @@ func (p Profile) Validate() error {
 // a new Profile field must be added here (the per-field sensitivity test
 // in profile_test.go fails loudly until it is).
 func (p Profile) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "workload.Profile/v1\n")
-	fmt.Fprintf(h, "Name=%s\n", p.Name)
-	fmt.Fprintf(h, "Suite=%s\n", p.Suite)
-	fmt.Fprintf(h, "ProblemSize=%s\n", p.ProblemSize)
-	fmt.Fprintf(h, "Pattern=%d\n", int(p.Pattern))
-	fmt.Fprintf(h, "PaperRMWsPer1000=%s\n", strconv.FormatFloat(p.PaperRMWsPer1000, 'g', -1, 64))
-	fmt.Fprintf(h, "PaperUniquePct=%s\n", strconv.FormatFloat(p.PaperUniquePct, 'g', -1, 64))
-	fmt.Fprintf(h, "Iterations=%d\n", p.Iterations)
-	fmt.Fprintf(h, "CriticalSectionOps=%d\n", p.CriticalSectionOps)
-	fmt.Fprintf(h, "PrivateOpsPerEpisode=%d\n", p.PrivateOpsPerEpisode)
-	fmt.Fprintf(h, "ThinkCycles=%d\n", p.ThinkCycles)
-	fmt.Fprintf(h, "SharedLockLines=%d\n", p.SharedLockLines)
-	fmt.Fprintf(h, "SharedDataLines=%d\n", p.SharedDataLines)
-	fmt.Fprintf(h, "WriteFraction=%s\n", strconv.FormatFloat(p.WriteFraction, 'g', -1, 64))
-	fmt.Fprintf(h, "LockAffinity=%s\n", strconv.FormatFloat(p.LockAffinity, 'g', -1, 64))
-	fmt.Fprintf(h, "ClockLines=%d\n", p.ClockLines)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [512]byte
+	// One "name=value" line per field. Each line begins with the newline
+	// that ends the one before it; the last is ended before hashing.
+	b := append(buf[:0], "workload.Profile/v1"...)
+	b = append(append(b, "\nName="...), p.Name...)
+	b = append(append(b, "\nSuite="...), p.Suite...)
+	b = append(append(b, "\nProblemSize="...), p.ProblemSize...)
+	b = strconv.AppendInt(append(b, "\nPattern="...), int64(p.Pattern), 10)
+	b = strconv.AppendFloat(append(b, "\nPaperRMWsPer1000="...), p.PaperRMWsPer1000, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, "\nPaperUniquePct="...), p.PaperUniquePct, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "\nIterations="...), int64(p.Iterations), 10)
+	b = strconv.AppendInt(append(b, "\nCriticalSectionOps="...), int64(p.CriticalSectionOps), 10)
+	b = strconv.AppendInt(append(b, "\nPrivateOpsPerEpisode="...), int64(p.PrivateOpsPerEpisode), 10)
+	b = strconv.AppendUint(append(b, "\nThinkCycles="...), p.ThinkCycles, 10)
+	b = strconv.AppendInt(append(b, "\nSharedLockLines="...), int64(p.SharedLockLines), 10)
+	b = strconv.AppendInt(append(b, "\nSharedDataLines="...), int64(p.SharedDataLines), 10)
+	b = strconv.AppendFloat(append(b, "\nWriteFraction="...), p.WriteFraction, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, "\nLockAffinity="...), p.LockAffinity, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "\nClockLines="...), int64(p.ClockLines), 10)
+	sum := sha256.Sum256(append(b, '\n'))
+	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
 // Table3Profiles returns the benchmark set of the paper's Table 3, in table

@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -24,6 +24,9 @@ type Source struct {
 	gen     Generator
 	profile Profile
 	episode episodeFunc
+	// digest is WorkloadDigest's value, computed once: a source never
+	// changes, and a plan asks for it once per RMW type.
+	digest string
 }
 
 // Source returns the lazy per-core trace source for a profile. It
@@ -37,7 +40,8 @@ func (g Generator) Source(p Profile) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Source{name: g.TraceName(p), gen: g, profile: p, episode: ep}, nil
+	digest := p.Digest() + "|replace=" + strconv.Itoa(int(g.Replacement))
+	return &Source{name: g.TraceName(p), gen: g, profile: p, episode: ep, digest: digest}, nil
 }
 
 // SourceByName returns the lazy trace source for a Table 3 benchmark by
@@ -59,9 +63,7 @@ func (s *Source) Name() string { return s.name }
 // hand-modified profile that kept a benchmark's name can never alias to
 // the stock benchmark's cached runs (cores and seed are separate key
 // fields already).
-func (s *Source) WorkloadDigest() string {
-	return fmt.Sprintf("%s|replace=%d", s.profile.Digest(), int(s.gen.Replacement))
-}
+func (s *Source) WorkloadDigest() string { return s.digest }
 
 // Cores returns the number of per-core streams.
 func (s *Source) Cores() int { return s.gen.Cores }

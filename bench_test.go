@@ -682,6 +682,41 @@ func BenchmarkSimStreamedTrace(b *testing.B) {
 	}
 }
 
+// BenchmarkSimSweepUnit runs one unit of the paper's sweep as the cold
+// path runs it: radiosity on 32 cores at scale 0.2 under type-2, its
+// streams generated on demand and simulated through RunSource. It is the
+// top rung above BenchmarkCalendar, BenchmarkDirectoryAccess,
+// BenchmarkWriteBuffer and BenchmarkWorkloadSource.
+func BenchmarkSimSweepUnit(b *testing.B) {
+	o := experiments.DefaultOptions()
+	o.Scale = 0.2
+	profile, err := workload.FindProfile("radiosity")
+	if err != nil {
+		b.Fatal(err)
+	}
+	profile = o.ScaledProfile(profile)
+	gen := workload.Generator{Cores: o.Cores, Seed: o.Seed}
+	cfg := o.BaseConfig().WithRMWType(core.Type2)
+	b.ReportAllocs()
+	var memops uint64
+	for i := 0; i < b.N; i++ {
+		src, err := gen.Source(profile)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := sim.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.RunSource(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		memops = res.TotalMemOps()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*memops), "ns/memop")
+}
+
 // TestSimStreamedTraceAllocs pins the simulator's allocations on
 // BenchmarkSimStreamedTrace's input (radiosity, 8 cores, 256 iterations,
 // type-2): at most 0.1 per memory operation, generation included. Events,

@@ -300,14 +300,11 @@ func decodeAckPayload(u Unit, data []byte) (UnitResult, error) {
 	if err := json.Unmarshal(data, &ur); err != nil {
 		return UnitResult{}, fmt.Errorf("rmwtso: unit %s result payload: %w", u.ID, err)
 	}
-	switch r := ur.Result; {
-	case ur.Unit != u.ID:
+	if ur.Unit != u.ID {
 		return UnitResult{}, fmt.Errorf("rmwtso: unit %s result payload is for unit %q", u.ID, ur.Unit)
-	case r == nil:
-		return UnitResult{}, fmt.Errorf("rmwtso: unit %s result payload has no result", u.ID)
-	case r.Workload != u.Trace || r.RMWType != u.Type || len(r.PerCore) != u.Key.Cores:
-		return UnitResult{}, fmt.Errorf("rmwtso: unit %s result payload holds a run of %q under %s on %d cores, want %s under %s on %d",
-			u.ID, r.Workload, r.RMWType, len(r.PerCore), u.Trace, u.Type, u.Key.Cores)
+	}
+	if err := checkRun(u, ur.Result); err != nil {
+		return UnitResult{}, err
 	}
 	return ur, nil
 }

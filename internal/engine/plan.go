@@ -368,9 +368,25 @@ func unitDesc(id UnitID, trace string, typ AtomicityType) string {
 	return fmt.Sprintf("%s (%s under %s)", id, trace, typ)
 }
 
+// checkRun returns an error when r is not a result of unit u's run: when
+// it is missing, or holds a run of another trace, RMW type or core count.
+// Assembled, such a result would stand in for u and render a table from
+// the wrong run.
+func checkRun(u Unit, r *SimResult) error {
+	switch {
+	case r == nil:
+		return fmt.Errorf("rmwtso: unit %s has no result", unitDesc(u.ID, u.Trace, u.Type))
+	case r.Workload != u.Trace || r.RMWType != u.Type || len(r.PerCore) != u.Key.Cores:
+		return fmt.Errorf("rmwtso: unit %s holds a run of %q under %s on %d cores, want %d cores",
+			unitDesc(u.ID, u.Trace, u.Type), r.Workload, r.RMWType, len(r.PerCore), u.Key.Cores)
+	}
+	return nil
+}
+
 // indexResults validates unit results against the plan — an alien unit, a
-// duplicated unit (all duplicates listed, sorted and bounded) or a
-// result-less unit is an error — and indexes them by unit ID.
+// duplicated unit (all duplicates listed, sorted and bounded), or a unit
+// without its own run's result (checkRun) is an error — and indexes them
+// by unit ID.
 func (p *Plan) indexResults(units []UnitResult) (map[UnitID]*SimResult, error) {
 	byID := make(map[UnitID]*SimResult, len(units))
 	var dups []string
@@ -387,8 +403,8 @@ func (p *Plan) indexResults(units []UnitResult) (map[UnitID]*SimResult, error) {
 			}
 			continue
 		}
-		if ur.Result == nil {
-			return nil, fmt.Errorf("rmwtso: unit %s has no result", unitDesc(ur.Unit, u.Trace, u.Type))
+		if err := checkRun(u, ur.Result); err != nil {
+			return nil, err
 		}
 		byID[ur.Unit] = ur.Result
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -139,7 +140,8 @@ func asciiTable4(rows []Table4Row) string {
 }
 
 // asciiFig11a renders the Fig. 11(a) data as a table plus a bar chart of
-// the total per-RMW cost.
+// the total per-RMW cost. A type a benchmark has no run of prints as "-"
+// in every cell and bar, and its change against type-1 too.
 func asciiFig11a(entries []Fig11aEntry) string {
 	t := stats.NewTable("Fig. 11(a): cost of type-1/2/3 RMWs (cycles, split write-buffer + Ra/Wa)",
 		"Benchmark",
@@ -147,61 +149,64 @@ func asciiFig11a(entries []Fig11aEntry) string {
 		"t2 WB", "t2 Ra/Wa", "t2 total",
 		"t3 WB", "t3 Ra/Wa", "t3 total",
 		"t2 vs t1", "t3 vs t1")
-	series := map[core.AtomicityType]*stats.Series{
-		core.Type1: {Name: "type-1"},
-		core.Type2: {Name: "type-2"},
-		core.Type3: {Name: "type-3"},
-	}
+	series := []stats.Series{{Name: "type-1"}, {Name: "type-2"}, {Name: "type-3"}}
 	for _, e := range entries {
 		cells := []string{e.Benchmark}
-		for _, typ := range core.AllTypes() {
-			cells = append(cells,
-				stats.F1(e.WriteBuffer[typ]), stats.F1(e.RaWa[typ]), stats.F1(e.Total(typ)))
-			if s, ok := series[typ]; ok && e.Total(typ) > 0 {
-				s.Add(e.Benchmark, e.Total(typ))
+		var totals [3]float64
+		for i, typ := range core.AllTypes() {
+			totals[i] = math.NaN()
+			if e.ran(typ) {
+				totals[i] = e.Total(typ)
+				cells = append(cells, stats.F1(e.WriteBuffer[typ]), stats.F1(e.RaWa[typ]), stats.F1(totals[i]))
+			} else {
+				cells = append(cells, "-", "-", "-")
 			}
+			series[i].Add(e.Benchmark, totals[i])
 		}
-		cells = append(cells,
-			"-"+stats.Percent(stats.PercentReduction(e.Total(core.Type1), e.Total(core.Type2))),
-			"-"+stats.Percent(stats.PercentReduction(e.Total(core.Type1), e.Total(core.Type3))))
+		cells = append(cells, change(totals[0], totals[1]), change(totals[0], totals[2]))
 		t.AddRow(cells...)
 	}
-	chart := stats.Chart("Average RMW cost (cycles)", 40,
-		*series[core.Type1], *series[core.Type2], *series[core.Type3])
+	chart := stats.Chart("Average RMW cost (cycles)", 40, series...)
 	return t.Render() + "\n" + chart
 }
 
-// asciiFig11b renders the Fig. 11(b) data.
+// change renders next relative to base as a signed percentage, negative
+// when next is smaller, or "-" when either is missing (NaN).
+func change(base, next float64) string {
+	if math.IsNaN(base) || math.IsNaN(next) {
+		return "-"
+	}
+	return fmt.Sprintf("%+.1f%%", -stats.PercentReduction(base, next))
+}
+
+// asciiFig11b renders the Fig. 11(b) data. A type a benchmark has no run
+// of prints as "-" in its table cells and its bar, and so does a speedup
+// whose type or type-1 base is missing.
 func asciiFig11b(entries []Fig11bEntry) string {
 	t := stats.NewTable("Fig. 11(b): execution-time overhead of RMWs (% of total execution time)",
 		"Benchmark", "type-1", "type-2", "type-3", "speedup t2", "speedup t3")
-	s1 := stats.Series{Name: "type-1"}
-	s2 := stats.Series{Name: "type-2"}
-	s3 := stats.Series{Name: "type-3"}
+	series := []stats.Series{{Name: "type-1"}, {Name: "type-2"}, {Name: "type-3"}}
 	for _, e := range entries {
 		row := []string{e.Benchmark}
-		for _, typ := range core.AllTypes() {
-			if _, ok := e.Overhead[typ]; ok {
-				row = append(row, stats.F2(e.Overhead[typ]))
+		for i, typ := range core.AllTypes() {
+			v := math.NaN()
+			if e.ran(typ) {
+				v = e.Overhead[typ]
+				row = append(row, stats.F2(v))
+			} else {
+				row = append(row, "-")
+			}
+			series[i].Add(e.Benchmark, v)
+		}
+		for _, typ := range []core.AtomicityType{core.Type2, core.Type3} {
+			if e.hasSpeedup(typ) {
+				row = append(row, stats.Percent(e.Speedup(typ)))
 			} else {
 				row = append(row, "-")
 			}
 		}
-		row = append(row, stats.Percent(e.Speedup(core.Type2)))
-		if _, ok := e.Cycles[core.Type3]; ok {
-			row = append(row, stats.Percent(e.Speedup(core.Type3)))
-		} else {
-			row = append(row, "-")
-		}
 		t.AddRow(row...)
-		s1.Add(e.Benchmark, e.Overhead[core.Type1])
-		s2.Add(e.Benchmark, e.Overhead[core.Type2])
-		if v, ok := e.Overhead[core.Type3]; ok {
-			s3.Add(e.Benchmark, v)
-		} else {
-			s3.Add(e.Benchmark, 0)
-		}
 	}
-	chart := stats.Chart("RMW overhead (% of execution time)", 40, s1, s2, s3)
+	chart := stats.Chart("RMW overhead (% of execution time)", 40, series...)
 	return t.Render() + "\n" + chart
 }

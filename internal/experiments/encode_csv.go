@@ -76,9 +76,7 @@ func (CSVEncoder) Encode(w io.Writer, r *Report) error {
 		for _, typ := range core.AllTypes() {
 			// A type the benchmark does not run under stays empty, like
 			// the ASCII table's "-" — emitting zeros would fabricate data.
-			_, wbOK := e.WriteBuffer[typ]
-			_, rwOK := e.RaWa[typ]
-			if !wbOK && !rwOK {
+			if !e.ran(typ) {
 				rec = append(rec, "", "", "")
 				continue
 			}
@@ -99,17 +97,18 @@ func (CSVEncoder) Encode(w io.Writer, r *Report) error {
 		for _, typ := range core.AllTypes() {
 			// Same sentinel rule: a missing type must not read as zero
 			// overhead (or, worse, as a 100% speedup below).
-			if _, ok := e.Cycles[typ]; !ok {
+			if !e.ran(typ) {
 				rec = append(rec, "", "")
 				continue
 			}
 			rec = append(rec, f(e.Overhead[typ]), strconv.FormatUint(e.Cycles[typ], 10))
 		}
-		rec = append(rec, f(e.Speedup(core.Type2)))
-		if _, ok := e.Cycles[core.Type3]; ok {
-			rec = append(rec, f(e.Speedup(core.Type3)))
-		} else {
-			rec = append(rec, "")
+		for _, typ := range []core.AtomicityType{core.Type2, core.Type3} {
+			if e.hasSpeedup(typ) {
+				rec = append(rec, f(e.Speedup(typ)))
+			} else {
+				rec = append(rec, "")
+			}
 		}
 		fb = append(fb, rec)
 	}

@@ -25,6 +25,14 @@ func (e Fig11aEntry) Total(t core.AtomicityType) float64 {
 	return e.WriteBuffer[t] + e.RaWa[t]
 }
 
+// ran reports whether the benchmark has a run of type t; the encoders
+// print a type it has none of as absent, never as zero.
+func (e Fig11aEntry) ran(t core.AtomicityType) bool {
+	_, wb := e.WriteBuffer[t]
+	_, rw := e.RaWa[t]
+	return wb || rw
+}
+
 // Fig11bEntry is one benchmark's bar group in Fig. 11(b): the share of
 // execution time spent on RMWs, per RMW type.
 type Fig11bEntry struct {
@@ -33,6 +41,19 @@ type Fig11bEntry struct {
 	// Cycles records the total execution time per type, from which the
 	// headline end-to-end speedups are derived.
 	Cycles map[core.AtomicityType]uint64 `json:"cycles"`
+}
+
+// ran reports whether the benchmark has a run of type t.
+func (e Fig11bEntry) ran(t core.AtomicityType) bool {
+	_, ok := e.Cycles[t]
+	return ok
+}
+
+// hasSpeedup reports whether the benchmark has runs of both type-1 and
+// type t, the two that Speedup(t) compares; the encoders print a speedup
+// missing either as absent.
+func (e Fig11bEntry) hasSpeedup(t core.AtomicityType) bool {
+	return e.ran(core.Type1) && e.ran(t)
 }
 
 // Speedup returns the percentage reduction in execution time of the given

@@ -106,7 +106,9 @@ type Cache struct {
 	// lines[i*Assoc : (i+1)*Assoc].
 	lines []Line
 	nsets uint64
-	clock uint64
+	// setMask is nsets-1 when nsets is a power of two, and 0 otherwise.
+	setMask uint64
+	clock   uint64
 
 	hits      uint64
 	misses    uint64
@@ -120,7 +122,11 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
-	return &Cache{cfg: cfg, lines: make([]Line, sets*cfg.Assoc), nsets: uint64(sets)}
+	c := &Cache{cfg: cfg, lines: make([]Line, sets*cfg.Assoc), nsets: uint64(sets)}
+	if sets&(sets-1) == 0 {
+		c.setMask = uint64(sets - 1)
+	}
+	return c
 }
 
 // Config returns the cache geometry.
@@ -128,7 +134,11 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // set returns the ways of the set a line address maps to.
 func (c *Cache) set(lineAddr uint64) []Line {
-	i := int(lineAddr%c.nsets) * c.cfg.Assoc
+	s := lineAddr & c.setMask
+	if c.setMask == 0 {
+		s = lineAddr % c.nsets
+	}
+	i := int(s) * c.cfg.Assoc
 	return c.lines[i : i+c.cfg.Assoc : i+c.cfg.Assoc]
 }
 

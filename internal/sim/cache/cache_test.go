@@ -197,3 +197,28 @@ func TestPropertyOccupancyNeverExceedsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetIndexWithAndWithoutPowerOfTwoSets fills set 0 past its ways with
+// lines a set count apart and checks that exactly those lines compete for
+// it, for a power-of-two set count (masked) and for 48 sets (modulo).
+func TestSetIndexWithAndWithoutPowerOfTwoSets(t *testing.T) {
+	for _, sets := range []int{128, 48} {
+		c := New(Config{SizeBytes: sets * 4 * 64, Assoc: 4, LineBytes: 64})
+		if got := c.Config().Sets(); got != sets {
+			t.Fatalf("%d sets configured, cache has %d", sets, got)
+		}
+		// Neighbours of set 0's lines land in other sets and never evict.
+		for i := 0; i < 4; i++ {
+			c.Insert(uint64(i*sets+1), Shared)
+			c.Insert(uint64(i*sets+sets-1), Shared)
+		}
+		for i := 0; i < 4; i++ {
+			if _, evicted := c.Insert(uint64(i*sets), Shared); evicted {
+				t.Fatalf("%d sets: line %d evicted with set 0 not full", sets, i*sets)
+			}
+		}
+		if victim, evicted := c.Insert(uint64(4*sets), Shared); !evicted || victim != 0 {
+			t.Errorf("%d sets: a fifth line in set 0 evicted %d (%t), want line 0", sets, victim, evicted)
+		}
+	}
+}

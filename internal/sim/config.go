@@ -176,8 +176,10 @@ func (c Config) Digest() string {
 	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
-// LineOf converts a byte address to a cache-line address.
-func (c Config) LineOf(addr uint64) uint64 {
+// LineOf converts a byte address to a cache-line address. Its receiver is
+// a pointer so that the simulator's per-operation calls do not copy the
+// configuration.
+func (c *Config) LineOf(addr uint64) uint64 {
 	return addr / uint64(c.LineBytes)
 }
 

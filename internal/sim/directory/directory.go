@@ -101,30 +101,25 @@ type Waiter struct {
 
 // lineMeta is the directory's view of one cache line.
 type lineMeta struct {
-	owner   int      // core holding the line in M/E/O, or -1
 	sharers []uint64 // bitset of the cores holding a copy
+	lock    lineLock
+	owner   int32 // core holding the line in M/E/O, or -1
 	inL2    bool
-	// lock is the line's lock record, allocated on first lock and reused;
-	// the line is locked while its depth is positive.
-	lock *lineLock
 }
 
-// lineLock marks a line locked by in-flight RMWs of one core. depth
-// counts the owner's outstanding locks: a weak RMW retires before its
-// write half drains, so with deadlock avoidance disabled its core can
-// lock the line again while the first write is still buffered.
+// lineLock marks a line locked by in-flight RMWs of one core: the line is
+// locked while depth is positive. depth counts the owner's outstanding
+// locks: a weak RMW retires before its write half drains, so with deadlock
+// avoidance disabled its core can lock the line again while the first
+// write is still buffered.
 type lineLock struct {
-	owner   int
-	depth   int
-	waiters []Waiter
+	waiters      []Waiter
+	owner, depth int32
 }
 
-// locked returns the line's lock when it is held, or nil.
-func (m *lineMeta) locked() *lineLock {
-	if m.lock != nil && m.lock.depth > 0 {
-		return m.lock
-	}
-	return nil
+// lockedBy reports whether the line is locked by a core other than c.
+func (m *lineMeta) lockedBy(c int) bool {
+	return m.lock.depth > 0 && int(m.lock.owner) != c
 }
 
 // hasSharer, addSharer and dropSharer read and edit the sharer bitset.
@@ -142,6 +137,71 @@ func (m *lineMeta) anySharer() bool {
 	return false
 }
 
+// lineTable maps line addresses to their records: open addressing with a
+// Fibonacci hash and linear probing, at most half full, doubling when it
+// would pass that. Its slots point into the directory's record slabs, so
+// a record stays where it is when the table grows.
+type lineTable struct {
+	slots []lineSlot
+	shift uint // 64 - log2(len(slots))
+	used  int
+}
+
+type lineSlot struct {
+	line uint64
+	m    *lineMeta // nil marks an empty slot
+}
+
+// initialLineSlots is the table's starting size, a power of two.
+const initialLineSlots = 1024
+
+func newLineTable() lineTable {
+	return lineTable{slots: make([]lineSlot, initialLineSlots), shift: 64 - uint(bits.TrailingZeros(initialLineSlots))}
+}
+
+// home is the line's first probe position.
+func (t *lineTable) home(line uint64) uint64 { return (line * 0x9E3779B97F4A7C15) >> t.shift }
+
+// find returns the line's record, or nil when it has none.
+func (t *lineTable) find(line uint64) *lineMeta {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(line); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.m == nil || s.line == line {
+			return s.m
+		}
+	}
+}
+
+// insert adds a record for a line that has none.
+func (t *lineTable) insert(line uint64, m *lineMeta) {
+	if 2*(t.used+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]lineSlot, 2*len(old))
+		t.shift--
+		for _, s := range old {
+			if s.m != nil {
+				t.place(s)
+			}
+		}
+	}
+	t.place(lineSlot{line: line, m: m})
+	t.used++
+}
+
+func (t *lineTable) place(s lineSlot) {
+	mask := uint64(len(t.slots) - 1)
+	i := t.home(s.line)
+	for t.slots[i].m != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = s
+}
+
+// lockHints is how many buckets the locked lines are counted in, by their
+// low address bits; a power of two.
+const lockHints = 1024
+
 // Directory is the distributed directory plus the per-core L1 caches it
 // keeps coherent.
 type Directory struct {
@@ -149,14 +209,16 @@ type Directory struct {
 	caches []*cache.Cache
 	lat    Latencies
 
-	lines map[uint64]*lineMeta
+	lines lineTable
 	// metaSlab and wordSlab are the unused tails of the chunks new lines'
 	// records and sharer bitsets are cut from.
 	metaSlab []lineMeta
 	wordSlab []uint64
 	words    int // sharer bitset words per line
-	// lockedLines counts the lines currently locked.
-	lockedLines int
+	// lockHint counts the locked lines by line%lockHints: a request whose
+	// count is zero targets an unlocked line, so it need not look the line
+	// up to learn that.
+	lockHint [lockHints]uint32
 
 	stats Stats
 }
@@ -174,7 +236,7 @@ func New(m *mesh.Topology, caches []*cache.Cache, lat Latencies) *Directory {
 		mesh:   m,
 		caches: caches,
 		lat:    lat,
-		lines:  map[uint64]*lineMeta{},
+		lines:  newLineTable(),
 		words:  (len(caches) + 63) / 64,
 	}
 }
@@ -185,35 +247,62 @@ func (d *Directory) Stats() Stats { return d.stats }
 // Cache returns core c's L1 cache.
 func (d *Directory) Cache(c int) *cache.Cache { return d.caches[c] }
 
+// meta returns the line's record, creating it on first use.
 func (d *Directory) meta(line uint64) *lineMeta {
-	m, ok := d.lines[line]
-	if !ok {
-		if len(d.metaSlab) == 0 {
-			d.metaSlab = make([]lineMeta, slabLines)
-			d.wordSlab = make([]uint64, slabLines*d.words)
-		}
-		m = &d.metaSlab[0]
-		d.metaSlab = d.metaSlab[1:]
-		m.owner = -1
-		m.sharers = d.wordSlab[:d.words:d.words]
-		d.wordSlab = d.wordSlab[d.words:]
-		d.lines[line] = m
+	if m := d.lines.find(line); m != nil {
+		return m
 	}
+	if len(d.metaSlab) == 0 {
+		d.metaSlab = make([]lineMeta, slabLines)
+		d.wordSlab = make([]uint64, slabLines*d.words)
+	}
+	m := &d.metaSlab[0]
+	d.metaSlab = d.metaSlab[1:]
+	m.owner = -1
+	m.sharers = d.wordSlab[:d.words:d.words]
+	d.wordSlab = d.wordSlab[d.words:]
+	d.lines.insert(line, m)
 	return m
 }
 
+// mayBeLocked reports whether the line can be locked: false means it is
+// not, without looking it up.
+func (d *Directory) mayBeLocked(line uint64) bool { return d.lockHint[line%lockHints] != 0 }
+
 // IsLocked reports whether the line is currently locked, and by which core.
 func (d *Directory) IsLocked(line uint64) (bool, int) {
-	if m, ok := d.lines[line]; ok {
-		if l := m.locked(); l != nil {
-			return true, l.owner
-		}
+	if m := d.lines.find(line); m != nil && m.lock.depth > 0 {
+		return true, int(m.lock.owner)
 	}
 	return false, -1
 }
 
 // LockedLines returns the number of currently locked lines.
-func (d *Directory) LockedLines() int { return d.lockedLines }
+func (d *Directory) LockedLines() int {
+	n := 0
+	for _, h := range d.lockHint {
+		n += int(h)
+	}
+	return n
+}
+
+// CheckLockCounts recounts the locked lines from every line record and
+// returns an error when a lock-hint count disagrees. It walks the whole
+// table, so it is for tests that check invariants.
+func (d *Directory) CheckLockCounts() error {
+	var hint [lockHints]uint32
+	for _, s := range d.lines.slots {
+		if s.m != nil && s.m.lock.depth > 0 {
+			hint[s.line%lockHints]++
+		}
+	}
+	for i := range hint {
+		if hint[i] != d.lockHint[i] {
+			return fmt.Errorf("directory: %d locked lines in lock-hint bucket %d, counted %d", hint[i], i, d.lockHint[i])
+		}
+	}
+	return nil
+}
 
 // Access issues a coherence request at r.Start. A request to a line locked
 // by another core is denied: it is counted as a lock denial, parked on the
@@ -225,11 +314,17 @@ func (d *Directory) LockedLines() int { return d.lockedLines }
 // set locks the line for its core, before Access returns. done is the
 // cycle the response arrives at the requester.
 func (d *Directory) Access(r Request) (done uint64, granted bool) {
-	m := d.meta(r.Line)
-	if l := m.locked(); l != nil && l.owner != r.Core {
-		d.stats.LockDenials++
-		l.waiters = append(l.waiters, Waiter{Request: r})
-		return 0, false
+	// The record is looked up only when the request needs it: to check a
+	// possible lock, for a GetM, or to lock the line. A GetS looks it up
+	// itself on a miss, so a read hit on an unlocked line never does.
+	var m *lineMeta
+	if r.Kind == GetM || r.Lock || d.mayBeLocked(r.Line) {
+		m = d.meta(r.Line)
+		if m.lockedBy(r.Core) {
+			d.stats.LockDenials++
+			m.lock.waiters = append(m.lock.waiters, Waiter{Request: r})
+			return 0, false
+		}
 	}
 	var latency uint64
 	switch r.Kind {
@@ -261,18 +356,16 @@ func (d *Directory) Lock(line uint64, core int) {
 
 func (d *Directory) lock(m *lineMeta, line uint64, core int) {
 	d.stats.Locks++
-	if l := m.locked(); l != nil {
-		if l.owner != core {
+	l := &m.lock
+	if l.depth > 0 {
+		if int(l.owner) != core {
 			panic(fmt.Sprintf("directory: core %d locking line %#x already locked by core %d", core, line, l.owner))
 		}
 		l.depth++
 		return
 	}
-	if m.lock == nil {
-		m.lock = &lineLock{}
-	}
-	m.lock.owner, m.lock.depth = core, 1
-	d.lockedLines++
+	l.owner, l.depth = int32(core), 1
+	d.lockHint[line%lockHints]++
 }
 
 // WaitForUnlock parks r until the line's lock, held by a core other than
@@ -282,16 +375,15 @@ func (d *Directory) lock(m *lineMeta, line uint64, core int) {
 // ownership response arrives while the line is locked by another
 // processor's RMW is held back and retried after the unlock.
 func (d *Directory) WaitForUnlock(r Request) bool {
-	m, ok := d.lines[r.Line]
-	if !ok {
+	if !d.mayBeLocked(r.Line) {
 		return false
 	}
-	l := m.locked()
-	if l == nil || l.owner == r.Core {
+	m := d.lines.find(r.Line)
+	if m == nil || !m.lockedBy(r.Core) {
 		return false
 	}
 	d.stats.LockDenials++
-	l.waiters = append(l.waiters, Waiter{Request: r, Drain: true})
+	m.lock.waiters = append(m.lock.waiters, Waiter{Request: r, Drain: true})
 	return true
 }
 
@@ -305,21 +397,19 @@ func (d *Directory) WaitForUnlock(r Request) bool {
 // Unlocking a line that is not locked by the core is a protocol bug and
 // panics.
 func (d *Directory) Unlock(line uint64, core int, at uint64) []Waiter {
-	var l *lineLock
-	if m, ok := d.lines[line]; ok {
-		l = m.locked()
-	}
-	if l == nil {
+	m := d.lines.find(line)
+	if m == nil || m.lock.depth == 0 {
 		panic(fmt.Sprintf("directory: core %d unlocking line %#x which is not locked", core, line))
 	}
-	if l.owner != core {
+	l := &m.lock
+	if int(l.owner) != core {
 		panic(fmt.Sprintf("directory: core %d unlocking line %#x locked by core %d", core, line, l.owner))
 	}
 	d.stats.Unlocks++
 	if l.depth--; l.depth > 0 {
 		return nil
 	}
-	d.lockedLines--
+	d.lockHint[line%lockHints]--
 	waiters := l.waiters
 	l.waiters = nil
 	for i := range waiters {
@@ -334,7 +424,8 @@ func (d *Directory) Unlock(line uint64, core int, at uint64) []Waiter {
 }
 
 // getS computes the latency of a read-permission request and updates the
-// directory and cache state.
+// directory and cache state. m is the line's record, or nil when the
+// caller has not looked it up.
 func (d *Directory) getS(core int, line uint64, m *lineMeta) uint64 {
 	d.stats.GetS++
 	c := d.caches[core]
@@ -344,17 +435,20 @@ func (d *Directory) getS(core int, line uint64, m *lineMeta) uint64 {
 		d.stats.L1Hits++
 		return d.lat.L1
 	}
+	if m == nil {
+		m = d.meta(line)
+	}
 
 	home := d.mesh.Home(line)
 	reqToHome := d.mesh.Latency(core, home)
 	var latency uint64
-	switch {
-	case m.owner >= 0 && m.owner != core:
+	switch owner := int(m.owner); {
+	case owner >= 0 && owner != core:
 		// Owner forwards the data: requester -> home -> owner -> requester.
 		d.stats.OwnerForwards++
-		latency = reqToHome + d.mesh.Latency(home, m.owner) + d.lat.L1 + d.mesh.Latency(m.owner, core)
+		latency = reqToHome + d.mesh.Latency(home, owner) + d.lat.L1 + d.mesh.Latency(owner, core)
 		// The owner keeps a dirty copy in Owned state.
-		d.caches[m.owner].SetState(line, cache.Owned)
+		d.caches[owner].SetState(line, cache.Owned)
 	case m.inL2 || m.anySharer():
 		d.stats.L2Hits++
 		latency = reqToHome + d.lat.L2 + d.mesh.Latency(home, core)
@@ -375,7 +469,7 @@ func (d *Directory) getM(core int, line uint64, m *lineMeta) uint64 {
 	c := d.caches[core]
 
 	// Local hit with write permission.
-	if c.Lookup(line).CanWrite() && m.owner == core {
+	if c.Lookup(line).CanWrite() && int(m.owner) == core {
 		d.stats.L1Hits++
 		return d.lat.L1
 	}
@@ -383,14 +477,14 @@ func (d *Directory) getM(core int, line uint64, m *lineMeta) uint64 {
 	home := d.mesh.Home(line)
 	reqToHome := d.mesh.Latency(core, home)
 	var latency uint64
-	switch {
-	case m.owner >= 0 && m.owner != core:
+	switch owner := int(m.owner); {
+	case owner >= 0 && owner != core:
 		// Fetch from the remote owner and invalidate it.
 		d.stats.OwnerForwards++
 		d.stats.Invalidations++
-		latency = reqToHome + d.mesh.Latency(home, m.owner) + d.lat.L1 + d.mesh.Latency(m.owner, core)
-		d.caches[m.owner].Invalidate(line)
-		m.dropSharer(m.owner)
+		latency = reqToHome + d.mesh.Latency(home, owner) + d.lat.L1 + d.mesh.Latency(owner, core)
+		d.caches[owner].Invalidate(line)
+		m.dropSharer(owner)
 	case m.inL2 || m.anySharer():
 		d.stats.L2Hits++
 		latency = reqToHome + d.lat.L2 + d.mesh.Latency(home, core)
@@ -423,7 +517,7 @@ func (d *Directory) getM(core int, line uint64, m *lineMeta) uint64 {
 	}
 	latency += inval
 
-	m.owner = core
+	m.owner = int32(core)
 	m.addSharer(core)
 	d.insertLocal(core, line, cache.Modified)
 	return d.lat.L1 + latency
@@ -436,9 +530,9 @@ func (d *Directory) insertLocal(core int, line uint64, st cache.State) {
 	if !did {
 		return
 	}
-	em := d.meta(evicted)
+	em := d.lines.find(evicted)
 	em.dropSharer(core)
-	if em.owner == core {
+	if int(em.owner) == core {
 		em.owner = -1
 		em.inL2 = true // dirty lines are written back to the L2
 	}
@@ -447,8 +541,8 @@ func (d *Directory) insertLocal(core int, line uint64, st cache.State) {
 
 // Owner returns the core owning the line (holding it in M/E/O), or -1.
 func (d *Directory) Owner(line uint64) int {
-	if m, ok := d.lines[line]; ok {
-		return m.owner
+	if m := d.lines.find(line); m != nil {
+		return int(m.owner)
 	}
 	return -1
 }
@@ -456,8 +550,8 @@ func (d *Directory) Owner(line uint64) int {
 // Sharers returns the cores holding a copy of the line, in ascending
 // order.
 func (d *Directory) Sharers(line uint64) []int {
-	m, ok := d.lines[line]
-	if !ok {
+	m := d.lines.find(line)
+	if m == nil {
 		return nil
 	}
 	var out []int

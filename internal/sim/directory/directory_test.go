@@ -361,3 +361,74 @@ func TestUnlockHandsOverWaitersWithRetryCycles(t *testing.T) {
 		t.Errorf("LockedLines = %d, want 0", d.LockedLines())
 	}
 }
+
+// TestLineTableKeepsRecordsAcrossGrowth fills the line table far past its
+// initial size and checks that every line finds its own record, and that
+// a record taken before the table grew is still the line's record.
+func TestLineTableKeepsRecordsAcrossGrowth(t *testing.T) {
+	d := newTestDirectory(4)
+	first := d.meta(0)
+	const n = 20 * initialLineSlots
+	recs := make([]*lineMeta, n)
+	for i := range recs {
+		// A stride of lockHints puts every line in one lock-hint bucket.
+		recs[i] = d.meta(uint64(i) * lockHints)
+	}
+	if len(d.lines.slots) < 2*n {
+		t.Fatalf("%d slots hold %d lines: the table is more than half full", len(d.lines.slots), n)
+	}
+	if recs[0] != first {
+		t.Error("line 0's record moved when the table grew")
+	}
+	for i, m := range recs {
+		if got := d.lines.find(uint64(i) * lockHints); got != m {
+			t.Fatalf("line %#x finds record %p, want %p", uint64(i)*lockHints, got, m)
+		}
+	}
+	if d.lines.find(1) != nil {
+		t.Error("a line never touched has a record")
+	}
+}
+
+// TestLockHintsFollowLocks locks, nests and unlocks lines that share a
+// lock-hint bucket and checks the counts after every step, and that a
+// line sharing a bucket with a locked one is neither denied nor locked.
+func TestLockHintsFollowLocks(t *testing.T) {
+	d := newTestDirectory(4)
+	a, b := uint64(7), uint64(7+lockHints)
+	check := func(step string) {
+		t.Helper()
+		if err := d.CheckLockCounts(); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	grant(t, d, Request{Core: 0, Line: a, Kind: GetM, Lock: true})
+	check("locking a")
+	if got := d.lockHint[a%lockHints]; got != 1 {
+		t.Errorf("hint after one lock = %d, want 1", got)
+	}
+	access(t, d, 1, b, GetS, 10) // same bucket, unlocked: granted
+	if locked, _ := d.IsLocked(b); locked {
+		t.Error("a line sharing a bucket with a locked line reads as locked")
+	}
+	d.Lock(a, 0) // nested
+	grant(t, d, Request{Core: 2, Line: b, Kind: GetM, Lock: true})
+	check("nesting a and locking b")
+	if got := d.lockHint[a%lockHints]; got != 2 {
+		t.Errorf("hint with a nested and b locked = %d, want 2", got)
+	}
+	if _, ok := d.Access(Request{Core: 1, Line: a, Kind: GetS, Start: 20}); ok {
+		t.Error("a read of a line locked by another core was granted")
+	}
+	d.Unlock(a, 0, 30)
+	check("unnesting a")
+	if ws := d.Unlock(a, 0, 31); len(ws) != 1 {
+		t.Errorf("unlocking a returned %d waiters, want the denied read", len(ws))
+	}
+	check("unlocking a")
+	d.Unlock(b, 2, 32)
+	check("unlocking b")
+	if d.lockHint[a%lockHints] != 0 || d.LockedLines() != 0 {
+		t.Errorf("hint %d and %d locked lines after every unlock", d.lockHint[a%lockHints], d.LockedLines())
+	}
+}

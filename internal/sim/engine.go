@@ -52,16 +52,25 @@ const (
 	evRMWLocked
 )
 
-// event is one scheduled step of one core. seq is the global schedule
-// order, which breaks ties between events of the same cycle.
-type event struct {
-	at, seq, arg uint64
-	core         int32
-	kind         evKind
+// slot is one scheduled step of one core as its calendar bucket holds it:
+// the bucket gives its cycle, and its place in the bucket its schedule
+// order. Sixteen bytes, so four share a cache line.
+type slot struct {
+	arg  uint64
+	core int32
+	kind evKind
 }
 
-// before orders events by cycle, then by schedule order.
-func (e event) before(o event) bool {
+// farEvent is a slot scheduled beyond the window, with the cycle and the
+// schedule order (seq, counted over far events only) that the heap
+// orders it by.
+type farEvent struct {
+	at, seq uint64
+	slot
+}
+
+// before orders far events by cycle, then by schedule order.
+func (e *farEvent) before(o *farEvent) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
@@ -78,17 +87,18 @@ const window = 1024
 // cycle that brings them in, hence before anything later is scheduled for
 // them -- so each bucket holds one cycle's events in schedule order.
 type calendar struct {
-	now, seq uint64
-	buckets  [][]event
+	now     uint64
+	buckets [][]slot
 	// pos is the next event of the current cycle's bucket; bucketed counts
 	// the events in all buckets that have not been popped.
 	pos      int
 	bucketed int
-	far      []event // binary min-heap by (at, seq)
+	far      []farEvent // binary min-heap by (at, seq)
+	farSeq   uint64     // the next far event's seq
 }
 
 func newCalendar() calendar {
-	return calendar{buckets: make([][]event, window)}
+	return calendar{buckets: make([][]slot, window)}
 }
 
 // push schedules an event. Scheduling before the current cycle is a
@@ -97,31 +107,31 @@ func (q *calendar) push(at uint64, kind evKind, core int, arg uint64) {
 	if at < q.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d before current cycle %d", at, q.now))
 	}
-	ev := event{at: at, seq: q.seq, arg: arg, core: int32(core), kind: kind}
-	q.seq++
+	s := slot{arg: arg, core: int32(core), kind: kind}
 	if at-q.now < window {
 		b := &q.buckets[at%window]
-		*b = append(*b, ev)
+		*b = append(*b, s)
 		q.bucketed++
 		return
 	}
-	q.pushFar(ev)
+	q.pushFar(farEvent{at: at, seq: q.farSeq, slot: s})
+	q.farSeq++
 }
 
-// pop removes and returns the next event, advancing the clock to its
-// cycle. ok is false when the queue is empty.
-func (q *calendar) pop() (ev event, ok bool) {
+// pop removes the next event and returns its cycle and slot, advancing
+// the clock to that cycle. ok is false when the queue is empty.
+func (q *calendar) pop() (at uint64, s slot, ok bool) {
 	for {
 		// The current bucket can grow while it is consumed: an event may
 		// schedule another at the current cycle.
-		b := &q.buckets[q.now%window]
-		if q.pos < len(*b) {
-			ev = (*b)[q.pos]
+		b := q.buckets[q.now%window]
+		if q.pos < len(b) {
+			s = b[q.pos]
 			q.pos++
 			q.bucketed--
-			return ev, true
+			return q.now, s, true
 		}
-		*b = (*b)[:0]
+		q.buckets[q.now%window] = b[:0]
 		q.pos = 0
 		switch {
 		case q.bucketed > 0:
@@ -132,24 +142,24 @@ func (q *calendar) pop() (ev event, ok bool) {
 		case len(q.far) > 0:
 			q.now = q.far[0].at
 		default:
-			return event{}, false
+			return 0, slot{}, false
 		}
 		for len(q.far) > 0 && q.far[0].at-q.now < window {
 			ev := q.popFar()
 			b := &q.buckets[ev.at%window]
-			*b = append(*b, ev)
+			*b = append(*b, ev.slot)
 			q.bucketed++
 		}
 	}
 }
 
 // pushFar and popFar maintain the heap of events beyond the window.
-func (q *calendar) pushFar(ev event) {
+func (q *calendar) pushFar(ev farEvent) {
 	q.far = append(q.far, ev)
 	h := q.far
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
+		if !h[i].before(&h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -157,7 +167,7 @@ func (q *calendar) pushFar(ev event) {
 	}
 }
 
-func (q *calendar) popFar() event {
+func (q *calendar) popFar() farEvent {
 	h := q.far
 	top := h[0]
 	n := len(h) - 1
@@ -165,10 +175,10 @@ func (q *calendar) popFar() event {
 	h = h[:n]
 	for i := 0; ; {
 		min, l, r := i, 2*i+1, 2*i+2
-		if l < n && h[l].before(h[min]) {
+		if l < n && h[l].before(&h[min]) {
 			min = l
 		}
-		if r < n && h[r].before(h[min]) {
+		if r < n && h[r].before(&h[min]) {
 			min = r
 		}
 		if min == i {
@@ -189,7 +199,14 @@ type engine struct {
 	dir   *directory.Directory
 	// rmwLines records every line an RMW has targeted.
 	rmwLines map[uint64]struct{}
+	// afterEvent, when set, runs after every event; tests arm it through
+	// eventHook to check invariants and to record event mixes.
+	afterEvent func(e *engine, at uint64, s slot)
 }
+
+// eventHook is copied into every new engine's afterEvent. It is nil
+// outside tests, so a run pays one nil check per event for it.
+var eventHook func(e *engine, at uint64, s slot)
 
 // run dispatches events in (cycle, schedule order) order until the queue
 // is empty or the next event lies beyond the cycle limit. It returns an
@@ -197,27 +214,30 @@ type engine struct {
 // livelocked.
 func (e *engine) run(limit uint64) error {
 	for {
-		ev, ok := e.q.pop()
+		at, s, ok := e.q.pop()
 		if !ok {
 			return nil
 		}
-		if ev.at > limit {
-			return fmt.Errorf("sim: cycle limit %d exceeded at cycle %d", limit, ev.at)
+		if at > limit {
+			return fmt.Errorf("sim: cycle limit %d exceeded at cycle %d", limit, at)
 		}
-		p := &e.procs[ev.core]
-		switch ev.kind {
+		p := &e.procs[s.core]
+		switch s.kind {
 		case evStep:
-			p.step(ev.at)
+			p.step(at)
 		case evEntryReady:
-			p.entryReady(ev.at, ev.arg)
+			p.entryReady(at, s.arg)
 		case evDrainRetry:
-			p.drainRetry(ev.at, ev.arg)
+			p.drainRetry(at, s.arg)
 		case evRMWDone:
-			p.rmwDone(ev.at)
+			p.rmwDone(at)
 		case evRMWLocked:
-			p.rmwLocked(ev.at)
+			p.rmwLocked(at)
 		default:
-			panic(fmt.Sprintf("sim: unknown event kind %d", ev.kind))
+			panic(fmt.Sprintf("sim: unknown event kind %d", s.kind))
+		}
+		if e.afterEvent != nil {
+			e.afterEvent(e, at, s)
 		}
 	}
 }

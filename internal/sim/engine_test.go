@@ -7,15 +7,22 @@ import (
 	"testing"
 )
 
+// popped is one event as pop returned it.
+type popped struct {
+	at uint64
+	slot
+}
+
 // drain pops every event of q, letting each popped event schedule more
 // through also, and returns the events in pop order.
-func drain(q *calendar, also func(ev event)) []event {
-	var out []event
+func drain(q *calendar, also func(ev popped)) []popped {
+	var out []popped
 	for {
-		ev, ok := q.pop()
+		at, s, ok := q.pop()
 		if !ok {
 			return out
 		}
+		ev := popped{at, s}
 		out = append(out, ev)
 		if also != nil {
 			also(ev)
@@ -35,7 +42,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	if q.now != 20 {
 		t.Errorf("now = %d, want 20", q.now)
 	}
-	if _, ok := q.pop(); ok {
+	if _, _, ok := q.pop(); ok {
 		t.Error("a drained queue must stay empty")
 	}
 }
@@ -55,7 +62,7 @@ func TestEngineTiesBreakByScheduleOrder(t *testing.T) {
 func TestEngineEventsCanScheduleMoreEvents(t *testing.T) {
 	q := newCalendar()
 	q.push(0, evStep, 0, 0)
-	got := drain(&q, func(ev event) {
+	got := drain(&q, func(ev popped) {
 		if ev.arg < 9 {
 			q.push(q.now+3, evStep, 0, ev.arg+1)
 		}
@@ -83,22 +90,24 @@ func TestCalendarOrderAcrossWindowBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	delays := []uint64{0, 1, 2, window - 1, window, window + 1, 2*window + 5, 300, 3 * window}
 	q := newCalendar()
-	var all []event
+	type scheduled struct{ at, seq uint64 }
+	var all []scheduled
 	push := func(at uint64) {
-		all = append(all, event{at: at, seq: q.seq})
-		q.push(at, evStep, 0, q.seq)
+		seq := uint64(len(all))
+		all = append(all, scheduled{at, seq})
+		q.push(at, evStep, 0, seq)
 	}
 	for i := 0; i < 20; i++ {
 		push(delays[rng.Intn(len(delays))])
 	}
-	got := drain(&q, func(ev event) {
+	got := drain(&q, func(ev popped) {
 		if len(all) < 20000 {
 			for n := rng.Intn(3); n > 0; n-- {
 				push(ev.at + delays[rng.Intn(len(delays))])
 			}
 		}
 	})
-	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j]) })
+	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
 	if len(got) != len(all) {
 		t.Fatalf("popped %d events, scheduled %d", len(got), len(all))
 	}

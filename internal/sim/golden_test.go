@@ -46,8 +46,8 @@ func goldenConfigs(base sim.Config) (names []string, cfgs []sim.Config) {
 
 // goldenSources returns the nine traces of the default plan (the seven
 // Table 3 profiles plus wsq-mst's read- and write-replacement variants)
-// at 8 cores and 32 iterations.
-func goldenSources(t *testing.T) []sim.TraceSource {
+// at the given core and iteration counts.
+func goldenSources(t *testing.T, cores, iterations int) []sim.TraceSource {
 	t.Helper()
 	type spec struct {
 		p       workload.Profile
@@ -62,8 +62,8 @@ func goldenSources(t *testing.T) []sim.TraceSource {
 		spec{workload.WSQProfile(), workload.WriteReplacement})
 	var out []sim.TraceSource
 	for _, s := range specs {
-		s.p.Iterations = 32
-		src, err := workload.Generator{Cores: 8, Seed: goldenSeed, Replacement: s.replace}.Source(s.p)
+		s.p.Iterations = iterations
+		src, err := workload.Generator{Cores: cores, Seed: goldenSeed, Replacement: s.replace}.Source(s.p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,8 @@ func resultJSON(t *testing.T, res *sim.Result) []byte {
 // resultsGolden renders the golden text: one line per grid run (name,
 // cycles, deadlock flag, error and the SHA-256 of the Result's JSON), then
 // one line per configuration of the seeded random traces (how many
-// deadlocked and the SHA-256 of all their results' JSON, concatenated).
+// deadlocked and the SHA-256 of all their results' JSON, concatenated),
+// then the grid lines again on four more machine shapes.
 func resultsGolden(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -135,28 +136,18 @@ func resultsGolden(t *testing.T) string {
 	b.WriteString("# avoidance x parallel drain.\n")
 	b.WriteString("# Regenerate with: go test ./internal/sim -run TestResultsGolden -update\n")
 
-	grid := sim.DefaultConfig().WithCores(8)
-	names, cfgs := goldenConfigs(grid)
-	for _, src := range goldenSources(t) {
-		for i, cfg := range cfgs {
-			name := src.Name() + "/" + names[i]
-			res, err := simulate(t, name, cfg, src)
-			errText := "-"
-			if err != nil {
-				errText = err.Error()
-			}
-			sum := sha256.Sum256(resultJSON(t, res))
-			fmt.Fprintf(&b, "%s cycles=%d deadlocked=%t err=%s sha256=%s\n",
-				name, res.Cycles, res.Deadlocked, errText, hex.EncodeToString(sum[:]))
-		}
-	}
+	// The grid and the random traces also check the simulator's invariants
+	// after every event.
+	disarm := sim.ArmInvariantChecks()
+	defer disarm()
+	writeGrid(t, &b, "", sim.DefaultConfig().WithCores(8), 32)
 
 	// The random traces run on a small machine with a tight cycle limit.
 	// Any of them may deadlock when avoidance is off, but none may panic
 	// or fail.
 	small := sim.DefaultConfig().WithCores(4)
 	small.MaxCycles = 10_000_000
-	names, cfgs = goldenConfigs(small)
+	names, cfgs := goldenConfigs(small)
 	hashes := make([]hash.Hash, len(cfgs))
 	deadlocks := make([]int, len(cfgs))
 	for i := range hashes {
@@ -179,14 +170,50 @@ func resultsGolden(t *testing.T) string {
 	for i, name := range names {
 		fmt.Fprintf(&b, "random/%s deadlocked=%d sha256=%s\n", name, deadlocks[i], hex.EncodeToString(hashes[i].Sum(nil)))
 	}
+
+	// The shapes run unchecked: recounting their larger line tables after
+	// every lock and unlock would take minutes.
+	disarm()
+	b.WriteString("# The default plan's traces at 16 iterations on the machine shapes the\n")
+	b.WriteString("# simulator's fast paths special-case: 32 cores (the sweep's), 6 cores (a\n")
+	b.WriteString("# 3x2 mesh, lines homed modulo 6), 72 cores (two sharer words), and 8 cores\n")
+	b.WriteString("# with a 12 KB 4-way L1 (48 sets, not a power of two, small enough to evict).\n")
+	for _, cores := range []int{32, 6, 72} {
+		writeGrid(t, &b, fmt.Sprintf("cores=%d/", cores), sim.DefaultConfig().WithCores(cores), 16)
+	}
+	smallL1 := sim.DefaultConfig().WithCores(8)
+	smallL1.L1SizeBytes = 12 * 1024
+	writeGrid(t, &b, "l1=12KB-4way/", smallL1, 16)
 	return b.String()
+}
+
+// writeGrid appends one golden line per default-plan trace and grid
+// configuration derived from base (name, cycles, deadlock flag, error and
+// the SHA-256 of the Result's JSON), each name behind prefix.
+func writeGrid(t *testing.T, b *strings.Builder, prefix string, base sim.Config, iterations int) {
+	t.Helper()
+	names, cfgs := goldenConfigs(base)
+	for _, src := range goldenSources(t, base.Cores, iterations) {
+		for i, cfg := range cfgs {
+			name := prefix + src.Name() + "/" + names[i]
+			res, err := simulate(t, name, cfg, src)
+			errText := "-"
+			if err != nil {
+				errText = err.Error()
+			}
+			sum := sha256.Sum256(resultJSON(t, res))
+			fmt.Fprintf(b, "%s cycles=%d deadlocked=%t err=%s sha256=%s\n",
+				name, res.Cycles, res.Deadlocked, errText, hex.EncodeToString(sum[:]))
+		}
+	}
 }
 
 // TestResultsGolden pins every field of the simulator's results on the
 // default plan's traces and on 1,500 seeded random traces to
 // testdata/results.golden, so a change to the event loop, the directory
 // or the write buffer cannot silently move a cycle count, a statistic or
-// a deadlock.
+// a deadlock. The grid and random runs also check the drain counters and
+// the lock counts after each event.
 func TestResultsGolden(t *testing.T) {
 	got := resultsGolden(t)
 	path := filepath.Join("testdata", "results.golden")

@@ -16,7 +16,14 @@ type Topology struct {
 	width, height int
 	linkLatency   uint64
 	routerLatency uint64
+	// at[i] is node i's (row, column), so that hop counts need no division.
+	at []place
+	// homeMask is nodes-1 when nodes is a power of two, and 0 otherwise.
+	homeMask uint64
 }
+
+// place is a node's row and column.
+type place struct{ row, col int32 }
 
 // New builds a mesh for the given number of nodes with the given per-link
 // and per-router latencies (in cycles). The mesh is as square as possible:
@@ -30,7 +37,15 @@ func New(nodes int, linkLatency, routerLatency uint64) *Topology {
 		w++
 	}
 	h := (nodes + w - 1) / w
-	return &Topology{nodes: nodes, width: w, height: h, linkLatency: linkLatency, routerLatency: routerLatency}
+	t := &Topology{nodes: nodes, width: w, height: h, linkLatency: linkLatency, routerLatency: routerLatency}
+	t.at = make([]place, nodes)
+	for i := range t.at {
+		t.at[i] = place{row: int32(i / w), col: int32(i % w)}
+	}
+	if nodes&(nodes-1) == 0 {
+		t.homeMask = uint64(nodes - 1)
+	}
+	return t
 }
 
 // Nodes returns the number of nodes.
@@ -45,7 +60,7 @@ func (t *Topology) Height() int { return t.height }
 // Coordinates returns the (row, column) of a node.
 func (t *Topology) Coordinates(node int) (row, col int) {
 	t.check(node)
-	return node / t.width, node % t.width
+	return int(t.at[node].row), int(t.at[node].col)
 }
 
 func (t *Topology) check(node int) {
@@ -54,11 +69,11 @@ func (t *Topology) check(node int) {
 	}
 }
 
-// Hops returns the Manhattan distance between two nodes.
+// Hops returns the Manhattan distance between two nodes. It panics when
+// either node is out of range.
 func (t *Topology) Hops(from, to int) int {
-	r1, c1 := t.Coordinates(from)
-	r2, c2 := t.Coordinates(to)
-	return abs(r1-r2) + abs(c1-c2)
+	a, b := t.at[from], t.at[to]
+	return abs(int(a.row-b.row)) + abs(int(a.col-b.col))
 }
 
 func abs(x int) int {
@@ -124,6 +139,9 @@ func (t *Topology) MultiCastLatency(from int, targets []int) uint64 {
 // Home returns the node owning the directory slice and L2 bank of a cache
 // line: lines are interleaved across nodes by line address.
 func (t *Topology) Home(line uint64) int {
+	if t.homeMask != 0 {
+		return int(line & t.homeMask)
+	}
 	return int(line % uint64(t.nodes))
 }
 

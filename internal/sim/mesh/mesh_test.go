@@ -159,3 +159,44 @@ func TestPropertyLatencySymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPlacesAndHomeMatchTheirFormulas checks the precomputed node places
+// against row i/width, column i%width for every node pair's hop count, and
+// Home's masking against the modulo, on meshes with and without a
+// power-of-two node count.
+func TestPlacesAndHomeMatchTheirFormulas(t *testing.T) {
+	for _, nodes := range []int{1, 6, 16, 32, 72} {
+		m := New(nodes, 1, 4)
+		w := m.Width()
+		for a := 0; a < nodes; a++ {
+			for b := 0; b < nodes; b++ {
+				want := abs(a/w-b/w) + abs(a%w-b%w)
+				if got := m.Hops(a, b); got != want {
+					t.Fatalf("%d nodes: Hops(%d, %d) = %d, want %d", nodes, a, b, got, want)
+				}
+				if got := m.Latency(a, b); got != uint64(want)*5+4 {
+					t.Fatalf("%d nodes: Latency(%d, %d) = %d, want %d", nodes, a, b, got, want*5+4)
+				}
+			}
+		}
+		for line := uint64(0); line < 4096; line += 7 {
+			if got, want := m.Home(line), int(line%uint64(nodes)); got != want {
+				t.Fatalf("%d nodes: Home(%#x) = %d, want %d", nodes, line, got, want)
+			}
+		}
+	}
+}
+
+func TestLatencyPanicsOutOfRange(t *testing.T) {
+	m := New(6, 1, 4)
+	for _, pair := range [][2]int{{0, 6}, {6, 0}, {-1, 2}, {2, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Latency(%d, %d) on 6 nodes did not panic", pair[0], pair[1])
+				}
+			}()
+			m.Latency(pair[0], pair[1])
+		}()
+	}
+}

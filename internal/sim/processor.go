@@ -97,6 +97,13 @@ type processor struct {
 	drainNext   drainCont
 	forcedDrain bool
 
+	// The drainer sends ownership requests in buffer order, and entries
+	// leave only from the head, so the entries whose request was sent
+	// always form a prefix of the buffer. issued is that prefix's length
+	// and pending counts its entries still waiting for ownership (in
+	// flight and not ready).
+	issued, pending int
+
 	done       bool
 	finishTime uint64
 }
@@ -226,21 +233,15 @@ func (p *processor) kickDrain(at uint64) {
 	if p.forcedDrain && p.cfg.ParallelDrain {
 		limit = p.wb.Len()
 	}
-	outstanding := 0
-	for i := 0; i < p.wb.Len() && outstanding < limit; i++ {
-		e := p.wb.At(i)
-		if e.InFlight && !e.Ready {
-			outstanding++
-			continue
-		}
-		if !e.InFlight {
-			// Send the entry's ownership request; the write completes when
-			// ownership arrives (evEntryReady), so the buffer's state only
-			// changes at the completion cycle.
-			e.InFlight = true
-			p.access(directory.Request{Core: p.id, Line: e.Line, Kind: directory.GetM, Start: at, Tag: tag(contEntry, e.ID)})
-			outstanding++
-		}
+	for p.pending < limit && p.issued < p.wb.Len() {
+		// Send the next entry's ownership request; the write completes
+		// when ownership arrives (evEntryReady), so the buffer's state
+		// only changes at the completion cycle.
+		e := p.wb.At(p.issued)
+		e.InFlight = true
+		p.issued++
+		p.pending++
+		p.access(directory.Request{Core: p.id, Line: e.Line, Kind: directory.GetM, Start: at, Tag: tag(contEntry, e.ID)})
 	}
 }
 
@@ -250,7 +251,10 @@ func (p *processor) kickDrain(at uint64) {
 // head.
 func (p *processor) entryReady(at uint64, id uint64) {
 	e := p.wb.Get(id)
-	e.Ready = true
+	if !e.Ready {
+		e.Ready = true
+		p.pending--
+	}
 	e.ReadyAt = at
 	p.drainReady(at)
 }
@@ -282,9 +286,11 @@ func (p *processor) drainReady(at uint64) {
 		}
 		if p.dir.WaitForUnlock(directory.Request{Core: p.id, Line: head.Line, Kind: directory.GetM, Tag: tag(contEntry, head.ID)}) {
 			head.Ready = false
+			p.pending++
 			return
 		}
 		w := p.wb.Pop()
+		p.issued--
 		if w.IsRMWWrite {
 			// Completing the write half of a weak RMW releases its line
 			// lock, letting denied coherence requests proceed.

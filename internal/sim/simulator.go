@@ -68,8 +68,9 @@ func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
 			Mem:       s.cfg.MemLatencyCycles,
 			LockRetry: s.cfg.LockRetryCycles,
 		}),
-		procs:    make([]processor, s.cfg.Cores),
-		rmwLines: map[uint64]struct{}{},
+		procs:      make([]processor, s.cfg.Cores),
+		rmwLines:   map[uint64]struct{}{},
+		afterEvent: eventHook,
 	}
 	addrs := bloom.NewAddrList(s.cfg.Cores, s.cfg.BloomFilterBits, s.cfg.BloomHashes, s.cfg.RMWResetThreshold)
 	for i := range e.procs {

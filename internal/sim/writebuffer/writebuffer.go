@@ -76,7 +76,7 @@ func (b *Buffer) Push(line uint64, isRMWWrite bool, at uint64) (*Entry, error) {
 		b.fullStalls++
 		return nil, fmt.Errorf("writebuffer: full (capacity %d)", len(b.ring))
 	}
-	e := &b.ring[(b.head+b.n)%len(b.ring)]
+	e := &b.ring[b.index(b.n)]
 	*e = Entry{ID: b.nextID, Line: line, IsRMWWrite: isRMWWrite, EnqueuedAt: at}
 	b.nextID++
 	b.n++
@@ -100,7 +100,15 @@ func (b *Buffer) At(i int) *Entry {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("writebuffer: index %d out of range [0, %d)", i, b.n))
 	}
-	return &b.ring[(b.head+i)%len(b.ring)]
+	return &b.ring[b.index(i)]
+}
+
+// index returns the ring index of the i-th oldest entry, 0 <= i <= n.
+func (b *Buffer) index(i int) int {
+	if i += b.head; i >= len(b.ring) {
+		i -= len(b.ring)
+	}
+	return i
 }
 
 // Get returns the pending write with the given push ID, or nil when that
@@ -120,7 +128,7 @@ func (b *Buffer) Pop() Entry {
 		panic("writebuffer: pop from an empty buffer")
 	}
 	e := b.ring[b.head]
-	b.head = (b.head + 1) % len(b.ring)
+	b.head = b.index(1)
 	b.n--
 	return e
 }
@@ -129,7 +137,7 @@ func (b *Buffer) Pop() Entry {
 // store-to-load forwarding.
 func (b *Buffer) Contains(line uint64) bool {
 	for i := 0; i < b.n; i++ {
-		if b.ring[(b.head+i)%len(b.ring)].Line == line {
+		if b.ring[b.index(i)].Line == line {
 			return true
 		}
 	}

@@ -87,7 +87,8 @@ func (s *Series) Add(label string, value float64) {
 
 // Chart renders a set of series that share labels as a grouped horizontal
 // bar chart in text, one block per label. Values are scaled so the longest
-// bar is width characters.
+// bar is width characters. A NaN value is a missing point: it prints as
+// "-" with no bar.
 func Chart(title string, width int, series ...Series) string {
 	if width <= 0 {
 		width = 50
@@ -122,6 +123,10 @@ func Chart(title string, width int, series ...Series) string {
 				continue
 			}
 			v := s.Values[i]
+			if math.IsNaN(v) {
+				fmt.Fprintf(&b, "  %-*s %8s\n", nameWidth, s.Name, "-")
+				continue
+			}
 			bar := 0
 			if max > 0 {
 				bar = int(v / max * float64(width))

@@ -2,6 +2,7 @@ package rmwtso_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -9,15 +10,17 @@ import (
 	"repro/pkg/rmwtso"
 )
 
-// fabricatedResults builds one syntactically valid UnitResult per plan
-// unit without running any simulation (Runs only validates identity and
-// result presence, not contents).
+// fabricatedResults builds one UnitResult per plan unit without running
+// any simulation: each result names its unit's trace, RMW type and core
+// count, which is all Runs checks of its contents.
 func fabricatedResults(plan *rmwtso.Plan) []rmwtso.UnitResult {
 	var out []rmwtso.UnitResult
 	for _, u := range plan.Units() {
+		r := &rmwtso.SimResult{Workload: u.Trace, RMWType: u.Type}
+		r.PerCore = slices.Grow(r.PerCore, u.Key.Cores)[:u.Key.Cores] // zeroed per-core stats
 		out = append(out, rmwtso.UnitResult{
 			Unit: u.ID, Trace: u.Trace, Type: u.Type, Seed: u.Seed,
-			Result: &rmwtso.SimResult{},
+			Result: r,
 		})
 	}
 	return out

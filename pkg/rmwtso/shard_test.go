@@ -104,6 +104,55 @@ func TestShardMergeDifferential(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsAnotherRunsResult merges a shard in which one unit
+// carries the result of another run -- another RMW type's, another
+// trace's, or one with its per-core statistics emptied -- and requires the
+// merge to fail and name that unit, as the coordinator's ack check does.
+func TestMergeRejectsAnotherRunsResult(t *testing.T) {
+	plan, err := rmwtso.DefaultPlan(shardOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := rmwtso.NewRunner().RunPlan(nil, plan, rmwtso.Shard{Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rmwtso.MergeShards(plan, full); err != nil {
+		t.Fatalf("clean merge failed: %v", err)
+	}
+	victim := full.Units[0]
+	var otherType, otherTrace *rmwtso.SimResult
+	for _, ur := range full.Units {
+		switch {
+		case ur.Trace == victim.Trace && ur.Type != victim.Type:
+			otherType = ur.Result
+		case ur.Trace != victim.Trace && ur.Type == victim.Type:
+			otherTrace = ur.Result
+		}
+	}
+	if otherType == nil || otherTrace == nil {
+		t.Fatal("the plan has no unit of another type or trace to borrow a result from")
+	}
+	noCores := *victim.Result
+	noCores.PerCore = nil
+	for name, r := range map[string]*rmwtso.SimResult{
+		"another type's run":  otherType,
+		"another trace's run": otherTrace,
+		"no per-core stats":   &noCores,
+	} {
+		forged := *full
+		forged.Units = append([]rmwtso.UnitResult(nil), full.Units...)
+		forged.Units[0].Result = r
+		_, err := rmwtso.MergeShards(plan, &forged)
+		if err == nil || !strings.Contains(err.Error(), string(victim.Unit)) {
+			t.Errorf("%s: merge returned %v, want an error naming unit %s", name, err, victim.Unit)
+		}
+		if _, err := plan.Runs(forged.Units); err == nil {
+			t.Errorf("%s: Runs accepted the forged unit", name)
+		}
+	}
+}
+
 // TestMergeFailsLoudly covers the merge error cases: a missing unit, a
 // duplicated unit, an artifact from a different plan, and a corrupted
 // artifact file.

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // SeedAggregate is the cross-seed statistics of one (benchmark, RMW type)
@@ -37,44 +39,61 @@ type SeedAggregate struct {
 // runs are grouped by (name, variant) — the name embeds the variant, and
 // BenchmarkRun.Seed disambiguates reruns of the same grid cell — and each
 // group with at least two distinct seeds contributes one aggregate per
-// RMW type it ran under. Groups measured under a single seed are dropped:
-// the result is nil (not empty) for a fully single-seed sweep, so the
-// report section is omitted rather than rendered hollow.
+// RMW type it ran under with two or more seeds. A group measured under a
+// single seed is dropped before any statistic is computed: the result is
+// nil (not empty) for a fully single-seed sweep, so the report section is
+// omitted rather than rendered hollow.
 func AggregateSeeds(runs []*BenchmarkRun) []SeedAggregate {
 	type groupKey struct {
 		name    string
-		variant string
+		variant workload.Replacement
 	}
+	var order []groupKey
+	groups := map[groupKey][]*BenchmarkRun{}
+	for _, run := range runs {
+		k := groupKey{run.Name, run.Variant}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], run)
+	}
+	var out []SeedAggregate
+	for _, k := range order {
+		if g := groups[k]; multiSeed(g) {
+			out = appendGroupAggregates(out, k.name, g)
+		}
+	}
+	return out
+}
+
+// multiSeed reports whether runs carry more than one distinct seed.
+func multiSeed(runs []*BenchmarkRun) bool {
+	return slices.ContainsFunc(runs, func(r *BenchmarkRun) bool { return r.Seed != runs[0].Seed })
+}
+
+// appendGroupAggregates appends the aggregates of one group's runs: one
+// per RMW type that ran under two or more distinct seeds, in the order
+// the group's runs first ran the types.
+func appendGroupAggregates(out []SeedAggregate, name string, runs []*BenchmarkRun) []SeedAggregate {
 	type cell struct {
 		seeds    []int64
 		cost     []float64
 		overhead []float64
 		cycles   []float64
 	}
-	type group struct {
-		types []core.AtomicityType
-		cells map[core.AtomicityType]*cell
-	}
-	var order []groupKey
-	groups := map[groupKey]*group{}
+	var types []core.AtomicityType
+	cells := map[core.AtomicityType]*cell{}
 	for _, run := range runs {
-		k := groupKey{run.Name, run.Variant.String()}
-		g := groups[k]
-		if g == nil {
-			g = &group{cells: map[core.AtomicityType]*cell{}}
-			groups[k] = g
-			order = append(order, k)
-		}
 		for _, typ := range core.AllTypes() {
 			res := run.ByType[typ]
 			if res == nil {
 				continue
 			}
-			c := g.cells[typ]
+			c := cells[typ]
 			if c == nil {
 				c = &cell{}
-				g.cells[typ] = c
-				g.types = append(g.types, typ)
+				cells[typ] = c
+				types = append(types, typ)
 			}
 			_, _, total := res.AvgRMWCost()
 			c.seeds = append(c.seeds, run.Seed)
@@ -83,21 +102,16 @@ func AggregateSeeds(runs []*BenchmarkRun) []SeedAggregate {
 			c.cycles = append(c.cycles, float64(res.Cycles))
 		}
 	}
-
-	var out []SeedAggregate
-	for _, k := range order {
-		g := groups[k]
-		for _, typ := range g.types {
-			c := g.cells[typ]
-			if len(distinctSeeds(c.seeds)) < 2 {
-				continue
-			}
-			a := SeedAggregate{Benchmark: k.name, Type: typ, Seeds: c.seeds}
-			a.MeanRMWCost, a.CI95RMWCost = stats.MeanCI95(c.cost)
-			a.MeanOverheadPct, a.CI95OverheadPct = stats.MeanCI95(c.overhead)
-			a.MeanCycles, a.CI95Cycles = stats.MeanCI95(c.cycles)
-			out = append(out, a)
+	for _, typ := range types {
+		c := cells[typ]
+		if len(distinctSeeds(c.seeds)) < 2 {
+			continue
 		}
+		a := SeedAggregate{Benchmark: name, Type: typ, Seeds: c.seeds}
+		a.MeanRMWCost, a.CI95RMWCost = stats.MeanCI95(c.cost)
+		a.MeanOverheadPct, a.CI95OverheadPct = stats.MeanCI95(c.overhead)
+		a.MeanCycles, a.CI95Cycles = stats.MeanCI95(c.cycles)
+		out = append(out, a)
 	}
 	return out
 }

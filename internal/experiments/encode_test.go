@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"math"
 	"strings"
 	"testing"
 
@@ -150,6 +151,40 @@ func TestFig11MissingTypePrintsAbsent(t *testing.T) {
 					t.Errorf("CSV %s row %s field %d = %q, absent %t", sec.name, rec[0], i+1, cell, want)
 				}
 			}
+		}
+	}
+}
+
+// TestSummarizeSkipsMissingTypes checks that the headline summary
+// compares only types a benchmark ran: the benchmark without type-2 adds
+// no type-2 cost reduction and no type-2 speedup (reading its absent
+// cost and cycles as zero would claim 100% for both), and the one without
+// type-1 adds nothing at all.
+func TestSummarizeSkipsMissingTypes(t *testing.T) {
+	r := missingTypeReport()
+	got := Summarize(r.Fig11a, r.Fig11b)
+	// Totals against type-1's 30 cycles: "all" 35 and 25, "no-t2" -
+	// and 25, "no-t3" 23 and -; cycles against 1000: 990 and 980.
+	want := Summary{
+		Type2CostReductionMin: -100.0 / 6, Type2CostReductionMax: 700.0 / 30,
+		Type3CostReductionMin: 100.0 / 6, Type3CostReductionMax: 100.0 / 6,
+		MaxSpeedupType2: 1, MaxSpeedupType3: 2,
+		AvgType1DrainShare: 100.0 / 3,
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"type-2 reduction min", got.Type2CostReductionMin, want.Type2CostReductionMin},
+		{"type-2 reduction max", got.Type2CostReductionMax, want.Type2CostReductionMax},
+		{"type-3 reduction min", got.Type3CostReductionMin, want.Type3CostReductionMin},
+		{"type-3 reduction max", got.Type3CostReductionMax, want.Type3CostReductionMax},
+		{"type-2 speedup", got.MaxSpeedupType2, want.MaxSpeedupType2},
+		{"type-3 speedup", got.MaxSpeedupType3, want.MaxSpeedupType3},
+		{"type-1 drain share", got.AvgType1DrainShare, want.AvgType1DrainShare},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
 }

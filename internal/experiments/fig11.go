@@ -118,64 +118,63 @@ type Summary struct {
 	AvgType1DrainShare    float64 `json:"avg_type1_drain_share"`
 }
 
-// Summarize derives the headline numbers from the Fig. 11 data.
+// Summarize derives the headline numbers from the Fig. 11 data. Each
+// range and maximum covers only the benchmarks that ran both types it
+// compares (and, for a cost reduction, completed RMWs under both): a type
+// a benchmark did not run contributes nothing, rather than a cost or an
+// execution time of zero. A range no benchmark contributes to is zero.
 func Summarize(a []Fig11aEntry, b []Fig11bEntry) Summary {
-	s := Summary{
-		Type2CostReductionMin: 100,
-		Type3CostReductionMin: 100,
-	}
+	var r2, r3, s2, s3 extent
 	var drainShareSum float64
 	var drainShareCount int
-	var min2Seen, min3Seen bool
 	for _, e := range a {
 		t1 := e.Total(core.Type1)
 		if t1 <= 0 {
 			continue
 		}
-		r2 := stats.PercentReduction(t1, e.Total(core.Type2))
-		min2Seen = true
-		if r2 < s.Type2CostReductionMin {
-			s.Type2CostReductionMin = r2
+		if e.ran(core.Type2) && e.Total(core.Type2) > 0 {
+			r2.add(stats.PercentReduction(t1, e.Total(core.Type2)))
 		}
-		if r2 > s.Type2CostReductionMax {
-			s.Type2CostReductionMax = r2
-		}
-		if t3, ok := e.RaWa[core.Type3]; ok && t3+e.WriteBuffer[core.Type3] > 0 {
-			r3 := stats.PercentReduction(t1, e.Total(core.Type3))
-			min3Seen = true
-			if r3 < s.Type3CostReductionMin {
-				s.Type3CostReductionMin = r3
-			}
-			if r3 > s.Type3CostReductionMax {
-				s.Type3CostReductionMax = r3
-			}
+		if e.ran(core.Type3) && e.Total(core.Type3) > 0 {
+			r3.add(stats.PercentReduction(t1, e.Total(core.Type3)))
 		}
 		drainShareSum += 100 * e.WriteBuffer[core.Type1] / t1
 		drainShareCount++
 	}
-	// With no contributing entries (an empty or fully dead-lettered
-	// partial report) the sentinel minima would render as a bogus
-	// "100.0%..0.0%" range; a zero-value summary is the honest rendering.
-	if !min2Seen {
-		s.Type2CostReductionMin = 0
+	for _, e := range b {
+		if e.hasSpeedup(core.Type2) {
+			s2.add(e.Speedup(core.Type2))
+		}
+		if e.hasSpeedup(core.Type3) {
+			s3.add(e.Speedup(core.Type3))
+		}
 	}
-	if !min3Seen {
-		s.Type3CostReductionMin = 0
+	s := Summary{
+		Type2CostReductionMin: r2.lo, Type2CostReductionMax: r2.hi,
+		Type3CostReductionMin: r3.lo, Type3CostReductionMax: r3.hi,
+		MaxSpeedupType2: s2.hi, MaxSpeedupType3: s3.hi,
 	}
 	if drainShareCount > 0 {
 		s.AvgType1DrainShare = drainShareSum / float64(drainShareCount)
 	}
-	for _, e := range b {
-		if v := e.Speedup(core.Type2); v > s.MaxSpeedupType2 {
-			s.MaxSpeedupType2 = v
-		}
-		if _, ok := e.Cycles[core.Type3]; ok {
-			if v := e.Speedup(core.Type3); v > s.MaxSpeedupType3 {
-				s.MaxSpeedupType3 = v
-			}
-		}
-	}
 	return s
+}
+
+// extent is the smallest and largest of the values added so far, both
+// zero before the first.
+type extent struct {
+	lo, hi float64
+	seen   bool
+}
+
+func (x *extent) add(v float64) {
+	if !x.seen || v < x.lo {
+		x.lo = v
+	}
+	if !x.seen || v > x.hi {
+		x.hi = v
+	}
+	x.seen = true
 }
 
 // Render renders the summary alongside the paper's headline numbers.

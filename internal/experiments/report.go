@@ -102,9 +102,8 @@ func BuildReport(o Options, runs []*BenchmarkRun) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	seedStats := AggregateSeeds(runs)
 	baseRuns := runs
-	if len(seedStats) > 0 {
+	if multiSeed(runs) {
 		baseRuns = nil
 		for _, run := range runs {
 			if run.Seed == o.Seed {
@@ -133,7 +132,7 @@ func BuildReport(o Options, runs []*BenchmarkRun) (*Report, error) {
 		Fig11a:        figA,
 		Fig11b:        figB,
 		Summary:       Summarize(figA, figB),
-		SeedStats:     seedStats,
+		SeedStats:     AggregateSeeds(runs),
 	}, nil
 }
 

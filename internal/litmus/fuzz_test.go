@@ -3,6 +3,8 @@ package litmus
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/memmodel/memmodeltest"
 )
 
 // FuzzParse feeds arbitrary text to the litmus parser. The parser must
@@ -66,12 +68,20 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// TestFormatIsParseFixedPoint pins the fixed-point property on the
-// registry without fuzzing, so a plain `go test` also covers it — in
-// particular for programs whose locations are not numbered in appearance
-// order, which Format canonicalizes.
+// TestFormatIsParseFixedPoint pins the fixed-point property without
+// fuzzing, so a plain `go test` also covers it: on the registry — in
+// particular on programs whose locations are not numbered in appearance
+// order, which Format canonicalizes — and on 400 generated programs of
+// two seeds, each wrapped with an exists condition as the generated
+// verdict benchmark wraps them. A failure is a Format or Parse bug.
 func TestFormatIsParseFixedPoint(t *testing.T) {
-	for _, tst := range AllTests() {
+	tests := AllTests()
+	for _, seed := range []int64{23, 7} {
+		for _, p := range memmodeltest.Programs(seed, 200, 20_000) {
+			tests = append(tests, &Test{Name: p.Name, Program: p, Cond: ExistsCond(MemTerm(p.Addrs()[0], 1))})
+		}
+	}
+	for _, tst := range tests {
 		first := Format(tst)
 		reparsed, err := Parse(first)
 		if err != nil {

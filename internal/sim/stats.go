@@ -67,8 +67,8 @@ type Result struct {
 // TotalRMWs returns the number of dynamic RMWs.
 func (r *Result) TotalRMWs() uint64 {
 	var n uint64
-	for _, c := range r.PerCore {
-		n += c.RMWs
+	for i := range r.PerCore {
+		n += r.PerCore[i].RMWs
 	}
 	return n
 }
@@ -76,7 +76,8 @@ func (r *Result) TotalRMWs() uint64 {
 // TotalMemOps returns the number of dynamic memory operations.
 func (r *Result) TotalMemOps() uint64 {
 	var n uint64
-	for _, c := range r.PerCore {
+	for i := range r.PerCore {
+		c := &r.PerCore[i]
 		n += c.Reads + c.Writes + c.RMWs
 	}
 	return n
@@ -86,7 +87,8 @@ func (r *Result) TotalMemOps() uint64 {
 // components. All-zero components are returned when no RMW completed.
 func (r *Result) AvgRMWCost() (writeBuffer, raWa, total float64) {
 	var wb, rw, n uint64
-	for _, c := range r.PerCore {
+	for i := range r.PerCore {
+		c := &r.PerCore[i]
 		wb += c.RMWWriteBufferCycles
 		rw += c.RMWRaWaCycles
 		n += c.RMWsCompleted
@@ -124,8 +126,8 @@ func (r *Result) RevertPercent() float64 {
 		return 0
 	}
 	var reverts uint64
-	for _, c := range r.PerCore {
-		reverts += c.RMWReverts
+	for i := range r.PerCore {
+		reverts += r.PerCore[i].RMWReverts
 	}
 	return 100 * float64(reverts) / float64(rmws)
 }
@@ -150,7 +152,8 @@ func (r *Result) RMWOverheadPercent() float64 {
 	}
 	var rmwCycles uint64
 	active := 0
-	for _, c := range r.PerCore {
+	for i := range r.PerCore {
+		c := &r.PerCore[i]
 		if c.Reads+c.Writes+c.RMWs+c.Computes == 0 {
 			continue
 		}

@@ -74,25 +74,26 @@ func encodeEntry(canonical []byte, r *sim.Result) []byte {
 
 // decodeEntry verifies an entry read from disk against the canonical
 // serialization of the key that addressed it (magic line, key, payload
-// checksum) and decodes its payload.
+// checksum) and decodes its payload. The result shares no memory with
+// data, so the caller may reuse data's buffer at once.
 func decodeEntry(data, canonical []byte) (*sim.Result, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(entryMagic))
 	if !ok {
 		return nil, fmt.Errorf("simcache: entry does not start with %q", entryMagic)
 	}
-	d := decoder{b: rest}
-	key := d.bytes(d.uvarint())
-	sum := d.bytes(sha256.Size)
-	if d.err != nil {
-		return nil, fmt.Errorf("simcache: short entry header: %w", d.err)
+	n, i := uvarint(rest, 0)
+	if i < 0 || n > uint64(len(rest)-i) || len(rest)-i-int(n) < sha256.Size {
+		return nil, fmt.Errorf("simcache: short entry header: %w", errMalformed)
 	}
+	key, rest := rest[i:i+int(n)], rest[i+int(n):]
 	if !bytes.Equal(key, canonical) {
 		return nil, errors.New("simcache: entry key mismatch (corrupt or colliding entry)")
 	}
-	if got := sha256.Sum256(d.b); !bytes.Equal(got[:], sum) {
+	sum, payload := rest[:sha256.Size], rest[sha256.Size:]
+	if got := sha256.Sum256(payload); !bytes.Equal(got[:], sum) {
 		return nil, errors.New("simcache: payload checksum mismatch")
 	}
-	return decodeResult(d.b)
+	return decodeResult(payload)
 }
 
 // appendResult appends the payload encoding of r to b.
@@ -119,36 +120,61 @@ func appendResult(b []byte, r *sim.Result) []byte {
 	return binary.AppendUvarint(b, r.DirectoryLockDenials)
 }
 
-// decodeResult decodes a payload written by appendResult. An empty
-// PerCore decodes as nil.
-func decodeResult(payload []byte) (*sim.Result, error) {
-	d := decoder{b: payload}
+// decodeResult decodes a payload written by appendResult, walking it by
+// index. An empty PerCore decodes as nil. Any short, overflowing or
+// non-minimal varint, a bool other than 0 or 1, and any trailing byte
+// reject the payload with errMalformed.
+func decodeResult(p []byte) (*sim.Result, error) {
 	r := &sim.Result{}
-	r.Workload = string(d.bytes(d.uvarint()))
-	r.RMWType = core.AtomicityType(d.int())
-	r.Cycles = d.uvarint()
-	if n := d.uvarint(); n > 0 {
-		if n > uint64(len(d.b))/coreStatsFields {
-			return nil, fmt.Errorf("%w: %d cores in %d bytes", errMalformed, n, len(d.b))
+	n, i := uvarint(p, 0)
+	if i < 0 || n > uint64(len(p)-i) {
+		return nil, errMalformed
+	}
+	r.Workload = string(p[i : i+int(n)])
+	i += int(n)
+	typ, i := intAt(p, i)
+	if i < 0 {
+		return nil, errMalformed
+	}
+	r.RMWType = core.AtomicityType(typ)
+	if r.Cycles, i = uvarint(p, i); i < 0 {
+		return nil, errMalformed
+	}
+	if n, i = uvarint(p, i); i < 0 {
+		return nil, errMalformed
+	}
+	if n > 0 {
+		if n > uint64(len(p)-i)/coreStatsFields {
+			return nil, fmt.Errorf("%w: %d cores in %d bytes", errMalformed, n, len(p)-i)
 		}
 		r.PerCore = make([]sim.CoreStats, n)
-		for i := range r.PerCore {
-			c := &r.PerCore[i]
-			c.Core = d.int()
-			for _, f := range coreCounters(c) {
-				*f = d.uvarint()
+		for c := range r.PerCore {
+			cs := &r.PerCore[c]
+			if cs.Core, i = intAt(p, i); i < 0 {
+				return nil, errMalformed
+			}
+			for _, f := range coreCounters(cs) {
+				if *f, i = uvarint(p, i); i < 0 {
+					return nil, errMalformed
+				}
 			}
 		}
 	}
-	r.Broadcasts = d.uvarint()
-	r.UniqueRMWs = d.int()
-	r.Deadlocked = d.bool()
-	r.DirectoryLockDenials = d.uvarint()
-	if d.err == nil && len(d.b) > 0 {
-		d.err = fmt.Errorf("%w: %d trailing bytes", errMalformed, len(d.b))
+	if r.Broadcasts, i = uvarint(p, i); i < 0 {
+		return nil, errMalformed
 	}
-	if d.err != nil {
-		return nil, d.err
+	if r.UniqueRMWs, i = intAt(p, i); i < 0 {
+		return nil, errMalformed
+	}
+	if i >= len(p) || p[i] > 1 {
+		return nil, errMalformed
+	}
+	r.Deadlocked = p[i] == 1
+	if r.DirectoryLockDenials, i = uvarint(p, i+1); i < 0 {
+		return nil, errMalformed
+	}
+	if i < len(p) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errMalformed, len(p)-i)
 	}
 	return r, nil
 }
@@ -157,67 +183,40 @@ func decodeResult(payload []byte) (*sim.Result, error) {
 // is not the minimal encoding of its values.
 var errMalformed = errors.New("simcache: malformed entry")
 
-// decoder reads an entry front to back. The first bad read sets err, and
-// every later read returns a zero value, so a caller checks err once.
-type decoder struct {
-	b   []byte
-	err error
+// uvarint decodes the minimal uvarint at p[i:] and returns it with the
+// index just past it. A varint cut off at the end of p, one longer than
+// ten bytes or above 2^64-1, and one with a zero last byte after its
+// first (not minimal) return a negative index.
+func uvarint(p []byte, i int) (uint64, int) {
+	var v uint64
+	for s := uint(0); i < len(p); s += 7 {
+		c := p[i]
+		i++
+		if c < 0x80 {
+			// The tenth byte holds only bit 63.
+			if s == 63 && c > 1 || s > 0 && c == 0 {
+				return 0, -1
+			}
+			return v | uint64(c)<<s, i
+		}
+		if s == 63 {
+			return 0, -1
+		}
+		v |= uint64(c&0x7f) << s
+	}
+	return 0, -1
 }
 
-// uvarint reads a minimal uvarint.
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	// n <= 0 is a short or overflowing varint; a zero last byte after the
-	// first is a non-minimal one.
-	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
-		d.err = errMalformed
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// int reads a zig-zag varint that fits an int.
-func (d *decoder) int() int {
-	u := d.uvarint()
+// intAt decodes the zig-zag varint at p[i:], which must fit an int, and
+// returns it with the index just past it (negative on failure).
+func intAt(p []byte, i int) (int, int) {
+	u, i := uvarint(p, i)
 	v := int64(u >> 1)
 	if u&1 != 0 {
 		v = ^v
 	}
 	if int64(int(v)) != v {
-		d.err = errMalformed
-		return 0
+		return 0, -1
 	}
-	return int(v)
-}
-
-// bytes reads the next n bytes, failing when fewer remain. The result
-// aliases the entry.
-func (d *decoder) bytes(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.err = errMalformed
-		return nil
-	}
-	out := d.b[:n:n]
-	d.b = d.b[n:]
-	return out
-}
-
-// bool reads one byte that must be 0 or 1.
-func (d *decoder) bool() bool {
-	b := d.bytes(1)
-	if d.err != nil {
-		return false
-	}
-	if b[0] > 1 {
-		d.err = errMalformed
-		return false
-	}
-	return b[0] == 1
+	return int(v), i
 }

@@ -21,29 +21,11 @@
 //	experiments -quick -merge -format ascii s0.json s1.json s2.json
 //	                                            merge shard artifacts into the full report
 //
-// HTTP fleets (a pull queue instead of a static split, for workers that
-// can die):
-//
-//	experiments -quick -serve-coordinator :7077      serve the plan's units to HTTP workers,
-//	                                                 emit the report when the fleet drains it
-//	experiments -quick -worker http://host:7077      pull and simulate units until drained
-//
-// The coordinator hands out one unit at a time under heartbeat-kept
-// leases: a crashed worker's lease expires and its unit is requeued, a
-// repeatedly failing unit is retried with backoff and then dead-lettered,
-// and a completed fleet sweep's result tables are byte-identical to an
-// unsharded run's. Workers rebuild the identical plan from the same
-// flags; the plan-fingerprint handshake refuses a mismatched worker.
-// -lease-ttl and -max-attempts tune the lease state machine;
-// -worker-name names a worker and -crash-after kills it mid-lease for
-// crash drills.
-//
-// Every run that executes units — a sweep, -shard or -worker — takes
-// -fail-unit, which makes the listed units fail every execution. In one
-// process a failing unit is dead-lettered after its one attempt (units
-// are deterministic, so a retry would fail again) and the other units
-// still run: the report gains a dead-letter section and the exit status
-// is 1.
+// Every run that executes units — a sweep or -shard — takes -fail-unit,
+// which makes the listed units fail every execution. A failing unit is
+// dead-lettered after its one attempt (units are deterministic, so a
+// retry would fail again) and the other units still run: the report
+// gains a dead-letter section and the exit status is 1.
 //
 // The sweep is a deterministic plan of content-addressed units (one
 // benchmark × RMW type × seed simulation each), so any process that
@@ -51,8 +33,10 @@
 // shard i/n on any machine, ship the JSON artifact back, and -merge
 // reconstructs a report byte-identical to an unsharded run — it fails
 // loudly if a unit is missing, duplicated, from a different plan, or if
-// an artifact is corrupt. -format selects the report encoding (ascii
-// tables, one JSON document, or multi-section CSV for dashboards).
+// an artifact is corrupt. A lost shard is recovered by rerunning its own
+// -shard i/n -out and merging again. -format selects the report
+// encoding (ascii tables, one JSON document, or multi-section CSV for
+// dashboards).
 //
 // The semantics experiments (Tables 1 and 4) are exact model-checking
 // results and always match the paper. The simulation experiments (Table 3,
@@ -73,17 +57,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strings"
-	"sync/atomic"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/cliflags"
 	"repro/pkg/rmwtso"
@@ -107,14 +86,7 @@ func main() {
 		merge    = flag.Bool("merge", false, "merge the shard artifact files given as arguments into the full report")
 		format   = flag.String("format", "", "emit the full report in this format: ascii, json or csv")
 		listU    = flag.Bool("list-units", false, "print the sweep plan (unit IDs, traces, types, seeds) and exit")
-
-		serveArg   = flag.String("serve-coordinator", "", "serve the sweep's units to HTTP workers on this address (host:port), emit the report once drained")
-		workerArg  = flag.String("worker", "", "pull and simulate units from the coordinator at this URL (http://host:port) until drained")
-		workerName = flag.String("worker-name", "", "name this worker reports to the coordinator (default worker-<host>-<pid>)")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "HTTP fleet: lease time-to-live before a silent worker's unit is requeued (default 15s)")
-		maxAtt     = flag.Int("max-attempts", 0, "HTTP fleet: attempts per unit before it is dead-lettered (default 3)")
-		failUnit   = flag.String("fail-unit", "", "fault injection: comma-separated unit IDs that fail every execution")
-		crashAfter = flag.Int("crash-after", -1, "fault injection: crash the -worker after executing this many units")
+		failUnit = flag.String("fail-unit", "", "fault injection: comma-separated unit IDs that fail every execution")
 	)
 	cacheFlags := cliflags.RegisterCache(flag.CommandLine)
 	flag.Parse()
@@ -145,32 +117,8 @@ func main() {
 		fatalUsage(err)
 	}
 
-	// The fleet roles are mutually exclusive, and the lease and crash
-	// flags belong to them.
-	if *serveArg != "" && *workerArg != "" {
-		fatalUsage(fmt.Errorf("-serve-coordinator and -worker are mutually exclusive roles"))
-	}
-	if err := cliflags.PositiveDurationIfSet(fs, "lease-ttl", *leaseTTL); err != nil {
-		fatalUsage(err)
-	}
-	if err := cliflags.PositiveIntIfSet(fs, "max-attempts", *maxAtt); err != nil {
-		fatalUsage(err)
-	}
-	fleet := *serveArg != "" || *workerArg != ""
-	if !fleet && (cliflags.WasSet(fs, "lease-ttl") || cliflags.WasSet(fs, "max-attempts")) {
-		fatalUsage(fmt.Errorf("-lease-ttl/-max-attempts only apply to HTTP fleets (-serve-coordinator or -worker)"))
-	}
-	if *workerArg == "" && (*crashAfter >= 0 || *workerName != "") {
-		fatalUsage(fmt.Errorf("-crash-after/-worker-name only apply with -worker"))
-	}
-	if *failUnit != "" && (*serveArg != "" || *listU || *merge) {
-		fatalUsage(fmt.Errorf("faults are injected where units execute; -fail-unit applies to a sweep, -shard or -worker, not to -serve-coordinator/-list-units/-merge"))
-	}
-	if *workerArg != "" && (*listU || *merge || *shardArg != "" || *format != "" || *outPath != "") {
-		fatalUsage(fmt.Errorf("-worker pulls units from its coordinator and emits nothing; it cannot combine with -list-units/-shard/-merge/-format/-out"))
-	}
-	if *serveArg != "" && (*listU || *merge || *shardArg != "") {
-		fatalUsage(fmt.Errorf("-serve-coordinator coordinates the whole plan and emits the full report; it cannot combine with -list-units/-shard/-merge"))
+	if *failUnit != "" && (*listU || *merge) {
+		fatalUsage(fmt.Errorf("faults are injected where units execute; -fail-unit applies to a sweep or -shard, not to -list-units/-merge"))
 	}
 
 	opts := rmwtso.DefaultOptions()
@@ -193,23 +141,21 @@ func main() {
 	// The seed list of the sweep: the base seed alone, or -seeds
 	// consecutive seeds starting at it. Every mode (plan pipeline and
 	// table modes) derives its plan from this one list, so the plan
-	// fingerprints of a multi-seed fleet agree.
+	// fingerprints of a multi-seed sharded sweep agree.
 	seedList := []int64{opts.Seed}
 	for s := int64(1); s < int64(*seeds); s++ {
 		seedList = append(seedList, opts.Seed+s)
 	}
 
-	// Every Runner of the process injects the same faults, and both
-	// fleet roles use the same lease configuration.
+	// Every Runner of the process injects the same faults.
 	var faultOpts []rmwtso.Option
-	if faults := buildFaultInjector(*failUnit, *crashAfter); faults != nil {
+	if faults := buildFaultInjector(*failUnit); faults != nil {
 		faultOpts = append(faultOpts, rmwtso.WithFaultInjector(faults))
 	}
-	coordCfg := rmwtso.CoordinationConfig{LeaseTTL: *leaseTTL, MaxAttempts: *maxAtt}
 
 	// The plan pipeline: every mode below agrees on unit identities
 	// because each rebuilds the same deterministic plan from the flags.
-	planMode := *listU || *shardArg != "" || *merge || *format != "" || fleet
+	planMode := *listU || *shardArg != "" || *merge || *format != ""
 	if *outPath != "" && *shardArg == "" {
 		fatalUsage(fmt.Errorf("-out only applies with -shard"))
 	}
@@ -226,43 +172,6 @@ func main() {
 		switch {
 		case *listU:
 			listUnits(plan)
-			return
-
-		case *workerArg != "":
-			name := *workerName
-			if name == "" {
-				host, _ := os.Hostname()
-				if host == "" {
-					host = "local"
-				}
-				name = fmt.Sprintf("worker-%s-%d", host, os.Getpid())
-			}
-			err := newRunner(*par, cache, *progress, faultOpts...).RunPlanWorker(nil, plan, *workerArg, name, coordCfg)
-			if errors.Is(err, rmwtso.ErrInjectedCrash) {
-				fmt.Fprintf(os.Stderr, "experiments: worker %s: injected crash (-crash-after %d); lease left to expire\n", name, *crashAfter)
-				os.Exit(3)
-			}
-			check(err)
-			fmt.Fprintf(os.Stderr, "experiments: worker %s: queue drained\n", name)
-			reportCache(cache)
-			return
-
-		case *serveArg != "":
-			srv, err := newRunner(*par, cache, *progress).NewCoordServer(plan, rmwtso.FullShard(), coordCfg, nil)
-			check(err)
-			ln, err := net.Listen("tcp", *serveArg)
-			check(err)
-			hs := &http.Server{Handler: srv.Handler()}
-			go func() { _ = hs.Serve(ln) }()
-			fmt.Fprintf(os.Stderr, "experiments: coordinating %d units on %s (plan %s)\n",
-				plan.Len(), ln.Addr(), plan.Fingerprint())
-			res, err := srv.Wait(context.Background())
-			// Linger past the workers' poll interval so every worker sees
-			// the drained queue and exits cleanly before the server does.
-			time.Sleep(1500 * time.Millisecond)
-			_ = hs.Close()
-			emitCoordinated(opts, plan, res, err, *format)
-			reportCache(cache)
 			return
 
 		case *shardArg != "":
@@ -310,7 +219,7 @@ func main() {
 
 		default: // -format without -shard/-merge: unsharded full report.
 			res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, rmwtso.FullShard())
-			emitCoordinated(opts, plan, res, err, *format)
+			emitSweep(opts, plan, res, err, *format)
 			reportCache(cache)
 			return
 		}
@@ -386,8 +295,7 @@ func main() {
 	reportCache(cache)
 }
 
-// newRunner builds the sweep Runner shared by the table, plan and fleet
-// modes.
+// newRunner builds the sweep Runner shared by the table and plan modes.
 func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Option) *rmwtso.Runner {
 	runnerOpts := []rmwtso.Option{}
 	if par > 0 {
@@ -411,9 +319,6 @@ func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Opti
 				if e.Coord.Unit != "" {
 					line += " " + string(e.Coord.Unit)
 				}
-				if e.Coord.Worker != "" {
-					line += " worker=" + e.Coord.Worker
-				}
 				if e.Coord.Attempt > 0 {
 					line += fmt.Sprintf(" attempt=%d", e.Coord.Attempt)
 				}
@@ -427,37 +332,31 @@ func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Opti
 	return rmwtso.NewRunner(append(runnerOpts, extra...)...)
 }
 
-// buildFaultInjector compiles the -fail-unit/-crash-after flags into a
-// FaultInjector (nil when neither is set). -crash-after counts the
-// executions of the process's one -worker.
-func buildFaultInjector(failUnits string, crashAfter int) rmwtso.FaultInjector {
+// buildFaultInjector compiles the -fail-unit flag into a FaultInjector
+// (nil when it names no unit). A poisoned unit fails its one attempt.
+func buildFaultInjector(failUnits string) rmwtso.FaultInjector {
 	poisoned := map[rmwtso.UnitID]bool{}
 	for _, id := range strings.Split(failUnits, ",") {
 		if id = strings.TrimSpace(id); id != "" {
 			poisoned[rmwtso.UnitID(id)] = true
 		}
 	}
-	if len(poisoned) == 0 && crashAfter < 0 {
+	if len(poisoned) == 0 {
 		return nil
 	}
-	var executions atomic.Int64
-	return func(_ string, u rmwtso.Unit, attempt int) error {
+	return func(u rmwtso.Unit) error {
 		if poisoned[u.ID] {
-			return fmt.Errorf("injected permanent failure (-fail-unit, attempt %d)", attempt)
-		}
-		if crashAfter >= 0 && executions.Add(1) > int64(crashAfter) {
-			return rmwtso.ErrInjectedCrash
+			return errors.New("injected permanent failure (-fail-unit, attempt 1)")
 		}
 		return nil
 	}
 }
 
-// emitCoordinated finishes a full sweep: a clean result emits the full
-// report (with a fleet's coordination section attached), while
-// dead-lettered units emit the partial report — complete trace groups
-// plus the dead-letter section — and exit 1 so CI cannot mistake the
-// sweep for a healthy one.
-func emitCoordinated(opts rmwtso.Options, plan *rmwtso.Plan, res *rmwtso.ShardResult, err error, format string) {
+// emitSweep finishes a full sweep: a clean result emits the full report,
+// while dead-lettered units emit the partial report — complete trace
+// groups plus the dead-letter section — and exit 1 so CI cannot mistake
+// the sweep for a healthy one.
+func emitSweep(opts rmwtso.Options, plan *rmwtso.Plan, res *rmwtso.ShardResult, err error, format string) {
 	var dle *rmwtso.DeadLetterError
 	if errors.As(err, &dle) {
 		partial := dle.Partial
@@ -471,11 +370,11 @@ func emitCoordinated(opts rmwtso.Options, plan *rmwtso.Plan, res *rmwtso.ShardRe
 	check(err)
 	runs, err := plan.Runs(res.Units)
 	check(err)
-	emitReport(opts, runs, format, res.Coordination)
+	emitReport(opts, runs, format, nil)
 }
 
 // listUnits prints the plan as a fixed-width listing so operators can
-// audit shard boundaries before launching a fleet.
+// audit shard boundaries before launching the shards.
 func listUnits(plan *rmwtso.Plan) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintf(w, "UNIT\tTRACE\tBENCHMARK\tTYPE\tSEED\tSCALE\n")

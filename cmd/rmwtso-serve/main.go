@@ -19,13 +19,12 @@
 //	GET  /v1/results/by-key/{digest}  the same lookup by full 64-hex key digest
 //	GET  /v1/reports/{jobID}?format=ascii|json|csv
 //	                                  finished sweep's report, byte-identical to cmd/experiments
-//	*    /v1/coord/{jobID}/...        hosted coordinator protocol for fleet-mode jobs
 //	GET  /healthz, /readyz            liveness / readiness (503 while draining)
 //	GET  /metrics                     Prometheus text format
 //
-// Submitting {"mode":"fleet"} hosts the sweep's pull queue under
-// /v1/coord/{jobID}/, so `experiments -worker http://host:8080/v1/coord/{jobID}`
-// processes drain it — one process serves the query API and the fleet.
+// Every job runs on the server's own worker pool. To spread one sweep
+// over several machines, run `experiments -shard i/n` on each and
+// `experiments -merge` the artifacts.
 //
 // On SIGTERM/SIGINT the server drains gracefully: readiness flips to 503,
 // submits are refused, in-flight jobs get -drain-timeout to finish (then

@@ -1,6 +1,6 @@
 // Package chaos is the repository's seeded, deterministic
-// fault-injection layer: the hook points the I/O and coordination paths
-// consult before acting, and the injector that decides — from an explicit
+// fault-injection layer: the hook points the disk I/O paths consult
+// before acting, and the injector that decides — from an explicit
 // seed and an explicit rule list, never ambient randomness — whether to
 // corrupt, delay, refuse or kill at each one.
 //
@@ -15,7 +15,7 @@
 //
 // The fault vocabulary matches what production actually suffers:
 //
-//   - delay — the operation sleeps first (stragglers, slow heartbeats);
+//   - delay — the operation sleeps first (stragglers, slow disks);
 //   - flip — one seeded bit of the data is inverted (disk or wire
 //     corruption; checksummed readers must detect it);
 //   - enospc — the operation fails with ENOSPC (disk full mid-sweep);
@@ -55,11 +55,6 @@ const (
 	HookWrite = "atomicio.write"
 	// HookCacheRead gates the simcache disk tier's entry reads.
 	HookCacheRead = "simcache.read"
-	// HookLease, HookHeartbeat and HookAck gate the coordinator HTTP
-	// client's lease, heartbeat and ack requests.
-	HookLease     = "coordinator.lease"
-	HookHeartbeat = "coordinator.heartbeat"
-	HookAck       = "coordinator.ack"
 )
 
 // The fault kinds a Rule can inject.
@@ -67,7 +62,7 @@ const (
 	// KindDelay sleeps DelayMS before the operation proceeds.
 	KindDelay = "delay"
 	// KindFlip inverts one seeded bit of the operation's data (the bytes
-	// being written, read or acked).
+	// being written or read).
 	KindFlip = "flip"
 	// KindENOSPC fails the operation with syscall.ENOSPC.
 	KindENOSPC = "enospc"
@@ -81,14 +76,12 @@ const (
 // return.
 var ErrKilled = fmt.Errorf("chaos: injected kill")
 
-// validFaults maps each hook to the fault kinds that make sense there.
-var validFaults = map[string]map[string]bool{
-	HookWrite:     {KindDelay: true, KindFlip: true, KindENOSPC: true, KindKill: true},
-	HookCacheRead: {KindDelay: true, KindFlip: true, KindENOSPC: true, KindKill: true},
-	HookLease:     {KindDelay: true, KindKill: true},
-	HookHeartbeat: {KindDelay: true, KindKill: true},
-	HookAck:       {KindDelay: true, KindFlip: true, KindKill: true},
-}
+// hooks and kinds are the valid Rule.Hook and Rule.Kind values; every
+// kind is injectable at every hook.
+var (
+	hooks = map[string]bool{HookWrite: true, HookCacheRead: true}
+	kinds = map[string]bool{KindDelay: true, KindFlip: true, KindENOSPC: true, KindKill: true}
+)
 
 // Rule is one fault-injection decision: at which hook, on which targets,
 // which fault, and how often. Rules fire independently; several rules may
@@ -97,14 +90,14 @@ var validFaults = map[string]map[string]bool{
 type Rule struct {
 	// Hook names the hook point (HookWrite, HookCacheRead, ...).
 	Hook string `json:"hook"`
-	// Match restricts the rule to invocations whose target (file path for
-	// writes/reads, worker name for coordination ops) contains it as a
-	// substring. Empty matches every invocation of the hook.
+	// Match restricts the rule to invocations whose target (the file
+	// path) contains it as a substring. Empty matches every invocation of
+	// the hook.
 	Match string `json:"match,omitempty"`
 	// Kind is the fault (KindDelay, KindFlip, KindENOSPC, KindKill).
 	Kind string `json:"kind"`
 	// After skips the first After matching invocations — "the disk fills
-	// after 5 writes", "the third heartbeat is slow".
+	// after 5 writes", "the third read is slow".
 	After int `json:"after,omitempty"`
 	// Count bounds how many times the rule fires; 0 is unlimited.
 	Count int `json:"count,omitempty"`
@@ -120,14 +113,14 @@ type Rule struct {
 	DelayMS int `json:"delay_ms,omitempty"`
 }
 
-// validate rejects rules the hook matrix does not support.
+// validate rejects rules with an unknown hook or fault, or with bounds
+// out of range.
 func (r Rule) validate(i int) error {
-	kinds, ok := validFaults[r.Hook]
-	if !ok {
+	if !hooks[r.Hook] {
 		return fmt.Errorf("chaos: rule %d: unknown hook %q", i, r.Hook)
 	}
 	if !kinds[r.Kind] {
-		return fmt.Errorf("chaos: rule %d: fault %q is not injectable at hook %q", i, r.Kind, r.Hook)
+		return fmt.Errorf("chaos: rule %d: unknown fault %q", i, r.Kind)
 	}
 	if r.After < 0 || r.Count < 0 || r.At < 0 || r.DelayMS < 0 {
 		return fmt.Errorf("chaos: rule %d: negative after/count/at/delay_ms", i)
@@ -357,43 +350,6 @@ func (in *Injector) OnRead(path string, data []byte) ([]byte, error) {
 		}
 	}
 	return data, nil
-}
-
-// OnCoord consults the rules of one payload-less coordination operation
-// (HookLease, HookHeartbeat), keyed by worker name.
-func (in *Injector) OnCoord(hook, worker string) error {
-	for _, i := range in.decide(hook, worker) {
-		r := in.spec.Rules[i]
-		in.log(i, hook, worker)
-		switch r.Kind {
-		case KindDelay:
-			in.Sleep(time.Duration(r.DelayMS) * time.Millisecond)
-		case KindKill:
-			return in.Kill()
-		}
-	}
-	return nil
-}
-
-// OnAck consults the ack rules for one result acknowledgement, returning
-// the (possibly torn) payload the wire should carry. The caller computes
-// its checksum BEFORE calling, so a flipped payload models a result torn
-// after checksumming — exactly the corruption the coordinator's
-// checksum verification exists to refuse.
-func (in *Injector) OnAck(worker string, payload []byte) ([]byte, error) {
-	for _, i := range in.decide(HookAck, worker) {
-		r := in.spec.Rules[i]
-		in.log(i, HookAck, worker)
-		switch r.Kind {
-		case KindDelay:
-			in.Sleep(time.Duration(r.DelayMS) * time.Millisecond)
-		case KindFlip:
-			payload = in.flip(payload)
-		case KindKill:
-			return nil, in.Kill()
-		}
-	}
-	return payload, nil
 }
 
 // active is the installed injector; nil means every hook is a no-op

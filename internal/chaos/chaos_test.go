@@ -32,25 +32,33 @@ func quiet(t *testing.T, spec Spec) (*Injector, *[]time.Duration, *strings.Build
 	return in, &slept, &log
 }
 
+// TestValidation checks that New refuses each malformed rule with an
+// error naming what is wrong — the hooks of the removed coordinator
+// among the unknown ones — and accepts a spec of valid rules.
 func TestValidation(t *testing.T) {
-	bad := []Spec{
-		{Rules: []Rule{{Hook: "nope", Kind: KindDelay, DelayMS: 1}}},
-		{Rules: []Rule{{Hook: HookLease, Kind: KindFlip}}},  // flip has no lease payload
-		{Rules: []Rule{{Hook: HookAck, Kind: KindENOSPC}}},  // acks don't hit disk
-		{Rules: []Rule{{Hook: HookWrite, Kind: KindDelay}}}, // delay without delay_ms
-		{Rules: []Rule{{Hook: HookWrite, Kind: KindFlip, Prob: 1.5}}},
-		{Rules: []Rule{{Hook: HookWrite, Kind: KindFlip, After: -1}}},
+	bad := []struct {
+		rule Rule
+		want string
+	}{
+		{Rule{Hook: "nope", Kind: KindDelay, DelayMS: 1}, `unknown hook "nope"`},
+		{Rule{Hook: "coordinator.lease", Kind: KindDelay, DelayMS: 1}, `unknown hook "coordinator.lease"`},
+		{Rule{Hook: "coordinator.heartbeat", Kind: KindDelay, DelayMS: 1}, `unknown hook "coordinator.heartbeat"`},
+		{Rule{Hook: "coordinator.ack", Kind: KindFlip}, `unknown hook "coordinator.ack"`},
+		{Rule{Hook: HookCacheRead, Kind: "tear"}, `unknown fault "tear"`},
+		{Rule{Hook: HookWrite, Kind: KindDelay}, "needs delay_ms"},
+		{Rule{Hook: HookWrite, Kind: KindFlip, Prob: 1.5}, "outside [0, 1]"},
+		{Rule{Hook: HookWrite, Kind: KindFlip, After: -1}, "negative"},
 	}
-	for i, spec := range bad {
-		if _, err := New(spec); err == nil {
-			t.Errorf("spec %d validated, want error", i)
+	for _, tc := range bad {
+		if _, err := New(Spec{Rules: []Rule{tc.rule}}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("rule %+v: error %v, want one containing %q", tc.rule, err, tc.want)
 		}
 	}
 	good := Spec{Rules: []Rule{
 		{Hook: HookWrite, Kind: KindKill, At: 10},
 		{Hook: HookCacheRead, Kind: KindFlip, Prob: 0.5},
-		{Hook: HookHeartbeat, Kind: KindDelay, DelayMS: 200},
-		{Hook: HookAck, Kind: KindFlip, Count: 1},
+		{Hook: HookCacheRead, Kind: KindDelay, DelayMS: 200},
+		{Hook: HookWrite, Kind: KindENOSPC, Count: 1},
 	}}
 	if _, err := New(good); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
@@ -168,10 +176,10 @@ func TestFlipDeterminism(t *testing.T) {
 // TestCountBound verifies Count caps the fires and Fired reports them.
 func TestCountBound(t *testing.T) {
 	in, slept, _ := quiet(t, Spec{Rules: []Rule{
-		{Hook: HookHeartbeat, Kind: KindDelay, DelayMS: 10, Count: 2},
+		{Hook: HookCacheRead, Kind: KindDelay, DelayMS: 10, Count: 2},
 	}})
 	for i := 0; i < 5; i++ {
-		if err := in.OnCoord(HookHeartbeat, "w1"); err != nil {
+		if _, err := in.OnRead("entry", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,12 +193,12 @@ func TestCountBound(t *testing.T) {
 
 // TestProbDeterminism verifies probability draws replay from the seed.
 func TestProbDeterminism(t *testing.T) {
-	spec := Spec{Seed: 5, Rules: []Rule{{Hook: HookLease, Kind: KindKill, Prob: 0.5}}}
+	spec := Spec{Seed: 5, Rules: []Rule{{Hook: HookCacheRead, Kind: KindKill, Prob: 0.5}}}
 	run := func() []int {
 		in, _, _ := quiet(t, spec)
 		var pattern []int
 		for i := 0; i < 20; i++ {
-			if err := in.OnCoord(HookLease, "w"); errors.Is(err, ErrKilled) {
+			if _, err := in.OnRead("entry", []byte("x")); errors.Is(err, ErrKilled) {
 				pattern = append(pattern, i)
 			}
 		}
@@ -210,28 +218,29 @@ func TestProbDeterminism(t *testing.T) {
 	}
 }
 
-// TestAckFlip verifies the ack hook tears the payload copy.
-func TestAckFlip(t *testing.T) {
+// TestFlipMatchesTarget verifies a flip rule tears only the reads whose
+// target matches, logs the fault, and stops at its Count.
+func TestFlipMatchesTarget(t *testing.T) {
 	in, _, log := quiet(t, Spec{Rules: []Rule{
-		{Hook: HookAck, Kind: KindFlip, Match: "torn", Count: 1},
+		{Hook: HookCacheRead, Kind: KindFlip, Match: "torn", Count: 1},
 	}})
 	payload := []byte(`{"unit":"abc"}`)
-	got, err := in.OnAck("steady", payload)
+	got, err := in.OnRead("steady.bin", payload)
 	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("non-matching worker torn: %q err %v", got, err)
+		t.Fatalf("non-matching read torn: %q err %v", got, err)
 	}
-	got, err = in.OnAck("torn-worker", payload)
+	got, err = in.OnRead("torn.bin", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(got, payload) {
-		t.Fatal("matching ack not torn")
+		t.Fatal("matching read not torn")
 	}
 	if !strings.Contains(log.String(), "flip") {
 		t.Errorf("fault not logged: %q", log.String())
 	}
-	// Count exhausted: second ack passes clean.
-	got, _ = in.OnAck("torn-worker", payload)
+	// Count exhausted: the second read passes clean.
+	got, _ = in.OnRead("torn.bin", payload)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("Count=1 rule fired twice")
 	}

@@ -46,6 +46,30 @@ func (c *checker) happensBefore(x *memmodel.Execution) *memmodel.Relation {
 // consistent in the C/C++11 model (restricted to the subset this package
 // implements). Consistency requires an SC total order to exist; the check
 // enumerates candidate SC orders over the (few) SC actions.
+//
+// Coherence (the CoWW, CoWR, CoRW and CoRR shapes at atomic locations)
+// needs no check of its own: the SC order decides it. Validate forbids
+// mixing atomic and non-atomic accesses to a location, so every access
+// to an atomic location is SC except its initial write, which is
+// non-atomic, happens before every other event and comes first in mo.
+// scOrderOK accepts an order S of the SC actions only if S contains hb
+// and mo over them and every SC load reads from the latest SC store
+// before it in S, or from the initial write when no SC store precedes
+// it. Let a happen before b at an atomic location; then b is SC, and
+// when a is SC it precedes b in S:
+//
+//   - CoWW (a, b stores): the initial write is mo-first, and mo(b, a)
+//     between SC stores would put b before a in S.
+//   - CoWR (a store, b load): b reads a or an SC store after a in S,
+//     which mo cannot order before a; the initial write is mo-first.
+//   - CoRW (a load, b store): a reads the initial write, mo-first, or an
+//     SC store before a, hence before b, in S.
+//   - CoRR (a, b loads): b reads the latest SC store before b in S, which
+//     is a's source or an SC store after it; or both read the initial
+//     write.
+//
+// TestCoherenceFollowsFromSCOrder checks the four shapes on every
+// consistent candidate of generated programs.
 func (c *checker) consistent(x *memmodel.Execution, hb *memmodel.Relation) bool {
 	// happens-before must be irreflexive/acyclic.
 	if !hb.Acyclic() {
@@ -58,46 +82,8 @@ func (c *checker) consistent(x *memmodel.Execution, hb *memmodel.Relation) bool 
 		}
 	}
 	// The modification order is the candidate's write serialization; the
-	// checks below read it only at atomic locations.
-	mo := x.WSRel()
-	return c.coherent(x, hb, mo) && c.nonAtomicVisible(x, hb) && c.scOrderExists(x, hb, mo)
-}
-
-// coherent verifies the CoWW, CoWR, CoRW and CoRR shapes at atomic
-// locations; mo is the modification order.
-func (c *checker) coherent(x *memmodel.Execution, hb, mo *memmodel.Relation) bool {
-	for _, a := range x.Events {
-		for _, b := range x.Events {
-			if a.Index == b.Index || a.Addr != b.Addr || !c.atomic[a.Addr] || !hb.Has(a.Index, b.Index) {
-				continue
-			}
-			switch {
-			case a.IsWrite() && b.IsWrite():
-				// CoWW: hb must agree with mo.
-				if mo.Has(b.Index, a.Index) {
-					return false
-				}
-			case a.IsWrite() && b.IsRead():
-				// CoWR: b must not read from a store mo-before a.
-				if src, _ := x.ReadsFrom(b.Index); mo.Has(src, a.Index) {
-					return false
-				}
-			case a.IsRead() && b.IsWrite():
-				// CoRW: the store a reads from must be mo-before b.
-				if src, _ := x.ReadsFrom(a.Index); mo.Has(b.Index, src) {
-					return false
-				}
-			case a.IsRead() && b.IsRead():
-				// CoRR: the two reads must observe stores in mo order.
-				sa, _ := x.ReadsFrom(a.Index)
-				sb, _ := x.ReadsFrom(b.Index)
-				if mo.Has(sb, sa) {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	// SC order check reads it only between SC stores.
+	return c.nonAtomicVisible(x, hb) && c.scOrderExists(x, hb, x.WSRel())
 }
 
 // nonAtomicVisible verifies that every non-atomic load reads from a visible

@@ -53,11 +53,9 @@ type ShardResult struct {
 	Filtered bool `json:"filtered,omitempty"`
 	// Units holds the finished units in plan order.
 	Units []UnitResult `json:"units"`
-	// Coordination, when the shard ran under the dynamic coordinator,
-	// records how its units were distributed (per-worker counts, retries,
-	// dead letters). Nil for statically sharded runs; being execution
-	// metadata, it is ignored by MergeShards and excluded from
-	// byte-identity comparisons.
+	// Coordination, on the partial result of a run that dead-lettered
+	// units, lists those units. Nil for a complete run; being execution
+	// metadata, it is ignored by MergeShards.
 	Coordination *Coordination `json:"coordination,omitempty"`
 }
 

@@ -1,13 +1,12 @@
 // Package engine owns the execution lifecycle of the reproduction's work
 // units: submit a job (a simulation plan or a litmus verdict grid), fan
-// its units across a worker pool — or, for an HTTP fleet, a lease
-// queue — through the single runUnit execution path, stream progress as
-// typed Events, and expose the finished results plus a Metrics
-// snapshot. The public facade (pkg/rmwtso) is a thin adapter over this
-// package: its Runner wraps an Engine, its plan/shard/artifact types
-// alias the ones defined here, and its error strings are minted here
-// (hence the "rmwtso:" prefixes — they are part of the facade's pinned
-// surface).
+// its units across a worker pool through the single runUnit execution
+// path, stream progress as typed Events, and expose the finished results
+// plus a Metrics snapshot. The public facade (pkg/rmwtso) is a thin
+// adapter over this package: its Runner wraps an Engine, its
+// plan/shard/artifact types alias the ones defined here, and its error
+// strings are minted here (hence the "rmwtso:" prefixes — they are part
+// of the facade's pinned surface).
 package engine
 
 import (
@@ -59,11 +58,9 @@ type (
 	BenchmarkSpec = experiments.BenchmarkSpec
 	// BenchmarkRun holds one benchmark's per-type results.
 	BenchmarkRun = experiments.BenchmarkRun
-	// Coordination, CoordWorker and DeadUnit are the report model's
+	// Coordination and DeadUnit are the report model's
 	// coordination-metadata section.
 	Coordination = experiments.Coordination
-	// CoordWorker is one worker's traffic summary.
-	CoordWorker = experiments.CoordWorker
 	// DeadUnit is one dead-lettered unit in the report model.
 	DeadUnit = experiments.DeadUnit
 )
@@ -78,9 +75,8 @@ type Event struct {
 	Mapping *MappingResult
 	// Sim is set when the unit was one simulator run.
 	Sim *SimRun
-	// Coord is set for coordination state transitions of a plan job
-	// (a dead letter, or a fleet's lease, requeue, …), streamed alongside
-	// the SimRun events of the same sweep.
+	// Coord is set when a plan job dead-letters a unit, streamed
+	// alongside the SimRun events of the same sweep.
 	Coord *CoordEvent
 }
 

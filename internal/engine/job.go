@@ -110,6 +110,68 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	return h, nil
 }
 
+// CoordEvent is one coordination state transition of a plan job,
+// streamed through the engine's observer alongside the job's SimRun
+// events so progress displays can show dead letters as they happen.
+type CoordEvent struct {
+	// Kind is the transition; the static pool emits only "dead-letter".
+	Kind string
+	// Unit is the plan unit concerned.
+	Unit UnitID
+	// Attempt is the 1-based attempt the transition concerns, always 1:
+	// the static pool runs each unit once.
+	Attempt int
+	// Reason carries the failure reason.
+	Reason string
+}
+
+// FaultInjector decides, before each execution of a plan unit, whether to
+// inject a fault: return nil to execute normally, or an error to fail the
+// execution without simulating, which dead-letters the unit. Fault
+// injection exists for tests, demos and CI drills.
+type FaultInjector func(unit Unit) error
+
+// WithFaultInjector makes every plan unit the engine executes consult
+// f first. Nil, the default, injects nothing.
+func WithFaultInjector(f FaultInjector) Option {
+	return func(o *options) { o.faults = f }
+}
+
+// DeadLetterError reports a plan job that finished with dead-lettered
+// units: every other unit finished, but the listed units failed, each
+// after its one execution. Partial carries the completed units and the
+// coordination summary — including the dead letters with their failure
+// reasons — so callers can still render a partial report
+// (Plan.RunsPartial) with the DLQ section instead of discarding the
+// sweep.
+type DeadLetterError struct {
+	// Partial is the shard result of the completed units, with its
+	// Coordination section populated (DeadLetters non-empty).
+	Partial *ShardResult
+}
+
+// Error lists the dead-lettered unit IDs, sorted and bounded, and the
+// first one's last failure reason.
+func (e *DeadLetterError) Error() string {
+	dls := e.Partial.Coordination.DeadLetters
+	ids := make([]string, len(dls))
+	for i, d := range dls {
+		ids[i] = d.Unit
+	}
+	msg := fmt.Sprintf("rmwtso: %d of %d sweep units dead-lettered: %s",
+		len(dls), len(e.Partial.Units)+len(dls), boundedList(ids, listedUnitsMax))
+	if first := dls[0]; len(first.Reasons) > 0 {
+		msg += "; first failure: " + first.Reasons[len(first.Reasons)-1]
+	}
+	return msg
+}
+
+// deadUnit renders one dead-lettered unit for the coordination section,
+// with the trace and type the plan gives it, after its one attempt.
+func deadUnit(u Unit, reason string) DeadUnit {
+	return DeadUnit{Unit: string(u.ID), Trace: u.Trace, Type: u.Type.String(), Attempts: 1, Reasons: []string{reason}}
+}
+
 // runPlanJob executes the plan units a shard selects on the engine's
 // worker pool and returns their results as a shard artifact. Unit
 // identities, order and results are exactly the plan's.
@@ -135,7 +197,7 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 	errs := make([]error, len(selected))
 	err := e.runUnitsCtx(ctx, len(selected), func(i int) error {
 		u := selected[i]
-		results[i], errs[i] = e.runUnit(plan, u, "", 1, m)
+		results[i], errs[i] = e.runUnit(plan, u, m)
 		if errs[i] != nil {
 			m.deadLetter()
 			e.emitTo(m, Event{Coord: &CoordEvent{Kind: "dead-letter", Unit: u.ID, Attempt: 1, Reason: errs[i].Error()}})
@@ -151,7 +213,7 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 	var dead []DeadUnit
 	for i, u := range selected {
 		if errs[i] != nil {
-			dead = append(dead, deadUnit(plan, string(u.ID), 1, []string{errs[i].Error()}))
+			dead = append(dead, deadUnit(u, errs[i].Error()))
 			continue
 		}
 		done = append(done, results[i])

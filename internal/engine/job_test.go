@@ -42,7 +42,7 @@ func TestWaitCtxAbandonsWaitNotWork(t *testing.T) {
 	if n := int32(plan.Len()); block > n-1 {
 		block = n - 1
 	}
-	eng := engine.New(engine.WithParallelism(1), engine.WithFaultInjector(func(string, engine.Unit, int) error {
+	eng := engine.New(engine.WithParallelism(1), engine.WithFaultInjector(func(engine.Unit) error {
 		if executed.Add(1) > block {
 			select {
 			case <-release:
@@ -166,8 +166,8 @@ func TestConcurrentSubmitsIsolateJobs(t *testing.T) {
 }
 
 // TestDeadLetterCounters runs two plan jobs on one engine whose fault
-// injector poisons one unit of each — with ErrInjectedCrash in the first
-// job, a plain error in the second — and pins the static pool's
+// injector poisons one unit of each — with a sentinel error in the first
+// job, a formatted one in the second — and pins the static pool's
 // dead-letter bookkeeping: each job's handle counts its own dead letter
 // and no retries, the engine-wide aggregate counts both, each job streams
 // one dead-letter event, and each job's coordination section names its
@@ -184,13 +184,14 @@ func TestDeadLetterCounters(t *testing.T) {
 		plans = append(plans, plan)
 		poisoned = append(poisoned, plan.Units()[i])
 	}
-	reasons := []string{engine.ErrInjectedCrash.Error(), "injected poison (attempt 1)"}
-	eng := engine.New(engine.WithFaultInjector(func(_ string, u engine.Unit, attempt int) error {
+	errCrash := errors.New("injected crash")
+	reasons := []string{errCrash.Error(), "injected poison (unit 1)"}
+	eng := engine.New(engine.WithFaultInjector(func(u engine.Unit) error {
 		switch u.ID {
 		case poisoned[0].ID:
-			return engine.ErrInjectedCrash
+			return errCrash
 		case poisoned[1].ID:
-			return fmt.Errorf("injected poison (attempt %d)", attempt)
+			return fmt.Errorf("injected poison (unit %d)", 1)
 		}
 		return nil
 	}))

@@ -3,16 +3,12 @@ package engine
 import (
 	"sync"
 	"time"
-
-	"repro/internal/coordinator"
 )
 
 // Metrics is a point-in-time snapshot of an engine's (or one job's)
-// execution counters: unit throughput, cache effectiveness, dead letters
-// and — for HTTP fleets — the lease queue's lease, retry and expiry
-// counts. It holds counters only: a plan job's dead letters, and a
-// fleet's per-worker traffic, are in its ShardResult's Coordination
-// section.
+// execution counters: unit throughput, cache effectiveness and dead
+// letters. It holds counters only: a plan job's dead letters are in its
+// ShardResult's Coordination section.
 type Metrics struct {
 	// UnitsPlanned counts the units selected for execution; UnitsDone the
 	// units finished so far (including cache hits). For litmus jobs the
@@ -28,13 +24,13 @@ type Metrics struct {
 	// UnitsPerSec is UnitsDone over that window.
 	Elapsed     time.Duration
 	UnitsPerSec float64
-	// InflightLeases gauges a fleet queue's currently leased units;
-	// Retries and Expired count its requeues and lease expiries. DLQDepth
-	// counts the dead-lettered units of every plan job.
-	InflightLeases int
-	Retries        int
-	Expired        int
-	DLQDepth       int
+	// Retries and Expired are always 0: the static pool runs each unit
+	// once and holds no leases. They stay because the benchmark in
+	// tools/rmwbench still reads them.
+	Retries int
+	Expired int
+	// DLQDepth counts the dead-lettered units of every plan job.
+	DLQDepth int
 }
 
 // metrics is the engine's internal collector. One instance lives on the
@@ -57,17 +53,7 @@ type metrics struct {
 	cacheHits    int
 	cacheMisses  int
 	verdicts     int
-
-	inflight int
-	retries  int
-	expired  int
-	dlq      int
-
-	// remoteAcks, set on a hosted coordinator's collector (NewCoordServer),
-	// counts queue acks as finished units: the units execute on remote
-	// workers' engines, so runUnit never credits this collector. Cache
-	// counters stay untouched — hits and misses happen at the workers.
-	remoteAcks bool
+	dlq          int
 }
 
 // newJobMetrics builds a per-job collector chained to the engine's.
@@ -109,46 +95,9 @@ func (m *metrics) verdictDone() {
 	})
 }
 
-// coordEvent tracks the queue's live lease gauge from its event stream;
-// the authoritative retry, expiry and dead-letter totals come from
-// absorbSnapshot when the queue drains.
-func (m *metrics) coordEvent(e coordinator.Event) {
-	switch string(e.Kind) {
-	case "lease":
-		m.update(func(m *metrics) { m.inflight++ })
-	case "ack":
-		done := m.remoteAcks
-		m.update(func(m *metrics) {
-			if m.inflight > 0 {
-				m.inflight--
-			}
-			if done {
-				m.unitsDone++
-			}
-		})
-	case "nack", "expire":
-		m.update(func(m *metrics) {
-			if m.inflight > 0 {
-				m.inflight--
-			}
-		})
-	}
-}
-
 // deadLetter records one unit the static pool dead-lettered.
 func (m *metrics) deadLetter() {
 	m.update(func(m *metrics) { m.dlq++ })
-}
-
-// absorbSnapshot adds the drained queue's retry, expiry and dead-letter
-// counts to the collector and clears its lease gauge.
-func (m *metrics) absorbSnapshot(snap coordinator.Snapshot) {
-	m.update(func(m *metrics) {
-		m.retries += snap.Retries
-		m.expired += snap.Expired
-		m.dlq += len(snap.DeadLetters)
-		m.inflight = 0
-	})
 }
 
 // snapshot renders the collector as a Metrics value.
@@ -156,15 +105,12 @@ func (m *metrics) snapshot() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := Metrics{
-		UnitsPlanned:   m.unitsPlanned,
-		UnitsDone:      m.unitsDone,
-		CacheHits:      m.cacheHits,
-		CacheMisses:    m.cacheMisses,
-		Verdicts:       m.verdicts,
-		InflightLeases: m.inflight,
-		Retries:        m.retries,
-		Expired:        m.expired,
-		DLQDepth:       m.dlq,
+		UnitsPlanned: m.unitsPlanned,
+		UnitsDone:    m.unitsDone,
+		CacheHits:    m.cacheHits,
+		CacheMisses:  m.cacheMisses,
+		Verdicts:     m.verdicts,
+		DLQDepth:     m.dlq,
 	}
 	if !m.start.IsZero() {
 		out.Elapsed = time.Since(m.start)

@@ -316,13 +316,10 @@ func deadlockError(name string, typ AtomicityType) error {
 
 // runUnit executes one plan unit on its group's source through the
 // engine's result cache (simulateCached) and emits its SimRun event,
-// after consulting the engine's fault injector with the executing
-// worker's name and attempt. It is the single simulation path behind the
-// static worker pool and a fleet's HTTP pull workers, so the modes cannot
-// drift.
-func (e *Engine) runUnit(plan *Plan, u Unit, worker string, attempt int, m *metrics) (UnitResult, error) {
+// after consulting the engine's fault injector.
+func (e *Engine) runUnit(plan *Plan, u Unit, m *metrics) (UnitResult, error) {
 	if e.opts.faults != nil {
-		if err := e.opts.faults(worker, u, attempt); err != nil {
+		if err := e.opts.faults(u); err != nil {
 			return UnitResult{}, err
 		}
 	}
@@ -479,7 +476,7 @@ func (p *Plan) Runs(units []UnitResult) ([]*BenchmarkRun, error) {
 }
 
 // RunsPartial is Runs for a sweep that legitimately ended incomplete — a
-// coordinated run with dead-lettered units. It reassembles the benchmark
+// run with dead-lettered units. It reassembles the benchmark
 // runs of every source group whose units all finished and reports the
 // IDs of the absent units (sorted), instead of failing on them; alien,
 // duplicated and result-less units are still errors. Callers render the

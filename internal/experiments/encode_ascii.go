@@ -47,17 +47,15 @@ func (ASCIIEncoder) Encode(w io.Writer, r *Report) error {
 	return err
 }
 
-// asciiCoordination renders the coordination section: per-worker unit
-// counts plus, when the sweep is partial, the dead-lettered units.
+// asciiCoordination renders the coordination section: its mode plus,
+// when the sweep is partial, the dead-lettered units. The static pool
+// has no workers to list; the empty worker table keeps the bytes that
+// reports have always printed.
 func asciiCoordination(c *Coordination) string {
-	t := stats.NewTable(
+	out := stats.NewTable(
 		fmt.Sprintf("Coordination (%s mode, %d retries, %d lease expiries)",
 			c.Mode, c.Retries, c.Expired),
-		"Worker", "Units", "Retries", "Expired")
-	for _, w := range c.Workers {
-		t.AddRow(w.Worker, strconv.Itoa(w.Units), strconv.Itoa(w.Retries), strconv.Itoa(w.Expired))
-	}
-	out := t.Render()
+		"Worker", "Units", "Retries", "Expired").Render()
 	if len(c.DeadLetters) > 0 {
 		d := stats.NewTable("DEAD-LETTERED UNITS (missing from the tables above)",
 			"Unit", "Trace", "Type", "Attempts", "Last failure")

@@ -210,21 +210,6 @@ func (w *jsonWriter) coordination(c *Coordination) {
 	w.open('{')
 	w.key("mode")
 	w.string(c.Mode)
-	if len(c.Workers) > 0 {
-		w.key("workers")
-		jsonArray(w, c.Workers, func(w *jsonWriter, cw *CoordWorker) {
-			w.open('{')
-			w.key("worker")
-			w.string(cw.Worker)
-			w.key("units")
-			w.int(int64(cw.Units))
-			w.key("retries")
-			w.int(int64(cw.Retries))
-			w.key("expired")
-			w.int(int64(cw.Expired))
-			w.close('}')
-		})
-	}
 	w.key("retries")
 	w.int(int64(c.Retries))
 	w.key("expired")

@@ -202,10 +202,10 @@ func TestJSONEncoderEdgeValues(t *testing.T) {
 		Summary: Summary{Type2CostReductionMin: 1e21, Type3CostReductionMax: -1e-7},
 		SeedStats: []SeedAggregate{{Benchmark: "bayes", Type: core.Type2, Seeds: []int64{1, 2}, MeanCycles: 1e21},
 			{Benchmark: "nil seeds", Seeds: nil}, {Benchmark: "empty seeds", Seeds: []int64{}}},
-		Coordination: &Coordination{Mode: "http", Workers: []CoordWorker{{Worker: "w<1>", Units: 3}},
+		Coordination: &Coordination{Mode: "in<process>",
 			DeadLetters: []DeadUnit{{Unit: "u1", Attempts: 2, Reasons: []string{"a\tb", ""}}, {Unit: "u2", Trace: "t", Type: "type-1", Reasons: []string{}}}},
 	}
-	empty := &Report{Coordination: &Coordination{Workers: []CoordWorker{}, DeadLetters: []DeadUnit{}}}
+	empty := &Report{Coordination: &Coordination{DeadLetters: []DeadUnit{}}}
 	for name, r := range map[string]*Report{"full": full, "empty": empty, "zero": {}} {
 		want, err := marshalOracle(r)
 		if err != nil {

@@ -23,7 +23,6 @@ type jobEvent struct {
 	Test     string `json:"test,omitempty"`
 	Holds    *bool  `json:"holds,omitempty"`
 	Coord    string `json:"coord,omitempty"` // coordination transition kind
-	Worker   string `json:"worker,omitempty"`
 	Attempt  int    `json:"attempt,omitempty"`
 	Reason   string `json:"reason,omitempty"`
 	State    string `json:"state,omitempty"` // terminal event: "done" | "failed"
@@ -60,7 +59,6 @@ func summarizeEvent(ev engine.Event) (jobEvent, bool) {
 			Kind:    "coord",
 			Coord:   ev.Coord.Kind,
 			Unit:    string(ev.Coord.Unit),
-			Worker:  ev.Coord.Worker,
 			Attempt: ev.Coord.Attempt,
 			Reason:  ev.Coord.Reason,
 		}, true

@@ -8,8 +8,10 @@ import "testing"
 // the service's bounds: at most 2,600 units (maxPlanSeeds seeds of the
 // 26-unit default plan) and at most 1,024 simulated cores.
 //
-// The seed corpus is TestSubmitValidation's rejected bodies plus one
-// accepted body of each kind and mode.
+// The seed corpus is TestSubmitValidation's rejected bodies (a fleet
+// submit with its lease fields among them) plus one accepted body of
+// each kind and mode. No accepted submission has a mode other than
+// static or coordinate.
 func FuzzParseSubmit(f *testing.F) {
 	for _, tc := range badSubmits {
 		f.Add([]byte(tc.body))
@@ -17,7 +19,6 @@ func FuzzParseSubmit(f *testing.F) {
 	for _, body := range []string{
 		`{"plan":` + tinyPlanSpec + `}`,
 		`{"plan":` + tinyPlanSpec + `,"mode":"coordinate"}`,
-		`{"plan":` + tinyPlanSpec + `,"mode":"fleet","lease_ttl":"2s","max_attempts":2}`,
 		`{"plan":{"preset":"quick","seeds":3}}`,
 		`{"litmus":{"name":"write-deadlock (Fig. 10)"}}`,
 		`{"litmus":{"group":"paper"}}`,
@@ -35,6 +36,9 @@ func FuzzParseSubmit(f *testing.F) {
 		}
 		if sub == nil {
 			t.Fatal("parseSubmit returned neither a submission nor an error")
+		}
+		if sub.mode != "static" && sub.mode != "coordinate" {
+			t.Fatalf("accepted a submission in mode %q", sub.mode)
 		}
 		switch sub.kind {
 		case "plan":

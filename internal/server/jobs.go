@@ -21,22 +21,16 @@ import (
 )
 
 // SubmitRequest is the POST /v1/jobs body: exactly one of Plan or Litmus
-// selects the job kind, Mode selects how a plan's units are distributed.
+// selects the job kind.
 type SubmitRequest struct {
 	// Plan submits a simulation sweep built from the spec.
 	Plan *PlanSpec `json:"plan,omitempty"`
 	// Litmus submits litmus verdict units.
 	Litmus *LitmusSpec `json:"litmus,omitempty"`
-	// Mode is "static" (default: the engine's worker pool) or "fleet"
-	// (host a coordinator under /v1/coord/{id}/ for HTTP workers).
-	// "coordinate" is an alias of "static" whose report also carries a
-	// coordination section. Litmus jobs are always static.
+	// Mode is "static" (the default), which runs the job on the engine's
+	// worker pool, or "coordinate", an alias of "static" whose report
+	// also carries a coordination section. Litmus jobs are always static.
 	Mode string `json:"mode,omitempty"`
-	// LeaseTTL (Go duration string) and MaxAttempts tune a fleet's lease
-	// queue; zero values keep the engine defaults. Other modes reject
-	// them.
-	LeaseTTL    string `json:"lease_ttl,omitempty"`
-	MaxAttempts int    `json:"max_attempts,omitempty"`
 }
 
 // PlanSpec shapes a plan job like the CLI flags shape a sweep: a preset
@@ -73,17 +67,16 @@ type job struct {
 	id      string
 	seq     int    // submit order; id renders it
 	kind    string // "plan" | "litmus"
-	mode    string // "static" | "coordinate" (static, reported as coordinated) | "fleet"
+	mode    string // "static" | "coordinate" (static, reported as coordinated)
 	created time.Time
 	plan    *engine.Plan   // plan jobs only
 	opts    engine.Options // plan jobs: the options the report builds from
 	units   int            // planned unit count
 	events  *eventLog
-	coord   *engine.CoordServer // fleet jobs only
 
 	mu       sync.Mutex
-	handle   *engine.JobHandle // engine-run jobs (static/coordinate)
-	state    string            // "running" | "done" | "failed"
+	handle   *engine.JobHandle
+	state    string // "running" | "done" | "failed"
 	finished time.Time
 	result   *engine.JobResult
 	err      error
@@ -218,32 +211,14 @@ func litmusTests(spec *LitmusSpec) ([]*litmus.Test, error) {
 	}
 }
 
-// coordinationConfig folds the request's tuning fields into a fleet's
-// lease-queue configuration.
-func coordinationConfig(req *SubmitRequest) (engine.CoordinationConfig, error) {
-	cfg := engine.CoordinationConfig{MaxAttempts: req.MaxAttempts}
-	if req.MaxAttempts < 0 {
-		return cfg, fmt.Errorf("max_attempts must be positive, got %d", req.MaxAttempts)
-	}
-	if req.LeaseTTL != "" {
-		d, err := time.ParseDuration(req.LeaseTTL)
-		if err != nil || d <= 0 {
-			return cfg, fmt.Errorf("lease_ttl must be a positive duration, got %q", req.LeaseTTL)
-		}
-		cfg.LeaseTTL = d
-	}
-	return cfg, nil
-}
-
 // submission is a decoded, validated submit request: the job's kind and
 // mode, and the work it runs.
 type submission struct {
-	kind  string                    // "plan" | "litmus"
-	mode  string                    // "static" | "coordinate" | "fleet"
-	plan  *engine.Plan              // plan jobs
-	opts  engine.Options            // plan jobs: the options the report builds from
-	tests []*litmus.Test            // litmus jobs
-	coord engine.CoordinationConfig // fleet jobs
+	kind  string         // "plan" | "litmus"
+	mode  string         // "static" | "coordinate"
+	plan  *engine.Plan   // plan jobs
+	opts  engine.Options // plan jobs: the options the report builds from
+	tests []*litmus.Test // litmus jobs
 }
 
 // parseSubmit decodes and validates a POST /v1/jobs body and builds the
@@ -264,20 +239,12 @@ func parseSubmit(body []byte) (*submission, error) {
 		sub.mode = "static"
 	}
 	switch sub.mode {
-	case "static", "coordinate", "fleet":
+	case "static", "coordinate":
 	default:
-		return nil, fmt.Errorf("unknown mode %q (want static, coordinate or fleet)", sub.mode)
+		return nil, fmt.Errorf("unknown mode %q (want static or coordinate)", sub.mode)
 	}
 	if req.Litmus != nil && sub.mode != "static" {
 		return nil, fmt.Errorf("litmus jobs are always static; mode %q only applies to plans", sub.mode)
-	}
-	if sub.mode == "fleet" {
-		var err error
-		if sub.coord, err = coordinationConfig(&req); err != nil {
-			return nil, err
-		}
-	} else if req.LeaseTTL != "" || req.MaxAttempts != 0 {
-		return nil, fmt.Errorf("lease_ttl and max_attempts only apply to fleet jobs, not mode %q", sub.mode)
 	}
 
 	if req.Litmus != nil {
@@ -368,22 +335,6 @@ func (s *Server) startJob(j *job, sub *submission) error {
 		if je, ok := summarizeEvent(ev); ok {
 			j.events.append(je)
 		}
-	}
-	if j.mode == "fleet" {
-		coord, err := s.eng.NewCoordServer(j.plan, engine.FullShard(), sub.coord, obs)
-		if err != nil {
-			return err
-		}
-		j.coord = coord
-		go func() {
-			sr, err := coord.Wait(s.jobCtx)
-			var res *engine.JobResult
-			if sr != nil {
-				res = &engine.JobResult{Shard: sr}
-			}
-			s.finishJob(j, res, err)
-		}()
-		return nil
 	}
 	ejob := engine.Job{Observer: obs}
 	if j.kind == "plan" {
@@ -494,14 +445,12 @@ func (s *Server) jobStatusBody(j *job) map[string]any {
 		"created": j.created.UTC().Format(time.RFC3339Nano),
 		"units":   j.units,
 		"metrics": map[string]any{
-			"units_planned":   m.UnitsPlanned,
-			"units_done":      m.UnitsDone,
-			"cache_hits":      m.CacheHits,
-			"cache_misses":    m.CacheMisses,
-			"verdicts":        m.Verdicts,
-			"inflight_leases": m.InflightLeases,
-			"retries":         m.Retries,
-			"dlq_depth":       m.DLQDepth,
+			"units_planned": m.UnitsPlanned,
+			"units_done":    m.UnitsDone,
+			"cache_hits":    m.CacheHits,
+			"cache_misses":  m.CacheMisses,
+			"verdicts":      m.Verdicts,
+			"dlq_depth":     m.DLQDepth,
 		},
 		"links": map[string]string{
 			"self":   "/v1/jobs/" + j.id,
@@ -512,9 +461,6 @@ func (s *Server) jobStatusBody(j *job) map[string]any {
 		body["links"].(map[string]string)["report"] = "/v1/reports/" + j.id
 		body["plan_fingerprint"] = j.plan.Fingerprint()
 	}
-	if j.mode == "fleet" {
-		body["links"].(map[string]string)["coordinator"] = "/v1/coord/" + j.id
-	}
 	if !finished.IsZero() {
 		body["finished"] = finished.UTC().Format(time.RFC3339Nano)
 	}
@@ -524,12 +470,9 @@ func (s *Server) jobStatusBody(j *job) map[string]any {
 	return body
 }
 
-// metricsSnapshot returns the job's live counters: the handle's for
-// engine-run jobs, the coordinator's for fleets.
+// metricsSnapshot returns the job's live counters from its engine
+// handle; a job that has not started yet has none.
 func (j *job) metricsSnapshot() engine.Metrics {
-	if j.coord != nil {
-		return j.coord.Metrics()
-	}
 	j.mu.Lock()
 	h := j.handle
 	j.mu.Unlock()

@@ -39,9 +39,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	gauge("rmwtso_cache_hit_ratio", "Fraction of simulator unit lookups served from the cache.", ratio)
 	gauge("rmwtso_units_per_second", "Engine-lifetime unit completion rate.", m.UnitsPerSec)
-	gauge("rmwtso_inflight_leases", "Currently leased units of coordinated sweeps.", float64(m.InflightLeases))
-	counter("rmwtso_retries_total", "Coordinated unit attempts that were requeued.", float64(m.Retries))
-	counter("rmwtso_expired_leases_total", "Coordinated leases recovered by expiry.", float64(m.Expired))
 	gauge("rmwtso_dlq_depth", "Dead-lettered units across plan jobs.", float64(m.DLQDepth))
 	gauge("rmwtso_jobs_inflight", "Jobs currently running.", float64(running))
 	counter("rmwtso_jobs_total", "Jobs accepted since the server started.", float64(total))

@@ -1,10 +1,9 @@
 // Package server is the long-running HTTP query/ops service over the
 // execution engine: a versioned JSON API to submit plan or litmus jobs
 // (POST /v1/jobs), watch them (status, SSE event streams), query their
-// results by unit ID or full content key, fetch reports through the
-// existing encoders byte-identically to the batch CLI, and host sweep
-// coordinators for HTTP worker fleets — plus the operational surface a
-// service needs: /healthz, /readyz, Prometheus-format /metrics, bounded
+// results by unit ID or full content key, and fetch reports through the
+// existing encoders byte-identically to the batch CLI — plus the
+// operational surface a service needs: /healthz, /readyz, Prometheus-format /metrics, bounded
 // TTL'd job retention with 429 backpressure, and graceful drain on
 // shutdown (in-flight jobs finish under a deadline, finished shard
 // artifacts are flushed to disk). The public facade re-exports it as
@@ -156,8 +155,7 @@ func (s *Server) Run(ctx context.Context) error {
 // wait for its next request, so a client that never finishes a request
 // cannot hold a connection forever. idleTimeout outlasts the 90s after
 // which Go's default transport drops idle connections itself. There is
-// deliberately no write timeout: SSE streams and fleet jobs are
-// long-lived. Variables so tests can shorten them.
+// deliberately no write timeout: SSE streams are long-lived. Variables so tests can shorten them.
 var (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -259,7 +257,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	handle("GET /v1/results/{unit}", "/v1/results/{unit}", s.handleResult)
 	handle("GET /v1/results/by-key/{digest}", "/v1/results/by-key/{digest}", s.handleResultByKey)
 	handle("GET /v1/reports/{id}", "/v1/reports/{id}", s.handleReport)
-	handle("/v1/coord/{id}/{rest...}", "/v1/coord/{id}", s.handleCoord)
 	return mux
 }
 
@@ -276,19 +273,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-// handleCoord dispatches fleet-mode coordinator traffic: the wire
-// protocol of engine.CoordServer is mounted per job under
-// /v1/coord/{id}/, so one server hosts many concurrent fleets.
-func (s *Server) handleCoord(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j := s.lookupJob(id)
-	if j == nil || j.coord == nil {
-		jsonError(w, http.StatusNotFound, "no coordinated job %q", id)
-		return
-	}
-	http.StripPrefix("/v1/coord/"+id, j.coord.Handler()).ServeHTTP(w, r)
 }
 
 // instrument wraps a route with the per-route request counter.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -452,13 +453,14 @@ var badSubmits = []struct {
 	{"scale past the cycle limit", `{"plan":{"preset":"quick","cores":4,"scale":1e6}}`, ""},
 	{"scale overflowing int", `{"plan":{"preset":"quick","cores":4,"scale":1e308}}`, ""},
 	{"bad mode", `{"plan":{"preset":"quick"},"mode":"push"}`, ""},
-	{"litmus fleet", `{"litmus":{"name":"write-deadlock (Fig. 10)"},"mode":"fleet"}`, ""},
+	{"fleet", `{"plan":` + tinyPlanSpec + `,"mode":"fleet"}`, `unknown mode "fleet"`},
+	{"litmus fleet", `{"litmus":{"name":"write-deadlock (Fig. 10)"},"mode":"fleet"}`, `unknown mode "fleet"`},
+	{"litmus coordinate", `{"litmus":{"name":"write-deadlock (Fig. 10)"},"mode":"coordinate"}`, "litmus jobs are always static"},
 	{"litmus over-specified", `{"litmus":{"name":"a","group":"b"}}`, ""},
 	{"unknown litmus test", `{"litmus":{"name":"no-such-test"}}`, ""},
-	{"bad lease ttl", `{"plan":` + tinyPlanSpec + `,"mode":"fleet","lease_ttl":"soon"}`, ""},
-	{"negative max attempts", `{"plan":` + tinyPlanSpec + `,"mode":"fleet","max_attempts":-1}`, ""},
-	{"lease ttl off a fleet", `{"plan":` + tinyPlanSpec + `,"mode":"coordinate","lease_ttl":"1s"}`, ""},
-	{"max attempts off a fleet", `{"plan":` + tinyPlanSpec + `,"max_attempts":2}`, ""},
+	{"fleet with its lease fields", `{"plan":` + tinyPlanSpec + `,"mode":"fleet","lease_ttl":"2s","max_attempts":2}`, "lease_ttl"},
+	{"lease ttl", `{"plan":` + tinyPlanSpec + `,"lease_ttl":"1s"}`, `unknown field "lease_ttl"`},
+	{"max attempts", `{"plan":` + tinyPlanSpec + `,"mode":"coordinate","max_attempts":2}`, `unknown field "max_attempts"`},
 	{"workers", `{"plan":` + tinyPlanSpec + `,"mode":"fleet","workers":1}`, ""},
 	{"seeds past the limit", `{"plan":{"preset":"quick","seeds":101}}`, "plan seeds 101 exceeds the limit of 100"},
 	{"cores past the limit", `{"plan":{"preset":"quick","cores":1099511627776}}`, "building plan"},
@@ -475,7 +477,7 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, msg, tc.want)
 		}
 	}
-	for _, path := range []string{"/v1/jobs/job-999999", "/v1/reports/job-999999", "/v1/results/ffffffffffffffff", "/v1/results/by-key/ffff", "/v1/coord/job-999999/lease"} {
+	for _, path := range []string{"/v1/jobs/job-999999", "/v1/reports/job-999999", "/v1/results/ffffffffffffffff", "/v1/results/by-key/ffff"} {
 		if code, _ := getJSON(t, ts, path); code != http.StatusNotFound {
 			t.Errorf("GET %s: HTTP %d, want 404", path, code)
 		}
@@ -527,21 +529,28 @@ func TestServeDropsStalledRequest(t *testing.T) {
 	}
 }
 
-// TestBackpressureAndDrainCancel fills the registry with a fleet job no
-// worker ever serves, checks the 429 backpressure, then drains: the
-// deadline passes, the straggler is cancelled, the server quiesces.
+// stallPlans gives the server an engine whose plan units wait for the
+// job context to end, so a plan job stays running until a drain cancels
+// it.
+func stallPlans(srv *Server) {
+	srv.eng = engine.New(engine.WithFaultInjector(func(engine.Unit) error {
+		<-srv.jobCtx.Done()
+		return srv.jobCtx.Err()
+	}))
+}
+
+// TestBackpressureAndDrainCancel fills the registry with a plan job that
+// never finishes on its own, checks the 429 backpressure, then drains:
+// the deadline passes, the straggler is cancelled, the server quiesces.
 func TestBackpressureAndDrainCancel(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxJobs: 1, DrainTimeout: 100 * time.Millisecond})
+	stallPlans(srv)
 
-	code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`,"mode":"fleet"}`)
+	code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`}`)
 	if code != http.StatusAccepted {
-		t.Fatalf("fleet submit: HTTP %d: %v", code, doc)
+		t.Fatalf("plan submit: HTTP %d: %v", code, doc)
 	}
 	id := doc["id"].(string)
-	links := doc["links"].(map[string]any)
-	if links["coordinator"] != "/v1/coord/"+id {
-		t.Fatalf("fleet job links = %v, want a coordinator", links)
-	}
 
 	// The slot is taken: the next submit is told to back off.
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
@@ -564,7 +573,7 @@ func TestBackpressureAndDrainCancel(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// Drain: the fleet job has no workers, so the deadline expires and
+	// Drain: the stalled job never finishes, so the deadline expires and
 	// the job is cancelled rather than waited on forever.
 	start := time.Now()
 	srv.Drain()
@@ -573,7 +582,7 @@ func TestBackpressureAndDrainCancel(t *testing.T) {
 	}
 	final := waitDone(t, ts, id)
 	if final["state"] != "failed" {
-		t.Fatalf("cancelled fleet job state = %v, want failed", final["state"])
+		t.Fatalf("cancelled plan job state = %v, want failed", final["state"])
 	}
 }
 
@@ -765,12 +774,12 @@ func TestRegistryUnderConcurrentJobs(t *testing.T) {
 }
 
 // TestListJobsInSubmitOrder lists the registry in submit order, which
-// differs from finish order here because the second job (a fleet no
-// worker serves) never finishes, and drops the first job once it
-// expires.
+// differs from finish order here because the second job (a stalled plan
+// job) never finishes, and drops the first job once it expires.
 func TestListJobsInSubmitOrder(t *testing.T) {
 	srv, ts := newTestServer(t, Config{RetainFinished: time.Minute, DrainTimeout: 10 * time.Millisecond})
-	t.Cleanup(srv.Drain) // cancels the fleet job
+	stallPlans(srv)
+	t.Cleanup(srv.Drain) // cancels the stalled job
 	offset := injectClock(srv)
 	start := func(body string) string {
 		t.Helper()
@@ -783,7 +792,7 @@ func TestListJobsInSubmitOrder(t *testing.T) {
 	const litmus = `{"litmus":{"name":"write-deadlock (Fig. 10)"}}`
 	first := start(litmus)
 	waitDone(t, ts, first)
-	fleet := start(`{"plan":` + tinyPlanSpec + `,"mode":"fleet"}`)
+	stalled := start(`{"plan":` + tinyPlanSpec + `}`)
 	offset.Store(int64(40 * time.Second))
 	third := start(litmus)
 	waitDone(t, ts, third)
@@ -800,70 +809,98 @@ func TestListJobsInSubmitOrder(t *testing.T) {
 		}
 		return ids
 	}
-	if got, want := listed(), []string{first, fleet, third}; !slices.Equal(got, want) {
+	if got, want := listed(), []string{first, stalled, third}; !slices.Equal(got, want) {
 		t.Fatalf("GET /v1/jobs lists %v, want %v", got, want)
 	}
 	offset.Store(int64(90 * time.Second))
-	if got, want := listed(), []string{fleet, third}; !slices.Equal(got, want) {
+	if got, want := listed(), []string{stalled, third}; !slices.Equal(got, want) {
 		t.Fatalf("GET /v1/jobs after the first job expired lists %v, want %v", got, want)
 	}
 }
 
-// TestFleetModeEndToEnd hosts a sweep coordinator over HTTP and drains
-// it with a real pull worker from a second engine, exactly how an
-// `experiments -worker` process would: the job finishes, the report is
-// served, and the coordination section records the fleet.
-func TestFleetModeEndToEnd(t *testing.T) {
+// TestFleetSurfaceIsGone pins what is left of the removed HTTP fleet
+// beyond the rejected submits in badSubmits: no /v1/coord route answers
+// for an existing job, and neither its status nor /metrics carries a
+// coordinator link, a lease gauge or a retry counter.
+func TestFleetSurfaceIsGone(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`,"mode":"fleet"}`)
+	code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`,"mode":"coordinate"}`)
 	if code != http.StatusAccepted {
-		t.Fatalf("fleet submit: HTTP %d: %v", code, doc)
+		t.Fatalf("submit: HTTP %d: %v", code, doc)
 	}
 	id := doc["id"].(string)
+	final := waitDone(t, ts, id)
+	if _, ok := final["links"].(map[string]any)["coordinator"]; ok {
+		t.Errorf("status links a coordinator: %v", final["links"])
+	}
+	for _, key := range []string{"inflight_leases", "retries"} {
+		if _, ok := final["metrics"].(map[string]any)[key]; ok {
+			t.Errorf("status metrics carry %q: %v", key, final["metrics"])
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/coord/" + id + "/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/coord/%s/x: HTTP %d, want 404", id, resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := readAll(resp)
+	for _, series := range []string{"rmwtso_inflight_leases", "rmwtso_retries_total", "rmwtso_expired_leases_total"} {
+		if bytes.Contains(text, []byte(series)) {
+			t.Errorf("/metrics still exposes %s", series)
+		}
+	}
+}
 
-	// The worker rebuilds the identical plan locally; the fingerprint
-	// handshake would refuse anything else.
+// TestDeadLetterFrame pins the bytes of a dead-letter event on a job's
+// SSE stream: on a one-worker pool the poisoned first unit is frame 0,
+// after its one attempt, and its job fails with the rest of the units
+// streamed as sim frames.
+func TestDeadLetterFrame(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
 	opts := tinyPlanOptions()
 	plan, err := engine.DefaultPlanSeeds(opts, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := engine.New()
-	if err := worker.RunPlanWorker(context.Background(), plan, ts.URL+"/v1/coord/"+id, "w1", engine.CoordinationConfig{}); err != nil {
-		t.Fatalf("fleet worker: %v", err)
+	poisoned := plan.Units()[0].ID
+	srv.eng = engine.New(engine.WithParallelism(1), engine.WithFaultInjector(func(u engine.Unit) error {
+		if u.ID == poisoned {
+			return errors.New("injected poison")
+		}
+		return nil
+	}))
+	code, doc := submit(t, ts, `{"plan":`+tinyPlanSpec+`}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %v", code, doc)
 	}
-
-	final := waitDone(t, ts, id)
-	if final["state"] != "done" {
-		t.Fatalf("fleet job state = %v (error %v)", final["state"], final["error"])
+	id := doc["id"].(string)
+	if final := waitDone(t, ts, id); final["state"] != "failed" {
+		t.Fatalf("poisoned job state = %v, want failed", final["state"])
 	}
-	metrics := final["metrics"].(map[string]any)
-	if int(metrics["units_done"].(float64)) != int(final["units"].(float64)) {
-		t.Fatalf("fleet metrics = %v, want all %v units done", metrics["units_done"], final["units"])
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/reports/" + id + "?format=json")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := readAll(resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet report: HTTP %d: %s", resp.StatusCode, body)
+	stream, _ := readAll(resp)
+	want := `id: 0
+event: coord
+data: {"seq":0,"kind":"coord","unit":"` + string(poisoned) + `","coord":"dead-letter","attempt":1,"reason":"injected poison"}
+
+id: 1
+event: sim
+`
+	if !strings.HasPrefix(string(stream), want) {
+		t.Fatalf("events stream starts\n%s\nwant\n%s", stream[:min(len(want), len(stream))], want)
 	}
-	var report struct {
-		Coordination *struct {
-			Mode    string `json:"mode"`
-			Workers []struct {
-				Worker string `json:"worker"`
-			} `json:"workers"`
-		} `json:"coordination"`
-	}
-	if err := json.Unmarshal(body, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Coordination == nil || report.Coordination.Mode != "http" ||
-		len(report.Coordination.Workers) != 1 || report.Coordination.Workers[0].Worker != "w1" {
-		t.Fatalf("fleet report coordination section = %+v, want http mode with worker w1", report.Coordination)
+	if n := strings.Count(string(stream), "event: sim\n"); n != plan.Len()-1 {
+		t.Fatalf("stream has %d sim frames, want %d", n, plan.Len()-1)
 	}
 }
 

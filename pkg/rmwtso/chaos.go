@@ -7,11 +7,10 @@ import (
 // ChaosEnv is the environment variable that arms the seeded
 // fault-injection layer in a process built from this module (see
 // InstallChaosFromEnv). Its value is a JSON chaos spec: a seed plus a
-// list of rules naming a hook (artifact writes, cache reads, the
-// coordinator client's lease/heartbeat/ack paths), a fault kind (delay,
-// bit-flip, ENOSPC, kill-at-byte-N) and firing bounds. The simulation
-// harness sets it on the worker processes its scenarios script; it has
-// no place in production runs.
+// list of rules naming a hook (artifact writes or cache reads), a fault
+// kind (delay, bit-flip, ENOSPC, kill-at-byte-N) and firing bounds. The
+// simulation harness sets it on the worker processes its scenarios
+// script; it has no place in production runs.
 const ChaosEnv = chaos.Env
 
 // ChaosKillExitCode is the exit status of a process dying to an injected

@@ -86,8 +86,7 @@ type JobResult = engine.JobResult
 type JobHandle = engine.JobHandle
 
 // Metrics is a point-in-time snapshot of the execution counters: unit
-// throughput, cache effectiveness, dead letters and — for HTTP fleets —
-// the lease queue's lease, retry and expiry counts.
+// throughput, cache effectiveness and dead letters.
 type Metrics = engine.Metrics
 
 // Runner is the public face of the execution engine (internal/engine): it

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,10 +24,10 @@ import (
 var chaosSeed = flag.Int64("chaos.seed", 1, "seed for scenario chaos specs; printed on failure for replay")
 
 // bin is the experiments binary every scenario scripts, built once in
-// TestMain. It is deliberately built without -race: the scenarios treat
-// it as a black box with real-time lease deadlines, and instrumentation
-// skew would make fleet timing flaky (the in-process coordinator gets
-// its -race coverage from internal/coordinator's tests).
+// TestMain. It is built without -race: the scenarios treat it as a black
+// box whose outputs they compare, and the code it runs gets its -race
+// coverage from the packages' own tests. An uninstrumented binary keeps
+// each scripted sweep fast.
 var bin string
 
 func TestMain(m *testing.M) {
@@ -53,16 +52,6 @@ func TestMain(m *testing.M) {
 // quickFlags is the base sweep configuration of most scenarios: small
 // enough that a full sweep takes well under a second.
 func quickFlags() []string { return []string{"-quick", "-cores", "4", "-scale", "0.05"} }
-
-// fleetFlags is the configuration of the coordinator-fleet scenarios:
-// scaled so one unit simulates for over a hundred milliseconds, at least
-// two heartbeat intervals (TTL/3 = 50ms under the scenarios' 150ms
-// lease TTL). That is long enough that leases outlive units, heartbeats
-// actually fire mid-execution, and a mid-sweep kill reliably lands
-// mid-sweep. Measured on a 2-vCPU container, the quick plan's 26 units
-// simulate in 121-213ms (median 185ms) at scale 8; at scale 2 they took
-// 30-53ms, too short for a heartbeat to fire reliably.
-func fleetFlags() []string { return []string{"-quick", "-cores", "4", "-scale", "8"} }
 
 // scenarioTimeout bounds every scripted process: the acceptance rule
 // that no scenario may hang is enforced by construction.
@@ -120,8 +109,8 @@ func run(t *testing.T, spec *chaos.Spec, args ...string) procResult {
 	return procResult{Stdout: stdout.String(), Stderr: stderr.String(), Code: code}
 }
 
-// proc is one scripted background process (a coordinator server, a
-// worker mid-sweep).
+// proc is one scripted background process (a shard worker or a sweep
+// running alongside others).
 type proc struct {
 	cmd    *exec.Cmd
 	cancel context.CancelFunc
@@ -219,24 +208,6 @@ func planUnits(t *testing.T, flags []string) []string {
 	return ids
 }
 
-// jsonWithoutCoordination parses a JSON report and re-renders it with
-// the coordination section removed, in canonical (sorted-key) form, so
-// coordinated and static reports can be compared for identity of every
-// result table.
-func jsonWithoutCoordination(t *testing.T, report string) string {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal([]byte(report), &m); err != nil {
-		t.Fatalf("unparsable report JSON: %v\n%s", err, clip(report))
-	}
-	delete(m, "coordination")
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // coordination extracts the coordination section of a JSON report.
 func coordination(t *testing.T, report string) map[string]any {
 	t.Helper()
@@ -273,40 +244,6 @@ func deadLetterUnits(t *testing.T, report string) []string {
 // jsonInto unmarshals a report into a typed view.
 func jsonInto(report string, v any) error {
 	return json.Unmarshal([]byte(report), v)
-}
-
-// pickPort reserves a free localhost port for a coordinator server. The
-// port is released before the server binds it — a race in principle,
-// harmless in this single-harness process.
-func pickPort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// waitListening polls until addr accepts TCP connections (the server
-// process is up) or the deadline lapses.
-func waitListening(t *testing.T, addr string, srv *proc) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			conn.Close()
-			return
-		}
-		select {
-		case err := <-srv.done:
-			t.Fatalf("coordinator exited before listening: %v\nstderr:\n%s", err, srv.stderr.String())
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-	t.Fatalf("coordinator on %s never started listening", addr)
 }
 
 // harnessRand returns the scenario's own deterministic random source,

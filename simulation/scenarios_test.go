@@ -27,10 +27,8 @@ var scenarios = []scenario{
 	{"merge_racing_running_shard", scenarioMergeRace},
 	{"concurrent_sweeps_shared_cache", scenarioSharedCache},
 	{"disk_full_mid_sweep", scenarioDiskFull},
-	{"coordinator_fleet_composed_faults", scenarioFleet},
 	{"cache_bitflip_storm_warm_rerun", scenarioBitflipStorm},
 	{"retry_exhaustion_partial_report", scenarioRetryExhaustion},
-	{"worker_reconnect_after_coordinator_restart", scenarioCoordinatorRestart},
 }
 
 // TestScenarios runs the whole matrix. Each scenario is an independent
@@ -61,9 +59,8 @@ func TestScenarioSeedSweep(t *testing.T) {
 	base := *chaosSeed
 	defer func() { *chaosSeed = base }()
 	sensitive := map[string]bool{
-		"worker_killed_mid_artifact_write":  true,
-		"cache_bitflip_storm_warm_rerun":    true,
-		"coordinator_fleet_composed_faults": true,
+		"worker_killed_mid_artifact_write": true,
+		"cache_bitflip_storm_warm_rerun":   true,
 	}
 	for _, delta := range []int64{1, 2, 3} {
 		seed := base + delta
@@ -279,105 +276,6 @@ func scenarioDiskFull(t *testing.T) {
 	}
 }
 
-// scenarioFleet is the composed-fault centerpiece: an HTTP coordinator
-// fleet suffering a worker crash, a torn ack, chaos-killed lease polls
-// and delayed heartbeats, all at once. The surviving workers must drain
-// the queue and the assembled report must match the static reference in
-// every result table.
-func scenarioFleet(t *testing.T) {
-	flags := fleetFlags()
-	addr := pickPort(t)
-	url := "http://" + addr
-
-	srv := start(t, nil, append(fleetFlags(),
-		"-serve-coordinator", addr, "-lease-ttl", "150ms", "-max-attempts", "10", "-format", "json")...)
-	waitListening(t, addr, srv)
-
-	// Every worker passes the same -lease-ttl so its heartbeat interval
-	// (TTL/3 = 50ms) keeps leases on long units alive; without it the
-	// default 5s interval never beats and long units churn through expiry.
-	workerArgs := func(name string) []string {
-		return append(fleetFlags(), "-worker", url, "-worker-name", name, "-lease-ttl", "150ms")
-	}
-
-	// Fault 1: a worker crashes after one unit, abandoning its lease.
-	crashy := run(t, nil, append(workerArgs("crashy"), "-crash-after", "1")...)
-	if crashy.Code != 3 {
-		t.Fatalf("crashing worker exited %d, want 3\nstderr:\n%s", crashy.Code, clip(crashy.Stderr))
-	}
-
-	// Fault 2: a worker's first ack is torn in transit after
-	// checksumming; the coordinator must refuse it and the worker's exit
-	// must be loud. The unit comes back through lease expiry.
-	tornSpec := &chaos.Spec{Seed: *chaosSeed, Rules: []chaos.Rule{
-		{Hook: chaos.HookAck, Kind: chaos.KindFlip, Match: "torn", Count: 1},
-	}}
-	torn := run(t, tornSpec, workerArgs("torn-worker")...)
-	if torn.Code == 0 {
-		t.Fatalf("torn-ack worker drained cleanly; the flip did not bite:\n%s", clip(torn.Stderr))
-	}
-	if !strings.Contains(torn.Stderr, "checksum") {
-		t.Fatalf("torn ack not refused via the checksum:\n%s", clip(torn.Stderr))
-	}
-
-	// Faults 3+4 ride along with the recovery fleet: one worker whose
-	// heartbeats stall past the lease TTL (losing leases mid-execution,
-	// which it must survive), one whose lease polls are randomly fatal.
-	slowSpec := &chaos.Spec{Seed: *chaosSeed, Rules: []chaos.Rule{
-		{Hook: chaos.HookHeartbeat, Kind: chaos.KindDelay, Match: "slow", DelayMS: 400, Count: 2},
-	}}
-	slow := start(t, slowSpec, workerArgs("slow-beat")...)
-	time.Sleep(100 * time.Millisecond) // let it lease before the steady worker drains
-	flakySpec := &chaos.Spec{Seed: *chaosSeed, Rules: []chaos.Rule{
-		{Hook: chaos.HookLease, Kind: chaos.KindKill, Match: "flaky", Prob: 0.4},
-	}}
-	flaky := start(t, flakySpec, workerArgs("flaky")...)
-	steady := start(t, nil, workerArgs("steady")...)
-
-	sres := srv.wait(t)
-	if sres.Code != 0 {
-		t.Fatalf("coordinator exited %d:\n%s", sres.Code, clip(sres.Stderr))
-	}
-	if r := slow.wait(t); r.Code != 0 {
-		t.Fatalf("slow-heartbeat worker exited %d, want survival:\n%s", r.Code, clip(r.Stderr))
-	} else if !strings.Contains(r.Stderr, "injected delay") {
-		t.Fatalf("heartbeat delay never fired on the slow worker:\n%s", clip(r.Stderr))
-	}
-	if r := flaky.wait(t); r.Code != 0 && r.Code != chaos.KillExitCode {
-		t.Fatalf("flaky worker exited %d, want 0 or %d:\n%s", r.Code, chaos.KillExitCode, clip(r.Stderr))
-	}
-	if r := steady.wait(t); r.Code != 0 {
-		t.Fatalf("steady worker exited %d:\n%s", r.Code, clip(r.Stderr))
-	}
-
-	coord := coordination(t, sres.Stdout)
-	if coord["mode"] != "http" {
-		t.Fatalf("coordination mode %v, want http", coord["mode"])
-	}
-	if expired, _ := coord["expired"].(float64); expired < 2 {
-		t.Fatalf("expired leases %v, want >= 2 (the crash and the torn ack)", coord["expired"])
-	}
-	if dl := deadLetterUnits(t, sres.Stdout); len(dl) != 0 {
-		t.Fatalf("dead letters %v in a recoverable-fault fleet", dl)
-	}
-	workers := map[string]bool{}
-	if ws, ok := coord["workers"].([]any); ok {
-		for _, w := range ws {
-			if m, ok := w.(map[string]any); ok {
-				workers[fmt.Sprint(m["worker"])] = true
-			}
-		}
-	}
-	for _, name := range []string{"crashy", "torn-worker", "slow-beat", "steady"} {
-		if !workers[name] {
-			t.Errorf("worker %s missing from the coordination section (%v)", name, workers)
-		}
-	}
-	if got, want := jsonWithoutCoordination(t, sres.Stdout), jsonWithoutCoordination(t, reference(t, flags, "json")); got != want {
-		t.Fatal("fleet report diverged from the static reference outside the coordination section")
-	}
-}
-
 // scenarioBitflipStorm corrupts cache entries on disk and in flight
 // during a warm rerun. Every flip must be detected by the entry checks
 // and degrade to a recomputation — the report stays byte-identical —
@@ -523,64 +421,5 @@ func scenarioRetryExhaustion(t *testing.T) {
 	if rep.Summary.Type2Min != 0 || rep.Summary.Type2Max != 0 {
 		t.Fatalf("empty partial report's summary carries sentinel values: min=%g max=%g",
 			rep.Summary.Type2Min, rep.Summary.Type2Max)
-	}
-}
-
-// scenarioCoordinatorRestart covers the transport edges of a restarting
-// coordinator: a worker with a mismatched plan is rejected fast; a
-// worker whose coordinator dies mid-sweep fails loudly instead of
-// hanging; a restarted coordinator drains with a fresh worker to the
-// same byte-identical report.
-func scenarioCoordinatorRestart(t *testing.T) {
-	flags := quickFlags()
-	addr := pickPort(t)
-	url := "http://" + addr
-	serveArgs := append(quickFlags(), "-serve-coordinator", addr, "-lease-ttl", "2s", "-format", "json")
-
-	srvA := start(t, nil, serveArgs...)
-	waitListening(t, addr, srvA)
-
-	// A worker whose flags disagree rebuilds a different plan and must
-	// be turned away before any work is handed out.
-	mismatched := run(t, nil, "-quick", "-cores", "4", "-scale", "0.1", "-worker", url, "-worker-name", "mismatched")
-	if mismatched.Code == 0 {
-		t.Fatal("plan-mismatched worker was handed work")
-	}
-	if !strings.Contains(mismatched.Stderr, "plan") {
-		t.Fatalf("mismatch rejection does not name the plan:\n%s", clip(mismatched.Stderr))
-	}
-
-	// A victim worker, slowed so the sweep outlives the coordinator.
-	victimSpec := &chaos.Spec{Seed: *chaosSeed, Rules: []chaos.Rule{
-		{Hook: chaos.HookLease, Kind: chaos.KindDelay, Match: "victim", DelayMS: 150},
-	}}
-	victim := start(t, victimSpec, append(quickFlags(), "-worker", url, "-worker-name", "victim")...)
-	time.Sleep(1200 * time.Millisecond)
-	srvA.kill()
-	vres := victim.wait(t)
-	if vres.Code == 0 {
-		t.Fatal("worker drained against a killed coordinator")
-	}
-	if vres.Code == chaos.KillExitCode || vres.Code == 3 {
-		t.Fatalf("worker exited %d; the failure should be the transport, not an injected fault", vres.Code)
-	}
-
-	// Restart on the same address: a fresh fleet must complete the sweep
-	// from scratch and reproduce the reference.
-	srvB := start(t, nil, serveArgs...)
-	waitListening(t, addr, srvB)
-	if r := run(t, nil, append(quickFlags(), "-worker", url, "-worker-name", "second-shift")...); r.Code != 0 {
-		t.Fatalf("post-restart worker exited %d:\n%s", r.Code, clip(r.Stderr))
-	}
-	sres := srvB.wait(t)
-	if sres.Code != 0 {
-		t.Fatalf("restarted coordinator exited %d:\n%s", sres.Code, clip(sres.Stderr))
-	}
-	coord := coordination(t, sres.Stdout)
-	if coord["mode"] != "http" {
-		t.Fatalf("coordination mode %v, want http", coord["mode"])
-	}
-	if got, want := jsonWithoutCoordination(t, sres.Stdout), jsonWithoutCoordination(t, reference(t, flags, "json")); got != want {
-		t.Fatal("post-restart report diverged from the static reference outside the coordination section")
 	}
 }

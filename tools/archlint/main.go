@@ -1,8 +1,8 @@
 // Command archlint enforces the repository's layer DAG:
 //
 //	cmd, examples, simulation -> pkg/rmwtso -> internal/server ->
-//	    internal/engine -> {coordinator, simcache, experiments, sim,
-//	    memmodel, core, litmus, cpp11, workload, ...}
+//	    internal/engine -> {simcache, experiments, sim, memmodel, core,
+//	    litmus, cpp11, workload, ...}
 //
 // Concretely, per layer (non-test files only; tests may cross layers to
 // build fixtures):

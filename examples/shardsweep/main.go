@@ -1,6 +1,6 @@
 // Example shardsweep demonstrates the Plan/Shard/Report API: it builds
 // the deterministic sweep plan, runs it as two shards (the way two
-// machines of a fleet would), writes and re-reads the shard artifacts,
+// machines would), writes and re-reads the shard artifacts,
 // merges them, and verifies the merged report encodes byte-identically
 // to an unsharded run — the differential guarantee that makes sharding
 // safe.

@@ -111,27 +111,42 @@ func (c *checker) nonAtomicVisible(x *memmodel.Execution, hb *memmodel.Relation)
 // consistent with happens-before and modification order and satisfies the
 // SC-read restriction: an SC load must read from the last SC store to its
 // location that precedes it in the SC order (or from a non-SC store when no
-// SC store precedes it).
+// SC store precedes it). It permutes the SC actions in place and stops at
+// the first order scOrderOK accepts.
 func (c *checker) scOrderExists(x *memmodel.Execution, hb, mo *memmodel.Relation) bool {
-	var scActions []int
+	var sc []int
 	for _, e := range x.Events {
 		if c.order(e) == OrderSC {
-			scActions = append(scActions, e.Index)
+			sc = append(sc, e.Index)
 		}
 	}
-	if len(scActions) == 0 {
+	if len(sc) == 0 {
 		return true
 	}
-	for _, perm := range permute(scActions) {
-		if c.scOrderOK(x, perm, hb, mo) {
-			return true
+	pos := make([]int, len(x.Events))
+	// try fixes sc[:k] and tries every order of sc[k:].
+	var try func(k int) bool
+	try = func(k int) bool {
+		if k == len(sc) {
+			return c.scOrderOK(x, sc, pos, hb, mo)
 		}
+		for i := k; i < len(sc); i++ {
+			sc[k], sc[i] = sc[i], sc[k]
+			ok := try(k + 1)
+			sc[k], sc[i] = sc[i], sc[k]
+			if ok {
+				return true
+			}
+		}
+		return false
 	}
-	return false
+	return try(0)
 }
 
-func (c *checker) scOrderOK(x *memmodel.Execution, sc []int, hb, mo *memmodel.Relation) bool {
-	pos := map[int]int{}
+// scOrderOK reports whether sc, an order of every SC action, satisfies
+// the conditions scOrderExists searches for. pos is scratch space indexed
+// by event, which it overwrites with each SC action's position in sc.
+func (c *checker) scOrderOK(x *memmodel.Execution, sc, pos []int, hb, mo *memmodel.Relation) bool {
 	for i, a := range sc {
 		pos[a] = i
 	}
@@ -178,26 +193,6 @@ func (c *checker) scOrderOK(x *memmodel.Execution, sc []int, hb, mo *memmodel.Re
 		}
 	}
 	return true
-}
-
-func permute(in []int) [][]int {
-	if len(in) == 0 {
-		return [][]int{{}}
-	}
-	var out [][]int
-	var rec func(cur, rest []int)
-	rec = func(cur, rest []int) {
-		if len(rest) == 0 {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for i := range rest {
-			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
-			rec(append(cur, rest[i]), next)
-		}
-	}
-	rec(nil, in)
-	return out
 }
 
 // racy reports whether candidate x, whose happens-before is hb, contains a

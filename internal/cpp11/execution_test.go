@@ -60,6 +60,26 @@ func TestProgramHelpers(t *testing.T) {
 	}
 }
 
+// TestBuildProgram holds every table entry's name unique, so that
+// BuildProgram finds the entry by it, and checks that an unknown name
+// finds nothing.
+func TestBuildProgram(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range programs {
+		name := e.build().Name
+		if seen[name] {
+			t.Errorf("duplicate program name %q", name)
+		}
+		seen[name] = true
+		if got := BuildProgram(name); got == nil || got.Name != name {
+			t.Errorf("BuildProgram(%q) = %v", name, got)
+		}
+	}
+	if BuildProgram("no-such-program") != nil {
+		t.Error("BuildProgram of an unknown name should return nil")
+	}
+}
+
 func TestStmtString(t *testing.T) {
 	cases := []struct {
 		s    Stmt
@@ -200,6 +220,21 @@ func TestSCIRIWAgreesOnWriteOrder(t *testing.T) {
 	})
 	if sem.AllowsOutcome(bad) {
 		t.Errorf("IRIW readers must agree on the SC write order; outcomes: %v", sem.OutcomeKeys())
+	}
+}
+
+// TestAnalyzeSCIRIWAllocs bounds the allocations of the largest SC-order
+// search among the built-in programs: IRIW's six SC actions have 720
+// orders, and a search that built them all, each with its own position
+// map, made about 49,000 allocations.
+func TestAnalyzeSCIRIWAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Analyze(SCIRIW()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("Analyze(SCIRIW()) made %.0f allocations, want at most 1000", allocs)
 	}
 }
 

@@ -63,22 +63,10 @@ func SCIRIW() *Program {
 	return p
 }
 
-// init registers the built-in programs: the race-free validation set used
-// by Table 4 first, then the illustrative idioms. New programs join the
-// suite by calling RegisterProgram; nothing else needs wiring.
-func init() {
-	RegisterProgram(GroupValidation, "sc-store-buffering", SCStoreBuffering)
-	RegisterProgram(GroupValidation, "sc-message-passing", SCMessagePassing)
-
-	RegisterProgram(GroupIdiom, "mp-sc-flag", MessagePassingSCFlag)
-	RegisterProgram(GroupIdiom, "racy-message-passing", RacyMessagePassing)
-	RegisterProgram(GroupIdiom, "sc-iriw", SCIRIW)
-}
-
-// ValidationPrograms returns the race-free programs registered for
-// validating the Table 4 mappings. SCStoreBuffering is the one that
-// separates the mappings: the write-mapping with type-3 RMWs fails on it,
-// exactly as the paper's appendix argues (Dekker's counterexample).
+// ValidationPrograms returns the race-free programs that validate the
+// Table 4 mappings. SCStoreBuffering is the one that separates the
+// mappings: the write-mapping with type-3 RMWs fails on it, exactly as
+// the paper's appendix argues (Dekker's counterexample).
 func ValidationPrograms() []*Program {
 	return ProgramsByGroup(GroupValidation)
 }

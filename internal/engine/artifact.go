@@ -40,17 +40,15 @@ type UnitResult struct {
 // ShardResult is the outcome of running one shard of a plan: the unit
 // results, plus the plan fingerprint and shard selector that produced
 // them. Written to disk (WriteFile) it becomes the machine-readable
-// artifact a fleet ships back for merging.
+// artifact that each process of a split sweep hands in for merging.
 type ShardResult struct {
 	// Plan is the fingerprint of the plan the shard ran against; merges
 	// refuse artifacts of a different plan.
 	Plan string `json:"plan"`
 	// Index and Count echo the round-robin selector (0 and 0 for a full
-	// or purely predicate-selected run); Filtered records that a unit-ID
-	// predicate narrowed the selection.
-	Index    int  `json:"index"`
-	Count    int  `json:"count"`
-	Filtered bool `json:"filtered,omitempty"`
+	// run).
+	Index int `json:"index"`
+	Count int `json:"count"`
 	// Units holds the finished units in plan order.
 	Units []UnitResult `json:"units"`
 	// Coordination, on the partial result of a run that dead-lettered
@@ -151,7 +149,7 @@ func MergeShards(plan *Plan, shards ...*ShardResult) ([]*BenchmarkRun, error) {
 	for i, s := range shards {
 		if s.Plan != plan.Fingerprint() {
 			return nil, fmt.Errorf("rmwtso: shard %d (%s) ran plan %.16s…, this plan is %.16s… (different options or specs?)",
-				i, shardDesc(s), s.Plan, plan.Fingerprint())
+				i, Shard{Index: s.Index, Count: s.Count}, s.Plan, plan.Fingerprint())
 		}
 		units = append(units, s.Units...)
 	}
@@ -169,13 +167,4 @@ func MergeShardFiles(plan *Plan, paths ...string) ([]*BenchmarkRun, error) {
 		shards[i] = s
 	}
 	return MergeShards(plan, shards...)
-}
-
-// shardDesc renders a shard's selector for error messages.
-func shardDesc(s *ShardResult) string {
-	d := Shard{Index: s.Index, Count: s.Count}.String()
-	if s.Filtered {
-		d += ", filtered"
-	}
-	return d
 }

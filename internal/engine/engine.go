@@ -3,7 +3,7 @@
 // its units across a worker pool through the single runUnit execution
 // path, stream progress as typed Events, and expose the finished results
 // plus a Metrics snapshot. The public facade (pkg/rmwtso) is a thin
-// adapter over this package: its Runner wraps an Engine, its
+// adapter over this package: its Runner is an Engine, its
 // plan/shard/artifact types alias the ones defined here, and its error
 // strings are minted here (hence the "rmwtso:" prefixes — they are part
 // of the facade's pinned surface).
@@ -83,13 +83,6 @@ type Event struct {
 // Observer receives streamed events. It is called from worker goroutines
 // but never concurrently, so it needs no locking of its own.
 type Observer func(Event)
-
-// ChannelObserver adapts a channel into an Observer. The caller owns the
-// channel and must drain it; sends block the pool when the channel is
-// unbuffered.
-func ChannelObserver(ch chan<- Event) Observer {
-	return func(e Event) { ch <- e }
-}
 
 // SimRun is one simulator run of a sweep: one trace under one RMW type.
 type SimRun struct {

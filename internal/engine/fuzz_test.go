@@ -12,8 +12,9 @@ import (
 )
 
 // FuzzDecodeShard feeds arbitrary bytes to the shard-artifact decoder,
-// which reads files a fleet ships back. It must never panic; an accepted
-// artifact must re-encode to one that decodes to an equal shard.
+// which reads the files that the shards of a split sweep hand in. It
+// must never panic; an accepted artifact must re-encode to one that
+// decodes to an equal shard.
 //
 // The seed corpus is a real encoded shard (one simulated unit), its
 // truncations, and the same envelope stamped with schema version 1.

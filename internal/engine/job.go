@@ -229,9 +229,20 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 
 // RunPlan executes the units of the plan a shard selects and returns
 // their results as a shard artifact; it is Submit + Wait for a plan job.
-// Unit identities, order and results are exactly the plan's: running
-// shards 0..n-1 of a plan on n processes and merging the artifacts
-// (MergeShards) reconstructs the unsharded sweep bit for bit.
+// A nil ctx uses the engine's context (WithContext). Unit identities,
+// order and results are exactly the plan's: running shards 0..n-1 of a
+// plan on n processes and merging the artifacts (MergeShards)
+// reconstructs the unsharded sweep bit for bit.
+//
+// The plan — not WithRMWTypes, which only narrows model-checking grids
+// — determines what runs: dropping plan units silently would leave
+// merges incomplete. Each unit streams its source group's trace lazily,
+// and the engine's cache (WithCache; none without it) serves and stores
+// units by their keys, so warm shards do zero simulation work. A unit
+// that fails — a deadlock, a simulator error or an injected fault — is
+// dead-lettered and the other units still run; RunPlan then returns a
+// *DeadLetterError carrying the finished units. Deadlocked results are
+// never stored in or served from the cache.
 func (e *Engine) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
 	h, err := e.Submit(ctx, Job{Plan: plan, Shard: shard})
 	if err != nil {
@@ -245,13 +256,20 @@ func (e *Engine) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardRe
 }
 
 // CheckTests model-checks every test under every configured RMW type;
-// Submit + Wait for an unsharded litmus job.
+// Submit + Wait for an unsharded litmus job. Each (test, type) verdict
+// is one work unit; one walk of a test decides all its types, and its
+// verdicts stream to the observer as soon as that walk finishes. The
+// returned slice is ordered (test, type) regardless of parallelism or
+// completion order.
 func (e *Engine) CheckTests(tests ...*Test) ([]TestResult, error) {
 	return e.CheckTestsSharded(FullShard(), tests...)
 }
 
 // CheckTestsSharded is CheckTests restricted to the verdict units the
-// shard selects; Submit + Wait for a sharded litmus job.
+// shard selects; Submit + Wait for a sharded litmus job. Each unit's
+// stable ID is its LitmusUnitID, the returned slice holds only the
+// selected units, still in (test, type) order, and every result carries
+// its unit ID.
 func (e *Engine) CheckTestsSharded(shard Shard, tests ...*Test) ([]TestResult, error) {
 	h, err := e.Submit(nil, Job{Litmus: &LitmusGrid{Tests: tests}, Shard: shard})
 	if err != nil {

@@ -43,12 +43,12 @@ func litmusUnitID(digest string, t *Test, typ AtomicityType) UnitID {
 }
 
 // checkTestsSharded executes the verdict units of a litmus job the shard
-// selects, so a fleet can split one suite across processes exactly like a
+// selects, so one suite splits across processes exactly like a
 // simulation plan: the (test, type) grid is enumerated in deterministic
 // order, each unit's stable ID is LitmusUnitID, and the round-robin
-// selector (or unit-ID predicate) keeps a deterministic subset. The
-// returned slice holds only the selected units, still in (test, type)
-// order, and every result carries its unit ID for correlation.
+// selector keeps a deterministic subset. The returned slice holds only
+// the selected units, still in (test, type) order, and every result
+// carries its unit ID for correlation.
 //
 // A test's selected units run as one item of the worker pool: one walk
 // of the test decides all their types (Test.Check), and then each unit

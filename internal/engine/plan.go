@@ -61,7 +61,7 @@ type planGroup struct {
 // the benchmark × RMW type × seed grid under one architectural
 // configuration, with stable content-addressed unit IDs. A plan is pure
 // metadata — building one generates no trace operations and runs no
-// simulation — so every process of a sharded fleet can rebuild the
+// simulation — so every process of a sharded sweep can rebuild the
 // identical plan from the same Options and agree on unit identities,
 // which the plan fingerprint certifies.
 type Plan struct {
@@ -225,19 +225,16 @@ func (p *Plan) Select(s Shard) []Unit {
 	return out
 }
 
-// Shard selects a subset of a plan's units for one process of a fleet.
-// The zero value selects the whole plan. With Count > 0, units are dealt
-// round-robin by plan position: shard i of n covers the units at
-// positions ≡ i (mod n), so the n shards of a plan partition it exactly
-// and adjacent (cheap and expensive) units spread across the fleet. Only,
-// when non-nil, additionally restricts the shard to units whose ID it
-// accepts — set it alone (Count == 0) for an arbitrary unit-ID predicate.
+// Shard selects a subset of a plan's units for one process of a sweep
+// split across processes or machines. The zero value selects the whole
+// plan. With Count > 0, units are dealt round-robin by plan position:
+// shard i of n covers the units at positions ≡ i (mod n), so the n
+// shards of a plan partition it exactly and adjacent (cheap and
+// expensive) units spread across the processes.
 type Shard struct {
 	// Index and Count select round-robin shard Index of Count.
 	Index int `json:"index"`
 	Count int `json:"count"`
-	// Only, when non-nil, keeps only units whose ID it accepts.
-	Only func(UnitID) bool `json:"-"`
 }
 
 // FullShard returns the selector that covers the whole plan.
@@ -258,27 +255,18 @@ func (s Shard) Validate() error {
 }
 
 // Covers reports whether the shard selects the unit with the given ID at
-// the given plan position. It is the single selection rule every sharded
-// surface shares (Plan.Select, RunPlan, CheckTestsSharded, the binaries'
-// -list-units audits), so a listing can never drift from what actually
-// runs.
+// the given plan position; the selection depends on the position alone.
+// It is the single selection rule every sharded surface shares
+// (Plan.Select, RunPlan, CheckTestsSharded, the binaries' -list-units
+// audits), so a listing can never drift from what actually runs.
 func (s Shard) Covers(pos int, id UnitID) bool {
-	if s.Count > 0 && pos%s.Count != s.Index {
-		return false
-	}
-	if s.Only != nil && !s.Only(id) {
-		return false
-	}
-	return true
+	return s.Count == 0 || pos%s.Count == s.Index
 }
 
-// String renders the selector ("2/4", "all", or "filtered").
+// String renders the selector ("2/4" or "all").
 func (s Shard) String() string {
-	switch {
-	case s.Count > 0:
+	if s.Count > 0 {
 		return fmt.Sprintf("%d/%d", s.Index, s.Count)
-	case s.Only != nil:
-		return "filtered"
 	}
 	return "all"
 }
@@ -339,7 +327,7 @@ func (e *Engine) runUnit(plan *Plan, u Unit, m *metrics) (UnitResult, error) {
 // shardResult frames the unit results of a shard of the plan as a shard
 // artifact.
 func (p *Plan) shardResult(s Shard, units []UnitResult) *ShardResult {
-	return &ShardResult{Plan: p.fp, Index: s.Index, Count: s.Count, Filtered: s.Only != nil, Units: units}
+	return &ShardResult{Plan: p.fp, Index: s.Index, Count: s.Count, Units: units}
 }
 
 // listedUnitsMax bounds how many unit IDs a merge-path error message

@@ -225,55 +225,3 @@ func SpinlockHandoff() *Test {
 		Expected: expect(false, false, false),
 	}
 }
-
-// init registers the built-in suite: the paper's figures in figure order,
-// then the classic TSO sanity tests and RMW idioms. New scenarios join the
-// suite by calling Register; nothing else needs wiring.
-func init() {
-	Register(GroupPaper, "dekker-write-replacement (Fig. 3)", DekkerWriteReplacement)
-	Register(GroupPaper, "dekker-read-replacement (Fig. 4)", DekkerReadReplacement)
-	Register(GroupPaper, "dekker-rmw-as-barrier (Fig. 5)", DekkerRMWBarrierDifferentAddr)
-	Register(GroupPaper, "dekker-rmw-as-barrier-same-address (Fig. 8)", DekkerRMWBarrierSameAddr)
-	Register(GroupPaper, "write-deadlock (Fig. 10)", WriteDeadlock)
-
-	Register(GroupClassic, "SB", StoreBuffering)
-	Register(GroupClassic, "SB+fences", StoreBufferingFences)
-	Register(GroupClassic, "MP", MessagePassing)
-	Register(GroupClassic, "LB", LoadBuffering)
-	Register(GroupClassic, "CoRR", CoRR)
-	Register(GroupClassic, "tas-lock-race", TASLock)
-	Register(GroupClassic, "faa-counter", FetchAddCounter)
-	Register(GroupClassic, "spinlock-handoff", SpinlockHandoff)
-}
-
-// PaperSuite returns the litmus tests taken directly from the paper's
-// figures, in figure order.
-func PaperSuite() []*Test { return ByGroup(GroupPaper) }
-
-// ClassicSuite returns RMW-free TSO sanity tests plus common RMW idioms.
-func ClassicSuite() []*Test { return ByGroup(GroupClassic) }
-
-// AllTests returns the full registered suite in registration order: paper
-// figures first, then classic tests, then any tests registered by other
-// packages.
-func AllTests() []*Test {
-	var out []*Test
-	for _, name := range Names() {
-		out = append(out, Build(name))
-	}
-	return out
-}
-
-// FindTest returns the test with the given name (registry name or program
-// name) from the registered suite, or nil.
-func FindTest(name string) *Test {
-	if t := Build(name); t != nil {
-		return t
-	}
-	for _, t := range AllTests() {
-		if t.Name == name || t.Program.Name == name {
-			return t
-		}
-	}
-	return nil
-}

@@ -14,7 +14,7 @@ import (
 // from Table 1. This is the end-to-end reproduction of the paper's
 // semantics results.
 func TestPaperSuiteMatchesTable1(t *testing.T) {
-	for _, test := range PaperSuite() {
+	for _, test := range ByGroup(GroupPaper) {
 		results, err := test.Check(context.Background(), core.AllTypes(), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
@@ -32,7 +32,7 @@ func TestPaperSuiteMatchesTable1(t *testing.T) {
 // RMW idioms; their verdicts must not depend on the atomicity type in the
 // recorded way.
 func TestClassicSuiteExpectations(t *testing.T) {
-	for _, test := range ClassicSuite() {
+	for _, test := range ByGroup(GroupClassic) {
 		results, err := test.Check(context.Background(), core.AllTypes(), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
@@ -75,12 +75,22 @@ func TestAllTestsHaveValidExecutionsAndMetadata(t *testing.T) {
 	}
 }
 
+// TestFindTest holds every suite entry's name and program name unique
+// across the table, so that FindTest finds the entry by either name, and
+// checks that an unknown name finds nothing.
 func TestFindTest(t *testing.T) {
-	if FindTest("SB") == nil {
-		t.Error("FindTest should locate SB by name")
-	}
-	if FindTest("dekker-write-replacement") == nil {
-		t.Error("FindTest should locate tests by program name")
+	owner := map[string]int{}
+	for i, e := range suite {
+		test := e.build()
+		for _, name := range []string{test.Name, test.Program.Name} {
+			if prev, dup := owner[name]; dup && prev != i {
+				t.Errorf("name %q belongs to suite entries %d and %d", name, prev, i)
+			}
+			owner[name] = i
+			if got := FindTest(name); got == nil || got.Name != test.Name {
+				t.Errorf("FindTest(%q) = %v, want %q", name, got, test.Name)
+			}
+		}
 	}
 	if FindTest("no-such-test") != nil {
 		t.Error("FindTest of an unknown name should return nil")

@@ -220,6 +220,40 @@ func TestCountCandidatesMatchesEnumerate(t *testing.T) {
 	}
 }
 
+// TestEnumerateFuncMatchesEnumerate checks the streaming enumeration
+// against the materializing one on Dekker's algorithm with its writes
+// replaced by RMWs (the paper's Fig. 3), and its early-stop contract.
+func TestEnumerateFuncMatchesEnumerate(t *testing.T) {
+	p := NewProgram("dekker-write-replacement")
+	p.AddThread(Exchange(0, "a0", 1), Read(1, "r0"))
+	p.AddThread(Exchange(1, "a1", 1), Read(0, "r1"))
+	all, err := Enumerate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := 0
+	if err := EnumerateFunc(p, func(*Execution) bool {
+		streamed++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if streamed != len(all) {
+		t.Fatalf("streaming visited %d candidates, materializing returned %d", streamed, len(all))
+	}
+
+	visited := 0
+	if err := EnumerateFunc(p, func(*Execution) bool {
+		visited++
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if visited != 1 {
+		t.Fatalf("early-stopped enumeration visited %d candidates, want 1", visited)
+	}
+}
+
 func TestPermutations(t *testing.T) {
 	// Events: [0] init x, [1] init y, [2] P0:W(x)=1, [3] P0:W(x)=2,
 	// [4] P0:R(y), [5] P1:W(x)=3.

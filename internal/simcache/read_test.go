@@ -159,7 +159,8 @@ func TestConcurrentDiskLookups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm := mustOpen(t, WithDir(dir), WithCapacity(1))
+	warm := mustOpen(t, WithDir(dir))
+	warm.cap = 1
 	var wg sync.WaitGroup
 	for g := range 8 {
 		wg.Add(1)
@@ -194,7 +195,8 @@ func TestChaosSeesEveryDiskRead(t *testing.T) {
 	}
 	in := armChaos(t, chaos.Spec{Rules: []chaos.Rule{{Hook: chaos.HookCacheRead, Kind: chaos.KindDelay, DelayMS: 1}}})
 	in.Sleep = func(time.Duration) {}
-	warm := mustOpen(t, WithDir(dir), WithCapacity(1))
+	warm := mustOpen(t, WithDir(dir))
+	warm.cap = 1
 	for i := range 6 {
 		if _, ok := warm.GetSim(keys[i%2]); !ok {
 			t.Fatalf("lookup %d missed", i)

@@ -53,8 +53,9 @@ const SchemaVersion = 2
 // simulator run. The kind participates in the key digest.
 const KindSimResult = "sim-result"
 
-// DefaultCapacity bounds the in-memory tier when WithCapacity is not given.
-const DefaultCapacity = 512
+// memCapacity bounds the in-memory tier: past it, the least recently
+// used entry is evicted.
+const memCapacity = 512
 
 // Key identifies one cached result by the inputs that determine it.
 // Every field participates in the canonical digest; the zero value of an
@@ -255,12 +256,15 @@ type memEntry struct {
 // Cache is the two-tier result cache. It is safe for concurrent use; the
 // worker pools of pkg/rmwtso share one Cache across all units.
 type Cache struct {
-	mu    sync.Mutex
-	cap   int
-	dir   string
-	ll    *list.List               // front = most recently used
-	items map[string]*list.Element // digest -> element
-	stats Stats
+	mu  sync.Mutex
+	cap int // memCapacity; tests lower it
+	dir string
+	// prefix is what filepath.Join(dir, name) puts before a one-element
+	// name, worked out once in Open so that a lookup appends to it.
+	prefix string
+	ll     *list.List               // front = most recently used
+	items  map[string]*list.Element // digest -> element
+	stats  Stats
 }
 
 // Option configures Open.
@@ -269,17 +273,6 @@ type Option func(*Cache)
 // WithDir enables the on-disk tier rooted at dir (one binary file per
 // entry). The empty string keeps the cache memory-only.
 func WithDir(dir string) Option { return func(c *Cache) { c.dir = dir } }
-
-// WithCapacity bounds the in-memory tier to n entries (LRU eviction);
-// n <= 0 removes the bound. The default is DefaultCapacity.
-func WithCapacity(n int) Option {
-	return func(c *Cache) {
-		if n < 0 {
-			n = 0
-		}
-		c.cap = n
-	}
-}
 
 // DefaultDir returns the default on-disk location: the "rmwtso"
 // subdirectory of the user cache directory (~/.cache/rmwtso on Linux).
@@ -294,7 +287,7 @@ func DefaultDir() (string, error) {
 // Open builds a cache from the options, creating the cache directory when
 // a disk tier is configured. A memory-only Open never fails.
 func Open(opts ...Option) (*Cache, error) {
-	c := &Cache{cap: DefaultCapacity, ll: list.New(), items: map[string]*list.Element{}}
+	c := &Cache{cap: memCapacity, ll: list.New(), items: map[string]*list.Element{}}
 	for _, f := range opts {
 		f(c)
 	}
@@ -302,6 +295,8 @@ func Open(opts ...Option) (*Cache, error) {
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("simcache: creating cache directory: %w", err)
 		}
+		p := filepath.Join(c.dir, "x")
+		c.prefix = p[:len(p)-1]
 	}
 	return c, nil
 }
@@ -325,7 +320,7 @@ func (c *Cache) Stats() Stats {
 
 // path returns the disk-tier file of a key digest.
 func (c *Cache) path(digest string) string {
-	return filepath.Join(c.dir, digest+entryExt)
+	return c.prefix + digest + entryExt
 }
 
 // insertLocked puts a result into the memory tier under the digest,
@@ -337,7 +332,7 @@ func (c *Cache) insertLocked(digest string, r *sim.Result) {
 		return
 	}
 	c.items[digest] = c.ll.PushFront(&memEntry{digest: digest, res: r})
-	for c.cap > 0 && c.ll.Len() > c.cap {
+	for c.ll.Len() > c.cap {
 		tail := c.ll.Back()
 		if tail == nil {
 			break

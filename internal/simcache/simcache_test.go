@@ -197,7 +197,8 @@ func TestSimKeyUsesWorkloadIdentity(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := mustOpen(t, WithCapacity(2))
+	c := mustOpen(t)
+	c.cap = 2
 	keys := []Key{testKey("a", core.Type1), testKey("b", core.Type1), testKey("c", core.Type1)}
 	for _, k := range keys {
 		if err := c.PutSim(k, fakeResult(k.Trace, core.Type1)); err != nil {
@@ -253,6 +254,22 @@ func TestDiskWarm(t *testing.T) {
 	}
 	if st := c2.Stats(); st.MemoryHits != 1 {
 		t.Fatalf("stats = %+v, want promotion to memory", st)
+	}
+}
+
+// TestPathMatchesJoin pins an entry's file to the one filepath.Join names
+// for directories given in unclean forms, and Dir to the form given.
+func TestPathMatchesJoin(t *testing.T) {
+	base := t.TempDir()
+	digest := digestOf([]byte("path"))
+	for _, dir := range []string{".", base, base + "/", base + "//a/./b/", base + "/c/../d"} {
+		c := mustOpen(t, WithDir(dir))
+		if got, want := c.path(digest), filepath.Join(dir, digest+entryExt); got != want {
+			t.Errorf("dir %q: path = %q, want %q", dir, got, want)
+		}
+		if c.Dir() != dir {
+			t.Errorf("Dir() = %q, want %q", c.Dir(), dir)
+		}
 	}
 }
 

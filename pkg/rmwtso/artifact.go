@@ -2,12 +2,6 @@ package rmwtso
 
 import "repro/internal/engine"
 
-// ShardSchemaVersion versions the plan fingerprint derivation and the
-// shard artifact envelope. Bumping it orphans older artifacts (their
-// fingerprints can never match a current plan's) instead of misreading
-// them.
-const ShardSchemaVersion = engine.ShardSchemaVersion
-
 // UnitResult is one finished plan unit inside a shard artifact: the
 // unit's identity plus its simulation result.
 type UnitResult = engine.UnitResult
@@ -15,26 +9,15 @@ type UnitResult = engine.UnitResult
 // ShardResult is the outcome of running one shard of a plan: the unit
 // results, plus the plan fingerprint and shard selector that produced
 // them. Written to disk (WriteFile) it becomes the machine-readable
-// artifact a fleet ships back for merging.
+// artifact that each process of a split sweep hands in for merging.
 type ShardResult = engine.ShardResult
 
-// DecodeShard parses and verifies an encoded shard artifact.
-func DecodeShard(data []byte) (*ShardResult, error) { return engine.DecodeShard(data) }
-
-// ReadShardFile reads and verifies one shard artifact file.
-func ReadShardFile(path string) (*ShardResult, error) { return engine.ReadShardFile(path) }
-
-// MergeShards reassembles the complete sweep from shard results: every
-// shard must carry the plan's fingerprint, every plan unit must appear
-// exactly once across the shards, and no shard may carry a unit the plan
-// does not know. The reconstructed runs are in plan order and deeply
-// equal to an unsharded RunPlan's — so a report built from them encodes
-// byte-identically.
-func MergeShards(plan *Plan, shards ...*ShardResult) ([]*BenchmarkRun, error) {
-	return engine.MergeShards(plan, shards...)
-}
-
-// MergeShardFiles reads, verifies and merges shard artifact files.
+// MergeShardFiles reads and verifies shard artifact files and
+// reassembles the complete sweep from them: every shard must carry the
+// plan's fingerprint, every plan unit must appear exactly once across the
+// shards, and no shard may carry a unit the plan does not know. The
+// reconstructed runs are in plan order and deeply equal to an unsharded
+// RunPlan's — so a report built from them encodes byte-identically.
 func MergeShardFiles(plan *Plan, paths ...string) ([]*BenchmarkRun, error) {
 	return engine.MergeShardFiles(plan, paths...)
 }

@@ -27,13 +27,6 @@ type CacheStats = simcache.Stats
 // CacheOption configures OpenCache.
 type CacheOption = simcache.Option
 
-// CacheSchemaVersion versions the cache key derivation and the meaning of
-// a cached result; it participates in every key, so bumping it orphans
-// older entries rather than misinterpreting them. The byte layout of a
-// disk entry is versioned apart from it, by the entry's first line, so a
-// layout change moves no key digest or unit ID.
-const CacheSchemaVersion = simcache.SchemaVersion
-
 // OpenCache builds a result cache. With no options the cache is
 // memory-only; add CacheDir (typically over DefaultCacheDir's location)
 // to persist entries across processes.
@@ -42,10 +35,6 @@ func OpenCache(opts ...CacheOption) (*Cache, error) { return simcache.Open(opts.
 // CacheDir roots the cache's disk tier at dir (created if missing); the
 // empty string keeps the cache memory-only.
 func CacheDir(dir string) CacheOption { return simcache.WithDir(dir) }
-
-// CacheCapacity bounds the in-memory tier to n entries with LRU
-// eviction; n <= 0 removes the bound.
-func CacheCapacity(n int) CacheOption { return simcache.WithCapacity(n) }
 
 // DefaultCacheDir returns the conventional on-disk cache location
 // (~/.cache/rmwtso on Linux), the directory the binaries' -cache flag

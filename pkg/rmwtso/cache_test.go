@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/pkg/rmwtso"
 )
 
@@ -42,7 +43,7 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenCache: %v", err)
 	}
-	specs := rmwtso.Table3Specs()[:2]
+	specs := experiments.Table3Specs()[:2]
 	units := 0
 	for _, s := range specs {
 		units += len(s.Types)

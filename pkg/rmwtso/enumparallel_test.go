@@ -5,24 +5,24 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cpp11"
 	"repro/internal/memmodel"
 	"repro/pkg/rmwtso"
 )
 
-// registryPrograms returns every enumerable TSO program both registries
-// induce: the program of each registered litmus test, plus every
-// registered C/C++11 program compiled under each Table 4 mapping. This is
-// the corpus the parallel-vs-sequential differential suite runs over; it
-// spans RMW-free classics, RMW chains with dropped cyclic candidates, and
-// the IRIW-class compiled programs whose candidate spaces reach the tens
-// of thousands.
+// registryPrograms returns every enumerable TSO program the built-in
+// suites induce: the program of each litmus test, plus every C/C++11
+// program compiled under each Table 4 mapping. This is the corpus the
+// parallel-vs-sequential differential suite runs over; it spans RMW-free
+// classics, RMW chains with dropped cyclic candidates, and the IRIW-class
+// compiled programs whose candidate spaces reach the tens of thousands.
 func registryPrograms(t testing.TB) map[string]*rmwtso.Program {
 	t.Helper()
 	out := map[string]*rmwtso.Program{}
 	for _, tst := range rmwtso.Suite().Tests() {
 		out["litmus/"+tst.Name] = tst.Program
 	}
-	for _, p := range rmwtso.Cpp11Suite().Programs() {
+	for _, p := range cpp11.AllPrograms() {
 		for _, m := range rmwtso.AllMappings() {
 			compiled, err := rmwtso.CompileCpp11(p, m)
 			if err != nil {
@@ -175,12 +175,12 @@ func TestValidateMappingsEnumWorkersIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("IRIW-class mapping validation is slow in -short mode")
 	}
-	progs := rmwtso.Cpp11Suite().Programs()
-	seq, err := rmwtso.Cpp11Suite().Validate(rmwtso.WithEnumWorkers(1), rmwtso.WithParallelism(1))
+	progs := cpp11.AllPrograms()
+	seq, err := rmwtso.NewRunner(rmwtso.WithEnumWorkers(1), rmwtso.WithParallelism(1)).ValidateMappings(progs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := rmwtso.Cpp11Suite().Validate(rmwtso.WithEnumWorkers(8))
+	par, err := rmwtso.NewRunner(rmwtso.WithEnumWorkers(8)).ValidateMappings(progs...)
 	if err != nil {
 		t.Fatal(err)
 	}

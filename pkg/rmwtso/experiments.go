@@ -60,14 +60,6 @@ func RenderFig11b(entries []Fig11bEntry) string { return experiments.RenderFig11
 // replacement variant, and the atomicity types it runs under.
 type BenchmarkSpec = experiments.BenchmarkSpec
 
-// Table3Specs lists the seven Table 3 benchmarks, each under all three
-// RMW types.
-func Table3Specs() []BenchmarkSpec { return experiments.Table3Specs() }
-
-// Cpp11Specs lists the wsq-mst C/C++11 replacement variants and the RMW
-// types that are sound for them.
-func Cpp11Specs() []BenchmarkSpec { return experiments.Cpp11Specs() }
-
 // SeedAggregate is the cross-seed mean/CI statistics of one (benchmark,
 // RMW type) cell of a multi-seed sweep.
 type SeedAggregate = experiments.SeedAggregate

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpp11"
 	"repro/pkg/rmwtso"
 )
 
@@ -42,7 +43,7 @@ func goldenVerdicts(t *testing.T) string {
 			fmt.Fprintf(&b, "litmus\t%s\t%s\t%s\n", tst.Name, typ, verdict)
 		}
 	}
-	for _, p := range rmwtso.Cpp11Suite().Programs() {
+	for _, p := range cpp11.AllPrograms() {
 		for _, m := range rmwtso.AllMappings() {
 			for _, typ := range rmwtso.AllTypes() {
 				r, err := rmwtso.ValidateMapping(p, m, typ)

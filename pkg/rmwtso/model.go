@@ -36,42 +36,6 @@ type Execution = memmodel.Execution
 // with errors.Is.
 var ErrSpaceTooLarge = memmodel.ErrSpaceTooLarge
 
-// NewProgram returns an empty program with the given name.
-func NewProgram(name string) *Program { return memmodel.NewProgram(name) }
-
-// Read builds a load into a register.
-func Read(addr Addr, reg string) Instr { return memmodel.Read(addr, reg) }
-
-// Write builds a plain store.
-func Write(addr Addr, v Value) Instr { return memmodel.Write(addr, v) }
-
-// Fence builds an mfence.
-func Fence() Instr { return memmodel.Fence() }
-
-// Exchange builds a lock xchg: atomically write v, read the old value into
-// reg.
-func Exchange(addr Addr, reg string, v Value) Instr { return memmodel.Exchange(addr, reg, v) }
-
-// FetchAdd builds a lock xadd: atomically add delta, read the old value
-// into reg.
-func FetchAdd(addr Addr, reg string, delta Value) Instr { return memmodel.FetchAdd(addr, reg, delta) }
-
-// TestAndSet builds a test-and-set RMW: atomically write 1, read the old
-// value into reg.
-func TestAndSet(addr Addr, reg string) Instr { return memmodel.TestAndSet(addr, reg) }
-
-// RMWInstr builds a generic RMW with an arbitrary modify function.
-func RMWInstr(addr Addr, reg string, modify ModifyFunc) Instr {
-	return memmodel.RMW(addr, reg, modify)
-}
-
-// EnumerateExecutions materializes every candidate execution of the
-// program, each cloned out of the enumerator's arena so the returned
-// executions remain valid indefinitely. Prefer EnumerateExecutionsFunc
-// when scanning: its per-candidate loop reuses one arena slot and
-// allocates nothing in steady state.
-func EnumerateExecutions(p *Program) ([]*Execution, error) { return memmodel.Enumerate(p) }
-
 // EnumerateExecutionsFunc streams every candidate execution of the program
 // to visit, one at a time. Returning false stops the enumeration early.
 // The visited executions are candidates only; filter them with
@@ -102,9 +66,3 @@ type Outcome = core.Outcome
 
 // OutcomeSet is a set of observable outcomes keyed by Outcome.Key.
 type OutcomeSet = core.OutcomeSet
-
-// NewOutcomeSet returns an empty outcome set.
-func NewOutcomeSet() *OutcomeSet { return core.NewOutcomeSet() }
-
-// OutcomeOf extracts the observable outcome of an execution.
-func OutcomeOf(x *Execution) Outcome { return core.OutcomeOf(x) }

@@ -1,10 +1,6 @@
 package rmwtso
 
-import (
-	"context"
-
-	"repro/internal/engine"
-)
+import "repro/internal/engine"
 
 // UnitID is the stable identifier of one sweep unit: a short prefix of
 // the unit's content-addressed cache-key digest (simcache key material),
@@ -22,18 +18,17 @@ type Unit = engine.Unit
 // the benchmark × RMW type × seed grid under one architectural
 // configuration, with stable content-addressed unit IDs. A plan is pure
 // metadata — building one generates no trace operations and runs no
-// simulation — so every process of a sharded fleet can rebuild the
+// simulation — so every process of a sharded sweep can rebuild the
 // identical plan from the same Options and agree on unit identities,
 // which the plan fingerprint certifies.
 type Plan = engine.Plan
 
-// Shard selects a subset of a plan's units for one process of a fleet.
-// The zero value selects the whole plan. With Count > 0, units are dealt
-// round-robin by plan position: shard i of n covers the units at
-// positions ≡ i (mod n), so the n shards of a plan partition it exactly
-// and adjacent (cheap and expensive) units spread across the fleet. Only,
-// when non-nil, additionally restricts the shard to units whose ID it
-// accepts — set it alone (Count == 0) for an arbitrary unit-ID predicate.
+// Shard selects a subset of a plan's units for one process of a sweep
+// split across processes or machines. The zero value selects the whole
+// plan. With Count > 0, units are dealt round-robin by plan position:
+// shard i of n covers the units at positions ≡ i (mod n), so the n
+// shards of a plan partition it exactly and adjacent (cheap and
+// expensive) units spread across the processes.
 type Shard = engine.Shard
 
 // BuildPlan enumerates the sweep plan for the options and benchmark
@@ -44,16 +39,6 @@ type Shard = engine.Shard
 // distinct work units alias).
 func BuildPlan(o Options, specs []BenchmarkSpec) (*Plan, error) {
 	return engine.BuildPlan(o, specs)
-}
-
-// BuildPlanSeeds is BuildPlan over an explicit seed list, for sweeps that
-// rerun the grid under several workload seeds. Every (spec, seed) pair
-// becomes one source group; group identity — and thus the report's
-// run-level identity — includes the seed (BenchmarkRun.Seed), so
-// multi-seed plans reassemble into one run per (spec, seed) without
-// name collisions.
-func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, error) {
-	return engine.BuildPlanSeeds(o, specs, seeds...)
 }
 
 // DefaultPlan enumerates the paper's full simulation sweep — the seven
@@ -73,23 +58,3 @@ func FullShard() Shard { return engine.FullShard() }
 // ParseShard parses an "i/n" selector ("0/3" is the first of three
 // shards), as taken by the binaries' -shard flag.
 func ParseShard(spec string) (Shard, error) { return engine.ParseShard(spec) }
-
-// RunPlan executes the units of the plan a shard selects on the Runner's
-// worker pool and returns their results as a shard artifact. A nil ctx
-// uses the Runner's context (WithContext). Unit identities, order and
-// results are exactly the plan's: running shards 0..n-1 of a plan on n
-// processes and merging the artifacts (MergeShards) reconstructs the
-// unsharded sweep bit for bit.
-//
-// The plan — not the Runner's WithRMWTypes, which only narrows
-// model-checking grids — determines what runs: dropping plan units
-// silently would leave merges incomplete. Each unit streams its source
-// group's trace lazily, and the Runner's cache (WithCache; none without
-// it) serves and stores units by their keys, so warm shards do zero
-// simulation work. A unit that fails — a deadlock, a simulator error or
-// an injected fault — is dead-lettered and the other units still run;
-// RunPlan then returns a *DeadLetterError carrying the finished units.
-// Deadlocked results are never stored in or served from the cache.
-func (r *Runner) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
-	return r.eng.RunPlan(ctx, plan, shard)
-}

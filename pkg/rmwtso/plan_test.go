@@ -132,14 +132,6 @@ func TestPlanShardInvariance(t *testing.T) {
 			}
 		}
 	}
-
-	// A unit-ID predicate composes with the round-robin selector.
-	want := all[0].ID
-	only := rmwtso.Shard{Only: func(id rmwtso.UnitID) bool { return id == want }}
-	sel := plan.Select(only)
-	if len(sel) != 1 || sel[0].ID != want {
-		t.Fatalf("predicate shard selected %d units", len(sel))
-	}
 }
 
 // TestShardValidation covers the selector's error cases and parser.

@@ -10,13 +10,9 @@ import (
 // — Tables 1-4, Fig. 11(a)/(b) and the headline summary — the single
 // structure every output format encodes. Build one from finished runs
 // (BuildReport), either a local sweep's or runs reconstructed from shard
-// artifacts (MergeShards): a merged report is deeply equal to an
+// artifacts (MergeShardFiles): a merged report is deeply equal to an
 // unsharded run's, so every encoding is byte-identical too.
 type Report = experiments.Report
-
-// ReportSchemaVersion versions the serialized Report model; decoders
-// reject reports of a schema they do not understand.
-const ReportSchemaVersion = experiments.ReportSchemaVersion
 
 // ReportEncoder renders a Report to a writer in one output format.
 // Encodings are deterministic: equal reports produce byte-identical
@@ -42,9 +38,9 @@ func NewReportEncoder(format string) (ReportEncoder, error) { return experiments
 
 // BuildReport assembles the evaluation report: the semantics sections
 // (Tables 1 and 4) are model checked locally — they are exact and
-// identical on every machine — while
-// the simulation sections (Table 3, Fig. 11, summary) derive from the
-// runs, which come from Plan.Runs (after RunPlan) or MergeShards.
+// identical on every machine — while the simulation sections (Table 3,
+// Fig. 11, summary) derive from the runs, which come from Plan.Runs
+// (after RunPlan) or MergeShardFiles.
 func BuildReport(o Options, runs []*BenchmarkRun) (*Report, error) {
 	return experiments.BuildReport(o, runs)
 }
@@ -56,10 +52,4 @@ func EncodeReport(w io.Writer, r *Report, format string) error {
 		return err
 	}
 	return enc.Encode(w, r)
-}
-
-// DecodeReportJSON parses a JSON-encoded report (the -format json
-// output), rejecting schemas this build does not understand.
-func DecodeReportJSON(data []byte) (*Report, error) {
-	return experiments.DecodeReportJSON(data)
 }

@@ -22,13 +22,13 @@
 //		rmwtso.WithParallelism(8),
 //		rmwtso.WithObserver(func(e rmwtso.Event) { ... }),
 //	)
-//	results, err := r.CheckSuite()
+//	results, err := r.CheckTests(rmwtso.Suite().Tests()...)
 //
-// The Runner fans work units (one litmus verdict, one mapping validation,
-// one simulator run) across a goroutine pool, streams every finished unit
-// to the observer as it completes, and still returns the aggregate in a
-// deterministic order. Litmus tests and C/C++11 validation programs live
-// in name-keyed registries with glob filtering:
+// The Runner (the execution engine itself) fans work units (one litmus
+// verdict, one mapping validation, one simulator run) across a goroutine
+// pool, streams every finished unit to the observer as it completes, and
+// still returns the aggregate in a deterministic order. The built-in
+// litmus tests form a fixed suite with glob filtering:
 //
 //	results, err := rmwtso.Suite().Filter("SB*").Run(rmwtso.WithParallelism(4))
 package rmwtso

@@ -15,11 +15,6 @@ type Event = engine.Event
 // but never concurrently, so it needs no locking of its own.
 type Observer = engine.Observer
 
-// ChannelObserver adapts a channel into an Observer. The caller owns the
-// channel and must drain it; sends block the pool when the channel is
-// unbuffered.
-func ChannelObserver(ch chan<- Event) Observer { return engine.ChannelObserver(ch) }
-
 // SimRun is one simulated plan unit: one trace under one RMW type. Unit
 // carries the run's stable plan-unit identifier, and CacheHit marks a
 // run served from the Runner's result cache without executing the
@@ -50,8 +45,9 @@ func WithObserver(fn Observer) Option { return engine.WithObserver(fn) }
 // The default, 0, applies the candidate-count rule per program —
 // GOMAXPROCS when the verdict walks at least memmodel.AutoEnumThreshold
 // candidates, 1 below, so small suites don't pay goroutine overhead
-// while one huge verdict no longer serializes on a single core. This parallelism is inside one work unit
-// and multiplies with WithParallelism's unit-level pool.
+// while one huge verdict no longer serializes on a single core. This
+// parallelism is inside one work unit and multiplies with
+// WithParallelism's unit-level pool.
 func WithEnumWorkers(n int) Option { return engine.WithEnumWorkers(n) }
 
 // WithCache makes the Runner's plan units (RunPlan) consult and fill a
@@ -89,69 +85,12 @@ type JobHandle = engine.JobHandle
 // throughput, cache effectiveness and dead letters.
 type Metrics = engine.Metrics
 
-// Runner is the public face of the execution engine (internal/engine): it
-// fans work units — litmus verdicts, mapping validations, simulator
-// runs — across a goroutine pool, streaming each finished unit to the
-// observer while returning aggregates in deterministic order. A Runner is
-// safe for repeated use; each method call runs its own pool.
-type Runner struct {
-	eng *engine.Engine
-}
+// Runner is the execution engine (internal/engine): it fans work units —
+// litmus verdicts, mapping validations, simulator runs — across a
+// goroutine pool, streaming each finished unit to the observer while
+// returning aggregates in deterministic order. A Runner is safe for
+// repeated and concurrent use; each method call runs its own pool.
+type Runner = engine.Engine
 
 // NewRunner builds a Runner from the options.
-func NewRunner(opts ...Option) *Runner {
-	return &Runner{eng: engine.New(opts...)}
-}
-
-// Types returns the atomicity types the Runner is configured with.
-func (r *Runner) Types() []AtomicityType { return r.eng.Types() }
-
-// Submit starts a job on the execution engine and returns a handle for
-// it. A nil ctx uses the Runner's context (WithContext). The job executes
-// asynchronously; all execution errors surface through the handle's Wait,
-// and every finished unit streams to the observer as it completes. A
-// malformed job (neither or both of Plan and Litmus) is rejected
-// synchronously.
-func (r *Runner) Submit(ctx context.Context, job Job) (*JobHandle, error) {
-	return r.eng.Submit(ctx, job)
-}
-
-// Metrics snapshots the Runner's engine-wide execution counters across
-// every job and sweep it has run.
-func (r *Runner) Metrics() Metrics { return r.eng.Metrics() }
-
-// CheckTests model-checks every test under every configured RMW type.
-// Each (test, type) verdict is one work unit; one walk of a test decides
-// all its types, and its verdicts stream to the observer as soon as that
-// walk finishes. The returned slice is ordered (test, type) regardless of
-// parallelism or completion order.
-func (r *Runner) CheckTests(tests ...*Test) ([]TestResult, error) {
-	return r.eng.CheckTests(tests...)
-}
-
-// CheckTestsSharded is CheckTests restricted to the verdict units a
-// shard selects, so a fleet can split one suite across processes exactly
-// like a simulation plan: the (test, type) grid is enumerated in
-// deterministic order, each unit's stable ID is the UnitID of its
-// content-addressed verdict key, and the round-robin selector (or unit-ID
-// predicate) keeps a deterministic subset. The returned slice holds only
-// the selected units, still in (test, type) order, and every result
-// carries its unit ID for correlation.
-func (r *Runner) CheckTestsSharded(shard Shard, tests ...*Test) ([]TestResult, error) {
-	return r.eng.CheckTestsSharded(shard, tests...)
-}
-
-// CheckSuite model-checks the full registered litmus suite; shorthand for
-// CheckTests over Suite().Tests().
-func (r *Runner) CheckSuite() ([]TestResult, error) {
-	return r.CheckTests(Suite().Tests()...)
-}
-
-// ValidateMappings validates every Table 4 mapping under every configured
-// RMW type for each program. Each (program, mapping, type) combination is
-// one result and one event; one walk of a compiled (program, mapping)
-// pair decides all its types. The returned slice is ordered (program,
-// mapping, type).
-func (r *Runner) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, error) {
-	return r.eng.ValidateMappings(programs...)
-}
+func NewRunner(opts ...Option) *Runner { return engine.New(opts...) }

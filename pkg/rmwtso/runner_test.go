@@ -160,7 +160,7 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
-// TestSuiteFilter exercises the registry-backed glob filtering.
+// TestSuiteFilter exercises the suite's glob filtering.
 func TestSuiteFilter(t *testing.T) {
 	names := rmwtso.Suite().Filter("SB*").Names()
 	if len(names) != 2 || names[0] != "SB" || names[1] != "SB+fences" {
@@ -177,14 +177,10 @@ func TestSuiteFilter(t *testing.T) {
 	if _, err := rmwtso.Suite().Filter("[").Run(); err == nil {
 		t.Fatal("malformed pattern did not surface an error from Run")
 	}
-	if v := rmwtso.Cpp11Suite().Filter("sc-*"); len(v.Names()) != 3 {
-		t.Fatalf("Cpp11 Filter(sc-*) = %v, want 3 programs", v.Names())
-	}
 }
 
 // TestSuiteFilterAdHocView pins that Filter selects from the view's own
-// tests, so a view of tests that are not in the registry keeps them, and
-// that the C/C++11 view narrows its own programs the same way.
+// tests, so a view of tests that are not in the suite keeps them.
 func TestSuiteFilterAdHocView(t *testing.T) {
 	adhoc, err := rmwtso.ParseTest(`
 name: adhoc-sb
@@ -215,9 +211,6 @@ exists (P0:r0=0 /\ P1:r1=0)
 	if want := `litmus: bad filter pattern "["`; err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("malformed pattern on an ad-hoc view: err = %v, want prefix %s", err, want)
 	}
-	if got := rmwtso.Cpp11Suite().Filter("sc-*").Filter("*iriw").Names(); len(got) != 1 || got[0] != "sc-iriw" {
-		t.Errorf("Cpp11 Filter(sc-*).Filter(*iriw) = %v, want [sc-iriw]", got)
-	}
 }
 
 // TestWithRMWTypesRestrictsSweep checks that WithRMWTypes limits the
@@ -232,42 +225,6 @@ func TestWithRMWTypesRestrictsSweep(t *testing.T) {
 	}
 	if results[0].Atomicity != rmwtso.Type2 {
 		t.Fatalf("got atomicity %s, want type-2", results[0].Atomicity)
-	}
-}
-
-// TestEnumerateFuncMatchesEnumerate checks the streaming enumeration
-// against the materializing wrapper and its early-stop contract.
-func TestEnumerateFuncMatchesEnumerate(t *testing.T) {
-	test := rmwtso.FindTest("dekker-write-replacement (Fig. 3)")
-	if test == nil {
-		t.Fatal("Fig. 3 test not registered")
-	}
-	all, err := rmwtso.EnumerateExecutions(test.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := 0
-	err = rmwtso.EnumerateExecutionsFunc(test.Program, func(x *rmwtso.Execution) bool {
-		streamed++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != len(all) {
-		t.Fatalf("streaming visited %d candidates, materializing returned %d", streamed, len(all))
-	}
-
-	visited := 0
-	err = rmwtso.EnumerateExecutionsFunc(test.Program, func(*rmwtso.Execution) bool {
-		visited++
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if visited != 1 {
-		t.Fatalf("early-stopped enumeration visited %d candidates, want 1", visited)
 	}
 }
 

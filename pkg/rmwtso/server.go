@@ -15,18 +15,6 @@ type ServerConfig = server.Config
 // gracefully. cmd/rmwtso-serve is the binary form.
 type Server = server.Server
 
-// ServerSubmitRequest is the POST /v1/jobs request body model, exported
-// so Go clients can marshal submissions without hand-writing JSON.
-type ServerSubmitRequest = server.SubmitRequest
-
-// ServerPlanSpec shapes a plan submission like cmd/experiments' flags
-// shape a sweep: preset plus overrides, same plan fingerprints.
-type ServerPlanSpec = server.PlanSpec
-
-// ServerLitmusSpec selects a litmus submission's tests: a registry name,
-// a group, or an inline program source.
-type ServerLitmusSpec = server.LitmusSpec
-
 // NewServer builds the HTTP service from its configuration. Serve it
 // with Server.Run (or mount Server.Handler under your own listener).
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }

@@ -33,32 +33,9 @@ type OpStream = sim.OpStream
 // adapts a materialized trace.
 type TraceSource = sim.TraceSource
 
-// MaterializeTrace drains every stream of a source into a materialized
-// Trace, for when the ops must be retained (inspection, repeated replay
-// without regeneration cost).
-func MaterializeTrace(src TraceSource) *Trace { return sim.Materialize(src) }
-
 // SimResult holds the statistics of one simulation run, including the
 // per-RMW cost split of Fig. 11(a).
 type SimResult = sim.Result
-
-// NewTrace returns an empty trace for the given core count.
-func NewTrace(name string, cores int) *Trace { return sim.NewTrace(name, cores) }
-
-// TraceRead builds a load of the cache line holding addr.
-func TraceRead(addr uint64) TraceOp { return sim.Read(addr) }
-
-// TraceWrite builds a store to the cache line holding addr.
-func TraceWrite(addr uint64) TraceOp { return sim.Write(addr) }
-
-// TraceRMW builds an atomic read-modify-write of the line holding addr.
-func TraceRMW(addr uint64) TraceOp { return sim.RMW(addr) }
-
-// TraceFence builds an mfence (drain the write buffer).
-func TraceFence() TraceOp { return sim.Fence() }
-
-// TraceCompute builds a non-memory computation of the given length.
-func TraceCompute(cycles uint64) TraceOp { return sim.Compute(cycles) }
 
 // Simulate runs one materialized trace on the simulated machine described
 // by the configuration. For bounded-memory runs of long workloads, use
@@ -134,10 +111,6 @@ func FindProfile(name string) (Profile, error) { return workload.FindProfile(nam
 
 // ProfileNames lists the available benchmark profiles.
 func ProfileNames() []string { return workload.ProfileNames() }
-
-// Table3Profiles returns the seven benchmark profiles of the paper's
-// Table 3.
-func Table3Profiles() []Profile { return workload.Table3Profiles() }
 
 // WSQProfile returns the lock-free work-stealing benchmark profile
 // (wsq-mst), the subject of the C/C++11 replacement experiments.

@@ -82,7 +82,7 @@ func BenchmarkTable1IdiomMatrix(b *testing.B) {
 // it mostly exists so every table has a named regeneration target.
 func BenchmarkTable2Parameters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if experiments.RenderTable2(sim.DefaultConfig()) == "" {
+		if experiments.RenderTable2(sim.DefaultConfig().Table2()) == "" {
 			b.Fatal("empty Table 2")
 		}
 	}

@@ -121,31 +121,18 @@ func main() {
 		fatalUsage(fmt.Errorf("faults are injected where units execute; -fail-unit applies to a sweep or -shard, not to -list-units/-merge"))
 	}
 
-	opts := rmwtso.DefaultOptions()
+	// Every mode (plan pipeline and table modes) derives its plan from
+	// this one spec, so the plan fingerprints of a multi-seed sharded
+	// sweep agree, and so does the HTTP service's plan for the same spec.
+	spec := rmwtso.SweepSpec{Preset: "default", Cores: *cores, Scale: *scale, Seed: *seed, Seeds: *seeds}
 	if *quick {
-		opts = rmwtso.QuickOptions()
+		spec.Preset = "quick"
 	}
-	if *cores > 0 {
-		opts.Cores = *cores
-	}
-	if *scale > 0 {
-		opts.Scale = *scale
-	}
-	if *seed != 0 {
-		opts.Seed = *seed
-	}
+	opts, seedList, err := spec.Options()
+	check(err)
 
 	cache, err := rmwtso.OpenCacheFromFlags(*cacheFlags.Enabled, *cacheFlags.Dir, *cacheFlags.Clear)
 	check(err)
-
-	// The seed list of the sweep: the base seed alone, or -seeds
-	// consecutive seeds starting at it. Every mode (plan pipeline and
-	// table modes) derives its plan from this one list, so the plan
-	// fingerprints of a multi-seed sharded sweep agree.
-	seedList := []int64{opts.Seed}
-	for s := int64(1); s < int64(*seeds); s++ {
-		seedList = append(seedList, opts.Seed+s)
-	}
 
 	// Every Runner of the process injects the same faults.
 	var faultOpts []rmwtso.Option
@@ -214,12 +201,28 @@ func main() {
 			}
 			runs, err := rmwtso.MergeShardFiles(plan, flag.Args()...)
 			check(err)
-			emitReport(opts, runs, *format, nil)
+			report, err := rmwtso.BuildReport(opts, runs)
+			check(err)
+			emitReport(report, *format)
 			return
 
 		default: // -format without -shard/-merge: unsharded full report.
 			res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, rmwtso.FullShard())
-			emitSweep(opts, plan, res, err, *format)
+			var dle *rmwtso.DeadLetterError
+			if !errors.As(err, &dle) {
+				check(err)
+			}
+			// A sweep with dead letters emits the partial report — complete
+			// trace groups plus the dead-letter section — and exits 1 so CI
+			// cannot mistake it for a healthy one.
+			report, rerr := plan.Report(res)
+			check(rerr)
+			emitReport(report, *format)
+			if dle != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", dle)
+				fmt.Fprintf(os.Stderr, "experiments: %d units are missing from the tables above; see the dead-letter section\n", len(res.Coordination.DeadLetters))
+				os.Exit(1)
+			}
 			reportCache(cache)
 			return
 		}
@@ -236,17 +239,18 @@ func main() {
 	if !needSim && *failUnit != "" {
 		fatalUsage(fmt.Errorf("-fail-unit needs a run that simulates; -table 1, 2 and 4 execute no units"))
 	}
-	var runs []*rmwtso.BenchmarkRun
+	var report *rmwtso.Report
 	if needSim {
 		plan, err := rmwtso.DefaultPlanSeeds(opts, seedList...)
 		check(err)
 		res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, rmwtso.FullShard())
 		check(err)
-		runs, err = plan.Runs(res.Units)
+		report, err = plan.Report(res)
+		check(err)
+	} else {
+		report, err = rmwtso.BuildReport(opts, nil)
 		check(err)
 	}
-	report, err := rmwtso.BuildReport(opts, runs)
-	check(err)
 
 	if *all || *table == "1" {
 		fmt.Println(rmwtso.RenderTable1(report.Table1))
@@ -258,9 +262,7 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *table == "2" {
-		// Table 2 lists the options' architectural configuration, the
-		// same rows as report.Table2.
-		fmt.Println(rmwtso.RenderTable2(opts.BaseConfig()))
+		fmt.Println(rmwtso.RenderTable2(report.Table2))
 		fmt.Println()
 	}
 	if *all || *table == "4" {
@@ -314,18 +316,9 @@ func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Opti
 				}
 				fmt.Fprintf(os.Stderr, "  %s: %s: %s under %s (%d cycles)\n",
 					verb, e.Sim.Unit, e.Sim.Trace, e.Sim.Type, e.Sim.Result.Cycles)
-			case e.Coord != nil:
-				line := "  coord: " + e.Coord.Kind
-				if e.Coord.Unit != "" {
-					line += " " + string(e.Coord.Unit)
-				}
-				if e.Coord.Attempt > 0 {
-					line += fmt.Sprintf(" attempt=%d", e.Coord.Attempt)
-				}
-				if e.Coord.Reason != "" {
-					line += " (" + e.Coord.Reason + ")"
-				}
-				fmt.Fprintln(os.Stderr, line)
+			case e.DeadLetter != nil:
+				d := e.DeadLetter
+				fmt.Fprintf(os.Stderr, "  coord: dead-letter %s attempt=%d (%s)\n", d.Unit, d.Attempts, d.Reasons[len(d.Reasons)-1])
 			}
 		}))
 	}
@@ -352,27 +345,6 @@ func buildFaultInjector(failUnits string) rmwtso.FaultInjector {
 	}
 }
 
-// emitSweep finishes a full sweep: a clean result emits the full report,
-// while dead-lettered units emit the partial report — complete trace
-// groups plus the dead-letter section — and exit 1 so CI cannot mistake
-// the sweep for a healthy one.
-func emitSweep(opts rmwtso.Options, plan *rmwtso.Plan, res *rmwtso.ShardResult, err error, format string) {
-	var dle *rmwtso.DeadLetterError
-	if errors.As(err, &dle) {
-		partial := dle.Partial
-		runs, missing, perr := plan.RunsPartial(partial.Units)
-		check(perr)
-		emitReport(opts, runs, format, partial.Coordination)
-		fmt.Fprintln(os.Stderr, "experiments:", dle)
-		fmt.Fprintf(os.Stderr, "experiments: %d units are missing from the tables above; see the dead-letter section\n", len(missing))
-		os.Exit(1)
-	}
-	check(err)
-	runs, err := plan.Runs(res.Units)
-	check(err)
-	emitReport(opts, runs, format, nil)
-}
-
 // listUnits prints the plan as a fixed-width listing so operators can
 // audit shard boundaries before launching the shards.
 func listUnits(plan *rmwtso.Plan) {
@@ -385,16 +357,12 @@ func listUnits(plan *rmwtso.Plan) {
 	fmt.Printf("%d units, plan %s\n", plan.Len(), plan.Fingerprint())
 }
 
-// emitReport builds the full evaluation report from the runs and encodes
-// it on stdout ("" defaults to ascii). A non-nil coord attaches the
-// coordination section; the result tables are unaffected either way.
-func emitReport(opts rmwtso.Options, runs []*rmwtso.BenchmarkRun, format string, coord *rmwtso.Coordination) {
+// emitReport encodes the report on stdout in the format ("" defaults to
+// ascii).
+func emitReport(report *rmwtso.Report, format string) {
 	if format == "" {
 		format = rmwtso.FormatASCII
 	}
-	report, err := rmwtso.BuildReport(opts, runs)
-	check(err)
-	report.Coordination = coord
 	check(rmwtso.EncodeReport(os.Stdout, report, format))
 }
 

@@ -169,11 +169,10 @@ func listUnits(view *rmwtso.SuiteView, types []rmwtso.AtomicityType, shard rmwts
 	pos := 0
 	for _, t := range view.Tests() {
 		for _, typ := range types {
-			id := rmwtso.LitmusUnitID(t, typ)
 			total++
-			if shard.Covers(pos, id) {
+			if shard.Covers(pos) {
 				selected++
-				fmt.Fprintf(w, "%s\t%s\t%s\n", id, t.Name, typ)
+				fmt.Fprintf(w, "%s\t%s\t%s\n", rmwtso.LitmusUnitID(t, typ), t.Name, typ)
 			}
 			pos++
 		}

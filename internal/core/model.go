@@ -192,16 +192,6 @@ func (m *Model) Allows(p *memmodel.Program, pred func(Outcome) bool) (bool, erro
 	return found, nil
 }
 
-// Forbids reports whether no valid execution of the program satisfies the
-// predicate over its outcome.
-func (m *Model) Forbids(p *memmodel.Program, pred func(Outcome) bool) (bool, error) {
-	allowed, err := m.Allows(p, pred)
-	if err != nil {
-		return false, err
-	}
-	return !allowed, nil
-}
-
 // Explain describes why an execution is (in)valid under the model, rendering
 // the ato edges and, for invalid executions, one cycle or the uniproc
 // violation. Intended for the litmus tool's verbose mode.

@@ -106,13 +106,6 @@ func TestModelAllowsAndForbids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forbidden, err := m.Forbids(p, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allowed == forbidden {
-		t.Fatal("Allows and Forbids must be complementary")
-	}
 	if allowed {
 		t.Error("read-replacement Dekker must forbid the bad outcome under type-2")
 	}
@@ -126,9 +119,6 @@ func TestModelErrorsPropagate(t *testing.T) {
 	}
 	if _, err := m.Allows(bad, func(Outcome) bool { return true }); err == nil {
 		t.Error("Allows of an invalid program must fail")
-	}
-	if _, err := m.Forbids(bad, func(Outcome) bool { return true }); err == nil {
-		t.Error("Forbids of an invalid program must fail")
 	}
 	if _, err := m.ValidExecutions(bad); err == nil {
 		t.Error("ValidExecutions of an invalid program must fail")

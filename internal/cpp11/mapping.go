@@ -46,21 +46,6 @@ func (m Mapping) String() string {
 // AllMappings lists the Table 4 mappings in table order.
 func AllMappings() []Mapping { return []Mapping{ReadWriteMapping, ReadMapping, WriteMapping} }
 
-// ParseMapping parses a mapping name ("read-write", "read", "write", with
-// or without the "-mapping" suffix).
-func ParseMapping(s string) (Mapping, error) {
-	switch strings.TrimSuffix(s, "-mapping") {
-	case "read-write", "rw":
-		return ReadWriteMapping, nil
-	case "read", "r":
-		return ReadMapping, nil
-	case "write", "w":
-		return WriteMapping, nil
-	default:
-		return 0, fmt.Errorf("cpp11: unknown mapping %q (want read-write, read or write)", s)
-	}
-}
-
 // MapsSCLoadToRMW reports whether the mapping compiles SC loads to RMWs.
 func (m Mapping) MapsSCLoadToRMW() bool { return m == ReadWriteMapping || m == ReadMapping }
 
@@ -237,28 +222,4 @@ func (s *Semantics) result(m Mapping, v core.Verdict) ValidationResult {
 		}
 	}
 	return res
-}
-
-// ValidateAll validates every Table 4 mapping under every RMW atomicity
-// type for the given programs, returning results in (program, mapping,
-// type) order. This regenerates the paper's appendix-A claims: the
-// read-write-mapping and the read-mapping are sound for all three RMW
-// types, while the write-mapping is sound for type-1 and type-2 but not
-// type-3.
-func ValidateAll(programs []*Program) ([]ValidationResult, error) {
-	var out []ValidationResult
-	for _, p := range programs {
-		sem, err := Analyze(p)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range AllMappings() {
-			rs, err := sem.Validate(context.Background(), m, core.AllTypes(), 1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rs...)
-		}
-	}
-	return out, nil
 }

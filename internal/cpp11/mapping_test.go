@@ -21,18 +21,6 @@ func TestMappingStringAndParse(t *testing.T) {
 		if m.String() != want {
 			t.Errorf("%v.String() = %q, want %q", int(m), m.String(), want)
 		}
-		parsed, err := ParseMapping(want)
-		if err != nil || parsed != m {
-			t.Errorf("ParseMapping(%q) = %v, %v", want, parsed, err)
-		}
-	}
-	for _, alias := range []string{"rw", "read-write", "r", "read", "w", "write"} {
-		if _, err := ParseMapping(alias); err != nil {
-			t.Errorf("ParseMapping(%q) failed: %v", alias, err)
-		}
-	}
-	if _, err := ParseMapping("bogus"); err == nil {
-		t.Error("unknown mapping must not parse")
 	}
 	if Mapping(9).String() == "" {
 		t.Error("unknown mapping should still render")
@@ -199,25 +187,6 @@ func TestWriteMappingType3CounterexampleIsDekker(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("counterexamples %v do not include the Dekker outcome %q", res.Counterexamples, want)
-	}
-}
-
-// TestValidationProgramsAllSoundExceptWriteType3 validates every mapping and
-// type over the whole validation-program set: the only unsound combination
-// anywhere must be write-mapping + type-3.
-func TestValidationProgramsAllSoundExceptWriteType3(t *testing.T) {
-	results, err := ValidateAll(ValidationPrograms())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(ValidationPrograms()) * 3 * 3; len(results) != want {
-		t.Fatalf("expected %d results, got %d", want, len(results))
-	}
-	for _, r := range results {
-		expectSound := !(r.Mapping == WriteMapping && r.Atomicity == core.Type3 && r.Program == "sc-store-buffering")
-		if r.Sound != expectSound {
-			t.Errorf("%s: sound=%v, want %v", r.String(), r.Sound, expectSound)
-		}
 	}
 }
 

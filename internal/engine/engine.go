@@ -13,6 +13,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpp11"
@@ -66,43 +67,21 @@ type (
 )
 
 // Event is one streamed result from the engine: exactly one field is
-// non-nil. Events are delivered to the observer serially (never
-// concurrently), in completion order, as soon as each work unit finishes.
+// non-nil, and it is the same record the job returns for that unit.
+// Events are delivered to the observer serially (never concurrently), in
+// completion order, as soon as each work unit finishes.
 type Event struct {
 	// Litmus is set when the unit was one litmus verdict.
 	Litmus *TestResult
-	// Mapping is set when the unit was one C/C++11 mapping validation.
-	Mapping *MappingResult
-	// Sim is set when the unit was one simulator run.
-	Sim *SimRun
-	// Coord is set when a plan job dead-letters a unit, streamed
-	// alongside the SimRun events of the same sweep.
-	Coord *CoordEvent
+	// Sim is set when the unit was one simulator run of a plan job.
+	Sim *UnitResult
+	// DeadLetter is set when a plan job dead-lettered the unit.
+	DeadLetter *DeadUnit
 }
 
 // Observer receives streamed events. It is called from worker goroutines
 // but never concurrently, so it needs no locking of its own.
 type Observer func(Event)
-
-// SimRun is one simulator run of a sweep: one trace under one RMW type.
-type SimRun struct {
-	// Unit is the run's stable plan-unit identifier (derived from the
-	// content-addressed cache key), so streamed progress events correlate
-	// with Plan entries without reconstructing the (trace, type, seed)
-	// tuple.
-	Unit UnitID
-	// Trace is the name of the simulated trace.
-	Trace string
-	// Type is the RMW atomicity type the run used.
-	Type AtomicityType
-	// Result holds the run's statistics. It may be shared with the result
-	// cache and other jobs, so it is read-only.
-	Result *SimResult
-	// CacheHit marks a run served from the engine's result cache: no
-	// simulator executed for it. Observers can count hits to verify a
-	// warm sweep did zero simulation work.
-	CacheHit bool
-}
 
 // options collects the Engine configuration set by functional options.
 type options struct {
@@ -147,8 +126,8 @@ func WithEnumWorkers(n int) Option {
 
 // WithCache makes the Engine's plan units consult (and fill) a
 // content-addressed cache of simulator results. Hits skip the simulator
-// entirely and are flagged on the streamed SimRun; results are identical
-// either way. A nil cache disables caching (the default).
+// entirely and are flagged on the streamed UnitResult; results are
+// identical either way. A nil cache disables caching (the default).
 func WithCache(c *simcache.Cache) Option {
 	return func(o *options) { o.cache = c }
 }
@@ -188,7 +167,7 @@ func New(opts ...Option) *Engine {
 	if len(o.types) == 0 {
 		o.types = core.AllTypes()
 	}
-	return &Engine{opts: o}
+	return &Engine{opts: o, metrics: metrics{start: time.Now()}}
 }
 
 // Types returns the atomicity types the Engine is configured with.

@@ -58,8 +58,8 @@ type JobHandle struct {
 func (h *JobHandle) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the job finishes and returns its result. A plan job
-// that finished with dead-lettered units returns a *DeadLetterError
-// exactly like the facade's RunPlan.
+// that finished with dead-lettered units returns its partial shard
+// together with a *DeadLetterError, exactly like RunPlan.
 func (h *JobHandle) Wait() (*JobResult, error) {
 	return h.WaitCtx(context.Background())
 }
@@ -110,21 +110,6 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	return h, nil
 }
 
-// CoordEvent is one coordination state transition of a plan job,
-// streamed through the engine's observer alongside the job's SimRun
-// events so progress displays can show dead letters as they happen.
-type CoordEvent struct {
-	// Kind is the transition; the static pool emits only "dead-letter".
-	Kind string
-	// Unit is the plan unit concerned.
-	Unit UnitID
-	// Attempt is the 1-based attempt the transition concerns, always 1:
-	// the static pool runs each unit once.
-	Attempt int
-	// Reason carries the failure reason.
-	Reason string
-}
-
 // FaultInjector decides, before each execution of a plan unit, whether to
 // inject a fault: return nil to execute normally, or an error to fail the
 // execution without simulating, which dead-letters the unit. Fault
@@ -139,11 +124,10 @@ func WithFaultInjector(f FaultInjector) Option {
 
 // DeadLetterError reports a plan job that finished with dead-lettered
 // units: every other unit finished, but the listed units failed, each
-// after its one execution. Partial carries the completed units and the
-// coordination summary — including the dead letters with their failure
-// reasons — so callers can still render a partial report
-// (Plan.RunsPartial) with the DLQ section instead of discarding the
-// sweep.
+// after its one execution. The job returns the partial shard beside the
+// error, and Partial is that same shard: the completed units plus the
+// coordination section that lists the dead letters with their failure
+// reasons, so Plan.Report still renders the partial report.
 type DeadLetterError struct {
 	// Partial is the shard result of the completed units, with its
 	// Coordination section populated (DeadLetters non-empty).
@@ -182,11 +166,13 @@ func deadUnit(u Unit, reason string) DeadUnit {
 // (WithCache; none without it) serves and stores units by their keys, so
 // warm shards do zero simulation work.
 //
-// A unit whose execution fails — a simulator error, a deadlock or an
-// injected fault — is dead-lettered after its one attempt, and the other
-// units still run: units are deterministic, so a retry in this process
-// would only fail again. A job with dead letters returns a
-// *DeadLetterError carrying the finished units.
+// Each finished unit streams the UnitResult the shard holds for it. A
+// unit whose execution fails — a simulator error, a deadlock or an
+// injected fault — is dead-lettered after its one attempt and streams
+// the DeadUnit the shard's coordination section lists; the other units
+// still run: units are deterministic, so a retry in this process would
+// only fail again. A job with dead letters returns its partial shard
+// together with a *DeadLetterError.
 func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *metrics) (*ShardResult, error) {
 	if err := shard.Validate(); err != nil {
 		return nil, err
@@ -194,37 +180,46 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 	selected := plan.Select(shard)
 	m.planned(len(selected))
 	results := make([]UnitResult, len(selected))
-	errs := make([]error, len(selected))
+	dead := make([]*DeadUnit, len(selected))
 	err := e.runUnitsCtx(ctx, len(selected), func(i int) error {
-		u := selected[i]
-		results[i], errs[i] = e.runUnit(plan, u, m)
-		if errs[i] != nil {
+		res, err := e.runUnit(plan, selected[i], m)
+		if err != nil {
+			// The failure stays in the unit's slot: returning it would
+			// stop the pool claiming the remaining units.
+			d := deadUnit(selected[i], err.Error())
+			dead[i] = &d
 			m.deadLetter()
-			e.emitTo(m, Event{Coord: &CoordEvent{Kind: "dead-letter", Unit: u.ID, Attempt: 1, Reason: errs[i].Error()}})
+			e.emitTo(m, Event{DeadLetter: &d})
+			return nil
 		}
-		// The error stays in the unit's slot: returning it would stop the
-		// pool claiming the remaining units.
+		results[i] = res
+		e.emitTo(m, Event{Sim: &results[i]})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	done := results[:0] // compacted in place: slot i moves to an index <= i
-	var dead []DeadUnit
-	for i, u := range selected {
-		if errs[i] != nil {
-			dead = append(dead, deadUnit(u, errs[i].Error()))
-			continue
+	res := plan.shardResult(shard, results)
+	var letters []DeadUnit
+	for _, d := range dead {
+		if d != nil {
+			letters = append(letters, *d)
 		}
-		done = append(done, results[i])
 	}
-	res := plan.shardResult(shard, done)
-	if len(dead) == 0 {
+	if len(letters) == 0 {
 		return res, nil
 	}
-	slices.SortFunc(dead, func(a, b DeadUnit) int { return strings.Compare(a.Unit, b.Unit) })
-	res.Coordination = &Coordination{Mode: "in-process", DeadLetters: dead}
-	return nil, &DeadLetterError{Partial: res}
+	// The streamed records point into results, so the finished units are
+	// copied out rather than compacted in place.
+	res.Units = make([]UnitResult, 0, len(results)-len(letters))
+	for i, r := range results {
+		if dead[i] == nil {
+			res.Units = append(res.Units, r)
+		}
+	}
+	slices.SortFunc(letters, func(a, b DeadUnit) int { return strings.Compare(a.Unit, b.Unit) })
+	res.Coordination = &Coordination{Mode: "in-process", DeadLetters: letters}
+	return res, &DeadLetterError{Partial: res}
 }
 
 // RunPlan executes the units of the plan a shard selects and returns
@@ -240,19 +235,16 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 // and the engine's cache (WithCache; none without it) serves and stores
 // units by their keys, so warm shards do zero simulation work. A unit
 // that fails — a deadlock, a simulator error or an injected fault — is
-// dead-lettered and the other units still run; RunPlan then returns a
-// *DeadLetterError carrying the finished units. Deadlocked results are
-// never stored in or served from the cache.
+// dead-lettered and the other units still run; RunPlan then returns the
+// partial shard of the finished units together with a *DeadLetterError.
+// Deadlocked results are never stored in or served from the cache.
 func (e *Engine) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
 	h, err := e.Submit(ctx, Job{Plan: plan, Shard: shard})
 	if err != nil {
 		return nil, err
 	}
 	res, err := h.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return res.Shard, nil
+	return res.Shard, err
 }
 
 // CheckTests model-checks every test under every configured RMW type;

@@ -197,14 +197,14 @@ func TestDeadLetterCounters(t *testing.T) {
 	}))
 	type poisonedJob struct {
 		h      *engine.JobHandle
-		events []engine.CoordEvent
+		events []engine.DeadUnit
 	}
 	jobs := make([]*poisonedJob, len(plans))
 	for i, plan := range plans {
 		j := &poisonedJob{}
 		h, err := eng.Submit(nil, engine.Job{Plan: plan, Observer: func(ev engine.Event) {
-			if ev.Coord != nil {
-				j.events = append(j.events, *ev.Coord)
+			if ev.DeadLetter != nil {
+				j.events = append(j.events, *ev.DeadLetter)
 			}
 		}})
 		if err != nil {
@@ -224,14 +224,14 @@ func TestDeadLetterCounters(t *testing.T) {
 			t.Errorf("job %d: DLQDepth %d, Retries %d, UnitsDone %d; want 1, 0 and %d", i, m.DLQDepth, m.Retries, m.UnitsDone, plans[i].Len()-1)
 		}
 		u, reason := poisoned[i], reasons[i]
-		if len(j.events) != 1 || j.events[0] != (engine.CoordEvent{Kind: "dead-letter", Unit: u.ID, Attempt: 1, Reason: reason}) {
-			t.Errorf("job %d: coordination events %+v, want one dead-letter for %s", i, j.events, u.ID)
+		want := engine.DeadUnit{Unit: string(u.ID), Trace: u.Trace, Type: u.Type.String(), Attempts: 1, Reasons: []string{reason}}
+		if !reflect.DeepEqual(j.events, []engine.DeadUnit{want}) {
+			t.Errorf("job %d: dead-letter events %+v, want one for %s", i, j.events, u.ID)
 		}
 		c := dle.Partial.Coordination
 		if c.Mode != "in-process" || len(c.DeadLetters) != 1 {
 			t.Fatalf("job %d: coordination %+v, want in-process mode with exactly the poisoned unit", i, c)
 		}
-		want := engine.DeadUnit{Unit: string(u.ID), Trace: u.Trace, Type: u.Type.String(), Attempts: 1, Reasons: []string{reason}}
 		if d := c.DeadLetters[0]; !reflect.DeepEqual(d, want) {
 			t.Errorf("job %d: dead letter %+v, want %+v", i, d, want)
 		}

@@ -71,10 +71,9 @@ func (e *Engine) checkTestsSharded(ctx context.Context, shard Shard, m *metrics,
 		digest := testDigest(t)
 		g := group{ti: ti, first: selected}
 		for _, typ := range types {
-			id := litmusUnitID(digest, t, typ)
-			if shard.Covers(pos, id) {
+			if shard.Covers(pos) {
 				g.types = append(g.types, typ)
-				g.ids = append(g.ids, id)
+				g.ids = append(g.ids, litmusUnitID(digest, t, typ))
 			}
 			pos++
 		}
@@ -107,11 +106,11 @@ func (e *Engine) checkTestsSharded(ctx context.Context, shard Shard, m *metrics,
 
 // ValidateMappings validates every Table 4 mapping under every configured
 // RMW type for each program. Each (program, mapping, type) combination is
-// one result and one event; the returned slice is ordered (program,
-// mapping, type). A (program, mapping) pair runs as one item of the
-// worker pool, deciding all the types in one walk of its compiled
-// program. Each program's C/C++11 semantics is analyzed once, by the
-// first of its items to run, and shared read-only by the rest.
+// one result; the returned slice is ordered (program, mapping, type). A
+// (program, mapping) pair runs as one item of the worker pool, deciding
+// all the types in one walk of its compiled program. Each program's
+// C/C++11 semantics is analyzed once, by the first of its items to run,
+// and shared read-only by the rest.
 func (e *Engine) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, error) {
 	mappings := cpp11.AllMappings()
 	types := e.opts.types
@@ -135,11 +134,7 @@ func (e *Engine) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, e
 		if err != nil {
 			return err
 		}
-		for j, res := range rs {
-			k := i*len(types) + j
-			results[k] = res
-			e.emit(Event{Mapping: &results[k]})
-		}
+		copy(results[i*len(types):], rs)
 		return nil
 	})
 	if err != nil {

@@ -176,6 +176,61 @@ func DefaultPlanSeeds(o Options, seeds ...int64) (*Plan, error) {
 	return BuildPlanSeeds(o, append(experiments.Table3Specs(), experiments.Cpp11Specs()...), seeds...)
 }
 
+// SweepSpec shapes a sweep the way the experiments binary's flags do: a
+// preset plus overrides. The binary fills one from -quick, -cores,
+// -scale, -seed and -seeds, and the HTTP service decodes one from a plan
+// job's body, so the same spec builds the same plan, with the same unit
+// identities, on either surface.
+type SweepSpec struct {
+	// Preset is "default" (paper-scale) or "quick"; "" means default.
+	Preset string `json:"preset,omitempty"`
+	// Cores, Scale and Seed override the preset when positive / non-zero.
+	Cores int     `json:"cores,omitempty"`
+	Scale float64 `json:"scale,omitempty"`
+	Seed  int64   `json:"seed,omitempty"`
+	// Seeds reruns the sweep under this many consecutive seeds, starting
+	// at the base seed; 0 and 1 mean the base seed alone.
+	Seeds int `json:"seeds,omitempty"`
+}
+
+// Options resolves the spec to the sweep's options and its seed list.
+// It fails on an unknown preset and on a negative core count, scale or
+// seed count.
+func (s SweepSpec) Options() (Options, []int64, error) {
+	var opts Options
+	switch s.Preset {
+	case "", "default":
+		opts = experiments.DefaultOptions()
+	case "quick":
+		opts = experiments.QuickOptions()
+	default:
+		return opts, nil, fmt.Errorf("unknown plan preset %q (want default or quick)", s.Preset)
+	}
+	if s.Cores < 0 {
+		return opts, nil, fmt.Errorf("plan cores must be positive, got %d", s.Cores)
+	}
+	if s.Scale < 0 {
+		return opts, nil, fmt.Errorf("plan scale must be positive, got %g", s.Scale)
+	}
+	if s.Seeds < 0 {
+		return opts, nil, fmt.Errorf("plan seeds must be positive, got %d", s.Seeds)
+	}
+	if s.Cores > 0 {
+		opts.Cores = s.Cores
+	}
+	if s.Scale > 0 {
+		opts.Scale = s.Scale
+	}
+	if s.Seed != 0 {
+		opts.Seed = s.Seed
+	}
+	seeds := []int64{opts.Seed}
+	for n := int64(1); n < int64(s.Seeds); n++ {
+		seeds = append(seeds, opts.Seed+n)
+	}
+	return opts, seeds, nil
+}
+
 // Units returns the plan's units in plan order.
 func (p *Plan) Units() []Unit { return append([]Unit(nil), p.units...) }
 
@@ -218,7 +273,7 @@ func (p *Plan) Unit(id UnitID) (Unit, bool) {
 func (p *Plan) Select(s Shard) []Unit {
 	var out []Unit
 	for pos, u := range p.units {
-		if s.Covers(pos, u.ID) {
+		if s.Covers(pos) {
 			out = append(out, u)
 		}
 	}
@@ -254,12 +309,11 @@ func (s Shard) Validate() error {
 	return nil
 }
 
-// Covers reports whether the shard selects the unit with the given ID at
-// the given plan position; the selection depends on the position alone.
-// It is the single selection rule every sharded surface shares
+// Covers reports whether the shard selects the unit at the given plan
+// position. It is the single selection rule every sharded surface shares
 // (Plan.Select, RunPlan, CheckTestsSharded, the binaries' -list-units
 // audits), so a listing can never drift from what actually runs.
-func (s Shard) Covers(pos int, id UnitID) bool {
+func (s Shard) Covers(pos int) bool {
 	return s.Count == 0 || pos%s.Count == s.Index
 }
 
@@ -303,8 +357,8 @@ func deadlockError(name string, typ AtomicityType) error {
 }
 
 // runUnit executes one plan unit on its group's source through the
-// engine's result cache (simulateCached) and emits its SimRun event,
-// after consulting the engine's fault injector.
+// engine's result cache (simulateCached), after consulting the engine's
+// fault injector.
 func (e *Engine) runUnit(plan *Plan, u Unit, m *metrics) (UnitResult, error) {
 	if e.opts.faults != nil {
 		if err := e.opts.faults(u); err != nil {
@@ -320,7 +374,6 @@ func (e *Engine) runUnit(plan *Plan, u Unit, m *metrics) (UnitResult, error) {
 		return UnitResult{}, deadlockError(u.Trace, u.Type)
 	}
 	m.unitDone(hit)
-	e.emitTo(m, Event{Sim: &SimRun{Unit: u.ID, Trace: u.Trace, Type: u.Type, Result: res, CacheHit: hit}})
 	return UnitResult{Unit: u.ID, Trace: u.Trace, Type: u.Type, Seed: u.Seed, CacheHit: hit, Result: res}, nil
 }
 
@@ -477,4 +530,29 @@ func (p *Plan) RunsPartial(units []UnitResult) ([]*BenchmarkRun, []UnitID, error
 	}
 	_, missing := p.missingUnits(byID)
 	return p.groupRuns(byID), missing, nil
+}
+
+// Report builds the evaluation report of a shard result of the plan: the
+// full report when the shard holds every unit (Runs), or the partial
+// report of the complete source groups when it lists dead letters
+// (RunsPartial). The report is built from the plan's own options and
+// carries the shard's coordination section, so a partial report names
+// the units its tables lack.
+func (p *Plan) Report(sr *ShardResult) (*experiments.Report, error) {
+	var runs []*BenchmarkRun
+	var err error
+	if sr.Coordination != nil && len(sr.Coordination.DeadLetters) > 0 {
+		runs, _, err = p.RunsPartial(sr.Units)
+	} else {
+		runs, err = p.Runs(sr.Units)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r, err := experiments.BuildReport(p.opts, runs)
+	if err != nil {
+		return nil, err
+	}
+	r.Coordination = sr.Coordination
+	return r, nil
 }

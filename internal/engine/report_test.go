@@ -118,9 +118,11 @@ func TestCSVEncoderParses(t *testing.T) {
 	}
 }
 
-// TestRenderWrappersMatchASCIIEncoder pins the refactor invariant: the
-// public Render* helpers and the ASCII encoder share one rendering, so a
-// section rendered standalone appears verbatim in the full encoding.
+// TestRenderWrappersMatchASCIIEncoder pins that the exported section
+// renderers (which the table modes print) and the ASCII encoder share one
+// rendering, so a section rendered standalone appears verbatim in the
+// full encoding; Table 2 rendered from the options' configuration is the
+// report's Table 2.
 func TestRenderWrappersMatchASCIIEncoder(t *testing.T) {
 	r, o := buildTestReport(t)
 	var b bytes.Buffer
@@ -130,7 +132,7 @@ func TestRenderWrappersMatchASCIIEncoder(t *testing.T) {
 	full := b.String()
 	for name, section := range map[string]string{
 		"Table1":  experiments.RenderTable1(r.Table1),
-		"Table2":  experiments.RenderTable2(o.BaseConfig()),
+		"Table2":  experiments.RenderTable2(o.BaseConfig().Table2()),
 		"Table3":  experiments.RenderTable3(r.Table3),
 		"Table4":  experiments.RenderTable4(r.Table4),
 		"Fig11a":  experiments.RenderFig11a(r.Fig11a),

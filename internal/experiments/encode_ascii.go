@@ -12,9 +12,9 @@ import (
 )
 
 // ASCIIEncoder renders a Report as the paper-layout fixed-width tables
-// and bar charts. It is the terminal-facing encoding; the section
-// renderers it is built from also back the public Render* wrappers, so
-// one section rendered standalone is byte-identical to the same section
+// and bar charts. It is the terminal-facing encoding, built from the
+// exported section renderers (RenderTable1 … RenderFig11b), so one
+// section rendered standalone is byte-identical to the same section
 // inside a full report.
 type ASCIIEncoder struct{}
 
@@ -22,17 +22,17 @@ type ASCIIEncoder struct{}
 // 4, Fig. 11(a)/(b), then the headline summary.
 func (ASCIIEncoder) Encode(w io.Writer, r *Report) error {
 	var b strings.Builder
-	b.WriteString(asciiTable1(r.Table1))
+	b.WriteString(RenderTable1(r.Table1))
 	b.WriteString("\n")
-	b.WriteString(asciiTable2(r.Table2))
+	b.WriteString(RenderTable2(r.Table2))
 	b.WriteString("\n")
-	b.WriteString(asciiTable3(r.Table3))
+	b.WriteString(RenderTable3(r.Table3))
 	b.WriteString("\n")
-	b.WriteString(asciiTable4(r.Table4))
+	b.WriteString(RenderTable4(r.Table4))
 	b.WriteString("\n")
-	b.WriteString(asciiFig11a(r.Fig11a))
+	b.WriteString(RenderFig11a(r.Fig11a))
 	b.WriteString("\n")
-	b.WriteString(asciiFig11b(r.Fig11b))
+	b.WriteString(RenderFig11b(r.Fig11b))
 	b.WriteString("\n")
 	b.WriteString(r.Summary.Render())
 	if len(r.SeedStats) > 0 {
@@ -71,8 +71,8 @@ func asciiCoordination(c *Coordination) string {
 	return out
 }
 
-// asciiTable1 renders Table 1 rows in the paper's layout.
-func asciiTable1(rows []Table1Row) string {
+// RenderTable1 renders Table 1 rows in the paper's layout.
+func RenderTable1(rows []Table1Row) string {
 	t := stats.NewTable("Table 1: conventional RMW (type-1) vs proposed RMWs (type-2, type-3)",
 		"Atomicity", "Dekker reads->RMW", "Dekker writes->RMW", "RMW as barrier", "C++11 SC-reads->RMW", "C++11 SC-writes->RMW")
 	for _, r := range rows {
@@ -83,8 +83,9 @@ func asciiTable1(rows []Table1Row) string {
 	return t.Render()
 }
 
-// asciiTable2 renders the architectural parameter rows (Table 2).
-func asciiTable2(rows [][2]string) string {
+// RenderTable2 renders the architectural parameter rows (Table 2), as a
+// report's Table2 holds them.
+func RenderTable2(rows [][2]string) string {
 	t := stats.NewTable("Table 2: architectural parameters", "Component", "Configuration")
 	for _, row := range rows {
 		t.AddRow(row[0], row[1])
@@ -92,9 +93,9 @@ func asciiTable2(rows [][2]string) string {
 	return t.Render()
 }
 
-// asciiTable3 renders Table 3 rows, including the paper's reference
+// RenderTable3 renders Table 3 rows, including the paper's reference
 // values for the structural columns.
-func asciiTable3(rows []Table3Row) string {
+func RenderTable3(rows []Table3Row) string {
 	t := stats.NewTable("Table 3: benchmark characteristics (measured vs paper)",
 		"Code", "Suite", "Problem size",
 		"RMWs/1000 memops", "(paper)",
@@ -109,9 +110,9 @@ func asciiTable3(rows []Table3Row) string {
 	return t.Render()
 }
 
-// asciiTable4 renders the mapping-validation matrix together with the
+// RenderTable4 renders the mapping-validation matrix together with the
 // instruction selection of each mapping.
-func asciiTable4(rows []Table4Row) string {
+func RenderTable4(rows []Table4Row) string {
 	sel := stats.NewTable("Table 4: mapping from C/C++11 to x86",
 		"Mapping", "SC read", "SC write", "non-SC read", "non-SC write")
 	seen := map[string]bool{}
@@ -137,10 +138,10 @@ func asciiTable4(rows []Table4Row) string {
 	return sel.Render() + "\n" + val.Render()
 }
 
-// asciiFig11a renders the Fig. 11(a) data as a table plus a bar chart of
+// RenderFig11a renders the Fig. 11(a) data as a table plus a bar chart of
 // the total per-RMW cost. A type a benchmark has no run of prints as "-"
 // in every cell and bar, and its change against type-1 too.
-func asciiFig11a(entries []Fig11aEntry) string {
+func RenderFig11a(entries []Fig11aEntry) string {
 	t := stats.NewTable("Fig. 11(a): cost of type-1/2/3 RMWs (cycles, split write-buffer + Ra/Wa)",
 		"Benchmark",
 		"t1 WB", "t1 Ra/Wa", "t1 total",
@@ -177,10 +178,10 @@ func change(base, next float64) string {
 	return fmt.Sprintf("%+.1f%%", -stats.PercentReduction(base, next))
 }
 
-// asciiFig11b renders the Fig. 11(b) data. A type a benchmark has no run
+// RenderFig11b renders the Fig. 11(b) data. A type a benchmark has no run
 // of prints as "-" in its table cells and its bar, and so does a speedup
 // whose type or type-1 base is missing.
-func asciiFig11b(entries []Fig11bEntry) string {
+func RenderFig11b(entries []Fig11bEntry) string {
 	t := stats.NewTable("Fig. 11(b): execution-time overhead of RMWs (% of total execution time)",
 		"Benchmark", "type-1", "type-2", "type-3", "speedup t2", "speedup t3")
 	series := []stats.Series{{Name: "type-1"}, {Name: "type-2"}, {Name: "type-3"}}

@@ -123,9 +123,9 @@ func TestFig11MissingTypePrintsAbsent(t *testing.T) {
 			}
 		}
 	}
-	check("Fig. 11(a)", asciiFig11a(r.Fig11a), absentA)
-	check("Fig. 11(b)", asciiFig11b(r.Fig11b), absentB)
-	if got := tableRow(t, asciiFig11a(r.Fig11a), "all")[10]; got != "+16.7%" {
+	check("Fig. 11(a)", RenderFig11a(r.Fig11a), absentA)
+	check("Fig. 11(b)", RenderFig11b(r.Fig11b), absentB)
+	if got := tableRow(t, RenderFig11a(r.Fig11a), "all")[10]; got != "+16.7%" {
 		t.Errorf("a 16.7%% cost increase prints as %q, want +16.7%%", got)
 	}
 

@@ -35,7 +35,7 @@ func TestCheckTable1MatchesDetectsMismatch(t *testing.T) {
 }
 
 func TestRenderTable2(t *testing.T) {
-	out := RenderTable2(sim.DefaultConfig())
+	out := RenderTable2(sim.DefaultConfig().Table2())
 	for _, want := range []string{"32 core", "Write Buffer", "MOESI", "2D Mesh"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 2 missing %q:\n%s", want, out)

@@ -95,15 +95,6 @@ func Fig11FromRuns(runs []*BenchmarkRun) ([]Fig11aEntry, []Fig11bEntry) {
 	return a, b
 }
 
-// RenderFig11a renders the Fig. 11(a) data as a table plus a bar chart of
-// the total per-RMW cost; a thin wrapper over the Report model's ASCII
-// section renderer.
-func RenderFig11a(entries []Fig11aEntry) string { return asciiFig11a(entries) }
-
-// RenderFig11b renders the Fig. 11(b) data; a thin wrapper over the
-// Report model's ASCII section renderer.
-func RenderFig11b(entries []Fig11bEntry) string { return asciiFig11b(entries) }
-
 // Summary condenses the headline claims of the paper's abstract: the range
 // of per-RMW cost reductions of type-2 and type-3 over type-1, the largest
 // end-to-end improvement, and the average share of type-1 RMW cost spent on

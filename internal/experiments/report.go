@@ -48,11 +48,11 @@ type Report struct {
 	// every encoding — for single-seed sweeps, preserving byte-identity
 	// with pre-aggregation reports.
 	SeedStats []SeedAggregate `json:"seed_stats,omitempty"`
-	// Coordination, when the simulation sweep ran under the dynamic
-	// coordinator, records how the units were distributed (per-worker
-	// counts, retries, dead letters). It is nil for static runs, and
-	// being execution metadata it is excluded from byte-identity
-	// comparisons of the result tables.
+	// Coordination, on the partial report of a sweep that dead-lettered
+	// units, lists those units (and the HTTP service's "coordinate" jobs
+	// carry an empty one). It is nil for a complete sweep, and being
+	// execution metadata it is excluded from byte-identity comparisons of
+	// the result tables.
 	Coordination *Coordination `json:"coordination,omitempty"`
 }
 

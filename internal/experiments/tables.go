@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpp11"
 	"repro/internal/litmus"
-	"repro/internal/sim"
 )
 
 // Table1Row is one row of the paper's Table 1: the synchronization idioms
@@ -100,13 +99,6 @@ func Table1Expected() []Table1Row {
 	}
 }
 
-// RenderTable1 renders Table 1 rows in the paper's layout; it is a thin
-// wrapper over the Report model's ASCII section renderer.
-func RenderTable1(rows []Table1Row) string { return asciiTable1(rows) }
-
-// RenderTable2 renders the architectural parameters (Table 2).
-func RenderTable2(cfg sim.Config) string { return asciiTable2(cfg.Table2()) }
-
 // Table3Row is one row of Table 3: per-benchmark characteristics.
 type Table3Row struct {
 	Name  string `json:"name"`
@@ -153,11 +145,6 @@ func Table3FromRuns(runs []*BenchmarkRun) []Table3Row {
 	return rows
 }
 
-// RenderTable3 renders Table 3 rows, including the paper's reference
-// values for the structural columns; a thin wrapper over the Report
-// model's ASCII section renderer.
-func RenderTable3(rows []Table3Row) string { return asciiTable3(rows) }
-
 // Table4Row is one row of the Table 4 mapping validation: which mappings
 // are sound under which RMW type, checked on the SC store-buffering
 // program.
@@ -196,11 +183,6 @@ func RunTable4() ([]Table4Row, error) {
 	}
 	return rows, nil
 }
-
-// RenderTable4 renders the mapping-validation matrix together with the
-// instruction selection of each mapping; a thin wrapper over the Report
-// model's ASCII section renderer.
-func RenderTable4(rows []Table4Row) string { return asciiTable4(rows) }
 
 // CheckTable1Matches compares generated Table 1 rows against the paper's
 // and returns an error describing the first mismatch, if any.

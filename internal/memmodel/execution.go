@@ -259,16 +259,6 @@ func (x *Execution) EventsByThread(t ThreadID) []*Event {
 	return out
 }
 
-// FindEvent returns the first event matching the predicate, or nil.
-func (x *Execution) FindEvent(pred func(*Event) bool) *Event {
-	for _, e := range x.Events {
-		if pred(e) {
-			return e
-		}
-	}
-	return nil
-}
-
 // PO returns the program-order relation: a per-thread total order over all
 // events of the same thread (memory accesses and fences). Initial writes
 // are ordered before every event of every thread. The relation is shared

@@ -315,13 +315,6 @@ func TestEventsByThreadAndFindEvent(t *testing.T) {
 	if len(t0) != 2 {
 		t.Fatalf("thread 0 has %d events, want 2", len(t0))
 	}
-	e := x.FindEvent(func(e *Event) bool { return e.Kind == KindWrite && e.Thread == 1 })
-	if e == nil || e.Addr != 1 {
-		t.Fatalf("FindEvent returned %v", e)
-	}
-	if x.FindEvent(func(e *Event) bool { return e.Kind == KindFence }) != nil {
-		t.Error("FindEvent should return nil when nothing matches")
-	}
 }
 
 func TestExecutionString(t *testing.T) {

@@ -157,15 +157,6 @@ func (p *Program) Addrs() []Addr {
 	return out
 }
 
-// NumInstructions returns the total number of instructions in the program.
-func (p *Program) NumInstructions() int {
-	n := 0
-	for _, t := range p.Threads {
-		n += len(t)
-	}
-	return n
-}
-
 // Validate checks structural well-formedness of the program: at least one
 // thread, register names unique per thread for value-producing
 // instructions, and no empty threads.

@@ -155,16 +155,6 @@ func (r *Relation) Union(other *Relation) *Relation {
 	return r
 }
 
-// UnionOf returns a fresh relation that is the union of all given
-// relations, which must all range over n events.
-func UnionOf(n int, rels ...*Relation) *Relation {
-	u := NewRelation(n)
-	for _, rel := range rels {
-		u.Union(rel)
-	}
-	return u
-}
-
 // Pairs returns all ordered pairs in the relation, sorted for determinism.
 func (r *Relation) Pairs() [][2]int {
 	var out [][2]int
@@ -339,69 +329,6 @@ func (r *Relation) TopoSort() ([]int, error) {
 		}
 	}
 	return order, nil
-}
-
-// ReachableBefore reports whether the pair (from, to) is in the transitive
-// closure: to is reachable from from along a non-empty path. With from ==
-// to this holds exactly when from lies on a cycle (including a self-edge).
-// The relation itself is not modified, and for relations of up to 64 events
-// the walk allocates nothing.
-func (r *Relation) ReachableBefore(from, to int) bool {
-	if r.n <= wordBits {
-		return r.reachableWord(from, to)
-	}
-	return r.reachableBig(from, to)
-}
-
-// reachableWord is the single-word fast path of ReachableBefore: frontier
-// expansion with one OR per step.
-func (r *Relation) reachableWord(from, to int) bool {
-	target := uint64(1) << uint(to)
-	reached := r.bits[from]
-	for {
-		if reached&target != 0 {
-			return true
-		}
-		next := reached
-		rest := reached
-		for rest != 0 {
-			i := bits.TrailingZeros64(rest)
-			rest &= rest - 1
-			next |= r.bits[i]
-		}
-		if next == reached {
-			return false
-		}
-		reached = next
-	}
-}
-
-// reachableBig is the multi-word path of ReachableBefore.
-func (r *Relation) reachableBig(from, to int) bool {
-	words := r.words
-	reached := make([]uint64, words)
-	copy(reached, r.row(from))
-	for {
-		if reached[to/wordBits]&(1<<(uint(to)%wordBits)) != 0 {
-			return true
-		}
-		changed := false
-		for i := 0; i < r.n; i++ {
-			if reached[i/wordBits]&(1<<(uint(i)%wordBits)) == 0 {
-				continue
-			}
-			row := r.row(i)
-			for w := 0; w < words; w++ {
-				if row[w]&^reached[w] != 0 {
-					reached[w] |= row[w]
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return false
-		}
-	}
 }
 
 // FindCycle returns one cycle in the relation as a sequence of event

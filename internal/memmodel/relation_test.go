@@ -42,9 +42,6 @@ func TestRelationSelfEdgesAreRepresentable(t *testing.T) {
 	if r.Acyclic() {
 		t.Fatal("a self-edge is a length-1 cycle")
 	}
-	if !r.ReachableBefore(1, 1) {
-		t.Fatal("a self-edge puts 1 on a cycle: ReachableBefore(1,1) must hold")
-	}
 	if _, err := r.TopoSort(); err == nil {
 		t.Fatal("TopoSort must fail on a self-edge")
 	}
@@ -124,10 +121,6 @@ func TestRelationUnion(t *testing.T) {
 	if !a.Has(0, 1) || !a.Has(1, 2) {
 		t.Fatal("union missing edges")
 	}
-	u := UnionOf(3, a, b, nil)
-	if u.Count() != 2 {
-		t.Fatalf("UnionOf count = %d, want 2", u.Count())
-	}
 	// Union with nil is a no-op.
 	a.Union(nil)
 	if a.Count() != 2 {
@@ -199,25 +192,6 @@ func TestTopoSortCyclicFails(t *testing.T) {
 	r.Add(1, 0)
 	if _, err := r.TopoSort(); err == nil {
 		t.Fatal("TopoSort of a cyclic relation must fail")
-	}
-}
-
-func TestReachableBefore(t *testing.T) {
-	r := NewRelation(5)
-	r.Add(0, 1)
-	r.Add(1, 2)
-	r.Add(3, 4)
-	if !r.ReachableBefore(0, 2) {
-		t.Error("0 should reach 2")
-	}
-	if r.ReachableBefore(0, 4) {
-		t.Error("0 should not reach 4")
-	}
-	if r.ReachableBefore(2, 0) {
-		t.Error("2 should not reach 0")
-	}
-	if r.ReachableBefore(1, 1) {
-		t.Error("ReachableBefore(v,v) must be false")
 	}
 }
 
@@ -303,35 +277,12 @@ func TestPropertyTopoSortConsistentWithEdges(t *testing.T) {
 	}
 }
 
-func TestPropertyClosureContainsReachability(t *testing.T) {
-	f := func(seed int64) bool {
-		local := rand.New(rand.NewSource(seed))
-		n := 2 + local.Intn(7)
-		r := randomDAGRelation(local, n)
-		closed := r.Clone().TransitiveClosure()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				if r.ReachableBefore(i, j) != closed.Has(i, j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // boolRelation is a straightforward []bool adjacency-matrix reference
 // implementation — the representation the bitset replaced. The property
 // test below checks the two agree operation by operation on random edge
 // sets, including self-edges and sizes straddling the 64-event word
-// boundary (which switches Acyclic/ReachableBefore between their
-// single-word and multi-word paths).
+// boundary (which switches Acyclic between its single-word and
+// multi-word paths).
 type boolRelation struct {
 	n   int
 	adj []bool
@@ -432,15 +383,12 @@ func TestPropertyBitsetMatchesBoolMatrix(t *testing.T) {
 				}
 			}
 		}
-		// Closure and reachability must match the reference closure.
+		// The closure must match the reference closure.
 		ref.closure()
 		closed := bits.Clone().TransitiveClosure()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if closed.Has(i, j) != ref.has(i, j) {
-					return false
-				}
-				if bits.ReachableBefore(i, j) != ref.has(i, j) {
 					return false
 				}
 			}

@@ -15,7 +15,7 @@ import (
 // so SSE clients can resume.
 type jobEvent struct {
 	Seq      int    `json:"seq"`
-	Kind     string `json:"kind"` // "sim" | "litmus" | "mapping" | "coord" | "done"
+	Kind     string `json:"kind"` // "sim" | "litmus" | "coord" | "done"
 	Unit     string `json:"unit,omitempty"`
 	Trace    string `json:"trace,omitempty"`
 	Type     string `json:"type,omitempty"`
@@ -52,15 +52,14 @@ func summarizeEvent(ev engine.Event) (jobEvent, bool) {
 			je.Test = ev.Litmus.Test.Name
 		}
 		return je, true
-	case ev.Mapping != nil:
-		return jobEvent{Kind: "mapping"}, true
-	case ev.Coord != nil:
+	case ev.DeadLetter != nil:
+		d := ev.DeadLetter
 		return jobEvent{
 			Kind:    "coord",
-			Coord:   ev.Coord.Kind,
-			Unit:    string(ev.Coord.Unit),
-			Attempt: ev.Coord.Attempt,
-			Reason:  ev.Coord.Reason,
+			Coord:   "dead-letter",
+			Unit:    d.Unit,
+			Attempt: d.Attempts,
+			Reason:  d.Reasons[len(d.Reasons)-1],
 		}, true
 	}
 	return jobEvent{}, false

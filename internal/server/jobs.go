@@ -36,17 +36,8 @@ type SubmitRequest struct {
 // PlanSpec shapes a plan job like the CLI flags shape a sweep: a preset
 // plus overrides. The same spec always builds the same plan (and the
 // same unit identities) as `experiments` run with the matching flags.
-type PlanSpec struct {
-	// Preset is "default" (paper-scale) or "quick"; "" means default.
-	Preset string `json:"preset,omitempty"`
-	// Cores, Scale and Seed override the preset when positive / non-zero.
-	Cores int     `json:"cores,omitempty"`
-	Scale float64 `json:"scale,omitempty"`
-	Seed  int64   `json:"seed,omitempty"`
-	// Seeds reruns the sweep under this many consecutive seeds
-	// (base Seed), like the CLI's -seeds, up to maxPlanSeeds.
-	Seeds int `json:"seeds,omitempty"`
-}
+// The server bounds its Seeds at maxPlanSeeds.
+type PlanSpec = engine.SweepSpec
 
 // maxPlanSeeds bounds a plan job's seed count. Each seed adds the 26
 // units of the default plan, so a submit asks for at most 2,600 units.
@@ -69,9 +60,8 @@ type job struct {
 	kind    string // "plan" | "litmus"
 	mode    string // "static" | "coordinate" (static, reported as coordinated)
 	created time.Time
-	plan    *engine.Plan   // plan jobs only
-	opts    engine.Options // plan jobs: the options the report builds from
-	units   int            // planned unit count
+	plan    *engine.Plan // plan jobs only
+	units   int          // planned unit count
 	events  *eventLog
 
 	mu       sync.Mutex
@@ -108,19 +98,15 @@ func (j *job) status() (state string, finished time.Time, res *engine.JobResult,
 }
 
 // shardResult returns the job's shard artifact when it has one: the full
-// result of a clean plan job, or the dead-letter partial of one with
-// dead letters. Nil for litmus, running and cancelled jobs.
+// result of a clean plan job, or the partial one of a job with dead
+// letters. Nil for litmus, running and cancelled jobs.
 func (j *job) shardResult() *engine.ShardResult {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.result != nil && j.result.Shard != nil {
-		return j.result.Shard
+	if j.result == nil {
+		return nil
 	}
-	var dle *engine.DeadLetterError
-	if errors.As(j.err, &dle) {
-		return dle.Partial
-	}
-	return nil
+	return j.result.Shard
 }
 
 // jsonError writes a JSON error body with the status code.
@@ -135,47 +121,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// planOptions resolves a PlanSpec to engine options + seed list, exactly
-// mirroring how cmd/experiments folds its flags, so the spec and the
-// flags build fingerprint-identical plans.
-func planOptions(spec *PlanSpec) (engine.Options, []int64, error) {
-	var opts engine.Options
-	switch spec.Preset {
-	case "", "default":
-		opts = experiments.DefaultOptions()
-	case "quick":
-		opts = experiments.QuickOptions()
-	default:
-		return opts, nil, fmt.Errorf("unknown plan preset %q (want default or quick)", spec.Preset)
-	}
-	if spec.Cores < 0 {
-		return opts, nil, fmt.Errorf("plan cores must be positive, got %d", spec.Cores)
-	}
-	if spec.Scale < 0 {
-		return opts, nil, fmt.Errorf("plan scale must be positive, got %g", spec.Scale)
-	}
-	if spec.Seeds < 0 {
-		return opts, nil, fmt.Errorf("plan seeds must be positive, got %d", spec.Seeds)
-	}
-	if spec.Seeds > maxPlanSeeds {
-		return opts, nil, fmt.Errorf("plan seeds %d exceeds the limit of %d", spec.Seeds, maxPlanSeeds)
-	}
-	if spec.Cores > 0 {
-		opts.Cores = spec.Cores
-	}
-	if spec.Scale > 0 {
-		opts.Scale = spec.Scale
-	}
-	if spec.Seed != 0 {
-		opts.Seed = spec.Seed
-	}
-	seedList := []int64{opts.Seed}
-	for n := int64(1); n < int64(spec.Seeds); n++ {
-		seedList = append(seedList, opts.Seed+n)
-	}
-	return opts, seedList, nil
 }
 
 // litmusTests resolves a LitmusSpec to the tests of the grid.
@@ -217,7 +162,6 @@ type submission struct {
 	kind  string         // "plan" | "litmus"
 	mode  string         // "static" | "coordinate"
 	plan  *engine.Plan   // plan jobs
-	opts  engine.Options // plan jobs: the options the report builds from
 	tests []*litmus.Test // litmus jobs
 }
 
@@ -256,12 +200,19 @@ func parseSubmit(body []byte) (*submission, error) {
 		return sub, nil
 	}
 	sub.kind = "plan"
-	opts, seedList, err := planOptions(req.Plan)
+	// The spec's own faults win over the seed bound. The bound is checked
+	// on a spec whose seed count is capped just past it, so Options never
+	// builds a longer seed list.
+	spec := *req.Plan
+	spec.Seeds = min(spec.Seeds, maxPlanSeeds+1)
+	opts, seeds, err := spec.Options()
 	if err != nil {
 		return nil, err
 	}
-	sub.opts = opts
-	if sub.plan, err = engine.DefaultPlanSeeds(opts, seedList...); err != nil {
+	if len(seeds) > maxPlanSeeds {
+		return nil, fmt.Errorf("plan seeds %d exceeds the limit of %d", req.Plan.Seeds, maxPlanSeeds)
+	}
+	if sub.plan, err = engine.DefaultPlanSeeds(opts, seeds...); err != nil {
 		return nil, fmt.Errorf("building plan: %v", err)
 	}
 	return sub, nil
@@ -306,7 +257,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		mode:    sub.mode,
 		created: s.now(),
 		plan:    sub.plan,
-		opts:    sub.opts,
 		events:  newEventLog(),
 		state:   "running",
 	}
@@ -543,9 +493,10 @@ func (s *Server) handleResultByKey(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReport is GET /v1/reports/{id}?format=ascii|json|csv: the full
-// evaluation report of a finished plan job, built and encoded through
-// exactly the pipeline cmd/experiments uses — the bytes are identical to
-// the CLI's for the same sweep.
+// evaluation report of a finished plan job, or the partial report of one
+// with dead letters, built by the plan (Plan.Report) and encoded exactly
+// as cmd/experiments does — the bytes are identical to the CLI's for the
+// same sweep.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.lookupJob(id)
@@ -567,49 +518,29 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	state, _, res, jerr := j.status()
-	switch state {
-	case "running":
+	var dle *engine.DeadLetterError
+	switch {
+	case state == "running":
 		jsonError(w, http.StatusConflict, "job %s is still running (%s)", id, state)
 		return
-	case "failed":
-		// A sweep with dead letters still renders its partial report,
-		// like the CLI does before exiting non-zero.
-		var dle *engine.DeadLetterError
-		if !errors.As(jerr, &dle) {
-			jsonError(w, http.StatusConflict, "job %s failed: %v", id, jerr)
-			return
-		}
-		runs, _, err := j.plan.RunsPartial(dle.Partial.Units)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.encodeReport(w, enc, format, j.opts, runs, dle.Partial.Coordination)
+	case jerr != nil && !errors.As(jerr, &dle):
+		// A sweep with dead letters still renders its partial report, like
+		// the CLI does before exiting non-zero; no other failure has one.
+		jsonError(w, http.StatusConflict, "job %s failed: %v", id, jerr)
 		return
 	}
-	runs, err := j.plan.Runs(res.Shard.Units)
-	if err != nil {
-		jsonError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	coord := res.Shard.Coordination
-	if coord == nil && j.mode == "coordinate" {
-		// The coordinate alias runs on the static pool; its clients still
-		// expect a coordination section.
-		coord = &engine.Coordination{Mode: "in-process"}
-	}
-	s.encodeReport(w, enc, format, j.opts, runs, coord)
-}
-
-// encodeReport builds and writes the report. It encodes to a buffer
-// first so an encoding failure can still produce an error status.
-func (s *Server) encodeReport(w http.ResponseWriter, enc experiments.Encoder, format string, opts engine.Options, runs []*engine.BenchmarkRun, coord *engine.Coordination) {
-	report, err := experiments.BuildReport(opts, runs)
+	report, err := j.plan.Report(res.Shard)
 	if err != nil {
 		jsonError(w, http.StatusInternalServerError, "building report: %v", err)
 		return
 	}
-	report.Coordination = coord
+	if report.Coordination == nil && j.mode == "coordinate" {
+		// The coordinate alias runs on the static pool; its clients still
+		// expect a coordination section.
+		report.Coordination = &engine.Coordination{Mode: "in-process"}
+	}
+	// Encoded to a buffer first, so an encoding failure can still produce
+	// an error status.
 	var buf bytes.Buffer
 	if err := enc.Encode(&buf, report); err != nil {
 		jsonError(w, http.StatusInternalServerError, "encoding report: %v", err)

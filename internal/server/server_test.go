@@ -98,8 +98,9 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) map[string]any {
 }
 
 // expectedReportJSON runs the identical sweep through the batch pipeline
-// (plan → engine → runs → report → encoder), exactly like cmd/experiments
-// emitReport, and returns the encoded bytes the server must match.
+// (plan → engine → Plan.Runs → BuildReport → encoder), assembled here
+// rather than by Plan.Report, and returns the encoded bytes the server
+// must match.
 func expectedReportJSON(t *testing.T, opts engine.Options) []byte {
 	t.Helper()
 	plan, err := engine.DefaultPlanSeeds(opts, opts.Seed)
@@ -321,6 +322,13 @@ func TestPlanJobLifecycle(t *testing.T) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, text)
 		}
 	}
+	// The engine-wide rate counts from the engine's start, so a finished
+	// job makes it positive.
+	_, rate, _ := strings.Cut(text, "\nrmwtso_units_per_second ")
+	rate, _, _ = strings.Cut(rate, "\n")
+	if v, err := strconv.ParseFloat(rate, 64); err != nil || v <= 0 {
+		t.Fatalf("rmwtso_units_per_second = %q, want a positive rate", rate)
+	}
 
 	// Drain with nothing running returns promptly and flushes the shard
 	// artifact for the finished plan job.
@@ -463,6 +471,9 @@ var badSubmits = []struct {
 	{"max attempts", `{"plan":` + tinyPlanSpec + `,"mode":"coordinate","max_attempts":2}`, `unknown field "max_attempts"`},
 	{"workers", `{"plan":` + tinyPlanSpec + `,"mode":"fleet","workers":1}`, ""},
 	{"seeds past the limit", `{"plan":{"preset":"quick","seeds":101}}`, "plan seeds 101 exceeds the limit of 100"},
+	{"seeds far past the limit", `{"plan":{"preset":"quick","seeds":4611686018427387904}}`, "plan seeds 4611686018427387904 exceeds the limit of 100"},
+	{"bad preset before the seed limit", `{"plan":{"preset":"bogus","seeds":101}}`, `unknown plan preset "bogus"`},
+	{"negative cores before the seed limit", `{"plan":{"preset":"quick","cores":-1,"seeds":101}}`, "plan cores must be positive, got -1"},
 	{"cores past the limit", `{"plan":{"preset":"quick","cores":1099511627776}}`, "building plan"},
 }
 

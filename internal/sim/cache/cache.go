@@ -230,9 +230,13 @@ func (c *Cache) Invalidate(lineAddr uint64) {
 	c.SetState(lineAddr, Invalid)
 }
 
-// Hits, Misses and Evictions return the access statistics.
-func (c *Cache) Hits() uint64      { return c.hits }
-func (c *Cache) Misses() uint64    { return c.misses }
+// Hits returns the number of lookups that found their line.
+func (c *Cache) Hits() uint64 { return c.hits }
+
+// Misses returns the number of lookups that did not find their line.
+func (c *Cache) Misses() uint64 { return c.misses }
+
+// Evictions returns the number of valid lines an insert replaced.
 func (c *Cache) Evictions() uint64 { return c.evictions }
 
 // Occupancy returns the number of valid lines currently cached.

@@ -495,8 +495,8 @@ func (d *Directory) getM(core int, line uint64, m *lineMeta) uint64 {
 	}
 
 	// Invalidate all other sharers; the invalidations and acknowledgements
-	// overlap, so only the farthest sharer adds latency (the round trip
-	// from the home node, as in mesh.MultiCastLatency).
+	// overlap, so only the farthest sharer adds latency: its round trip
+	// from the home node.
 	var inval uint64
 	for w, word := range m.sharers {
 		for ; word != 0; word &= word - 1 {

@@ -120,22 +120,6 @@ func (t *Topology) BroadcastLatency(from int) uint64 {
 	return 2 * t.MaxLatencyFrom(from)
 }
 
-// MultiCastLatency returns the latency of delivering a message from the
-// given node to each of the targets and collecting acknowledgements,
-// overlapping all legs (used for invalidating a set of sharers).
-func (t *Topology) MultiCastLatency(from int, targets []int) uint64 {
-	var max uint64
-	for _, n := range targets {
-		if n == from {
-			continue
-		}
-		if l := t.RoundTrip(from, n); l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // Home returns the node owning the directory slice and L2 bank of a cache
 // line: lines are interleaved across nodes by line address.
 func (t *Topology) Home(line uint64) int {
@@ -143,24 +127,4 @@ func (t *Topology) Home(line uint64) int {
 		return int(line & t.homeMask)
 	}
 	return int(line % uint64(t.nodes))
-}
-
-// AverageLatency returns the mean one-way latency over all ordered node
-// pairs, a useful summary statistic for reports.
-func (t *Topology) AverageLatency() float64 {
-	if t.nodes < 2 {
-		return float64(t.routerLatency)
-	}
-	var sum uint64
-	var count int
-	for a := 0; a < t.nodes; a++ {
-		for b := 0; b < t.nodes; b++ {
-			if a == b {
-				continue
-			}
-			sum += t.Latency(a, b)
-			count++
-		}
-	}
-	return float64(sum) / float64(count)
 }

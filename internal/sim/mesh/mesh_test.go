@@ -97,20 +97,6 @@ func TestBroadcastAndMaxLatency(t *testing.T) {
 	}
 }
 
-func TestMultiCastLatency(t *testing.T) {
-	m := New(16, 1, 4)
-	if m.MultiCastLatency(0, nil) != 0 {
-		t.Error("multicast to nobody should be free")
-	}
-	if m.MultiCastLatency(0, []int{0}) != 0 {
-		t.Error("multicast to only yourself should be free")
-	}
-	lat := m.MultiCastLatency(0, []int{1, 15})
-	if lat != m.RoundTrip(0, 15) {
-		t.Errorf("multicast latency %d should be bounded by the farthest target %d", lat, m.RoundTrip(0, 15))
-	}
-}
-
 func TestHomeDistributesLines(t *testing.T) {
 	m := New(8, 1, 4)
 	seen := map[int]bool{}
@@ -123,18 +109,6 @@ func TestHomeDistributesLines(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Errorf("interleaving uses %d of 8 banks", len(seen))
-	}
-}
-
-func TestAverageLatency(t *testing.T) {
-	single := New(1, 1, 4)
-	if single.AverageLatency() != 4 {
-		t.Errorf("single-node average latency = %f", single.AverageLatency())
-	}
-	m := New(16, 1, 4)
-	avg := m.AverageLatency()
-	if avg <= float64(m.Latency(0, 1))/2 || avg >= float64(m.Latency(0, 15)) {
-		t.Errorf("average latency %f outside plausible range", avg)
 	}
 }
 

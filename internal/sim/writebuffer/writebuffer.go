@@ -41,10 +41,6 @@ type Buffer struct {
 	n    int // number of pending entries
 	// nextID is the ID the next push gets; the head's ID is nextID-n.
 	nextID uint64
-
-	// statistics
-	maxOccupancy int
-	fullStalls   uint64
 }
 
 // New returns an empty buffer with the given capacity. It panics on a
@@ -73,16 +69,12 @@ func (b *Buffer) Full() bool { return b.n >= len(b.ring) }
 // drains). The returned pointer stays valid until the entry is popped.
 func (b *Buffer) Push(line uint64, isRMWWrite bool, at uint64) (*Entry, error) {
 	if b.Full() {
-		b.fullStalls++
 		return nil, fmt.Errorf("writebuffer: full (capacity %d)", len(b.ring))
 	}
 	e := &b.ring[b.index(b.n)]
 	*e = Entry{ID: b.nextID, Line: line, IsRMWWrite: isRMWWrite, EnqueuedAt: at}
 	b.nextID++
 	b.n++
-	if b.n > b.maxOccupancy {
-		b.maxOccupancy = b.n
-	}
 	return e, nil
 }
 
@@ -143,13 +135,3 @@ func (b *Buffer) Contains(line uint64) bool {
 	}
 	return false
 }
-
-// Enqueued returns the total number of writes ever pushed.
-func (b *Buffer) Enqueued() uint64 { return b.nextID }
-
-// MaxOccupancy returns the highest number of simultaneously pending writes.
-func (b *Buffer) MaxOccupancy() int { return b.maxOccupancy }
-
-// FullStalls returns how many pushes were rejected because the buffer was
-// full.
-func (b *Buffer) FullStalls() uint64 { return b.fullStalls }

@@ -58,9 +58,6 @@ func TestPushFullRejects(t *testing.T) {
 	if _, err := b.Push(3, false, 0); err == nil {
 		t.Fatal("push into a full buffer must fail")
 	}
-	if b.FullStalls() != 1 {
-		t.Errorf("FullStalls = %d, want 1", b.FullStalls())
-	}
 	if b.Len() != 2 {
 		t.Error("failed push must not grow the buffer")
 	}
@@ -123,21 +120,6 @@ func TestPopEmptyPanics(t *testing.T) {
 		}
 	}()
 	b.Pop()
-}
-
-func TestStatistics(t *testing.T) {
-	b := New(3)
-	for i := 0; i < 3; i++ {
-		b.Push(uint64(i), false, 0)
-	}
-	if b.MaxOccupancy() != 3 || b.Enqueued() != 3 {
-		t.Errorf("MaxOccupancy=%d Enqueued=%d", b.MaxOccupancy(), b.Enqueued())
-	}
-	b.Pop()
-	b.Push(9, false, 0)
-	if b.MaxOccupancy() != 3 || b.Enqueued() != 4 {
-		t.Errorf("after churn: MaxOccupancy=%d Enqueued=%d", b.MaxOccupancy(), b.Enqueued())
-	}
 }
 
 func TestEntriesIsFIFOView(t *testing.T) {

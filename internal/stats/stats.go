@@ -149,8 +149,10 @@ func PercentReduction(base, next float64) float64 {
 // Percent formats a float as a percentage with one decimal.
 func Percent(v float64) string { return fmt.Sprintf("%.1f%%", v) }
 
-// F1 and F2 format floats with one and two decimals.
+// F1 formats a float with one decimal.
 func F1(v float64) string { return fmt.Sprintf("%.1f", v) }
+
+// F2 formats a float with two decimals.
 func F2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // Mark renders a boolean as the check/cross marks used by the paper's

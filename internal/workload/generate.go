@@ -306,16 +306,6 @@ func (g Generator) workStealingEpisode(c int, p Profile, rng *rand.Rand, emit em
 	g.privatePhase(emit, c, p, rng)
 }
 
-// GenerateByName builds the materialized trace for a Table 3 benchmark by
-// name; the streaming equivalent is SourceByName.
-func (g Generator) GenerateByName(name string) (*sim.Trace, error) {
-	p, err := FindProfile(name)
-	if err != nil {
-		return nil, err
-	}
-	return g.Generate(p)
-}
-
 // WSQProfile returns the wsq-mst profile, the benchmark used for the
 // C/C++11 read-/write-replacement comparison.
 func WSQProfile() Profile {

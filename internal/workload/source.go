@@ -44,16 +44,6 @@ func (g Generator) Source(p Profile) (*Source, error) {
 	return &Source{name: g.TraceName(p), gen: g, profile: p, episode: ep, digest: digest}, nil
 }
 
-// SourceByName returns the lazy trace source for a Table 3 benchmark by
-// name; the materializing equivalent is GenerateByName.
-func (g Generator) SourceByName(name string) (*Source, error) {
-	p, err := FindProfile(name)
-	if err != nil {
-		return nil, err
-	}
-	return g.Source(p)
-}
-
 // Name returns the trace name (profile name plus replacement suffix).
 func (s *Source) Name() string { return s.name }
 

@@ -145,12 +145,13 @@ func TestSourceErrors(t *testing.T) {
 	if _, err := (Generator{Cores: 2, Seed: 1}).Source(bad); err == nil {
 		t.Error("unknown pattern must fail")
 	}
-	if _, err := (Generator{Cores: 2, Seed: 1}).SourceByName("nope"); err == nil {
-		t.Error("unknown name must fail")
-	}
-	src, err := (Generator{Cores: 2, Seed: 1}).SourceByName("genome")
+	p, err := FindProfile("genome")
 	if err != nil {
-		t.Fatalf("SourceByName(genome): %v", err)
+		t.Fatal(err)
+	}
+	src, err := (Generator{Cores: 2, Seed: 1}).Source(p)
+	if err != nil {
+		t.Fatalf("Source(genome): %v", err)
 	}
 	if src.Profile().Name != "genome" {
 		t.Errorf("source profile = %q", src.Profile().Name)

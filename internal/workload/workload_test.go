@@ -119,11 +119,12 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := (Generator{Cores: 2, Seed: 1}).Generate(Profile{}); err == nil {
 		t.Error("invalid profile must fail")
 	}
-	if _, err := (Generator{Cores: 2, Seed: 1}).GenerateByName("nope"); err == nil {
-		t.Error("unknown name must fail")
+	p, err := FindProfile("genome")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := (Generator{Cores: 2, Seed: 1}).GenerateByName("genome"); err != nil {
-		t.Errorf("GenerateByName(genome): %v", err)
+	if _, err := (Generator{Cores: 2, Seed: 1}).Generate(p); err != nil {
+		t.Errorf("Generate(genome): %v", err)
 	}
 }
 

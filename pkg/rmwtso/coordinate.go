@@ -12,11 +12,6 @@ type Coordination = experiments.Coordination
 // DeadUnit is one dead-lettered unit.
 type DeadUnit = experiments.DeadUnit
 
-// CoordEvent is one coordination state transition of a plan job,
-// streamed through the Runner's observer alongside the job's SimRun
-// events so progress displays can show dead letters as they happen.
-type CoordEvent = engine.CoordEvent
-
 // FaultInjector decides, before each execution of a plan unit, whether to
 // inject a fault: return nil to execute normally, or an error to fail the
 // execution without simulating, which dead-letters the unit. Fault
@@ -29,9 +24,8 @@ func WithFaultInjector(f FaultInjector) Option { return engine.WithFaultInjector
 
 // DeadLetterError reports a plan job that finished with dead-lettered
 // units: every other unit finished, but the listed units failed, each
-// after its one execution. Partial carries the completed units and the
-// coordination summary — including the dead letters with their failure
-// reasons — so callers can still render a partial report
-// (Plan.RunsPartial) with the DLQ section instead of discarding the
-// sweep.
+// after its one execution. RunPlan returns the partial shard beside the
+// error, and Partial is that same shard: the completed units plus the
+// coordination section that lists the dead letters with their failure
+// reasons, so Plan.Report still renders the partial report.
 type DeadLetterError = engine.DeadLetterError

@@ -41,8 +41,9 @@ func CheckTable1Matches(rows []Table1Row) error { return experiments.CheckTable1
 // RenderTable1 renders Table 1 rows in the paper's layout.
 func RenderTable1(rows []Table1Row) string { return experiments.RenderTable1(rows) }
 
-// RenderTable2 renders the architectural parameters (Table 2).
-func RenderTable2(cfg SimConfig) string { return experiments.RenderTable2(cfg) }
+// RenderTable2 renders the architectural parameter rows of a report
+// (Report.Table2).
+func RenderTable2(rows [][2]string) string { return experiments.RenderTable2(rows) }
 
 // RenderTable3 renders Table 3 rows in the paper's layout.
 func RenderTable3(rows []Table3Row) string { return experiments.RenderTable3(rows) }

@@ -52,6 +52,13 @@ func DefaultPlanSeeds(o Options, seeds ...int64) (*Plan, error) {
 	return engine.DefaultPlanSeeds(o, seeds...)
 }
 
+// SweepSpec shapes a sweep like the experiments binary's flags and the
+// HTTP service's plan jobs do: a preset ("default" or "quick") plus core,
+// scale, seed and seed-count overrides. Its Options method resolves it to
+// the options and seed list of DefaultPlanSeeds, so both surfaces build
+// the same plan from the same spec.
+type SweepSpec = engine.SweepSpec
+
 // FullShard returns the selector that covers the whole plan.
 func FullShard() Shard { return engine.FullShard() }
 

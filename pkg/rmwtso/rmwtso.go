@@ -12,8 +12,9 @@
 //   - the implementation layer: the cycle-approximate chip-multiprocessor
 //     simulator and its trace/workload generators (Simulate, Generator,
 //     Fig10Trace);
-//   - the evaluation layer: sweep plans and the paper's tables and
-//     figures (BuildPlan, Runner.RunPlan, BuildReport, EncodeReport).
+//   - the evaluation layer: sweep specs, plans and the paper's tables
+//     and figures (SweepSpec, DefaultPlanSeeds, Runner.RunPlan,
+//     Plan.Report, EncodeReport).
 //
 // Work is driven through a Runner configured with functional options:
 //
@@ -26,9 +27,18 @@
 //
 // The Runner (the execution engine itself) fans work units (one litmus
 // verdict, one mapping validation, one simulator run) across a goroutine
-// pool, streams every finished unit to the observer as it completes, and
-// still returns the aggregate in a deterministic order. The built-in
-// litmus tests form a fixed suite with glob filtering:
+// pool, streams every finished verdict and plan unit to the observer as
+// it completes — the same record the job returns — and still returns the
+// aggregate in a deterministic order. A sweep goes from a SweepSpec to
+// its report on one path, the one the experiments binary and the HTTP
+// service share:
+//
+//	opts, seeds, err := rmwtso.SweepSpec{Preset: "quick"}.Options()
+//	plan, err := rmwtso.DefaultPlanSeeds(opts, seeds...)
+//	shard, err := rmwtso.NewRunner().RunPlan(ctx, plan, rmwtso.FullShard())
+//	report, err := plan.Report(shard) // partial when units dead-lettered
+//
+// The built-in litmus tests form a fixed suite with glob filtering:
 //
 //	results, err := rmwtso.Suite().Filter("SB*").Run(rmwtso.WithParallelism(4))
 package rmwtso

@@ -7,19 +7,15 @@ import (
 )
 
 // Event is one streamed result from a Runner: exactly one field is
-// non-nil. Events are delivered to the observer serially (never
+// non-nil — a litmus verdict (Litmus), a plan unit's UnitResult (Sim) or
+// a dead-lettered plan unit (DeadLetter) — and it is the same record the
+// job returns. Events are delivered to the observer serially (never
 // concurrently), in completion order, as soon as each work unit finishes.
 type Event = engine.Event
 
 // Observer receives streamed events. It is called from worker goroutines
 // but never concurrently, so it needs no locking of its own.
 type Observer = engine.Observer
-
-// SimRun is one simulated plan unit: one trace under one RMW type. Unit
-// carries the run's stable plan-unit identifier, and CacheHit marks a
-// run served from the Runner's result cache without executing the
-// simulator.
-type SimRun = engine.SimRun
 
 // Option configures a Runner.
 type Option = engine.Option
@@ -52,8 +48,8 @@ func WithEnumWorkers(n int) Option { return engine.WithEnumWorkers(n) }
 
 // WithCache makes the Runner's plan units (RunPlan) consult and fill a
 // content-addressed cache of simulator results. Hits skip the simulator
-// entirely and are flagged on the streamed SimRun (its CacheHit field);
-// results are identical either way. A nil cache disables caching (the
+// entirely and are flagged on the streamed UnitResult (its CacheHit
+// field); results are identical either way. A nil cache disables caching (the
 // default).
 func WithCache(c *Cache) Option { return engine.WithCache(c) }
 

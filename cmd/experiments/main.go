@@ -199,9 +199,9 @@ func main() {
 			if flag.NArg() == 0 {
 				fatalUsage(fmt.Errorf("-merge needs shard artifact files as arguments"))
 			}
-			runs, err := rmwtso.MergeShardFiles(plan, flag.Args()...)
+			merged, err := rmwtso.MergeShardFiles(plan, flag.Args()...)
 			check(err)
-			report, err := rmwtso.BuildReport(opts, runs)
+			report, err := plan.Report(merged)
 			check(err)
 			emitReport(report, *format)
 			return

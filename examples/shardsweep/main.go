@@ -57,11 +57,11 @@ func main() {
 
 	// Merge the artifacts and build the report; compare against an
 	// unsharded run of the same plan.
-	mergedRuns, err := rmwtso.MergeShardFiles(plan, paths...)
+	mergedShard, err := rmwtso.MergeShardFiles(plan, paths...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	merged, err := rmwtso.BuildReport(opts, mergedRuns)
+	merged, err := plan.Report(mergedShard)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,11 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fullRuns, err := plan.Runs(full.Units)
-	if err != nil {
-		log.Fatal(err)
-	}
-	unsharded, err := rmwtso.BuildReport(opts, fullRuns)
+	unsharded, err := plan.Report(full)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/atomicio"
 )
@@ -141,10 +143,11 @@ func ReadShardFile(path string) (*ShardResult, error) {
 // MergeShards reassembles the complete sweep from shard results: every
 // shard must carry the plan's fingerprint, every plan unit must appear
 // exactly once across the shards, and no shard may carry a unit the plan
-// does not know. The reconstructed runs are in plan order and deeply
-// equal to an unsharded RunPlan's — so a report built from them encodes
-// byte-identically.
-func MergeShards(plan *Plan, shards ...*ShardResult) ([]*BenchmarkRun, error) {
+// does not know or a result of another run. The merged result holds the
+// units in plan order, like an unsharded RunPlan's, so Plan.Report
+// renders it byte-identically; the shards' coordination sections, being
+// execution metadata, are dropped.
+func MergeShards(plan *Plan, shards ...*ShardResult) (*ShardResult, error) {
 	var units []UnitResult
 	for i, s := range shards {
 		if s.Plan != plan.Fingerprint() {
@@ -153,11 +156,15 @@ func MergeShards(plan *Plan, shards ...*ShardResult) ([]*BenchmarkRun, error) {
 		}
 		units = append(units, s.Units...)
 	}
-	return plan.Runs(units)
+	if _, err := plan.indexComplete(units); err != nil {
+		return nil, err
+	}
+	slices.SortFunc(units, func(a, b UnitResult) int { return cmp.Compare(plan.byID[a.Unit], plan.byID[b.Unit]) })
+	return plan.shardResult(FullShard(), units), nil
 }
 
 // MergeShardFiles reads, verifies and merges shard artifact files.
-func MergeShardFiles(plan *Plan, paths ...string) ([]*BenchmarkRun, error) {
+func MergeShardFiles(plan *Plan, paths ...string) (*ShardResult, error) {
 	shards := make([]*ShardResult, len(paths))
 	for i, path := range paths {
 		s, err := ReadShardFile(path)

@@ -85,13 +85,13 @@ func TestEngineModesDifferential(t *testing.T) {
 		}
 		shards = append(shards, submitPlan(t, engine.New(), plan, shard))
 	}
-	mergedRuns, err := engine.MergeShards(plan, shards...)
+	merged, err := engine.MergeShards(plan, shards...)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(mergedRuns, staticRuns) {
-		t.Error("sharded-merged runs differ from the static submission")
+	if !reflect.DeepEqual(merged, staticRes) {
+		t.Error("the merged shards differ from the static submission")
 	}
 
 	// Byte-identity against the blessed goldens, in every format.

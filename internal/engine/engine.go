@@ -69,7 +69,9 @@ type (
 // Event is one streamed result from the engine: exactly one field is
 // non-nil, and it is the same record the job returns for that unit.
 // Events are delivered to the observer serially (never concurrently), in
-// completion order, as soon as each work unit finishes.
+// completion order, as soon as each work unit finishes. The engine never
+// writes a record after it has emitted it, so an observer may keep the
+// Event itself rather than a copy.
 type Event struct {
 	// Litmus is set when the unit was one litmus verdict.
 	Litmus *TestResult

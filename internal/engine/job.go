@@ -77,7 +77,8 @@ func (h *JobHandle) WaitCtx(ctx context.Context) (*JobResult, error) {
 }
 
 // Metrics snapshots the job's progress counters. Safe to call while the
-// job is still running; after completion the snapshot is final.
+// job is still running; once Done is closed the snapshot is final, its
+// Elapsed included.
 func (h *JobHandle) Metrics() Metrics { return h.m.snapshot() }
 
 // Submit starts the job on the engine and returns a handle for it. A nil
@@ -97,7 +98,6 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	h := &JobHandle{done: make(chan struct{}), m: newJobMetrics(&e.metrics)}
 	h.m.obs = job.Observer
 	go func() {
-		defer close(h.done)
 		switch {
 		case job.Plan != nil:
 			sr, err := e.runPlanJob(ctx, job.Plan, job.Shard, h.m)
@@ -106,6 +106,8 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 			vs, err := e.checkTestsSharded(ctx, job.Shard, h.m, job.Litmus.Tests...)
 			h.res, h.err = &JobResult{Verdicts: vs}, err
 		}
+		h.m.finish()
+		close(h.done)
 	}()
 	return h, nil
 }
@@ -124,26 +126,27 @@ func WithFaultInjector(f FaultInjector) Option {
 
 // DeadLetterError reports a plan job that finished with dead-lettered
 // units: every other unit finished, but the listed units failed, each
-// after its one execution. The job returns the partial shard beside the
-// error, and Partial is that same shard: the completed units plus the
-// coordination section that lists the dead letters with their failure
-// reasons, so Plan.Report still renders the partial report.
+// after its one execution. The job returns its partial shard beside the
+// error: the finished units plus the coordination section that lists the
+// same dead letters, so Plan.Report still renders the partial report.
 type DeadLetterError struct {
-	// Partial is the shard result of the completed units, with its
-	// Coordination section populated (DeadLetters non-empty).
-	Partial *ShardResult
+	// DeadLetters are the dead-lettered units, sorted by unit ID, each
+	// with its failure reason.
+	DeadLetters []DeadUnit
+	// Finished counts the units that finished.
+	Finished int
 }
 
 // Error lists the dead-lettered unit IDs, sorted and bounded, and the
 // first one's last failure reason.
 func (e *DeadLetterError) Error() string {
-	dls := e.Partial.Coordination.DeadLetters
+	dls := e.DeadLetters
 	ids := make([]string, len(dls))
 	for i, d := range dls {
 		ids[i] = d.Unit
 	}
 	msg := fmt.Sprintf("rmwtso: %d of %d sweep units dead-lettered: %s",
-		len(dls), len(e.Partial.Units)+len(dls), boundedList(ids, listedUnitsMax))
+		len(dls), e.Finished+len(dls), boundedList(ids, listedUnitsMax))
 	if first := dls[0]; len(first.Reasons) > 0 {
 		msg += "; first failure: " + first.Reasons[len(first.Reasons)-1]
 	}
@@ -219,7 +222,7 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 	}
 	slices.SortFunc(letters, func(a, b DeadUnit) int { return strings.Compare(a.Unit, b.Unit) })
 	res.Coordination = &Coordination{Mode: "in-process", DeadLetters: letters}
-	return res, &DeadLetterError{Partial: res}
+	return res, &DeadLetterError{DeadLetters: letters, Finished: len(res.Units)}
 }
 
 // RunPlan executes the units of the plan a shard selects and returns

@@ -215,7 +215,7 @@ func TestDeadLetterCounters(t *testing.T) {
 	}
 
 	for i, j := range jobs {
-		_, err := j.h.Wait()
+		res, err := j.h.Wait()
 		var dle *engine.DeadLetterError
 		if !errors.As(err, &dle) {
 			t.Fatalf("job %d: want *DeadLetterError, got %v", i, err)
@@ -228,14 +228,17 @@ func TestDeadLetterCounters(t *testing.T) {
 		if !reflect.DeepEqual(j.events, []engine.DeadUnit{want}) {
 			t.Errorf("job %d: dead-letter events %+v, want one for %s", i, j.events, u.ID)
 		}
-		c := dle.Partial.Coordination
+		c := res.Shard.Coordination
 		if c.Mode != "in-process" || len(c.DeadLetters) != 1 {
 			t.Fatalf("job %d: coordination %+v, want in-process mode with exactly the poisoned unit", i, c)
 		}
 		if d := c.DeadLetters[0]; !reflect.DeepEqual(d, want) {
 			t.Errorf("job %d: dead letter %+v, want %+v", i, d, want)
 		}
-		if got := len(dle.Partial.Units); got != plans[i].Len()-1 {
+		if !reflect.DeepEqual(dle.DeadLetters, c.DeadLetters) || dle.Finished != plans[i].Len()-1 {
+			t.Errorf("job %d: error lists %+v after %d finished units, want %+v after %d", i, dle.DeadLetters, dle.Finished, c.DeadLetters, plans[i].Len()-1)
+		}
+		if got := len(res.Shard.Units); got != plans[i].Len()-1 {
 			t.Errorf("job %d: partial has %d units, want %d", i, got, plans[i].Len()-1)
 		}
 	}

@@ -20,7 +20,8 @@ type Metrics struct {
 	CacheHits   int
 	CacheMisses int
 	Verdicts    int
-	// Elapsed is the time since the job (or engine) started counting;
+	// Elapsed is the job's (or engine's) counting window: from its start
+	// to the job's end, or to now while the job runs and for the engine;
 	// UnitsPerSec is UnitsDone over that window.
 	Elapsed     time.Duration
 	UnitsPerSec float64
@@ -35,11 +36,13 @@ type Metrics struct {
 
 // metrics is the engine's internal collector. One instance lives on the
 // Engine (the all-jobs aggregate) and one per job; job collectors chain
-// updates to the engine's through parent.
+// updates to the engine's through parent. A job collector's window closes
+// at end when the job finishes; the engine's stays open.
 type metrics struct {
 	mu     sync.Mutex
 	parent *metrics
 	start  time.Time
+	end    time.Time
 
 	// obs, when non-nil, is the job's own event stream (Job.Observer):
 	// it receives exactly this job's events, serialized under obsMu, so
@@ -100,6 +103,14 @@ func (m *metrics) deadLetter() {
 	m.update(func(m *metrics) { m.dlq++ })
 }
 
+// finish closes the collector's window, so every later snapshot is the
+// same.
+func (m *metrics) finish() {
+	m.mu.Lock()
+	m.end = time.Now()
+	m.mu.Unlock()
+}
+
 // snapshot renders the collector as a Metrics value.
 func (m *metrics) snapshot() Metrics {
 	m.mu.Lock()
@@ -112,7 +123,10 @@ func (m *metrics) snapshot() Metrics {
 		Verdicts:     m.verdicts,
 		DLQDepth:     m.dlq,
 	}
-	if !m.start.IsZero() {
+	switch {
+	case !m.end.IsZero():
+		out.Elapsed = m.end.Sub(m.start)
+	case !m.start.IsZero():
 		out.Elapsed = time.Since(m.start)
 	}
 	if secs := out.Elapsed.Seconds(); secs > 0 {

@@ -64,6 +64,11 @@ type planGroup struct {
 // simulation — so every process of a sharded sweep can rebuild the
 // identical plan from the same Options and agree on unit identities,
 // which the plan fingerprint certifies.
+//
+// A plan is immutable: nothing writes to it after BuildPlanSeeds
+// returns, and each unit run streams fresh iterators from its group's
+// source. Any number of jobs may therefore run one plan concurrently, as
+// the HTTP service's jobs of one sweep do.
 type Plan struct {
 	opts   Options
 	units  []Unit
@@ -101,6 +106,28 @@ func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, er
 		seeds = []int64{o.Seed}
 	}
 	base := o.BaseConfig()
+	// Each RMW type's configuration is validated and digested once per
+	// build, and the keys of its units share the digest string. The memo
+	// holds the three types on the stack.
+	type typeDigest struct {
+		typ    AtomicityType
+		digest string
+	}
+	digests := make([]typeDigest, 0, 3)
+	digestOf := func(cfg SimConfig) (string, error) {
+		for _, d := range digests {
+			if d.typ == cfg.RMWType {
+				return d.digest, nil
+			}
+		}
+		// Validate before digesting, exactly like the cache paths: an
+		// invalid configuration must never mint a unit identity.
+		if err := cfg.Validate(); err != nil {
+			return "", err
+		}
+		digests = append(digests, typeDigest{cfg.RMWType, cfg.Digest()})
+		return digests[len(digests)-1].digest, nil
+	}
 	p := &Plan{opts: o, byID: map[UnitID]int{}}
 	byID := p.byID
 	// The fingerprint hashes every unit's canonical key, a line each, in
@@ -127,12 +154,11 @@ func BuildPlanSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) (*Plan, er
 			group := planGroup{spec: spec, seed: seed, src: src}
 			for _, typ := range spec.Types {
 				cfg := base.WithRMWType(typ)
-				// Validate before digesting, exactly like the cache paths:
-				// an invalid configuration must never mint a unit identity.
-				if err := cfg.Validate(); err != nil {
+				digest, err := digestOf(cfg)
+				if err != nil {
 					return nil, err
 				}
-				key := simcache.SimKey(cfg, src, seed, o.Scale)
+				key := simcache.SimKeyOf(cfg, digest, src, seed, o.Scale)
 				line = simcache.AppendCanonical(line[:0], key)
 				id := UnitID(simcache.UnitIDOf(line))
 				line = append(line, '\n')
@@ -505,6 +531,17 @@ func (p *Plan) groupRuns(byID map[UnitID]*SimResult) []*BenchmarkRun {
 // and bounded — so a partial shard cannot silently masquerade as a
 // finished sweep; merge shard artifacts with MergeShards first.
 func (p *Plan) Runs(units []UnitResult) ([]*BenchmarkRun, error) {
+	byID, err := p.indexComplete(units)
+	if err != nil {
+		return nil, err
+	}
+	return p.groupRuns(byID), nil
+}
+
+// indexComplete is indexResults for a set that must hold every plan unit:
+// a missing unit is an error too, with the missing units listed sorted
+// and bounded.
+func (p *Plan) indexComplete(units []UnitResult) (map[UnitID]*SimResult, error) {
 	byID, err := p.indexResults(units)
 	if err != nil {
 		return nil, err
@@ -513,7 +550,7 @@ func (p *Plan) Runs(units []UnitResult) ([]*BenchmarkRun, error) {
 		return nil, fmt.Errorf("rmwtso: %d of %d plan units missing: %s",
 			len(missing), len(p.units), boundedList(missing, listedUnitsMax))
 	}
-	return p.groupRuns(byID), nil
+	return byID, nil
 }
 
 // RunsPartial is Runs for a sweep that legitimately ended incomplete — a

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -111,8 +112,9 @@ func poisonFirst(plan *engine.Plan, opts ...engine.Option) (*engine.Engine, engi
 
 // TestDeadLetteredJobReturnsItsPartialShard checks that a plan job with a
 // dead letter hands back its partial shard beside the *DeadLetterError,
-// from RunPlan and from JobHandle.Wait alike: the error's Partial is that
-// shard, which holds every other unit and lists the dead letter.
+// from RunPlan and from JobHandle.Wait alike: the shard holds every other
+// unit and lists the dead letter, and the error names the same dead
+// letters and counts the same finished units.
 func TestDeadLetteredJobReturnsItsPartialShard(t *testing.T) {
 	plan, err := engine.DefaultPlan(reportOptions())
 	if err != nil {
@@ -125,14 +127,19 @@ func TestDeadLetteredJobReturnsItsPartialShard(t *testing.T) {
 		if !errors.As(err, &dle) {
 			t.Fatalf("%s: want *DeadLetterError, got %v", how, err)
 		}
-		if sr == nil || sr != dle.Partial {
-			t.Fatalf("%s: returned shard %p, want the error's partial %p", how, sr, dle.Partial)
+		if sr == nil {
+			t.Fatalf("%s: no shard beside %v", how, err)
 		}
 		if len(sr.Units) != plan.Len()-1 {
 			t.Errorf("%s: partial holds %d units, want %d", how, len(sr.Units), plan.Len()-1)
 		}
-		if c := sr.Coordination; c == nil || len(c.DeadLetters) != 1 || c.DeadLetters[0].Unit != string(poisoned.ID) {
-			t.Errorf("%s: coordination %+v, want the poisoned unit %s", how, c, poisoned.ID)
+		c := sr.Coordination
+		if c == nil || len(c.DeadLetters) != 1 || c.DeadLetters[0].Unit != string(poisoned.ID) {
+			t.Fatalf("%s: coordination %+v, want the poisoned unit %s", how, c, poisoned.ID)
+		}
+		if !reflect.DeepEqual(dle.DeadLetters, c.DeadLetters) || dle.Finished != len(sr.Units) {
+			t.Errorf("%s: error lists %+v after %d finished units, want the shard's %+v after %d",
+				how, dle.DeadLetters, dle.Finished, c.DeadLetters, len(sr.Units))
 		}
 	}
 	sr, err := eng.RunPlan(nil, plan, engine.FullShard())
@@ -281,5 +288,35 @@ func TestEngineMetricsCountFromStart(t *testing.T) {
 	if m := eng.Metrics(); m.UnitsDone != plan.Len() || m.Elapsed <= 0 || m.UnitsPerSec <= 0 {
 		t.Fatalf("engine metrics after one job: %d units done, elapsed %s, %g units/s; want %d, > 0 and > 0",
 			m.UnitsDone, m.Elapsed, m.UnitsPerSec, plan.Len())
+	}
+}
+
+// TestFinishedJobMetricsAreFinal checks that a job's counting window
+// closes when the job finishes: two snapshots taken 20 ms apart after
+// Wait are equal, elapsed time and rate included, while the engine-wide
+// window stays open.
+func TestFinishedJobMetricsAreFinal(t *testing.T) {
+	plan, err := engine.BuildPlan(reportOptions(), experiments.Table3Specs()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New()
+	h, err := eng.Submit(nil, engine.Job{Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	first, engFirst := h.Metrics(), eng.Metrics()
+	time.Sleep(20 * time.Millisecond)
+	if second := h.Metrics(); second != first {
+		t.Fatalf("finished job's metrics moved: %+v, then %+v", first, second)
+	}
+	if first.UnitsDone != plan.Len() || first.Elapsed <= 0 || first.UnitsPerSec <= 0 {
+		t.Fatalf("finished job's metrics %+v, want %d units done at a positive rate", first, plan.Len())
+	}
+	if e := eng.Metrics().Elapsed; e <= engFirst.Elapsed {
+		t.Fatalf("engine window stopped at %s (was %s)", e, engFirst.Elapsed)
 	}
 }

@@ -16,9 +16,10 @@ const ReportSchemaVersion = 1
 
 // Report is the typed, serializable model of the paper's full evaluation:
 // Tables 1-4, Fig. 11(a)/(b) and the headline summary. It is what every
-// encoder (ASCII, JSON, CSV) renders and what MergeShards reconstructs
-// from shard artifacts — a merged report is deeply equal to an unsharded
-// run's, so every encoding of it is byte-identical too.
+// encoder (ASCII, JSON, CSV) renders, and what the engine's Plan.Report
+// builds from shard artifacts merged by MergeShards — a merged report is
+// deeply equal to an unsharded run's, so every encoding of it is
+// byte-identical too.
 type Report struct {
 	// SchemaVersion is ReportSchemaVersion at build time.
 	SchemaVersion int `json:"schema_version"`

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -10,9 +11,10 @@ import (
 	"repro/internal/engine"
 )
 
-// jobEvent is one entry of a job's event stream: a compact JSON summary
-// of an engine Event (or the terminal "done" marker), sequence-numbered
-// so SSE clients can resume.
+// jobEvent is one frame of a job's event stream: the compact JSON
+// summary of an engine Event (or the terminal "done" marker), rendered
+// when the frame is written and sequence-numbered so SSE clients can
+// resume.
 type jobEvent struct {
 	Seq      int    `json:"seq"`
 	Kind     string `json:"kind"` // "sim" | "litmus" | "coord" | "done"
@@ -29,8 +31,9 @@ type jobEvent struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// summarizeEvent converts an engine event into its stream entry.
-func summarizeEvent(ev engine.Event) (jobEvent, bool) {
+// summarizeEvent renders an engine event as its stream frame, less the
+// frame's sequence number.
+func summarizeEvent(ev engine.Event) jobEvent {
 	switch {
 	case ev.Sim != nil:
 		return jobEvent{
@@ -39,7 +42,7 @@ func summarizeEvent(ev engine.Event) (jobEvent, bool) {
 			Trace:    ev.Sim.Trace,
 			Type:     ev.Sim.Type.String(),
 			CacheHit: ev.Sim.CacheHit,
-		}, true
+		}
 	case ev.Litmus != nil:
 		holds := ev.Litmus.Holds
 		je := jobEvent{
@@ -51,8 +54,8 @@ func summarizeEvent(ev engine.Event) (jobEvent, bool) {
 		if ev.Litmus.Test != nil {
 			je.Test = ev.Litmus.Test.Name
 		}
-		return je, true
-	case ev.DeadLetter != nil:
+		return je
+	default:
 		d := ev.DeadLetter
 		return jobEvent{
 			Kind:    "coord",
@@ -60,69 +63,94 @@ func summarizeEvent(ev engine.Event) (jobEvent, bool) {
 			Unit:    d.Unit,
 			Attempt: d.Attempts,
 			Reason:  d.Reasons[len(d.Reasons)-1],
-		}, true
+		}
 	}
-	return jobEvent{}, false
 }
 
-// eventLog is one job's append-only event buffer: appends stamp sequence
-// numbers and wake blocked readers; close appends the terminal event.
-// Readers replay from any index and then follow live.
+// eventLog is one job's append-only event log: the engine's records in
+// arrival order, then the terminal "done" entry once the job has
+// finished. The records point into the job's own results, which the
+// engine never writes after streaming them, so the log holds no copy of
+// its own; frames are rendered as they are written. Appends wake blocked
+// readers; readers replay from any index and then follow live.
 type eventLog struct {
 	mu      sync.Mutex
-	entries []jobEvent
-	wake    chan struct{} // closed and replaced on every append
-	closed  bool
+	entries []engine.Event
+	wake    chan struct{} // closed and replaced on every append; nil once closed
+	// state and err are the terminal entry's, set when the log closes.
+	state, err string
 }
 
-func newEventLog() *eventLog {
-	return &eventLog{wake: make(chan struct{})}
+// newEventLog returns an empty log with room for n records.
+func newEventLog(n int) *eventLog {
+	return &eventLog{entries: make([]engine.Event, 0, n), wake: make(chan struct{})}
 }
 
-// append adds one entry (no-op after close).
-func (l *eventLog) append(ev jobEvent) {
+// append adds one record (no-op after close).
+func (l *eventLog) append(ev engine.Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.wake == nil {
 		return
 	}
-	ev.Seq = len(l.entries)
 	l.entries = append(l.entries, ev)
 	close(l.wake)
 	l.wake = make(chan struct{})
 }
 
-// close appends the terminal entry and marks the log complete.
-func (l *eventLog) close(final jobEvent) {
+// close records the terminal entry, the job's final state and error
+// message, and marks the log complete.
+func (l *eventLog) close(state, err string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.wake == nil {
 		return
 	}
-	final.Seq = len(l.entries)
-	l.entries = append(l.entries, final)
-	l.closed = true
+	l.state, l.err = state, err
 	close(l.wake)
-	l.wake = make(chan struct{})
+	l.wake = nil
 }
 
-// size returns the number of entries logged so far.
+// size returns the number of entries logged so far, the terminal one
+// included.
 func (l *eventLog) size() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.wake == nil {
+		return len(l.entries) + 1
+	}
 	return len(l.entries)
 }
 
-// from returns the entries at index i and beyond, whether the log is
-// complete, and a channel that wakes when more arrive.
-func (l *eventLog) from(i int) ([]jobEvent, bool, <-chan struct{}) {
+// from returns the records at index i and beyond, the terminal frame when
+// the log is closed and i does not pass it (nil otherwise), and a channel
+// that wakes when more arrive, nil once the log is closed.
+func (l *eventLog) from(i int) ([]engine.Event, *jobEvent, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var tail []jobEvent
-	if i < len(l.entries) {
-		tail = append(tail, l.entries[i:]...)
+	n := len(l.entries)
+	var tail []engine.Event
+	if i < n {
+		// Logged records are never rewritten, so the tail is read outside
+		// the lock; its capacity ends at n, so no later append reaches it.
+		tail = l.entries[i:n:n]
 	}
-	return tail, l.closed, l.wake
+	var final *jobEvent
+	if l.wake == nil && i <= n {
+		final = &jobEvent{Seq: n, Kind: "done", State: l.state, Error: l.err}
+	}
+	return tail, final, l.wake
+}
+
+// writeFrame writes one SSE frame: `id: <seq>`, `event: <kind>` and
+// `data: <json>`.
+func writeFrame(w io.Writer, ev jobEvent) error {
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data)
+	return err
 }
 
 // handleJobEvents is GET /v1/jobs/{id}/events: the job's event stream as
@@ -157,21 +185,21 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	for {
-		events, closed, wake := j.events.from(next)
+		events, final, wake := j.events.from(next)
 		for _, ev := range events {
-			data, err := json.Marshal(ev)
-			if err != nil {
+			je := summarizeEvent(ev)
+			je.Seq = next
+			if writeFrame(w, je) != nil {
 				return
 			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data)
 			next++
 		}
-		flusher.Flush()
-		if closed && len(events) == 0 {
+		if final != nil && writeFrame(w, *final) != nil {
 			return
 		}
-		if closed {
-			continue // drain whatever arrived between from() and close
+		flusher.Flush()
+		if wake == nil {
+			return
 		}
 		select {
 		case <-wake:

@@ -60,7 +60,8 @@ type job struct {
 	kind    string // "plan" | "litmus"
 	mode    string // "static" | "coordinate" (static, reported as coordinated)
 	created time.Time
-	plan    *engine.Plan // plan jobs only
+	plan    *engine.Plan // plan jobs only: the plan registry's shared plan
+	key     planKey      // plan jobs only: plan's registry key
 	units   int          // planned unit count
 	events  *eventLog
 
@@ -87,7 +88,7 @@ func (j *job) complete(res *engine.JobResult, err error, at time.Time) {
 		msg = err.Error()
 	}
 	j.mu.Unlock()
-	j.events.close(jobEvent{Kind: "done", State: state, Error: msg})
+	j.events.close(state, msg)
 }
 
 // status snapshots the mutable state.
@@ -161,13 +162,39 @@ func litmusTests(spec *LitmusSpec) ([]*litmus.Test, error) {
 type submission struct {
 	kind  string         // "plan" | "litmus"
 	mode  string         // "static" | "coordinate"
-	plan  *engine.Plan   // plan jobs
+	opts  engine.Options // plan jobs: the resolved sweep
+	seeds []int64        // plan jobs: its seed list
 	tests []*litmus.Test // litmus jobs
 }
 
-// parseSubmit decodes and validates a POST /v1/jobs body and builds the
-// plan or the litmus tests it asks for. It has no side effects, so a bad
-// spec costs no registry slot; every error it returns is the client's.
+// planKey names a resolved sweep in the plan registry: the options its
+// spec resolves to (whose Config is always nil here) and its seed count,
+// which with the base seed fixes the seed list (SweepSpec.Options makes
+// it consecutive). Two spellings of one sweep have one key, just as they
+// have one fingerprint.
+type planKey struct {
+	opts  engine.Options
+	seeds int
+}
+
+// planKey returns the registry key of a plan submission's sweep.
+func (sub *submission) planKey() planKey { return planKey{opts: sub.opts, seeds: len(sub.seeds)} }
+
+// buildPlan builds the plan of a plan submission's sweep. Its error is
+// the client's.
+func (sub *submission) buildPlan() (*engine.Plan, error) {
+	plan, err := engine.DefaultPlanSeeds(sub.opts, sub.seeds...)
+	if err != nil {
+		return nil, fmt.Errorf("building plan: %v", err)
+	}
+	return plan, nil
+}
+
+// parseSubmit decodes and validates a POST /v1/jobs body and resolves the
+// sweep or the litmus tests it asks for; the plan of a sweep is built by
+// buildPlan, unless a job already holds it. It has no side effects, so a
+// bad spec costs no registry slot; every error it returns is the
+// client's.
 func parseSubmit(body []byte) (*submission, error) {
 	var req SubmitRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -205,17 +232,58 @@ func parseSubmit(body []byte) (*submission, error) {
 	// builds a longer seed list.
 	spec := *req.Plan
 	spec.Seeds = min(spec.Seeds, maxPlanSeeds+1)
-	opts, seeds, err := spec.Options()
-	if err != nil {
+	var err error
+	if sub.opts, sub.seeds, err = spec.Options(); err != nil {
 		return nil, err
 	}
-	if len(seeds) > maxPlanSeeds {
+	if len(sub.seeds) > maxPlanSeeds {
 		return nil, fmt.Errorf("plan seeds %d exceeds the limit of %d", req.Plan.Seeds, maxPlanSeeds)
 	}
-	if sub.plan, err = engine.DefaultPlanSeeds(opts, seeds...); err != nil {
-		return nil, fmt.Errorf("building plan: %v", err)
-	}
 	return sub, nil
+}
+
+// sharedPlan is one plan registry entry: the plan of one resolved sweep
+// and the number of running and retained jobs that hold it.
+type sharedPlan struct {
+	plan *engine.Plan
+	jobs int
+}
+
+// planFor returns the plan of a plan submission: the registered one when
+// a running or retained job holds it, else a fresh build. The build runs
+// outside s.mu; holdPlanLocked registers it.
+func (s *Server) planFor(sub *submission) (*engine.Plan, error) {
+	s.mu.Lock()
+	e := s.plans[sub.planKey()]
+	s.mu.Unlock()
+	if e != nil {
+		return e.plan, nil
+	}
+	return sub.buildPlan()
+}
+
+// holdPlanLocked counts one more job holding the plan of key and returns
+// the plan that job runs: the registered one if there is one — so when
+// two first submits of a sweep race, both run the plan registered first
+// — else plan, which it registers. Caller holds s.mu.
+func (s *Server) holdPlanLocked(key planKey, plan *engine.Plan) *engine.Plan {
+	e := s.plans[key]
+	if e == nil {
+		e = &sharedPlan{plan: plan}
+		s.plans[key] = e
+	}
+	e.jobs++
+	return e.plan
+}
+
+// releasePlanLocked counts one job fewer holding the plan of key and
+// drops the entry with its last job. Caller holds s.mu.
+func (s *Server) releasePlanLocked(key planKey) {
+	if e := s.plans[key]; e != nil {
+		if e.jobs--; e.jobs == 0 {
+			delete(s.plans, key)
+		}
+	}
 }
 
 // handleSubmit is POST /v1/jobs: validate, register, start, 202.
@@ -230,6 +298,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sub, err := parseSubmit(body)
+	var plan *engine.Plan
+	if err == nil && sub.kind == "plan" {
+		plan, err = s.planFor(sub)
+	}
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -256,15 +328,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		kind:    sub.kind,
 		mode:    sub.mode,
 		created: s.now(),
-		plan:    sub.plan,
-		events:  newEventLog(),
 		state:   "running",
 	}
-	if sub.plan != nil {
-		j.units = sub.plan.Len()
+	if plan != nil {
+		j.key = sub.planKey()
+		j.plan = s.holdPlanLocked(j.key, plan)
+		j.units = j.plan.Len()
 	} else {
 		j.units = len(sub.tests) * len(s.eng.Types())
 	}
+	j.events = newEventLog(j.units)
 	s.jobs[j.id] = j
 	s.running++
 	s.jobsTotal++
@@ -281,12 +354,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // startJob launches the registered job's work and its completion
 // watcher.
 func (s *Server) startJob(j *job, sub *submission) error {
-	obs := func(ev engine.Event) {
-		if je, ok := summarizeEvent(ev); ok {
-			j.events.append(je)
-		}
-	}
-	ejob := engine.Job{Observer: obs}
+	ejob := engine.Job{Observer: j.events.append}
 	if j.kind == "plan" {
 		ejob.Plan = j.plan
 	} else {
@@ -338,9 +406,9 @@ func (s *Server) finishJob(j *job, res *engine.JobResult, err error) {
 }
 
 // pruneLocked evicts the finished jobs past their retention TTL, with
-// the unit-index entries that still point at them. The expired jobs are
-// the head of the finish-ordered queue, so pruning touches only them.
-// Caller holds s.mu.
+// the unit-index entries that still point at them and each plan whose
+// last holder they are. The expired jobs are the head of the
+// finish-ordered queue, so pruning touches only them. Caller holds s.mu.
 func (s *Server) pruneLocked() {
 	cutoff := s.now().Add(-s.cfg.RetainFinished)
 	for len(s.finished) > 0 {
@@ -351,6 +419,9 @@ func (s *Server) pruneLocked() {
 		s.finished[0] = nil // the queue's backing array must not keep it alive
 		s.finished = s.finished[1:]
 		delete(s.jobs, j.id)
+		if j.plan != nil {
+			s.releasePlanLocked(j.key)
+		}
 		if sr := j.shardResult(); sr != nil {
 			for _, ur := range sr.Units {
 				if s.units[ur.Unit].job == j {

@@ -91,11 +91,13 @@ type Server struct {
 	// The registry: every retained job by ID. finished queues the
 	// finished ones in finish order, oldest first, so pruning pops
 	// expired jobs off its head; units indexes each unit ID to its result
-	// in the last retained job that finished it.
+	// in the last retained job that finished it; plans shares one plan
+	// among the running and retained jobs of each resolved sweep.
 	mu        sync.Mutex
 	jobs      map[string]*job
 	finished  []*job
 	units     map[engine.UnitID]unitEntry
+	plans     map[planKey]*sharedPlan
 	nextID    int
 	running   int
 	jobsTotal int
@@ -125,6 +127,7 @@ func New(cfg Config) (*Server, error) {
 		now:        time.Now,
 		jobs:       map[string]*job{},
 		units:      map[engine.UnitID]unitEntry{},
+		plans:      map[planKey]*sharedPlan{},
 		reqs:       map[string]map[int]int64{},
 	}
 	s.mux = s.buildMux()

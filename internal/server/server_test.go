@@ -712,9 +712,9 @@ func TestResultsExpireWithTheirJob(t *testing.T) {
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	if len(srv.jobs) != 0 || len(srv.finished) != 0 || len(srv.units) != 0 {
-		t.Fatalf("registry keeps %d jobs, %d queued for expiry and %d indexed units after every job expired",
-			len(srv.jobs), len(srv.finished), len(srv.units))
+	if len(srv.jobs) != 0 || len(srv.finished) != 0 || len(srv.units) != 0 || len(srv.plans) != 0 {
+		t.Fatalf("registry keeps %d jobs, %d queued for expiry, %d indexed units and %d plans after every job expired",
+			len(srv.jobs), len(srv.finished), len(srv.units), len(srv.plans))
 	}
 }
 
@@ -778,9 +778,9 @@ func TestRegistryUnderConcurrentJobs(t *testing.T) {
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	if len(srv.jobs) != 0 || len(srv.finished) != 0 || len(srv.units) != 0 {
-		t.Fatalf("registry keeps %d jobs, %d queued for expiry and %d indexed units after every job expired",
-			len(srv.jobs), len(srv.finished), len(srv.units))
+	if len(srv.jobs) != 0 || len(srv.finished) != 0 || len(srv.units) != 0 || len(srv.plans) != 0 {
+		t.Fatalf("registry keeps %d jobs, %d queued for expiry, %d indexed units and %d plans after every job expired",
+			len(srv.jobs), len(srv.finished), len(srv.units), len(srv.plans))
 	}
 }
 
@@ -981,7 +981,7 @@ func retainFinished(s *Server, n int) []string {
 		s.mu.Lock()
 		s.nextID++
 		j := &job{id: fmt.Sprintf("job-%06d", s.nextID), seq: s.nextID, kind: "litmus", mode: "static",
-			created: s.now(), events: newEventLog(), state: "running"}
+			created: s.now(), events: newEventLog(0), state: "running"}
 		s.jobs[j.id] = j
 		s.running++
 		s.mu.Unlock()

@@ -185,12 +185,19 @@ type workloadIdentifier interface {
 // A non-positive scale is normalized to 1: the generator applies no
 // scaling in either case, so both spellings must address the same entry.
 func SimKey(cfg sim.Config, src sim.TraceSource, seed int64, scale float64) Key {
+	return SimKeyOf(cfg, cfg.Digest(), src, seed, scale)
+}
+
+// SimKeyOf is SimKey with the configuration's digest (cfg.Digest())
+// already taken, for a caller that keys many runs of one configuration:
+// their keys then share one digest string.
+func SimKeyOf(cfg sim.Config, cfgDigest string, src sim.TraceSource, seed int64, scale float64) Key {
 	if scale <= 0 {
 		scale = 1
 	}
 	k := Key{
 		Kind:         KindSimResult,
-		ConfigDigest: cfg.Digest(),
+		ConfigDigest: cfgDigest,
 		Trace:        src.Name(),
 		Cores:        cfg.Cores,
 		Seed:         seed,

@@ -16,8 +16,8 @@ type ShardResult = engine.ShardResult
 // reassembles the complete sweep from them: every shard must carry the
 // plan's fingerprint, every plan unit must appear exactly once across the
 // shards, and no shard may carry a unit the plan does not know. The
-// reconstructed runs are in plan order and deeply equal to an unsharded
-// RunPlan's — so a report built from them encodes byte-identically.
-func MergeShardFiles(plan *Plan, paths ...string) ([]*BenchmarkRun, error) {
+// merged result holds the units in plan order, like an unsharded
+// RunPlan's, so Plan.Report renders it byte-identically.
+func MergeShardFiles(plan *Plan, paths ...string) (*ShardResult, error) {
 	return engine.MergeShardFiles(plan, paths...)
 }

@@ -24,8 +24,8 @@ func WithFaultInjector(f FaultInjector) Option { return engine.WithFaultInjector
 
 // DeadLetterError reports a plan job that finished with dead-lettered
 // units: every other unit finished, but the listed units failed, each
-// after its one execution. RunPlan returns the partial shard beside the
-// error, and Partial is that same shard: the completed units plus the
-// coordination section that lists the dead letters with their failure
-// reasons, so Plan.Report still renders the partial report.
+// after its one execution. It carries the dead letters and the count of
+// finished units; RunPlan returns the partial shard beside it, whose
+// coordination section lists the same dead letters, so Plan.Report still
+// renders the partial report.
 type DeadLetterError = engine.DeadLetterError

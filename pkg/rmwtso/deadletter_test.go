@@ -31,7 +31,7 @@ func TestPoisonedUnitDeadLetters(t *testing.T) {
 		}
 		return nil
 	}))
-	_, err = runner.RunPlan(nil, plan, rmwtso.FullShard())
+	partial, err := runner.RunPlan(nil, plan, rmwtso.FullShard())
 	var dle *rmwtso.DeadLetterError
 	if !errors.As(err, &dle) {
 		t.Fatalf("want *DeadLetterError, got %v", err)
@@ -42,7 +42,6 @@ func TestPoisonedUnitDeadLetters(t *testing.T) {
 		}
 	}
 
-	partial := dle.Partial
 	if len(partial.Units) != plan.Len()-1 {
 		t.Fatalf("partial has %d units, want %d", len(partial.Units), plan.Len()-1)
 	}

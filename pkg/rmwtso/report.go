@@ -8,11 +8,10 @@ import (
 
 // Report is the typed, serializable model of the paper's full evaluation
 // — Tables 1-4, Fig. 11(a)/(b) and the headline summary — the single
-// structure every output format encodes. Build one from finished runs
-// (BuildReport, or Plan.Report for a RunPlan shard), either a local
-// sweep's or runs reconstructed from shard artifacts (MergeShardFiles): a
-// merged report is deeply equal to an unsharded run's, so every encoding
-// is byte-identical too.
+// structure every output format encodes. Plan.Report builds one from a
+// shard result, either a local RunPlan's or one merged from shard
+// artifacts (MergeShardFiles): a merged report is deeply equal to an
+// unsharded run's, so every encoding is byte-identical too.
 type Report = experiments.Report
 
 // ReportEncoder renders a Report to a writer in one output format.
@@ -40,9 +39,8 @@ func NewReportEncoder(format string) (ReportEncoder, error) { return experiments
 // BuildReport assembles the evaluation report: the semantics sections
 // (Tables 1 and 4) are model checked locally — they are exact and
 // identical on every machine — while the simulation sections (Table 3,
-// Fig. 11, summary) derive from the runs, which come from
-// MergeShardFiles or Plan.Runs. Plan.Report builds the report of a
-// RunPlan shard this way.
+// Fig. 11, summary) derive from the runs, which come from Plan.Runs.
+// Plan.Report builds the report of a shard result this way.
 func BuildReport(o Options, runs []*BenchmarkRun) (*Report, error) {
 	return experiments.BuildReport(o, runs)
 }

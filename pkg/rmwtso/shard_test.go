@@ -75,14 +75,14 @@ func TestShardMergeDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			runs, err := rmwtso.MergeShardFiles(plan, paths...)
+			merged, err := rmwtso.MergeShardFiles(plan, paths...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(runs, wantRuns) {
-				t.Fatalf("merged runs differ from the unsharded run")
+			if !reflect.DeepEqual(merged.Units, full.Units) {
+				t.Fatalf("merged units differ from the unsharded run's")
 			}
-			report, err := rmwtso.BuildReport(o, runs)
+			report, err := plan.Report(merged)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -173,7 +173,7 @@ func main() {
 			}
 			shard, err := rmwtso.ParseShard(*shardArg)
 			check(err)
-			res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, shard)
+			res, err := runPlan(plan, shard, *par, cache, *progress, faultOpts...)
 			var dle *rmwtso.DeadLetterError
 			if errors.As(err, &dle) {
 				// A shard artifact with holes would only fail the merge
@@ -207,7 +207,7 @@ func main() {
 			return
 
 		default: // -format without -shard/-merge: unsharded full report.
-			res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, rmwtso.FullShard())
+			res, err := runPlan(plan, rmwtso.FullShard(), *par, cache, *progress, faultOpts...)
 			var dle *rmwtso.DeadLetterError
 			if !errors.As(err, &dle) {
 				check(err)
@@ -243,7 +243,7 @@ func main() {
 	if needSim {
 		plan, err := rmwtso.DefaultPlanSeeds(opts, seedList...)
 		check(err)
-		res, err := newRunner(*par, cache, *progress, faultOpts...).RunPlan(nil, plan, rmwtso.FullShard())
+		res, err := runPlan(plan, rmwtso.FullShard(), *par, cache, *progress, faultOpts...)
 		check(err)
 		report, err = plan.Report(res)
 		check(err)
@@ -297,8 +297,11 @@ func main() {
 	reportCache(cache)
 }
 
-// newRunner builds the sweep Runner shared by the table and plan modes.
-func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Option) *rmwtso.Runner {
+// runPlan runs the plan units the shard selects, for the table and plan
+// modes alike, on a Runner with the given parallelism, cache and extra
+// options. With progress, the job streams one stderr line per finished
+// or dead-lettered unit.
+func runPlan(plan *rmwtso.Plan, shard rmwtso.Shard, par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Option) (*rmwtso.ShardResult, error) {
 	runnerOpts := []rmwtso.Option{}
 	if par > 0 {
 		runnerOpts = append(runnerOpts, rmwtso.WithParallelism(par))
@@ -306,23 +309,32 @@ func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Opti
 	if cache != nil {
 		runnerOpts = append(runnerOpts, rmwtso.WithCache(cache))
 	}
+	job := rmwtso.Job{Plan: plan, Shard: shard}
 	if progress {
-		runnerOpts = append(runnerOpts, rmwtso.WithObserver(func(e rmwtso.Event) {
-			switch {
-			case e.Sim != nil:
-				verb := "done"
-				if e.Sim.CacheHit {
-					verb = "cached"
-				}
-				fmt.Fprintf(os.Stderr, "  %s: %s: %s under %s (%d cycles)\n",
-					verb, e.Sim.Unit, e.Sim.Trace, e.Sim.Type, e.Sim.Result.Cycles)
-			case e.DeadLetter != nil:
-				d := e.DeadLetter
-				fmt.Fprintf(os.Stderr, "  coord: dead-letter %s attempt=%d (%s)\n", d.Unit, d.Attempts, d.Reasons[len(d.Reasons)-1])
-			}
-		}))
+		job.Observer = printProgress
 	}
-	return rmwtso.NewRunner(append(runnerOpts, extra...)...)
+	h, err := rmwtso.NewRunner(append(runnerOpts, extra...)...).Submit(nil, job)
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	return res.Shard, err
+}
+
+// printProgress is the -progress stream: one stderr line per event.
+func printProgress(e rmwtso.Event) {
+	switch {
+	case e.Sim != nil:
+		verb := "done"
+		if e.Sim.CacheHit {
+			verb = "cached"
+		}
+		fmt.Fprintf(os.Stderr, "  %s: %s: %s under %s (%d cycles)\n",
+			verb, e.Sim.Unit, e.Sim.Trace, e.Sim.Type, e.Sim.Result.Cycles)
+	case e.DeadLetter != nil:
+		d := e.DeadLetter
+		fmt.Fprintf(os.Stderr, "  coord: dead-letter %s attempt=%d (%s)\n", d.Unit, d.Attempts, d.Reasons[len(d.Reasons)-1])
+	}
 }
 
 // buildFaultInjector compiles the -fail-unit flag into a FaultInjector

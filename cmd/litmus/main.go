@@ -10,8 +10,6 @@
 //	litmus -type type-2      restrict to one atomicity type (default: all three)
 //	litmus -j 8              worker-pool parallelism (default: GOMAXPROCS)
 //	litmus -v                also stream the outcome sets as verdicts finish
-//	litmus -shard 0/3        run only verdict shard 0 of 3
-//	litmus -list-units       print the verdict grid (unit IDs) and exit
 //	litmus -format json      emit verdicts as JSON (ascii, csv too)
 //
 // -j parallelizes across tests: each test is one walk that decides all
@@ -20,14 +18,6 @@
 // — the only ones a verdict checks — are partitioned across goroutines
 // by their count: GOMAXPROCS for IRIW-sized spaces, where a single
 // program dominates the wall clock, and 1 for small ones.
-//
-// The (test, type) verdict grid is a deterministic unit plan just like
-// the simulation sweep: every unit's ID derives from the verdict's
-// content digest (the test's canonical rendering and the atomicity type),
-// so -shard i/n splits one suite across processes (disjoint, collectively
-// exhaustive, same IDs everywhere), -list-units audits the boundaries
-// first, and -format json/csv emits unit-tagged verdicts that downstream
-// tooling can merge by ID.
 package main
 
 import (
@@ -37,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"text/tabwriter"
 
 	"repro/internal/cliflags"
 	"repro/pkg/rmwtso"
@@ -52,8 +41,6 @@ func main() {
 		typeName = flag.String("type", "", "atomicity type to check (type-1, type-2, type-3); default all")
 		par      = flag.Int("j", 0, "worker-pool parallelism (default: GOMAXPROCS)")
 		verbose  = flag.Bool("v", false, "stream outcome sets as verdicts finish")
-		shardArg = flag.String("shard", "", "run only verdict shard i/n")
-		listU    = flag.Bool("list-units", false, "print the verdict grid (unit ID, test, type) and exit")
 	)
 	formatFlag := cliflags.RegisterFormat(flag.CommandLine, "format", rmwtso.FormatASCII,
 		"verdict output format: ascii, json or csv",
@@ -67,38 +54,16 @@ func main() {
 	if err := formatFlag.Validate(); err != nil {
 		fatalUsage(err)
 	}
-	shard := rmwtso.FullShard()
-	if *shardArg != "" {
-		var err error
-		if shard, err = rmwtso.ParseShard(*shardArg); err != nil {
-			fatalUsage(err)
-		}
-	}
-
-	types := rmwtso.AllTypes()
 	var opts []rmwtso.Option
 	if *typeName != "" {
 		t, err := rmwtso.ParseAtomicityType(*typeName)
 		if err != nil {
 			fatal(err)
 		}
-		types = []rmwtso.AtomicityType{t}
 		opts = append(opts, rmwtso.WithRMWTypes(t))
 	}
 	if *par > 0 {
 		opts = append(opts, rmwtso.WithParallelism(*par))
-	}
-	if *verbose {
-		opts = append(opts, rmwtso.WithObserver(func(e rmwtso.Event) {
-			r := e.Litmus
-			if r == nil {
-				return
-			}
-			fmt.Printf("%s: %s under %s: condition %s -> %v\n", r.Unit, r.Test.Name, r.Atomicity, r.Test.Cond, r.Holds)
-			for _, key := range r.Outcomes.Keys() {
-				fmt.Printf("    %s\n", key)
-			}
-		}))
 	}
 
 	var view *rmwtso.SuiteView
@@ -133,18 +98,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *listU {
-		if err := view.Err(); err != nil {
-			fatal(err)
-		}
-		listUnits(view, types, shard)
-		return
+	if err := view.Err(); err != nil {
+		fatal(err)
 	}
-
-	results, err := view.RunShard(shard, opts...)
+	job := rmwtso.Job{Litmus: &rmwtso.LitmusGrid{Tests: view.Tests()}}
+	if *verbose {
+		job.Observer = printVerdict
+	}
+	h, err := rmwtso.NewRunner(opts...).Submit(nil, job)
 	if err != nil {
 		fatal(err)
 	}
+	res, err := h.Wait()
+	if err != nil {
+		fatal(err)
+	}
+	results := res.Verdicts
 	mismatches := 0
 	for _, r := range results {
 		if !r.Matches {
@@ -160,30 +129,18 @@ func main() {
 	}
 }
 
-// listUnits prints the verdict grid the shard covers, so operators can
-// audit shard boundaries before splitting a suite across processes.
-func listUnits(view *rmwtso.SuiteView, types []rmwtso.AtomicityType, shard rmwtso.Shard) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintf(w, "UNIT\tTEST\tTYPE\n")
-	total, selected := 0, 0
-	pos := 0
-	for _, t := range view.Tests() {
-		for _, typ := range types {
-			total++
-			if shard.Covers(pos) {
-				selected++
-				fmt.Fprintf(w, "%s\t%s\t%s\n", rmwtso.LitmusUnitID(t, typ), t.Name, typ)
-			}
-			pos++
-		}
+// printVerdict is the -v stream: each verdict and its outcome set, as
+// soon as its test's walk finishes.
+func printVerdict(e rmwtso.Event) {
+	r := e.Litmus
+	fmt.Printf("%s under %s: condition %s -> %v\n", r.Test.Name, r.Atomicity, r.Test.Cond, r.Holds)
+	for _, key := range r.Outcomes.Keys() {
+		fmt.Printf("    %s\n", key)
 	}
-	w.Flush()
-	fmt.Printf("%d of %d verdict units\n", selected, total)
 }
 
 // verdictRecord is the machine-readable view of one litmus verdict.
 type verdictRecord struct {
-	Unit       string   `json:"unit"`
 	Test       string   `json:"test"`
 	Type       string   `json:"type"`
 	Holds      bool     `json:"holds"`
@@ -197,7 +154,6 @@ type verdictRecord struct {
 // record flattens a result for the JSON and CSV encodings.
 func record(r rmwtso.TestResult) verdictRecord {
 	return verdictRecord{
-		Unit:       r.Unit,
 		Test:       r.Test.Name,
 		Type:       r.Atomicity.String(),
 		Holds:      r.Holds,
@@ -224,7 +180,7 @@ func emitResults(w *os.File, results []rmwtso.TestResult, format string) error {
 		return enc.Encode(recs)
 	case rmwtso.FormatCSV:
 		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"unit", "test", "type", "holds", "expected", "matches", "valid_executions", "candidates", "outcomes"}); err != nil {
+		if err := cw.Write([]string{"test", "type", "holds", "expected", "matches", "valid_executions", "candidates", "outcomes"}); err != nil {
 			return err
 		}
 		for _, r := range results {
@@ -233,7 +189,7 @@ func emitResults(w *os.File, results []rmwtso.TestResult, format string) error {
 			if rec.Expected != nil {
 				expected = fmt.Sprintf("%v", *rec.Expected)
 			}
-			if err := cw.Write([]string{rec.Unit, rec.Test, rec.Type,
+			if err := cw.Write([]string{rec.Test, rec.Type,
 				fmt.Sprintf("%v", rec.Holds), expected, fmt.Sprintf("%v", rec.Matches),
 				fmt.Sprintf("%d", rec.Valid), fmt.Sprintf("%d", rec.Candidates),
 				strings.Join(rec.Outcomes, "; ")}); err != nil {

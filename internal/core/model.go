@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"iter"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,6 +139,10 @@ func (s *OutcomeSet) Keys() []string {
 	sort.Strings(out)
 	return out
 }
+
+// All iterates over the outcomes in no particular order, building
+// nothing; Outcomes sorts them.
+func (s *OutcomeSet) All() iter.Seq[Outcome] { return maps.Values(s.byKey) }
 
 // Outcomes returns the outcomes sorted by key.
 func (s *OutcomeSet) Outcomes() []Outcome {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -132,8 +131,7 @@ func TestEngineModesDifferential(t *testing.T) {
 
 // TestEngineLitmusDifferential pushes the full litmus registry through
 // engine.Submit and checks every verdict against a direct, engine-free
-// Test.Run — the two paths must agree on every field (the engine
-// additionally stamps the unit ID).
+// Test.Run — the two paths must agree on every field.
 func TestEngineLitmusDifferential(t *testing.T) {
 	tests := litmus.AllTests()
 	eng := engine.New()
@@ -154,14 +152,10 @@ func TestEngineLitmusDifferential(t *testing.T) {
 		for _, typ := range types {
 			got := res.Verdicts[i]
 			i++
-			if got.Unit == "" {
-				t.Errorf("%s under %s: engine verdict has no unit ID", tst.Name, typ)
-			}
 			want, err := tst.Run(typ)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.Unit = "" // direct runs carry no unit ID
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s under %s: engine verdict differs from direct run\n got: %+v\nwant: %+v",
 					tst.Name, typ, got, want)
@@ -179,64 +173,75 @@ func TestEngineLitmusDifferential(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsShardedLitmusJob checks that a litmus job runs whole:
+// Submit refuses one with a shard before anything runs.
+func TestSubmitRejectsShardedLitmusJob(t *testing.T) {
+	eng := engine.New()
+	h, err := eng.Submit(nil, engine.Job{
+		Litmus: &engine.LitmusGrid{Tests: litmus.AllTests()},
+		Shard:  engine.Shard{Index: 0, Count: 2},
+	})
+	if err == nil || h != nil {
+		t.Fatalf("Submit of a litmus job with shard 0/2 = (%v, %v), want a synchronous error", h, err)
+	}
+	if m := eng.Metrics(); m.UnitsPlanned != 0 {
+		t.Fatalf("the rejected job planned %d verdicts", m.UnitsPlanned)
+	}
+}
+
 // TestEngineGroupedUnitsParallel checks the grouped litmus and mapping
 // jobs on a pool of 4 workers, with 1, 2 and 8 enumeration workers per
-// walk and a type list out of order. Shards 0/3, 1/3 and 2/3 of the
-// litmus grid split a test's types across shards, so a group holds some
-// of its test's units; each verdict must equal the direct Test.Run, the
-// shards must partition the grid in (test, type) order, and every unit
-// must stream exactly one event. ValidateMappings must return one result
-// per (program, mapping, type), equal to the one-shot
-// cpp11.ValidateMapping, in that order.
+// walk and a type list out of order. Each verdict of a litmus job over
+// the full grid must equal the direct Test.Run, in (test, type) order,
+// and each (test, type) must stream exactly one event. ValidateMappings
+// must return one result per (program, mapping, type), equal to the
+// one-shot cpp11.ValidateMapping, in that order.
 func TestEngineGroupedUnitsParallel(t *testing.T) {
 	tests := litmus.AllTests()
 	types := []core.AtomicityType{core.Type3, core.Type1, core.Type2}
 	programs := cpp11.AllPrograms()
+	type verdict struct {
+		test string
+		typ  core.AtomicityType
+	}
 	for _, workers := range []int{1, 2, 8} {
-		var mu sync.Mutex
-		litmusEvents := map[string]int{}
-		eng := engine.New(engine.WithParallelism(4), engine.WithEnumWorkers(workers), engine.WithRMWTypes(types...),
-			engine.WithObserver(func(ev engine.Event) {
-				mu.Lock()
-				defer mu.Unlock()
-				if ev.Litmus != nil {
-					litmusEvents[ev.Litmus.Unit]++
-				}
-			}))
-		shards := make([][]engine.TestResult, 3)
-		for i := range shards {
-			var err error
-			if shards[i], err = eng.CheckTestsSharded(engine.Shard{Index: i, Count: 3}, tests...); err != nil {
-				t.Fatal(err)
-			}
+		eng := engine.New(engine.WithParallelism(4), engine.WithEnumWorkers(workers), engine.WithRMWTypes(types...))
+		// A job's observer is called serially, and Wait orders its calls
+		// before the checks below.
+		events := map[verdict]int{}
+		h, err := eng.Submit(nil, engine.Job{
+			Litmus:   &engine.LitmusGrid{Tests: tests},
+			Observer: func(ev engine.Event) { events[verdict{ev.Litmus.Test.Name, ev.Litmus.Atomicity}]++ },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		pos := 0
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Verdicts) != len(tests)*len(types) {
+			t.Fatalf("workers=%d: %d verdicts, want %d", workers, len(res.Verdicts), len(tests)*len(types))
+		}
+		if len(events) != len(res.Verdicts) {
+			t.Errorf("workers=%d: events streamed for %d (test, type) pairs, want %d", workers, len(events), len(res.Verdicts))
+		}
+		i := 0
 		for _, tst := range tests {
 			for _, typ := range types {
-				shard := shards[pos%3]
-				if len(shard) == 0 {
-					t.Fatalf("workers=%d: shard %d ends before %s under %s", workers, pos%3, tst.Name, typ)
-				}
-				got := shard[0]
-				shards[pos%3] = shard[1:]
-				pos++
+				got := res.Verdicts[i]
+				i++
 				want, err := tst.Run(typ)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if litmusEvents[got.Unit] != 1 {
-					t.Errorf("workers=%d: %s under %s streamed %d events, want 1", workers, tst.Name, typ, litmusEvents[got.Unit])
+				if n := events[verdict{tst.Name, typ}]; n != 1 {
+					t.Errorf("workers=%d: %s under %s streamed %d events, want 1", workers, tst.Name, typ, n)
 				}
-				want.Unit = string(engine.LitmusUnitID(tst, typ))
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("workers=%d: %s under %s: engine verdict differs from direct run\n got: %+v\nwant: %+v",
 						workers, tst.Name, typ, got, want)
 				}
-			}
-		}
-		for i, rest := range shards {
-			if len(rest) != 0 {
-				t.Errorf("workers=%d: shard %d holds %d verdicts beyond the grid", workers, i, len(rest))
 			}
 		}
 
@@ -244,7 +249,7 @@ func TestEngineGroupedUnitsParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := 0
+		i = 0
 		for _, p := range programs {
 			for _, m := range cpp11.AllMappings() {
 				for _, typ := range types {
@@ -262,19 +267,5 @@ func TestEngineGroupedUnitsParallel(t *testing.T) {
 		if len(got) != i {
 			t.Errorf("workers=%d: %d mapping results, want %d", workers, len(got), i)
 		}
-	}
-}
-
-// TestLitmusUnitIDPinned pins one litmus unit ID: unit IDs are what
-// litmus shards and JSON records are merged by, so a change to their
-// derivation must be deliberate.
-func TestLitmusUnitIDPinned(t *testing.T) {
-	const name = "dekker-write-replacement (Fig. 3)"
-	tst := litmus.FindTest(name)
-	if tst == nil {
-		t.Fatalf("%s is not registered", name)
-	}
-	if got, want := engine.LitmusUnitID(tst, core.Type2), engine.UnitID("f36234c2a6238906"); got != want {
-		t.Fatalf("unit ID of %s under type-2 = %s, want %s", name, got, want)
 	}
 }

@@ -32,7 +32,7 @@ type (
 	AtomicityType = core.AtomicityType
 	// Test and TestResult are one litmus test and its per-type verdict.
 	Test = litmus.Test
-	// TestResult is the verdict of one (test, atomicity type) unit.
+	// TestResult is the verdict of one test under one atomicity type.
 	TestResult = litmus.Result
 	// Cpp11Program and MappingResult are one C/C++11 validation program
 	// and the soundness verdict of one (program, mapping, type) unit.
@@ -66,14 +66,14 @@ type (
 	DeadUnit = experiments.DeadUnit
 )
 
-// Event is one streamed result from the engine: exactly one field is
-// non-nil, and it is the same record the job returns for that unit.
-// Events are delivered to the observer serially (never concurrently), in
-// completion order, as soon as each work unit finishes. The engine never
-// writes a record after it has emitted it, so an observer may keep the
-// Event itself rather than a copy.
+// Event is one streamed result of a job: exactly one field is non-nil,
+// and it is the same record the job returns. Events are delivered to the
+// job's observer (Job.Observer) serially (never concurrently), in
+// completion order, as soon as each verdict or plan unit finishes. The
+// engine never writes a record after it has emitted it, so an observer
+// may keep the Event itself rather than a copy.
 type Event struct {
-	// Litmus is set when the unit was one litmus verdict.
+	// Litmus is set for one (test, type) verdict of a litmus job.
 	Litmus *TestResult
 	// Sim is set when the unit was one simulator run of a plan job.
 	Sim *UnitResult
@@ -90,7 +90,6 @@ type options struct {
 	ctx         context.Context
 	parallelism int
 	enumWorkers int
-	observer    Observer
 	types       []AtomicityType
 	cache       *simcache.Cache
 	faults      FaultInjector
@@ -110,12 +109,6 @@ func WithContext(ctx context.Context) Option {
 // default is runtime.GOMAXPROCS(0).
 func WithParallelism(n int) Option {
 	return func(o *options) { o.parallelism = n }
-}
-
-// WithObserver streams every finished work unit to fn as it completes,
-// in completion order. fn is never called concurrently.
-func WithObserver(fn Observer) Option {
-	return func(o *options) { o.observer = fn }
 }
 
 // WithEnumWorkers sets how many goroutines each single litmus verdict or
@@ -142,14 +135,13 @@ func WithRMWTypes(types ...AtomicityType) Option {
 	return func(o *options) { o.types = append([]AtomicityType(nil), types...) }
 }
 
-// Engine fans work units — litmus verdicts, mapping validations,
-// simulator runs — across a goroutine pool, streaming each finished unit
-// to the observer while returning aggregates in deterministic order. An
-// Engine is safe for repeated and concurrent use; each submitted job
-// runs its own pool.
+// Engine fans work — litmus tests, mapping validations, simulator runs —
+// across a goroutine pool, streaming each finished verdict and plan unit
+// to its job's observer while returning aggregates in deterministic
+// order. An Engine is safe for repeated and concurrent use; each
+// submitted job runs its own pool.
 type Engine struct {
 	opts    options
-	emitMu  sync.Mutex
 	metrics metrics
 }
 
@@ -175,31 +167,6 @@ func New(opts ...Option) *Engine {
 // Types returns the atomicity types the Engine is configured with.
 func (e *Engine) Types() []AtomicityType {
 	return append([]AtomicityType(nil), e.opts.types...)
-}
-
-// emit delivers one event to the observer, serialized across workers.
-func (e *Engine) emit(ev Event) {
-	if e.opts.observer == nil {
-		return
-	}
-	e.emitMu.Lock()
-	defer e.emitMu.Unlock()
-	e.opts.observer(ev)
-}
-
-// emitTo delivers one event to the engine-wide observer and, when m is a
-// job collector with its own observer (Job.Observer), to that job's
-// stream as well. Each stream is serialized independently: the engine
-// observer under emitMu, the job observer under the collector's obsMu,
-// so one job's slow consumer never blocks another job's events.
-func (e *Engine) emitTo(m *metrics, ev Event) {
-	e.emit(ev)
-	if m == nil || m.obs == nil {
-		return
-	}
-	m.obsMu.Lock()
-	defer m.obsMu.Unlock()
-	m.obs(ev)
 }
 
 // runUnits executes run(0..n-1) on the worker pool under the Engine's

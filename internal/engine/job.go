@@ -8,20 +8,19 @@ import (
 )
 
 // Job is one unit of work submitted to the engine: exactly one of Plan
-// or Litmus must be set. Shard restricts the job to the units it covers
-// (the zero Shard covers everything), with the same round-robin /
-// predicate semantics for both job kinds.
+// or Litmus must be set.
 type Job struct {
 	// Plan runs the simulation units the shard selects on the engine's
 	// worker pool.
 	Plan *Plan
 	// Litmus model-checks a verdict grid: every (test, configured type)
-	// pair the shard selects.
+	// pair.
 	Litmus *LitmusGrid
-	// Shard selects the subset of the job's units to execute.
+	// Shard selects the subset of a plan job's units to execute; the
+	// zero Shard covers the whole plan. A litmus job always runs whole,
+	// so its Shard must be the zero Shard.
 	Shard Shard
-	// Observer, when non-nil, receives exactly this job's events (the
-	// engine-wide WithObserver stream still sees every job's). It is
+	// Observer, when non-nil, receives exactly this job's events. It is
 	// called serially per job but concurrently across jobs, so a shared
 	// Observer needs its own locking; per-job Observers need none.
 	Observer Observer
@@ -39,8 +38,7 @@ type LitmusGrid struct {
 type JobResult struct {
 	// Shard holds a plan job's unit results as a shard artifact.
 	Shard *ShardResult
-	// Verdicts holds a litmus job's selected verdicts in (test, type)
-	// order.
+	// Verdicts holds a litmus job's verdicts in (test, type) order.
 	Verdicts []TestResult
 }
 
@@ -84,13 +82,16 @@ func (h *JobHandle) Metrics() Metrics { return h.m.snapshot() }
 // Submit starts the job on the engine and returns a handle for it. A nil
 // ctx uses the engine's context (WithContext). The job executes
 // asynchronously on the engine's worker pool; all execution errors —
-// including shard validation — surface through the handle's Wait, and
-// every finished unit streams to the engine's observer as it completes.
-// A malformed job (neither or both of Plan and Litmus) is rejected
-// synchronously.
+// including a plan job's shard validation — surface through the handle's
+// Wait, and every finished verdict or plan unit streams to the job's
+// observer as it completes. A malformed job (neither or both of Plan and
+// Litmus, or a litmus job with a shard) is rejected synchronously.
 func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	if (job.Plan == nil) == (job.Litmus == nil) {
 		return nil, fmt.Errorf("rmwtso: a job needs exactly one of a plan or a litmus grid")
+	}
+	if job.Litmus != nil && job.Shard != FullShard() {
+		return nil, fmt.Errorf("rmwtso: a litmus job runs whole; shard %d/%d selects plan units only", job.Shard.Index, job.Shard.Count)
 	}
 	if ctx == nil {
 		ctx = e.opts.ctx
@@ -103,7 +104,7 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 			sr, err := e.runPlanJob(ctx, job.Plan, job.Shard, h.m)
 			h.res, h.err = &JobResult{Shard: sr}, err
 		case job.Litmus != nil:
-			vs, err := e.checkTestsSharded(ctx, job.Shard, h.m, job.Litmus.Tests...)
+			vs, err := e.checkTests(ctx, h.m, job.Litmus.Tests)
 			h.res, h.err = &JobResult{Verdicts: vs}, err
 		}
 		h.m.finish()
@@ -192,11 +193,11 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 			d := deadUnit(selected[i], err.Error())
 			dead[i] = &d
 			m.deadLetter()
-			e.emitTo(m, Event{DeadLetter: &d})
+			m.emit(Event{DeadLetter: &d})
 			return nil
 		}
 		results[i] = res
-		e.emitTo(m, Event{Sim: &results[i]})
+		m.emit(Event{Sim: &results[i]})
 		return nil
 	})
 	if err != nil {
@@ -251,22 +252,11 @@ func (e *Engine) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardRe
 }
 
 // CheckTests model-checks every test under every configured RMW type;
-// Submit + Wait for an unsharded litmus job. Each (test, type) verdict
-// is one work unit; one walk of a test decides all its types, and its
-// verdicts stream to the observer as soon as that walk finishes. The
-// returned slice is ordered (test, type) regardless of parallelism or
-// completion order.
+// Submit + Wait for a litmus job. One walk of a test decides all its
+// types. The returned slice is ordered (test, type) regardless of
+// parallelism or completion order.
 func (e *Engine) CheckTests(tests ...*Test) ([]TestResult, error) {
-	return e.CheckTestsSharded(FullShard(), tests...)
-}
-
-// CheckTestsSharded is CheckTests restricted to the verdict units the
-// shard selects; Submit + Wait for a sharded litmus job. Each unit's
-// stable ID is its LitmusUnitID, the returned slice holds only the
-// selected units, still in (test, type) order, and every result carries
-// its unit ID.
-func (e *Engine) CheckTestsSharded(shard Shard, tests ...*Test) ([]TestResult, error) {
-	h, err := e.Submit(nil, Job{Litmus: &LitmusGrid{Tests: tests}, Shard: shard})
+	h, err := e.Submit(nil, Job{Litmus: &LitmusGrid{Tests: tests}})
 	if err != nil {
 		return nil, err
 	}

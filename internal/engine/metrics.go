@@ -44,9 +44,9 @@ type metrics struct {
 	start  time.Time
 	end    time.Time
 
-	// obs, when non-nil, is the job's own event stream (Job.Observer):
-	// it receives exactly this job's events, serialized under obsMu, so
-	// concurrent jobs on one engine never interleave on it. The engine
+	// obs, when non-nil, is the job's event stream (Job.Observer): it
+	// receives exactly this job's events, serialized under obsMu, so one
+	// job's slow consumer never blocks another job's events. The engine
 	// aggregate's obs is always nil.
 	obs   Observer
 	obsMu sync.Mutex
@@ -101,6 +101,16 @@ func (m *metrics) verdictDone() {
 // deadLetter records one unit the static pool dead-lettered.
 func (m *metrics) deadLetter() {
 	m.update(func(m *metrics) { m.dlq++ })
+}
+
+// emit delivers one event to the job's observer, if it has one.
+func (m *metrics) emit(ev Event) {
+	if m.obs == nil {
+		return
+	}
+	m.obsMu.Lock()
+	defer m.obsMu.Unlock()
+	m.obs(ev)
 }
 
 // finish closes the collector's window, so every later snapshot is the

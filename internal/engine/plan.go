@@ -299,7 +299,7 @@ func (p *Plan) Unit(id UnitID) (Unit, bool) {
 func (p *Plan) Select(s Shard) []Unit {
 	var out []Unit
 	for pos, u := range p.units {
-		if s.Covers(pos) {
+		if s.Count == 0 || pos%s.Count == s.Index {
 			out = append(out, u)
 		}
 	}
@@ -333,14 +333,6 @@ func (s Shard) Validate() error {
 		return fmt.Errorf("rmwtso: shard index %d outside [0, %d)", s.Index, s.Count)
 	}
 	return nil
-}
-
-// Covers reports whether the shard selects the unit at the given plan
-// position. It is the single selection rule every sharded surface shares
-// (Plan.Select, RunPlan, CheckTestsSharded, the binaries' -list-units
-// audits), so a listing can never drift from what actually runs.
-func (s Shard) Covers(pos int) bool {
-	return s.Count == 0 || pos%s.Count == s.Index
 }
 
 // String renders the selector ("2/4" or "all").

@@ -8,10 +8,6 @@ type Coordination struct {
 	// Mode names where the units executed: "in-process", the engine's
 	// static worker pool.
 	Mode string `json:"mode"`
-	// Retries and Expired are always 0 on the static pool, which runs
-	// each unit once; the keys stay so reports keep their bytes.
-	Retries int `json:"retries"`
-	Expired int `json:"expired"`
 	// DeadLetters lists the units whose execution failed, sorted by unit
 	// ID. Non-empty means the sweep is partial: these units are absent
 	// from the result tables.

@@ -48,14 +48,9 @@ func (ASCIIEncoder) Encode(w io.Writer, r *Report) error {
 }
 
 // asciiCoordination renders the coordination section: its mode plus,
-// when the sweep is partial, the dead-lettered units. The static pool
-// has no workers to list; the empty worker table keeps the bytes that
-// reports have always printed.
+// when the sweep is partial, the dead-lettered units.
 func asciiCoordination(c *Coordination) string {
-	out := stats.NewTable(
-		fmt.Sprintf("Coordination (%s mode, %d retries, %d lease expiries)",
-			c.Mode, c.Retries, c.Expired),
-		"Worker", "Units", "Retries", "Expired").Render()
+	out := fmt.Sprintf("Coordination (%s mode)\n", c.Mode)
 	if len(c.DeadLetters) > 0 {
 		d := stats.NewTable("DEAD-LETTERED UNITS (missing from the tables above)",
 			"Unit", "Trace", "Type", "Attempts", "Last failure")

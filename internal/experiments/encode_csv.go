@@ -153,14 +153,9 @@ func (CSVEncoder) Encode(w io.Writer, r *Report) error {
 	// The coordination sections are written only for a report with a
 	// coordination section (a sweep with dead letters, or the server's
 	// coordinate alias), so complete static reports stay byte-identical
-	// to older encodings. The static pool has no workers:
-	// coordination_workers keeps its header and has no rows.
+	// to older encodings.
 	if c := r.Coordination; c != nil {
-		if err := section("coordination", []string{"mode", "retries", "expired"},
-			[][]string{{c.Mode, strconv.Itoa(c.Retries), strconv.Itoa(c.Expired)}}); err != nil {
-			return err
-		}
-		if err := section("coordination_workers", []string{"worker", "units", "retries", "expired"}, nil); err != nil {
+		if err := section("coordination", []string{"mode"}, [][]string{{c.Mode}}); err != nil {
 			return err
 		}
 		if len(c.DeadLetters) > 0 {

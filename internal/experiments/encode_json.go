@@ -210,10 +210,6 @@ func (w *jsonWriter) coordination(c *Coordination) {
 	w.open('{')
 	w.key("mode")
 	w.string(c.Mode)
-	w.key("retries")
-	w.int(int64(c.Retries))
-	w.key("expired")
-	w.int(int64(c.Expired))
 	if len(c.DeadLetters) > 0 {
 		w.key("dead_letters")
 		jsonArray(w, c.DeadLetters, func(w *jsonWriter, u *DeadUnit) {

@@ -2,6 +2,8 @@ package litmus
 
 import (
 	"context"
+	"iter"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,7 +151,8 @@ func TestRunWithoutExpectationMatches(t *testing.T) {
 func TestConditionEvaluate(t *testing.T) {
 	o0 := core.Outcome{Registers: map[string]memmodel.Value{"P0:r0": 0}}
 	o1 := core.Outcome{Registers: map[string]memmodel.Value{"P0:r0": 1}}
-	outcomes := []core.Outcome{o0, o1}
+	set := func(os ...core.Outcome) iter.Seq[core.Outcome] { return slices.Values(os) }
+	outcomes := set(o0, o1)
 
 	ex := ExistsCond(Term{Register: "P0:r0", Value: 1})
 	if !ex.Evaluate(outcomes) {
@@ -163,16 +166,16 @@ func TestConditionEvaluate(t *testing.T) {
 	if fa.Evaluate(outcomes) {
 		t.Error("forall should fail when an outcome differs")
 	}
-	if !fa.Evaluate([]core.Outcome{o0}) {
+	if !fa.Evaluate(set(o0)) {
 		t.Error("forall should hold on a uniform set")
 	}
-	if ex.Evaluate(nil) {
+	if ex.Evaluate(set()) {
 		t.Error("exists over no outcomes must be false")
 	}
-	if !nex.Evaluate(nil) {
+	if !nex.Evaluate(set()) {
 		t.Error("~exists over no outcomes must be true")
 	}
-	if !fa.Evaluate(nil) {
+	if !fa.Evaluate(set()) {
 		t.Error("forall over no outcomes must be true (vacuous)")
 	}
 }

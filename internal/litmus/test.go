@@ -9,6 +9,7 @@ package litmus
 import (
 	"context"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -112,25 +113,25 @@ func (c Condition) Proposition(o core.Outcome) bool {
 	return true
 }
 
-// Evaluate applies the quantifier over a set of outcomes.
-func (c Condition) Evaluate(outcomes []core.Outcome) bool {
+// Evaluate applies the quantifier over a set of outcomes, in any order.
+func (c Condition) Evaluate(outcomes iter.Seq[core.Outcome]) bool {
 	switch c.Quantifier {
 	case Exists:
-		for _, o := range outcomes {
+		for o := range outcomes {
 			if c.Proposition(o) {
 				return true
 			}
 		}
 		return false
 	case NotExists:
-		for _, o := range outcomes {
+		for o := range outcomes {
 			if c.Proposition(o) {
 				return false
 			}
 		}
 		return true
 	case Forall:
-		for _, o := range outcomes {
+		for o := range outcomes {
 			if !c.Proposition(o) {
 				return false
 			}
@@ -190,12 +191,6 @@ type Result struct {
 	Candidates int
 	// Outcomes is the set of observable outcomes.
 	Outcomes *core.OutcomeSet
-	// Unit is the stable work-unit identifier of this (test, type) verdict,
-	// derived from the digest of the test's content. Harnesses that plan
-	// and shard verdict sweeps set it so streamed progress events can be
-	// correlated with plan entries; it is empty when the verdict was run
-	// directly (Test.Check/Run).
-	Unit string
 }
 
 // String renders the result as a one-line report entry.
@@ -230,7 +225,7 @@ func (t *Test) Check(ctx context.Context, types []core.AtomicityType, workers in
 	}
 	out := make([]Result, len(vs))
 	for i, v := range vs {
-		holds := t.Cond.Evaluate(v.Outcomes.Outcomes())
+		holds := t.Cond.Evaluate(v.Outcomes.All())
 		out[i] = Result{
 			Test:            t,
 			Atomicity:       v.Type,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -153,7 +154,7 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 				}
 				for i, res := range results {
 					typ := set[i]
-					holds := test.Cond.Evaluate(outcomes[typ].Outcomes())
+					holds := test.Cond.Evaluate(slices.Values(outcomes[typ].Outcomes()))
 					if res.Atomicity != typ || res.Candidates != count || res.ValidExecutions != valid[typ] ||
 						res.Holds != holds || !res.Outcomes.Equal(outcomes[typ]) {
 						t.Errorf("%s under %s (of %v, workers=%d): check %s candidates=%d valid=%d holds=%t outcomes=%v; full walk %d, %d, %t, %v",

@@ -47,7 +47,6 @@ func summarizeEvent(ev engine.Event) jobEvent {
 		holds := ev.Litmus.Holds
 		je := jobEvent{
 			Kind:  "litmus",
-			Unit:  ev.Litmus.Unit,
 			Type:  ev.Litmus.Atomicity.String(),
 			Holds: &holds,
 		}

@@ -25,7 +25,7 @@ import (
 type SubmitRequest struct {
 	// Plan submits a simulation sweep built from the spec.
 	Plan *PlanSpec `json:"plan,omitempty"`
-	// Litmus submits litmus verdict units.
+	// Litmus submits a litmus job: its tests, each checked under every type.
 	Litmus *LitmusSpec `json:"litmus,omitempty"`
 	// Mode is "static" (the default), which runs the job on the engine's
 	// worker pool, or "coordinate", an alias of "static" whose report

@@ -49,22 +49,14 @@ import (
 // a layout change orphans old files without moving any key digest.
 const SchemaVersion = 2
 
-// KindSimResult is the kind of every cached entry: the sim.Result of one
-// simulator run. The kind participates in the key digest.
-const KindSimResult = "sim-result"
-
 // memCapacity bounds the in-memory tier: past it, the least recently
 // used entry is evicted.
 const memCapacity = 512
 
-// Key identifies one cached result by the inputs that determine it.
-// Every field participates in the canonical digest; the zero value of an
-// unused field is simply part of the key.
+// Key identifies one simulator run, and so its cached result, by the
+// inputs that determine it. Every field participates in the canonical
+// digest; the zero value of an unused field is simply part of the key.
 type Key struct {
-	// Kind is KindSimResult for cached simulator runs. Other kinds only
-	// name work units by digest (the engine's litmus verdicts) and are
-	// never stored.
-	Kind string
 	// ConfigDigest is sim.Config.Digest() of the run's configuration.
 	ConfigDigest string
 	// Trace names the workload trace (including any replacement-variant
@@ -106,12 +98,13 @@ const keyBufLen = 320
 // of Canonical) to b: the fields in a fixed order, integers in decimal
 // and the scale in strconv's shortest 'g' form. Callers that hash or
 // frame many keys use it to serialize each key once, without a string.
+// Every key names a simulator run, so the kind is the constant
+// "sim-result"; it stays in the serialization because every stored key,
+// digest and unit ID includes it.
 func AppendCanonical(b []byte, k Key) []byte {
 	b = append(b, "simcache/v"...)
 	b = strconv.AppendInt(b, SchemaVersion, 10)
-	b = append(b, "|kind="...)
-	b = append(b, k.Kind...)
-	b = append(b, "|cfg="...)
+	b = append(b, "|kind=sim-result|cfg="...)
 	b = append(b, k.ConfigDigest...)
 	b = append(b, "|trace="...)
 	b = append(b, k.Trace...)
@@ -153,17 +146,11 @@ func appendDigest(b, canonical []byte) []byte {
 // practice. Plan construction still verifies uniqueness explicitly.
 const UnitIDLen = 16
 
-// UnitID returns the short, stable identifier of the work unit the key
-// addresses: the first UnitIDLen hex digits of the content digest. Two
-// runs with equal inputs share a UnitID on every machine and at every
-// shard count, which is what lets sweep shards merge by identity.
-func (k Key) UnitID() string {
-	var buf [keyBufLen]byte
-	return UnitIDOf(AppendCanonical(buf[:0], k))
-}
-
-// UnitIDOf returns the UnitID of the key whose canonical serialization
-// (AppendCanonical) is canonical. The ID holds only its UnitIDLen digits.
+// UnitIDOf returns the short, stable identifier of the plan unit whose
+// key's canonical serialization (AppendCanonical) is canonical: the first
+// UnitIDLen hex digits of the key digest. Two runs with equal inputs
+// share a unit ID on every machine and at every shard count, which is
+// what lets sweep shards merge by identity.
 func UnitIDOf(canonical []byte) string {
 	sum := sha256.Sum256(canonical)
 	var hx [UnitIDLen]byte
@@ -196,7 +183,6 @@ func SimKeyOf(cfg sim.Config, cfgDigest string, src sim.TraceSource, seed int64,
 		scale = 1
 	}
 	k := Key{
-		Kind:         KindSimResult,
 		ConfigDigest: cfgDigest,
 		Trace:        src.Name(),
 		Cores:        cfg.Cores,

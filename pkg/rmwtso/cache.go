@@ -1,9 +1,6 @@
 package rmwtso
 
-import (
-	"repro/internal/engine"
-	"repro/internal/simcache"
-)
+import "repro/internal/simcache"
 
 // Cache is the two-tier, content-addressed cache of simulator results: an
 // in-memory LRU of decoded results in front of an optional on-disk tier
@@ -16,9 +13,10 @@ import (
 // pool. Results it stores or serves are shared and must not be modified.
 type Cache = simcache.Cache
 
-// CacheKey identifies one cached result by the inputs that determine it:
-// entry kind, configuration digest, trace name, workload digest, cores,
-// seed, scale and RMW type, all folded into one canonical digest.
+// CacheKey identifies one simulator run, and so its cached result, by
+// the inputs that determine it: configuration digest, trace name,
+// workload digest, cores, seed, scale and RMW type, all folded into one
+// canonical digest.
 type CacheKey = simcache.Key
 
 // CacheStats are a Cache's cumulative hit/miss/store/corruption counters.
@@ -78,12 +76,4 @@ func OpenCacheFromFlags(enabled bool, dir string, clear bool) (*Cache, error) {
 // keys produce identical results.
 func SimCacheKey(cfg SimConfig, src TraceSource, seed int64, scale float64) CacheKey {
 	return simcache.SimKey(cfg, src, seed, scale)
-}
-
-// LitmusUnitID returns the stable unit ID of one litmus verdict, derived
-// from the digest of the test's canonical textual rendering (program,
-// condition and expectations) and the atomicity type checked. It is the
-// ID litmus jobs shard by and tag their results with.
-func LitmusUnitID(t *Test, typ AtomicityType) UnitID {
-	return engine.LitmusUnitID(t, typ)
 }

@@ -14,19 +14,23 @@ func tinyOptions() rmwtso.Options {
 	return rmwtso.Options{Cores: 4, Scale: 0.1, Seed: 20130601}
 }
 
-// runSpecs runs the plan of the specs on the runner and reassembles its
-// benchmark runs.
-func runSpecs(t *testing.T, r *rmwtso.Runner, o rmwtso.Options, specs []rmwtso.BenchmarkSpec) []*rmwtso.BenchmarkRun {
+// runSpecs runs the plan of the specs as one job on the runner, streaming
+// its events to obs, and reassembles its benchmark runs.
+func runSpecs(t *testing.T, r *rmwtso.Runner, o rmwtso.Options, specs []rmwtso.BenchmarkSpec, obs rmwtso.Observer) []*rmwtso.BenchmarkRun {
 	t.Helper()
 	plan, err := rmwtso.BuildPlan(o, specs)
 	if err != nil {
 		t.Fatalf("BuildPlan: %v", err)
 	}
-	res, err := r.RunPlan(nil, plan, rmwtso.FullShard())
+	h, err := r.Submit(nil, rmwtso.Job{Plan: plan, Observer: obs})
 	if err != nil {
-		t.Fatalf("RunPlan: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
-	runs, err := plan.Runs(res.Units)
+	res, err := h.Wait()
+	if err != nil {
+		t.Fatalf("plan job: %v", err)
+	}
+	runs, err := plan.Runs(res.Shard.Units)
 	if err != nil {
 		t.Fatalf("Runs: %v", err)
 	}
@@ -59,9 +63,9 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 			hits.Add(1)
 		}
 	}
-	runner := rmwtso.NewRunner(rmwtso.WithObserver(observer), rmwtso.WithCache(cache))
+	runner := rmwtso.NewRunner(rmwtso.WithCache(cache))
 
-	cold := runSpecs(t, runner, tinyOptions(), specs)
+	cold := runSpecs(t, runner, tinyOptions(), specs, observer)
 	if got := hits.Load(); got != 0 {
 		t.Fatalf("cold run streamed %d cache hits, want 0", got)
 	}
@@ -71,7 +75,7 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 
 	events.Store(0)
 	hits.Store(0)
-	warm := runSpecs(t, runner, tinyOptions(), specs)
+	warm := runSpecs(t, runner, tinyOptions(), specs, observer)
 	if got := hits.Load(); got != int64(units) {
 		t.Fatalf("warm run streamed %d cache hits, want %d (zero simulator runs)", got, units)
 	}
@@ -86,7 +90,7 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 	hits.Store(0)
 	reseeded := tinyOptions()
 	reseeded.Seed++
-	runSpecs(t, runner, reseeded, specs)
+	runSpecs(t, runner, reseeded, specs, observer)
 	if got := hits.Load(); got != 0 {
 		t.Fatalf("a different seed streamed %d cache hits, want 0", got)
 	}

@@ -16,18 +16,19 @@
 //     and figures (SweepSpec, DefaultPlanSeeds, Runner.RunPlan,
 //     Plan.Report, EncodeReport).
 //
-// Work is driven through a Runner configured with functional options:
+// Work is driven through a Runner configured with functional options,
+// and a job submitted to it streams its events to its own observer:
 //
-//	r := rmwtso.NewRunner(
-//		rmwtso.WithContext(ctx),
-//		rmwtso.WithParallelism(8),
-//		rmwtso.WithObserver(func(e rmwtso.Event) { ... }),
-//	)
-//	results, err := r.CheckTests(rmwtso.Suite().Tests()...)
+//	r := rmwtso.NewRunner(rmwtso.WithContext(ctx), rmwtso.WithParallelism(8))
+//	h, err := r.Submit(nil, rmwtso.Job{
+//		Litmus:   &rmwtso.LitmusGrid{Tests: rmwtso.Suite().Tests()},
+//		Observer: func(e rmwtso.Event) { ... },
+//	})
+//	res, err := h.Wait() // res.Verdicts; r.CheckTests(...) without an observer
 //
-// The Runner (the execution engine itself) fans work units (one litmus
-// verdict, one mapping validation, one simulator run) across a goroutine
-// pool, streams every finished verdict and plan unit to the observer as
+// The Runner (the execution engine itself) fans work (one litmus test,
+// one mapping validation, one simulator run) across a goroutine pool,
+// streams every finished verdict and plan unit to the job's observer as
 // it completes — the same record the job returns — and still returns the
 // aggregate in a deterministic order. A sweep goes from a SweepSpec to
 // its report on one path, the one the experiments binary and the HTTP

@@ -6,11 +6,12 @@ import (
 	"repro/internal/engine"
 )
 
-// Event is one streamed result from a Runner: exactly one field is
-// non-nil — a litmus verdict (Litmus), a plan unit's UnitResult (Sim) or
-// a dead-lettered plan unit (DeadLetter) — and it is the same record the
-// job returns. Events are delivered to the observer serially (never
-// concurrently), in completion order, as soon as each work unit finishes.
+// Event is one streamed result of a job: exactly one field is non-nil —
+// a litmus verdict (Litmus), a plan unit's UnitResult (Sim) or a
+// dead-lettered plan unit (DeadLetter) — and it is the same record the
+// job returns. Events are delivered to the job's observer (Job.Observer)
+// serially (never concurrently), in completion order, as soon as each
+// verdict or plan unit finishes.
 type Event = engine.Event
 
 // Observer receives streamed events. It is called from worker goroutines
@@ -28,10 +29,6 @@ func WithContext(ctx context.Context) Option { return engine.WithContext(ctx) }
 // WithParallelism sets the worker-pool size. Values below 1 mean 1; the
 // default is runtime.GOMAXPROCS(0).
 func WithParallelism(n int) Option { return engine.WithParallelism(n) }
-
-// WithObserver streams every finished work unit to fn as it completes,
-// in completion order. fn is never called concurrently.
-func WithObserver(fn Observer) Option { return engine.WithObserver(fn) }
 
 // WithEnumWorkers sets how many goroutines each single litmus verdict or
 // mapping validation fans its candidate enumeration across: the
@@ -60,8 +57,9 @@ func WithCache(c *Cache) Option { return engine.WithCache(c) }
 func WithRMWTypes(types ...AtomicityType) Option { return engine.WithRMWTypes(types...) }
 
 // Job is one unit of work submitted to the execution engine: exactly one
-// of Plan or Litmus must be set, with Shard restricting the job to the
-// units it covers.
+// of Plan or Litmus must be set. Shard restricts a plan job to the units
+// it covers; a litmus job runs whole. Observer, when set, receives the
+// job's events.
 type Job = engine.Job
 
 // LitmusGrid is the litmus-verdict form of a Job: the (test, type) grid
@@ -81,11 +79,12 @@ type JobHandle = engine.JobHandle
 // throughput, cache effectiveness and dead letters.
 type Metrics = engine.Metrics
 
-// Runner is the execution engine (internal/engine): it fans work units —
-// litmus verdicts, mapping validations, simulator runs — across a
-// goroutine pool, streaming each finished unit to the observer while
-// returning aggregates in deterministic order. A Runner is safe for
-// repeated and concurrent use; each method call runs its own pool.
+// Runner is the execution engine (internal/engine): it fans work —
+// litmus tests, mapping validations, simulator runs — across a goroutine
+// pool, streaming each finished verdict and plan unit to its job's
+// observer while returning aggregates in deterministic order. A Runner
+// is safe for repeated and concurrent use; each method call runs its own
+// pool.
 type Runner = engine.Engine
 
 // NewRunner builds a Runner from the options.

@@ -16,6 +16,23 @@ func resultKey(r rmwtso.TestResult) string {
 	return fmt.Sprintf("%s|%s", r.Test.Name, r.Atomicity)
 }
 
+// runSuite submits the whole suite as one litmus job, streaming its
+// events to obs, on a Runner built from the options.
+func runSuite(obs rmwtso.Observer, opts ...rmwtso.Option) ([]rmwtso.TestResult, error) {
+	h, err := rmwtso.NewRunner(opts...).Submit(nil, rmwtso.Job{
+		Litmus:   &rmwtso.LitmusGrid{Tests: rmwtso.Suite().Tests()},
+		Observer: obs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return res.Verdicts, nil
+}
+
 // TestParallelMatchesSequential runs the full litmus suite sequentially
 // and at parallelism 8 (under -race in CI) and asserts the verdict sets
 // are identical: same tests, same truth values, same candidate and valid
@@ -81,18 +98,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestObserverStreamsEveryVerdict(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
-	results, err := rmwtso.Suite().Run(
-		rmwtso.WithParallelism(8),
-		rmwtso.WithObserver(func(e rmwtso.Event) {
-			if e.Litmus == nil {
-				t.Error("non-litmus event from a suite run")
-				return
-			}
-			mu.Lock()
-			seen = append(seen, resultKey(*e.Litmus))
-			mu.Unlock()
-		}),
-	)
+	results, err := runSuite(func(e rmwtso.Event) {
+		if e.Litmus == nil {
+			t.Error("non-litmus event from a suite run")
+			return
+		}
+		mu.Lock()
+		seen = append(seen, resultKey(*e.Litmus))
+		mu.Unlock()
+	}, rmwtso.WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +134,12 @@ func TestContextCancelStopsSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	events := 0
-	results, err := rmwtso.Suite().Run(
-		rmwtso.WithContext(ctx),
-		rmwtso.WithParallelism(2),
-		rmwtso.WithObserver(func(rmwtso.Event) {
-			events++ // observer calls are serialized by the Runner
-			if events == 1 {
-				cancel()
-			}
-		}),
-	)
+	results, err := runSuite(func(rmwtso.Event) {
+		events++ // observer calls are serialized by the Runner
+		if events == 1 {
+			cancel()
+		}
+	}, rmwtso.WithContext(ctx), rmwtso.WithParallelism(2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned error %v, want context.Canceled", err)
 	}
@@ -148,10 +158,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	events := 0
-	_, err := rmwtso.Suite().Run(
-		rmwtso.WithContext(ctx),
-		rmwtso.WithObserver(func(rmwtso.Event) { events++ }),
-	)
+	_, err := runSuite(func(rmwtso.Event) { events++ }, rmwtso.WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got error %v, want context.Canceled", err)
 	}

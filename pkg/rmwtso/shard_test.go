@@ -115,12 +115,13 @@ func TestRunPlanEventsCarryUnitIDs(t *testing.T) {
 		want[u.ID] = true
 	}
 	var got []rmwtso.UnitID
-	runner := rmwtso.NewRunner(rmwtso.WithObserver(func(e rmwtso.Event) {
-		if e.Sim != nil {
-			got = append(got, e.Sim.Unit)
-		}
-	}))
-	if _, err := runner.RunPlan(nil, plan, rmwtso.FullShard()); err != nil {
+	h, err := rmwtso.NewRunner().Submit(nil, rmwtso.Job{Plan: plan, Observer: func(e rmwtso.Event) {
+		got = append(got, e.Sim.Unit)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != plan.Len() {
@@ -129,50 +130,6 @@ func TestRunPlanEventsCarryUnitIDs(t *testing.T) {
 	for _, id := range got {
 		if !want[id] {
 			t.Errorf("event unit %q is not a plan unit", id)
-		}
-	}
-}
-
-// TestCheckTestsShardedPartition asserts the litmus verdict grid shards
-// like a plan: disjoint, collectively exhaustive, IDs stable, and the
-// merged verdict set equal to the unsharded run's.
-func TestCheckTestsShardedPartition(t *testing.T) {
-	view := rmwtso.Suite().Filter("SB*")
-	all, err := view.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byUnit := map[string]rmwtso.TestResult{}
-	for _, r := range all {
-		if r.Unit == "" {
-			t.Fatalf("unsharded verdict for %s/%s has no unit ID", r.Test.Name, r.Atomicity)
-		}
-		byUnit[r.Unit] = r
-	}
-	const n = 3
-	seen := map[string]int{}
-	for i := 0; i < n; i++ {
-		part, err := view.RunShard(rmwtso.Shard{Index: i, Count: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range part {
-			seen[r.Unit]++
-			want, ok := byUnit[r.Unit]
-			if !ok {
-				t.Fatalf("sharded verdict unit %s not in the unsharded run", r.Unit)
-			}
-			if r.Holds != want.Holds || !r.Outcomes.Equal(want.Outcomes) {
-				t.Errorf("sharded verdict for %s/%s differs", r.Test.Name, r.Atomicity)
-			}
-		}
-	}
-	if len(seen) != len(byUnit) {
-		t.Fatalf("shards covered %d of %d verdicts", len(seen), len(byUnit))
-	}
-	for id, c := range seen {
-		if c != 1 {
-			t.Errorf("verdict %s ran %d times", id, c)
 		}
 	}
 }

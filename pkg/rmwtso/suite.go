@@ -82,22 +82,13 @@ func (v *SuiteView) Len() int { return len(v.tests) }
 // Err returns the sticky filter error, if any.
 func (v *SuiteView) Err() error { return v.err }
 
-// Run model-checks every test in the view with a Runner built from the
-// options: each (test, atomicity type) verdict is one work unit on the
-// pool, streamed to the observer as it completes. Results come back in
-// deterministic (test, type) order regardless of parallelism.
+// Run model-checks every test in the view under every configured
+// atomicity type with a Runner built from the options: each test is one
+// item of the pool, whose one walk decides all its types. Results come
+// back in deterministic (test, type) order regardless of parallelism.
 func (v *SuiteView) Run(opts ...Option) ([]TestResult, error) {
-	return v.RunShard(FullShard(), opts...)
-}
-
-// RunShard is Run restricted to the verdict units the shard selects, so
-// one suite can split across processes: the (test, type) grid and its
-// unit IDs are deterministic, and the round-robin selector keeps a
-// disjoint, collectively exhaustive subset per process. Results carry
-// their unit IDs for correlation.
-func (v *SuiteView) RunShard(shard Shard, opts ...Option) ([]TestResult, error) {
 	if v.err != nil {
 		return nil, v.err
 	}
-	return NewRunner(opts...).CheckTestsSharded(shard, v.tests...)
+	return NewRunner(opts...).CheckTests(v.tests...)
 }

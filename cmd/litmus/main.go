@@ -58,7 +58,7 @@ func main() {
 	if *typeName != "" {
 		t, err := rmwtso.ParseAtomicityType(*typeName)
 		if err != nil {
-			fatal(err)
+			fatalUsage(err)
 		}
 		opts = append(opts, rmwtso.WithRMWTypes(t))
 	}

@@ -105,13 +105,12 @@ func main() {
 	if err := formatFlag.Validate(); err != nil {
 		fatalUsage(err)
 	}
-
-	cache, err := rmwtso.OpenCacheFromFlags(*cacheFlags.Enabled, *cacheFlags.Dir, *cacheFlags.Clear)
+	typ, err := rmwtso.ParseAtomicityType(*typeName)
 	if err != nil {
-		fatal(err)
+		fatalUsage(err)
 	}
 
-	typ, err := rmwtso.ParseAtomicityType(*typeName)
+	cache, err := rmwtso.OpenCacheFromFlags(*cacheFlags.Enabled, *cacheFlags.Dir, *cacheFlags.Clear)
 	if err != nil {
 		fatal(err)
 	}

@@ -112,29 +112,19 @@ func (pl *atoPlan) close(r *memmodel.Relation, t AtomicityType) bool {
 // uniproc: x must satisfy it, as every candidate of a uniproc walk
 // (memmodel.EnumUniproc) does.
 //
-// com ∪ ppo ∪ bar does not depend on the type, so it is built and closed
-// once; each wanted type then runs its fixpoint on a copy of the closure.
-// A cycle in the base order rejects every type at once, and a program
-// without RMW pairs has no ato edges, so its base order's acyclicity
-// decides every type without a closure.
+// com ∪ ppo ∪ bar does not depend on the type, so it is closed once
+// (Execution.BaseClosure: the candidate's com edges inserted into the
+// program's closure of ppo ∪ bar); each wanted type then runs its
+// fixpoint on a copy of the closure. A cycle in the base order rejects
+// every type at once, and a program without RMW pairs has no ato edges,
+// so its base order's acyclicity decides every type.
 func (c *Checker) classify(x *memmodel.Execution, want uint64) uint64 {
 	c.plan.prepare(x)
-	n := len(x.Events)
-	c.base.Reset(n)
-	c.base.Union(x.Com())
-	c.base.Union(x.PPO())
-	c.base.Union(x.Bar())
-	if len(c.plan.pairs) == 0 {
-		if c.base.Acyclic() {
-			return want
-		}
+	if !x.BaseClosure(&c.base) {
 		return 0
 	}
-	c.base.TransitiveClosure()
-	for i := 0; i < n; i++ {
-		if c.base.Has(i, i) {
-			return 0
-		}
+	if len(c.plan.pairs) == 0 {
+		return want
 	}
 	var valid uint64
 	for t := Type1; t <= Type3; t++ {

@@ -64,37 +64,53 @@ type Outcome struct {
 }
 
 // Key returns a canonical, deterministic rendering of the outcome, e.g.
-// "P0:r1=0 P1:r1=0 | x=1 y=1".
+// "P0:r1=0 P1:r1=0 | x=1 y=1": the registers in name order, then the
+// locations in ascending order.
 func (o Outcome) Key() string {
 	regs := make([]string, 0, len(o.Registers))
 	for k := range o.Registers {
 		regs = append(regs, k)
 	}
 	sort.Strings(regs)
-	b := make([]byte, 0, 12*(len(o.Registers)+len(o.Memory)))
+	b := make([]byte, 0, keyBytes(len(o.Registers), len(o.Memory)))
 	for i, k := range regs {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, k...)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, int64(o.Registers[k]), 10)
+		b = appendRegister(b, i, k, o.Registers[k])
 	}
 	addrs := make([]int, 0, len(o.Memory))
 	for a := range o.Memory {
 		addrs = append(addrs, int(a))
 	}
 	sort.Ints(addrs)
-	if len(addrs) > 0 {
-		b = append(b, " |"...)
-		for _, a := range addrs {
-			b = append(b, ' ')
-			b = append(b, memmodel.AddrName(memmodel.Addr(a))...)
-			b = append(b, '=')
-			b = strconv.AppendInt(b, int64(o.Memory[memmodel.Addr(a)]), 10)
-		}
+	for i, a := range addrs {
+		b = appendLocation(b, i, memmodel.Addr(a), o.Memory[memmodel.Addr(a)])
 	}
 	return string(b)
+}
+
+// keyBytes is the capacity Key and the Verdicts walk give a key of regs
+// registers and locs locations.
+func keyBytes(regs, locs int) int { return 12 * (regs + locs) }
+
+// appendRegister appends the i-th register of a key, in name order.
+func appendRegister(b []byte, i int, name string, v memmodel.Value) []byte {
+	if i > 0 {
+		b = append(b, ' ')
+	}
+	b = append(b, name...)
+	b = append(b, '=')
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
+// appendLocation appends the i-th location of a key, in ascending order;
+// the first opens the memory part.
+func appendLocation(b []byte, i int, a memmodel.Addr, v memmodel.Value) []byte {
+	if i == 0 {
+		b = append(b, " |"...)
+	}
+	b = append(b, ' ')
+	b = append(b, memmodel.AddrName(a)...)
+	b = append(b, '=')
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 // OutcomeOf extracts the observable outcome of an execution.

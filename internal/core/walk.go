@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
+	"strings"
 
 	"repro/internal/memmodel"
 )
@@ -62,32 +65,41 @@ func Verdicts(ctx context.Context, p *memmodel.Program, types []AtomicityType, w
 // per-type valid counts and outcome sets. Its add is the walk's visit,
 // which the enumeration serializes, so it needs no lock.
 //
-// A candidate's fingerprint is the values of its labeled reads, in event
-// order, followed by every location's final value. The fingerprint
-// determines the outcome (Outcome.Key renders the last labeled read of
-// each register and every final value), so OutcomeOf and Key run once
-// per distinct fingerprint; it may be finer than the key — a register
-// read twice contributes both values — but never coarser.
+// A candidate's fingerprint is exactly what Outcome.Key renders: the value
+// of each register's last labeled read, in register-name order, then every
+// location's final value, in ascending location order. Every candidate of
+// a walk has the same events, so the register and location names are
+// derived once, from the first candidate, and one fingerprint is one
+// outcome: a new fingerprint builds its Outcome and key in one pass, and
+// a repeated one costs one map probe.
 type outcomeCollector struct {
 	valid [3]int
-	// labeled lists the events whose values name registers, set from the
-	// first candidate: every candidate of a walk has the same events.
-	labeled []int
-	ready   bool
-	fp      []byte
-	vals    []memmodel.Value
-	// seen maps a fingerprint to its index in distinct.
+	// regs lists the registers in name order and addrs the locations in
+	// ascending order, both set from the first candidate.
+	regs  []register
+	addrs []memmodel.Addr
+	fp    []byte
+	vals  []memmodel.Value
+	// seen maps a fingerprint to its index in distinct; it is nil until
+	// the first candidate.
 	seen     map[string]int
 	distinct []distinctOutcome
 	// The slices' first backing arrays, which fit litmus-sized programs.
 	fpBuf       [64]byte
 	valBuf      [8]memmodel.Value
-	labeledBuf  [8]int
+	regBuf      [8]register
 	distinctBuf [4]distinctOutcome
 }
 
+// register is one named register of a walk: its Event.Register name and
+// the event of its last labeled read, whose value it ends with.
+type register struct {
+	name  string
+	event int
+}
+
 // distinctOutcome is one fingerprint's outcome, the union of the classes
-// of its candidates and, once rendered, its key.
+// of its candidates, and its key.
 type distinctOutcome struct {
 	outcome Outcome
 	class   uint64
@@ -101,18 +113,12 @@ func (c *outcomeCollector) add(x *memmodel.Execution) bool {
 	for b := class; b != 0; b &= b - 1 {
 		c.valid[bits.TrailingZeros64(b)]++
 	}
-	if !c.ready {
-		c.labeled, c.distinct = c.labeledBuf[:0], c.distinctBuf[:0]
-		for _, e := range x.Events {
-			if e.IsRead() && e.Label != "" {
-				c.labeled = append(c.labeled, e.Index)
-			}
-		}
-		c.seen, c.fp, c.vals, c.ready = map[string]int{}, c.fpBuf[:0], c.valBuf[:0], true
+	if c.seen == nil {
+		c.prepare(x)
 	}
 	c.fp = c.fp[:0]
-	for _, i := range c.labeled {
-		c.fp = binary.AppendVarint(c.fp, int64(x.Events[i].Value))
+	for _, r := range c.regs {
+		c.fp = binary.AppendVarint(c.fp, int64(x.Events[r.event].Value))
 	}
 	c.vals = x.AppendFinalValues(c.vals[:0])
 	for _, v := range c.vals {
@@ -123,19 +129,55 @@ func (c *outcomeCollector) add(x *memmodel.Execution) bool {
 		return true
 	}
 	c.seen[string(c.fp)] = len(c.distinct)
-	c.distinct = append(c.distinct, distinctOutcome{outcome: OutcomeOf(x), class: class})
+	c.distinct = append(c.distinct, c.outcome(x, class))
 	return true
 }
 
-// set returns the outcome set of type t: the outcomes of the candidates
-// valid under it. The first call renders every outcome's key.
-func (c *outcomeCollector) set(t AtomicityType) *OutcomeSet {
-	s := NewOutcomeSet()
-	for i := range c.distinct {
-		d := &c.distinct[i]
-		if d.key == "" {
-			d.key = d.outcome.Key()
+// prepare derives the walk's registers and locations from its first
+// candidate.
+func (c *outcomeCollector) prepare(x *memmodel.Execution) {
+	c.regs, c.distinct = c.regBuf[:0], c.distinctBuf[:0]
+	for _, e := range x.Events {
+		name := e.Register()
+		if name == "" {
+			continue
 		}
+		if i := slices.IndexFunc(c.regs, func(r register) bool { return r.name == name }); i >= 0 {
+			c.regs[i].event = e.Index
+		} else {
+			c.regs = append(c.regs, register{name: name, event: e.Index})
+		}
+	}
+	slices.SortFunc(c.regs, func(a, b register) int { return strings.Compare(a.name, b.name) })
+	c.addrs = slices.Sorted(maps.Keys(x.FinalMemory()))
+	c.seen, c.fp, c.vals = map[string]int{}, c.fpBuf[:0], c.valBuf[:0]
+}
+
+// outcome builds the candidate's Outcome and its key from the values its
+// fingerprint just read.
+func (c *outcomeCollector) outcome(x *memmodel.Execution, class uint64) distinctOutcome {
+	o := Outcome{
+		Registers: make(map[string]memmodel.Value, len(c.regs)),
+		Memory:    make(map[memmodel.Addr]memmodel.Value, len(c.addrs)),
+	}
+	key := make([]byte, 0, keyBytes(len(c.regs), len(c.addrs)))
+	for i, r := range c.regs {
+		v := x.Events[r.event].Value
+		o.Registers[r.name] = v
+		key = appendRegister(key, i, r.name, v)
+	}
+	for i, a := range c.addrs {
+		o.Memory[a] = c.vals[i]
+		key = appendLocation(key, i, a, c.vals[i])
+	}
+	return distinctOutcome{outcome: o, class: class, key: string(key)}
+}
+
+// set returns the outcome set of type t: the outcomes of the candidates
+// valid under it.
+func (c *outcomeCollector) set(t AtomicityType) *OutcomeSet {
+	s := &OutcomeSet{byKey: make(map[string]Outcome, len(c.distinct))}
+	for _, d := range c.distinct {
 		if d.class&t.Bit() != 0 {
 			s.byKey[d.key] = d.outcome
 		}

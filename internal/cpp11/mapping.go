@@ -204,7 +204,7 @@ func (s *Semantics) result(m Mapping, v core.Verdict) ValidationResult {
 	res := ValidationResult{Program: s.p.Name, Mapping: m, Atomicity: v.Type, Racy: s.Racy}
 	res.CPPOutcomes = s.OutcomeKeys()
 	tsoKeys := map[string]bool{}
-	for _, o := range v.Outcomes.Outcomes() {
+	for o := range v.Outcomes.All() {
 		tsoKeys[RegisterKey(ProjectOutcome(o))] = true
 	}
 	for k := range tsoKeys {

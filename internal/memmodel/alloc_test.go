@@ -21,10 +21,11 @@ func threeThread() *Program {
 // TestScanSteadyStateAllocationFree pins the tentpole property of the
 // arena-based enumerator: once an arena's slot has been warmed, walking
 // the candidate space — decode, assembly, value propagation, classifying
-// by validity against the base model — allocates nothing, in the full walk
-// and in the uniproc walk alike. sp.scan is exactly the per-candidate
-// loop of both the sequential path and each parallel worker, so this
-// covers the steady state of every walker.
+// by validity against the base model (Uniproc and BaseClosure into one
+// reused relation) — allocates nothing, in the full walk and in the
+// uniproc walk alike. sp.scan is exactly the per-candidate loop of both
+// the sequential path and each parallel worker, so this covers the steady
+// state of every walker.
 func TestScanSteadyStateAllocationFree(t *testing.T) {
 	for _, uniproc := range []bool{false, true} {
 		sp, err := newEnumSpace(threeThread())
@@ -35,10 +36,11 @@ func TestScanSteadyStateAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		arena := sp.newArena()
+		var base Relation
 		cfg := &enumConfig{
 			ctx: context.Background(),
 			classify: func(x *Execution) uint64 {
-				if x.BaseValid() {
+				if x.Uniproc() && x.BaseClosure(&base) {
 					return 1
 				}
 				return 0

@@ -10,16 +10,20 @@
 //     enumerated (all reads-from maps and write serializations),
 //   - the derived TSO relations: program order (po), preserved program
 //     order (ppo), barrier order (bar), write serialization (ws),
-//     reads-from (rf), external reads-from (rfe), from-reads (fr) and the
-//     communication relation com = ws ∪ rfe ∪ fr,
+//     reads-from (rf), external reads-from (rfe) and from-reads (fr),
+//     whose union ws ∪ rfe ∪ fr is the communication relation com,
 //   - validity checks for the base model: acyclicity of com ∪ ppo ∪ bar
-//     and the uniproc (SC-per-location) condition.
+//     (BaseOrder, closed by insertion in BaseClosure) and the uniproc
+//     (SC-per-location) condition.
 //
 // RMW atomicity (type-1/2/3) and the induced ato orderings are layered on
 // top of this package by internal/core.
 package memmodel
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ThreadID identifies a hardware thread (processor) in a litmus program.
 // The pseudo-thread InitThread owns the initial writes of every location.
@@ -121,6 +125,15 @@ func (e *Event) IsFence() bool { return e.Kind == KindFence }
 
 // IsInit reports whether e is an initial write.
 func (e *Event) IsInit() bool { return e.Kind == KindInit }
+
+// Register returns the "P<tid>:<reg>" name of the register a labeled read
+// fills, or "" for any other event.
+func (e *Event) Register() string {
+	if !e.IsRead() || e.Label == "" {
+		return ""
+	}
+	return "P" + strconv.Itoa(int(e.Thread)) + ":" + e.Label
+}
 
 // SameRMW reports whether e and other are the two halves of the same RMW
 // instruction.

@@ -3,7 +3,6 @@ package memmodel
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -16,7 +15,7 @@ import (
 // Executions handed to enumeration visitors are owned by the enumerator's
 // per-worker arena and are valid only for the duration of the visit; use
 // Clone to retain one. The relations returned by the accessor methods
-// (PO, PPO, Bar, POLoc, WSRel, RFRel, RFE, FR, Com) point into shared or
+// (PO, PPO, Bar, POLoc, WSRel, RFRel, RFE, FR) point into shared or
 // embedded storage and must not be modified; BaseOrder returns a fresh
 // relation the caller owns.
 type Execution struct {
@@ -43,9 +42,9 @@ type Execution struct {
 
 	// Per-candidate relations, embedded so arena reuse keeps their backing
 	// arrays. The have flags are cleared when a slot is reassembled.
-	wsRel, rfRel, rfeRel, frRel, comRel, scratch Relation
+	wsRel, rfRel, rfeRel, frRel, scratch Relation
 
-	haveWS, haveRF, haveRFE, haveFR, haveCom bool
+	haveWS, haveRF, haveRFE, haveFR bool
 
 	// class is the enumeration classifier's value for the candidate
 	// (EnumClassify), 0 when the walk has none.
@@ -54,10 +53,11 @@ type Execution struct {
 
 // invariantRels holds the derived relations that are functions of the event
 // set alone (kinds, threads, program order, locations): po, ppo, bar and
-// poloc. They are computed once per program and shared read-only by every
-// candidate execution of an enumeration.
+// poloc, and base, the transitive closure of ppo ∪ bar. They are computed
+// once per program and shared read-only by every candidate execution of an
+// enumeration. ppo ∪ bar is a subset of po, so base is acyclic.
 type invariantRels struct {
-	po, ppo, bar, poloc Relation
+	po, ppo, bar, poloc, base Relation
 }
 
 // newInvariantRels derives the candidate-independent relations from the
@@ -138,6 +138,8 @@ func newInvariantRels(events []*Event) *invariantRels {
 			}
 		}
 	}
+	inv.base.Reset(n)
+	inv.base.Union(&inv.ppo).Union(&inv.bar).TransitiveClosure()
 	return inv
 }
 
@@ -202,7 +204,7 @@ func (x *Execution) Class() uint64 { return x.class }
 // resetDerived invalidates the cached per-candidate relations; the arena
 // calls it when a slot is reassembled for a new candidate.
 func (x *Execution) resetDerived() {
-	x.haveWS, x.haveRF, x.haveRFE, x.haveFR, x.haveCom = false, false, false, false, false
+	x.haveWS, x.haveRF, x.haveRFE, x.haveFR = false, false, false, false
 }
 
 // invariants returns the shared candidate-independent relations, deriving
@@ -367,21 +369,6 @@ func (x *Execution) FR() *Relation {
 	return &x.frRel
 }
 
-// Com returns the communication relation com = ws ∪ rfe ∪ fr. The relation
-// lives in the execution and must not be modified.
-func (x *Execution) Com() *Relation {
-	if x.haveCom {
-		return &x.comRel
-	}
-	ws, rfe, fr := x.WSRel(), x.RFE(), x.FR()
-	x.comRel.Reset(len(x.Events))
-	x.comRel.Union(ws)
-	x.comRel.Union(rfe)
-	x.comRel.Union(fr)
-	x.haveCom = true
-	return &x.comRel
-}
-
 // Uniproc reports whether the execution satisfies the uniproc (SC per
 // location) condition: program order restricted to same-location accesses
 // is consistent with com and rf. The check reuses scratch storage in the
@@ -396,32 +383,62 @@ func (x *Execution) Uniproc() bool {
 	return x.scratch.Acyclic()
 }
 
-// BaseOrder returns com ∪ ppo ∪ bar, the relation whose acyclicity defines
-// validity of the base TSO model (without RMW atomicity). Unlike the other
+// BaseOrder returns com ∪ ppo ∪ bar, where com = ws ∪ rfe ∪ fr is the
+// communication relation: the relation whose acyclicity defines validity
+// of the base TSO model (without RMW atomicity). Unlike the other
 // relation accessors the result is freshly allocated and owned by the
 // caller, which may extend it (e.g. with ato edges).
 func (x *Execution) BaseOrder() *Relation {
-	n := len(x.Events)
-	r := NewRelation(n)
-	r.Union(x.Com())
-	r.Union(x.PPO())
-	r.Union(x.Bar())
-	return r
+	r := NewRelation(len(x.Events))
+	return r.Union(x.WSRel()).Union(x.RFE()).Union(x.FR()).Union(x.PPO()).Union(x.Bar())
 }
 
-// BaseValid reports whether the execution is valid in the base TSO model:
-// com ∪ ppo ∪ bar is acyclic and uniproc holds. RMW atomicity constraints
-// are checked separately by internal/core.
-func (x *Execution) BaseValid() bool {
-	if !x.Uniproc() {
-		return false
+// BaseClosure makes dst the transitive closure of BaseOrder, com ∪ ppo ∪
+// bar, and reports whether that order is acyclic: the execution is valid
+// in the base TSO model when it also satisfies Uniproc. RMW atomicity
+// constraints are checked separately by internal/core.
+//
+// dst starts as the closure of ppo ∪ bar, which depends only on the events
+// and is computed once per program. The candidate's own edges then go in
+// by closed insertion (Relation.AddClosed): each location's ws chain, the
+// rfe edges, and each read's fr edge to the ws-successor of its source,
+// which with the ws chain gives the closure every later write the read
+// is fr-before. BaseClosure returns false at the first edge that closes a
+// cycle, leaving dst partly built. The initial writes precede every event
+// in ppo, so the ws and rf edges from an initial write are already there.
+func (x *Execution) BaseClosure(dst *Relation) bool {
+	dst.CopyFrom(&x.invariants().base)
+	for _, order := range x.wsOrders {
+		for j := 1; j < len(order); j++ {
+			if !dst.AddClosed(order[j-1], order[j]) {
+				return false
+			}
+		}
 	}
-	com, ppo, bar := x.Com(), x.PPO(), x.Bar()
-	x.scratch.Reset(len(x.Events))
-	x.scratch.Union(com)
-	x.scratch.Union(ppo)
-	x.scratch.Union(bar)
-	return x.scratch.Acyclic()
+	for rd, w := range x.rf {
+		if w < 0 {
+			continue
+		}
+		if x.Events[w].Thread != x.Events[rd].Thread && !dst.AddClosed(w, rd) {
+			return false
+		}
+		if next := x.wsSuccessor(x.Events[rd].Addr, w); next >= 0 && !dst.AddClosed(rd, next) {
+			return false
+		}
+	}
+	return true
+}
+
+// wsSuccessor returns the write that follows w in the coherence order of
+// location a, or -1 when w is the last write or not in the order.
+func (x *Execution) wsSuccessor(a Addr, w int) int {
+	order := x.WSOrder(a)
+	for i := 0; i+1 < len(order); i++ {
+		if order[i] == w {
+			return order[i+1]
+		}
+	}
+	return -1
 }
 
 // GHB returns one global-happens-before order for the execution: a linear
@@ -440,13 +457,13 @@ func (x *Execution) GHB(order *Relation) ([]*Event, error) {
 }
 
 // RegisterValues returns the final value of every named register: the
-// value read by the read or RMW-read event carrying that register label,
-// keyed by "P<tid>:<reg>".
+// value read by the last read or RMW-read event, in event order, carrying
+// that register label, keyed by its Event.Register name "P<tid>:<reg>".
 func (x *Execution) RegisterValues() map[string]Value {
 	out := map[string]Value{}
 	for _, e := range x.Events {
-		if e.IsRead() && e.Label != "" {
-			out["P"+strconv.Itoa(int(e.Thread))+":"+e.Label] = e.Value
+		if name := e.Register(); name != "" {
+			out[name] = e.Value
 		}
 	}
 	return out

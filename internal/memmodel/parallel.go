@@ -99,9 +99,9 @@ const AutoEnumThreshold = 4096
 // through RMWs) are dropped and never reach visit.
 //
 // The visited executions are candidates only: callers must still filter
-// by validity (Execution.BaseValid for the base model, or the RMW-aware
-// check in internal/core), either in visit or concurrently via
-// EnumClassify.
+// by validity (Execution.Uniproc and Execution.BaseClosure for the base
+// model, or the RMW-aware check in internal/core), either in visit or
+// concurrently via EnumClassify.
 //
 // Each execution passed to visit is owned by the walker's arena and is
 // valid only for the duration of the call: the enumerator reuses its

@@ -106,13 +106,18 @@ func (r *Relation) CopyFrom(other *Relation) *Relation {
 // relation and closes it again: every event that reaches from (and from
 // itself) now reaches to and everything to reaches. It reports false,
 // leaving r unchanged, when the pair would close a cycle — to already
-// reaches from, or from == to. Each call costs one pass over the rows, so
-// a search that adds edges one at a time learns of a cycle the moment the
-// edge that closes it goes in: the uniproc table search (EnumUniproc) and
-// internal/core's ato fixpoint both grow a closure this way.
+// reaches from, or from == to — and true at once, after that check, when
+// the pair is already in r. Otherwise each call costs one pass over the
+// rows, so a search that adds edges one at a time learns of a cycle the
+// moment the edge that closes it goes in: the uniproc table search
+// (EnumUniproc), Execution.BaseClosure and internal/core's ato fixpoint
+// all grow a closure this way.
 func (r *Relation) AddClosed(from, to int) bool {
 	if from == to || r.Has(to, from) {
 		return false
+	}
+	if r.Has(from, to) {
+		return true
 	}
 	if r.words == 1 {
 		// One word per row: row i is r.bits[i].

@@ -109,15 +109,37 @@ func main() {
 	if err != nil {
 		fatalUsage(err)
 	}
+	types := []rmwtso.AtomicityType{typ}
+	if *sweep {
+		// -sweep compares the RMW types, so an explicit -type contradicts
+		// it; reject the combination instead of silently ignoring one.
+		if cliflags.WasSet(flag.CommandLine, "type") {
+			fatalUsage(fmt.Errorf("-sweep runs all three RMW types and cannot be combined with -type"))
+		}
+		types = rmwtso.AllTypes()
+	}
+	variant, err := parseReplace(*replace)
+	if err != nil {
+		fatalUsage(err)
+	}
+	fig10 := *benchName == "fig10"
+	var profile rmwtso.Profile
+	switch {
+	case fig10 && *cores < 2:
+		fatalUsage(fmt.Errorf("the fig10 pattern needs at least 2 cores, got %d", *cores))
+	case !fig10 && *check:
+		fatalUsage(fmt.Errorf("-check model-checks the fig10 write-deadlock pattern; it cannot be combined with -bench %s", *benchName))
+	case !fig10:
+		if profile, err = rmwtso.FindProfile(*benchName); err != nil {
+			fatalUsage(err)
+		}
+	}
 
 	cache, err := rmwtso.OpenCacheFromFlags(*cacheFlags.Enabled, *cacheFlags.Dir, *cacheFlags.Clear)
 	if err != nil {
 		fatal(err)
 	}
 	if *check {
-		if *benchName != "fig10" {
-			fatal(fmt.Errorf("-check model-checks the fig10 write-deadlock pattern; it cannot be combined with -bench %s", *benchName))
-		}
 		t := rmwtso.FindTest("write-deadlock (Fig. 10)")
 		if t == nil {
 			fatal(fmt.Errorf("the write-deadlock litmus test is not registered"))
@@ -138,20 +160,7 @@ func main() {
 		fatal(err)
 	}
 
-	types := []rmwtso.AtomicityType{typ}
-	if *sweep {
-		// -sweep compares the RMW types, so an explicit -type contradicts
-		// it; reject the combination instead of silently ignoring one.
-		if cliflags.WasSet(flag.CommandLine, "type") {
-			fatal(fmt.Errorf("-sweep runs all three RMW types and cannot be combined with -type"))
-		}
-		types = rmwtso.AllTypes()
-	}
-
-	if *benchName == "fig10" {
-		if *cores < 2 {
-			fatal(fmt.Errorf("the fig10 pattern needs at least 2 cores, got %d", *cores))
-		}
+	if fig10 {
 		// The Fig. 10 pattern is a handful of hand-built ops, not a
 		// workload: it has no seed or scale, so it is simulated directly
 		// and never cached.
@@ -171,10 +180,7 @@ func main() {
 		return
 	}
 
-	spec, err := benchmarkSpec(*benchName, *replace, types)
-	if err != nil {
-		fatal(err)
-	}
+	spec := rmwtso.BenchmarkSpec{Profile: profile, Variant: variant, Types: types}
 	plan, err := rmwtso.BuildPlan(rmwtso.Options{Cores: *cores, Scale: *scale, Seed: *seed, Config: &cfg}, []rmwtso.BenchmarkSpec{spec})
 	if err != nil {
 		fatal(err)
@@ -203,24 +209,18 @@ func reportCache(cache *rmwtso.Cache) {
 	fmt.Fprintf(os.Stderr, "rmwsim: cache: %s (dir %s)\n", cache.Stats(), cache.Dir())
 }
 
-// benchmarkSpec describes the named benchmark workload, with the chosen
-// wsq-mst replacement variant, under the given RMW types.
-func benchmarkSpec(bench, replace string, types []rmwtso.AtomicityType) (rmwtso.BenchmarkSpec, error) {
-	profile, err := rmwtso.FindProfile(bench)
-	if err != nil {
-		return rmwtso.BenchmarkSpec{}, err
-	}
-	spec := rmwtso.BenchmarkSpec{Profile: profile, Types: types}
+// parseReplace parses the -replace flag: the wsq-mst C/C++11 variant.
+func parseReplace(replace string) (rmwtso.Replacement, error) {
 	switch replace {
 	case "none", "":
+		return rmwtso.NoReplacement, nil
 	case "read":
-		spec.Variant = rmwtso.ReadReplacement
+		return rmwtso.ReadReplacement, nil
 	case "write":
-		spec.Variant = rmwtso.WriteReplacement
+		return rmwtso.WriteReplacement, nil
 	default:
-		return rmwtso.BenchmarkSpec{}, fmt.Errorf("unknown replacement %q (want none, read or write)", replace)
+		return rmwtso.NoReplacement, fmt.Errorf("unknown replacement %q (want none, read or write)", replace)
 	}
-	return spec, nil
 }
 
 func fatal(err error) {

@@ -165,15 +165,11 @@ func Disallowed(t AtomicityType, m *memmodel.Event, pair RMWPair) bool {
 // DisallowedEvents returns the indices of all events that atomicity type t
 // forbids from appearing between the halves of the given RMW pair.
 func DisallowedEvents(t AtomicityType, x *memmodel.Execution, pair RMWPair) []int {
-	return appendDisallowed(nil, t, x, pair)
-}
-
-// appendDisallowed appends DisallowedEvents(t, x, pair) to dst.
-func appendDisallowed(dst []int, t AtomicityType, x *memmodel.Execution, pair RMWPair) []int {
+	var out []int
 	for _, e := range x.Events {
 		if Disallowed(t, e, pair) {
-			dst = append(dst, e.Index)
+			out = append(out, e.Index)
 		}
 	}
-	return dst
+	return out
 }

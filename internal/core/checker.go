@@ -1,16 +1,20 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/memmodel"
 )
 
 // Checker decides execution validity with reusable scratch state: the
-// base order and its closure live in the checker and are recycled across
-// candidates, and the RMW pairing plus every atomicity type's disallowed
-// event sets are derived once per program and cached — they depend only
-// on the program's events, not on the rf/ws choice or the type. Checking
+// relation each type's fixpoint grows lives in the checker and is
+// recycled across candidates, and the RMW pairing plus every atomicity
+// type's disallowed event rows are derived once per program and cached —
+// they depend only on the program's events, not on the rf/ws choice or
+// the type. The closed base order is the execution's own
+// (Execution.BaseClosure), which it builds once and keeps. Checking
 // a steady stream of candidates of one program therefore allocates
 // nothing, under one type or several, which is what keeps the
 // classifiers of EnumClassify-based verdicts inside enumeration workers
@@ -24,9 +28,9 @@ import (
 // Classifier.
 type Checker struct {
 	plan atoPlan
-	// base is com ∪ ppo ∪ bar, transitively closed; work is one type's
-	// copy of it, grown by the type's ato edges.
-	base, work memmodel.Relation
+	// work is one type's copy of the candidate's closed base order
+	// (Execution.BaseClosure), grown by the type's ato edges.
+	work memmodel.Relation
 }
 
 // NewChecker returns a checker with empty caches; the first Valid call
@@ -35,18 +39,21 @@ func NewChecker() *Checker { return &Checker{} }
 
 // atoPlan is the part of the ato fixpoint that depends only on a
 // program's events: its RMW pairs and, per atomicity type, the events the
-// type forbids between each pair's halves. Its slices keep their backing
-// arrays across programs, so re-deriving it allocates only when a program
-// needs more room than any before.
+// type forbids between each pair's halves, as bit rows in the layout of
+// memmodel.Relation.Row. Its slices keep their backing arrays across
+// programs, so re-deriving it allocates only when a program needs more
+// room than any before.
 type atoPlan struct {
 	prog    *memmodel.Program
 	nEvents int
 	ready   bool
 
 	pairs []RMWPair
-	// dis[t-1][start[t-1][i]:start[t-1][i+1]] lists the events type t
-	// forbids between the halves of pairs[i].
-	dis, start [3][]int
+	// words is the width of a row, ceil(nEvents/64);
+	// dis[t-1][i*words:(i+1)*words] holds the events type t forbids
+	// between the halves of pairs[i].
+	words int
+	dis   [3][]uint64
 }
 
 // prepare (re)derives the plan when it last saw a different program.
@@ -56,13 +63,19 @@ func (pl *atoPlan) prepare(x *memmodel.Execution) {
 	}
 	pl.prog, pl.nEvents, pl.ready = x.Program, len(x.Events), true
 	pl.pairs = appendRMWPairs(pl.pairs[:0], x)
+	pl.words = (len(x.Events) + 63) / 64
 	for t := Type1; t <= Type3; t++ {
-		dis, start := pl.dis[t-1][:0], append(pl.start[t-1][:0], 0)
-		for _, p := range pl.pairs {
-			dis = appendDisallowed(dis, t, x, p)
-			start = append(start, len(dis))
+		dis := slices.Grow(pl.dis[t-1][:0], len(pl.pairs)*pl.words)[:len(pl.pairs)*pl.words]
+		clear(dis)
+		for i, p := range pl.pairs {
+			row := dis[i*pl.words : (i+1)*pl.words]
+			for _, e := range x.Events {
+				if Disallowed(t, e, p) {
+					row[e.Index/64] |= 1 << (e.Index % 64)
+				}
+			}
 		}
-		pl.dis[t-1], pl.start[t-1] = dis, start
+		pl.dis[t-1] = dis
 	}
 }
 
@@ -73,6 +86,16 @@ func (pl *atoPlan) prepare(x *memmodel.Execution) {
 // completes without closing a cycle, that is whether the execution is
 // valid under t.
 //
+// Per pair, the rules find the edges they force with word operations on
+// rows, for any row width:
+//   - Ra before M forces Wa before M: the forced M are Ra's row AND the
+//     disallowed row AND NOT Wa's row.
+//   - M before Wa forces M before Ra: the forced M are the disallowed
+//     events whose rows hold Wa but not Ra. Once the first rule has run,
+//     every disallowed event after Ra is after Wa too, so it cannot
+//     precede Wa in the acyclic r, and only the disallowed events outside
+//     Ra's row are probed.
+//
 // The result is exact because the rules are monotone: Ra <* M forces
 // Wa -> M, and M <* Wa forces M -> Ra, so an edge the rules force under
 // the order built so far is forced under the final order too. The first
@@ -80,24 +103,31 @@ func (pl *atoPlan) prepare(x *memmodel.Execution) {
 // sweep over every pair that inserts nothing leaves r closed under the
 // rules, the least fixpoint.
 func (pl *atoPlan) close(r *memmodel.Relation, t AtomicityType) bool {
-	dis, start := pl.dis[t-1], pl.start[t-1]
+	dis, words := pl.dis[t-1], pl.words
 	for {
 		changed := false
 		for i, p := range pl.pairs {
-			for _, m := range dis[start[i]:start[i+1]] {
-				// Ra ordered before M forces Wa before M.
-				if r.Has(p.Read, m) && !r.Has(p.Write, m) {
-					if !r.AddClosed(p.Write, m) {
+			row := dis[i*words : (i+1)*words]
+			ra, wa := r.Row(p.Read), r.Row(p.Write)
+			for k, d := range row {
+				for m := ra[k] & d &^ wa[k]; m != 0; m &= m - 1 {
+					if !r.AddClosed(p.Write, k*64+bits.TrailingZeros64(m)) {
 						return false
 					}
 					changed = true
 				}
-				// M ordered before Wa forces M before Ra.
-				if r.Has(m, p.Write) && !r.Has(m, p.Read) {
-					if !r.AddClosed(m, p.Read) {
-						return false
+			}
+			raWord, raBit := p.Read/64, uint64(1)<<(p.Read%64)
+			waWord, waBit := p.Write/64, uint64(1)<<(p.Write%64)
+			for k, d := range row {
+				for m := d &^ ra[k]; m != 0; m &= m - 1 {
+					e := k*64 + bits.TrailingZeros64(m)
+					if me := r.Row(e); me[waWord]&waBit != 0 && me[raWord]&raBit == 0 {
+						if !r.AddClosed(e, p.Read) {
+							return false
+						}
+						changed = true
 					}
-					changed = true
 				}
 			}
 		}
@@ -112,26 +142,26 @@ func (pl *atoPlan) close(r *memmodel.Relation, t AtomicityType) bool {
 // uniproc: x must satisfy it, as every candidate of a uniproc walk
 // (memmodel.EnumUniproc) does.
 //
-// com ∪ ppo ∪ bar does not depend on the type, so it is closed once
-// (Execution.BaseClosure: the candidate's com edges inserted into the
-// program's closure of ppo ∪ bar); each wanted type then runs its
-// fixpoint on a copy of the closure. A cycle in the base order rejects
-// every type at once, and a program without RMW pairs has no ato edges,
-// so its base order's acyclicity decides every type.
+// com ∪ ppo ∪ bar does not depend on the type, so the execution closes
+// it once and keeps the closure (Execution.BaseClosure, which a walk's
+// slot rebuilds only from its first reassigned location on); each wanted
+// type copies it into the work relation and runs its fixpoint there. A
+// cycle in the base order rejects every type at once, and a program
+// without RMW pairs has no ato edges, so its base order's acyclicity
+// decides every type.
 func (c *Checker) classify(x *memmodel.Execution, want uint64) uint64 {
 	c.plan.prepare(x)
-	if !x.BaseClosure(&c.base) {
-		return 0
-	}
-	if len(c.plan.pairs) == 0 {
-		return want
-	}
 	var valid uint64
 	for t := Type1; t <= Type3; t++ {
 		if want&t.Bit() == 0 {
 			continue
 		}
-		c.work.CopyFrom(&c.base)
+		if !x.BaseClosure(&c.work) {
+			return 0
+		}
+		if len(c.plan.pairs) == 0 {
+			return want
+		}
 		if c.plan.close(&c.work, t) {
 			valid |= t.Bit()
 		}

@@ -130,3 +130,40 @@ func TestCheckerSteadyStateAllocationFree(t *testing.T) {
 		t.Fatalf("classifying under all three types allocated %.1f times per steady-state call, want 0", allocs)
 	}
 }
+
+// BenchmarkClassify is the checker's rung, between closed insertion
+// (memmodel's BenchmarkAddClosed) and whole verdicts (the root
+// BenchmarkVerdictGenerated): one Checker classifies under all three
+// types every candidate that the uniproc walks of the first 24 programs
+// of the walk-level differential test visit (seed 23, at most 20,000
+// candidates each), cloned out of the walks. An execution keeps its
+// closed base order (Execution.BaseClosure), and each clone closes its
+// own once before the timer starts, so the rung times the checker's own
+// work: copying the closed base per type and running that type's
+// fixpoint. Closing the base order is memmodel's, timed by the walks. It
+// reports ns/candidate.
+func BenchmarkClassify(b *testing.B) {
+	var xs []*memmodel.Execution
+	for _, p := range memmodeltest.Programs(23, 24, 20_000) {
+		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
+			xs = append(xs, x.Clone())
+			return true
+		}, memmodel.EnumUniproc())
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	c := NewChecker()
+	all := maskOf(AllTypes())
+	for _, x := range xs {
+		c.classify(x, all)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x := range xs {
+			c.classify(x, all)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/candidate")
+}

@@ -61,7 +61,9 @@ func Enumerate(p *Program) ([]*Execution, error) {
 // (EnumUniproc) it indexes the location's table of passing shares, whose
 // entries are local indices. Either way any contiguous index range can be
 // walked independently, which is what EnumerateFunc's worker partitioning
-// relies on.
+// relies on: a walker's arena remembers the digits of its last candidate
+// and redoes only the locations whose digit changes (enumArena), and a
+// fresh arena remembers none.
 //
 // newEnumSpace sizes and counts the space; buildWalk materializes what a
 // walk reads. Both are computed once per enumeration and then shared
@@ -89,16 +91,18 @@ type enumSpace struct {
 	walkSize int
 	// Slice-backed RMW pairing, indexed by event index: rmwReadOf[w] is the
 	// read half of RMW write w (-1 otherwise) and modify[w] its value
-	// function; rmwWrites lists the RMW write events.
+	// function.
 	rmwReadOf []int
 	modify    []ModifyFunc
-	rmwWrites []int
 	// writeDetermined[i] is true for events whose value is fixed before
 	// propagation: plain and initial writes.
 	writeDetermined []bool
 	// inv holds the candidate-independent relations shared by every
-	// execution of this space.
-	inv *invariantRels
+	// execution of this space, and locReads[l] lists the read events of
+	// location l, which every execution of the walk shares (built by
+	// buildWalk).
+	inv      *invariantRels
+	locReads [][]int
 }
 
 // locSpace is one location's share of the enumeration space.
@@ -166,7 +170,6 @@ func newEnumSpace(p *Program) (*enumSpace, error) {
 			}
 			sp.modify[e.Index] = m
 			sp.rmwReadOf[e.Index] = e.Index - 1
-			sp.rmwWrites = append(sp.rmwWrites, e.Index)
 		}
 		sp.writeDetermined[e.Index] = e.IsWrite() && sp.modify[e.Index] == nil
 		locOf[e.Index] = -1
@@ -323,6 +326,15 @@ func CountCandidates(p *Program) (int, error) {
 func (sp *enumSpace) buildWalk(ctx context.Context, uniproc bool) error {
 	sp.inv = newInvariantRels(sp.events)
 	sp.uniproc = uniproc
+	sp.locReads = make([][]int, len(sp.locs))
+	backing := make([]int, 0, len(sp.reads))
+	for l := range sp.locs {
+		start := len(backing)
+		for _, pos := range sp.locs[l].reads {
+			backing = append(backing, sp.reads[pos])
+		}
+		sp.locReads[l] = backing[start:len(backing):len(backing)]
+	}
 	var poloc *Relation
 	if uniproc {
 		poloc = &sp.inv.poloc
@@ -496,22 +508,41 @@ func (s *tableSearch) tick() error {
 	return s.ctx.Err()
 }
 
-// enumArena holds everything one walker reuses across candidates: the
-// value-propagation scratch and one execution slot whose events, rf/ws
-// state and relation backing arrays are recycled. Assembling a candidate
-// into an arena therefore allocates nothing in steady state. Every walker
-// visits synchronously, so the slot is free again once emit returns.
+// enumArena holds everything one walker reuses across candidates: one
+// execution slot whose events, rf/ws state and relation backing arrays
+// are recycled, the value-propagation scratch, and the digits of the
+// candidate the slot holds. Assembling a candidate into an arena
+// therefore allocates nothing in steady state. Every walker visits
+// synchronously, so the slot is free again once emit returns.
+//
+// The walk is an odometer: consecutive candidate indices mostly differ in
+// the last location's digit, so a candidate reassigns, and re-propagates
+// the values of, only the locations whose digit differs from the slot's,
+// and the slot's base closure rebuilds only its levels from the first
+// such location on (Execution.BaseClosure).
 type enumArena struct {
 	det  []bool
 	slot *Execution
+	// digits[l] is location l's digit in the candidate the slot holds, -1
+	// before the first; cyclic[l] reports that location l's rf choice has
+	// a cyclic RMW value dependency, and cycles counts such locations.
+	digits []int
+	cyclic []bool
+	cycles int
 }
 
 // newArena builds an arena for one walker.
 func (sp *enumSpace) newArena() *enumArena {
-	return &enumArena{
-		det:  make([]bool, len(sp.events)),
-		slot: sp.newSlot(),
+	a := &enumArena{
+		det:    make([]bool, len(sp.events)),
+		slot:   sp.newSlot(),
+		digits: make([]int, len(sp.locs)),
+		cyclic: make([]bool, len(sp.locs)),
 	}
+	for l := range a.digits {
+		a.digits[l] = -1
+	}
+	return a
 }
 
 // newSlot builds one reusable execution: its events are copies of the
@@ -520,7 +551,7 @@ func (sp *enumSpace) newArena() *enumArena {
 // candidate-independent set.
 func (sp *enumSpace) newSlot() *Execution {
 	n := len(sp.events)
-	x := &Execution{Program: sp.p, inv: sp.inv}
+	x := &Execution{Program: sp.p, inv: sp.inv, locReads: sp.locReads}
 	evs := make([]Event, n)
 	x.Events = make([]*Event, n)
 	for i, e := range sp.events {
@@ -543,19 +574,31 @@ func (sp *enumSpace) newSlot() *Execution {
 // walk) or selects one from the location's table (uniproc walk), and a
 // local index holds the ws choice in its least significant digit and the
 // rf choices of the location's reads above it.
+//
+// Only the locations whose digit differs from the slot's are reassigned
+// and re-propagated; the others keep their rf and ws choices and values,
+// which depend on their own digit alone. A location with a value cycle
+// keeps the candidate dropped until its digit moves.
 func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
 	x := a.slot
-	x.resetDerived()
+	first := len(sp.locs)
 	for l := len(sp.locs) - 1; l >= 0; l-- {
 		loc := &sp.locs[l]
 		var d int
 		if sp.uniproc {
 			n := len(loc.table)
-			d = loc.table[g%n]
+			d = g % n
 			g /= n
 		} else {
 			d = g % loc.size
 			g /= loc.size
+		}
+		if d == a.digits[l] {
+			continue
+		}
+		a.digits[l], first = d, l
+		if sp.uniproc {
+			d = loc.table[d]
 		}
 		x.wsOrders[l] = loc.ws[d%len(loc.ws)]
 		d /= len(loc.ws)
@@ -565,46 +608,56 @@ func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
 			x.rf[sp.reads[pos]] = c[d%len(c)]
 			d /= len(c)
 		}
+		if cyclic := !sp.propagate(x, a, loc); cyclic != a.cyclic[l] {
+			a.cyclic[l] = cyclic
+			if cyclic {
+				a.cycles++
+			} else {
+				a.cycles--
+			}
+		}
 	}
-	if !sp.propagate(x, a) {
+	if first < len(sp.locs) {
+		x.reassigned(first)
+	}
+	if a.cycles > 0 {
 		return nil
 	}
 	return x
 }
 
-// propagate assigns event values for the slot's rf choice: read values
-// come from their rf source; RMW write values come from applying Modify to
-// the read value. It iterates to a fixpoint (chains of RMWs reading from
-// RMW writes converge in at most len(events) rounds) and reports false for
-// cyclic value dependencies, which have no consistent assignment — the
-// same rf assignments rfCount excludes.
-func (sp *enumSpace) propagate(x *Execution, a *enumArena) bool {
-	copy(a.det, sp.writeDetermined)
-	events := x.Events
-	for round := 0; round <= len(events); round++ {
-		changed := false
-		for _, rd := range sp.reads {
-			src := x.rf[rd]
-			if a.det[src] && !a.det[rd] {
-				events[rd].Value = events[src].Value
-				a.det[rd] = true
-				changed = true
-			}
-		}
-		for _, wr := range sp.rmwWrites {
-			rd := sp.rmwReadOf[wr]
-			if a.det[rd] && !a.det[wr] {
-				events[wr].Value = sp.modify[wr](events[rd].Value)
-				a.det[wr] = true
-				changed = true
-			}
-		}
-		if !changed {
-			break
+// propagate assigns the values of one location's events for the slot's
+// rf choice: a read's value comes from its rf source, an RMW write's from
+// applying Modify to its read half's value. RMW value dependencies never
+// cross locations, so each location propagates on its own. It sweeps the
+// location's events until every value is set (chains of RMWs reading from
+// RMW writes take one sweep per link) and reports false when a sweep sets
+// none: a cyclic value dependency, which has no consistent assignment —
+// the rf assignments rfCount excludes.
+func (sp *enumSpace) propagate(x *Execution, a *enumArena, loc *locSpace) bool {
+	events, pending := x.Events, 0
+	for _, e := range loc.events {
+		if a.det[e] = sp.writeDetermined[e]; !a.det[e] {
+			pending++
 		}
 	}
-	for _, e := range events {
-		if (e.IsRead() || e.IsWrite()) && !a.det[e.Index] {
+	for pending > 0 {
+		progress := false
+		for _, e := range loc.events {
+			if a.det[e] {
+				continue
+			}
+			if src := x.rf[e]; src >= 0 && a.det[src] {
+				events[e].Value = events[src].Value
+			} else if rd := sp.rmwReadOf[e]; rd >= 0 && a.det[rd] {
+				events[e].Value = sp.modify[e](events[rd].Value)
+			} else {
+				continue
+			}
+			a.det[e], progress = true, true
+			pending--
+		}
+		if !progress {
 			return false // value cycle through RMWs: no consistent values
 		}
 	}

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -40,11 +41,24 @@ type Execution struct {
 	// enumeration. Built lazily for hand-constructed executions.
 	inv *invariantRels
 
+	// locReads[l] lists the read events of location wsAddrs[l], in event
+	// order; enumerated executions share their walk's lists.
+	locReads [][]int
+
 	// Per-candidate relations, embedded so arena reuse keeps their backing
 	// arrays. The have flags are cleared when a slot is reassembled.
 	wsRel, rfRel, rfeRel, frRel, scratch Relation
 
 	haveWS, haveRF, haveRFE, haveFR bool
+
+	// levels holds levels 1 to len(wsOrders) of BaseClosure back to back,
+	// each the rows of a relation over Events: level l+1 is the closure of
+	// ppo ∪ bar with the ws, rfe and fr edges of locations 0 to l. The
+	// first built levels are the current candidate's; cyclic reports that
+	// location built's edges close a cycle on them.
+	levels []uint64
+	built  int
+	cyclic bool
 
 	// class is the enumeration classifier's value for the candidate
 	// (EnumClassify), 0 when the walk has none.
@@ -146,7 +160,8 @@ func newInvariantRels(events []*Event) *invariantRels {
 // NewExecution constructs an execution from a reads-from map (read event
 // index -> source write event index) and per-location coherence orders. It
 // is the map-edge constructor for hand-built executions and tests; the
-// enumerator assembles executions directly into arena slots.
+// enumerator assembles executions directly into arena slots. A location
+// that an event accesses but ws gives no order has an empty one.
 func NewExecution(p *Program, events []*Event, rf map[int]int, ws map[Addr][]int) *Execution {
 	x := &Execution{Program: p, Events: events}
 	x.rf = make([]int, len(events))
@@ -160,12 +175,23 @@ func NewExecution(p *Program, events []*Event, rf map[int]int, ws map[Addr][]int
 	for a := range ws {
 		x.wsAddrs = append(x.wsAddrs, a)
 	}
-	sort.Slice(x.wsAddrs, func(i, j int) bool { return x.wsAddrs[i] < x.wsAddrs[j] })
+	for _, e := range events {
+		if e.Kind.IsMemory() && !slices.Contains(x.wsAddrs, e.Addr) {
+			x.wsAddrs = append(x.wsAddrs, e.Addr)
+		}
+	}
+	slices.Sort(x.wsAddrs)
 	x.wsOrders = make([][]int, len(x.wsAddrs))
+	x.locReads = make([][]int, len(x.wsAddrs))
 	for i, a := range x.wsAddrs {
 		order := make([]int, len(ws[a]))
 		copy(order, ws[a])
 		x.wsOrders[i] = order
+		for _, e := range events {
+			if e.IsRead() && e.Addr == a {
+				x.locReads[i] = append(x.locReads[i], e.Index)
+			}
+		}
 	}
 	return x
 }
@@ -175,7 +201,7 @@ func NewExecution(p *Program, events []*Event, rf map[int]int, ws map[Addr][]int
 // copied; the shared candidate-independent relations are reused (they are
 // immutable and common to every execution of the program).
 func (x *Execution) Clone() *Execution {
-	c := &Execution{Program: x.Program, inv: x.inv, class: x.class}
+	c := &Execution{Program: x.Program, inv: x.inv, locReads: x.locReads, class: x.class}
 	c.Events = make([]*Event, len(x.Events))
 	evs := make([]Event, len(x.Events))
 	for i, e := range x.Events {
@@ -201,10 +227,15 @@ func (x *Execution) Clone() *Execution {
 // ones.
 func (x *Execution) Class() uint64 { return x.class }
 
-// resetDerived invalidates the cached per-candidate relations; the arena
-// calls it when a slot is reassembled for a new candidate.
-func (x *Execution) resetDerived() {
+// reassigned invalidates what the slot derived from its previous
+// candidate's rf and ws choices when the candidate at locations l and
+// above changes: the cached per-candidate relations and the base closure's
+// levels from l on. The arena calls it when it reassembles the slot.
+func (x *Execution) reassigned(l int) {
 	x.haveWS, x.haveRF, x.haveRFE, x.haveFR = false, false, false, false
+	if l <= x.built {
+		x.built, x.cyclic = l, false
+	}
 }
 
 // invariants returns the shared candidate-independent relations, deriving
@@ -396,49 +427,82 @@ func (x *Execution) BaseOrder() *Relation {
 // BaseClosure makes dst the transitive closure of BaseOrder, com ∪ ppo ∪
 // bar, and reports whether that order is acyclic: the execution is valid
 // in the base TSO model when it also satisfies Uniproc. RMW atomicity
-// constraints are checked separately by internal/core.
+// constraints are checked separately by internal/core. dst is left
+// unchanged when the order is cyclic.
 //
-// dst starts as the closure of ppo ∪ bar, which depends only on the events
-// and is computed once per program. The candidate's own edges then go in
-// by closed insertion (Relation.AddClosed): each location's ws chain, the
-// rfe edges, and each read's fr edge to the ws-successor of its source,
-// which with the ws chain gives the closure every later write the read
-// is fr-before. BaseClosure returns false at the first edge that closes a
-// cycle, leaving dst partly built. The initial writes precede every event
-// in ppo, so the ws and rf edges from an initial write are already there.
+// The execution keeps the closure as one level per location. Level 0 is
+// the closure of ppo ∪ bar, which depends only on the events and is
+// computed once per program; level l+1 is level l with location l's
+// edges added by closed insertion (Relation.AddClosed): its ws chain, its
+// reads' rfe edges, and each read's fr edge to the ws-successor of its
+// source, which with the ws chain gives the closure every later write the
+// read is fr-before. Level l+1 is acyclic only if level l is, so the
+// first edge that closes a cycle decides. The initial writes precede
+// every event in ppo, so the ws and rf edges from an initial write are
+// already there.
+//
+// The levels stay valid until the execution changes. A walk's slot
+// (EnumerateFunc) keeps them across candidates: reassembling it
+// invalidates only the levels from its first reassigned location on, so
+// BaseClosure rebuilds just those, and a cycle found at one location
+// stands until a location at or before it changes. Hand-built and cloned
+// executions start with no level built and build them all on first use.
 func (x *Execution) BaseClosure(dst *Relation) bool {
-	dst.CopyFrom(&x.invariants().base)
-	for _, order := range x.wsOrders {
-		for j := 1; j < len(order); j++ {
-			if !dst.AddClosed(order[j-1], order[j]) {
-				return false
-			}
-		}
+	base := &x.invariants().base
+	size := len(base.bits)
+	if len(x.levels) < len(x.wsOrders)*size {
+		x.levels = make([]uint64, len(x.wsOrders)*size)
 	}
-	for rd, w := range x.rf {
-		if w < 0 {
-			continue
-		}
-		if x.Events[w].Thread != x.Events[rd].Thread && !dst.AddClosed(w, rd) {
-			return false
-		}
-		if next := x.wsSuccessor(x.Events[rd].Addr, w); next >= 0 && !dst.AddClosed(rd, next) {
-			return false
-		}
+	// level views the highest level built so far, level 0 when none is.
+	level := Relation{n: base.n, words: base.words, bits: base.bits}
+	if x.built > 0 {
+		level.bits = x.levels[(x.built-1)*size : x.built*size]
 	}
+	for !x.cyclic && x.built < len(x.wsOrders) {
+		prev := level.bits
+		level.bits = x.levels[x.built*size : (x.built+1)*size]
+		copy(level.bits, prev)
+		if !x.addLocation(&level, x.built) {
+			x.cyclic = true
+			break
+		}
+		x.built++
+	}
+	if x.cyclic {
+		return false
+	}
+	dst.CopyFrom(&level)
 	return true
 }
 
-// wsSuccessor returns the write that follows w in the coherence order of
-// location a, or -1 when w is the last write or not in the order.
-func (x *Execution) wsSuccessor(a Addr, w int) int {
-	order := x.WSOrder(a)
-	for i := 0; i+1 < len(order); i++ {
-		if order[i] == w {
-			return order[i+1]
+// addLocation adds location l's ws chain, rfe edges and fr edges to the
+// closed relation r by closed insertion, and reports false at the first
+// edge that closes a cycle.
+func (x *Execution) addLocation(r *Relation, l int) bool {
+	order := x.wsOrders[l]
+	for j := 1; j < len(order); j++ {
+		if !r.AddClosed(order[j-1], order[j]) {
+			return false
 		}
 	}
-	return -1
+	for _, rd := range x.locReads[l] {
+		w := x.rf[rd]
+		if w < 0 {
+			continue
+		}
+		if x.Events[w].Thread != x.Events[rd].Thread && !r.AddClosed(w, rd) {
+			return false
+		}
+		for j := 0; j+1 < len(order); j++ {
+			if order[j] == w {
+				if !r.AddClosed(rd, order[j+1]) {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
 }
 
 // GHB returns one global-happens-before order for the execution: a linear

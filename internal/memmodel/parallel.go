@@ -106,9 +106,13 @@ const AutoEnumThreshold = 4096
 // Each execution passed to visit is owned by the walker's arena and is
 // valid only for the duration of the call: the enumerator reuses its
 // storage for later candidates, which is what makes the per-candidate loop
-// allocation-free. Use Execution.Clone to retain one beyond the visit (as
-// Enumerate does). Returning false from visit stops the enumeration after
-// exactly that visit.
+// allocation-free. The walk is an odometer: the next candidate reuses
+// whatever of this one's rf and ws choices, event values and base-order
+// closure levels (Execution.BaseClosure) its differing locations leave
+// valid, so visit and class must not modify the execution. Use
+// Execution.Clone to retain one beyond the visit (as Enumerate does); a
+// clone builds its own closure from scratch on first use. Returning false
+// from visit stops the enumeration after exactly that visit.
 //
 // Programs whose candidate space does not fit in an int fail up front with
 // an error wrapping ErrSpaceTooLarge.

@@ -51,8 +51,12 @@ func (r *Relation) init(n int) {
 // scratch relations are recycled without allocating.
 func (r *Relation) Reset(n int) { r.init(n) }
 
-// row returns the backing words of row i.
-func (r *Relation) row(i int) []uint64 {
+// Row returns row i's words: pair (i, j) is bit j%64 of word j/64, and
+// the row has ceil(n/64) words. The slice aliases the relation, so it
+// sees later insertions, and must not be modified. Callers that test many
+// pairs of a row at once (internal/core's ato fixpoint) use it to combine
+// rows with word operations instead of probing pairs one by one.
+func (r *Relation) Row(i int) []uint64 {
 	return r.bits[i*r.words : (i+1)*r.words]
 }
 
@@ -113,25 +117,34 @@ func (r *Relation) CopyFrom(other *Relation) *Relation {
 // (EnumUniproc), Execution.BaseClosure and internal/core's ato fixpoint
 // all grow a closure this way.
 func (r *Relation) AddClosed(from, to int) bool {
+	if r.words == 1 {
+		// One word per row: row i is rows[i].
+		rows := r.bits[:r.n]
+		fromBit, toBit := uint64(1)<<uint(from), uint64(1)<<uint(to)
+		add := rows[to] | toBit
+		switch {
+		case add&fromBit != 0: // to reaches from, or is from
+			return false
+		case rows[from]&toBit != 0:
+			return true
+		}
+		rows[from] |= add
+		for i, row := range rows {
+			if row&fromBit != 0 {
+				rows[i] = row | add
+			}
+		}
+		return true
+	}
 	if from == to || r.Has(to, from) {
 		return false
 	}
 	if r.Has(from, to) {
 		return true
 	}
-	if r.words == 1 {
-		// One word per row: row i is r.bits[i].
-		fromBit, add := uint64(1)<<uint(from), r.bits[to]|uint64(1)<<uint(to)
-		for i, row := range r.bits[:r.n] {
-			if i == from || row&fromBit != 0 {
-				r.bits[i] = row | add
-			}
-		}
-		return true
-	}
 	fromWord, fromBit := from/wordBits, uint64(1)<<(uint(from)%wordBits)
 	toWord, toBit := to/wordBits, uint64(1)<<(uint(to)%wordBits)
-	toRow := r.row(to)
+	toRow := r.Row(to)
 	for i := 0; i < r.n; i++ {
 		row := r.bits[i*r.words : (i+1)*r.words]
 		if i != from && row[fromWord]&fromBit == 0 {
@@ -164,7 +177,7 @@ func (r *Relation) Union(other *Relation) *Relation {
 func (r *Relation) Pairs() [][2]int {
 	var out [][2]int
 	for i := 0; i < r.n; i++ {
-		row := r.row(i)
+		row := r.Row(i)
 		for w, word := range row {
 			for word != 0 {
 				j := w*wordBits + bits.TrailingZeros64(word)
@@ -205,7 +218,7 @@ func (r *Relation) TransitiveClosure() *Relation {
 		return r
 	}
 	for k := 0; k < n; k++ {
-		kRow := r.row(k)
+		kRow := r.Row(k)
 		kWord, kBit := k/wordBits, uint64(1)<<(uint(k)%wordBits)
 		for i := 0; i < n; i++ {
 			iRow := r.bits[i*words : i*words+words]
@@ -274,7 +287,7 @@ func (r *Relation) acyclicBig() bool {
 			if live[i/wordBits]&(1<<(uint(i)%wordBits)) == 0 {
 				continue
 			}
-			row := r.row(i)
+			row := r.Row(i)
 			out := uint64(0)
 			for w := 0; w < words; w++ {
 				out |= row[w] & live[w]
@@ -300,7 +313,7 @@ func (r *Relation) TopoSort() ([]int, error) {
 	n := r.n
 	indeg := make([]int, n)
 	for i := 0; i < n; i++ {
-		row := r.row(i)
+		row := r.Row(i)
 		for w, word := range row {
 			for word != 0 {
 				j := w*wordBits + bits.TrailingZeros64(word)
@@ -324,7 +337,7 @@ func (r *Relation) TopoSort() ([]int, error) {
 		}
 		emitted[next] = true
 		order = append(order, next)
-		row := r.row(next)
+		row := r.Row(next)
 		for w, word := range row {
 			for word != 0 {
 				j := w*wordBits + bits.TrailingZeros64(word)
@@ -356,7 +369,7 @@ func (r *Relation) FindCycle() []int {
 	var dfs func(v int) bool
 	dfs = func(v int) bool {
 		color[v] = gray
-		row := r.row(v)
+		row := r.Row(v)
 		for w, word := range row {
 			for word != 0 {
 				j := w*wordBits + bits.TrailingZeros64(word)

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -488,5 +489,47 @@ func TestRelationCopyFromResizes(t *testing.T) {
 	if big.Size() != 3 || big.Count() != 1 || !big.Has(0, 1) {
 		t.Fatalf("CopyFrom of a 3-event relation: size %d, %d pairs %v; want size 3 and the one pair (0,1)",
 			big.Size(), big.Count(), big.Pairs())
+	}
+}
+
+// BenchmarkAddClosed measures closed insertion, the relation operation
+// under the uniproc table search, Execution.BaseClosure and
+// internal/core's ato fixpoint: per op, a copy of a closed base of four
+// per-thread chains takes 2n random cross-thread edges one at a time, as
+// a candidate's com and ato edges go in. Some edges are already present
+// and some would close a cycle and are refused. It runs at 24 events
+// (one word per row, litmus-sized) and at 80 (two words) and reports
+// ns/edge.
+func BenchmarkAddClosed(b *testing.B) {
+	for _, n := range []int{24, 80} {
+		b.Run(fmt.Sprintf("events-%d", n), func(b *testing.B) {
+			const threads = 4
+			base := NewRelation(n)
+			for i := 0; i+threads < n; i++ {
+				base.Add(i, i+threads) // event i is on thread i%threads
+			}
+			base.TransitiveClosure()
+			rng := rand.New(rand.NewSource(int64(n)))
+			edges := make([][2]int, 0, 2*n)
+			for len(edges) < cap(edges) {
+				if i, j := rng.Intn(n), rng.Intn(n); i%threads != j%threads {
+					edges = append(edges, [2]int{i, j})
+				}
+			}
+			var r Relation
+			added := 0
+			for i := 0; i < b.N; i++ {
+				r.CopyFrom(base)
+				for _, e := range edges {
+					if r.AddClosed(e[0], e[1]) {
+						added++
+					}
+				}
+			}
+			if added == 0 {
+				b.Fatal("every edge was refused")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(edges)), "ns/edge")
+		})
 	}
 }

@@ -78,10 +78,14 @@ func ParseAtomicityType(s string) (AtomicityType, error) {
 
 // Stronger reports whether t is at least as strong as other: every execution
 // valid under t is valid under other. Type-1 is the strongest, type-3 the
-// weakest. Nothing here proves the inclusion, so no check relies on it:
-// every type runs its own fixpoint. TestTypeStrengthInclusion
-// (internal/litmus) tests it on every walked candidate of generated and
-// registry programs.
+// weakest. Type-3 forbids a subset of what each other type forbids, so
+// the monotone fixpoint makes validity under type-1 or type-2 imply
+// validity under type-3, and a verdict of several types seeds both other
+// fixpoints with type-3's closure (Checker.decide). Nothing proves that
+// validity under type-1 implies validity under type-2, whose forbidden
+// sets do not nest, so no check relies on it: each runs its own fixpoint.
+// TestTypeStrengthInclusion (internal/litmus) tests the whole order on
+// every walked candidate of generated and registry programs.
 func (t AtomicityType) Stronger(other AtomicityType) bool {
 	return t <= other
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // Checker decides execution validity with reusable scratch state: the
-// relation each type's fixpoint grows lives in the checker and is
-// recycled across candidates, and the RMW pairing plus every atomicity
-// type's disallowed event rows are derived once per program and cached —
-// they depend only on the program's events, not on the rf/ws choice or
-// the type. The closed base order is the execution's own
-// (Execution.BaseClosure), which it builds once and keeps. Checking
-// a steady stream of candidates of one program therefore allocates
-// nothing, under one type or several, which is what keeps the
+// relations the fixpoints grow live in the checker and are recycled
+// across candidates, and the RMW pairing plus every atomicity type's
+// disallowed event rows are derived once per program and cached — they
+// depend only on the program's events, not on the rf/ws choice or the
+// type. The closed base order is the execution's own
+// (Execution.BaseClosure), which a walk's slot keeps across candidates.
+// Checking a steady stream of candidates of one program therefore
+// allocates nothing, under one type or several, which is what keeps the
 // classifiers of EnumClassify-based verdicts inside enumeration workers
 // allocation-free.
 //
@@ -24,13 +24,14 @@ import (
 // (atoPlan.close); DeriveAto runs the same fixpoint round by round and
 // adds the diagnostics, so use it when the ato edges, the cycle, or an
 // explanation is needed. A Checker is not safe for concurrent use; give
-// each goroutine its own, or use the pooled package-level Valid and
-// Classifier.
+// each goroutine its own, as Classifier does for each walker, or use the
+// pooled package-level Valid.
 type Checker struct {
 	plan atoPlan
-	// work is one type's copy of the candidate's closed base order
-	// (Execution.BaseClosure), grown by the type's ato edges.
-	work memmodel.Relation
+	// work holds the candidate's closed base order
+	// (Execution.BaseClosure), grown by a type's ato edges; seed keeps
+	// type-3's closure while another type grows work.
+	work, seed memmodel.Relation
 }
 
 // NewChecker returns a checker with empty caches; the first Valid call
@@ -80,11 +81,12 @@ func (pl *atoPlan) prepare(x *memmodel.Execution) {
 }
 
 // close runs type t's ato fixpoint on r, the transitive closure of
-// com ∪ ppo ∪ bar, which must be acyclic. Each forced edge goes in by
-// closed insertion (Relation.AddClosed), so r stays the transitive
-// closure of the order built so far. It reports whether the fixpoint
-// completes without closing a cycle, that is whether the execution is
-// valid under t.
+// an acyclic order that holds com ∪ ppo ∪ bar and lies inside t's least
+// fixpoint: the closed base order, or type-3's closure for the other
+// types (Checker.decide). Each forced edge goes in by closed insertion
+// (Relation.AddClosed), so r stays the transitive closure of the order
+// built so far. It reports whether the fixpoint completes without
+// closing a cycle, that is whether the execution is valid under t.
 //
 // Per pair, the rules find the edges they force with word operations on
 // rows, for any row width:
@@ -143,35 +145,68 @@ func (pl *atoPlan) close(r *memmodel.Relation, t AtomicityType) bool {
 // (memmodel.EnumUniproc) does.
 //
 // com ∪ ppo ∪ bar does not depend on the type, so the execution closes
-// it once and keeps the closure (Execution.BaseClosure, which a walk's
-// slot rebuilds only from its first reassigned location on); each wanted
-// type copies it into the work relation and runs its fixpoint there. A
-// cycle in the base order rejects every type at once, and a program
-// without RMW pairs has no ato edges, so its base order's acyclicity
-// decides every type.
+// it once (Execution.BaseClosure, which a walk's slot rebuilds only from
+// its first changed step on) into the work relation, and decide runs the
+// fixpoints there. A cycle in the base order rejects every type at once.
 func (c *Checker) classify(x *memmodel.Execution, want uint64) uint64 {
 	c.plan.prepare(x)
-	var valid uint64
-	for t := Type1; t <= Type3; t++ {
-		if want&t.Bit() == 0 {
-			continue
-		}
-		if !x.BaseClosure(&c.work) {
-			return 0
-		}
-		if len(c.plan.pairs) == 0 {
+	if !x.BaseClosure(&c.work) {
+		return 0
+	}
+	return c.decide(want)
+}
+
+// decide returns the subset of want under whose types the execution of
+// the prepared plan is valid, given its acyclic closed base order in the
+// work relation. A program without RMW pairs has no ato edges, so the
+// base order decides every type. One type runs its own fixpoint on the
+// base order.
+//
+// Several types share one chain. Type-3 forbids only same-address
+// writes, which both other types forbid too (Disallowed), so its rules
+// are a subset of theirs; the rules are monotone, so type-3's least
+// fixpoint lies inside type-2's and type-1's, and running either from
+// type-3's closure reaches the same fixpoint as running it from the base
+// order: lfp(R1, lfp(R3, B)) = lfp(R1, B), and likewise for type-2. decide
+// therefore runs type-3's fixpoint first, rejects every type when it
+// closes a cycle, and otherwise seeds type-2 and type-1 each with its
+// closure. Nothing is inferred between type-1 and type-2, whose forbidden
+// sets do not nest: each runs its own fixpoint, and a cycle in one
+// decides only that type.
+func (c *Checker) decide(want uint64) uint64 {
+	if len(c.plan.pairs) == 0 || want == 0 {
+		return want
+	}
+	if want&(want-1) == 0 {
+		if c.plan.close(&c.work, AtomicityType(bits.TrailingZeros64(want)+1)) {
 			return want
 		}
-		if c.plan.close(&c.work, t) {
-			valid |= t.Bit()
-		}
+		return 0
+	}
+	if !c.plan.close(&c.work, Type3) {
+		return 0
+	}
+	valid := want & Type3.Bit()
+	both := want&Type2.Bit() != 0 && want&Type1.Bit() != 0
+	if both {
+		c.seed.CopyFrom(&c.work)
+	}
+	if want&Type2.Bit() != 0 && c.plan.close(&c.work, Type2) {
+		valid |= Type2.Bit()
+	}
+	if both {
+		c.work.CopyFrom(&c.seed)
+	}
+	if want&Type1.Bit() != 0 && c.plan.close(&c.work, Type1) {
+		valid |= Type1.Bit()
 	}
 	return valid
 }
 
 // Valid reports whether the execution is a valid witness of the TSO model
 // extended with RMWs of the given atomicity type. It is equivalent to
-// DeriveAto(x, t).Valid but allocation-free in steady state.
+// DeriveAto(x, t).Valid but allocation-free in steady state, and runs
+// only t's fixpoint.
 //
 // Valid takes arbitrary executions (Model.Valid, Explain and the oracle
 // tests pass them), so it checks uniproc itself; the walks of Verdicts
@@ -181,10 +216,9 @@ func (c *Checker) Valid(x *memmodel.Execution, t AtomicityType) bool {
 	return x.Uniproc() && c.classify(x, t.Bit()) != 0
 }
 
-// checkerPool recycles checkers for the package-level Valid and
-// Classifier, so concurrent classifiers (one enumeration worker each)
-// reuse at most one checker per goroutine instead of rebuilding scratch
-// state per candidate.
+// checkerPool recycles checkers for the package-level Valid, so
+// concurrent calls reuse at most one checker per goroutine instead of
+// rebuilding scratch state per call.
 var checkerPool = sync.Pool{New: func() any { return NewChecker() }}
 
 // Valid reports whether the execution is a valid witness of the TSO model
@@ -199,20 +233,18 @@ func Valid(x *memmodel.Execution, t AtomicityType) bool {
 	return ok
 }
 
-// Classifier returns the classifier a uniproc walk (memmodel.EnumUniproc)
-// passes to memmodel.EnumClassify to decide the given atomicity types:
-// it maps a candidate to the mask of the types (AtomicityType.Bit) it is
-// valid under, so the walk drops a candidate valid under none and visit
-// reads the mask back with Execution.Class. It does not check uniproc,
-// which every candidate of the walk satisfies. It draws its Checker from
-// a pool, so it is safe for concurrent use and allocation-free in steady
-// state.
-func Classifier(types ...AtomicityType) func(*memmodel.Execution) uint64 {
+// Classifier returns the classifier constructor a uniproc walk
+// (memmodel.EnumUniproc) passes to memmodel.EnumClassify to decide the
+// given atomicity types. Each call builds a classifier with a Checker of
+// its own, for one walker: it maps a candidate to the mask of the types
+// (AtomicityType.Bit) it is valid under, so the walk drops a candidate
+// valid under none and visit reads the mask back with Execution.Class.
+// It does not check uniproc, which every candidate of the walk
+// satisfies, and is allocation-free in steady state.
+func Classifier(types ...AtomicityType) func() func(*memmodel.Execution) uint64 {
 	want := maskOf(types)
-	return func(x *memmodel.Execution) uint64 {
-		c := checkerPool.Get().(*Checker)
-		class := c.classify(x, want)
-		checkerPool.Put(c)
-		return class
+	return func() func(*memmodel.Execution) uint64 {
+		c := NewChecker()
+		return func(x *memmodel.Execution) uint64 { return c.classify(x, want) }
 	}
 }

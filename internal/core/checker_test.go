@@ -52,7 +52,6 @@ func TestCheckerMatchesDeriveAtoAndOracle(t *testing.T) {
 		}
 	}
 
-	classify := Classifier(AllTypes()...)
 	checks, oracleChecks, mismatches := 0, 0, 0
 	for _, p := range memmodeltest.Programs(23, 100, 20_000) {
 		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
@@ -74,9 +73,10 @@ func TestCheckerMatchesDeriveAtoAndOracle(t *testing.T) {
 				}
 			}
 			return true
-		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func(x *memmodel.Execution) uint64 {
+		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func() func(*memmodel.Execution) uint64 {
+			classify := Classifier(AllTypes()...)()
 			// Keep every walked candidate: bit 63 marks the visit.
-			return classify(x) | 1<<63
+			return func(x *memmodel.Execution) uint64 { return classify(x) | 1<<63 }
 		}))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -131,22 +131,29 @@ func TestCheckerSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkClassify is the checker's rung, between closed insertion
-// (memmodel's BenchmarkAddClosed) and whole verdicts (the root
-// BenchmarkVerdictGenerated): one Checker classifies under all three
-// types every candidate that the uniproc walks of the first 24 programs
-// of the walk-level differential test visit (seed 23, at most 20,000
-// candidates each), cloned out of the walks. An execution keeps its
-// closed base order (Execution.BaseClosure), and each clone closes its
-// own once before the timer starts, so the rung times the checker's own
-// work: copying the closed base per type and running that type's
-// fixpoint. Closing the base order is memmodel's, timed by the walks. It
-// reports ns/candidate.
+// BenchmarkClassify is the checker's rung, between the walk's base
+// closure (memmodel's BenchmarkBaseClosureWalk) and whole verdicts (the
+// root BenchmarkVerdictGenerated): one Checker decides all three types
+// for every candidate that the uniproc walks of the first 24 programs of
+// the walk-level differential test visit (seed 23, at most 20,000
+// candidates each). It holds each candidate's clone and, computed before
+// the timer starts, its closed base order (Execution.BaseClosure), so it
+// times the checker's own work as classify does it once the base is
+// closed: copying the closed base into the work relation and running the
+// chain of fixpoints (Checker.decide); a candidate whose base order is
+// cyclic costs nothing, as in classify. It reports ns/candidate.
 func BenchmarkClassify(b *testing.B) {
-	var xs []*memmodel.Execution
+	type closed struct {
+		x       *memmodel.Execution
+		acyclic bool
+		base    memmodel.Relation
+	}
+	var cs []*closed
 	for _, p := range memmodeltest.Programs(23, 24, 20_000) {
 		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
-			xs = append(xs, x.Clone())
+			c := &closed{x: x.Clone()}
+			c.acyclic = x.BaseClosure(&c.base)
+			cs = append(cs, c)
 			return true
 		}, memmodel.EnumUniproc())
 		if err != nil {
@@ -155,15 +162,21 @@ func BenchmarkClassify(b *testing.B) {
 	}
 	c := NewChecker()
 	all := maskOf(AllTypes())
-	for _, x := range xs {
-		c.classify(x, all)
+	run := func() {
+		for _, cand := range cs {
+			if !cand.acyclic {
+				continue
+			}
+			c.plan.prepare(cand.x)
+			c.work.CopyFrom(&cand.base)
+			c.decide(all)
+		}
 	}
+	run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, x := range xs {
-			c.classify(x, all)
-		}
+		run()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/candidate")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cs)), "ns/candidate")
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,8 +87,8 @@ func (o Outcome) Key() string {
 	return string(b)
 }
 
-// keyBytes is the capacity Key and the Verdicts walk give a key of regs
-// registers and locs locations.
+// keyBytes is the capacity Key gives a key of regs registers and locs
+// locations.
 func keyBytes(regs, locs int) int { return 12 * (regs + locs) }
 
 // appendRegister appends the i-th register of a key, in name order.
@@ -118,62 +118,120 @@ func OutcomeOf(x *memmodel.Execution) Outcome {
 	return Outcome{Registers: x.RegisterValues(), Memory: x.FinalMemory()}
 }
 
-// OutcomeSet is the set of observable outcomes of a program under a model,
-// keyed by Outcome.Key.
+// OutcomeSet is the set of observable outcomes of a program under a
+// model, one row of values per distinct outcome: the final value of each
+// register, in name order (Registers), then of each location, in
+// ascending order (Locations), the columns Outcome.Key renders. The rows
+// are sorted by value, so a verdict's set does not depend on the order
+// its walk visited the candidates in, nor on its worker count. Keys, All
+// and Outcomes render the rows as keys or Outcome maps on demand. The
+// zero value is the empty set.
 type OutcomeSet struct {
-	byKey map[string]Outcome
-}
-
-// NewOutcomeSet returns an empty outcome set.
-func NewOutcomeSet() *OutcomeSet { return &OutcomeSet{byKey: map[string]Outcome{}} }
-
-// Add inserts an outcome.
-func (s *OutcomeSet) Add(o Outcome) { s.byKey[o.Key()] = o }
-
-// Contains reports whether an outcome with the same key is in the set.
-func (s *OutcomeSet) Contains(o Outcome) bool {
-	_, ok := s.byKey[o.Key()]
-	return ok
-}
-
-// ContainsKey reports whether an outcome with the given canonical key is in
-// the set.
-func (s *OutcomeSet) ContainsKey(key string) bool {
-	_, ok := s.byKey[key]
-	return ok
+	regs  []string
+	addrs []memmodel.Addr
+	// rows holds the outcomes back to back, len(regs)+len(addrs) values
+	// each, in ascending lexicographic order; n counts them.
+	rows []memmodel.Value
+	n    int
 }
 
 // Len returns the number of distinct outcomes.
-func (s *OutcomeSet) Len() int { return len(s.byKey) }
+func (s *OutcomeSet) Len() int { return s.n }
 
-// Keys returns the canonical keys of all outcomes, sorted.
-func (s *OutcomeSet) Keys() []string {
-	out := make([]string, 0, len(s.byKey))
-	for k := range s.byKey {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// Registers returns the names of the register columns, "P<tid>:<reg>" in
+// name order. The slice is shared and must not be modified.
+func (s *OutcomeSet) Registers() []string { return s.regs }
+
+// Locations returns the location columns, in ascending order, which
+// follow the register columns in every row. The slice is shared and must
+// not be modified.
+func (s *OutcomeSet) Locations() []memmodel.Addr { return s.addrs }
+
+// Row returns the values of outcome i, 0 <= i < Len: its registers' in
+// Registers order, then its locations' in Locations order. Rows come in
+// ascending lexicographic order of their values. The slice is shared and
+// must not be modified.
+func (s *OutcomeSet) Row(i int) []memmodel.Value {
+	w := len(s.regs) + len(s.addrs)
+	return s.rows[i*w : (i+1)*w]
 }
 
-// All iterates over the outcomes in no particular order, building
-// nothing; Outcomes sorts them.
-func (s *OutcomeSet) All() iter.Seq[Outcome] { return maps.Values(s.byKey) }
+// appendKey appends outcome i's Outcome.Key to b.
+func (s *OutcomeSet) appendKey(b []byte, i int) []byte {
+	row := s.Row(i)
+	for j, name := range s.regs {
+		b = appendRegister(b, j, name, row[j])
+	}
+	for j, a := range s.addrs {
+		b = appendLocation(b, j, a, row[len(s.regs)+j])
+	}
+	return b
+}
+
+// outcome builds outcome i's Outcome.
+func (s *OutcomeSet) outcome(i int) Outcome {
+	row := s.Row(i)
+	o := Outcome{
+		Registers: make(map[string]memmodel.Value, len(s.regs)),
+		Memory:    make(map[memmodel.Addr]memmodel.Value, len(s.addrs)),
+	}
+	for j, name := range s.regs {
+		o.Registers[name] = row[j]
+	}
+	for j, a := range s.addrs {
+		o.Memory[a] = row[len(s.regs)+j]
+	}
+	return o
+}
+
+// Keys returns the canonical keys (Outcome.Key) of all outcomes, sorted,
+// rendered straight from the rows.
+func (s *OutcomeSet) Keys() []string {
+	keys := make([]string, s.n)
+	var b []byte
+	for i := range keys {
+		b = s.appendKey(b[:0], i)
+		keys[i] = string(b)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// All iterates over the outcomes in row order, building each one's maps
+// as it goes; Outcomes sorts them by key.
+func (s *OutcomeSet) All() iter.Seq[Outcome] {
+	return func(yield func(Outcome) bool) {
+		for i := 0; i < s.n; i++ {
+			if !yield(s.outcome(i)) {
+				return
+			}
+		}
+	}
+}
 
 // Outcomes returns the outcomes sorted by key.
 func (s *OutcomeSet) Outcomes() []Outcome {
-	keys := s.Keys()
-	out := make([]Outcome, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, s.byKey[k])
+	type keyed struct {
+		key string
+		row int
+	}
+	byKey := make([]keyed, s.n)
+	for i := range byKey {
+		byKey[i] = keyed{string(s.appendKey(nil, i)), i}
+	}
+	slices.SortFunc(byKey, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]Outcome, s.n)
+	for i, k := range byKey {
+		out[i] = s.outcome(k.row)
 	}
 	return out
 }
 
-// SubsetOf reports whether every outcome in s is also in other.
+// SubsetOf reports whether every outcome in s is also in other, by key.
 func (s *OutcomeSet) SubsetOf(other *OutcomeSet) bool {
-	for k := range s.byKey {
-		if !other.ContainsKey(k) {
+	theirs := other.Keys()
+	for _, k := range s.Keys() {
+		if _, ok := slices.BinarySearch(theirs, k); !ok {
 			return false
 		}
 	}
@@ -182,7 +240,7 @@ func (s *OutcomeSet) SubsetOf(other *OutcomeSet) bool {
 
 // Equal reports whether s and other contain exactly the same outcome keys.
 func (s *OutcomeSet) Equal(other *OutcomeSet) bool {
-	return s.SubsetOf(other) && other.SubsetOf(s)
+	return slices.Equal(s.Keys(), other.Keys())
 }
 
 // Outcomes model-checks the program: it walks the candidate executions

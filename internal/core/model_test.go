@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,19 +32,19 @@ func TestOutcomeKeyWithoutMemory(t *testing.T) {
 	}
 }
 
+// TestOutcomeSetOperations checks the set operations on rows: keys and
+// outcomes render the rows' columns, Keys and Outcomes sort by key while
+// the rows sort by value (10 before 2 as keys, after it as values), and
+// the zero value is the empty set.
 func TestOutcomeSetOperations(t *testing.T) {
-	a := NewOutcomeSet()
-	b := NewOutcomeSet()
-	o1 := Outcome{Registers: map[string]memmodel.Value{"P0:r0": 0}}
-	o2 := Outcome{Registers: map[string]memmodel.Value{"P0:r0": 1}}
-	a.Add(o1)
-	b.Add(o1)
-	b.Add(o2)
+	regs, addrs := []string{"P0:r0"}, []memmodel.Addr{0}
+	a := &OutcomeSet{regs: regs, addrs: addrs, rows: []memmodel.Value{2, 1}, n: 1}
+	b := &OutcomeSet{regs: regs, addrs: addrs, rows: []memmodel.Value{2, 1, 10, 1}, n: 2}
 	if a.Len() != 1 || b.Len() != 2 {
 		t.Fatalf("Len: a=%d b=%d", a.Len(), b.Len())
 	}
-	if !a.Contains(o1) || a.Contains(o2) {
-		t.Error("Contains wrong")
+	if !slices.Equal(b.Registers(), regs) || !slices.Equal(b.Locations(), addrs) || !slices.Equal(b.Row(1), []memmodel.Value{10, 1}) {
+		t.Errorf("columns %v %v, row 1 %v", b.Registers(), b.Locations(), b.Row(1))
 	}
 	if !a.SubsetOf(b) {
 		t.Error("a should be a subset of b")
@@ -54,24 +55,27 @@ func TestOutcomeSetOperations(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("a and b are not equal")
 	}
-	a.Add(o2)
-	if !a.Equal(b) {
-		t.Error("a and b should now be equal")
+	if c := (&OutcomeSet{regs: regs, addrs: addrs, rows: slices.Clone(b.rows), n: 2}); !c.Equal(b) {
+		t.Error("sets with the same rows should be equal")
 	}
-	keys := b.Keys()
-	if len(keys) != 2 || keys[0] >= keys[1] {
-		t.Errorf("Keys not sorted: %v", keys)
+	want := []string{"P0:r0=10 | x=1", "P0:r0=2 | x=1"}
+	if keys := b.Keys(); !slices.Equal(keys, want) {
+		t.Errorf("Keys = %q, want %q", keys, want)
 	}
-	if len(b.Outcomes()) != 2 {
-		t.Error("Outcomes length wrong")
+	outcomes := b.Outcomes()
+	if len(outcomes) != 2 || outcomes[0].Key() != want[0] || outcomes[1].Key() != want[1] {
+		t.Errorf("Outcomes = %v, want the outcomes of %q", outcomes, want)
 	}
-	if !b.ContainsKey(o1.Key()) {
-		t.Error("ContainsKey wrong")
+	var all []string
+	for o := range b.All() {
+		all = append(all, o.Key())
 	}
-	// Adding a duplicate does not grow the set.
-	b.Add(o2)
-	if b.Len() != 2 {
-		t.Error("duplicate outcome grew the set")
+	if !slices.Equal(all, []string{want[1], want[0]}) {
+		t.Errorf("All yields %q, want the rows in value order", all)
+	}
+	var empty OutcomeSet
+	if empty.Len() != 0 || len(empty.Keys()) != 0 || !empty.SubsetOf(a) || a.SubsetOf(&empty) || !empty.Equal(&OutcomeSet{}) {
+		t.Error("the zero value must be the empty set")
 	}
 }
 

@@ -31,16 +31,18 @@ type Verdict struct {
 // The candidates, uniproc and com ∪ ppo ∪ bar do not depend on the type,
 // only the ato edges do, so the walk visits the candidates that satisfy
 // uniproc (memmodel.EnumUniproc) once, and its Classifier closes each
-// candidate's base order once and runs every type's fixpoint on a copy.
+// candidate's base order once and decides every type from it, several
+// types through one chain of fixpoints (Checker.decide).
 //
-// The classifier runs inside the enumeration workers, spread over
+// The classifiers run inside the enumeration workers, spread over
 // workers goroutines as memmodel.EnumWorkers defines them (workers <= 0
-// applies the candidate-count rule), and outcome collection stays
-// serialized. A candidate valid under some type is folded into the
-// per-type results through a fingerprint of its observable values, so a
-// repeated outcome costs one map probe. The verdicts are identical for
-// any workers; a cancelled ctx aborts the walk with ctx's error. A type
-// other than Type1, Type2 and Type3 is an error.
+// applies the candidate-count rule), one Checker per worker, and outcome
+// collection stays serialized. A candidate valid under some type is
+// folded into the per-type results through a fingerprint of its
+// observable values, so a repeated outcome costs one map probe. The
+// verdicts are identical for any workers, down to the order of their
+// outcome sets' rows; a cancelled ctx aborts the walk with ctx's error. A
+// type other than Type1, Type2 and Type3 is an error.
 func Verdicts(ctx context.Context, p *memmodel.Program, types []AtomicityType, workers int) ([]Verdict, error) {
 	for _, t := range types {
 		if t < Type1 || t > Type3 {
@@ -54,6 +56,7 @@ func Verdicts(ctx context.Context, p *memmodel.Program, types []AtomicityType, w
 	if err != nil {
 		return nil, err
 	}
+	col.finish()
 	out := make([]Verdict, len(types))
 	for i, t := range types {
 		out[i] = Verdict{Type: t, Valid: col.valid[t-1], Outcomes: col.set(t), Candidates: candidates}
@@ -65,30 +68,37 @@ func Verdicts(ctx context.Context, p *memmodel.Program, types []AtomicityType, w
 // per-type valid counts and outcome sets. Its add is the walk's visit,
 // which the enumeration serializes, so it needs no lock.
 //
-// A candidate's fingerprint is exactly what Outcome.Key renders: the value
-// of each register's last labeled read, in register-name order, then every
-// location's final value, in ascending location order. Every candidate of
-// a walk has the same events, so the register and location names are
-// derived once, from the first candidate, and one fingerprint is one
-// outcome: a new fingerprint builds its Outcome and key in one pass, and
-// a repeated one costs one map probe.
+// A candidate's outcome is one row of values, the columns of an
+// OutcomeSet: the value of each register's last labeled read, in
+// register-name order, then every location's final value, in ascending
+// location order. Every candidate of a walk has the same events, so the
+// columns are derived once, from the first candidate; a row's
+// fingerprint, its values' varints, identifies it, so a new outcome
+// appends its row and a repeated one costs one map probe. No key or
+// Outcome map is built.
 type outcomeCollector struct {
 	valid [3]int
-	// regs lists the registers in name order and addrs the locations in
-	// ascending order, both set from the first candidate.
+	// regs lists the registers in name order, names their names, and
+	// addrs the locations in ascending order, all set from the first
+	// candidate.
 	regs  []register
+	names []string
 	addrs []memmodel.Addr
 	fp    []byte
-	vals  []memmodel.Value
-	// seen maps a fingerprint to its index in distinct; it is nil until
-	// the first candidate.
-	seen     map[string]int
-	distinct []distinctOutcome
+	// seen maps a fingerprint to its outcome's index; it is nil until the
+	// first candidate. rows holds the distinct outcomes' rows back to
+	// back, in the order the walk found them until finish orders them by
+	// value, and classes[i] is the union of the classes of outcome i's
+	// candidates.
+	seen    map[string]int
+	rows    []memmodel.Value
+	classes []uint64
 	// The slices' first backing arrays, which fit litmus-sized programs.
-	fpBuf       [64]byte
-	valBuf      [8]memmodel.Value
-	regBuf      [8]register
-	distinctBuf [4]distinctOutcome
+	fpBuf    [64]byte
+	regBuf   [8]register
+	nameBuf  [8]string
+	rowBuf   [32]memmodel.Value
+	classBuf [4]uint64
 }
 
 // register is one named register of a walk: its Event.Register name and
@@ -96,14 +106,6 @@ type outcomeCollector struct {
 type register struct {
 	name  string
 	event int
-}
-
-// distinctOutcome is one fingerprint's outcome, the union of the classes
-// of its candidates, and its key.
-type distinctOutcome struct {
-	outcome Outcome
-	class   uint64
-	key     string
 }
 
 // add folds one visited candidate, whose class is the mask of the types
@@ -116,27 +118,29 @@ func (c *outcomeCollector) add(x *memmodel.Execution) bool {
 	if c.seen == nil {
 		c.prepare(x)
 	}
-	c.fp = c.fp[:0]
+	start := len(c.rows)
 	for _, r := range c.regs {
-		c.fp = binary.AppendVarint(c.fp, int64(x.Events[r.event].Value))
+		c.rows = append(c.rows, x.Events[r.event].Value)
 	}
-	c.vals = x.AppendFinalValues(c.vals[:0])
-	for _, v := range c.vals {
+	c.rows = x.AppendFinalValues(c.rows)
+	c.fp = c.fp[:0]
+	for _, v := range c.rows[start:] {
 		c.fp = binary.AppendVarint(c.fp, int64(v))
 	}
 	if i, ok := c.seen[string(c.fp)]; ok {
-		c.distinct[i].class |= class
+		c.classes[i] |= class
+		c.rows = c.rows[:start]
 		return true
 	}
-	c.seen[string(c.fp)] = len(c.distinct)
-	c.distinct = append(c.distinct, c.outcome(x, class))
+	c.seen[string(c.fp)] = len(c.classes)
+	c.classes = append(c.classes, class)
 	return true
 }
 
 // prepare derives the walk's registers and locations from its first
 // candidate.
 func (c *outcomeCollector) prepare(x *memmodel.Execution) {
-	c.regs, c.distinct = c.regBuf[:0], c.distinctBuf[:0]
+	c.regs = c.regBuf[:0]
 	for _, e := range x.Events {
 		name := e.Register()
 		if name == "" {
@@ -149,37 +153,57 @@ func (c *outcomeCollector) prepare(x *memmodel.Execution) {
 		}
 	}
 	slices.SortFunc(c.regs, func(a, b register) int { return strings.Compare(a.name, b.name) })
+	c.names = c.nameBuf[:0]
+	for _, r := range c.regs {
+		c.names = append(c.names, r.name)
+	}
 	c.addrs = slices.Sorted(maps.Keys(x.FinalMemory()))
-	c.seen, c.fp, c.vals = map[string]int{}, c.fpBuf[:0], c.valBuf[:0]
+	c.seen, c.fp, c.rows, c.classes = map[string]int{}, c.fpBuf[:0], c.rowBuf[:0], c.classBuf[:0]
 }
 
-// outcome builds the candidate's Outcome and its key from the values its
-// fingerprint just read.
-func (c *outcomeCollector) outcome(x *memmodel.Execution, class uint64) distinctOutcome {
-	o := Outcome{
-		Registers: make(map[string]memmodel.Value, len(c.regs)),
-		Memory:    make(map[memmodel.Addr]memmodel.Value, len(c.addrs)),
+// finish ends the collection: it orders the distinct outcomes by value,
+// so that the sets built from them do not depend on the order the walk
+// found them in, and drops the fingerprints, which would otherwise live
+// as long as the sets that share the collector's column names.
+func (c *outcomeCollector) finish() {
+	c.seen = nil
+	w := len(c.regs) + len(c.addrs)
+	order := make([]int, len(c.classes))
+	for i := range order {
+		order[i] = i
 	}
-	key := make([]byte, 0, keyBytes(len(c.regs), len(c.addrs)))
-	for i, r := range c.regs {
-		v := x.Events[r.event].Value
-		o.Registers[r.name] = v
-		key = appendRegister(key, i, r.name, v)
+	slices.SortFunc(order, func(a, b int) int {
+		return slices.Compare(c.rows[a*w:(a+1)*w], c.rows[b*w:(b+1)*w])
+	})
+	rows := make([]memmodel.Value, 0, len(c.rows))
+	classes := make([]uint64, len(order))
+	for i, o := range order {
+		rows = append(rows, c.rows[o*w:(o+1)*w]...)
+		classes[i] = c.classes[o]
 	}
-	for i, a := range c.addrs {
-		o.Memory[a] = c.vals[i]
-		key = appendLocation(key, i, a, c.vals[i])
-	}
-	return distinctOutcome{outcome: o, class: class, key: string(key)}
+	c.rows, c.classes = rows, classes
 }
 
-// set returns the outcome set of type t: the outcomes of the candidates
-// valid under it.
+// set returns the outcome set of type t, the rows of the outcomes of the
+// candidates valid under it, in sorted order; call it after finish. A type
+// valid for every outcome shares the collector's rows, which no set
+// modifies.
 func (c *outcomeCollector) set(t AtomicityType) *OutcomeSet {
-	s := &OutcomeSet{byKey: make(map[string]Outcome, len(c.distinct))}
-	for _, d := range c.distinct {
-		if d.class&t.Bit() != 0 {
-			s.byKey[d.key] = d.outcome
+	s := &OutcomeSet{regs: c.names, addrs: c.addrs}
+	for _, class := range c.classes {
+		if class&t.Bit() != 0 {
+			s.n++
+		}
+	}
+	if s.n == len(c.classes) {
+		s.rows = c.rows
+		return s
+	}
+	w := len(c.regs) + len(c.addrs)
+	s.rows = make([]memmodel.Value, 0, s.n*w)
+	for i, class := range c.classes {
+		if class&t.Bit() != 0 {
+			s.rows = append(s.rows, c.rows[i*w:(i+1)*w]...)
 		}
 	}
 	return s

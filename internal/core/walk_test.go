@@ -12,11 +12,11 @@ import (
 
 // TestVerdictOutcomesMatchOutcomeOf holds the outcome collector of the
 // Verdicts walk, which fingerprints a candidate by the values its outcome
-// key renders and builds each distinct outcome and its key once, to
+// key renders and keeps each distinct outcome as one row of values, to
 // OutcomeOf. On 100 generated programs, each type's verdict must count
 // the executions Model.ValidExecutionsFunc visits under that type, hold
-// exactly the keys OutcomeOf(x).Key() gives over them, and store every
-// outcome under its own Key().
+// exactly the keys OutcomeOf(x).Key() gives over them, and build from
+// its rows outcomes whose Key() is the key it renders from them.
 func TestVerdictOutcomesMatchOutcomeOf(t *testing.T) {
 	ctx := context.Background()
 	outcomes := 0
@@ -36,13 +36,14 @@ func TestVerdictOutcomesMatchOutcomeOf(t *testing.T) {
 				t.Fatalf("%s under %s: %v", p.Name, v.Type, err)
 			}
 			wantKeys := slices.Sorted(maps.Keys(want))
-			if got := v.Outcomes.Keys(); v.Valid != valid || !slices.Equal(got, wantKeys) {
+			got := v.Outcomes.Keys()
+			if v.Valid != valid || !slices.Equal(got, wantKeys) {
 				t.Errorf("%s under %s: the verdict counts %d valid executions with outcomes %q; OutcomeOf gives %d and %q",
 					p.Name, v.Type, v.Valid, got, valid, wantKeys)
 			}
-			for k, o := range v.Outcomes.byKey {
-				if o.Key() != k {
-					t.Errorf("%s under %s: the outcome stored under %q has key %q", p.Name, v.Type, k, o.Key())
+			for i, o := range v.Outcomes.Outcomes() {
+				if k := got[i]; o.Key() != k {
+					t.Errorf("%s under %s: the outcome built for %q has key %q", p.Name, v.Type, k, o.Key())
 				}
 			}
 			outcomes += len(wantKeys)

@@ -2,8 +2,10 @@ package cpp11
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/memmodel"
 )
@@ -220,21 +222,24 @@ func (c *checker) racy(x *memmodel.Execution, hb *memmodel.Relation) bool {
 }
 
 // RegisterKey renders a register valuation canonically, e.g.
-// "P0:r0=0 P1:r1=1".
+// "P0:r0=0 P1:r1=1": the registers in name order.
 func RegisterKey(regs map[string]memmodel.Value) string {
-	keys := make([]string, 0, len(regs))
-	for k := range regs {
-		keys = append(keys, k)
+	var b []byte
+	for _, k := range slices.Sorted(maps.Keys(regs)) {
+		b = appendRegisterTerm(b, k, regs[k])
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%d", k, int(regs[k]))
+	return string(b)
+}
+
+// appendRegisterTerm appends the term "<name>=<v>" of a RegisterKey to b,
+// after a space when b already holds a term.
+func appendRegisterTerm(b []byte, name string, v memmodel.Value) []byte {
+	if len(b) > 0 {
+		b = append(b, ' ')
 	}
-	return b.String()
+	b = append(b, name...)
+	b = append(b, '=')
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 // Semantics summarizes the program's behaviour under the C/C++11 model.

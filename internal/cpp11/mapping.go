@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -102,13 +102,17 @@ func translate(p *Program, name string, scLoadRMW, scStoreRMW bool) *memmodel.Pr
 func ProjectOutcome(o core.Outcome) map[string]memmodel.Value {
 	out := map[string]memmodel.Value{}
 	for k, v := range o.Registers {
-		if strings.Contains(k, ":_scw") {
+		if hidden(k) {
 			continue
 		}
 		out[k] = v
 	}
 	return out
 }
+
+// hidden reports whether a "P<tid>:<reg>" register is one that Compile
+// introduced for an SC store.
+func hidden(register string) bool { return strings.Contains(register, ":_scw") }
 
 // ValidationResult reports whether a mapping is a correct compilation
 // scheme for a program under a given RMW atomicity type: every outcome the
@@ -199,18 +203,26 @@ func (s *Semantics) Validate(ctx context.Context, m Mapping, types []core.Atomic
 }
 
 // result compares one type's TSO outcomes of the compiled program with
-// the program's C/C++11 outcomes.
+// the program's C/C++11 outcomes. It projects each outcome row onto the
+// source program's registers (ProjectOutcome) and renders the projection
+// as its RegisterKey straight from the row: the set's register columns
+// are in name order, as RegisterKey sorts them.
 func (s *Semantics) result(m Mapping, v core.Verdict) ValidationResult {
 	res := ValidationResult{Program: s.p.Name, Mapping: m, Atomicity: v.Type, Racy: s.Racy}
 	res.CPPOutcomes = s.OutcomeKeys()
-	tsoKeys := map[string]bool{}
-	for o := range v.Outcomes.All() {
-		tsoKeys[RegisterKey(ProjectOutcome(o))] = true
+	regs := v.Outcomes.Registers()
+	var b []byte
+	for i := 0; i < v.Outcomes.Len(); i++ {
+		b = b[:0]
+		for j, val := range v.Outcomes.Row(i)[:len(regs)] {
+			if !hidden(regs[j]) {
+				b = appendRegisterTerm(b, regs[j], val)
+			}
+		}
+		res.TSOOutcomes = append(res.TSOOutcomes, string(b))
 	}
-	for k := range tsoKeys {
-		res.TSOOutcomes = append(res.TSOOutcomes, k)
-	}
-	sort.Strings(res.TSOOutcomes)
+	slices.Sort(res.TSOOutcomes)
+	res.TSOOutcomes = slices.Compact(res.TSOOutcomes)
 
 	res.Sound = true
 	if !res.Racy {

@@ -35,7 +35,8 @@ import (
 // appearance, so using x, y, z, ... matches the package's address naming.
 // The final line is the condition: exists, ~exists or forall over a
 // conjunction of "P<tid>:<reg>=<val>" register terms and "<loc>=<val>"
-// final-memory terms.
+// final-memory terms. A register term must name a register that a load
+// or RMW of thread <tid> writes; a memory term may name any location.
 func Parse(src string) (*Test, error) {
 	p := &parser{
 		test:    &Test{Program: memmodel.NewProgram("")},
@@ -50,6 +51,9 @@ func Parse(src string) (*Test, error) {
 		if err := p.line(line); err != nil {
 			return nil, fmt.Errorf("litmus: line %d: %w", lineNo+1, err)
 		}
+		if p.haveCond && p.condLine == 0 {
+			p.condLine = lineNo + 1
+		}
 	}
 	if p.test.Name == "" {
 		return nil, fmt.Errorf("litmus: missing name")
@@ -63,7 +67,28 @@ func Parse(src string) (*Test, error) {
 	if err := p.test.Program.Validate(); err != nil {
 		return nil, err
 	}
+	for _, term := range p.test.Cond.Terms {
+		if !term.IsMemory && !writesRegister(p.test.Program, term.Register) {
+			return nil, fmt.Errorf("litmus: line %d: condition term %s: no load or RMW of the program writes %s", p.condLine, term, term.Register)
+		}
+	}
 	return p.test, nil
+}
+
+// writesRegister reports whether a load or RMW of the program writes the
+// register named "P<tid>:<reg>".
+func writesRegister(prog *memmodel.Program, name string) bool {
+	thread, reg, _ := strings.Cut(name, ":")
+	tid, err := strconv.Atoi(strings.TrimPrefix(thread, "P"))
+	if err != nil || tid < 0 || tid >= len(prog.Threads) || thread != "P"+strconv.Itoa(tid) || reg == "" {
+		return false
+	}
+	for _, in := range prog.Threads[tid] {
+		if (in.Kind == memmodel.InstrRead || in.Kind == memmodel.InstrRMW) && in.Reg == reg {
+			return true
+		}
+	}
+	return false
 }
 
 type parser struct {
@@ -71,6 +96,7 @@ type parser struct {
 	addrs    map[string]memmodel.Addr
 	current  int // index of the thread being filled, -1 before the first
 	haveCond bool
+	condLine int // the line of the condition, once parsed
 }
 
 func (p *parser) addr(name string) memmodel.Addr {

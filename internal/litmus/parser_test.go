@@ -245,26 +245,63 @@ func TestFormatContainsConditionAndThreads(t *testing.T) {
 	}
 }
 
+// TestTermHolds evaluates single terms against a program's one outcome,
+// P0:r0=3 | x=3 z=7: a term holds when its column holds its value, and a
+// register or location the outcomes have no column for reads as 0.
 func TestTermHolds(t *testing.T) {
-	o := core.Outcome{
-		Registers: map[string]memmodel.Value{"P0:r0": 3},
-		Memory:    map[memmodel.Addr]memmodel.Value{2: 7},
+	p := memmodel.NewProgram("one-outcome")
+	p.SetInit(0, 3)
+	p.AddThread(memmodel.Read(0, "r0"), memmodel.Write(2, 7))
+	set := outcomeSet(t, p)
+	if set.Len() != 1 {
+		t.Fatalf("%d outcomes, want 1: %v", set.Len(), set.Keys())
 	}
-	if !(Term{Register: "P0:r0", Value: 3}).Holds(o) {
+	holds := func(term Term) bool { return ExistsCond(term).Evaluate(set) }
+	if !holds(Term{Register: "P0:r0", Value: 3}) {
 		t.Error("register term should hold")
 	}
-	if (Term{Register: "P0:r0", Value: 4}).Holds(o) {
+	if holds(Term{Register: "P0:r0", Value: 4}) {
 		t.Error("register term should not hold")
 	}
-	if !(Term{IsMemory: true, Addr: 2, Value: 7}).Holds(o) {
+	if !holds(Term{IsMemory: true, Addr: 2, Value: 7}) {
 		t.Error("memory term should hold")
 	}
-	if (Term{IsMemory: true, Addr: 2, Value: 8}).Holds(o) {
+	if holds(Term{IsMemory: true, Addr: 2, Value: 8}) {
 		t.Error("memory term should not hold")
 	}
-	// Missing keys compare against the zero value.
-	if !(Term{Register: "P9:r9", Value: 0}).Holds(o) {
+	// Missing columns compare against the zero value.
+	if !holds(Term{Register: "P9:r9", Value: 0}) || holds(Term{Register: "P9:r9", Value: 1}) {
 		t.Error("missing register should read as 0")
+	}
+	if !holds(Term{IsMemory: true, Addr: 1, Value: 0}) || holds(Term{IsMemory: true, Addr: 1, Value: 1}) {
+		t.Error("missing location should read as 0")
+	}
+}
+
+// TestParseRejectsUnwrittenRegister pins that a register term must name a
+// register some load or RMW of its thread writes, since any other reads 0
+// in every outcome: a thread out of range, a register its thread never
+// writes and one only another thread writes are errors naming the term,
+// while memory terms may name any location.
+func TestParseRejectsUnwrittenRegister(t *testing.T) {
+	const sb = `name: SB
+thread P0:
+  store x, 1
+  r0 = load y
+thread P1:
+  a1 = xchg y, 1
+  store z, 1
+`
+	for _, term := range []string{"P7:r9=0", "P0:r9=0", "P1:r0=0", "P0:=0", "Px:r0=0"} {
+		_, err := Parse(sb + "exists (P0:r0=0 /\\ " + term + ")\n")
+		if err == nil || !strings.Contains(err.Error(), term) || !strings.Contains(err.Error(), "line 8") {
+			t.Errorf("condition term %s: Parse error %v, want one naming the term on line 8", term, err)
+		}
+	}
+	for _, cond := range []string{"exists (P0:r0=0 /\\ P1:a1=1)", "forall (w=0)", "~exists (x=1 /\\ P0:r0=1)"} {
+		if _, err := Parse(sb + cond + "\n"); err != nil {
+			t.Errorf("%s: %v", cond, err)
+		}
 	}
 }
 

@@ -2,8 +2,6 @@ package litmus
 
 import (
 	"context"
-	"iter"
-	"slices"
 	"strings"
 	"testing"
 
@@ -148,11 +146,27 @@ func TestRunWithoutExpectationMatches(t *testing.T) {
 	}
 }
 
+// outcomeSet returns the program's outcome set under type-1.
+func outcomeSet(t *testing.T, p *memmodel.Program) *core.OutcomeSet {
+	t.Helper()
+	s, err := core.NewModel(core.Type1).Outcomes(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestConditionEvaluate(t *testing.T) {
-	o0 := core.Outcome{Registers: map[string]memmodel.Value{"P0:r0": 0}}
-	o1 := core.Outcome{Registers: map[string]memmodel.Value{"P0:r0": 1}}
-	set := func(os ...core.Outcome) iter.Seq[core.Outcome] { return slices.Values(os) }
-	outcomes := set(o0, o1)
+	// P0 reads x while P1 writes 1 to it, so r0 ends 0 or 1; a lone read
+	// of x always reads 0.
+	race := memmodel.NewProgram("read-race")
+	race.AddThread(memmodel.Read(0, "r0"))
+	race.AddThread(memmodel.Write(0, 1))
+	outcomes := outcomeSet(t, race)
+	lone := memmodel.NewProgram("lone-read")
+	lone.AddThread(memmodel.Read(0, "r0"))
+	uniform := outcomeSet(t, lone)
+	var none core.OutcomeSet
 
 	ex := ExistsCond(Term{Register: "P0:r0", Value: 1})
 	if !ex.Evaluate(outcomes) {
@@ -166,17 +180,21 @@ func TestConditionEvaluate(t *testing.T) {
 	if fa.Evaluate(outcomes) {
 		t.Error("forall should fail when an outcome differs")
 	}
-	if !fa.Evaluate(set(o0)) {
+	if !fa.Evaluate(uniform) {
 		t.Error("forall should hold on a uniform set")
 	}
-	if ex.Evaluate(set()) {
+	if ex.Evaluate(&none) {
 		t.Error("exists over no outcomes must be false")
 	}
-	if !nex.Evaluate(set()) {
+	if !nex.Evaluate(&none) {
 		t.Error("~exists over no outcomes must be true")
 	}
-	if !fa.Evaluate(set()) {
+	if !fa.Evaluate(&none) {
 		t.Error("forall over no outcomes must be true (vacuous)")
+	}
+	both := ExistsCond(Term{Register: "P0:r0", Value: 1}, MemTerm(0, 1))
+	if !both.Evaluate(outcomes) || ExistsCond(Term{Register: "P0:r0", Value: 1}, MemTerm(0, 0)).Evaluate(outcomes) {
+		t.Error("a conjunction must hold exactly when every term does")
 	}
 }
 

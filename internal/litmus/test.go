@@ -9,7 +9,7 @@ package litmus
 import (
 	"context"
 	"fmt"
-	"iter"
+	"slices"
 	"sort"
 	"strings"
 
@@ -68,12 +68,16 @@ func (t Term) String() string {
 	return fmt.Sprintf("%s=%d", t.Register, int(t.Value))
 }
 
-// Holds reports whether the outcome satisfies the term.
-func (t Term) Holds(o core.Outcome) bool {
-	if t.IsMemory {
-		return o.Memory[t.Addr] == t.Value
+// column returns the index of the term's column in the rows of s, or -1
+// when s has none, as for a location no instruction accesses.
+func (t Term) column(s *core.OutcomeSet) int {
+	if !t.IsMemory {
+		return slices.Index(s.Registers(), t.Register)
 	}
-	return o.Registers[t.Register] == t.Value
+	if i := slices.Index(s.Locations(), t.Addr); i >= 0 {
+		return len(s.Registers()) + i
+	}
+	return -1
 }
 
 // Condition is a quantified conjunction of terms, in the style of herd/litmus
@@ -102,44 +106,38 @@ func NotExistsCond(terms ...Term) Condition { return Condition{Quantifier: NotEx
 // ForallCond builds a universal condition over the terms.
 func ForallCond(terms ...Term) Condition { return Condition{Quantifier: Forall, Terms: terms} }
 
-// Proposition reports whether the conjunction of terms holds for the
-// outcome.
-func (c Condition) Proposition(o core.Outcome) bool {
-	for _, t := range c.Terms {
-		if !t.Holds(o) {
-			return false
-		}
-	}
-	return true
-}
-
-// Evaluate applies the quantifier over a set of outcomes, in any order.
-func (c Condition) Evaluate(outcomes iter.Seq[core.Outcome]) bool {
+// Evaluate applies the quantifier over an outcome set: the conjunction of
+// terms holds for an outcome when each term's column of its row holds the
+// term's value, a term without a column reading 0.
+func (c Condition) Evaluate(s *core.OutcomeSet) bool {
 	switch c.Quantifier {
-	case Exists:
-		for o := range outcomes {
-			if c.Proposition(o) {
-				return true
-			}
-		}
-		return false
-	case NotExists:
-		for o := range outcomes {
-			if c.Proposition(o) {
-				return false
-			}
-		}
-		return true
-	case Forall:
-		for o := range outcomes {
-			if !c.Proposition(o) {
-				return false
-			}
-		}
-		return true
+	case Exists, NotExists, Forall:
 	default:
 		return false
 	}
+	var buf [8]int
+	cols := buf[:0]
+	for _, t := range c.Terms {
+		cols = append(cols, t.column(s))
+	}
+	for i := 0; i < s.Len(); i++ {
+		row, holds := s.Row(i), true
+		for j, t := range c.Terms {
+			v := memmodel.Value(0)
+			if cols[j] >= 0 {
+				v = row[cols[j]]
+			}
+			if v != t.Value {
+				holds = false
+				break
+			}
+		}
+		if holds != (c.Quantifier == Forall) {
+			// A witness for exists or ~exists, a counterexample for forall.
+			return c.Quantifier == Exists
+		}
+	}
+	return c.Quantifier != Exists
 }
 
 // String renders the condition in litmus syntax.
@@ -225,7 +223,7 @@ func (t *Test) Check(ctx context.Context, types []core.AtomicityType, workers in
 	}
 	out := make([]Result, len(vs))
 	for i, v := range vs {
-		holds := t.Cond.Evaluate(v.Outcomes.All())
+		holds := t.Cond.Evaluate(v.Outcomes)
 		out[i] = Result{
 			Test:            t,
 			Atomicity:       v.Type,

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"os"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -15,34 +18,19 @@ import (
 	"repro/internal/memmodel/memmodeltest"
 )
 
-// storeLoadX3 is a 303-byte inline program: three threads, each storing
-// to and then loading x three times. Its one location has 9! write orders
-// and 10^9 reads-from assignments, 3.6×10^14 candidates, of which
-// 1,824,912 satisfy uniproc.
-const storeLoadX3 = `name: big
-thread P0:
-  store x, 1
-  r0 = load x
-  store x, 2
-  r1 = load x
-  store x, 3
-  r2 = load x
-thread P1:
-  store x, 4
-  r0 = load x
-  store x, 5
-  r1 = load x
-  store x, 6
-  r2 = load x
-thread P2:
-  store x, 7
-  r0 = load x
-  store x, 8
-  r1 = load x
-  store x, 9
-  r2 = load x
-exists (P0:r0=0)
-`
+// storeLoadX3 returns testdata/storeloadx3.litmus, a 303-byte inline
+// program: three threads, each storing to and then loading x three times.
+// Its one location has 9! write orders and 10^9 reads-from assignments,
+// 3.6×10^14 candidates, of which 1,824,912 satisfy uniproc. CI's
+// litmus-smoke job checks its verdicts through cmd/litmus.
+func storeLoadX3(t *testing.T) string {
+	t.Helper()
+	src, err := os.ReadFile("testdata/storeloadx3.litmus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(src)
+}
 
 // walkTests returns the programs of the walk-level differential as
 // tests: 100 generated programs of at most 20,000 candidates, every
@@ -101,9 +89,9 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 		visits := 0
 		var want []string
 		valid := map[core.AtomicityType]int{}
-		outcomes := map[core.AtomicityType]*core.OutcomeSet{}
+		outcomes := map[core.AtomicityType]map[string]core.Outcome{}
 		for _, typ := range types {
-			outcomes[typ] = core.NewOutcomeSet()
+			outcomes[typ] = map[string]core.Outcome{}
 		}
 		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
 			visits++
@@ -114,7 +102,8 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 			for _, typ := range types {
 				if core.Valid(x, typ) {
 					valid[typ]++
-					outcomes[typ].Add(core.OutcomeOf(x))
+					o := core.OutcomeOf(x)
+					outcomes[typ][o.Key()] = o
 				}
 			}
 			return true
@@ -154,16 +143,45 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 				}
 				for i, res := range results {
 					typ := set[i]
-					holds := test.Cond.Evaluate(slices.Values(outcomes[typ].Outcomes()))
+					holds := condHolds(test.Cond, outcomes[typ])
+					wantKeys := slices.Sorted(maps.Keys(outcomes[typ]))
 					if res.Atomicity != typ || res.Candidates != count || res.ValidExecutions != valid[typ] ||
-						res.Holds != holds || !res.Outcomes.Equal(outcomes[typ]) {
+						res.Holds != holds || !slices.Equal(res.Outcomes.Keys(), wantKeys) {
 						t.Errorf("%s under %s (of %v, workers=%d): check %s candidates=%d valid=%d holds=%t outcomes=%v; full walk %d, %d, %t, %v",
 							p.Name, typ, set, workers, res.Atomicity, res.Candidates, res.ValidExecutions, res.Holds,
-							res.Outcomes.Keys(), count, valid[typ], holds, outcomes[typ].Keys())
+							res.Outcomes.Keys(), count, valid[typ], holds, wantKeys)
 					}
 				}
 			}
 		}
+	}
+}
+
+// condHolds is the reference evaluation of a condition over outcomes
+// keyed by Outcome.Key, reading each term from an outcome's maps, where a
+// missing register or location reads 0.
+func condHolds(c Condition, outcomes map[string]core.Outcome) bool {
+	witnesses := 0
+	for _, o := range outcomes {
+		holds := true
+		for _, term := range c.Terms {
+			v := o.Registers[term.Register]
+			if term.IsMemory {
+				v = o.Memory[term.Addr]
+			}
+			holds = holds && v == term.Value
+		}
+		if holds {
+			witnesses++
+		}
+	}
+	switch c.Quantifier {
+	case Exists:
+		return witnesses > 0
+	case NotExists:
+		return witnesses == 0
+	default:
+		return witnesses == len(outcomes)
 	}
 }
 
@@ -176,7 +194,6 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 func TestTypeStrengthInclusion(t *testing.T) {
 	ctx := context.Background()
 	types := core.AllTypes()
-	classify := core.Classifier(types...)
 	walked := 0
 	for _, test := range walkTests(t) {
 		p := test.Program
@@ -189,9 +206,10 @@ func TestTypeStrengthInclusion(t *testing.T) {
 				}
 			}
 			return true
-		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func(x *memmodel.Execution) uint64 {
+		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func() func(*memmodel.Execution) uint64 {
+			classify := core.Classifier(types...)()
 			// Keep every walked candidate: bit 63 marks the visit.
-			return classify(x) | 1<<63
+			return func(x *memmodel.Execution) uint64 { return classify(x) | 1<<63 }
 		}))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -211,6 +229,30 @@ func TestTypeStrengthInclusion(t *testing.T) {
 	}
 	if walked == 0 {
 		t.Fatal("no candidate walked")
+	}
+}
+
+// TestVerdictsSameAtAnyWorkers pins that a verdict does not depend on its
+// worker count: the parallel walk visits candidates in completion order,
+// so the outcome sets' rows must be sorted, and core.Verdicts of every
+// walk-test program under all three types must be reflect.DeepEqual at 1,
+// 2 and 8 workers, outcome sets included.
+func TestVerdictsSameAtAnyWorkers(t *testing.T) {
+	ctx := context.Background()
+	for _, test := range walkTests(t) {
+		want, err := core.Verdicts(ctx, test.Program, core.AllTypes(), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", test.Name, err)
+		}
+		for _, workers := range []int{2, 8} {
+			got, err := core.Verdicts(ctx, test.Program, core.AllTypes(), workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", test.Name, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the verdicts at %d workers differ from one worker's:\n%+v\n%+v", test.Name, workers, got, want)
+			}
+		}
 	}
 }
 
@@ -235,10 +277,11 @@ func TestCountCandidatesLargeInlineProgram(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's slowdown makes the time bound meaningless")
 	}
-	if len(storeLoadX3) != 303 {
-		t.Fatalf("the program source is %d bytes, want 303", len(storeLoadX3))
+	src := storeLoadX3(t)
+	if len(src) != 303 {
+		t.Fatalf("the program source is %d bytes, want 303", len(src))
 	}
-	test, err := Parse(storeLoadX3)
+	test, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +303,7 @@ func TestCountCandidatesLargeInlineProgram(t *testing.T) {
 // shares (seconds of work): the check must stop with context.Canceled
 // within a second, sequential or parallel.
 func TestRunParallelCancelDuringTableBuild(t *testing.T) {
-	test, err := Parse(storeLoadX3)
+	test, err := Parse(storeLoadX3(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,14 +37,15 @@ func TestScanSteadyStateAllocationFree(t *testing.T) {
 		}
 		arena := sp.newArena()
 		var base Relation
+		baseValid := func(x *Execution) uint64 {
+			if x.Uniproc() && x.BaseClosure(&base) {
+				return 1
+			}
+			return 0
+		}
 		cfg := &enumConfig{
-			ctx: context.Background(),
-			classify: func(x *Execution) uint64 {
-				if x.Uniproc() && x.BaseClosure(&base) {
-					return 1
-				}
-				return 0
-			},
+			ctx:      context.Background(),
+			classify: func() func(*Execution) uint64 { return baseValid },
 		}
 		visited := 0
 		emit := func(x *Execution) bool {

@@ -111,3 +111,67 @@ func sameRelation(a, b *memmodel.Relation) bool {
 	}
 	return true
 }
+
+// BenchmarkBaseClosureWalk is the base closure's rung, between closed
+// insertion (BenchmarkAddClosed) and the checker (internal/core's
+// BenchmarkClassify): it walks the uniproc candidates of the first 24
+// programs of the walk-level differential test (seed 23, at most 20,000
+// candidates each), one reused arena per program, and closes each
+// candidate's base order as a verdict's classifier does
+// (Execution.BaseClosure, rebuilding only the steps the odometer
+// invalidated). It reports ns/candidate, assembly included, and
+// insertions/candidate: the closed insertions of the steps rebuilt, a
+// step that closes a cycle counted whole.
+func BenchmarkBaseClosureWalk(b *testing.B) {
+	var (
+		walks []*memmodel.Walk
+		// candidate[i] assembles candidate g of walks[i] in its arena.
+		candidate  []func(g int) *memmodel.Execution
+		candidates int
+		insertions int
+		r          memmodel.Relation
+	)
+	for _, p := range memmodeltest.Programs(23, 24, 20_000) {
+		w, err := memmodel.NewWalk(p, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		arena := w.NewArena()
+		walks = append(walks, w)
+		candidate = append(candidate, func(g int) *memmodel.Execution { return w.Candidate(g, arena) })
+	}
+	for i, w := range walks {
+		for g := 0; g < w.Total(); g++ {
+			x := candidate[i](g)
+			if x == nil {
+				continue
+			}
+			candidates++
+			built, cyclic := x.ClosureProgress()
+			x.BaseClosure(&r)
+			if cyclic {
+				continue
+			}
+			after, nowCyclic := x.ClosureProgress()
+			for k := built; k < after; k++ {
+				insertions += x.StepInsertions(k)
+			}
+			if nowCyclic {
+				insertions += x.StepInsertions(after)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i, w := range walks {
+			for g := 0; g < w.Total(); g++ {
+				if x := candidate[i](g); x != nil {
+					x.BaseClosure(&r)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*candidates), "ns/candidate")
+	b.ReportMetric(float64(insertions)/float64(candidates), "insertions/candidate")
+}

@@ -122,6 +122,9 @@ type locSpace struct {
 	// size is the full walk's number of local indices, the product of the
 	// reads' choice counts times writes!.
 	size int
+	// step is the base-closure step of the location's ws chain, which its
+	// reads' steps follow (Execution.BaseClosure; built by buildWalk).
+	step int
 	// table lists the local indices of the shares that pass uniproc, for
 	// the uniproc walk.
 	table []int
@@ -330,6 +333,7 @@ func (sp *enumSpace) buildWalk(ctx context.Context, uniproc bool) error {
 	backing := make([]int, 0, len(sp.reads))
 	for l := range sp.locs {
 		start := len(backing)
+		sp.locs[l].step = l + start
 		for _, pos := range sp.locs[l].reads {
 			backing = append(backing, sp.reads[pos])
 		}
@@ -519,39 +523,46 @@ func (s *tableSearch) tick() error {
 // the last location's digit, so a candidate reassigns, and re-propagates
 // the values of, only the locations whose digit differs from the slot's,
 // and the slot's base closure rebuilds only its levels from the first
-// such location on (Execution.BaseClosure).
+// step whose edges changed on: the ws chain of the first such location
+// when its ws order changed, otherwise its first read whose source
+// changed (Execution.BaseClosure).
 type enumArena struct {
 	det  []bool
 	slot *Execution
-	// digits[l] is location l's digit in the candidate the slot holds, -1
+	// digits[l] is location l's digit in the candidate the slot holds,
+	// and ws[l] and rf[l] the ws and rf parts of its local index, all -1
 	// before the first; cyclic[l] reports that location l's rf choice has
 	// a cyclic RMW value dependency, and cycles counts such locations.
-	digits []int
-	cyclic []bool
-	cycles int
+	digits, ws, rf []int
+	cyclic         []bool
+	cycles         int
 }
 
 // newArena builds an arena for one walker.
 func (sp *enumSpace) newArena() *enumArena {
-	a := &enumArena{
+	n := len(sp.locs)
+	digits := make([]int, 3*n)
+	for i := range digits {
+		digits[i] = -1
+	}
+	return &enumArena{
 		det:    make([]bool, len(sp.events)),
 		slot:   sp.newSlot(),
-		digits: make([]int, len(sp.locs)),
-		cyclic: make([]bool, len(sp.locs)),
+		digits: digits[:n:n],
+		ws:     digits[n : 2*n : 2*n],
+		rf:     digits[2*n:],
+		cyclic: make([]bool, n),
 	}
-	for l := range a.digits {
-		a.digits[l] = -1
-	}
-	return a
 }
 
 // newSlot builds one reusable execution: its events are copies of the
 // space's templates (values are rewritten per candidate), its ws orders
-// alias the shared permutation tables, and its relations share the space's
-// candidate-independent set.
+// alias the shared permutation tables, its relations share the space's
+// candidate-independent set, and its base closure takes one step per
+// location and one per read.
 func (sp *enumSpace) newSlot() *Execution {
 	n := len(sp.events)
-	x := &Execution{Program: sp.p, inv: sp.inv, locReads: sp.locReads}
+	x := &Execution{Program: sp.p, inv: sp.inv, locReads: sp.locReads, steps: len(sp.locs) + len(sp.reads)}
 	evs := make([]Event, n)
 	x.Events = make([]*Event, n)
 	for i, e := range sp.events {
@@ -578,10 +589,11 @@ func (sp *enumSpace) newSlot() *Execution {
 // Only the locations whose digit differs from the slot's are reassigned
 // and re-propagated; the others keep their rf and ws choices and values,
 // which depend on their own digit alone. A location with a value cycle
-// keeps the candidate dropped until its digit moves.
+// keeps the candidate dropped until its digit moves. The slot's closure
+// levels are invalidated from the first step whose edges changed on.
 func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
 	x := a.slot
-	first := len(sp.locs)
+	first, moved := len(sp.locs)+len(sp.reads), false
 	for l := len(sp.locs) - 1; l >= 0; l-- {
 		loc := &sp.locs[l]
 		var d int
@@ -596,17 +608,25 @@ func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
 		if d == a.digits[l] {
 			continue
 		}
-		a.digits[l], first = d, l
+		a.digits[l], moved = d, true
 		if sp.uniproc {
 			d = loc.table[d]
 		}
-		x.wsOrders[l] = loc.ws[d%len(loc.ws)]
-		d /= len(loc.ws)
-		for i := len(loc.reads) - 1; i >= 0; i-- {
-			pos := loc.reads[i]
-			c := sp.choices[pos]
-			x.rf[sp.reads[pos]] = c[d%len(c)]
-			d /= len(c)
+		if ws := d % len(loc.ws); ws != a.ws[l] {
+			a.ws[l], x.wsOrders[l] = ws, loc.ws[ws]
+			first = min(first, loc.step)
+		}
+		if d /= len(loc.ws); d != a.rf[l] {
+			a.rf[l] = d
+			for i := len(loc.reads) - 1; i >= 0; i-- {
+				pos := loc.reads[i]
+				c := sp.choices[pos]
+				if w := c[d%len(c)]; w != x.rf[sp.reads[pos]] {
+					x.rf[sp.reads[pos]] = w
+					first = min(first, loc.step+1+i)
+				}
+				d /= len(c)
+			}
 		}
 		if cyclic := !sp.propagate(x, a, loc); cyclic != a.cyclic[l] {
 			a.cyclic[l] = cyclic
@@ -617,7 +637,7 @@ func (sp *enumSpace) candidate(g int, a *enumArena) *Execution {
 			}
 		}
 	}
-	if first < len(sp.locs) {
+	if moved {
 		x.reassigned(first)
 	}
 	if a.cycles > 0 {

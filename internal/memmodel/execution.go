@@ -51,11 +51,15 @@ type Execution struct {
 
 	haveWS, haveRF, haveRFE, haveFR bool
 
-	// levels holds levels 1 to len(wsOrders) of BaseClosure back to back,
-	// each the rows of a relation over Events: level l+1 is the closure of
-	// ppo ∪ bar with the ws, rfe and fr edges of locations 0 to l. The
-	// first built levels are the current candidate's; cyclic reports that
-	// location built's edges close a cycle on them.
+	// A walk slot (EnumerateFunc) closes its base order in steps, steps
+	// of them: location by location, in ascending order, the location's
+	// ws chain and then each of its reads' rfe and fr edges, in event
+	// order. levels holds the slot's closures back to back, level k being
+	// the closure of ppo ∪ bar with the edges of steps 0 to k, allocated
+	// on first use; the first built levels are the current candidate's,
+	// and cyclic reports that step built's edges close a cycle on them.
+	// Hand-built and cloned executions have no steps.
+	steps  int
 	levels []uint64
 	built  int
 	cyclic bool
@@ -161,7 +165,8 @@ func newInvariantRels(events []*Event) *invariantRels {
 // index -> source write event index) and per-location coherence orders. It
 // is the map-edge constructor for hand-built executions and tests; the
 // enumerator assembles executions directly into arena slots. A location
-// that an event accesses but ws gives no order has an empty one.
+// that an event accesses but ws gives no order has an empty one, so that
+// BaseClosure finds each read under its location.
 func NewExecution(p *Program, events []*Event, rf map[int]int, ws map[Addr][]int) *Execution {
 	x := &Execution{Program: p, Events: events}
 	x.rf = make([]int, len(events))
@@ -228,13 +233,13 @@ func (x *Execution) Clone() *Execution {
 func (x *Execution) Class() uint64 { return x.class }
 
 // reassigned invalidates what the slot derived from its previous
-// candidate's rf and ws choices when the candidate at locations l and
-// above changes: the cached per-candidate relations and the base closure's
-// levels from l on. The arena calls it when it reassembles the slot.
-func (x *Execution) reassigned(l int) {
+// candidate's rf and ws choices: the cached per-candidate relations and
+// the base closure's levels from step k on, the first step whose edges
+// changed. The arena calls it when it reassembles the slot.
+func (x *Execution) reassigned(k int) {
 	x.haveWS, x.haveRF, x.haveRFE, x.haveFR = false, false, false, false
-	if l <= x.built {
-		x.built, x.cyclic = l, false
+	if k <= x.built {
+		x.built, x.cyclic = k, false
 	}
 }
 
@@ -427,46 +432,69 @@ func (x *Execution) BaseOrder() *Relation {
 // BaseClosure makes dst the transitive closure of BaseOrder, com ∪ ppo ∪
 // bar, and reports whether that order is acyclic: the execution is valid
 // in the base TSO model when it also satisfies Uniproc. RMW atomicity
-// constraints are checked separately by internal/core. dst is left
-// unchanged when the order is cyclic.
+// constraints are checked separately by internal/core. dst holds no
+// meaningful relation when the order is cyclic.
 //
-// The execution keeps the closure as one level per location. Level 0 is
-// the closure of ppo ∪ bar, which depends only on the events and is
-// computed once per program; level l+1 is level l with location l's
-// edges added by closed insertion (Relation.AddClosed): its ws chain, its
-// reads' rfe edges, and each read's fr edge to the ws-successor of its
-// source, which with the ws chain gives the closure every later write the
-// read is fr-before. Level l+1 is acyclic only if level l is, so the
-// first edge that closes a cycle decides. The initial writes precede
-// every event in ppo, so the ws and rf edges from an initial write are
-// already there.
+// The closure starts from the closure of ppo ∪ bar, which depends only on
+// the events and is computed once per program, and adds the candidate's
+// edges by closed insertion (Relation.AddClosed), location by location:
+// the location's ws chain, then each of its reads' rfe edge and fr edge
+// to the ws-successor of its source, which with the ws chain gives the
+// closure every later write the read is fr-before. The first edge that
+// closes a cycle decides. The initial writes precede every event in ppo,
+// so the ws and rf edges from an initial write are already there.
 //
-// The levels stay valid until the execution changes. A walk's slot
-// (EnumerateFunc) keeps them across candidates: reassembling it
-// invalidates only the levels from its first reassigned location on, so
-// BaseClosure rebuilds just those, and a cycle found at one location
-// stands until a location at or before it changes. Hand-built and cloned
-// executions start with no level built and build them all on first use.
+// A hand-built or cloned execution never changes, so it closes straight
+// into dst. A walk's slot (EnumerateFunc) keeps one level per step, a
+// location's ws chain or one read's edges, across candidates:
+// reassembling it invalidates only the levels from the first step whose
+// edges changed on, so BaseClosure rebuilds just those, and a cycle found
+// at one step stands until a step at or before it changes. In the
+// uniproc walk consecutive candidates mostly differ in the source of one
+// location's last read, which costs at most two insertions.
 func (x *Execution) BaseClosure(dst *Relation) bool {
 	base := &x.invariants().base
-	size := len(base.bits)
-	if len(x.levels) < len(x.wsOrders)*size {
-		x.levels = make([]uint64, len(x.wsOrders)*size)
+	if x.steps == 0 {
+		dst.CopyFrom(base)
+		for l, order := range x.wsOrders {
+			if !x.addStep(dst, order, -1) {
+				return false
+			}
+			for _, rd := range x.locReads[l] {
+				if !x.addStep(dst, order, rd) {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	// level views the highest level built so far, level 0 when none is.
+	size := len(base.bits)
+	if x.levels == nil {
+		x.levels = make([]uint64, x.steps*size)
+	}
+	// level views the highest level built so far, the base when none is.
 	level := Relation{n: base.n, words: base.words, bits: base.bits}
 	if x.built > 0 {
 		level.bits = x.levels[(x.built-1)*size : x.built*size]
 	}
-	for !x.cyclic && x.built < len(x.wsOrders) {
-		prev := level.bits
-		level.bits = x.levels[x.built*size : (x.built+1)*size]
-		copy(level.bits, prev)
-		if !x.addLocation(&level, x.built) {
-			x.cyclic = true
-			break
+	// Location l's steps are first, its ws chain, to first+len(reads).
+	for l, first := 0, 0; !x.cyclic && x.built < x.steps; l++ {
+		reads := x.locReads[l]
+		for x.built <= first+len(reads) {
+			read := -1
+			if k := x.built - first; k > 0 {
+				read = reads[k-1]
+			}
+			prev := level.bits
+			level.bits = x.levels[x.built*size : (x.built+1)*size]
+			copy(level.bits, prev)
+			if !x.addStep(&level, x.wsOrders[l], read) {
+				x.cyclic = true
+				break
+			}
+			x.built++
 		}
-		x.built++
+		first += 1 + len(reads)
 	}
 	if x.cyclic {
 		return false
@@ -475,31 +503,29 @@ func (x *Execution) BaseClosure(dst *Relation) bool {
 	return true
 }
 
-// addLocation adds location l's ws chain, rfe edges and fr edges to the
-// closed relation r by closed insertion, and reports false at the first
-// edge that closes a cycle.
-func (x *Execution) addLocation(r *Relation, l int) bool {
-	order := x.wsOrders[l]
-	for j := 1; j < len(order); j++ {
-		if !r.AddClosed(order[j-1], order[j]) {
-			return false
-		}
-	}
-	for _, rd := range x.locReads[l] {
-		w := x.rf[rd]
-		if w < 0 {
-			continue
-		}
-		if x.Events[w].Thread != x.Events[rd].Thread && !r.AddClosed(w, rd) {
-			return false
-		}
-		for j := 0; j+1 < len(order); j++ {
-			if order[j] == w {
-				if !r.AddClosed(rd, order[j+1]) {
-					return false
-				}
-				break
+// addStep adds one step's edges to the closed relation r by closed
+// insertion: the ws chain order when read is -1, otherwise read's rfe
+// edge and its fr edge to the successor of its source in order. It
+// reports false at the first edge that closes a cycle.
+func (x *Execution) addStep(r *Relation, order []int, read int) bool {
+	if read < 0 {
+		for j := 1; j < len(order); j++ {
+			if !r.AddClosed(order[j-1], order[j]) {
+				return false
 			}
+		}
+		return true
+	}
+	w := x.rf[read]
+	if w < 0 {
+		return true
+	}
+	if x.Events[w].Thread != x.Events[read].Thread && !r.AddClosed(w, read) {
+		return false
+	}
+	for j := 0; j+1 < len(order); j++ {
+		if order[j] == w {
+			return r.AddClosed(read, order[j+1])
 		}
 	}
 	return true

@@ -11,7 +11,7 @@ import (
 type enumConfig struct {
 	ctx        context.Context
 	workers    int
-	classify   func(*Execution) uint64
+	classify   func() func(*Execution) uint64
 	uniproc    bool
 	candidates *int
 }
@@ -39,18 +39,21 @@ func EnumWorkers(n int) EnumOption {
 	return func(c *enumConfig) { c.workers = n }
 }
 
-// EnumClassify classifies every candidate before it reaches visit:
-// class returns a candidate's class, 0 drops it, and visit reads a
-// survivor's nonzero class back with Execution.Class. Unlike visit, class
-// runs inside the worker goroutines — concurrently when workers > 1 —
-// which is exactly what makes expensive per-candidate work (validity
-// checking) scale, and the class carries its verdict to visit without a
-// second check: internal/core classifies a candidate by the set of
-// atomicity types it is valid under. class must therefore be safe for
-// concurrent use. Like visit, it receives arena-owned executions it must
-// not retain.
-func EnumClassify(class func(*Execution) uint64) EnumOption {
-	return func(c *enumConfig) { c.classify = class }
+// EnumClassify classifies every candidate before it reaches visit: each
+// walker calls newClass once for a classifier of its own, which returns
+// a candidate's class; 0 drops the candidate, and visit reads a
+// survivor's nonzero class back with Execution.Class. Unlike visit, the
+// classifiers run inside the worker goroutines — concurrently when
+// workers > 1 — which is exactly what makes expensive per-candidate work
+// (validity checking) scale, and the class carries its verdict to visit
+// without a second check: internal/core classifies a candidate by the
+// set of atomicity types it is valid under. newClass must therefore be
+// safe for concurrent use, while each classifier it returns serves one
+// walker only and may keep scratch state across that walker's
+// candidates. Like visit, a classifier receives arena-owned executions it
+// must not retain.
+func EnumClassify(newClass func() func(*Execution) uint64) EnumOption {
+	return func(c *enumConfig) { c.classify = newClass }
 }
 
 // EnumUniproc restricts the walk to the candidates that satisfy uniproc
@@ -109,10 +112,11 @@ const AutoEnumThreshold = 4096
 // allocation-free. The walk is an odometer: the next candidate reuses
 // whatever of this one's rf and ws choices, event values and base-order
 // closure levels (Execution.BaseClosure) its differing locations leave
-// valid, so visit and class must not modify the execution. Use
+// valid, so visit and the classifiers must not modify the execution. Use
 // Execution.Clone to retain one beyond the visit (as Enumerate does); a
-// clone builds its own closure from scratch on first use. Returning false
-// from visit stops the enumeration after exactly that visit.
+// clone keeps no closure level and closes its base order afresh on each
+// BaseClosure call. Returning false from visit stops the enumeration
+// after exactly that visit.
 //
 // Programs whose candidate space does not fit in an int fail up front with
 // an error wrapping ErrSpaceTooLarge.
@@ -166,11 +170,15 @@ func (sp *enumSpace) workers(n int) int {
 }
 
 // scan walks candidate indices [lo, hi) in ascending order: it assembles
-// each candidate into the arena, classifies it, and hands survivors to
-// emit. It returns early without error when emit returns false or stop
+// each candidate into the arena, classifies it with the walker's own
+// classifier (EnumClassify), and hands survivors to emit. It returns early without error when emit returns false or stop
 // reports true, and returns ctx's error when the context is cancelled.
 func (sp *enumSpace) scan(cfg *enumConfig, lo, hi int, stop *atomic.Bool, arena *enumArena, emit func(*Execution) bool) error {
 	done := cfg.ctx.Done()
+	var classify func(*Execution) uint64
+	if cfg.classify != nil {
+		classify = cfg.classify()
+	}
 	for g := lo; g < hi; g++ {
 		if stop != nil && stop.Load() {
 			return nil
@@ -186,8 +194,8 @@ func (sp *enumSpace) scan(cfg *enumConfig, lo, hi int, stop *atomic.Bool, arena 
 		if x == nil {
 			continue // cyclic RMW value dependency: not a candidate
 		}
-		if cfg.classify != nil {
-			if x.class = cfg.classify(x); x.class == 0 {
+		if classify != nil {
+			if x.class = classify(x); x.class == 0 {
 				continue
 			}
 		}

@@ -190,13 +190,14 @@ func TestEnumerateParallelFilterRunsInWorkers(t *testing.T) {
 		}
 		return uint64(last) + 1
 	}
-	sameKeys(t, "filtered", parallelKeys(t, p, 4, EnumClassify(class)), wantKept)
+	newClass := func() func(*Execution) uint64 { return class }
+	sameKeys(t, "filtered", parallelKeys(t, p, 4, EnumClassify(newClass)), wantKept)
 	err := EnumerateFunc(p, func(x *Execution) bool {
 		if x.Class() != class(x) {
 			t.Errorf("visit reads class %d, the classifier gave %d", x.Class(), class(x))
 		}
 		return true
-	}, EnumClassify(class), EnumWorkers(4))
+	}, EnumClassify(newClass), EnumWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -495,6 +495,31 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnwrittenConditionRegister pins that an inline litmus
+// program whose condition names a register no load or RMW writes is a
+// parse error, a 400 that names the term, and not a job whose term reads
+// 0 in every outcome.
+func TestSubmitRejectsUnwrittenConditionRegister(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const src = "name: SB\nthread P0:\n  store x, 1\n  r0 = load y\nthread P1:\n  store y, 1\n  r1 = load x\n"
+	for cond, want := range map[string]int{
+		"exists (P0:r0=0 /\\ P7:r9=0)": http.StatusBadRequest,
+		"exists (P0:r0=0 /\\ P1:r1=0)": http.StatusAccepted,
+	} {
+		body, err := json.Marshal(map[string]any{"litmus": map[string]string{"source": src + cond + "\n"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, doc := submit(t, ts, string(body))
+		if code != want {
+			t.Fatalf("%s: HTTP %d (%v), want %d", cond, code, doc["error"], want)
+		}
+		if msg, _ := doc["error"].(string); code == http.StatusBadRequest && !strings.Contains(msg, "P7:r9=0") {
+			t.Errorf("%s: error %q does not name the term", cond, msg)
+		}
+	}
+}
+
 // TestServeDropsStalledRequest asserts that a client which never finishes
 // its request line is disconnected once the read-header timeout passes,
 // instead of holding its connection forever.

@@ -559,10 +559,10 @@ func enumerate3ThreadProgram() *memmodel.Program {
 
 // BenchmarkEnumerateMaterialized measures the slice-based Enumerate on the
 // 3-thread program: the whole candidate set is allocated and retained
-// before the model's validity filter can run.
+// before a Checker's type-2 validity filter can run.
 func BenchmarkEnumerateMaterialized(b *testing.B) {
 	p := enumerate3ThreadProgram()
-	model := core.NewModel(core.Type2)
+	c := core.NewChecker()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cands, err := memmodel.Enumerate(p)
@@ -571,7 +571,7 @@ func BenchmarkEnumerateMaterialized(b *testing.B) {
 		}
 		valid := 0
 		for _, x := range cands {
-			if model.Valid(x) {
+			if c.Valid(x, core.Type2) {
 				valid++
 			}
 		}
@@ -590,13 +590,13 @@ func BenchmarkEnumerateMaterialized(b *testing.B) {
 // BenchmarkEnumerateMaterialized is the figure to track.
 func BenchmarkEnumerateStreaming(b *testing.B) {
 	p := enumerate3ThreadProgram()
-	model := core.NewModel(core.Type2)
+	c := core.NewChecker()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		valid, candidates := 0, 0
 		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
 			candidates++
-			if model.Valid(x) {
+			if c.Valid(x, core.Type2) {
 				valid++
 			}
 			return true

@@ -63,8 +63,8 @@ func explainWriteReplacement() {
 		if !x.Uniproc() {
 			return true
 		}
-		found = x
-		return false // stop the enumeration early
+		found = x.Clone() // x is the enumerator's only during this visit
+		return false      // stop the enumeration early
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -76,8 +76,8 @@ func explainWriteReplacement() {
 	fmt.Print(found)
 
 	fmt.Println("\nunder type-2 atomicity:")
-	fmt.Print(rmwtso.NewModel(rmwtso.Type2).Explain(found))
+	fmt.Print(rmwtso.Explain(found, rmwtso.Type2))
 
 	fmt.Println("\nunder type-3 atomicity:")
-	fmt.Print(rmwtso.NewModel(rmwtso.Type3).Explain(found))
+	fmt.Print(rmwtso.Explain(found, rmwtso.Type3))
 }

@@ -1,23 +1,24 @@
-// Package bloom implements the per-processor bloom filter ("addr-list")
-// that the paper's §3.2 uses to avoid write-deadlocks in the type-2/type-3
-// RMW implementations. The hardware structure is a small bit array (128
-// bytes in the paper's evaluation) indexed by a handful of hash functions;
-// false positives are safe (they only force an unnecessary write-buffer
-// drain or suppress a broadcast), false negatives never occur.
+// Package bloom implements the bloom-filter addr-list that the paper's
+// §3.2 uses to avoid write-deadlocks in the type-2/type-3 RMW
+// implementations. The hardware structure is a small bit array (128 bytes
+// in the paper's evaluation) indexed by a handful of hash functions; false
+// positives are safe (they only force an unnecessary write-buffer drain or
+// suppress a broadcast), false negatives never occur.
+//
+// The hardware keeps one copy of the filter per core and broadcasts every
+// newly encountered RMW address to all of them. The model keeps a single
+// filter, because the simulator applies every broadcast to all copies at
+// once, so the copies are always equal.
 package bloom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Filter is a bloom filter over 64-bit addresses. The zero value is not
 // usable; construct with New.
 type Filter struct {
-	bits    []uint64
-	nbits   uint64
-	hashes  int
-	entries int
+	bits   []uint64
+	nbits  uint64
+	hashes int
 }
 
 // New returns a filter with the given size in bits and number of hash
@@ -39,21 +40,6 @@ func New(sizeBits int, hashes int) *Filter {
 		hashes: hashes,
 	}
 }
-
-// NewPaperConfig returns the configuration used in the paper's evaluation:
-// a 128-byte (1024-bit) filter with 3 hash functions.
-func NewPaperConfig() *Filter { return New(1024, 3) }
-
-// SizeBits returns the filter's size in bits.
-func (f *Filter) SizeBits() int { return int(f.nbits) }
-
-// Hashes returns the number of hash functions.
-func (f *Filter) Hashes() int { return f.hashes }
-
-// Entries returns the number of Insert calls since the last Reset. It is
-// the quantity compared against the reset threshold by the addr-list
-// protocol.
-func (f *Filter) Entries() int { return f.entries }
 
 // hash computes the i-th hash of addr using double hashing over two
 // independent 64-bit mixers (splitmix64-style finalizers), the standard
@@ -79,7 +65,6 @@ func (f *Filter) Insert(addr uint64) {
 		b := f.hash(addr, i)
 		f.bits[b/64] |= 1 << (b % 64)
 	}
-	f.entries++
 }
 
 // MayContain reports whether the address may have been inserted. False
@@ -94,118 +79,40 @@ func (f *Filter) MayContain(addr uint64) bool {
 	return true
 }
 
-// Reset clears the filter. The paper resets all processors' filters when
-// the number of inserted RMW addresses exceeds a threshold, after waiting
-// for in-flight RMWs to complete.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.entries = 0
-}
-
-// PopCount returns the number of set bits, used to estimate occupancy.
-func (f *Filter) PopCount() int {
-	c := 0
-	for _, w := range f.bits {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
-	}
-	return c
-}
-
-// EstimatedFalsePositiveRate returns the expected false-positive
-// probability for the current number of inserted entries, using the
-// standard approximation (1 - e^(-kn/m))^k.
-func (f *Filter) EstimatedFalsePositiveRate() float64 {
-	k := float64(f.hashes)
-	n := float64(f.entries)
-	m := float64(f.nbits)
-	if n == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-k*n/m), k)
-}
-
-// Clone returns an independent copy of the filter.
-func (f *Filter) Clone() *Filter {
-	c := &Filter{
-		bits:    make([]uint64, len(f.bits)),
-		nbits:   f.nbits,
-		hashes:  f.hashes,
-		entries: f.entries,
-	}
-	copy(c.bits, f.bits)
-	return c
-}
-
-// AddrList is the distributed addr-list of §3.2: one bloom filter per
-// processor, kept coherent by broadcasting newly encountered RMW addresses.
-// The type tracks the bookkeeping the hardware would (how many broadcasts
-// were needed, when filters must be reset) while leaving the timing of
-// broadcasts to the simulator.
+// AddrList is the addr-list of §3.2: the filter of the RMW addresses seen
+// so far, which every core consults, and the count of broadcasts that
+// filled it. It tracks the bookkeeping the hardware would while leaving
+// the timing of broadcasts to the simulator.
 type AddrList struct {
-	filters   []*Filter
-	threshold int
-
+	filter     *Filter
 	broadcasts int
-	resets     int
 }
 
-// NewAddrList builds an addr-list for n processors with the given filter
-// configuration and reset threshold (number of insertions after which all
-// filters are reset; 0 disables resets).
-func NewAddrList(n, sizeBits, hashes, threshold int) *AddrList {
-	if n <= 0 {
-		panic(fmt.Sprintf("bloom: non-positive processor count %d", n))
-	}
-	filters := make([]*Filter, n)
-	for i := range filters {
-		filters[i] = New(sizeBits, hashes)
-	}
-	return &AddrList{filters: filters, threshold: threshold}
+// NewAddrList builds an empty addr-list whose filter has the given size in
+// bits and number of hash functions (New).
+func NewAddrList(sizeBits, hashes int) *AddrList {
+	return &AddrList{filter: New(sizeBits, hashes)}
 }
-
-// Filter returns processor p's local filter.
-func (l *AddrList) Filter(p int) *Filter { return l.filters[p] }
-
-// Processors returns the number of per-processor filters.
-func (l *AddrList) Processors() int { return len(l.filters) }
 
 // Broadcasts returns how many RMW-address broadcasts have been performed.
 func (l *AddrList) Broadcasts() int { return l.broadcasts }
 
-// Resets returns how many global filter resets have occurred.
-func (l *AddrList) Resets() int { return l.resets }
-
-// LookupOrBroadcast implements the RMW-side protocol for processor p and
-// the RMW's line address: if the address is already (possibly falsely)
-// present in p's filter, nothing is broadcast; otherwise the address is
-// inserted into every processor's filter and a broadcast is counted. It
-// returns true when a broadcast was required, so the simulator can charge
-// its latency.
-func (l *AddrList) LookupOrBroadcast(p int, addr uint64) (broadcast bool) {
-	if l.filters[p].MayContain(addr) {
+// LookupOrBroadcast implements the RMW side of the protocol for the RMW's
+// line address: if the address is already (possibly falsely) in the
+// list, nothing is broadcast; otherwise the address is inserted and a
+// broadcast is counted. It returns true when a broadcast was required, so
+// the simulator can charge its latency.
+func (l *AddrList) LookupOrBroadcast(addr uint64) (broadcast bool) {
+	if l.filter.MayContain(addr) {
 		return false
 	}
-	for _, f := range l.filters {
-		f.Insert(addr)
-	}
+	l.filter.Insert(addr)
 	l.broadcasts++
-	if l.threshold > 0 && l.filters[p].Entries() >= l.threshold {
-		for _, f := range l.filters {
-			f.Reset()
-		}
-		l.resets++
-	}
 	return true
 }
 
-// ConflictsWithPendingWrite implements the write-buffer-side check for
-// processor p: it reports whether the pending write address hits in p's
-// local filter, in which case the RMW must revert to a full write-buffer
-// drain to preserve the deadlock-safety property.
-func (l *AddrList) ConflictsWithPendingWrite(p int, addr uint64) bool {
-	return l.filters[p].MayContain(addr)
-}
+// MayContain implements the write-buffer side of the protocol: it reports
+// whether a pending write's line address hits in the list, in which case
+// the RMW must revert to a full write-buffer drain to preserve the
+// deadlock-safety property.
+func (l *AddrList) MayContain(addr uint64) bool { return l.filter.MayContain(addr) }

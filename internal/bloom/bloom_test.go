@@ -8,11 +8,11 @@ import (
 
 func TestNewRoundsUpAndPanicsOnBadConfig(t *testing.T) {
 	f := New(100, 3)
-	if f.SizeBits() != 128 {
-		t.Errorf("SizeBits = %d, want 128 (rounded to a word)", f.SizeBits())
+	if f.nbits != 128 || len(f.bits) != 2 {
+		t.Errorf("New(100, 3) has %d bits in %d words, want 128 in 2 (rounded to a word)", f.nbits, len(f.bits))
 	}
-	if f.Hashes() != 3 {
-		t.Errorf("Hashes = %d", f.Hashes())
+	if f.hashes != 3 {
+		t.Errorf("hashes = %d", f.hashes)
 	}
 	for _, bad := range []func(){
 		func() { New(0, 3) },
@@ -30,16 +30,6 @@ func TestNewRoundsUpAndPanicsOnBadConfig(t *testing.T) {
 	}
 }
 
-func TestPaperConfig(t *testing.T) {
-	f := NewPaperConfig()
-	if f.SizeBits() != 1024 {
-		t.Errorf("paper filter is 128 B = 1024 bits, got %d", f.SizeBits())
-	}
-	if f.Hashes() != 3 {
-		t.Errorf("paper filter uses 3 hash functions, got %d", f.Hashes())
-	}
-}
-
 func TestNoFalseNegatives(t *testing.T) {
 	f := New(1024, 3)
 	rng := rand.New(rand.NewSource(42))
@@ -54,9 +44,6 @@ func TestNoFalseNegatives(t *testing.T) {
 			t.Fatalf("false negative for %#x", a)
 		}
 	}
-	if f.Entries() != 200 {
-		t.Errorf("Entries = %d, want 200", f.Entries())
-	}
 }
 
 func TestEmptyFilterContainsNothing(t *testing.T) {
@@ -67,20 +54,19 @@ func TestEmptyFilterContainsNothing(t *testing.T) {
 			t.Fatal("empty filter reported a member")
 		}
 	}
-	if f.PopCount() != 0 {
-		t.Error("empty filter has set bits")
-	}
-	if f.EstimatedFalsePositiveRate() != 0 {
-		t.Error("empty filter should estimate 0 false-positive rate")
+	for _, w := range f.bits {
+		if w != 0 {
+			t.Fatal("empty filter has set bits")
+		}
 	}
 }
 
 func TestFalsePositiveRateIsLowAtPaperOccupancy(t *testing.T) {
 	// The paper observes ~1% of dynamic RMWs are to unique addresses and
-	// sizes the filter so false positives stay rare. With ~30 unique
-	// addresses in a 1024-bit filter the measured rate should be well under
-	// 5%.
-	f := NewPaperConfig()
+	// sizes the filter (128 B, 3 hash functions) so false positives stay
+	// rare. With ~30 unique addresses in a 1024-bit filter the measured
+	// rate should be well under 5%.
+	f := New(1024, 3)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 30; i++ {
 		f.Insert(rng.Uint64())
@@ -96,38 +82,6 @@ func TestFalsePositiveRateIsLowAtPaperOccupancy(t *testing.T) {
 	if rate > 0.05 {
 		t.Errorf("false positive rate %.3f too high at paper occupancy", rate)
 	}
-	if est := f.EstimatedFalsePositiveRate(); est > 0.05 {
-		t.Errorf("estimated false positive rate %.3f too high", est)
-	}
-}
-
-func TestReset(t *testing.T) {
-	f := New(256, 3)
-	f.Insert(1)
-	f.Insert(2)
-	if f.PopCount() == 0 || f.Entries() != 2 {
-		t.Fatal("inserts not recorded")
-	}
-	f.Reset()
-	if f.PopCount() != 0 || f.Entries() != 0 {
-		t.Error("Reset did not clear the filter")
-	}
-	if f.MayContain(1) {
-		t.Error("Reset filter still reports membership")
-	}
-}
-
-func TestClone(t *testing.T) {
-	f := New(256, 2)
-	f.Insert(10)
-	c := f.Clone()
-	if !c.MayContain(10) || c.Entries() != 1 {
-		t.Error("clone lost contents")
-	}
-	c.Insert(20)
-	if f.MayContain(20) && f.PopCount() == c.PopCount() {
-		t.Error("mutating the clone affected the original")
-	}
 }
 
 func TestPropertyInsertImpliesContains(t *testing.T) {
@@ -141,40 +95,21 @@ func TestPropertyInsertImpliesContains(t *testing.T) {
 	}
 }
 
-func TestPropertyResetClearsEverything(t *testing.T) {
-	err := quick.Check(func(addrs []uint64) bool {
-		f := New(256, 3)
-		for _, a := range addrs {
-			f.Insert(a)
-		}
-		f.Reset()
-		return f.PopCount() == 0 && f.Entries() == 0
-	}, &quick.Config{MaxCount: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAddrListBroadcastProtocol(t *testing.T) {
-	l := NewAddrList(4, 1024, 3, 0)
-	if l.Processors() != 4 {
-		t.Fatalf("Processors = %d", l.Processors())
-	}
-	// First encounter of an address broadcasts and populates every filter.
-	if !l.LookupOrBroadcast(0, 0x1000) {
+	l := NewAddrList(1024, 3)
+	// First encounter of an address broadcasts it.
+	if !l.LookupOrBroadcast(0x1000) {
 		t.Fatal("first lookup of a new address must broadcast")
 	}
 	if l.Broadcasts() != 1 {
 		t.Errorf("Broadcasts = %d, want 1", l.Broadcasts())
 	}
-	for p := 0; p < 4; p++ {
-		if !l.Filter(p).MayContain(0x1000) {
-			t.Errorf("processor %d filter missing the broadcast address", p)
-		}
+	if !l.MayContain(0x1000) {
+		t.Error("the list is missing the broadcast address")
 	}
-	// A second RMW to the same address from any processor does not
+	// A second RMW to the same address, from any core, does not
 	// broadcast again.
-	if l.LookupOrBroadcast(2, 0x1000) {
+	if l.LookupOrBroadcast(0x1000) {
 		t.Error("known address must not broadcast")
 	}
 	if l.Broadcasts() != 1 {
@@ -183,58 +118,29 @@ func TestAddrListBroadcastProtocol(t *testing.T) {
 }
 
 func TestAddrListConflictCheck(t *testing.T) {
-	l := NewAddrList(2, 1024, 3, 0)
-	if l.ConflictsWithPendingWrite(0, 0x2000) {
+	l := NewAddrList(1024, 3)
+	if l.MayContain(0x2000) {
 		t.Error("no conflicts before any RMW")
 	}
-	l.LookupOrBroadcast(1, 0x2000)
-	// Processor 0's pending write to the RMW'd line must now conflict,
-	// because the broadcast inserted the address everywhere.
-	if !l.ConflictsWithPendingWrite(0, 0x2000) {
+	l.LookupOrBroadcast(0x2000)
+	// A pending write to the RMW'd line, on any core, must now conflict.
+	if !l.MayContain(0x2000) {
 		t.Error("pending write to an RMW'd line must conflict")
 	}
-	if l.ConflictsWithPendingWrite(0, 0x9999) {
+	if l.MayContain(0x9999) {
 		t.Error("unrelated pending write should not conflict (modulo false positives at this occupancy)")
 	}
 }
 
-func TestAddrListResetThreshold(t *testing.T) {
-	l := NewAddrList(2, 1024, 3, 4)
-	for i := 0; i < 4; i++ {
-		l.LookupOrBroadcast(0, uint64(0x100*(i+1)))
-	}
-	if l.Resets() != 1 {
-		t.Fatalf("Resets = %d, want 1 after reaching the threshold", l.Resets())
-	}
-	for p := 0; p < 2; p++ {
-		if l.Filter(p).Entries() != 0 {
-			t.Errorf("processor %d filter not reset", p)
-		}
-	}
-	// Addresses inserted before the reset may be re-broadcast afterwards.
-	if !l.LookupOrBroadcast(0, 0x100) {
-		t.Error("address forgotten by the reset should broadcast again")
-	}
-}
-
-func TestAddrListPanicsOnBadProcessorCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewAddrList(0, ...) should panic")
-		}
-	}()
-	NewAddrList(0, 64, 1, 0)
-}
-
 func BenchmarkFilterInsert(b *testing.B) {
-	f := NewPaperConfig()
+	f := New(1024, 3)
 	for i := 0; i < b.N; i++ {
 		f.Insert(uint64(i))
 	}
 }
 
 func BenchmarkFilterLookup(b *testing.B) {
-	f := NewPaperConfig()
+	f := New(1024, 3)
 	for i := 0; i < 64; i++ {
 		f.Insert(uint64(i) * 64)
 	}

@@ -49,7 +49,7 @@ type AtoResult struct {
 // DeriveAto is the diagnostic and reference path: it runs the fixpoint
 // round by round, re-closing the order after each sweep, and keeps every
 // derived edge, allocating accordingly. Validity-only callers should use
-// Valid, a Checker or Classifier, whose incremental fixpoint inserts each
+// a Checker or Classifier, whose incremental fixpoint inserts each
 // forced edge into a closure as it goes and stops at the first cycle;
 // the differential tests hold the two to the same verdicts.
 func DeriveAto(x *memmodel.Execution, t AtomicityType) *AtoResult {

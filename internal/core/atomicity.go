@@ -18,8 +18,8 @@
 // event, the other half must be ordered the same way, otherwise the
 // disallowed event could slip between the two halves. The package derives
 // the ato relation by a fixpoint computation, uses it to decide validity of
-// candidate executions, and exposes a model-checking API (Model) over
-// litmus-sized programs. A brute-force linearization oracle (oracle.go)
+// candidate executions, and model-checks litmus-sized programs in one walk
+// over their candidates (Verdicts). A brute-force linearization oracle (oracle.go)
 // cross-checks the fixpoint construction directly against the paper's
 // "nothing between Ra and Wa in ghb" definition.
 package core

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/memmodel"
 )
@@ -24,8 +23,7 @@ import (
 // (atoPlan.close); DeriveAto runs the same fixpoint round by round and
 // adds the diagnostics, so use it when the ato edges, the cycle, or an
 // explanation is needed. A Checker is not safe for concurrent use; give
-// each goroutine its own, as Classifier does for each walker, or use the
-// pooled package-level Valid.
+// each goroutine its own, as Classifier does for each walker.
 type Checker struct {
 	plan atoPlan
 	// work holds the candidate's closed base order
@@ -208,29 +206,11 @@ func (c *Checker) decide(want uint64) uint64 {
 // DeriveAto(x, t).Valid but allocation-free in steady state, and runs
 // only t's fixpoint.
 //
-// Valid takes arbitrary executions (Model.Valid, Explain and the oracle
-// tests pass them), so it checks uniproc itself; the walks of Verdicts
-// and Model.ValidExecutionsFunc hand their classifier only candidates
-// that satisfy it and skip the check.
+// Valid takes arbitrary executions (the oracle tests pass every
+// candidate), so it checks uniproc itself; the walk of Verdicts hands its
+// classifier only candidates that satisfy it and skips the check.
 func (c *Checker) Valid(x *memmodel.Execution, t AtomicityType) bool {
 	return x.Uniproc() && c.classify(x, t.Bit()) != 0
-}
-
-// checkerPool recycles checkers for the package-level Valid, so
-// concurrent calls reuse at most one checker per goroutine instead of
-// rebuilding scratch state per call.
-var checkerPool = sync.Pool{New: func() any { return NewChecker() }}
-
-// Valid reports whether the execution is a valid witness of the TSO model
-// extended with RMWs of the given atomicity type. It draws a Checker from
-// a pool, so concurrent calls are safe and steady-state calls on one
-// program stay allocation-free; hot loops that want deterministic reuse
-// can hold their own Checker instead.
-func Valid(x *memmodel.Execution, t AtomicityType) bool {
-	c := checkerPool.Get().(*Checker)
-	ok := c.Valid(x, t)
-	checkerPool.Put(c)
-	return ok
 }
 
 // Classifier returns the classifier constructor a uniproc walk

@@ -1,56 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"iter"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/memmodel"
 )
-
-// Model is a TSO memory model extended with RMWs of a particular atomicity
-// type. It provides model checking of litmus-sized programs: enumeration of
-// valid executions and their observable outcomes.
-type Model struct {
-	// Atomicity selects the RMW atomicity definition (type-1/2/3).
-	Atomicity AtomicityType
-}
-
-// NewModel returns a model using the given atomicity type.
-func NewModel(t AtomicityType) *Model { return &Model{Atomicity: t} }
-
-// Valid reports whether a candidate execution is a valid witness under the
-// model, by the ato fixpoint.
-func (m *Model) Valid(x *memmodel.Execution) bool { return Valid(x, m.Atomicity) }
-
-// ValidExecutions enumerates the candidate executions of the program that
-// satisfy uniproc and returns the valid ones, cloned out of the enumerator's arena so they
-// remain valid indefinitely.
-func (m *Model) ValidExecutions(p *memmodel.Program) ([]*memmodel.Execution, error) {
-	var out []*memmodel.Execution
-	err := m.ValidExecutionsFunc(p, func(x *memmodel.Execution) bool {
-		out = append(out, x.Clone())
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ValidExecutionsFunc streams the valid executions of the program to visit
-// without materializing the candidate set. Only the candidates that
-// satisfy uniproc are assembled (memmodel.EnumUniproc), since no other
-// can be valid, and the model's Classifier checks them without repeating
-// the uniproc check. Returning false from visit stops the enumeration
-// early.
-func (m *Model) ValidExecutionsFunc(p *memmodel.Program, visit func(*memmodel.Execution) bool) error {
-	return memmodel.EnumerateFunc(p, visit, memmodel.EnumUniproc(), memmodel.EnumClassify(Classifier(m.Atomicity)))
-}
 
 // Outcome is one observable result of a program: the final values of all
 // named registers and of memory. The Key method provides a canonical string
@@ -123,9 +80,8 @@ func OutcomeOf(x *memmodel.Execution) Outcome {
 // register, in name order (Registers), then of each location, in
 // ascending order (Locations), the columns Outcome.Key renders. The rows
 // are sorted by value, so a verdict's set does not depend on the order
-// its walk visited the candidates in, nor on its worker count. Keys, All
-// and Outcomes render the rows as keys or Outcome maps on demand. The
-// zero value is the empty set.
+// its walk visited the candidates in, nor on its worker count. Keys
+// renders the rows as keys on demand. The zero value is the empty set.
 type OutcomeSet struct {
 	regs  []string
 	addrs []memmodel.Addr
@@ -168,22 +124,6 @@ func (s *OutcomeSet) appendKey(b []byte, i int) []byte {
 	return b
 }
 
-// outcome builds outcome i's Outcome.
-func (s *OutcomeSet) outcome(i int) Outcome {
-	row := s.Row(i)
-	o := Outcome{
-		Registers: make(map[string]memmodel.Value, len(s.regs)),
-		Memory:    make(map[memmodel.Addr]memmodel.Value, len(s.addrs)),
-	}
-	for j, name := range s.regs {
-		o.Registers[name] = row[j]
-	}
-	for j, a := range s.addrs {
-		o.Memory[a] = row[len(s.regs)+j]
-	}
-	return o
-}
-
 // Keys returns the canonical keys (Outcome.Key) of all outcomes, sorted,
 // rendered straight from the rows.
 func (s *OutcomeSet) Keys() []string {
@@ -197,88 +137,14 @@ func (s *OutcomeSet) Keys() []string {
 	return keys
 }
 
-// All iterates over the outcomes in row order, building each one's maps
-// as it goes; Outcomes sorts them by key.
-func (s *OutcomeSet) All() iter.Seq[Outcome] {
-	return func(yield func(Outcome) bool) {
-		for i := 0; i < s.n; i++ {
-			if !yield(s.outcome(i)) {
-				return
-			}
-		}
-	}
-}
-
-// Outcomes returns the outcomes sorted by key.
-func (s *OutcomeSet) Outcomes() []Outcome {
-	type keyed struct {
-		key string
-		row int
-	}
-	byKey := make([]keyed, s.n)
-	for i := range byKey {
-		byKey[i] = keyed{string(s.appendKey(nil, i)), i}
-	}
-	slices.SortFunc(byKey, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	out := make([]Outcome, s.n)
-	for i, k := range byKey {
-		out[i] = s.outcome(k.row)
-	}
-	return out
-}
-
-// SubsetOf reports whether every outcome in s is also in other, by key.
-func (s *OutcomeSet) SubsetOf(other *OutcomeSet) bool {
-	theirs := other.Keys()
-	for _, k := range s.Keys() {
-		if _, ok := slices.BinarySearch(theirs, k); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and other contain exactly the same outcome keys.
-func (s *OutcomeSet) Equal(other *OutcomeSet) bool {
-	return slices.Equal(s.Keys(), other.Keys())
-}
-
-// Outcomes model-checks the program: it walks the candidate executions
-// once, classifying them as ValidExecutionsFunc does, and returns the set
-// of observable outcomes of the valid ones (Verdicts under the model's
-// one type). The candidates are streamed, never materialized.
-func (m *Model) Outcomes(p *memmodel.Program) (*OutcomeSet, error) {
-	vs, err := Verdicts(context.Background(), p, []AtomicityType{m.Atomicity}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return vs[0].Outcomes, nil
-}
-
-// Allows reports whether some valid execution of the program satisfies the
-// predicate over its outcome. The enumeration stops at the first witness.
-func (m *Model) Allows(p *memmodel.Program, pred func(Outcome) bool) (bool, error) {
-	found := false
-	err := m.ValidExecutionsFunc(p, func(x *memmodel.Execution) bool {
-		if pred(OutcomeOf(x)) {
-			found = true
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return false, err
-	}
-	return found, nil
-}
-
-// Explain describes why an execution is (in)valid under the model, rendering
-// the ato edges and, for invalid executions, one cycle or the uniproc
-// violation. Intended for the litmus tool's verbose mode.
-func (m *Model) Explain(x *memmodel.Execution) string {
-	res := DeriveAto(x, m.Atomicity)
+// Explain describes why an execution is (in)valid under atomicity type t,
+// rendering the ato edges DeriveAto derives and, for a valid execution,
+// one witness global memory order (GlobalOrder), or else one cycle or the
+// uniproc violation.
+func Explain(x *memmodel.Execution, t AtomicityType) string {
+	res := DeriveAto(x, t)
 	var b strings.Builder
-	fmt.Fprintf(&b, "atomicity: %s\n", m.Atomicity)
+	fmt.Fprintf(&b, "atomicity: %s\n", t)
 	fmt.Fprintf(&b, "ato edges (%d):\n", res.Ato.Count())
 	for _, pr := range res.Ato.Pairs() {
 		fmt.Fprintf(&b, "  %s -ato-> %s\n", x.Events[pr[0]], x.Events[pr[1]])
@@ -289,7 +155,7 @@ func (m *Model) Explain(x *memmodel.Execution) string {
 	}
 	if res.Valid {
 		b.WriteString("VALID: com ∪ ppo ∪ bar ∪ ato is acyclic\n")
-		if ghb, ok := GlobalOrder(x, m.Atomicity); ok {
+		if ghb, ok := GlobalOrder(x, t); ok {
 			b.WriteString("one global memory order:\n")
 			for _, e := range ghb {
 				fmt.Fprintf(&b, "  %s\n", e)

@@ -52,10 +52,11 @@ func TestFixpointMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
+		c := NewChecker()
 		for _, typ := range AllTypes() {
 			mismatches := 0
 			for _, x := range execs {
-				fix := Valid(x, typ)
+				fix := c.Valid(x, typ)
 				oracle := ExistsWitnessOrder(x, typ)
 				if fix != oracle {
 					mismatches++
@@ -160,10 +161,7 @@ func oracleOutcomes(t *testing.T, p *memmodel.Program, typ AtomicityType, worker
 func TestModelOracleAgreesWithFixpointOutcomes(t *testing.T) {
 	for _, p := range oraclePrograms() {
 		for _, typ := range AllTypes() {
-			fix, err := NewModel(typ).Outcomes(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fix := verdict(t, p, typ).Outcomes
 			oracle := oracleOutcomes(t, p, typ, 1)
 			if !slices.Equal(fix.Keys(), oracle) {
 				t.Errorf("%s/%s: fixpoint outcomes %v != oracle outcomes %v",

@@ -12,42 +12,69 @@ import (
 
 // TestVerdictOutcomesMatchOutcomeOf holds the outcome collector of the
 // Verdicts walk, which fingerprints a candidate by the values its outcome
-// key renders and keeps each distinct outcome as one row of values, to
-// OutcomeOf. On 100 generated programs, each type's verdict must count
-// the executions Model.ValidExecutionsFunc visits under that type, hold
-// exactly the keys OutcomeOf(x).Key() gives over them, and build from
-// its rows outcomes whose Key() is the key it renders from them.
+// key renders, keeps each distinct outcome as one row of values and
+// unions the classes of the candidates that reach it, to a reference
+// that decides every uniproc candidate with DeriveAto, independently of
+// Classifier. On 300 generated programs, each type's verdict must count
+// the candidates DeriveAto finds valid under that type and hold exactly
+// the keys OutcomeOf(x).Key() gives over them. Some outcome must be
+// reached by candidates valid under different sets of types, so that a
+// collector keeping only one candidate's class fails.
 func TestVerdictOutcomesMatchOutcomeOf(t *testing.T) {
 	ctx := context.Background()
-	outcomes := 0
-	for _, p := range memmodeltest.Programs(29, 100, 20_000) {
-		vs, err := Verdicts(ctx, p, AllTypes(), 1)
+	types := AllTypes()
+	outcomes, mixed := 0, 0
+	programs := append(memmodeltest.Programs(29, 200, 20_000), memmodeltest.Programs(11, 100, 20_000)...)
+	for _, p := range programs {
+		vs, err := Verdicts(ctx, p, types, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		for _, v := range vs {
-			valid, want := 0, map[string]bool{}
-			err := NewModel(v.Type).ValidExecutionsFunc(p, func(x *memmodel.Execution) bool {
-				valid++
-				want[OutcomeOf(x).Key()] = true
-				return true
-			})
-			if err != nil {
-				t.Fatalf("%s under %s: %v", p.Name, v.Type, err)
-			}
-			wantKeys := slices.Sorted(maps.Keys(want))
-			got := v.Outcomes.Keys()
-			if v.Valid != valid || !slices.Equal(got, wantKeys) {
-				t.Errorf("%s under %s: the verdict counts %d valid executions with outcomes %q; OutcomeOf gives %d and %q",
-					p.Name, v.Type, v.Valid, got, valid, wantKeys)
-			}
-			for i, o := range v.Outcomes.Outcomes() {
-				if k := got[i]; o.Key() != k {
-					t.Errorf("%s under %s: the outcome built for %q has key %q", p.Name, v.Type, k, o.Key())
+		valid := make([]int, len(types))
+		want := make([]map[string]bool, len(types))
+		for i := range want {
+			want[i] = map[string]bool{}
+		}
+		// classes maps an outcome key to the classes of the valid
+		// candidates that reach it, each a mask of AtomicityType.Bit.
+		classes := map[string]map[uint64]bool{}
+		err = memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
+			key := OutcomeOf(x).Key()
+			class := uint64(0)
+			for i, typ := range types {
+				if DeriveAto(x, typ).Valid {
+					class |= typ.Bit()
+					valid[i]++
+					want[i][key] = true
 				}
+			}
+			if class != 0 {
+				if classes[key] == nil {
+					classes[key] = map[uint64]bool{}
+				}
+				classes[key][class] = true
+			}
+			return true
+		}, memmodel.EnumUniproc())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for i, v := range vs {
+			wantKeys := slices.Sorted(maps.Keys(want[i]))
+			if got := v.Outcomes.Keys(); v.Valid != valid[i] || !slices.Equal(got, wantKeys) {
+				t.Errorf("%s under %s: the verdict counts %d valid executions with outcomes %q; DeriveAto gives %d and %q",
+					p.Name, v.Type, v.Valid, got, valid[i], wantKeys)
 			}
 			outcomes += len(wantKeys)
 		}
+		for _, cs := range classes {
+			if len(cs) > 1 {
+				mixed++
+			}
+		}
 	}
-	t.Logf("%d outcomes agree", outcomes)
+	if mixed == 0 {
+		t.Fatal("no outcome is reached by candidates of different classes")
+	}
+	t.Logf("%d outcomes agree; %d are reached by candidates of different classes", outcomes, mixed)
 }

@@ -93,17 +93,24 @@ func coherenceViolation(c *checker, x *memmodel.Execution, hb *memmodel.Relation
 	return ""
 }
 
+// coherencePrograms returns 500 programs of genCoherenceProgram, drawn
+// from seed 1.
+func coherencePrograms() []*Program {
+	rng := rand.New(rand.NewSource(1))
+	progs := make([]*Program, 500)
+	for i := range progs {
+		progs[i] = genCoherenceProgram(rng, fmt.Sprintf("coh-%d", i))
+	}
+	return progs
+}
+
 // TestCoherenceFollowsFromSCOrder checks the argument on consistent: on
 // every candidate that consistent accepts, of the registry programs and
 // 500 generated ones, no coherence shape is broken at an atomic
 // location. Each shape must occur among the checked pairs, so that the
 // oracle is not vacuous.
 func TestCoherenceFollowsFromSCOrder(t *testing.T) {
-	progs := AllPrograms()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		progs = append(progs, genCoherenceProgram(rng, fmt.Sprintf("coh-%d", i)))
-	}
+	progs := append(AllPrograms(), coherencePrograms()...)
 	checked := map[string]int{}
 	candidates, consistent := 0, 0
 	for _, p := range progs {

@@ -57,7 +57,7 @@ func (m Mapping) MapsSCStoreToRMW() bool { return m == ReadWriteMapping || m == 
 // value read is observable in the original register); SC stores compiled to
 // RMWs become exchanges whose read half lands in a hidden register named
 // "_scw<i>". Hidden registers are excluded when projecting TSO outcomes
-// back onto the C/C++11 program (see ProjectOutcome).
+// back onto the C/C++11 program (see Semantics.Validate).
 func Compile(p *Program, m Mapping) (*memmodel.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -92,20 +92,6 @@ func translate(p *Program, name string, scLoadRMW, scStoreRMW bool) *memmodel.Pr
 			}
 		}
 		out.AddThread(instrs...)
-	}
-	return out
-}
-
-// ProjectOutcome restricts a TSO outcome's registers to the registers that
-// exist in the source C/C++11 program, dropping the hidden "_scw" registers
-// introduced by compiled SC stores.
-func ProjectOutcome(o core.Outcome) map[string]memmodel.Value {
-	out := map[string]memmodel.Value{}
-	for k, v := range o.Registers {
-		if hidden(k) {
-			continue
-		}
-		out[k] = v
 	}
 	return out
 }
@@ -204,9 +190,9 @@ func (s *Semantics) Validate(ctx context.Context, m Mapping, types []core.Atomic
 
 // result compares one type's TSO outcomes of the compiled program with
 // the program's C/C++11 outcomes. It projects each outcome row onto the
-// source program's registers (ProjectOutcome) and renders the projection
-// as its RegisterKey straight from the row: the set's register columns
-// are in name order, as RegisterKey sorts them.
+// source program's registers, dropping the hidden ones, and renders the
+// projection as its RegisterKey straight from the row: the set's register
+// columns are in name order, as RegisterKey sorts them.
 func (s *Semantics) result(m Mapping, v core.Verdict) ValidationResult {
 	res := ValidationResult{Program: s.p.Name, Mapping: m, Atomicity: v.Type, Racy: s.Racy}
 	res.CPPOutcomes = s.OutcomeKeys()

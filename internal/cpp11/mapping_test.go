@@ -3,6 +3,7 @@ package cpp11
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -105,26 +106,19 @@ func TestCompiledSCStoreValueSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := core.NewModel(core.Type1).Outcomes(compiled)
+	vs, err := core.Verdicts(context.Background(), compiled, []core.AtomicityType{core.Type1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range set.Outcomes() {
-		if o.Memory[locX] != 7 {
-			t.Errorf("compiled SC store wrote %d, want 7", o.Memory[locX])
-		}
+	set := vs[0].Outcomes
+	x := slices.Index(set.Locations(), locX)
+	if set.Len() == 0 || x < 0 {
+		t.Fatalf("no outcome holds location x: %q", set.Keys())
 	}
-}
-
-func TestProjectOutcomeDropsHiddenRegisters(t *testing.T) {
-	o := core.Outcome{Registers: map[string]memmodel.Value{
-		"P0:r0":    1,
-		"P0:_scw0": 0,
-		"P1:_scw1": 1,
-	}}
-	got := ProjectOutcome(o)
-	if len(got) != 1 || got["P0:r0"] != 1 {
-		t.Errorf("ProjectOutcome = %v", got)
+	for i := 0; i < set.Len(); i++ {
+		if v := set.Row(i)[len(set.Registers())+x]; v != 7 {
+			t.Errorf("compiled SC store wrote %d, want 7", v)
+		}
 	}
 }
 
@@ -164,6 +158,48 @@ func TestTable4MappingSoundness(t *testing.T) {
 		if !want && len(res.Counterexamples) == 0 {
 			t.Errorf("%s with %s: unsound result must carry a counterexample", k.m, k.typ)
 		}
+	}
+}
+
+// TestTable4PatternOnGeneratedPrograms checks Table 4's soundness
+// pattern beyond store buffering, on the registry programs,
+// semantics.golden's generated programs and the coherence test's: the
+// read-write and read mappings are sound under all three types, the
+// write mapping under types 1 and 2, and the write mapping under type-3
+// is unsound on exactly two of the 905 programs.
+func TestTable4PatternOnGeneratedPrograms(t *testing.T) {
+	progs := append(goldenPrograms(), coherencePrograms()...)
+	raceFree := 0
+	var unsound []string
+	for _, p := range progs {
+		sem, err := Analyze(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if !sem.Racy {
+			raceFree++
+		}
+		for _, m := range AllMappings() {
+			results, err := sem.Validate(context.Background(), m, core.AllTypes(), 1)
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.Name, m, err)
+			}
+			for _, res := range results {
+				switch {
+				case res.Sound:
+				case m == WriteMapping && res.Atomicity == core.Type3:
+					unsound = append(unsound, p.Name)
+				default:
+					t.Errorf("%s with %s is unsound on %s: counterexamples %v", m, res.Atomicity, p.Name, res.Counterexamples)
+				}
+			}
+		}
+	}
+	if len(progs) != 905 || raceFree != 590 {
+		t.Errorf("%d programs, %d race-free; want 905 and 590", len(progs), raceFree)
+	}
+	if want := []string{"sc-store-buffering", "coh-493"}; !slices.Equal(unsound, want) {
+		t.Errorf("write-mapping with type-3 is unsound on %q, want %q", unsound, want)
 	}
 }
 

@@ -59,16 +59,23 @@ func genProgram(rng *rand.Rand, name string) *Program {
 	return p
 }
 
-// semanticsGolden renders the C/C++11 semantics of the registry programs
-// and the generated ones: each program's rendering and initial values,
-// then its race verdict, counts and sorted outcome keys.
-func semanticsGolden(t *testing.T) string {
-	t.Helper()
+// goldenPrograms returns the programs semantics.golden pins: the
+// registry programs, then genPrograms generated ones from genSeed.
+func goldenPrograms() []*Program {
 	progs := AllPrograms()
 	rng := rand.New(rand.NewSource(genSeed))
 	for i := 0; i < genPrograms; i++ {
 		progs = append(progs, genProgram(rng, fmt.Sprintf("gen-%d", i)))
 	}
+	return progs
+}
+
+// semanticsGolden renders the C/C++11 semantics of the registry programs
+// and the generated ones: each program's rendering and initial values,
+// then its race verdict, counts and sorted outcome keys.
+func semanticsGolden(t *testing.T) string {
+	t.Helper()
+	progs := goldenPrograms()
 	var b strings.Builder
 	b.WriteString("# C/C++11 semantics of the registry programs and of generated ones.\n")
 	b.WriteString("# Regenerate with: go test ./internal/cpp11 -run TestSemanticsGolden -update\n")

@@ -149,11 +149,11 @@ func TestRunWithoutExpectationMatches(t *testing.T) {
 // outcomeSet returns the program's outcome set under type-1.
 func outcomeSet(t *testing.T, p *memmodel.Program) *core.OutcomeSet {
 	t.Helper()
-	s, err := core.NewModel(core.Type1).Outcomes(p)
+	vs, err := core.Verdicts(context.Background(), p, []core.AtomicityType{core.Type1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return vs[0].Outcomes
 }
 
 func TestConditionEvaluate(t *testing.T) {

@@ -77,9 +77,9 @@ func probe(p *memmodel.Program) Term {
 // equal the full walk's visits; and a check (which walks only the
 // uniproc candidates, and checks every type it is asked for in one walk)
 // must find the valid count, outcomes and condition truth that filtering
-// the full walk with core.Valid finds, type by type. The check runs for
-// all three types, for each type alone and for a two-type subset, at 1, 2
-// and 8 workers.
+// the full walk with core.Checker.Valid finds, type by type. The check
+// runs for all three types, for each type alone and for a two-type
+// subset, at 1, 2 and 8 workers.
 func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 	ctx := context.Background()
 	types := core.AllTypes()
@@ -93,6 +93,7 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 		for _, typ := range types {
 			outcomes[typ] = map[string]core.Outcome{}
 		}
+		c := core.NewChecker()
 		err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
 			visits++
 			if !x.Uniproc() {
@@ -100,7 +101,7 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 			}
 			want = append(want, x.Key())
 			for _, typ := range types {
-				if core.Valid(x, typ) {
+				if c.Valid(x, typ) {
 					valid[typ]++
 					o := core.OutcomeOf(x)
 					outcomes[typ][o.Key()] = o
@@ -185,6 +186,16 @@ func condHolds(c Condition, outcomes map[string]core.Outcome) bool {
 	}
 }
 
+// subsetOf reports whether every key of sorted keys a is in sorted keys b.
+func subsetOf(a, b []string) bool {
+	for _, k := range a {
+		if _, ok := slices.BinarySearch(b, k); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // TestTypeStrengthInclusion tests core.AtomicityType.Stronger on every
 // walked candidate of the walk-level differential's programs: the mask of
 // types a candidate is valid under must be monotone in strength order
@@ -220,7 +231,7 @@ func TestTypeStrengthInclusion(t *testing.T) {
 		}
 		for i := 1; i < len(results); i++ {
 			stronger, weaker := results[i-1], results[i]
-			if stronger.ValidExecutions > weaker.ValidExecutions || !stronger.Outcomes.SubsetOf(weaker.Outcomes) {
+			if stronger.ValidExecutions > weaker.ValidExecutions || !subsetOf(stronger.Outcomes.Keys(), weaker.Outcomes.Keys()) {
 				t.Errorf("%s: %s finds %d valid, outcomes %v; %s finds %d, %v",
 					p.Name, stronger.Atomicity, stronger.ValidExecutions, stronger.Outcomes.Keys(),
 					weaker.Atomicity, weaker.ValidExecutions, weaker.Outcomes.Keys())

@@ -38,13 +38,11 @@ type Config struct {
 	// RMWType selects the RMW implementation (type-1/2/3).
 	RMWType core.AtomicityType
 
-	// BloomFilterBits and BloomHashes configure the addr-list filters
-	// (128 B with 3 hash functions in the paper). RMWResetThreshold is the
-	// number of inserted addresses after which all filters are reset
-	// (0 disables resets, as in the paper's single-context runs).
-	BloomFilterBits   int
-	BloomHashes       int
-	RMWResetThreshold int
+	// BloomFilterBits and BloomHashes configure the addr-list filter
+	// (128 B with 3 hash functions in the paper). The filter is never
+	// reset, as in the paper's single-context runs.
+	BloomFilterBits int
+	BloomHashes     int
 
 	// DisableDeadlockAvoidance turns off the bloom-filter protocol for
 	// type-2/3 RMWs (the naive implementation of §3.2's first paragraph).
@@ -87,7 +85,6 @@ func DefaultConfig() Config {
 		RMWType:              core.Type1,
 		BloomFilterBits:      1024, // 128 B
 		BloomHashes:          3,
-		RMWResetThreshold:    0,
 		ParallelDrain:        true,
 		MaxOutstandingDrains: 4,
 		LockRetryCycles:      2,
@@ -166,7 +163,9 @@ func (c Config) Digest() string {
 	b = strconv.AppendInt(append(b, "\nRMWType="...), int64(c.RMWType), 10)
 	b = strconv.AppendInt(append(b, "\nBloomFilterBits="...), int64(c.BloomFilterBits), 10)
 	b = strconv.AppendInt(append(b, "\nBloomHashes="...), int64(c.BloomHashes), 10)
-	b = strconv.AppendInt(append(b, "\nRMWResetThreshold="...), int64(c.RMWResetThreshold), 10)
+	// A constant line: the addr-list is never reset, and the line keeps
+	// every pinned digest and cache key.
+	b = append(b, "\nRMWResetThreshold=0"...)
 	b = strconv.AppendBool(append(b, "\nDisableDeadlockAvoidance="...), c.DisableDeadlockAvoidance)
 	b = strconv.AppendBool(append(b, "\nParallelDrain="...), c.ParallelDrain)
 	b = strconv.AppendInt(append(b, "\nMaxOutstandingDrains="...), int64(c.MaxOutstandingDrains), 10)

@@ -227,9 +227,6 @@ func (p *processor) kickDrain(at uint64) {
 		return
 	}
 	limit := p.cfg.MaxOutstandingDrains
-	if limit <= 0 {
-		limit = 1
-	}
 	if p.forcedDrain && p.cfg.ParallelDrain {
 		limit = p.wb.Len()
 	}
@@ -396,12 +393,12 @@ func (p *processor) rmwWeak(at uint64, line uint64) {
 	var broadcast, conflict bool
 	var bcastLat uint64
 	if !p.cfg.DisableDeadlockAvoidance {
-		broadcast = p.addrs.LookupOrBroadcast(p.id, line)
+		broadcast = p.addrs.LookupOrBroadcast(line)
 		if broadcast {
 			bcastLat = p.topo.BroadcastLatency(p.id)
 		}
 		for i := 0; i < p.wb.Len(); i++ {
-			if p.addrs.ConflictsWithPendingWrite(p.id, p.wb.At(i).Line) {
+			if p.addrs.MayContain(p.wb.At(i).Line) {
 				conflict = true
 				break
 			}

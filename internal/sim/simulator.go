@@ -72,7 +72,7 @@ func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
 		rmwLines:   map[uint64]struct{}{},
 		afterEvent: eventHook,
 	}
-	addrs := bloom.NewAddrList(s.cfg.Cores, s.cfg.BloomFilterBits, s.cfg.BloomHashes, s.cfg.RMWResetThreshold)
+	addrs := bloom.NewAddrList(s.cfg.BloomFilterBits, s.cfg.BloomHashes)
 	for i := range e.procs {
 		var stream OpStream = emptyStream{}
 		if i < src.Cores() {

@@ -38,8 +38,8 @@ var ErrSpaceTooLarge = memmodel.ErrSpaceTooLarge
 
 // EnumerateExecutionsFunc streams every candidate execution of the program
 // to visit, one at a time. Returning false stops the enumeration early.
-// The visited executions are candidates only; filter them with
-// Model.Valid (or use Model.ValidExecutionsFunc). Each execution is
+// The visited executions are candidates only, valid or not; Explain
+// tells why one is (in)valid under an atomicity type. Each execution is
 // arena-owned and valid only during its visit (Clone to retain), and a
 // program whose candidate space does not fit in an int fails with an
 // error wrapping ErrSpaceTooLarge.
@@ -54,15 +54,11 @@ func EnumerateExecutionsFunc(p *Program, visit func(*Execution) bool) error {
 // ErrSpaceTooLarge.
 func CountCandidates(p *Program) (int, error) { return memmodel.CountCandidates(p) }
 
-// Model is a TSO memory model extended with RMWs of one atomicity type.
-type Model = core.Model
+// Explain describes why an execution is (in)valid under atomicity type
+// t: the ato edges it derives and one witness global memory order, or
+// one cycle or the uniproc violation.
+func Explain(x *Execution, t AtomicityType) string { return core.Explain(x, t) }
 
-// NewModel returns the model for the given atomicity type.
-func NewModel(t AtomicityType) *Model { return core.NewModel(t) }
-
-// Outcome is one observable result of a program: final register and
-// memory values.
-type Outcome = core.Outcome
-
-// OutcomeSet is a set of observable outcomes keyed by Outcome.Key.
+// OutcomeSet is the set of observable outcomes of a program under one
+// atomicity type, one row of final values per outcome.
 type OutcomeSet = core.OutcomeSet

@@ -8,7 +8,7 @@
 //
 //   - the semantics layer: litmus programs, the TSO-with-RMW memory models
 //     (type-1/2/3 atomicity) and exhaustive model checking
-//     (EnumerateExecutionsFunc, Model, Suite);
+//     (EnumerateExecutionsFunc, Explain, Suite);
 //   - the implementation layer: the cycle-approximate chip-multiprocessor
 //     simulator and its trace/workload generators (Simulate, Generator,
 //     Fig10Trace);

@@ -15,16 +15,19 @@
 // -j parallelizes across tests: each test is one walk that decides all
 // of its selected atomicity types at once, and still reports one verdict
 // per test and type. Inside one walk the candidates that satisfy uniproc
-// — the only ones a verdict checks — are partitioned across goroutines
-// by their count: GOMAXPROCS for IRIW-sized spaces, where a single
-// program dominates the wall clock, and 1 for small ones.
+// and in which every RMW reads the ws-predecessor of its write half — the
+// only ones a verdict checks — are partitioned across goroutines by their
+// count: GOMAXPROCS for large spaces, where a single program dominates
+// the wall clock, and 1 for small ones.
 package main
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -171,13 +174,7 @@ func record(r rmwtso.TestResult) verdictRecord {
 func emitResults(w *os.File, results []rmwtso.TestResult, format string) error {
 	switch format {
 	case rmwtso.FormatJSON:
-		recs := make([]verdictRecord, len(results))
-		for i, r := range results {
-			recs[i] = record(r)
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(recs)
+		return writeJSON(w, results)
 	case rmwtso.FormatCSV:
 		cw := csv.NewWriter(w)
 		if err := cw.Write([]string{"test", "type", "holds", "expected", "matches", "valid_executions", "candidates", "outcomes"}); err != nil {
@@ -201,6 +198,32 @@ func emitResults(w *os.File, results []rmwtso.TestResult, format string) error {
 	}
 	_, err := fmt.Fprint(w, rmwtso.RenderLitmusResults(results))
 	return err
+}
+
+// writeJSON writes the verdicts as one indented JSON array, the bytes a
+// json.Encoder with a two-space indent writes for their records, but one
+// record at a time: a record's outcome keys and encoding are garbage once
+// it is written, so a large verdict set never holds them all at once.
+func writeJSON(w io.Writer, results []rmwtso.TestResult) error {
+	// A bufio.Writer keeps its first write error, and Flush returns it.
+	bw := bufio.NewWriter(w)
+	if len(results) == 0 {
+		bw.WriteString("[]\n")
+		return bw.Flush()
+	}
+	bw.WriteString("[\n  ")
+	for i, r := range results {
+		if i > 0 {
+			bw.WriteString(",\n  ")
+		}
+		b, err := json.MarshalIndent(record(r), "  ", "  ")
+		if err != nil {
+			return err
+		}
+		bw.Write(b)
+	}
+	bw.WriteString("\n]\n")
+	return bw.Flush()
 }
 
 func fatal(err error) {

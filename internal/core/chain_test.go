@@ -21,24 +21,11 @@ import (
 // closure alone (Checker.Valid), and of DeriveAto. On each program it also
 // checks the chain's premise on the checker's own rows: every RMW pair's
 // type-3 disallowed row is a subset of its type-2 row and of its type-1
-// row.
+// row. The walk skips the candidates whose RMWs break
+// memmodel.EnumUniprocAdjacentRMW's condition, which every type rejects
+// (TestNonAdjacentRMWCandidatesAreInvalid).
 func TestChainMatchesIndependentFixpoints(t *testing.T) {
-	var programs []*memmodel.Program
-	for _, test := range litmus.AllTests() {
-		programs = append(programs, test.Program)
-	}
-	for _, p := range cpp11.AllPrograms() {
-		for _, m := range cpp11.AllMappings() {
-			c, err := cpp11.Compile(p, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			programs = append(programs, c)
-		}
-	}
-	for _, seed := range []int64{23, 29} {
-		programs = append(programs, memmodeltest.Programs(seed, 100, 20_000)...)
-	}
+	programs := registryAndGeneratedPrograms(t)
 	single := core.NewChecker()
 	types := core.AllTypes()
 	checked, mismatches := 0, 0
@@ -70,7 +57,7 @@ func TestChainMatchesIndependentFixpoints(t *testing.T) {
 			}
 			checked++
 			return true
-		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func() func(*memmodel.Execution) uint64 {
+		}, memmodel.EnumUniprocAdjacentRMW(), memmodel.EnumClassify(func() func(*memmodel.Execution) uint64 {
 			classify := core.Classifier(types...)()
 			// Keep every walked candidate: bit 63 marks the visit.
 			return func(x *memmodel.Execution) uint64 { return classify(x) | 1<<63 }
@@ -88,6 +75,30 @@ func TestChainMatchesIndependentFixpoints(t *testing.T) {
 		t.Fatalf("the types never split: %v", split)
 	}
 	t.Logf("%d candidates agree; valid under one type and not another (row, column in type order): %v", checked, split)
+}
+
+// registryAndGeneratedPrograms returns the programs of the registry
+// litmus tests, the registry C/C++11 programs compiled under each mapping
+// and 100 generated programs at each of seeds 23 and 29.
+func registryAndGeneratedPrograms(t *testing.T) []*memmodel.Program {
+	t.Helper()
+	var programs []*memmodel.Program
+	for _, test := range litmus.AllTests() {
+		programs = append(programs, test.Program)
+	}
+	for _, p := range cpp11.AllPrograms() {
+		for _, m := range cpp11.AllMappings() {
+			c, err := cpp11.Compile(p, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			programs = append(programs, c)
+		}
+	}
+	for _, seed := range []int64{23, 29} {
+		programs = append(programs, memmodeltest.Programs(seed, 100, 20_000)...)
+	}
+	return programs
 }
 
 // checkPremise checks, on the checker's rows for x's program, that every

@@ -139,8 +139,8 @@ func (pl *atoPlan) close(r *memmodel.Relation, t AtomicityType) bool {
 
 // classify returns the subset of want, a mask of type bits
 // (AtomicityType.Bit), under whose types x is valid. It does not check
-// uniproc: x must satisfy it, as every candidate of a uniproc walk
-// (memmodel.EnumUniproc) does.
+// uniproc: x must satisfy it, as every candidate of a pruned walk
+// (memmodel.EnumUniprocAdjacentRMW) does.
 //
 // com ∪ ppo ∪ bar does not depend on the type, so the execution closes
 // it once (Execution.BaseClosure, which a walk's slot rebuilds only from
@@ -213,8 +213,8 @@ func (c *Checker) Valid(x *memmodel.Execution, t AtomicityType) bool {
 	return x.Uniproc() && c.classify(x, t.Bit()) != 0
 }
 
-// Classifier returns the classifier constructor a uniproc walk
-// (memmodel.EnumUniproc) passes to memmodel.EnumClassify to decide the
+// Classifier returns the classifier constructor a pruned walk
+// (memmodel.EnumUniprocAdjacentRMW) passes to memmodel.EnumClassify to decide the
 // given atomicity types. Each call builds a classifier with a Checker of
 // its own, for one walker: it maps a candidate to the mask of the types
 // (AtomicityType.Bit) it is valid under, so the walk drops a candidate

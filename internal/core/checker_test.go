@@ -24,7 +24,9 @@ const oracleMaxEvents = 16
 // On every walked candidate of 100 generated programs it then checks the
 // multi-type Classifier, as the walks use it, against Checker.Valid and
 // DeriveAto type by type, and against the oracle too on candidates of at
-// most oracleMaxEvents events.
+// most oracleMaxEvents events. The walk skips the candidates whose RMWs
+// break memmodel.EnumUniprocAdjacentRMW's condition;
+// TestNonAdjacentRMWCandidatesAreInvalid checks those.
 func TestCheckerMatchesDeriveAtoAndOracle(t *testing.T) {
 	c := NewChecker()
 	for _, p := range oraclePrograms() {
@@ -73,7 +75,7 @@ func TestCheckerMatchesDeriveAtoAndOracle(t *testing.T) {
 				}
 			}
 			return true
-		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func() func(*memmodel.Execution) uint64 {
+		}, memmodel.EnumUniprocAdjacentRMW(), memmodel.EnumClassify(func() func(*memmodel.Execution) uint64 {
 			classify := Classifier(AllTypes()...)()
 			// Keep every walked candidate: bit 63 marks the visit.
 			return func(x *memmodel.Execution) uint64 { return classify(x) | 1<<63 }
@@ -155,7 +157,7 @@ func BenchmarkClassify(b *testing.B) {
 			c.acyclic = x.BaseClosure(&c.base)
 			cs = append(cs, c)
 			return true
-		}, memmodel.EnumUniproc())
+		}, memmodel.EnumUniprocAdjacentRMW())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,3 +13,10 @@ func (c *Checker) DisallowedRows(x *memmodel.Execution) (pairs int, row func(t A
 		return pl.dis[t-1][i*pl.words : (i+1)*pl.words]
 	}
 }
+
+// OraclePrograms returns the programs the oracle tests enumerate in full.
+func OraclePrograms() []*memmodel.Program { return oraclePrograms() }
+
+// OracleMaxEvents bounds the events of the candidates the tests hand to
+// the linearization oracle.
+const OracleMaxEvents = oracleMaxEvents

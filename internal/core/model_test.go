@@ -56,13 +56,9 @@ func TestOutcomeSetOperations(t *testing.T) {
 	}
 }
 
-func TestModelAllowsAndForbids(t *testing.T) {
-	if allowsBadOutcome(t, dekkerReadReplacement(), Type2) {
-		t.Error("read-replacement Dekker must forbid the bad outcome under type-2")
-	}
-}
-
-func TestModelErrorsPropagate(t *testing.T) {
+// TestVerdictsRejectInvalidProgram checks that Verdicts returns the
+// program's validation error instead of verdicts.
+func TestVerdictsRejectInvalidProgram(t *testing.T) {
 	bad := memmodel.NewProgram("empty")
 	if _, err := Verdicts(context.Background(), bad, AllTypes(), 1); err == nil {
 		t.Error("Verdicts of an invalid program must fail")

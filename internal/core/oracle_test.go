@@ -156,9 +156,11 @@ func oracleOutcomes(t *testing.T, p *memmodel.Program, typ AtomicityType, worker
 	return slices.Sorted(maps.Keys(keys))
 }
 
-// TestModelOracleAgreesWithFixpointOutcomes checks the two validity backends
-// produce identical outcome sets at the model level.
-func TestModelOracleAgreesWithFixpointOutcomes(t *testing.T) {
+// TestVerdictOutcomesMatchLinearizationOracle checks that a verdict's
+// outcome set, which the incremental fixpoint decides, equals the outcomes
+// of the candidates the brute-force linearization oracle accepts, on every
+// oracle program under every type.
+func TestVerdictOutcomesMatchLinearizationOracle(t *testing.T) {
 	for _, p := range oraclePrograms() {
 		for _, typ := range AllTypes() {
 			fix := verdict(t, p, typ).Outcomes

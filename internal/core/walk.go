@@ -22,17 +22,19 @@ type Verdict struct {
 	Outcomes *OutcomeSet
 	// Candidates is the program's candidate count,
 	// memmodel.CountCandidates; the walk assembles and checks only the
-	// candidates that satisfy uniproc.
+	// candidates that some type could accept.
 	Candidates int
 }
 
 // Verdicts model-checks the program under each of the given atomicity
 // types in one walk, returning one Verdict per type in the given order.
 // The candidates, uniproc and com ∪ ppo ∪ bar do not depend on the type,
-// only the ato edges do, so the walk visits the candidates that satisfy
-// uniproc (memmodel.EnumUniproc) once, and its Classifier closes each
-// candidate's base order once and decides every type from it, several
-// types through one chain of fixpoints (Checker.decide).
+// only the ato edges do, so the walk visits once the candidates that
+// satisfy uniproc and in which every RMW reads the ws-predecessor of its
+// write half (memmodel.EnumUniprocAdjacentRMW), which every type requires,
+// and its Classifier closes each candidate's base order once and decides
+// every type from it, several types through one chain of fixpoints
+// (Checker.decide).
 //
 // The classifiers run inside the enumeration workers, spread over
 // workers goroutines as memmodel.EnumWorkers defines them (workers <= 0
@@ -52,7 +54,7 @@ func Verdicts(ctx context.Context, p *memmodel.Program, types []AtomicityType, w
 	var col outcomeCollector
 	candidates := 0
 	err := memmodel.EnumerateFunc(p, col.add, memmodel.EnumContext(ctx), memmodel.EnumWorkers(workers),
-		memmodel.EnumUniproc(), memmodel.EnumCandidates(&candidates), memmodel.EnumClassify(Classifier(types...)))
+		memmodel.EnumUniprocAdjacentRMW(), memmodel.EnumCandidates(&candidates), memmodel.EnumClassify(Classifier(types...)))
 	if err != nil {
 		return nil, err
 	}

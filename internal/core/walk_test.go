@@ -55,7 +55,7 @@ func TestVerdictOutcomesMatchOutcomeOf(t *testing.T) {
 				classes[key][class] = true
 			}
 			return true
-		}, memmodel.EnumUniproc())
+		}, memmodel.EnumUniprocAdjacentRMW())
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

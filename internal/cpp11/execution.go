@@ -264,8 +264,8 @@ type Semantics struct {
 // them. The candidates are memmodel's: every reads-from choice times every
 // per-location modification order of the program translated with each
 // access a plain TSO read or write, walked by memmodel.EnumerateFunc. It
-// walks all of them, not only those that satisfy TSO's uniproc
-// (memmodel.EnumUniproc): C/C++11 consistency is a different check, and
+// walks all of them, not only those a TSO verdict walks
+// (memmodel.EnumUniprocAdjacentRMW): C/C++11 consistency is a different check, and
 // Candidates counts the whole space. A program whose candidate space does
 // not fit in an int fails with an error wrapping
 // memmodel.ErrSpaceTooLarge.

@@ -184,8 +184,10 @@ type Result struct {
 	// Candidates is the number of candidate executions of the program,
 	// memmodel.CountCandidates: every rf × ws choice whose RMW value
 	// dependencies are acyclic. The verdict assembles and checks only the
-	// ones that satisfy uniproc (memmodel.EnumUniproc), so this is the
-	// size of the space the verdict decided, not of the work it did.
+	// ones that satisfy uniproc and in which every RMW reads the
+	// ws-predecessor of its write half (memmodel.EnumUniprocAdjacentRMW),
+	// so this is the size of the space the verdict decided, not of the
+	// work it did.
 	Candidates int
 	// Outcomes is the set of observable outcomes.
 	Outcomes *core.OutcomeSet
@@ -207,8 +209,8 @@ func (r Result) String() string {
 
 // Check model-checks the test under each of the given atomicity types
 // and returns one Result per type, in the given order. The types share
-// one walk (core.Verdicts): the candidates that satisfy uniproc
-// (memmodel.EnumUniproc) are enumerated once, spread over workers
+// one walk (core.Verdicts): the candidates that any type can accept
+// (memmodel.EnumUniprocAdjacentRMW) are enumerated once, spread over workers
 // goroutines as memmodel.EnumWorkers defines them, and each is checked
 // under every type inside the worker that assembled it, while outcome
 // collection stays serialized. workers == 1 walks sequentially,

@@ -70,20 +70,24 @@ func probe(p *memmodel.Program) Term {
 	return MemTerm(p.Addrs()[0], 1)
 }
 
-// TestUniprocWalkMatchesFilteredFullWalk is the walk-level differential
-// of memmodel.EnumUniproc on generated and registry programs: the uniproc
-// walk must visit exactly the multiset of full-walk candidates that
-// satisfy Execution.Uniproc, at 1, 2 and 8 workers; CountCandidates must
-// equal the full walk's visits; and a check (which walks only the
-// uniproc candidates, and checks every type it is asked for in one walk)
-// must find the valid count, outcomes and condition truth that filtering
-// the full walk with core.Checker.Valid finds, type by type. The check
-// runs for all three types, for each type alone and for a two-type
-// subset, at 1, 2 and 8 workers.
-func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
+// TestUniprocAdjacentRMWWalkMatchesFilteredFullWalk is the walk-level
+// differential of memmodel.EnumUniprocAdjacentRMW on generated and
+// registry programs: the walk must visit exactly the multiset of
+// full-walk candidates that satisfy Execution.Uniproc and the reference
+// RMW predicate memmodeltest.AdjacentRMW, at 1, 2 and 8 workers; every
+// full-walk candidate that core.Checker.Valid accepts under some type must
+// satisfy the predicate; CountCandidates must equal the full walk's
+// visits; and a check (which walks only the pruned candidates, and checks
+// every type it is asked for in one walk) must find the valid count,
+// outcomes and condition truth that filtering the full walk with
+// core.Checker.Valid finds, type by type. The check runs for all three
+// types, for each type alone and for a two-type subset, at 1, 2 and 8
+// workers.
+func TestUniprocAdjacentRMWWalkMatchesFilteredFullWalk(t *testing.T) {
 	ctx := context.Background()
 	types := core.AllTypes()
 	typeSets := [][]core.AtomicityType{types, {core.Type1}, {core.Type2}, {core.Type3}, {core.Type3, core.Type1}}
+	pruned := 0
 	for _, test := range walkTests(t) {
 		p := test.Program
 		visits := 0
@@ -99,9 +103,17 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 			if !x.Uniproc() {
 				return true
 			}
-			want = append(want, x.Key())
+			adjacent := memmodeltest.AdjacentRMW(x)
+			if adjacent {
+				want = append(want, x.Key())
+			} else {
+				pruned++
+			}
 			for _, typ := range types {
 				if c.Valid(x, typ) {
+					if !adjacent {
+						t.Fatalf("%s: %s accepts a candidate whose RMW does not read the ws-predecessor of its write half:\n%s", p.Name, typ, x)
+					}
 					valid[typ]++
 					o := core.OutcomeOf(x)
 					outcomes[typ][o.Key()] = o
@@ -125,13 +137,13 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 			err := memmodel.EnumerateFunc(p, func(x *memmodel.Execution) bool {
 				got = append(got, x.Key())
 				return true
-			}, memmodel.EnumUniproc(), memmodel.EnumWorkers(workers))
+			}, memmodel.EnumUniprocAdjacentRMW(), memmodel.EnumWorkers(workers))
 			if err != nil {
-				t.Fatalf("%s: uniproc walk: %v", p.Name, err)
+				t.Fatalf("%s: pruned walk: %v", p.Name, err)
 			}
 			sort.Strings(got)
 			if d := diffKeys(got, want); d != "" {
-				t.Fatalf("%s workers=%d: the uniproc walk differs from the full walk's uniproc candidates: %s\n%s",
+				t.Fatalf("%s workers=%d: the pruned walk differs from the full walk's uniproc candidates with adjacent RMWs: %s\n%s",
 					p.Name, workers, d, p)
 			}
 			for _, set := range typeSets {
@@ -156,6 +168,10 @@ func TestUniprocWalkMatchesFilteredFullWalk(t *testing.T) {
 			}
 		}
 	}
+	if pruned == 0 {
+		t.Fatal("no uniproc candidate breaks the RMW condition: the pruning went unchecked")
+	}
+	t.Logf("%d uniproc candidates of the full walks break the RMW condition", pruned)
 }
 
 // condHolds is the reference evaluation of a condition over outcomes
@@ -217,7 +233,7 @@ func TestTypeStrengthInclusion(t *testing.T) {
 				}
 			}
 			return true
-		}, memmodel.EnumUniproc(), memmodel.EnumClassify(func() func(*memmodel.Execution) uint64 {
+		}, memmodel.EnumUniprocAdjacentRMW(), memmodel.EnumClassify(func() func(*memmodel.Execution) uint64 {
 			classify := core.Classifier(types...)()
 			// Keep every walked candidate: bit 63 marks the visit.
 			return func(x *memmodel.Execution) uint64 { return classify(x) | 1<<63 }
@@ -310,9 +326,11 @@ func TestCountCandidatesLargeInlineProgram(t *testing.T) {
 }
 
 // TestRunParallelCancelDuringTableBuild cancels a check of storeLoadX3
-// about 50 ms in, while it is still searching for the program's uniproc
-// shares (seconds of work): the check must stop with context.Canceled
-// within a second, sequential or parallel.
+// about 10 ms in, usually while it is still searching for the program's
+// uniproc shares (about 45 ms of a check of about 0.6 s on a 2-vCPU
+// container): the check must stop with context.Canceled within a second,
+// sequential or parallel. memmodel's TestTableSearchPollsContext checks
+// the search's own polling without timing.
 func TestRunParallelCancelDuringTableBuild(t *testing.T) {
 	test, err := Parse(storeLoadX3(t))
 	if err != nil {
@@ -320,7 +338,7 @@ func TestRunParallelCancelDuringTableBuild(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
-		timer := time.AfterFunc(50*time.Millisecond, cancel)
+		timer := time.AfterFunc(10*time.Millisecond, cancel)
 		start := time.Now()
 		_, err := test.Check(ctx, core.AllTypes(), workers)
 		elapsed := time.Since(start)

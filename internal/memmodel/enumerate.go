@@ -47,9 +47,10 @@ func Enumerate(p *Program) ([]*Execution, error) {
 // cross-product is the candidate set.
 //
 // The space is factored by location. Every uniproc edge (poloc, ws, fr,
-// rf) and every RMW value dependency joins two events of one location, so
-// a location's share of a candidate — the rf choices of its reads and its
-// ws order — is what decides both whether the candidate passes uniproc
+// rf), every RMW's pair of halves and every RMW value dependency joins
+// events of one location, so a location's share of a candidate — the rf
+// choices of its reads and its ws order — is what decides whether the
+// candidate passes uniproc and the RMW condition of EnumUniprocAdjacentRMW
 // and whether its values propagate. A location's share is addressed by a
 // local index in [0, size): the mixed-radix number whose least
 // significant digit is the ws choice and whose more significant digits
@@ -58,12 +59,14 @@ func Enumerate(p *Program) ([]*Execution, error) {
 // Candidates are addressed by a linear index in [0, total()), decoded
 // location by location, the last location least significant. In the full
 // walk a location's digit is its local index; in the uniproc walk
-// (EnumUniproc) it indexes the location's table of passing shares, whose
-// entries are local indices. Either way any contiguous index range can be
-// walked independently, which is what EnumerateFunc's worker partitioning
-// relies on: a walker's arena remembers the digits of its last candidate
-// and redoes only the locations whose digit changes (enumArena), and a
-// fresh arena remembers none.
+// (EnumUniprocAdjacentRMW), which also requires every RMW to read the
+// ws-predecessor of its write half, it indexes the location's table of
+// passing shares, whose entries are local indices. Either way any
+// contiguous index range can be walked independently, which is what
+// EnumerateFunc's worker partitioning relies on: a walker's arena
+// remembers the digits of its last candidate and redoes only the
+// locations whose digit changes (enumArena), and a fresh arena remembers
+// none.
 //
 // newEnumSpace sizes and counts the space; buildWalk materializes what a
 // walk reads. Both are computed once per enumeration and then shared
@@ -125,8 +128,8 @@ type locSpace struct {
 	// step is the base-closure step of the location's ws chain, which its
 	// reads' steps follow (Execution.BaseClosure; built by buildWalk).
 	step int
-	// table lists the local indices of the shares that pass uniproc, for
-	// the uniproc walk.
+	// table lists the local indices of the shares that pass uniproc and
+	// the RMW condition, for the uniproc walk.
 	table []int
 }
 
@@ -376,50 +379,62 @@ func (sp *enumSpace) visits() int {
 }
 
 // tableSearch is the state of one buildTables call: the location being
-// searched, its closure stack, and the scratch that maps events to their
-// index among the location's events and writes to their ws successors.
+// searched, the positions of its writes in the ws order being searched,
+// and its reads' bounds on the positions of their sources.
 type tableSearch struct {
 	sp    *enumSpace
 	ctx   context.Context
 	nodes int
 	loc   *locSpace
-	// local[e] is event e's index among its location's events; next[w]
-	// is write w's successor in the ws order being searched (-1 for the
-	// last write).
-	local, next []int
-	// levels[i] is the transitive closure of poloc ∪ ws plus the rf and
-	// fr edges of the location's first i reads, over the location's
-	// events.
-	levels []Relation
+	// pos[w] is write w's position in the ws order being searched.
+	pos []int
+	// For the location's i-th read: prev[i] is the index among the
+	// location's reads of the nearest read poloc-before it, -1 if none;
+	// its source's position p must satisfy lo[i] <= p < hi[i] in the ws
+	// order being searched, and src[i] is the position of the source it
+	// has been given.
+	prev, lo, hi, src []int
 	// wsDigit is the ws order being searched.
 	wsDigit int
 }
 
 // buildTables fills each location's table with the local indices of its
-// shares that pass uniproc. The uniproc walk's ws orders are those that
-// extend poloc (wsOrders), so poloc ∪ ws is acyclic; for a location
-// without reads that is the whole check. Per ws order the search starts
-// from the closure of poloc ∪ ws and searches the reads' rf choices depth
-// first: each level adds one read's rf edge and fr edges and abandons the
-// prefix as soon as the union has a cycle. Adding edges never removes a
-// cycle, so pruning a prefix drops no passing share.
+// shares that pass uniproc and in which every RMW is adjacent in ws: its
+// read half reads from the write just before its write half. The ws
+// orders are those that extend poloc (wsOrders, CoWW), so per ws order the
+// search need only choose each read's source by its position in the
+// order, the initial write at 0. Read r may read from s exactly when
+//   - pos(s) >= the position of every write poloc-before r (CoWR);
+//   - pos(s) < the position of every write poloc-after r (CoRW1, CoRW2);
+//   - pos(s) >= the position of the source of the nearest read
+//     poloc-before r (CoRR; the earlier reads' sources follow by
+//     induction).
 //
-// No leaf check for RMW value dependencies is needed: a value cycle
-// alternates poloc edges Ra -> Wa within an RMW and rf edges Wa -> Ra'
-// between RMWs, so it is a cycle of poloc ∪ rf that the search has
-// already pruned.
+// Poloc ∪ rf ∪ ws ∪ fr on one location is acyclic exactly when the
+// location has none of the five coherence shapes (Alglave, Maranget and
+// Tautschnig, "Herding Cats", TOPLAS 2014, the SC-per-location theorem),
+// and these bounds exclude the four that involve a read. An RMW value
+// cycle is a poloc ∪ rf cycle, which CoRW2 excludes, so no leaf check for
+// one is needed. An RMW read's write half is poloc-after it, so its source
+// lies before the write half, and the RMW condition narrows it to the
+// position just before (EnumUniprocAdjacentRMW). The table lists the
+// passing shares by ws order and then by the reads' sources, the last
+// read least significant, so consecutive candidates of the walk mostly
+// differ in one read's source (Execution.BaseClosure).
 func (sp *enumSpace) buildTables(ctx context.Context) error {
-	s := &tableSearch{
-		sp:    sp,
-		ctx:   ctx,
-		local: make([]int, len(sp.events)),
-		next:  make([]int, len(sp.events)),
-	}
 	maxReads := 0
 	for l := range sp.locs {
 		maxReads = max(maxReads, len(sp.locs[l].reads))
 	}
-	s.levels = make([]Relation, maxReads+2)
+	s := &tableSearch{
+		sp:   sp,
+		ctx:  ctx,
+		pos:  make([]int, len(sp.events)),
+		prev: make([]int, maxReads),
+		lo:   make([]int, maxReads),
+		hi:   make([]int, maxReads),
+		src:  make([]int, maxReads),
+	}
 	for l := range sp.locs {
 		if err := s.location(&sp.locs[l]); err != nil {
 			return err
@@ -431,36 +446,39 @@ func (sp *enumSpace) buildTables(ctx context.Context) error {
 // location fills loc's table.
 func (s *tableSearch) location(loc *locSpace) error {
 	s.loc = loc
-	for i, e := range loc.events {
-		s.local[e] = i
-	}
-	// The last level holds poloc, closed, and is copied into level 0 for
-	// each ws order.
-	poloc := &s.levels[len(s.levels)-1]
-	poloc.Reset(len(loc.events))
-	for _, a := range loc.events {
-		for _, b := range loc.events {
-			if s.sp.inv.poloc.Has(a, b) {
-				poloc.Add(s.local[a], s.local[b])
+	poloc := &s.sp.inv.poloc
+	// poloc runs forward in event order, so the nearest read poloc-before
+	// a read is the last such read before it.
+	for i, pos := range loc.reads {
+		s.prev[i] = -1
+		for j := i - 1; j >= 0; j-- {
+			if poloc.Has(s.sp.reads[loc.reads[j]], s.sp.reads[pos]) {
+				s.prev[i] = j
+				break
 			}
 		}
 	}
-	poloc.TransitiveClosure()
 	for wd, order := range loc.ws {
 		if err := s.tick(); err != nil {
 			return err
 		}
-		// The order extends poloc, so no edge of its chain closes a
-		// cycle.
-		base := s.levels[0].CopyFrom(poloc)
-		for j := 1; j < len(order); j++ {
-			base.AddClosed(s.local[order[j-1]], s.local[order[j]])
+		for p, w := range order {
+			s.pos[w] = p
 		}
-		for j, w := range order {
-			s.next[w] = -1
-			if j+1 < len(order) {
-				s.next[w] = order[j+1]
+		for i, pos := range loc.reads {
+			r := s.sp.reads[pos]
+			lo, hi := 0, len(order)
+			for p, w := range order {
+				if poloc.Has(w, r) {
+					lo = max(lo, p)
+				} else if hi == len(order) && poloc.Has(r, w) {
+					hi = p
+				}
+				if s.sp.rmwReadOf[w] == r {
+					lo = max(lo, p-1) // r is w's read half
+				}
 			}
+			s.lo[i], s.hi[i] = lo, hi
 		}
 		s.wsDigit = wd
 		if err := s.search(0, 0); err != nil {
@@ -471,8 +489,9 @@ func (s *tableSearch) location(loc *locSpace) error {
 }
 
 // search extends the passing prefix of the first i reads' rf choices,
-// whose local rf digits form rfLocal, by every choice for read i that
-// keeps the closure acyclic, and records each complete share.
+// whose local rf digits form rfLocal, by every choice for read i whose
+// position in the ws order lies within its bounds, and records each
+// complete share.
 func (s *tableSearch) search(i, rfLocal int) error {
 	loc := s.loc
 	if i == len(loc.reads) {
@@ -482,22 +501,17 @@ func (s *tableSearch) search(i, rfLocal int) error {
 	if err := s.tick(); err != nil {
 		return err
 	}
-	pos := loc.reads[i]
-	choices := s.sp.choices[pos]
-	r := s.local[s.sp.reads[pos]]
-	cur, next := &s.levels[i], &s.levels[i+1]
+	lo, hi := s.lo[i], s.hi[i]
+	if j := s.prev[i]; j >= 0 {
+		lo = max(lo, s.src[j])
+	}
+	choices := s.sp.choices[loc.reads[i]]
 	for d, w := range choices {
-		next.CopyFrom(cur)
-		// rf: w -> r. fr: r -> every write ws-after w, which the closure
-		// gets from the edge to w's successor.
-		if !next.AddClosed(s.local[w], r) {
-			continue
-		}
-		if succ := s.next[w]; succ >= 0 && !next.AddClosed(r, s.local[succ]) {
-			continue
-		}
-		if err := s.search(i+1, rfLocal*len(choices)+d); err != nil {
-			return err
+		if p := s.pos[w]; p >= lo && p < hi {
+			s.src[i] = p
+			if err := s.search(i+1, rfLocal*len(choices)+d); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -317,46 +319,87 @@ func TestCountCandidatesRejectsInvalidProgram(t *testing.T) {
 	}
 }
 
-// TestEnumUniprocPrunesLargeSpace walks the uniproc candidates of spaces
+// TestEnumUniprocPrunesLargeSpace walks the pruned candidates of spaces
 // no full walk could finish. With 62 reads of x in one thread and one
 // write of x in another there are 2^62 candidates, of which exactly 63
 // satisfy uniproc: the reads see the initial value up to some point in
 // program order and the write from then on. With 70 reads and no write,
-// the location has 71 events, so the table search's closures span two
-// words per row.
+// the location has 71 events. With seven threads of one fetch-and-add of
+// x each there are 8^6 × 7! = 1,321,205,760 candidates, of which only
+// the 7! in which each RMW reads the ws-predecessor of its write half
+// remain, one per ws order, each ending with x = 7.
 func TestEnumUniprocPrunesLargeSpace(t *testing.T) {
 	for _, tc := range []struct {
-		reads      int
-		write      bool
-		candidates int
-		uniproc    int
+		reads, rmws int
+		write       bool
+		candidates  int
+		uniproc     int
 	}{
 		{reads: 62, write: true, candidates: 1 << 62, uniproc: 63},
 		{reads: 70, write: false, candidates: 1, uniproc: 1},
+		{rmws: 7, candidates: 1_321_205_760, uniproc: 5_040},
 	} {
 		p := NewProgram("reads")
-		reads := make([]Instr, tc.reads)
-		for i := range reads {
-			reads[i] = Read(0, fmt.Sprintf("r%d", i))
+		if tc.reads > 0 {
+			reads := make([]Instr, tc.reads)
+			for i := range reads {
+				reads[i] = Read(0, fmt.Sprintf("r%d", i))
+			}
+			p.AddThread(reads...)
 		}
-		p.AddThread(reads...)
 		if tc.write {
 			p.AddThread(Write(0, 1))
+		}
+		for i := 0; i < tc.rmws; i++ {
+			p.AddThread(FetchAdd(0, "r0", 1))
 		}
 		var candidates int
 		visited := 0
 		err := EnumerateFunc(p, func(x *Execution) bool {
 			if !x.Uniproc() {
-				t.Fatalf("%d reads: the uniproc walk visited a candidate that violates uniproc:\n%s", tc.reads, x)
+				t.Fatalf("%d reads, %d RMWs: the pruned walk visited a candidate that violates uniproc:\n%s", tc.reads, tc.rmws, x)
+			}
+			if tc.rmws > 0 && x.FinalMemory()[0] != Value(tc.rmws) {
+				t.Fatalf("%d RMWs: the pruned walk visited a candidate that loses an update:\n%s", tc.rmws, x)
 			}
 			visited++
 			return true
-		}, EnumUniproc(), EnumCandidates(&candidates))
+		}, EnumUniprocAdjacentRMW(), EnumCandidates(&candidates))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if candidates != tc.candidates || visited != tc.uniproc {
-			t.Errorf("%d reads: %d candidates, %d visited; want %d and %d", tc.reads, candidates, visited, tc.candidates, tc.uniproc)
+			t.Errorf("%d reads, %d RMWs: %d candidates, %d visited; want %d and %d", tc.reads, tc.rmws, candidates, visited, tc.candidates, tc.uniproc)
 		}
+	}
+}
+
+// TestTableSearchPollsContext checks that the table search itself honours
+// its context: with a context cancelled up front, building the walk of
+// three threads that each store to and load x three times (1,824,912
+// passing shares of one location) must fail with context.Canceled after
+// a few hundred search nodes, long before the table is full. A walk
+// checks its context too, so an end-to-end cancellation could not tell
+// which of them stopped it.
+func TestTableSearchPollsContext(t *testing.T) {
+	p := NewProgram("storeloadx3")
+	for th := 0; th < 3; th++ {
+		var ins []Instr
+		for k := 0; k < 3; k++ {
+			ins = append(ins, Write(0, Value(3*th+k+1)), Read(0, fmt.Sprintf("r%d", k)))
+		}
+		p.AddThread(ins...)
+	}
+	sp, err := newEnumSpace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := sp.buildWalk(ctx, true); !errors.Is(err, context.Canceled) {
+		t.Fatalf("buildWalk with a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if n := len(sp.locs[0].table); n >= 10_000 {
+		t.Errorf("the cancelled search recorded %d shares before it stopped, want fewer than 10,000", n)
 	}
 }

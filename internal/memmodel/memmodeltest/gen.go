@@ -1,7 +1,8 @@
 // Package memmodeltest draws seeded random litmus programs for the
 // differential tests and benchmarks of the candidate enumeration and the
-// model checker. It is test support: nothing outside tests and benchmarks
-// imports it.
+// model checker, and the reference predicate those tests hold the walk of
+// memmodel.EnumUniprocAdjacentRMW to (AdjacentRMW). It is test support:
+// nothing outside tests and benchmarks imports it.
 package memmodeltest
 
 import (

@@ -32,9 +32,10 @@ func EnumContext(ctx context.Context) EnumOption {
 // worker goroutine with a private arena; n <= 0 applies the
 // candidate-count rule: runtime.GOMAXPROCS(0) workers when the walk
 // visits at least AutoEnumThreshold candidates, 1 below it. The count is
-// the walk's own: under EnumUniproc it is the number of candidates that
-// satisfy uniproc, not CountCandidates. The worker count is further
-// clamped to the number of candidate indices.
+// the walk's own: under EnumUniprocAdjacentRMW it is the number of
+// candidates that satisfy uniproc and the RMW condition, usually far
+// fewer than CountCandidates. The worker count is further clamped to the
+// number of candidate indices.
 func EnumWorkers(n int) EnumOption {
 	return func(c *enumConfig) { c.workers = n }
 }
@@ -56,23 +57,35 @@ func EnumClassify(newClass func() func(*Execution) uint64) EnumOption {
 	return func(c *enumConfig) { c.classify = newClass }
 }
 
-// EnumUniproc restricts the walk to the candidates that satisfy uniproc
-// (Execution.Uniproc): it visits exactly those candidates of the full
-// walk, as a multiset, and assembles no other. Uniproc's edges (poloc, ws,
-// rf, fr) each join two events of one location, so a candidate passes
-// exactly when every location's share of it does: its reads' rf choices
-// and its ws order. Before walking, it builds each location's ws orders
-// that extend poloc and, per order, searches the location's reads' rf
-// choices depth first for the passing shares, pruning an rf prefix as
-// soon as it closes a cycle; the walk then runs over the product of the
-// locations' tables of passing shares. The tables hold one int per
-// passing share, so their memory grows with the number of candidates
-// that pass.
+// EnumUniprocAdjacentRMW restricts the walk to the candidates that
+// satisfy uniproc (Execution.Uniproc) and in which every RMW is adjacent
+// in ws: its read half Ra reads from the write just before its write half
+// Wa in the location's ws order. It visits exactly those candidates of
+// the full walk, as a multiset, and assembles no other.
 //
-// TSO verdicts use it (internal/core, internal/litmus), since a valid
-// execution must satisfy uniproc; C/C++11 analysis does not, since it
-// classifies every candidate.
-func EnumUniproc() EnumOption {
+// No atomicity type of internal/core accepts a candidate that breaks the
+// RMW condition, so a TSO verdict loses nothing to it. Uniproc puts Ra's
+// source s ws-before Wa (CoRW), so when s is not Wa's ws-predecessor some
+// write w' lies between them: s →ws w' →ws Wa. Ra is then fr-before w',
+// and the closed base order holds Ra →fr w' →ws Wa. Every type disallows
+// w' between the halves, since it is a write to their location, so the
+// first ato rule, Ra before w' forces Wa before w', adds Wa → w', which
+// closes a cycle with w' →ws Wa: the candidate is invalid under every
+// type.
+//
+// Uniproc's edges (poloc, ws, rf, fr) and the RMW condition each join
+// events of one location, so a candidate passes exactly when every
+// location's share of it does: its reads' rf choices and its ws order.
+// Before walking, it builds each location's ws orders that extend poloc
+// and, per order, searches the location's reads' rf choices depth first,
+// bounding each read's source by its position in the order; the walk then
+// runs over the product of the locations' tables of passing shares. The
+// tables hold one int per passing share, so their memory grows with the
+// number of candidates that pass.
+//
+// TSO verdicts use it (internal/core, internal/litmus); C/C++11 analysis
+// does not, since it classifies every candidate.
+func EnumUniprocAdjacentRMW() EnumOption {
 	return func(c *enumConfig) { c.uniproc = true }
 }
 
@@ -121,10 +134,11 @@ const AutoEnumThreshold = 4096
 // Programs whose candidate space does not fit in an int fail up front with
 // an error wrapping ErrSpaceTooLarge.
 //
-// EnumUniproc restricts the walk to the candidates that satisfy uniproc,
-// which is all a TSO validity check can accept; it finds them location by
-// location before the first visit, in memory that grows with their
-// number. Without it every candidate is walked.
+// EnumUniprocAdjacentRMW restricts the walk to the candidates that
+// satisfy uniproc and in which every RMW reads the ws-predecessor of its
+// write half, which is all a TSO validity check can accept; it finds them
+// location by location before the first visit, in memory that grows with
+// their number. Without it every candidate is walked.
 //
 // By default the enumeration is sequential and visits candidates in
 // candidate index order. When EnumWorkers resolves to more than one

@@ -265,7 +265,7 @@ func TestAutoEnumWorkers(t *testing.T) {
 		for _, p := range append(parallelTestPrograms(), wideProgram(), fanInProgram()) {
 			var opts []EnumOption
 			if uniproc {
-				opts = append(opts, EnumUniproc())
+				opts = append(opts, EnumUniprocAdjacentRMW())
 			}
 			n := 0
 			if err := EnumerateFunc(p, func(*Execution) bool { n++; return true }, opts...); err != nil {

@@ -113,9 +113,8 @@ func (r *Relation) CopyFrom(other *Relation) *Relation {
 // reaches from, or from == to — and true at once, after that check, when
 // the pair is already in r. Otherwise each call costs one pass over the
 // rows, so a search that adds edges one at a time learns of a cycle the
-// moment the edge that closes it goes in: the uniproc table search
-// (EnumUniproc), Execution.BaseClosure and internal/core's ato fixpoint
-// all grow a closure this way.
+// moment the edge that closes it goes in: Execution.BaseClosure and
+// internal/core's ato fixpoint grow a closure this way.
 func (r *Relation) AddClosed(from, to int) bool {
 	if r.words == 1 {
 		// One word per row: row i is rows[i].
